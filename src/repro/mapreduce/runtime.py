@@ -31,6 +31,7 @@ from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
     Pair,
+    PartitionTally,
     external_sorted,
     framed_merge_for_reduce,
     group_by_key,
@@ -98,29 +99,6 @@ def _wrap_user_error(phase: str, exc: Exception) -> TaskFailedError:
     if isinstance(exc, TaskFailedError):
         return exc
     return TaskFailedError(f"{phase} raised {type(exc).__name__}: {exc}")
-
-
-class _PairTally:
-    """Pass-through pair iterator tallying records and payload bytes.
-
-    Lets the map task stream its (possibly externally merged) sorted
-    output straight into partitioning while still producing the record/
-    byte counters the in-memory path computed from the full list —
-    same sums, one pass, no second materialisation.
-    """
-
-    __slots__ = ("source", "records", "nbytes")
-
-    def __init__(self, source):
-        self.source = source
-        self.records = 0
-        self.nbytes = 0
-
-    def __iter__(self):
-        for kv in self.source:
-            self.records += 1
-            self.nbytes += kv[0].serialized_size() + kv[1].serialized_size()
-            yield kv
 
 
 def _make_sanitizer(
@@ -246,21 +224,30 @@ def execute_map(
     spill_limit = mr_config.spill_record_limit
     partitioner = job_partitioner(job)
     spill_runs = 1
+    # The combiner's key groups fall out of the partitioning pass; a job
+    # without a combiner collects none.
+    tally = PartitionTally(grouped=job.combiner is not None)
     if spill_limit is not None and len(drained) > spill_limit:
-        tally = _PairTally(external_sorted(drained, spill_limit, perf))
         try:
-            partitions = partition_pairs(tally, partitioner, conf.num_reduces)
+            partitions = partition_pairs(
+                external_sorted(drained, spill_limit, perf),
+                partitioner,
+                conf.num_reduces,
+                tally,
+            )
         except WireFormatError:
             # Unframeable pairs cannot spill as wire runs; sort in
             # memory instead (the error fires before anything yields,
             # so nothing was partitioned or tallied yet).
-            tally = _PairTally(sort_pairs(drained))
-            partitions = partition_pairs(tally, partitioner, conf.num_reduces)
+            partitions = partition_pairs(
+                sort_pairs(drained), partitioner, conf.num_reduces, tally
+            )
         else:
             spill_runs = -(-len(drained) // spill_limit)  # ceil
     else:
-        tally = _PairTally(sort_pairs(drained))
-        partitions = partition_pairs(tally, partitioner, conf.num_reduces)
+        partitions = partition_pairs(
+            sort_pairs(drained), partitioner, conf.num_reduces, tally
+        )
     records_out, output_bytes = tally.records, tally.nbytes
     counters.increment(C.MAP_INPUT_RECORDS, records_in)
     counters.increment(C.MAP_OUTPUT_RECORDS, records_out)
@@ -278,7 +265,12 @@ def execute_map(
         for partition, ppairs in partitions.items():
             try:
                 combined[partition] = run_combiner(
-                    job.combiner, ppairs, context, counters, presorted=True
+                    job.combiner,
+                    ppairs,
+                    context,
+                    counters,
+                    presorted=True,
+                    groups=tally.groups.pop(partition),
                 )
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise _wrap_user_error("combine", exc) from exc

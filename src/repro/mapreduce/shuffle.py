@@ -6,27 +6,43 @@ lecture has students compare ("increased map task run time ... versus
 reduced network traffic").
 
 Hot-path notes: these functions sit inside every task attempt, so they
-are written for throughput — a single bucketing pass that materialises
-only non-empty partitions, per-instance ``serialized_size`` memos (see
-:class:`~repro.mapreduce.types.Writable`), per-partition byte memos on
-:class:`MapOutput`, and a ``presorted`` fast path for the combiner so a
-map task sorts its output exactly once.
+pay per *run of equal keys* rather than per record.  A map task sorts
+its output exactly once; :func:`partition_pairs` then walks that list
+as runs of adjacent keys of equal ``(type, sort_key)`` — the grouping
+rule of ``Writable.__eq__``, found with one ``sort_key()`` per record
+and C-level neighbour comparisons (:func:`_key_runs`).  Each run costs
+one partitioner call, one key size and one slice-extend of its bucket
+(materialising only non-empty partitions), and is kept as the
+``(key, values)`` group the combiner consumes, so :func:`run_combiner`
+(``presorted``, still checked) does not regroup.  Runs whose key class
+does not pin the encoding to the sort key are partitioned and sized
+record by record (:func:`_uniform_runs`), which keeps buckets, tallies
+and groups identical to a per-record pass for any input order.  The
+reduce side's :func:`group_by_key` is the same walk.  Sizes come from
+per-instance ``serialized_size`` memos (see
+:class:`~repro.mapreduce.types.Writable`) and per-partition byte memos
+on :class:`MapOutput`.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, islice, pairwise
 from typing import Iterable, Iterator
 
 from repro.mapreduce import wire
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.counters import C, Counters, PerfStats, _perf_clock
 from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.types import Writable
+from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Writable
 from repro.util.errors import WireFormatError
 
 Pair = tuple[Writable, Writable]
+
+_KEY = operator.itemgetter(0)
+_VALUE = operator.itemgetter(1)
 
 
 def serialized_bytes(pairs: Iterable[Pair]) -> int:
@@ -45,47 +61,138 @@ def _pair_sort_key(kv: Pair):
 
 def is_key_sorted(pairs: list[Pair]) -> bool:
     """True when ``pairs`` is non-descending by key sort order."""
-    return all(
-        pairs[i][0].sort_key() <= pairs[i + 1][0].sort_key()
-        for i in range(len(pairs) - 1)
-    )
+    sort_keys = [kv[0].sort_key() for kv in pairs]
+    return all(map(operator.le, sort_keys, islice(sort_keys, 1, None)))
+
+
+def _key_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each maximal run of adjacent equal keys.
+
+    Two keys are equal — one reduce group — exactly when
+    :meth:`Writable.__eq__ <repro.mapreduce.types.Writable.__eq__>`
+    says so: same class, and ``sort_key()`` values that compare equal.
+    Each key's ``sort_key()`` is taken once and neighbours are compared
+    in C-level passes.  The sort keys meet through ``operator.ne``
+    directly, never inside a tuple: tuple comparison short-circuits on
+    identity and would merge two ``FloatWritable`` NaN keys sharing one
+    ``nan`` object, which ``__eq__`` keeps apart.
+    """
+    count = len(pairs)
+    if not count:
+        return iter(())
+    sort_keys = [kv[0].sort_key() for kv in pairs]
+    is_boundary = map(operator.ne, sort_keys, islice(sort_keys, 1, None))
+    classes = list(map(type, map(_KEY, pairs)))
+    if len(set(classes)) > 1:
+        # Mixed key classes (IntWritable(1) beside LongWritable(1)): a
+        # change of class starts a run as well.
+        is_boundary = map(
+            operator.or_,
+            is_boundary,
+            map(operator.is_not, classes, islice(classes, 1, None)),
+        )
+    return pairwise([0, *compress(range(1, count), is_boundary), count])
 
 
 def group_by_key(sorted_pairs: Iterable[Pair]) -> Iterator[tuple[Writable, list[Writable]]]:
     """Group a key-sorted pair stream into (key, values) runs."""
-    current_key: Writable | None = None
-    values: list[Writable] = []
-    for key, value in sorted_pairs:
-        if current_key is None or key != current_key:
-            if current_key is not None:
-                yield current_key, values
-            current_key, values = key, [value]
+    pairs = sorted_pairs if isinstance(sorted_pairs, list) else list(sorted_pairs)
+    values = list(map(_VALUE, pairs))
+    for start, stop in _key_runs(pairs):
+        yield pairs[start][0], values[start:stop]
+
+
+def _uniform_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
+    """:func:`_key_runs`, cut down to spans one partitioner call and one
+    key size are exact for.
+
+    For the classes in
+    :data:`~repro.mapreduce.types.SORT_KEY_PINS_ENCODING` equal sort keys
+    mean identical keys.  For any other class they need not — ``0.0``
+    and ``-0.0`` are one ``FloatWritable`` group but two CRC32 inputs,
+    and a custom class may order on a subset of what it encodes — so a
+    longer run of those is taken record by record.
+    """
+    for start, stop in _key_runs(pairs):
+        if stop - start == 1 or type(pairs[start][0]) in SORT_KEY_PINS_ENCODING:
+            yield start, stop
         else:
-            values.append(value)
-    if current_key is not None:
-        yield current_key, values
+            yield from zip(range(start, stop), range(start + 1, stop + 1))
+
+
+class PartitionTally:
+    """What :func:`partition_pairs` learns on its way, besides the buckets.
+
+    ``records`` / ``nbytes`` are the map-output record and payload-byte
+    totals.  ``groups`` (only collected when ``grouped``) maps each
+    partition to ``group_by_key`` of its bucket, as a list — what the
+    combiner consumes, so it does not regroup per record.
+    """
+
+    __slots__ = ("records", "nbytes", "groups")
+
+    def __init__(self, grouped: bool = False):
+        self.records = 0
+        self.nbytes = 0
+        self.groups: dict[int, list[tuple[Writable, list[Writable]]]] | None = (
+            {} if grouped else None
+        )
 
 
 def partition_pairs(
-    pairs: Iterable[Pair], partitioner: Partitioner, num_reduces: int
+    pairs: Iterable[Pair],
+    partitioner: Partitioner,
+    num_reduces: int,
+    tally: PartitionTally | None = None,
 ) -> dict[int, list[Pair]]:
-    """Bucket pairs by reduce partition in a single pass.
+    """Bucket pairs by reduce partition, one step per run of equal keys.
 
     Only partitions that receive at least one pair are materialised;
     consumers read absent partitions via ``.get(p, ())``.  For wide
     reduce fan-outs this skips allocating hundreds of empty lists per
     map task.
+
+    Adjacent equal keys share a partition and a key size, so the
+    partitioner is asked once per run and the run is slice-copied into
+    its bucket.  Any input order gives the buckets a per-record pass
+    would; the key-sorted list a map task hands over just has the
+    fewest runs.  ``tally``, when given, is filled along the way.
     """
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
     buckets: dict[int, list[Pair]] = {}
+    groups = tally.groups if tally is not None else None
+    values = list(map(_VALUE, pairs)) if groups is not None else None
+    # Value sizes first: their scratch list is gone before the buckets
+    # and groups grow.
+    nbytes = (
+        sum([kv[1].serialized_size() for kv in pairs]) if tally is not None else 0
+    )
     part = partitioner.partition
-    get = buckets.get
-    for kv in pairs:
-        p = part(kv[0], num_reduces)
-        bucket = get(p)
+    for start, stop in _uniform_runs(pairs):
+        key = pairs[start][0]
+        p = part(key, num_reduces)
+        nbytes += key.serialized_size() * (stop - start)
+        bucket = buckets.get(p)
         if bucket is None:
-            buckets[p] = [kv]
+            buckets[p] = pairs[start:stop]
         else:
-            bucket.append(kv)
+            bucket += pairs[start:stop]
+        if groups is None:
+            continue
+        pgroups = groups.get(p)
+        if pgroups is None:
+            groups[p] = [(key, values[start:stop])]
+        elif pgroups[-1][0] == key:
+            # The bucket's previous pair carries this key too (a run cut
+            # up above, or unsorted input): one group, as group_by_key
+            # over the bucket would make it.
+            pgroups[-1][1].extend(values[start:stop])
+        else:
+            pgroups.append((key, values[start:stop]))
+    if tally is not None:
+        tally.records = len(pairs)
+        tally.nbytes = nbytes
     return buckets
 
 
@@ -95,6 +202,7 @@ def run_combiner(
     context: Context,
     counters: Counters,
     presorted: bool = False,
+    groups: Iterable[tuple[Writable, list[Writable]]] | None = None,
 ) -> list[Pair]:
     """Apply a combiner to one map task's (sorted) output.
 
@@ -106,19 +214,21 @@ def run_combiner(
     a stable sort bucketed on a key-derived partition stays sorted), so
     the redundant per-partition re-sort is skipped.  The promise is
     checked in debug mode.
+
+    ``groups`` are the key groups of presorted ``pairs`` when the caller
+    already holds them (:class:`PartitionTally` does), which saves
+    regrouping them here.
     """
     counters.increment(C.COMBINE_INPUT_RECORDS, len(pairs))
-    if presorted:
-        if __debug__ and not is_key_sorted(pairs):
-            raise AssertionError(
-                "run_combiner(presorted=True) received unsorted pairs"
-            )
-        source = pairs
-    else:
-        source = sort_pairs(pairs)
+    if presorted and __debug__ and not is_key_sorted(pairs):
+        raise AssertionError(
+            "run_combiner(presorted=True) received unsorted pairs"
+        )
+    if groups is None:
+        groups = group_by_key(pairs if presorted else sort_pairs(pairs))
     combiner = combiner_cls()
     combiner.setup(context)
-    for key, values in group_by_key(source):
+    for key, values in groups:
         combiner.reduce(key, values, context)
     combiner.cleanup(context)
     combined = context.drain()

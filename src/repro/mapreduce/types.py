@@ -15,7 +15,6 @@ byte accounting students observe in job reports.
 
 from __future__ import annotations
 
-import functools
 import sys
 from typing import Any, Callable
 
@@ -113,6 +112,17 @@ class Text(Writable):
 
     def sort_key(self) -> str:
         return self.value
+
+    def serialized_size(self) -> int:
+        try:
+            return self._size_memo
+        except AttributeError:
+            # ASCII (nearly every key of the course's corpora) is one
+            # byte per character: no throwaway UTF-8 copy to measure.
+            text = self.encode()
+            size = len(text) if text.isascii() else len(text.encode("utf-8"))
+            self._size_memo = size
+            return size
 
 
 class IntWritable(Writable):
@@ -304,7 +314,28 @@ def record_writable(
     return _Record
 
 
-@functools.singledispatch
+#: Key classes (exact, not subclasses) whose ``sort_key()`` is the whole
+#: key: equal sort keys mean equal encodings, so equal partitions and
+#: sizes — what lets the shuffle partition and size a run of equal keys
+#: once.  ``FloatWritable`` is not one (``0.0 == -0.0``), nor is a
+#: ``record_writable`` class (``(1,) == (1.0,)``).
+SORT_KEY_PINS_ENCODING = frozenset({Text, IntWritable, LongWritable, NullWritable})
+
+
+def _wrap_null(_value: None) -> Writable:
+    return NullWritable()
+
+
+#: Exact plain type -> Writable constructor: the whole cost of ``wrap``
+#: for the values user code actually emits.
+_WRAPPERS: dict[type, Callable[[Any], Writable]] = {
+    str: Text,
+    int: IntWritable,
+    float: FloatWritable,
+    type(None): _wrap_null,
+}
+
+
 def wrap(value: Any) -> Writable:
     """Auto-wrap plain Python values emitted by user code.
 
@@ -315,34 +346,20 @@ def wrap(value: Any) -> Writable:
     """
     if isinstance(value, Writable):
         return value
+    wrapper = _WRAPPERS.get(type(value))
+    if wrapper is None:
+        wrapper = _subclass_wrapper(value)
+    return wrapper(value)
+
+
+def _subclass_wrapper(value: Any) -> Callable[[Any], Writable]:
+    """The slow path of :func:`wrap`: subclasses of the plain types."""
+    if isinstance(value, bool):
+        raise InvalidWritableError("cannot wrap bool as a Writable")
+    for plain, wrapper in _WRAPPERS.items():
+        if isinstance(value, plain):
+            return wrapper
     raise InvalidWritableError(
         f"cannot wrap {type(value).__name__} as a Writable; "
         f"emit str/int/float/None or a Writable instance"
     )
-
-
-@wrap.register
-def _(value: str) -> Writable:
-    return Text(value)
-
-
-@wrap.register
-def _(value: int) -> Writable:
-    if isinstance(value, bool):
-        raise InvalidWritableError("cannot wrap bool as a Writable")
-    return IntWritable(value)
-
-
-@wrap.register
-def _(value: float) -> Writable:
-    return FloatWritable(value)
-
-
-@wrap.register
-def _(value: None) -> Writable:
-    return NullWritable()
-
-
-@wrap.register
-def _(value: Writable) -> Writable:
-    return value

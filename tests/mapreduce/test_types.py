@@ -123,6 +123,55 @@ class TestWrap:
         with pytest.raises(InvalidWritableError):
             wrap(object())
 
+    def test_exact_builtins_keep_their_value(self):
+        assert (type(wrap("x")), wrap("x").value) == (Text, "x")
+        assert (type(wrap(3)), wrap(3).value) == (IntWritable, 3)
+        assert (type(wrap(2.5)), wrap(2.5).value) == (FloatWritable, 2.5)
+        assert wrap(None) is NullWritable()
+        assert type(wrap(2**70)) is IntWritable  # never LongWritable
+
+    def test_subclasses_of_plain_types_take_the_slow_path(self):
+        class Word(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        word, count, ratio = wrap(Word("w")), wrap(Count(7)), wrap(Ratio(0.5))
+        assert (type(word), word.value) == (Text, "w")
+        assert (type(count), count.value) == (IntWritable, 7)
+        assert (type(ratio), ratio.value) == (FloatWritable, 0.5)
+
+    def test_writable_subclass_passthrough(self):
+        class Word(Text):
+            pass
+
+        value = Word("kept")
+        assert wrap(value) is value
+        assert wrap(NullWritable()) is NullWritable()
+
+    def test_error_messages_unchanged(self):
+        with pytest.raises(InvalidWritableError) as bool_error:
+            wrap(False)
+        assert str(bool_error.value) == "cannot wrap bool as a Writable"
+        with pytest.raises(InvalidWritableError) as list_error:
+            wrap(["a"])
+        assert str(list_error.value) == (
+            "cannot wrap list as a Writable; "
+            "emit str/int/float/None or a Writable instance"
+        )
+
+    def test_module_doctests(self):
+        import doctest
+
+        from repro.mapreduce import types
+
+        results = doctest.testmod(types)
+        assert results.attempted >= 6 and results.failed == 0
+
 
 class TestMemoisation:
     """Writables are immutable; size/sort-key memos must be pure reuse."""
