@@ -421,7 +421,7 @@ class _EngineVisitor:
            :data:`_SHM_CLEANUP_METHODS` — every exit path releases;
         3. the enclosing class defines one of :data:`_SHM_OWNER_METHODS`
            — the instance owns the handle's lifetime (RAII-style, like
-           ``blockio.SpillFile``).
+           ``blockio.MappedFile``).
         """
         owners: dict[ast.AST, ast.ClassDef] = {}
         for node in ast.walk(self.tree):

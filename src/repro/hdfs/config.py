@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.util.errors import ConfigError
 from repro.util.units import MB, parse_size
@@ -120,23 +120,8 @@ class HdfsConfig:
         many chunks and ranged reads exercise partial verification.
         """
         small_block = parse_size(block_size)
-        return HdfsConfig(
+        return replace(
+            self,
             block_size=small_block,
-            replication=self.replication,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_miss_limit=self.heartbeat_miss_limit,
-            safemode_threshold=self.safemode_threshold,
-            safemode_extension=self.safemode_extension,
-            replication_check_interval=self.replication_check_interval,
-            startup_scan_bw=self.startup_scan_bw,
-            max_replication_streams=self.max_replication_streams,
-            min_replicas=self.min_replicas,
-            namenode_bytes_per_block=self.namenode_bytes_per_block,
-            datanode_full_fraction=self.datanode_full_fraction,
             checksum_chunk_size=max(512, small_block // 16),
-            checksum_memo=self.checksum_memo,
-            block_cache_bytes=self.block_cache_bytes,
-            journal=self.journal,
-            journal_dir=self.journal_dir,
-            checkpoint_edit_limit=self.checkpoint_edit_limit,
         )

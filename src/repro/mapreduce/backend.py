@@ -327,9 +327,9 @@ class PooledExecutionBackend(ExecutionBackend):
         # plane has live.  (Per-job scopes release earlier, at job end;
         # this is the backstop for interrupted runs.)  Crashed-worker
         # orphans — segments published but never returned — are caught
-        # by the scopes' glob purge; never sweep them at
+        # by the scopes' directory removal; never sweep them at
         # _discard_executor time, because completed futures from a
-        # broken pool may hold descriptors the parent has yet to adopt.
+        # broken pool may hold slices the parent has yet to adopt.
         _release_shm_scopes()
 
 

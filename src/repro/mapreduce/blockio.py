@@ -25,43 +25,64 @@ from repro.util.errors import (
 )
 
 
-class SpillFile:
-    """One IFile-style spill run on host-local disk.
+class MappedFile:
+    """A host file read back zero-copy through one read-only ``mmap``.
 
-    Map-side external sorts (``MapReduceConfig.spill_record_limit``)
-    write each sorted run as a wire blob through this class and read it
-    back as a zero-copy ``memoryview`` over an ``mmap``, so only one
-    run's records are ever held as Python objects at a time.  These are
-    host temp files (the task's scratch disk), not simulated HDFS
-    blocks; the simulated cost of spilling is priced separately by the
-    CostModel.
+    Two users.  Map-side external sorts
+    (``MapReduceConfig.spill_record_limit``) :meth:`write` each sorted
+    run as a wire blob to an anonymous temp file, so only one run's
+    records are ever held as Python objects at a time.  The shm shuffle
+    plane (:mod:`repro.mapreduce.shm`) maps, with :meth:`open`, the
+    segment file a map worker published.  Either way these are host
+    files (the task's scratch disk), not simulated HDFS blocks; the
+    simulated cost of spilling and shuffling is priced separately by
+    the CostModel.
     """
 
     __slots__ = ("_file", "_mmap")
 
-    def __init__(self, file, mapped: mmap.mmap):
+    def __init__(self, file):
+        """Map all of ``file``, which this object then owns."""
+        try:
+            self._mmap = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        except BaseException:
+            file.close()
+            raise
         self._file = file
-        self._mmap = mapped
 
     @classmethod
-    def write(cls, blob: bytes) -> "SpillFile":
+    def write(cls, blob: bytes) -> "MappedFile":
         """Persist one sorted run; the file vanishes on close/GC."""
         file = tempfile.TemporaryFile(prefix="repro-spill-")
-        file.write(blob)
-        file.flush()
-        mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-        return cls(file, mapped)
+        try:
+            file.write(blob)
+            file.flush()
+        except BaseException:
+            file.close()
+            raise
+        return cls(file)
+
+    @classmethod
+    def open(cls, path: str) -> "MappedFile":
+        """Map an existing file (a published shuffle segment)."""
+        return cls(open(path, "rb"))
 
     def view(self) -> memoryview:
-        """The run's bytes, zero-copy."""
+        """The file's bytes, zero-copy."""
         return memoryview(self._mmap)
 
     def __len__(self) -> int:
         return len(self._mmap)
 
-    def close(self) -> None:
-        self._mmap.close()
+    def close(self) -> bool:
+        """Unmap and close; ``False`` when live views still pin the
+        mapping (``BufferError``), leaving it open for a later retry."""
+        try:
+            self._mmap.close()
+        except BufferError:
+            return False
         self._file.close()
+        return True
 
 
 @dataclass

@@ -56,8 +56,6 @@ class MapReduceConfig:
     tracker_miss_limit: int = 10
     #: io.sort.mb — map output buffer before spilling to local disk.
     sort_buffer_bytes: int = 100 * MB
-    #: Simulated per-task JVM heap (the thing student jobs leaked).
-    task_heap_bytes: int = 200 * MB
     #: Where task attempts' *real* work runs: ``None`` inherits the
     #: process-wide default (see ``repro.mapreduce.backend``), else one
     #: of "serial", "pooled" (process pool), "pooled-threads".
@@ -68,22 +66,13 @@ class MapReduceConfig:
     #: "framed" packs Writable pairs into binary wire blobs
     #: (``repro.mapreduce.wire``) — one ``bytes`` per partition instead
     #: of per-record pickled objects; "object" keeps the historical
-    #: pickled-list transport; "shm" frames and then publishes the
-    #: blobs into shared-memory segments (``repro.mapreduce.shm``) so
-    #: only (segment, offset, length) descriptors cross the pool —
-    #: zero-copy on the reduce side.  Results are bit-identical in all
-    #: three (property-tested); shm is just fastest.  Serial backends
-    #: never frame — nothing crosses a process boundary.
+    #: pickled-list transport; "shm" frames and then writes the blobs
+    #: into mmap-ed segment files (``repro.mapreduce.shm``; on the
+    #: ``/dev/shm`` tmpfs where the host has one) so only (segment,
+    #: offset, length) triples cross the pool — zero-copy on the reduce
+    #: side.  Results are bit-identical in all three (property-tested).
+    #: Serial backends never frame — nothing crosses a process boundary.
     shuffle_transport: str = "framed"
-    #: Segment arena for ``shuffle_transport="shm"``: "posix"
-    #: (``multiprocessing.shared_memory``), "file" (mmap-backed temp
-    #: files, the spill-run mechanism), or "auto" (posix where the host
-    #: has it, else file).
-    shm_arena: str = "auto"
-    #: Map outputs below this many payload bytes stay framed instead of
-    #: getting their own segment (segment create/attach has fixed cost;
-    #: tiny outputs ship cheaper through the pipe).  0 publishes all.
-    shm_min_bytes: int = 0
     #: Map-side external-sort threshold: when a map task emits more
     #: than this many records, its sort spills IFile-style sorted runs
     #: to host-local disk and heap-merges them (bounding the in-memory
@@ -126,13 +115,6 @@ class MapReduceConfig:
                 f"shuffle_transport must be 'framed', 'object' or 'shm', "
                 f"got {self.shuffle_transport!r}"
             )
-        if self.shm_arena not in ("auto", "posix", "file"):
-            raise ConfigError(
-                f"shm_arena must be 'auto', 'posix' or 'file', "
-                f"got {self.shm_arena!r}"
-            )
-        if self.shm_min_bytes < 0:
-            raise ConfigError("shm_min_bytes must be >= 0")
         if self.spill_record_limit is not None and self.spill_record_limit < 1:
             raise ConfigError("spill_record_limit must be >= 1 (or None)")
         if self.shuffle_fetch_retries < 0:

@@ -294,7 +294,7 @@ class JobTracker:
             # backend shutdown / atexit as backstops).
             from repro.mapreduce import shm
 
-            running.shm_scope = shm.ShmScope(self.mr_config.shm_arena)
+            running.shm_scope = shm.ShmScope()
         self.jobs[job_id] = running
         self._job_order.append(job_id)
         self._active[running.submit_seq] = running

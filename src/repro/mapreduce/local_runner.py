@@ -188,7 +188,7 @@ class LocalJobRunner:
         if pooled and self.mr_config.shuffle_transport == "shm":
             from repro.mapreduce import shm
 
-            shm_scope = shm.ShmScope(self.mr_config.shm_arena)
+            shm_scope = shm.ShmScope()
         try:
             return self._run_tasks(
                 job, splits, output_path, counters, node_cache,

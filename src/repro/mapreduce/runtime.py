@@ -416,9 +416,7 @@ def _no_fetch(*_args, **_kwargs):
 
 
 def _shuffle_transport(mr_config: MapReduceConfig | None) -> str:
-    if mr_config is None:
-        return "object"
-    return getattr(mr_config, "shuffle_transport", "object")
+    return "object" if mr_config is None else mr_config.shuffle_transport
 
 
 def map_attempt_work(
@@ -438,7 +436,7 @@ def map_attempt_work(
     simulation thread is a handful of ``bytes`` objects — not a list of
     per-record Writables.  Under ``shuffle_transport="shm"`` the frozen
     blobs are additionally published into a shared-memory segment named
-    by the parent's scope ``shm_token``, and only descriptors ride the
+    by the parent's scope ``shm_token``, and only slices ride the
     pipe.  The result is bit-identical in every form; only the
     representation in transit differs.
     """
@@ -460,16 +458,10 @@ def map_attempt_work(
         # (freeze reports False); the backend's pickle fallback remains
         # the safety net behind that.
         frozen = execution.output.freeze(perf)
-        if (
-            frozen
-            and transport == "shm"
-            and shm_token is not None
-            and execution.output.total_bytes()
-            >= getattr(mr_config, "shm_min_bytes", 0)
-        ):
-            # Best-effort: a failed publish (arena full, scope already
-            # torn down) leaves the output framed, which is always
-            # correct — just copied instead of shared.
+        if frozen and transport == "shm" and shm_token is not None:
+            # Best-effort: a failed publish (tmpfs full, scope already
+            # torn down, nothing to publish) leaves the output framed,
+            # which is always correct — just copied instead of shared.
             execution.output.publish_shm(shm_token, perf)
     execution.perf = perf.as_dict()
     return execution

@@ -5,141 +5,72 @@ blob per partition — but the blob itself still rode the pickle pipe,
 so every byte of map output was copied twice per hop (worker pickle →
 pipe → parent unpickle, and again parent → reduce worker).  This
 module removes the copies: a map worker writes its frozen RWF1 blobs
-into one shared segment and ships only
-:class:`~repro.mapreduce.wire.ShmSlice` descriptors; a reduce worker
-attaches the segment once and decodes straight from a ``memoryview``
-over the shared mapping.  A shuffle blob is materialised exactly once
-on the host.
+into one segment and ships only :class:`ShmSlice` triples; a reduce
+worker maps the segment once and decodes straight from a ``memoryview``
+over the shared pages.  A shuffle blob is materialised exactly once on
+the host.
 
-Two arenas implement the segment, chosen per-platform (or forced by
-``MapReduceConfig.shm_arena``):
-
-- ``posix`` — ``multiprocessing.shared_memory`` (``/dev/shm`` on
-  Linux).  The default wherever POSIX shared memory exists.
-- ``file`` — plain temp files under a per-scope directory, attached
-  via ``mmap`` exactly like :class:`~repro.mapreduce.blockio.SpillFile`
-  spill runs.  The fallback for hosts without POSIX shm, and a useful
-  forcing knob for tests.
+A segment is a ``0600`` file in its scope's private (``0700``)
+``mkdtemp`` directory, read back through ``mmap``
+(:class:`~repro.mapreduce.blockio.MappedFile`, the spill-run
+mechanism).  The directory sits under ``/dev/shm`` where that tmpfs
+exists and is writable — POSIX shared memory *is* a file there, so
+these are the same page-cache pages with none of the
+``multiprocessing`` bookkeeping — and under the system temp dir
+anywhere else.
 
 Lifecycle (see DESIGN.md §4f for the diagram)::
 
     parent                         worker
     ------                         ------
     ShmScope() ── token ──▶  publish_frames(frames, token)
-        │                          │  create segment, copy blobs, close
-        │        ◀── descriptors ──┘  (segment persists; creator may die)
+        │                          │  create segment, write blobs, close
+        │           ◀── slices ────┘  (segment persists; creator may die)
     scope.adopt_output(...)
-        │          reduce worker: attach_slice(desc) → shared memoryview
-    scope.release()   unlink adopted + glob-purge orphans (crashed
-                      workers), drop cached attachments, exactly once
+        │          reduce worker: attach_slice(slice) → shared memoryview
+    scope.release()   unlink adopted + rmtree the directory (crashed
+                      workers' orphans), drop cached mappings, exactly once
 
-``resource_tracker`` bookkeeping: on POSIX, CPython registers a segment
-name with a resource-tracker process on *every* ``SharedMemory`` open —
-create and attach alike.  The tracker is spawned lazily per process, so
-pool workers forked before the parent ever registered anything each get
-their *own* tracker, whose cache the parent's unlink can never balance:
-at worker shutdown those trackers would warn about (and re-unlink)
-segments the scope already cleaned up.  We therefore opt every handle
-out of tracker bookkeeping the moment it is opened
-(:func:`_untrack` — the scope owns segment lifetime, not the opening
-process), keeping every tracker's cache balanced in every start-method
-and process topology.  The trade: a SIGKILLed *parent* leaks segments
-until reboot, which is exactly the backstop :func:`release_all_scopes`
-(run from backend shutdown and ``atexit``) exists to make irrelevant —
-even a ``KeyboardInterrupt`` that skips the runner's ``finally`` cannot
-leak a segment past process exit.
+Segment lifetime belongs to the scope, never to the process that opened
+the file, so a worker can die at any point without leaking.  A SIGKILLed
+*parent* leaves its directory behind until the temp dir is cleaned;
+short of that, :func:`release_all_scopes` (run from backend shutdown and
+``atexit``) means even a ``KeyboardInterrupt`` that skips the runner's
+``finally`` cannot leak a segment past process exit.
 """
 
 from __future__ import annotations
 
 import atexit
-import mmap
 import os
 import shutil
 import tempfile
 import threading
+from typing import NamedTuple
 
+from repro.mapreduce.blockio import MappedFile
 from repro.mapreduce.counters import PerfStats
-from repro.mapreduce.wire import DESC_KIND_FILE, DESC_KIND_POSIX, ShmSlice
-from repro.util.errors import ConfigError, WireFormatError
+from repro.util.errors import WireFormatError
 
-#: Arena names accepted by ``MapReduceConfig.shm_arena``.
-ARENA_NAMES = ("auto", "posix", "file")
-
-#: Where Linux materialises POSIX shared memory (for orphan scans).
-_POSIX_DIR = "/dev/shm"
+#: Where Linux keeps its shared-memory tmpfs; scope directories go here
+#: when they can.
+_TMPFS_DIR = "/dev/shm"
 
 #: Per-process caps on the reader-side attach cache.  Segments are
 #: unmapped LRU-first past either bound; a mapping pinned by live
-#: decode views survives eviction (see :class:`_Attachment.close`).
+#: decode views survives eviction (see :func:`_close_or_park`).
 ATTACH_CACHE_SEGMENTS = 64
 ATTACH_CACHE_BYTES = 256 << 20
 
-#: Attempts to find an unused segment name before giving up (collisions
-#: need a recycled worker pid *and* a matching per-process counter).
-_NAME_ATTEMPTS = 32
 
+class ShmSlice(NamedTuple):
+    """One partition blob's address: ``length`` bytes at ``offset`` of
+    the segment file ``segment``.  Never leaves the program — it only
+    crosses the pool's own pickle pipe."""
 
-def _shared_memory():
-    """The stdlib shared_memory module, imported on first use."""
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-def _untrack(seg) -> None:
-    """Opt one just-opened SharedMemory handle out of resource-tracker
-    cleanup: segment lifetime belongs to the owning :class:`ShmScope`,
-    and leaving the registration in place makes forked pool workers'
-    per-process trackers warn about (and racily re-unlink) names the
-    scope already released.  Uses the registered form of the name
-    (``seg._name``, leading slash included) so the unregister matches
-    the register ``SharedMemory.__init__`` just performed in this same
-    process."""
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except OSError:  # pragma: no cover - tracker pipe gone at exit
-        pass
-
-
-def have_posix_shm() -> bool:
-    """Can this host back segments with POSIX shared memory?"""
-    if os.name != "posix":
-        return False
-    try:
-        _shared_memory()
-    except ImportError:  # minimal builds without _posixshmem
-        return False
-    return True
-
-
-def resolve_arena(name: str = "auto") -> str:
-    """Resolve an arena knob value to a concrete arena kind."""
-    if name not in ARENA_NAMES:
-        raise ConfigError(
-            f"unknown shm arena {name!r}; expected one of {ARENA_NAMES}"
-        )
-    if name == "auto":
-        return "posix" if have_posix_shm() else "file"
-    if name == "posix" and not have_posix_shm():
-        raise ConfigError("shm_arena='posix' but this host has no POSIX shm")
-    return name
-
-
-# ---------------------------------------------------------------------------
-# segment naming
-
-_seq_lock = threading.Lock()
-_seq = 0
-
-
-def _next_seq() -> int:
-    global _seq
-    with _seq_lock:
-        _seq += 1
-        return _seq
+    segment: str
+    offset: int
+    length: int
 
 
 # ---------------------------------------------------------------------------
@@ -149,103 +80,38 @@ def _next_seq() -> int:
 def publish_frames(
     frames: dict[int, bytes], token: str, perf: PerfStats | None = None
 ) -> dict[int, ShmSlice] | None:
-    """Write one map output's frame blobs into a fresh shared segment.
+    """Write one map output's frame blobs into a fresh segment.
 
-    ``token`` is a scope token (``"posix:<prefix>"`` /
-    ``"file:<directory>"``) minted by the parent's :class:`ShmScope`.
-    Returns partition → :class:`~repro.mapreduce.wire.ShmSlice`, or
-    ``None`` when publishing is not possible (empty output, shm mount
-    full, scope directory already released) — callers then keep the
-    framed form, which is always correct, just slower.
+    ``token`` is the scope directory minted by the parent's
+    :class:`ShmScope`.  Returns partition → :class:`ShmSlice`, or
+    ``None`` when publishing is not possible (empty output, tmpfs full,
+    scope directory already released) — callers then keep the framed
+    form, which is always correct, just slower.
     """
-    kind, _, base = token.partition(":")
-    order = sorted(frames)
-    total = sum(len(frames[p]) for p in order)
+    total = sum(len(blob) for blob in frames.values())
     if total == 0:
         return None
-    blobs = [(p, frames[p]) for p in order]
     try:
-        if kind == "posix":
-            descriptors = _publish_posix(base, blobs, total)
-        elif kind == "file":
-            descriptors = _publish_file(base, blobs, total)
-        else:
-            raise ConfigError(f"malformed shm scope token {token!r}")
+        # O_CREAT|O_EXCL, mode 0600, under a name no other worker holds.
+        fd, path = tempfile.mkstemp(suffix=".seg", dir=token)
+        try:
+            slices: dict[int, ShmSlice] = {}
+            offset = 0
+            with os.fdopen(fd, "wb") as segment:
+                for partition in sorted(frames):
+                    blob = frames[partition]
+                    segment.write(blob)
+                    slices[partition] = ShmSlice(path, offset, len(blob))
+                    offset += len(blob)
+        except BaseException:
+            os.unlink(path)
+            raise
     except OSError:
         return None
-    if descriptors is not None and perf is not None:
+    if perf is not None:
         perf.segments_created += 1
         perf.shm_bytes += total
-    return descriptors
-
-
-def _publish_posix(
-    prefix: str, blobs: list[tuple[int, bytes]], total: int
-) -> dict[int, ShmSlice] | None:
-    shared_memory = _shared_memory()
-    seg = None
-    name = ""
-    for _attempt in range(_NAME_ATTEMPTS):
-        name = f"{prefix}-{os.getpid():x}-{_next_seq():x}"
-        try:
-            seg = shared_memory.SharedMemory(name=name, create=True, size=total)
-            break
-        except FileExistsError:
-            continue
-    if seg is None:
-        return None
-    _untrack(seg)
-    try:
-        return _fill(seg.buf, name, DESC_KIND_POSIX, blobs)
-    except BaseException:
-        seg.unlink()
-        raise
-    finally:
-        seg.close()
-
-
-def _publish_file(
-    root: str, blobs: list[tuple[int, bytes]], _total: int
-) -> dict[int, ShmSlice] | None:
-    fd = None
-    path = ""
-    for _attempt in range(_NAME_ATTEMPTS):
-        path = os.path.join(root, f"{os.getpid():x}-{_next_seq():x}.seg")
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            break
-        except FileExistsError:
-            continue
-    if fd is None:
-        return None
-    try:
-        descriptors: dict[int, ShmSlice] = {}
-        offset = 0
-        for partition, blob in blobs:
-            os.write(fd, blob)
-            descriptors[partition] = ShmSlice(
-                DESC_KIND_FILE, path, offset, len(blob)
-            )
-            offset += len(blob)
-        return descriptors
-    except BaseException:
-        os.unlink(path)
-        raise
-    finally:
-        os.close(fd)
-
-
-def _fill(
-    buf, name: str, kind: int, blobs: list[tuple[int, bytes]]
-) -> dict[int, ShmSlice]:
-    descriptors: dict[int, ShmSlice] = {}
-    offset = 0
-    for partition, blob in blobs:
-        n = len(blob)
-        buf[offset : offset + n] = blob
-        descriptors[partition] = ShmSlice(kind, name, offset, n)
-        offset += n
-    return descriptors
+    return slices
 
 
 # ---------------------------------------------------------------------------
@@ -253,111 +119,67 @@ def _fill(
 #
 # Reducers attach *lazily*, on the first decode of a slice, and each
 # process maps a segment at most once no matter how many partitions it
-# reads from it — that is why descriptors stay cheap even when one map
+# reads from it — that is why slices stay cheap even when one map
 # output fans out to every reduce.
 
-
-class _Attachment:
-    """One process-local mapping of a segment (all slices share it)."""
-
-    __slots__ = ("view", "nbytes", "_closers")
-
-    def __init__(self, view, nbytes: int, closers: tuple):
-        self.view = view
-        self.nbytes = nbytes
-        self._closers = closers
-
-    @classmethod
-    def open_posix(cls, name: str) -> "_Attachment":
-        seg = _shared_memory().SharedMemory(name=name)
-        _untrack(seg)  # readers never own the segment's lifetime
-        # seg itself stays alive through the bound close method.
-        return cls(seg.buf, seg.size, (seg.close,))
-
-    @classmethod
-    def open_file(cls, path: str) -> "_Attachment":
-        f = open(path, "rb")
-        try:
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        except BaseException:
-            f.close()
-            raise
-        return cls(memoryview(mapped), len(mapped), (mapped.close, f.close))
-
-    def close(self) -> bool:
-        """Unmap; ``False`` when live decode views still pin the buffer
-        (the caller parks the attachment instead of crashing — it is
-        reclaimed at process exit, and the segment's *name* is already
-        unlinked, so nothing survives the run either way)."""
-        try:
-            if isinstance(self.view, memoryview):
-                self.view.release()
-            for closer in self._closers:
-                closer()
-        except BufferError:
-            return False
-        return True
-
-
 _attach_lock = threading.Lock()
-#: (kind, segment) -> _Attachment, oldest-attached first (LRU via
+#: segment path -> its mapping, oldest-attached first (LRU via
 #: pop/re-insert on hit).
-_attached: dict[tuple[int, str], _Attachment] = {}
-#: Attachments whose close() was refused by live exports; referenced
-#: here so teardown never runs close() from __del__ mid-decode.
-_zombies: list[_Attachment] = []
+_attached: dict[str, MappedFile] = {}
+#: Mappings whose close() was refused by live exports; referenced here
+#: so teardown never runs close() from __del__ mid-decode.
+_zombies: list[MappedFile] = []
 
 
 def attach_slice(desc: ShmSlice, perf: PerfStats | None = None) -> memoryview:
-    """A zero-copy ``memoryview`` over one descriptor's blob.
+    """A zero-copy ``memoryview`` over one slice's blob.
 
-    Attaches the segment on first touch (counted in
+    Maps the segment on first touch (counted in
     ``perf.segments_attached``); later slices into the same segment hit
-    the cache.  Out-of-range descriptors raise
+    the cache.  Ranges outside the segment raise
     :class:`~repro.util.errors.WireFormatError` rather than returning a
     short view that would decode as a truncated blob.
     """
-    key = (desc.kind, desc.segment)
     with _attach_lock:
-        att = _attached.pop(key, None)
+        att = _attached.pop(desc.segment, None)
         if att is not None:
-            _attached[key] = att  # refresh LRU recency
+            _attached[desc.segment] = att  # refresh LRU recency
         else:
-            if desc.kind == DESC_KIND_POSIX:
-                att = _Attachment.open_posix(desc.segment)
-            else:
-                att = _Attachment.open_file(desc.segment)
-            _attached[key] = att
+            att = _attached[desc.segment] = MappedFile.open(desc.segment)
             if perf is not None:
                 perf.segments_attached += 1
             _evict_locked()
-    if desc.offset + desc.length > att.nbytes:
+    end = desc.offset + desc.length
+    if desc.offset < 0 or desc.length < 0 or end > len(att):
         raise WireFormatError(
-            f"shm descriptor out of range: [{desc.offset}, "
-            f"{desc.offset + desc.length}) beyond segment of {att.nbytes} "
-            f"bytes ({desc.segment!r})"
+            f"shm slice out of range: [{desc.offset}, {end}) of a "
+            f"{len(att)}-byte segment ({desc.segment!r})"
         )
-    return att.view[desc.offset : desc.offset + desc.length]
+    return att.view()[desc.offset : end]
+
+
+def _close_or_park(att: MappedFile) -> None:
+    """Unmap, or park a mapping that live decode views still pin (it is
+    reclaimed at process exit, and the segment file is already
+    unlinked, so nothing survives the run either way)."""
+    if not att.close():
+        _zombies.append(att)
 
 
 def _evict_locked() -> None:
     while len(_attached) > 1 and (
         len(_attached) > ATTACH_CACHE_SEGMENTS
-        or sum(a.nbytes for a in _attached.values()) > ATTACH_CACHE_BYTES
+        or sum(len(a) for a in _attached.values()) > ATTACH_CACHE_BYTES
     ):
-        key = next(iter(_attached))  # oldest entry (insertion order)
-        att = _attached.pop(key)
-        if not att.close():
-            _zombies.append(att)
+        oldest = next(iter(_attached))  # insertion order
+        _close_or_park(_attached.pop(oldest))
 
 
 def _detach_where(match) -> None:
-    """Close (or park) every cached attachment whose key matches."""
+    """Close (or park) every cached mapping whose segment path matches."""
     with _attach_lock:
-        for key in [k for k in _attached if match(k)]:
-            att = _attached.pop(key)
-            if not att.close():
-                _zombies.append(att)
+        for segment in [s for s in _attached if match(s)]:
+            _close_or_park(_attached.pop(segment))
 
 
 def attached_segment_count() -> int:
@@ -375,28 +197,30 @@ _scopes_lock = threading.Lock()
 _live_scopes: dict[str, "ShmScope"] = {}
 
 
+def _make_scope_dir() -> str:
+    """A fresh private (0700) directory: on the shared-memory tmpfs
+    when the host has a writable one, else in the system temp dir."""
+    try:
+        return tempfile.mkdtemp(prefix="repro-shm-", dir=_TMPFS_DIR)
+    except OSError:
+        return tempfile.mkdtemp(prefix="repro-shm-")
+
+
 class ShmScope:
     """Parent-side registry and janitor for one run's segments.
 
     Created by the runner/JobTracker before pooled tasks launch; its
-    :attr:`token` travels to map workers (it is the only shm state that
-    crosses the pool besides descriptors).  :meth:`release` — idempotent,
-    called from the runner's ``finally``, the JobTracker's job
-    finish/fail paths, backend shutdown and the ``atexit`` backstop —
-    unlinks every adopted segment *and* glob-purges orphans left by
-    workers that died between publishing and returning.
+    :attr:`token` — the scope directory — travels to map workers (it is
+    the only shm state that crosses the pool besides slices).
+    :meth:`release` — idempotent, called from the runner's ``finally``,
+    the JobTracker's job finish/fail paths, backend shutdown and the
+    ``atexit`` backstop — unlinks every adopted segment *and* removes
+    the directory, orphans of workers that died between publishing and
+    returning included.
     """
 
-    def __init__(self, arena: str = "auto"):
-        self.arena = resolve_arena(arena)
-        if self.arena == "posix":
-            self._prefix = f"repro-shm-{os.getpid():x}-{_next_seq():x}"
-            self._root = None
-            self.token = f"posix:{self._prefix}"
-        else:
-            self._root = tempfile.mkdtemp(prefix="repro-shm-")
-            self._prefix = None
-            self.token = f"file:{self._root}"
+    def __init__(self):
+        self.token = _make_scope_dir()
         self._adopted: set[str] = set()
         self._lock = threading.Lock()
         self._released = False
@@ -409,29 +233,22 @@ class ShmScope:
 
     def adopt_output(self, output) -> None:
         """Register a map output's segments for exact unlink at release."""
-        descriptors = getattr(output, "descriptors", None)
-        if not descriptors:
+        if not output.frames:
             return
         with self._lock:
-            for partition in sorted(descriptors):
-                self._adopted.add(descriptors[partition].segment)
+            self._adopted.update(
+                slot.segment
+                for slot in output.frames.values()
+                if isinstance(slot, ShmSlice)
+            )
 
     def live_segments(self) -> list[str]:
-        """Names of this scope's segments that exist on the host now."""
-        if self.arena == "posix":
-            return self._scan_posix()
+        """Paths of this scope's segments that exist on the host now."""
         try:
-            entries = os.listdir(self._root)
+            entries = os.listdir(self.token)
         except OSError:
             return []
-        return sorted(os.path.join(self._root, name) for name in entries)
-
-    def _scan_posix(self) -> list[str]:
-        try:
-            entries = os.listdir(_POSIX_DIR)
-        except OSError:
-            entries = []
-        return sorted(n for n in entries if n.startswith(self._prefix))
+        return sorted(os.path.join(self.token, name) for name in entries)
 
     def release(self) -> None:
         """Unlink everything this scope owns, exactly once."""
@@ -442,43 +259,16 @@ class ShmScope:
             adopted = sorted(self._adopted)
         with _scopes_lock:
             _live_scopes.pop(self.token, None)
-        if self.arena == "posix":
-            # Drop this process's own mappings first so unlinked memory
-            # is actually freed (pooled-threads runs attach in-process).
-            prefix = self._prefix
-            _detach_where(
-                lambda key: key[0] == DESC_KIND_POSIX
-                and key[1].startswith(prefix)
-            )
-            names = set(adopted)
-            names.update(self._scan_posix())  # crashed workers' orphans
-            for name in sorted(names):
-                _unlink_posix(name)
-        else:
-            root = self._root
-            _detach_where(
-                lambda key: key[0] == DESC_KIND_FILE
-                and key[1].startswith(root + os.sep)
-            )
-            shutil.rmtree(root, ignore_errors=True)
-
-
-def _unlink_posix(name: str) -> None:
-    """Remove one segment by name; silent when already gone.
-
-    The attach registers the name with this process's resource tracker
-    and ``unlink`` immediately unregisters it — balanced, so no
-    :func:`_untrack` needed on this path.
-    """
-    shared_memory = _shared_memory()
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    try:
-        seg.unlink()
-    finally:
-        seg.close()
+        # Drop this process's own mappings first so the unlinked pages
+        # are actually freed (pooled-threads runs attach in-process).
+        inside = self.token + os.sep
+        _detach_where(lambda segment: segment.startswith(inside))
+        for path in adopted:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+        shutil.rmtree(self.token, ignore_errors=True)  # orphans too
 
 
 def live_scope_tokens() -> list[str]:
@@ -499,9 +289,9 @@ def release_all_scopes() -> None:
         scopes = [_live_scopes[token] for token in sorted(_live_scopes)]
     for scope in scopes:
         scope.release()
-    _detach_where(lambda key: True)
-    # Retry parked attachments: views exported at detach time have
-    # usually been dropped by now, letting their files finally close.
+    _detach_where(lambda segment: True)
+    # Retry parked mappings: views exported at detach time have usually
+    # been dropped by now, letting their files finally close.
     with _attach_lock:
         parked, _zombies[:] = list(_zombies), []
     for att in parked:

@@ -30,7 +30,7 @@ import heapq
 import operator
 from dataclasses import dataclass, field
 from itertools import compress, islice, pairwise
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.mapreduce import wire
 from repro.mapreduce.api import Context, Reducer
@@ -38,6 +38,9 @@ from repro.mapreduce.counters import C, Counters, PerfStats, _perf_clock
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Writable
 from repro.util.errors import WireFormatError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mapreduce.shm import ShmSlice
 
 Pair = tuple[Writable, Writable]
 
@@ -240,20 +243,20 @@ def run_combiner(
 class MapOutput:
     """One completed map task's partitioned, (optionally) combined output.
 
-    Three representations share this class:
+    Two representations share this class:
 
     - **object form** (``partitions``): partition -> pair list, the
       historical shape, used by the serial path and the pooled
       ``shuffle_transport="object"`` baseline;
-    - **framed form** (``frames``): partition -> wire blob, produced by
+    - **binary form** (``frames``): partition -> wire blob, produced by
       :meth:`freeze` inside pool workers so a map result crosses the
       process boundary as a few ``bytes`` objects instead of thousands
-      of pickled Writables;
-    - **descriptor form** (``descriptors``): partition ->
-      :class:`~repro.mapreduce.wire.ShmSlice`, produced by
-      :meth:`publish_shm` under ``shuffle_transport="shm"`` — the blobs
-      live in a shared-memory segment and only the (segment, offset,
-      length) triples cross the pool; readers decode from a shared
+      of pickled Writables.  Under ``shuffle_transport="shm"``
+      :meth:`publish_shm` then moves the blobs into a shared segment
+      and leaves each partition's
+      :class:`~repro.mapreduce.shm.ShmSlice` — where its blob now
+      lives — in the blob's place, so only (segment, offset, length)
+      triples cross the pool; readers decode from a shared
       ``memoryview`` via :func:`repro.mapreduce.shm.attach_slice`.
 
     Partition contents are immutable once the map task finishes, so
@@ -268,11 +271,10 @@ class MapOutput:
     node: str
     #: Object form; ``None`` once frozen into frames.
     partitions: dict[int, list[Pair]] | None = field(default_factory=dict)
-    #: Framed form; ``None`` until :meth:`freeze`.
-    frames: dict[int, bytes] | None = None
-    #: Descriptor form; ``None`` until :meth:`publish_shm` (which also
-    #: drops ``frames`` — the blobs then live only in shared memory).
-    descriptors: "dict[int, wire.ShmSlice] | None" = None
+    #: Binary form; ``None`` until :meth:`freeze`.  Each value is the
+    #: partition's wire blob, or after :meth:`publish_shm` the
+    #: ``ShmSlice`` locating it in shared memory.
+    frames: dict[int, bytes | ShmSlice] | None = None
     #: partition -> serialized payload bytes, filled lazily.
     _bytes_memo: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
@@ -284,9 +286,8 @@ class MapOutput:
 
     @property
     def frozen(self) -> bool:
-        """In a binary form (framed or descriptor) the framed reduce
-        path can consume."""
-        return self.frames is not None or self.descriptors is not None
+        """In the binary form the framed reduce path consumes."""
+        return self.frames is not None
 
     def freeze(self, perf: PerfStats | None = None) -> bool:
         """Encode every partition into a wire blob and drop the lists.
@@ -321,52 +322,45 @@ class MapOutput:
         return True
 
     def publish_shm(self, token: str, perf: PerfStats | None = None) -> bool:
-        """Move frozen frames into a shared segment (descriptor form).
+        """Move frozen frames into a shared segment.
 
         ``token`` is the parent's :class:`~repro.mapreduce.shm.ShmScope`
         token.  Publishing is strictly best-effort: on any failure (no
-        frames, empty output, shm arena unavailable or full) the output
+        frames, empty output, segment directory gone or full) the output
         stays framed — always correct, just copied across the pool —
-        and this returns ``False``.  On success the frames are dropped;
-        the blob bytes then exist exactly once on the host, inside the
-        segment.
+        and this returns ``False``.  On success each blob is replaced
+        by its slice; the blob bytes then exist exactly once on the
+        host, inside the segment.
         """
-        if self.descriptors is not None:
-            return True
         if not self.frames:
             return False
         from repro.mapreduce import shm
 
-        descriptors = shm.publish_frames(self.frames, token, perf)
-        if descriptors is None:
+        slices = shm.publish_frames(self.frames, token, perf)
+        if slices is None:
             return False
-        self.descriptors = descriptors
-        self.frames = None
+        self.frames.update(slices)
         return True
 
     def _blob_for(self, partition: int, perf: PerfStats | None = None):
-        """The partition's wire blob — ``bytes`` (framed), a shared
-        ``memoryview`` (descriptor form, attaching lazily), or ``None``
-        when absent.  Callers only in binary forms."""
-        if self.descriptors is not None:
-            desc = self.descriptors.get(partition)
-            if desc is None:
-                return None
-            from repro.mapreduce import shm
-
-            return shm.attach_slice(desc, perf)
+        """The partition's wire blob — ``bytes``, a shared
+        ``memoryview`` (published, attaching lazily), or ``None`` when
+        absent.  Callers only in binary form."""
         assert self.frames is not None
-        return self.frames.get(partition)
+        blob = self.frames.get(partition)
+        if blob is None or isinstance(blob, bytes):
+            return blob
+        from repro.mapreduce import shm
+
+        if perf is not None:
+            # These bytes never crossed the pool: the reader decodes
+            # straight from the shared mapping.
+            perf.copy_avoided_bytes += blob.length
+        return shm.attach_slice(blob, perf)
 
     def partition_ids(self) -> list[int]:
         """Sorted ids of non-empty partitions (any form)."""
-        if self.descriptors is not None:
-            source = self.descriptors
-        elif self.frames is not None:
-            source = self.frames
-        else:
-            source = self.partitions
-        return sorted(source)
+        return sorted(self.partitions if self.frames is None else self.frames)
 
     def pairs_for(self, partition: int, perf: PerfStats | None = None) -> list[Pair]:
         """This partition's pairs as a list, decoding when binary.
@@ -376,12 +370,6 @@ class MapOutput:
         """
         if self.partitions is not None:
             return self.partitions.get(partition, [])
-        if self.descriptors is not None and perf is not None:
-            desc = self.descriptors.get(partition)
-            if desc is not None:
-                # These bytes never crossed the pool: the reader decodes
-                # straight from the shared mapping.
-                perf.copy_avoided_bytes += desc.length
         blob = self._blob_for(partition, perf)
         if blob is None:
             return []
@@ -406,11 +394,11 @@ class MapOutput:
         return True if blob is None else wire.blob_key_sorted(blob)
 
     def slice_for(self, partition: int) -> "MapOutput":
-        """A slim copy carrying only one partition's frames/descriptors.
+        """A slim copy carrying only one partition's frame.
 
         Framed/shm reduce dispatch ships these so a reduce attempt's
         IPC payload holds just its own partition, not every partition
-        of every map — and in descriptor form the payload is a ~50-byte
+        of every map — and once published the payload is a ~50-byte
         triple regardless of blob size.  Only meaningful on frozen
         outputs; an unfrozen output is returned whole (the object path
         keeps its historical full-ship behaviour).
@@ -420,12 +408,8 @@ class MapOutput:
         sliced = MapOutput(
             task_index=self.task_index, node=self.node, partitions=None
         )
-        if self.descriptors is not None:
-            desc = self.descriptors.get(partition)
-            sliced.descriptors = {} if desc is None else {partition: desc}
-        else:
-            blob = self.frames.get(partition)
-            sliced.frames = {} if blob is None else {partition: blob}
+        blob = self.frames.get(partition)
+        sliced.frames = {} if blob is None else {partition: blob}
         if partition in self._bytes_memo:
             sliced._bytes_memo[partition] = self._bytes_memo[partition]
         if partition in self._records_memo:
@@ -532,7 +516,7 @@ def external_sorted(
 
     Emission-order chunks of ``spill_limit`` records are each stably
     sorted, framed, and written to host-local disk
-    (:class:`~repro.mapreduce.blockio.SpillFile`); the runs are then
+    (:class:`~repro.mapreduce.blockio.MappedFile`); the runs are then
     k-way merged from zero-copy mmap views, so only one run's records
     are materialised as Python objects at a time during the merge.
 
@@ -542,16 +526,16 @@ def external_sorted(
     the yielded sequence is *exactly* ``sort_pairs(pairs)``, which the
     spill property tests assert.
     """
-    from repro.mapreduce.blockio import SpillFile
+    from repro.mapreduce.blockio import MappedFile
 
     t0 = _perf_clock() if perf is not None else 0.0
-    spills: list[SpillFile] = []
+    spills: list[MappedFile] = []
     runs: list[Iterator[Pair]] = []
     try:
         for start in range(0, len(pairs), spill_limit):
             chunk = sort_pairs(pairs[start : start + spill_limit])
             blob, _ = wire.encode_pairs(chunk)
-            spills.append(SpillFile.write(blob))
+            spills.append(MappedFile.write(blob))
         if perf is not None:
             perf.spill_ms += (_perf_clock() - t0) * 1e3
             perf.spill_runs += len(spills)

@@ -60,11 +60,11 @@ class MapTask:
     state: TaskState = TaskState.PENDING
     attempts: list[TaskAttempt] = field(default_factory=list)
     failures: int = 0
-    #: The attempt's map output in whichever of MapOutput's three forms
-    #: the transport produced: live pair lists (object), frozen RWF1
-    #: blobs (framed), or shm descriptors (shm — the segments these
-    #: name belong to the job's ShmScope, which unlinks them when the
-    #: job finishes or fails; the task never owns segment lifetime).
+    #: The attempt's map output as the transport produced it: live pair
+    #: lists (object), or frozen RWF1 blobs (framed) that under shm are
+    #: replaced by slices of a shared segment (the segments these name
+    #: belong to the job's ShmScope, which unlinks them when the job
+    #: finishes or fails; the task never owns segment lifetime).
     output: MapOutput | None = None
     completed_on: str | None = None
     duration: float | None = None

@@ -320,7 +320,7 @@ class TaskTracker:
 
             work, inline = work_inline, True
         else:
-            shm_scope = getattr(job, "shm_scope", None)
+            shm_scope = job.shm_scope
             work, inline = functools.partial(
                 map_attempt_work,
                 job.job,
@@ -336,7 +336,7 @@ class TaskTracker:
         def finalize(execution):
             execution.output.node = self.name
             execution.output.task_index = assignment.task_index
-            scope = getattr(job, "shm_scope", None)
+            scope = job.shm_scope
             if scope is not None:
                 # Adopt in the simulation thread, as soon as the result
                 # lands: the job's scope then unlinks this segment by

@@ -404,124 +404,3 @@ class FramedPairs:
     def __repr__(self) -> str:
         return f"FramedPairs(count={self.count}, blob_bytes={len(self.blob)})"
 
-
-# ---------------------------------------------------------------------------
-# shared-memory descriptor frames
-#
-# The shm shuffle plane (``repro.mapreduce.shm``) moves frozen RWF1
-# blobs into shared segments; what crosses the process pool is one of
-# these descriptors per partition.  Layout (big-endian)::
-#
-#     +------+------+----------+--------------+--------+--------+
-#     | RWD1 | kind | name len | segment name | offset | length |
-#     | 4 B  | 1 B  | u16      | UTF-8        | u64    | u64    |
-#     +------+------+----------+--------------+--------+--------+
-#
-#     kind 0x01: POSIX shared memory (multiprocessing.shared_memory)
-#     kind 0x02: file-backed arena (mmap over a host temp file)
-#
-# Malformed descriptors (bad magic, unknown kind, truncation at any
-# boundary, trailing bytes) raise WireFormatError, same contract as the
-# pair codec above.
-
-DESC_MAGIC = b"RWD1"
-DESC_KIND_POSIX = 0x01
-DESC_KIND_FILE = 0x02
-_DESC_KINDS = (DESC_KIND_POSIX, DESC_KIND_FILE)
-_DESC_HEADER = struct.Struct(">4sBH")  # magic, kind, segment-name length
-_DESC_RANGE = struct.Struct(">QQ")  # offset, length
-_U64_MAX = (1 << 64) - 1
-
-
-class ShmSlice:
-    """One partition blob's address inside a shared segment.
-
-    The triple the tentpole is named after: ``(segment, offset,
-    length)`` plus an arena ``kind``.  Instances pickle *through the
-    binary codec* (``__reduce__`` packs, the constructor-side unpack
-    validates), so every descriptor that crosses the pool exercises the
-    same encode/decode path the property tests fuzz.
-    """
-
-    __slots__ = ("kind", "segment", "offset", "length")
-
-    def __init__(self, kind: int, segment: str, offset: int, length: int):
-        if kind not in _DESC_KINDS:
-            raise WireFormatError(f"unknown shm descriptor kind 0x{kind:02x}")
-        if not segment:
-            raise WireFormatError("shm descriptor needs a segment name")
-        if len(segment.encode("utf-8")) > 0xFFFF:
-            raise WireFormatError(f"segment name too long: {segment!r}")
-        if not (0 <= offset <= _U64_MAX) or not (0 <= length <= _U64_MAX):
-            raise WireFormatError(
-                f"shm descriptor range out of u64: offset={offset} "
-                f"length={length}"
-            )
-        self.kind = kind
-        self.segment = segment
-        self.offset = offset
-        self.length = length
-
-    def pack(self) -> bytes:
-        name = self.segment.encode("utf-8")
-        return (
-            _DESC_HEADER.pack(DESC_MAGIC, self.kind, len(name))
-            + name
-            + _DESC_RANGE.pack(self.offset, self.length)
-        )
-
-    @classmethod
-    def unpack(cls, buf) -> "ShmSlice":
-        view = memoryview(buf)
-        if len(view) < _DESC_HEADER.size:
-            raise WireFormatError(
-                f"truncated shm descriptor: {len(view)} bytes, header "
-                f"needs {_DESC_HEADER.size}"
-            )
-        magic, kind, name_len = _DESC_HEADER.unpack_from(view, 0)
-        if magic != DESC_MAGIC:
-            raise WireFormatError(
-                f"bad shm descriptor magic {bytes(magic)!r}; "
-                f"expected {DESC_MAGIC!r}"
-            )
-        offset = _DESC_HEADER.size
-        end = offset + name_len + _DESC_RANGE.size
-        if len(view) < end:
-            raise _truncated(offset, end - offset, len(view) - offset)
-        if len(view) > end:
-            raise WireFormatError(
-                f"{len(view) - end} trailing bytes after shm descriptor"
-            )
-        try:
-            segment = str(view[offset : offset + name_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(
-                f"corrupt shm descriptor segment name: {exc}"
-            ) from None
-        start, length = _DESC_RANGE.unpack_from(view, offset + name_len)
-        return cls(kind, segment, start, length)
-
-    def __reduce__(self):
-        return (_unpack_slice, (self.pack(),))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShmSlice)
-            and self.kind == other.kind
-            and self.segment == other.segment
-            and self.offset == other.offset
-            and self.length == other.length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.segment, self.offset, self.length))
-
-    def __repr__(self) -> str:
-        return (
-            f"ShmSlice(kind=0x{self.kind:02x}, segment={self.segment!r}, "
-            f"offset={self.offset}, length={self.length})"
-        )
-
-
-def _unpack_slice(blob: bytes) -> ShmSlice:
-    return ShmSlice.unpack(blob)

@@ -1,38 +1,37 @@
-"""The shared-memory shuffle plane: descriptors, arenas, scopes, leaks.
+"""The shared-memory shuffle plane: segments, scopes, leaks.
 
-Four contracts:
+Three contracts:
 
-1. the RWD1 descriptor codec round-trips exactly and rejects every
-   malformed byte sequence with :class:`WireFormatError` (truncation at
-   *every* boundary, bad magic, unknown kinds, trailing bytes);
-2. blobs published into a segment read back bit-exactly through
-   :func:`attach_slice`, in both arenas, via a per-process attach cache
-   that maps each segment at most once;
-3. an :class:`ShmScope` unlinks everything it owns exactly once — the
+1. blobs published into a segment — a private file, on the shared-memory
+   tmpfs where the host has one — read back bit-exactly through
+   :func:`attach_slice`, via a per-process attach cache that maps each
+   segment at most once, and a slice outside its segment is rejected
+   with :class:`WireFormatError`;
+2. an :class:`ShmScope` unlinks everything it owns exactly once — the
    segments it adopted *and* the orphans a crashed worker left behind —
-   and the stdlib resource tracker stays silent throughout;
-4. :class:`MapOutput`'s descriptor form is observationally identical to
-   its framed form.
+   and a run starts no helper process and writes nothing to stderr;
+3. a published :class:`MapOutput` is observationally identical to a
+   framed one.
 """
 
+import errno
 import functools
 import os
 import signal
+import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce import shm, wire
 from repro.mapreduce.backend import PooledExecutionBackend
 from repro.mapreduce.counters import PerfStats
 from repro.mapreduce.shuffle import MapOutput
 from repro.mapreduce.types import IntWritable, Text
-from repro.util.errors import ConfigError, WireFormatError
-
-SETTINGS = settings(max_examples=60, deadline=None)
+from repro.util.errors import WireFormatError
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="shm plane tests assume a POSIX host"
@@ -50,93 +49,16 @@ def _blob(n=8):
 
 @pytest.fixture
 def scope():
-    s = shm.ShmScope("auto")
+    s = shm.ShmScope()
     yield s
     s.release()
 
 
-# -- 1. descriptor codec ----------------------------------------------------
-
-kinds = st.sampled_from([wire.DESC_KIND_POSIX, wire.DESC_KIND_FILE])
-names = st.text(min_size=1, max_size=60).filter(lambda s: s.strip())
-u64s = st.one_of(
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
-)
-
-
-class TestDescriptorCodec:
-    @SETTINGS
-    @given(kind=kinds, name=names, offset=u64s, length=u64s)
-    def test_round_trip(self, kind, name, offset, length):
-        desc = wire.ShmSlice(kind, name, offset, length)
-        again = wire.ShmSlice.unpack(desc.pack())
-        assert again == desc
-        assert (again.kind, again.segment, again.offset, again.length) == (
-            kind,
-            name,
-            offset,
-            length,
-        )
-
-    @SETTINGS
-    @given(kind=kinds, name=names, offset=u64s, length=u64s)
-    def test_truncation_at_every_boundary(self, kind, name, offset, length):
-        blob = wire.ShmSlice(kind, name, offset, length).pack()
-        for cut in range(len(blob)):
-            with pytest.raises(WireFormatError):
-                wire.ShmSlice.unpack(blob[:cut])
-
-    def test_trailing_bytes_rejected(self):
-        blob = wire.ShmSlice(wire.DESC_KIND_POSIX, "seg", 0, 1).pack()
-        with pytest.raises(WireFormatError, match="trailing"):
-            wire.ShmSlice.unpack(blob + b"\x00")
-
-    def test_bad_magic_rejected(self):
-        blob = bytearray(wire.ShmSlice(wire.DESC_KIND_POSIX, "seg", 0, 1).pack())
-        blob[:4] = b"NOPE"
-        with pytest.raises(WireFormatError, match="magic"):
-            wire.ShmSlice.unpack(bytes(blob))
-
-    def test_unknown_kind_rejected_on_unpack(self):
-        blob = bytearray(wire.ShmSlice(wire.DESC_KIND_POSIX, "seg", 0, 1).pack())
-        blob[4] = 0x7F
-        with pytest.raises(WireFormatError, match="kind"):
-            wire.ShmSlice.unpack(bytes(blob))
-
-    def test_constructor_validation(self):
-        with pytest.raises(WireFormatError):
-            wire.ShmSlice(0x7F, "seg", 0, 1)  # unknown kind
-        with pytest.raises(WireFormatError):
-            wire.ShmSlice(wire.DESC_KIND_POSIX, "", 0, 1)  # empty name
-        with pytest.raises(WireFormatError):
-            wire.ShmSlice(wire.DESC_KIND_POSIX, "seg", -1, 1)
-        with pytest.raises(WireFormatError):
-            wire.ShmSlice(wire.DESC_KIND_POSIX, "seg", 0, 2**64)
-        with pytest.raises(WireFormatError):
-            wire.ShmSlice(wire.DESC_KIND_POSIX, "x" * 70000, 0, 1)
-
-    def test_u64_edges_survive(self):
-        desc = wire.ShmSlice(
-            wire.DESC_KIND_FILE, "/tmp/a.seg", 2**64 - 1, 2**64 - 1
-        )
-        assert wire.ShmSlice.unpack(desc.pack()) == desc
-
-    def test_pickle_goes_through_the_codec(self):
-        """ShmSlice pickles via pack/unpack, so production pool traffic
-        exercises the binary codec on every descriptor."""
-        import pickle
-
-        desc = wire.ShmSlice(wire.DESC_KIND_POSIX, "seg-a", 128, 4096)
-        assert pickle.loads(pickle.dumps(desc)) == desc
-
-
-# -- 2. publish / attach ----------------------------------------------------
+# -- 1. publish / attach ----------------------------------------------------
 
 class TestPublishAttach:
-    @pytest.mark.parametrize("arena", ["posix", "file"])
-    def test_blobs_read_back_bit_exact(self, arena):
-        scope = shm.ShmScope(arena)
+    def test_blobs_read_back_bit_exact(self):
+        scope = shm.ShmScope()
         try:
             frames = {0: _blob(4), 2: _blob(9)}
             descs = shm.publish_frames(frames, scope.token)
@@ -170,11 +92,69 @@ class TestPublishAttach:
         assert perf.segments_attached == 1  # same segment, one mapping
 
     def test_out_of_range_descriptor_rejected(self, scope):
-        descs = shm.publish_frames({0: _blob(2)}, scope.token)
-        good = descs[0]
-        bad = wire.ShmSlice(good.kind, good.segment, good.offset, good.length + 1)
-        with pytest.raises(WireFormatError, match="out of range"):
-            shm.attach_slice(bad)
+        good = shm.publish_frames({0: _blob(2)}, scope.token)[0]
+        for bad in (
+            good._replace(length=good.length + 1),
+            good._replace(offset=good.offset + 1),
+            good._replace(offset=-1),
+            good._replace(offset=-2, length=1),  # would wrap as a Python slice
+            good._replace(length=-1),
+        ):
+            with pytest.raises(WireFormatError, match="out of range"):
+                shm.attach_slice(bad)
+
+    def test_scope_directory_and_segments_are_private(self, scope):
+        desc = shm.publish_frames({0: _blob(2)}, scope.token)[0]
+        assert os.path.dirname(desc.segment) == scope.token
+        assert stat.S_IMODE(os.stat(scope.token).st_mode) == 0o700
+        assert stat.S_IMODE(os.stat(desc.segment).st_mode) == 0o600
+
+    @pytest.mark.skipif(
+        not os.access("/dev/shm", os.W_OK), reason="no writable /dev/shm"
+    )
+    def test_scope_lives_on_the_shm_tmpfs(self, scope):
+        assert os.path.dirname(scope.token) == "/dev/shm"
+
+    def test_falls_back_to_the_system_temp_dir(self, monkeypatch, tmp_path):
+        """No usable /dev/shm (macOS, a read-only container): segments
+        go under TMPDIR and everything else is unchanged."""
+        monkeypatch.setattr(shm, "_TMPFS_DIR", str(tmp_path / "absent"))
+        scope = shm.ShmScope()
+        try:
+            assert os.path.dirname(scope.token) == tempfile.gettempdir()
+            desc = shm.publish_frames({0: _blob(3)}, scope.token)[0]
+            assert bytes(shm.attach_slice(desc)) == _blob(3)
+        finally:
+            scope.release()
+        assert not os.path.exists(scope.token)
+
+    def test_failed_write_leaves_no_file_and_output_framed(
+        self, scope, monkeypatch
+    ):
+        """The tmpfs fills up between two blobs: the half-written
+        segment is unlinked and the map output stays framed."""
+        real_fdopen = os.fdopen
+
+        def full_after_one_write(fd, mode):
+            segment = real_fdopen(fd, mode)
+            real_write, written = segment.write, []
+
+            def write(blob):
+                if written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(real_write(blob))
+
+            segment.write = write
+            return segment
+
+        monkeypatch.setattr(shm.os, "fdopen", full_after_one_write)
+        output = MapOutput(task_index=0, node="n")
+        output.partitions = {0: _pairs(4), 1: _pairs(6)}
+        assert output.freeze()
+        framed = dict(output.frames)
+        assert not output.publish_shm(scope.token)
+        assert output.frames == framed
+        assert scope.live_segments() == []
 
     def test_attach_cache_evicts_lru(self, scope, monkeypatch):
         monkeypatch.setattr(shm, "ATTACH_CACHE_SEGMENTS", 2)
@@ -190,24 +170,17 @@ class TestPublishAttach:
     def test_release_after_publish_failure_is_clean(self):
         """A token whose backing directory is gone: publish degrades to
         None (the output stays framed) instead of raising."""
-        scope = shm.ShmScope("file")
-        root = scope.token.partition(":")[2]
-        scope.release()  # rmtree's the root
-        assert not os.path.isdir(root)
+        scope = shm.ShmScope()
+        scope.release()  # rmtree's the directory
+        assert not os.path.isdir(scope.token)
         assert shm.publish_frames({0: _blob(2)}, scope.token) is None
 
-    def test_resolve_arena_validation(self):
-        with pytest.raises(ConfigError):
-            shm.resolve_arena("bogus")
-        assert shm.resolve_arena("file") == "file"
-        assert shm.resolve_arena("auto") in ("posix", "file")
 
-
-# -- 3. scopes, orphans, crashed workers ------------------------------------
+# -- 2. scopes, orphans, crashed workers ------------------------------------
 
 class TestScopeLifecycle:
     def test_release_unlinks_adopted_segments(self):
-        scope = shm.ShmScope("auto")
+        scope = shm.ShmScope()
         output = MapOutput(task_index=0, node="n")
         output.partitions = {0: _pairs(4)}
         assert output.freeze()
@@ -221,14 +194,14 @@ class TestScopeLifecycle:
     def test_release_purges_unadopted_orphans(self):
         """Segments published but never adopted (the worker died before
         its result reached the parent) still go away at release."""
-        scope = shm.ShmScope("auto")
+        scope = shm.ShmScope()
         shm.publish_frames({0: _blob(4)}, scope.token)  # never adopted
         assert scope.live_segments()
         scope.release()
         assert scope.live_segments() == []
 
     def test_scope_registry_and_release_all(self):
-        scope = shm.ShmScope("auto")
+        scope = shm.ShmScope()
         assert scope.token in shm.live_scope_tokens()
         shm.release_all_scopes()
         assert scope.released
@@ -238,7 +211,7 @@ class TestScopeLifecycle:
         """The ISSUE's regression drill: a pool worker publishes a
         segment and dies; recovery answers on a fresh worker; release
         leaves no segment behind."""
-        scope = shm.ShmScope("auto")
+        scope = shm.ShmScope()
         sentinel = str(tmp_path / "died-once")
         backend = PooledExecutionBackend(workers=1, mode="process")
         try:
@@ -264,47 +237,27 @@ class TestScopeLifecycle:
 
     def test_backend_shutdown_releases_scopes(self):
         backend = PooledExecutionBackend(workers=1, mode="thread")
-        scope = shm.ShmScope("auto")
+        scope = shm.ShmScope()
         shm.publish_frames({0: _blob(3)}, scope.token)
         backend.shutdown()
         assert scope.released
         assert scope.live_segments() == []
 
-    def test_resource_tracker_stays_silent(self):
-        """An end-to-end pooled shm job must not provoke any stdlib
-        resource_tracker warnings at interpreter exit."""
-        script = textwrap.dedent(
-            """
-            from repro.hdfs.localfs import LinuxFileSystem
-            from repro.jobs.wordcount import WordCountWithCombinerJob
-            from repro.mapreduce.config import JobConf, MapReduceConfig
-            from repro.mapreduce.local_runner import LocalJobRunner
+    def test_run_starts_no_helper_process(self):
+        """A pooled shm job starts nothing but its pool workers — in
+        particular not ``multiprocessing``'s resource tracker, which
+        ``SharedMemory`` would."""
+        proc = _pooled_shm_wordcounts(jobs=1, lines=400, start_tracker=False)
+        assert proc.stdout.split() == ["tracker_fd=None"], proc.stderr
 
-            fs = LinuxFileSystem()
-            fs.write_file("/data/c.txt", "a b c d e f g h\\n" * 400)
-            mr = MapReduceConfig(execution_backend="pooled",
-                                 backend_workers=2,
-                                 shuffle_transport="shm")
-            with LocalJobRunner(localfs=fs, mr_config=mr,
-                                split_size=2048) as runner:
-                job = WordCountWithCombinerJob(JobConf(name="wc",
-                                                       num_reduces=3))
-                runner.run(job, "/data/c.txt", "/out")
-            print("DONE")
-            """
-        )
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "DONE" in proc.stdout
-        assert "resource_tracker" not in proc.stderr, proc.stderr
+    def test_resource_tracker_stays_silent(self):
+        """With a resource tracker already running, shared by parent
+        and forked workers, shm jobs must write nothing to stderr.
+        (Unregistering ``SharedMemory`` names from a shared tracker
+        made it print ``KeyError`` tracebacks about once per six
+        1 MiB jobs.)"""
+        proc = _pooled_shm_wordcounts(jobs=8, lines=1 << 16, start_tracker=True)
+        assert proc.stderr == ""
 
     def test_interrupted_run_releases_segments(self, monkeypatch):
         """KeyboardInterrupt surfacing through join_all still hits the
@@ -334,6 +287,46 @@ class TestScopeLifecycle:
         assert shm.live_scope_tokens() == before
 
 
+def _pooled_shm_wordcounts(jobs, lines, start_tracker):
+    """Run ``jobs`` pooled shm wordcounts over a ``16 * lines``-byte
+    corpus in a fresh interpreter, which then prints whether a resource
+    tracker process is running."""
+    script = textwrap.dedent(
+        f"""
+        from multiprocessing import resource_tracker
+        if {start_tracker}:
+            resource_tracker.ensure_running()
+
+        from repro.hdfs.localfs import LinuxFileSystem
+        from repro.jobs.wordcount import WordCountJob
+        from repro.mapreduce.config import JobConf, MapReduceConfig
+        from repro.mapreduce.local_runner import LocalJobRunner
+
+        fs = LinuxFileSystem()
+        fs.write_file("/data/c.txt", "a b c d e f g h\\n" * {lines})
+        mr = MapReduceConfig(execution_backend="pooled",
+                             backend_workers=2,
+                             shuffle_transport="shm")
+        with LocalJobRunner(localfs=fs, mr_config=mr,
+                            split_size=64 * 1024) as runner:
+            for n in range({jobs}):
+                job = WordCountJob(JobConf(name="wc", num_reduces=4))
+                runner.run(job, "/data/c.txt", f"/out{{n}}")
+        print(f"tracker_fd={{resource_tracker._resource_tracker._fd}}")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        env=dict(os.environ, PYTHONPATH="src"),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def _publish_and_die(token, sentinel):
     """Pool payload: publish a segment; die hard on the first attempt."""
     blob, _ = wire.encode_pairs([(Text("k"), IntWritable(1))])
@@ -345,7 +338,7 @@ def _publish_and_die(token, sentinel):
     return "published"
 
 
-# -- 4. MapOutput descriptor form ------------------------------------------
+# -- 3. published MapOutput ------------------------------------------------
 
 class TestMapOutputDescriptorForm:
     def _published(self, scope):
@@ -361,7 +354,8 @@ class TestMapOutputDescriptorForm:
         output, framed = self._published(scope)
         reference = MapOutput(task_index=3, node="n", partitions=None)
         reference.frames = framed
-        assert output.frozen and output.frames is None
+        assert output.frozen
+        assert all(isinstance(v, shm.ShmSlice) for v in output.frames.values())
         assert output.partition_ids() == reference.partition_ids()
         for p in (0, 1, 2):
             assert output.pairs_for(p) == reference.pairs_for(p)
@@ -377,11 +371,11 @@ class TestMapOutputDescriptorForm:
     def test_slice_for_carries_one_descriptor(self, scope):
         output, _ = self._published(scope)
         sliced = output.slice_for(2)
-        assert sorted(sliced.descriptors) == [2]
+        assert sliced.frames == {2: output.frames[2]}
         assert sliced.pairs_for(2) == output.pairs_for(2)
         assert sliced.pairs_for(0) == []
         empty = output.slice_for(1)
-        assert empty.descriptors == {}
+        assert empty.frames == {}
         assert empty.frozen
 
     def test_publish_requires_frozen(self, scope):
@@ -395,6 +389,6 @@ class TestMapOutputDescriptorForm:
         perf = PerfStats()
         output.pairs_for(0, perf)
         output.pairs_for(2, perf)
-        total = sum(d.length for d in output.descriptors.values())
+        total = sum(d.length for d in output.frames.values())
         assert perf.copy_avoided_bytes == total
         assert perf.blobs_decoded == 2

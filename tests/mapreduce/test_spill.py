@@ -19,7 +19,7 @@ from repro.mapreduce.backend import (
     create_backend,
     usable_cores,
 )
-from repro.mapreduce.blockio import SpillFile
+from repro.mapreduce.blockio import MappedFile
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.counters import C, PerfStats
 from repro.mapreduce.local_runner import LocalJobRunner
@@ -66,7 +66,7 @@ class TestExternalSorted:
         gen.close()  # triggers the finally block mid-merge
 
     def test_spillfile_roundtrip_and_close(self):
-        spill = SpillFile.write(b"hello spill")
+        spill = MappedFile.write(b"hello spill")
         assert bytes(spill.view()) == b"hello spill"
         assert len(spill) == 11
         spill.close()

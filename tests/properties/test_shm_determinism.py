@@ -1,13 +1,13 @@
 """Property: the shared-memory shuffle plane is invisible to results.
 
 The shm transport (``repro.mapreduce.shm``) changes only *where* frozen
-RWF1 partition blobs live while crossing the pool — a shared-memory
-segment instead of a pickled bytes payload.  Everything observable —
+RWF1 partition blobs live while crossing the pool — a mapped segment
+file instead of a pickled bytes payload.  Everything observable —
 counters, output pairs, simulated clocks, event counts — must be
 bit-identical between ``shuffle_transport="shm"`` and both older
-transports, on the local runner and the cluster, in both arenas, with
-spilling on, and under every chaos drill with the runtime sanitizer
-watching.  Each run must also leave zero live segments behind.
+transports, on the local runner and the cluster, with spilling on, and
+under every chaos drill with the runtime sanitizer watching.  Each run
+must also leave zero live segments behind.
 """
 
 import warnings
@@ -20,6 +20,7 @@ from repro.jobs.wordcount import WordCountJob, WordCountWithCombinerJob
 from repro.mapreduce import shm
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
+from repro.mapreduce.counters import perf_stats
 from repro.mapreduce.local_runner import LocalJobRunner
 
 ALL_DRILLS = tuple(SCENARIOS)
@@ -30,13 +31,12 @@ CORPUS = (
 )
 
 
-def _mr_config(transport, backend="pooled", spill=None, arena="auto"):
+def _mr_config(transport, backend="pooled", spill=None):
     return MapReduceConfig(
         execution_backend=backend,
         backend_workers=2,
         shuffle_transport=transport,
         spill_record_limit=spill,
-        shm_arena=arena,
     )
 
 
@@ -94,13 +94,18 @@ class TestShmEqualsOtherTransports:
         assert shared == serial
 
     def test_file_arena_bit_identical(self):
-        """The mmap-backed file arena answers exactly like the POSIX
-        one (and like framed) — only the segment's address changes."""
+        """Map output that really went through mapped segment files
+        (not the silent stay-framed fallback) answers exactly like
+        framed — only the blobs' address changes."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            filed = _local_fingerprint(_mr_config("shm", arena="file"))
+            before = perf_stats().snapshot()
+            filed = _local_fingerprint(_mr_config("shm"))
+            moved = perf_stats().delta_since(before)
             framed = _local_fingerprint(_mr_config("framed"))
         assert filed == framed
+        assert moved["segments_created"] == filed[3]  # one per map task
+        assert moved["copy_avoided_bytes"] == moved["shm_bytes"]
 
     def test_thread_backend_bit_identical(self):
         shared = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
@@ -132,16 +137,13 @@ class TestShmEqualsOtherTransports:
                     continue
                 assert sc[group][name] == pc[group][name], (group, name)
 
-    def test_shm_min_bytes_gate_is_invisible(self):
-        """A threshold that forces every output back to framed blobs
-        must not change a single observable bit."""
-        gated = MapReduceConfig(
-            execution_backend="pooled",
-            backend_workers=2,
-            shuffle_transport="shm",
-            shm_min_bytes=1 << 30,
-        )
-        assert _local_fingerprint(gated) == _local_fingerprint(_mr_config("shm"))
+    def test_unpublished_is_invisible(self, monkeypatch):
+        """Outputs whose publish failed (tmpfs full) stay framed blobs
+        under the shm transport; not one observable bit may change."""
+        published = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
+        monkeypatch.setattr(shm, "publish_frames", lambda *args: None)
+        framed = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
+        assert framed == published
 
 
 class TestChaosDrillsShm:

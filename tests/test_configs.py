@@ -1,5 +1,7 @@
 """Configuration validation across the stack."""
 
+import dataclasses
+
 import pytest
 
 from repro.hdfs.config import HdfsConfig
@@ -45,6 +47,31 @@ class TestHdfsConfig:
         assert teaching.heartbeat_interval == 7.0
         assert base.block_size == 64 * 1024 * 1024  # original untouched
 
+    def test_for_teaching_carries_every_other_field(self):
+        """Each field in turn set away from its default (one at a time:
+        ``journal=False`` and a ``journal_dir`` exclude each other), so
+        a field added later cannot be silently dropped from the copy."""
+        defaults = HdfsConfig()
+        rescaled = {"block_size": 4096, "checksum_chunk_size": 512}
+        for f in dataclasses.fields(HdfsConfig):
+            value = getattr(defaults, f.name)
+            if isinstance(value, bool):
+                value = not value
+            elif isinstance(value, int):
+                value += 1
+            elif isinstance(value, float):
+                value /= 2
+            else:
+                assert f.name == "journal_dir"
+                value = "/var/journal"
+            changed = HdfsConfig(**{f.name: value})
+            assert getattr(changed, f.name) != getattr(defaults, f.name)
+            teaching = changed.for_teaching(block_size=4096)
+            assert dataclasses.asdict(teaching) == {
+                **dataclasses.asdict(changed),
+                **rescaled,
+            }
+
 
 class TestMapReduceConfig:
     def test_tracker_timeout_derived(self):
@@ -62,6 +89,10 @@ class TestMapReduceConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             MapReduceConfig(**kwargs)
+
+    def test_field_count(self):
+        """Knobs are a cost: adding one should be a deliberate act."""
+        assert len(dataclasses.fields(MapReduceConfig)) == 17
 
 
 class TestCostModel:
