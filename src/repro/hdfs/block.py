@@ -93,6 +93,12 @@ class StoredBlock:
     boundary of the write path.  Chunks are *born verified*: the CRCs
     are computed from the same bytes the replica stores, so a fresh
     replica has nothing left to prove until something mutates it.
+
+    A pipeline checksums a block once: a replica adopts the CRC list of
+    the ``upstream`` replica it got the block from, but only when it
+    holds the very same ``bytes`` object (identity, so nothing can have
+    changed) cut at the same chunk size.  The list is never written
+    again; ``corrupt()`` replaces one replica's ``data`` and no CRC.
     """
 
     __slots__ = ("block", "data", "chunk_size", "chunk_crcs", "_memo", "_use_memo")
@@ -103,6 +109,7 @@ class StoredBlock:
         data,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         memo: bool = True,
+        upstream: "StoredBlock | None" = None,
     ):
         if len(data) != block.length:
             raise ValueError(
@@ -114,11 +121,18 @@ class StoredBlock:
         self.data = data if isinstance(data, bytes) else bytes(data)
         self.chunk_size = chunk_size
         self._use_memo = memo
-        view = memoryview(self.data)
-        self.chunk_crcs = [
-            checksum(view[i : i + chunk_size])
-            for i in range(0, block.length, chunk_size)
-        ]
+        if (
+            upstream is not None
+            and upstream.data is self.data
+            and upstream.chunk_size == chunk_size
+        ):
+            self.chunk_crcs = upstream.chunk_crcs
+        else:
+            view = memoryview(self.data)
+            self.chunk_crcs = [
+                checksum(view[i : i + chunk_size])
+                for i in range(0, block.length, chunk_size)
+            ]
         self._memo = bytearray([_OK] * len(self.chunk_crcs)) if memo else None
 
     @property

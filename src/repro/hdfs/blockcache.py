@@ -39,13 +39,19 @@ class BlockCache:
     no cache at all.
     """
 
-    __slots__ = ("capacity_bytes", "_entries", "used_bytes", "hits", "misses", "evictions")
+    __slots__ = (
+        "capacity_bytes", "_entries", "_generations", "used_bytes",
+        "hits", "misses", "evictions",
+    )
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be >= 0")
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[tuple[int, int], "StoredBlock"] = OrderedDict()
+        #: block_id -> cached generations, in step with ``_entries`` so
+        #: ``invalidate`` looks one id up instead of scanning every key.
+        self._generations: dict[int, list[int]] = {}
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -79,24 +85,30 @@ class BlockCache:
         old = self._entries.pop(key, None)
         if old is not None:
             self.used_bytes -= old.length
+        else:
+            self._generations.setdefault(key[0], []).append(key[1])
         self._entries[key] = stored
         self.used_bytes += stored.length
         while self.used_bytes > self.capacity_bytes:
-            _, victim = self._entries.popitem(last=False)
+            (block_id, generation), victim = self._entries.popitem(last=False)
+            generations = self._generations[block_id]
+            generations.remove(generation)
+            if not generations:
+                del self._generations[block_id]
             self.used_bytes -= victim.length
             self.evictions += 1
 
     def invalidate(self, block_id: int) -> None:
         """Drop every generation of ``block_id`` (corrupt/invalidate/move)."""
-        stale = [key for key in self._entries if key[0] == block_id]
-        for key in stale:
-            victim = self._entries.pop(key)
+        for generation in self._generations.pop(block_id, ()):
+            victim = self._entries.pop((block_id, generation))
             self.used_bytes -= victim.length
             self.evictions += 1
 
     def clear(self) -> None:
         self.evictions += len(self._entries)
         self._entries.clear()
+        self._generations.clear()
         self.used_bytes = 0
 
     def stats(self) -> dict[str, int]:

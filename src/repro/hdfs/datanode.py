@@ -230,12 +230,15 @@ class DataNode:
         self.namenode.process_block_report(report)
 
     # -- data path ---------------------------------------------------------
-    def write_block(self, block: Block, data) -> bool:
+    def write_block(
+        self, block: Block, data, upstream: StoredBlock | None = None
+    ) -> bool:
         """Store one replica; False if down or out of space.
 
         ``data`` may be any bytes-like object (``memoryview`` slices
         from the client split loop land here); the ``StoredBlock``
-        constructor is the single copy boundary.
+        constructor is the single copy boundary.  ``upstream`` is the
+        replica that forwarded the bytes; its chunk CRCs come with them.
         """
         if not self.is_serving:
             return False
@@ -253,6 +256,7 @@ class DataNode:
             data,
             chunk_size=self.config.checksum_chunk_size,
             memo=self.config.checksum_memo,
+            upstream=upstream,
         )
         self._used_bytes += block.length
         return True

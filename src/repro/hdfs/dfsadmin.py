@@ -111,12 +111,17 @@ class DfsAdmin:
             f"(~{nn.heap_used_bytes()} bytes of NameNode heap)",
             nn.journal.describe(),
         ]
+        path_of = {
+            block.block_id: file_path
+            for file_path, inode in nn.namespace.walk_files("/")
+            for block in inode.blocks
+        }
         for block_id in sorted(nn.block_map):
             meta = nn.block_map[block_id]
             locs = ",".join(sorted(meta.locations)) or "<none>"
             lines.append(
                 f"blk_{block_id} len={meta.block.length} "
                 f"repl={meta.live_replicas}/{meta.expected_replication} "
-                f"file={meta.file_path} on=[{locs}]"
+                f"file={path_of[block_id]} on=[{locs}]"
             )
         return "\n".join(lines)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.hdfs.block import DEFAULT_FIRST_BLOCK_ID, Block
-from repro.hdfs.namespace import Namespace
+from repro.hdfs.namespace import Namespace, move_quotas
 from repro.util.errors import HdfsError, JournalFormatError
 
 EDITS_MAGIC = b"RWJ1"
@@ -473,9 +473,12 @@ def apply_edit(state: ImageState, op: int, values: tuple) -> None:
     elif op == OP_DELETE:
         path, recursive = values
         ns.delete(path, recursive=recursive)
+        move_quotas(state.quotas, path, None)
     elif op == OP_RENAME:
         src, dst = values
-        ns.rename(src, dst)
+        landed = ns.rename(src, dst)
+        if landed is not None:
+            move_quotas(state.quotas, src, landed)
     elif op == OP_SET_REPLICATION:
         path, replication = values
         ns.get_file(path).replication = replication

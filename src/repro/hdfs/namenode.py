@@ -24,7 +24,7 @@ from repro.hdfs.journal import (
     MemoryJournalStorage,
     NameNodeJournal,
 )
-from repro.hdfs.namespace import FileStatus, Namespace, normalize
+from repro.hdfs.namespace import FileStatus, Namespace, move_quotas, normalize
 from repro.hdfs.placement import ReplicaPlacementPolicy
 from repro.hdfs.protocol import (
     BlockReport,
@@ -49,11 +49,11 @@ from repro.util.rng import RngStream
 
 @dataclass
 class BlockMeta:
-    """NameNode-side record for one block."""
+    """NameNode-side record for one block.  It names no file: reports
+    derive a block's path from the namespace, so renames never come here."""
 
     block: Block
     expected_replication: int
-    file_path: str
     locations: set[str] = field(default_factory=set)
     corrupt_on: set[str] = field(default_factory=set)
     #: Cached "counts toward safemode" bit (>= min_replicas live
@@ -301,8 +301,6 @@ class NameNode:
         self.journal.log_set_quota(norm, namespace_quota, space_quota)
 
     def _quota_roots_for(self, path: str) -> list[str]:
-        from repro.hdfs.namespace import normalize
-
         norm = normalize(path)
         return [
             root
@@ -320,17 +318,21 @@ class NameNode:
             total += inode.length * inode.replication
         return total
 
-    def _check_namespace_quota(self, new_path: str) -> None:
-        for root in self._quota_roots_for(new_path):
+    def _check_namespace_quota(
+        self, new_path: str, added: int = 1, roots: list[str] | None = None
+    ) -> None:
+        for root in self._quota_roots_for(new_path) if roots is None else roots:
             quota, _space = self.quotas[root]
-            if quota is not None and self._namespace_usage(root) + 1 > quota:
+            if quota is not None and self._namespace_usage(root) + added > quota:
                 raise QuotaExceededError(
                     f"namespace quota of {root} exceeded: "
                     f"quota={quota}, trying to add {new_path}"
                 )
 
-    def _check_space_quota(self, path: str, added_bytes: int) -> None:
-        for root in self._quota_roots_for(path):
+    def _check_space_quota(
+        self, path: str, added_bytes: int, roots: list[str] | None = None
+    ) -> None:
+        for root in self._quota_roots_for(path) if roots is None else roots:
             _ns, space = self.quotas[root]
             if space is not None and self._space_usage(root) + added_bytes > space:
                 raise QuotaExceededError(
@@ -454,7 +456,6 @@ class NameNode:
         self.block_map[block.block_id] = BlockMeta(
             block=block,
             expected_replication=inode.replication,
-            file_path=path,
         )
         self.journal.log_add_block(
             normalize(path), block.block_id, block.generation, block.length
@@ -525,6 +526,7 @@ class NameNode:
         self._check_down("delete")
         self.safemode.check("delete")
         freed = self.namespace.delete(path, recursive=recursive)
+        move_quotas(self.quotas, normalize(path), None)
         self.journal.log_delete(normalize(path), recursive)
         for block in freed:
             meta = self.block_map.pop(block.block_id, None)
@@ -543,14 +545,20 @@ class NameNode:
     def rename(self, src: str, dst: str) -> None:
         self._check_down("rename")
         self.safemode.check("rename")
-        self.namespace.rename(src, dst)
-        self.journal.log_rename(normalize(src), normalize(dst))
-        # Keep fsck context accurate after moves.
-        for file_path, inode in self.namespace.walk_files("/"):
-            for block in inode.blocks:
-                meta = self.block_map.get(block.block_id)
-                if meta is not None:
-                    meta.file_path = file_path
+        landed = self.namespace.rename(src, dst, admit=self._admit_rename)
+        if landed is not None:  # src == dst moved nothing: nothing to redo
+            move_quotas(self.quotas, normalize(src), landed)
+            self.journal.log_rename(normalize(src), normalize(dst))
+
+    def _admit_rename(self, src: str, landed: str) -> None:
+        """Charge the moved subtree to the quota roots it enters (those
+        above ``landed`` but not above ``src``) before anything moves."""
+        unchanged = self._quota_roots_for(src)
+        entered = [r for r in self._quota_roots_for(landed) if r not in unchanged]
+        if entered:
+            dirs, files, _bytes = self.namespace.count(src)
+            self._check_namespace_quota(landed, dirs + files, entered)
+            self._check_space_quota(landed, self._space_usage(src), entered)
 
     def set_replication(self, path: str, replication: int) -> None:
         self._check_down("setrep")
@@ -800,12 +808,11 @@ class NameNode:
         self.decommissioning = set(state.decommissioning)
         self._block_ids.restore(state.next_block_id)
         self.block_map = {}
-        for file_path, inode in self.namespace.walk_files("/"):
+        for _path, inode in self.namespace.walk_files("/"):
             for block in inode.blocks:
                 self.block_map[block.block_id] = BlockMeta(
                     block=block,
                     expected_replication=inode.replication,
-                    file_path=file_path,
                 )
         self._pending_commands.clear()
         self.under_replicated.clear()

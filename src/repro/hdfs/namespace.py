@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.hdfs.block import Block
 from repro.util.errors import (
@@ -36,6 +36,16 @@ def split_path(path: str) -> tuple[str, str]:
         raise FileNotFoundInHdfs("the root directory has no parent")
     parent, base = posixpath.split(norm)
     return parent, base
+
+
+def move_quotas(quotas: dict[str, tuple], src: str, dst: str | None) -> None:
+    """Quotas follow their directory: re-key every quota at or under the
+    normalized ``src`` to the same place under ``dst`` (``None``: deleted,
+    drop them).  Shared by the live NameNode and the journal replay."""
+    for root in [r for r in quotas if r == src or r.startswith(src + "/")]:
+        value = quotas.pop(root)
+        if dst is not None:
+            quotas[dst + root[len(src):]] = value
 
 
 @dataclass
@@ -191,25 +201,34 @@ class Namespace:
         del parent.children[base]
         return freed
 
-    def rename(self, src: str, dst: str) -> None:
+    def rename(
+        self, src: str, dst: str, admit: Callable[[str, str], None] | None = None
+    ) -> str | None:
+        """Move ``src`` to ``dst``; returns the path the inode landed at
+        (``None`` for the ``src == dst`` no-op).  ``admit(src, landed)``
+        runs after every namespace check and before anything moves; if
+        it raises, nothing has changed (the NameNode's quota check)."""
         src_norm, dst_norm = normalize(src), normalize(dst)
         if dst_norm == src_norm:
-            return
+            return None
         if dst_norm.startswith(src_norm + "/"):
             raise NotADirectory(f"cannot move {src!r} into itself")
         node = self._resolve(src_norm)
         # Moving onto an existing directory moves *into* it (fs -mv semantics).
-        if self.exists(dst_norm) and self.is_dir(dst_norm):
+        if self.is_dir(dst_norm):
             dst_norm = posixpath.join(dst_norm, node.name)
         if self.exists(dst_norm):
             raise FileAlreadyExists(dst)
         src_parent, src_base = split_path(src_norm)
         dst_parent, dst_base = split_path(dst_norm)
-        if not self.exists(dst_parent) or not self.is_dir(dst_parent):
+        if not self.is_dir(dst_parent):
             raise FileNotFoundInHdfs(f"rename target parent missing: {dst_parent}")
+        if admit is not None:
+            admit(src_norm, dst_norm)
         del self.get_dir(src_parent).children[src_base]
         node.name = dst_base
         self.get_dir(dst_parent).children[dst_base] = node
+        return dst_norm
 
     # -- listing / traversal -------------------------------------------
     def _collect_blocks(self, node: INode) -> Iterator[Block]:
@@ -219,39 +238,48 @@ class Namespace:
         else:
             yield from node.blocks  # type: ignore[union-attr]
 
-    def status(self, path: str) -> FileStatus:
-        node = self._resolve(path)
-        norm = normalize(path)
+    @staticmethod
+    def _status_of(path: str, node: INode) -> FileStatus:
         if node.is_dir:
-            return FileStatus(norm, True, 0, 0, 0, node.mtime)
+            return FileStatus(path, True, 0, 0, 0, node.mtime)
         return FileStatus(
-            norm, False, node.length, node.replication, len(node.blocks), node.mtime
+            path, False, node.length, node.replication, len(node.blocks), node.mtime
         )
+
+    def status(self, path: str) -> FileStatus:
+        return self._status_of(normalize(path), self._resolve(path))
 
     def list_status(self, path: str) -> list[FileStatus]:
         """Children of a directory (or the file itself), sorted by name."""
         node = self._resolve(path)
         norm = normalize(path)
         if not node.is_dir:
-            return [self.status(norm)]
-        out = []
-        for name in sorted(node.children):
-            child_path = posixpath.join(norm, name)
-            out.append(self.status(child_path))
-        return out
+            return [self._status_of(norm, node)]
+        prefix = norm.rstrip("/") + "/"
+        return [
+            self._status_of(prefix + name, child)
+            for name, child in sorted(node.children.items())
+        ]
 
     def walk_all(self, path: str = "/") -> Iterator[tuple[str, INode]]:
         """Preorder walk of *every* inode under ``path`` — directories
         included, children sorted by name.  Parents always precede their
         children, which is what makes this the fsimage serialization
         order (the decoder can rebuild the tree in one forward pass).
+
+        The start path is resolved once; below it the walk follows
+        ``children``, so it costs O(inodes under ``path``) at any depth.
         """
-        node = self._resolve(path)
-        norm = normalize(path)
-        yield norm, node
-        if node.is_dir:
-            for name in sorted(node.children):  # type: ignore[union-attr]
-                yield from self.walk_all(posixpath.join(norm, name))
+        stack = [(normalize(path), self._resolve(path))]
+        while stack:
+            walked, node = stack.pop()
+            yield walked, node
+            if node.is_dir:
+                prefix = walked.rstrip("/") + "/"
+                stack.extend(
+                    (prefix + name, child)
+                    for name, child in sorted(node.children.items(), reverse=True)
+                )
 
     def dump(self) -> tuple:
         """A canonical, hashable snapshot of the whole tree.
@@ -282,13 +310,7 @@ class Namespace:
 
     def walk_files(self, path: str = "/") -> Iterator[tuple[str, INodeFile]]:
         """Yield ``(path, inode)`` for every file under ``path``."""
-        node = self._resolve(path)
-        norm = normalize(path)
-        if not node.is_dir:
-            yield norm, node  # type: ignore[misc]
-            return
-        for name in sorted(node.children):  # type: ignore[union-attr]
-            yield from self.walk_files(posixpath.join(norm, name))
+        return (pair for pair in self.walk_all(path) if not pair[1].is_dir)  # type: ignore[misc]
 
     def du(self, path: str) -> int:
         """Total bytes (pre-replication) under a path."""
@@ -296,11 +318,6 @@ class Namespace:
 
     def count(self, path: str) -> tuple[int, int, int]:
         """``(dirs, files, bytes)`` under a path — ``hadoop fs -count``."""
-        node = self._resolve(path)
-        if not node.is_dir:
-            return (0, 1, node.length)  # type: ignore[union-attr]
-        dirs, files, nbytes = 1, 0, 0
-        for name in sorted(node.children):  # type: ignore[union-attr]
-            d, f, b = self.count(posixpath.join(normalize(path), name))
-            dirs, files, nbytes = dirs + d, files + f, nbytes + b
-        return dirs, files, nbytes
+        inodes = [inode for _, inode in self.walk_all(path)]
+        files = [inode for inode in inodes if not inode.is_dir]
+        return len(inodes) - len(files), len(files), sum(f.length for f in files)

@@ -53,6 +53,7 @@ def pipeline_write(
     is materialised to ``bytes`` exactly once here, and every replica
     in the chain shares that one immutable object (``StoredBlock``
     keeps a reference; ``corrupt()`` copies-on-write per replica).
+    The chunk CRCs are computed once too and forwarded with the data.
 
     Every replica that lands is confirmed to the NameNode via
     ``block_received`` (in Hadoop the receiving DataNode sends this).
@@ -63,6 +64,7 @@ def pipeline_write(
     failed: list[str] = []
     hop_times: list[float] = []
     prev = client_node
+    upstream = None
 
     for target_name in targets:
         try:
@@ -70,9 +72,10 @@ def pipeline_write(
         except KeyError:
             failed.append(target_name)
             continue
-        if not datanode.write_block(block, data):
+        if not datanode.write_block(block, data, upstream):
             failed.append(target_name)
             continue
+        upstream = datanode.blocks[block.block_id]
 
         # Network hop from the previous pipeline stage.
         if prev is not None and prev in network.topology:

@@ -1,6 +1,8 @@
 """The verified-block cache: LRU mechanics, generation keying, and the
 strict-eviction rules that keep cached bytes honest."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.hdfs.block import Block, StoredBlock
@@ -8,6 +10,7 @@ from repro.hdfs.blockcache import BlockCache
 from repro.hdfs.protocol import InvalidateCommand
 from repro.util.errors import CorruptBlockError
 from tests.conftest import make_hdfs
+from tests.hdfs.blockcache_oracle import run_in_step
 
 
 def _stored(block_id: int, size: int, generation: int = 1) -> StoredBlock:
@@ -75,6 +78,61 @@ class TestBlockCacheUnit:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             BlockCache(-1)
+
+
+class TestGenerationIndex:
+    """``invalidate`` looks ids up in an index instead of scanning every
+    key; the index must never disagree with the ``OrderedDict``."""
+
+    def test_two_generations_of_one_id(self):
+        old, new, other = _stored(1, 100, 1), _stored(1, 100, 2), _stored(2, 100)
+        cache = run_in_step(
+            1024,
+            [("put", old), ("put", new), ("put", other), ("get", 1, 1),
+             ("invalidate", 1), ("get", 1, 1), ("get", 1, 2), ("get", 2, 1)],
+        )
+        assert cache._generations == {2: [1]}
+        assert cache.stats()["evictions"] == 2
+
+    def test_lru_eviction_leaves_no_id_behind(self):
+        cache = run_in_step(
+            250,
+            [("put", _stored(1, 100, 1)), ("put", _stored(1, 100, 2)),
+             ("put", _stored(2, 100)),  # evicts (1, 1): id 1 keeps one generation
+             ("invalidate", 1), ("put", _stored(3, 200)),  # evicts (2, 1)
+             ("invalidate", 2), ("invalidate", 7)],
+        )
+        assert cache._generations == {3: [1]}
+
+    def test_replacing_a_key_indexes_it_once(self):
+        cache = run_in_step(
+            1024,
+            [("put", _stored(1, 100)), ("put", _stored(1, 100)), ("invalidate", 1)],
+        )
+        assert len(cache) == 0 and cache.used_bytes == 0
+        assert cache.stats()["evictions"] == 1
+
+    def test_clear_and_refused_puts(self):
+        cache = run_in_step(
+            100,
+            [("put", _stored(1, 50)), ("put", _stored(2, 101)), ("clear",),
+             ("invalidate", 1), ("put", _stored(1, 50)), ("invalidate", 1)],
+        )
+        assert cache._generations == {}
+        run_in_step(0, [("put", _stored(1, 10)), ("invalidate", 1), ("clear",)])
+
+    def test_invalidate_does_not_scan_the_cache(self):
+        class NoScan(OrderedDict):
+            def __iter__(self):
+                raise AssertionError("invalidate scanned every cached key")
+
+        cache = BlockCache(1 << 20)
+        for block_id in range(50):
+            cache.put(_stored(block_id, 10))
+        cache._entries = NoScan(cache._entries)
+        cache.invalidate(17)
+        cache.invalidate(999)
+        assert len(cache) == 49 and (17, 1) not in cache
 
 
 class TestDataNodeCache:

@@ -130,9 +130,9 @@ class TestDecommission:
         victim = "node0"
         cluster.namenode.start_decommission(victim)
         cluster.client().put_bytes("/data/new", b"n" * 4096)
-        for meta in cluster.namenode.block_map.values():
-            if meta.file_path == "/data/new":
-                assert victim not in meta.locations
+        namenode = cluster.namenode
+        for block in namenode.namespace.get_file("/data/new").blocks:
+            assert victim not in namenode.block_map[block.block_id].locations
 
     def test_reads_work_during_drain(self):
         cluster = self._loaded_cluster()

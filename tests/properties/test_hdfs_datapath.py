@@ -6,7 +6,10 @@ observe — counters, output pairs, simulated clocks, event counts —
 must be bit-identical cache-on vs cache-off, on the cluster, across
 repeated jobs over the same dataset (where the cache actually hits),
 and under every chaos drill.  ``read_range`` itself must agree with
-the plain byte slices it replaces at every chunk boundary +-1.
+the plain byte slices it replaces at every chunk boundary +-1.  The
+cache's ``block_id -> generations`` index is likewise invisible: on any
+operation sequence the indexed cache equals the scan-based one it
+replaced (``tests/hdfs/blockcache_oracle.py``), tally for tally.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from repro.jobs.wordcount import WordCountWithCombinerJob
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.local_runner import LocalJobRunner
+from tests.hdfs.blockcache_oracle import run_in_step
 
 ALL_DRILLS = tuple(SCENARIOS)
 
@@ -142,3 +146,34 @@ def test_ranged_reads_reassemble_whole_block(data, chunk_size, cuts):
         for start, end in zip(points, points[1:])
     ]
     assert b"".join(pieces) == stored.read()
+
+
+# ---------------------------------------------------------------------------
+# the indexed cache against the scan-based one, operation by operation
+
+_IDS = st.integers(min_value=0, max_value=4)
+_GENERATIONS = st.integers(min_value=1, max_value=2)
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _IDS, _GENERATIONS, st.sampled_from((0, 40, 100, 260))),
+        st.tuples(st.just("get"), _IDS, _GENERATIONS),
+        st.tuples(st.just("invalidate"), _IDS),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.sampled_from((0, 100, 250, 1000)), ops=_CACHE_OPS)
+def test_indexed_cache_equals_the_scan_based_cache(capacity, ops):
+    """Random put/get/invalidate/clear over few ids and two generations
+    (so replacement, LRU eviction of one generation of an id, refused
+    oversized puts and double invalidation all occur): ``stats()``, key
+    order and ``used_bytes`` agree after every step, and the index holds
+    exactly the ids the ``OrderedDict`` does."""
+    script = [
+        ("put", StoredBlock(Block(*args), bytes(args[2]))) if op == "put" else (op, *args)
+        for op, *args in ops
+    ]
+    run_in_step(capacity, script)

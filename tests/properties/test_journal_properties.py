@@ -8,7 +8,9 @@ Three durability claims, each load-bearing for the crash drills:
    record, no lost valid prefix;
 3. a NameNode recovered after a crash holds a namespace bit-identical
    to the live one, across seeds and op mixes — and journaling itself
-   never perturbs a fault-free cluster (journal on ≡ off).
+   never perturbs a fault-free cluster (journal on ≡ off).  Both hold
+   with directory quotas in play while their directories are renamed
+   and deleted (``quotas`` is part of the digest).
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.hdfs.journal import (
     frame_record,
     scan_edits,
 )
+from repro.util.errors import QuotaExceededError
 from repro.util.rng import RngStream
 from tests.conftest import make_hdfs
 
@@ -145,3 +148,68 @@ def test_torn_tail_loses_at_most_the_torn_record(seed):
     assert recovery.torn_bytes > 0
     # Exactly one record was torn; everything before it replayed.
     assert recovery.replayed_edits == edits_before - 1
+
+
+def _move_quota_directories(hdfs, seed):
+    """Quotas in play while their directories are renamed and deleted:
+    the replay has to re-key and drop them exactly as the live NameNode
+    did, and has to refuse nothing the live one accepted."""
+    rng = RngStream(seed=seed).child("quota-ops")
+    client = hdfs.client()
+    nn = hdfs.namenode
+    for name in ("/proj/sub", "/scratch/tmp", "/inbox", "/staging"):
+        client.mkdirs(name)
+    nn.set_quota("/proj", namespace_quota=6 + rng.child("ns").integers(0, 3))
+    nn.set_quota("/proj/sub", space_quota=1 << 20)
+    nn.set_quota("/scratch/tmp", namespace_quota=3)
+    nn.set_quota("/inbox", namespace_quota=1)
+    client.put_text("/proj/sub/a.txt", "a" * (100 + rng.child("size").integers(0, 2000)))
+    client.put_text("/staging/one.txt", "1")
+    client.put_text("/staging/two.txt", "2")
+    client.rename("/proj", "/archive")  # a quota root and one below it
+    client.rename("/archive/sub", "/staging")  # onto a directory: into it
+    client.delete("/scratch", recursive=True)  # takes /scratch/tmp's quota
+    client.rename("/staging/one.txt", "/inbox")  # fills /inbox
+    with pytest.raises(QuotaExceededError):
+        client.rename("/staging/two.txt", "/inbox")  # refused, not journaled
+    client.rename("/inbox", "/inbox/.")  # a no-op, not journaled either
+    client.mkdirs("/proj/again")  # the old names are free again
+    client.put_text("/scratch/tmp/x/y/z/w.txt", "w")  # deeper than the old quota
+    assert set(nn.quotas) == {"/archive", "/staging/sub", "/inbox"}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2013])
+def test_quota_directory_renames_and_deletes_replay_bit_identically(seed):
+    hdfs = make_hdfs(num_datanodes=3, seed=seed)
+    _move_quota_directories(hdfs, seed)
+    hdfs.sim.run_for(600.0)
+    live_digest = hdfs.namenode.namespace_digest()
+    live_quotas = dict(hdfs.namenode.quotas)
+    hdfs.crash_namenode()
+    hdfs.recover_namenode()
+    assert hdfs.namenode.quotas == live_quotas
+    assert hdfs.namenode.namespace_digest() == live_digest
+    # Same again with the renames behind an fsimage instead of in edits.
+    hdfs.dfsadmin().save_namespace()
+    hdfs.client().rename("/archive", "/archive2")
+    live_digest = hdfs.namenode.namespace_digest()
+    hdfs.crash_namenode()
+    hdfs.recover_namenode()
+    assert hdfs.namenode.namespace_digest() == live_digest
+    assert "/archive2" in hdfs.namenode.quotas
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_journal_on_and_off_are_bit_identical_with_quotas_in_play(seed):
+    outcomes = {}
+    for journal in (True, False):
+        hdfs = make_hdfs(num_datanodes=3, seed=seed, journal=journal)
+        _move_quota_directories(hdfs, seed)
+        hdfs.sim.run_for(60.0)
+        outcomes[journal] = (
+            hdfs.namenode.namespace_digest(),
+            fsck(hdfs.namenode).render(),
+            hdfs.sim.now,
+            hdfs.sim.events_processed,
+        )
+    assert outcomes[True] == outcomes[False]
