@@ -21,7 +21,9 @@ order results by the same composite sort token
 
 from __future__ import annotations
 
+import ast
 import itertools
+import re
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -62,6 +64,25 @@ from repro.sparklite.codec import unescape_text
 # partial aggregates: one uniform monoid for every aggregate function
 
 
+#: One Python ``str`` literal as ``repr`` writes it (either quote,
+#: backslash escapes).
+_STR_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'" "|" r'"(?:[^"\\]|\\.)*"')
+
+
+def _decode_extremum(text: str):
+    """One ``minimum``/``maximum`` field: empty | number | ``str`` literal."""
+    if not text:
+        return None
+    if text[0] in "'\"":
+        if not _STR_LITERAL.fullmatch(text):
+            raise ValueError(f"corrupt string literal {text!r} in a partial")
+        return ast.literal_eval(text)
+    # repr(float) always shows one of these ("1.5", "1e+16", "inf", "nan").
+    if "." in text or "e" in text or "n" in text:
+        return float(text)
+    return int(text)
+
+
 @dataclass
 class Partial:
     """(count, sum, min, max) over the non-null values seen so far."""
@@ -90,28 +111,36 @@ class Partial:
             setattr(self, attr, theirs if mine is None else pick(mine, theirs))
 
     def encode(self) -> str:
-        def enc(v):
-            return "" if v is None else repr(v)
-
         return FIELD_SEP.join(
-            [str(self.count), repr(self.total), enc(self.minimum),
-             enc(self.maximum)]
+            (
+                str(self.count),
+                repr(self.total),
+                "" if self.minimum is None else repr(self.minimum),
+                "" if self.maximum is None else repr(self.maximum),
+            )
         )
+
+    @staticmethod
+    def encode_one(value) -> str:
+        """``encode()`` of the partial that has observed only ``value``
+        (what the map side emits per row per aggregate)."""
+        total = 0.0 + value if isinstance(value, (int, float)) else 0.0
+        text = repr(value)
+        return FIELD_SEP.join(("1", repr(total), text, text))
 
     @classmethod
     def decode(cls, text: str) -> "Partial":
-        count, total, minimum, maximum = text.split(FIELD_SEP)
-
-        def dec(v):
-            if v == "":
-                return None
-            return eval(v, {"__builtins__": {}}, {})  # noqa: S307 - repr of str/num only
-
+        count, total, extrema = text.split(FIELD_SEP, 2)
+        literal = _STR_LITERAL.match(extrema)
+        # Only a string literal can hold FIELD_SEP; a number or "" cannot.
+        cut = literal.end() if literal else extrema.find(FIELD_SEP)
+        if cut < 0 or extrema[cut : cut + 1] != FIELD_SEP:
+            raise ValueError(f"corrupt partial {text!r}")
         return cls(
-            count=int(count),
-            total=float(total),
-            minimum=dec(minimum),
-            maximum=dec(maximum),
+            int(count),
+            float(total),
+            _decode_extremum(extrema[:cut]),
+            _decode_extremum(extrema[cut + 1 :]),
         )
 
     def finalize(self, aggregate: str):
@@ -209,11 +238,10 @@ def _aggregation_job(schema: TableSchema, query: Query) -> Job:
             group = GROUP_SEP.join(str(row[i]) for i in group_indexes)
         else:
             group = GLOBAL_GROUP
-        partials = []
-        for index in agg_indexes:
-            partial = Partial()
-            partial.observe(1 if index is None else row[index])
-            partials.append(partial.encode())
+        partials = [
+            Partial.encode_one(1 if index is None else row[index])
+            for index in agg_indexes
+        ]
         context.write(Text(group), Text(AGG_SEP.join(partials)))
 
     AggMapper.map = agg_map

@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.hive.parser import SqlError
+from repro.hive.schema import cell_converter
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.outputformat import TextOutputFormat
 from repro.mapreduce.partitioner import Partitioner
@@ -66,11 +67,7 @@ def parse_cell(kind: str, raw: str):
     ``ValueError`` propagates for int/float so malformed *intermediate*
     lines fail loudly — stage inputs are machine-written, not user CSV.
     """
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    return cell_converter(kind)(raw)
 
 
 def apply_op(value, op: str, literal) -> bool:
@@ -154,17 +151,21 @@ def _match_side(input_path: str, spec: dict) -> bool:
     return input_path == location or input_path.startswith(location + "/")
 
 
-def _parse_side_row(line: str, spec: dict) -> list | None:
-    """Parse one source line against a side spec; None to drop it."""
+def _parse_side_row(line: str, spec: dict, converters: tuple) -> list | None:
+    """Parse one source line against a side spec; None to drop it.
+
+    ``converters`` is ``spec["kinds"]`` through :func:`cell_converter`,
+    built once per task rather than looked up per cell.
+    """
     if not line:
         return None
     parts = line.split(spec["delim"])
-    if len(parts) != len(spec["kinds"]):
+    if len(parts) != len(converters):
         return None
     if spec["skip_header"] and parts[0] == spec["first"]:
         return None
     try:
-        return [parse_cell(kind, part) for kind, part in zip(spec["kinds"], parts)]
+        return [convert(part) for convert, part in zip(converters, parts)]
     except ValueError:
         return None
 
@@ -184,6 +185,7 @@ class _JoinMapper(Mapper):
             spec = join[name]
             if context.input_path and _match_side(context.input_path, spec):
                 self._tag, self._spec = tag, spec
+                self._converters = tuple(map(cell_converter, spec["kinds"]))
                 return
         raise SqlError(
             f"input {context.input_path!r} belongs to neither join side"
@@ -191,7 +193,7 @@ class _JoinMapper(Mapper):
 
     def map(self, key: Writable, value: Writable, context: Context) -> None:
         spec = self._spec
-        row = _parse_side_row(value.value, spec)
+        row = _parse_side_row(value.value, spec, self._converters)
         if row is None:
             return
         for index, op, literal in spec["conds"]:

@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.util.errors import ConfigError
+
+
+_CONVERTERS = {"int": int, "float": float}
+
+
+def cell_converter(kind: str):
+    """The text -> value callable for a kind code (``ColumnType.value``,
+    or ``"raw"`` for untyped UDF output); ``str`` returns a ``str``
+    argument itself, so every non-numeric kind keeps the text."""
+    return _CONVERTERS.get(kind, str)
 
 
 class ColumnType(enum.Enum):
@@ -14,11 +25,7 @@ class ColumnType(enum.Enum):
     STRING = "string"
 
     def parse(self, text: str):
-        if self is ColumnType.INT:
-            return int(text)
-        if self is ColumnType.FLOAT:
-            return float(text)
-        return text
+        return cell_converter(self.value)(text)
 
 
 @dataclass(frozen=True)
@@ -50,18 +57,22 @@ class TableSchema:
     def column_type(self, name: str) -> ColumnType:
         return self.columns[self.column_index(name)][1]
 
+    @cached_property
+    def _converters(self) -> tuple:
+        # Not a field: built on first use, outside eq/hash, and made of
+        # builtins so a schema that has parsed rows still pickles.
+        return tuple(cell_converter(ctype.value) for _name, ctype in self.columns)
+
     def parse_row(self, line: str) -> list | None:
         """Parse one data line; None for malformed/empty lines."""
         if not line:
             return None
         parts = line.split(self.delimiter)
-        if len(parts) != len(self.columns):
+        converters = self._converters
+        if len(parts) != len(converters):
             return None
         try:
-            return [
-                ctype.parse(part)
-                for part, (_name, ctype) in zip(parts, self.columns)
-            ]
+            return [convert(part) for convert, part in zip(converters, parts)]
         except ValueError:
             return None
 

@@ -23,6 +23,7 @@ The supported element universe is what RDD pipelines actually move:
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 
@@ -35,36 +36,81 @@ class CodecError(ReproError):
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
+
+# Token scanners, applied in place with ``match(text, pos, end)``.  The
+# classes are spelled out: ``\d`` would admit non-ASCII digits.
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"nan|[0-9+\-.einf]+")
+_ITEM = re.compile(r",([0-9]+):")
 
 
 def escape_text(text: str) -> str:
     """Make a string line-safe (no tab/newline/CR, reversible)."""
     if "\\" not in text and "\t" not in text and "\n" not in text and "\r" not in text:
         return text
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPE_TABLE)
+
+
+def _unescape_one(match: re.Match) -> str:
+    nxt = match[1]
+    plain = _UNESCAPES.get(nxt)
+    if plain is None:
+        if not nxt:
+            raise CodecError(f"dangling escape in {match.string!r}")
+        raise CodecError(f"bad escape \\{nxt} in {match.string!r}")
+    return plain
 
 
 def unescape_text(text: str) -> str:
     if "\\" not in text:
         return text
-    out: list[str] = []
-    it = iter(range(len(text)))
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise CodecError(f"dangling escape in {text!r}")
-            nxt = text[i + 1]
-            if nxt not in _UNESCAPES:
-                raise CodecError(f"bad escape \\{nxt} in {text!r}")
-            out.append(_UNESCAPES[nxt])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    del it
-    return "".join(out)
+    return _ESCAPE_SEQ.sub(_unescape_one, text)
+
+
+def _encode_float(value: float) -> str:
+    # NaN alone is unequal to itself; repr round-trips every other
+    # float (finite or +/-inf) exactly.
+    return "fnan" if value != value else f"f{value!r}"
+
+
+def _container_encoder(tag: str):
+    def encode(value) -> str:
+        pieces = [tag, ""]
+        for item in value:
+            part = encode_element(item)
+            pieces.append(f",{len(part)}:{part}")
+        pieces[1] = str(len(pieces) - 2)
+        return "".join(pieces)
+
+    return encode
+
+
+#: Exact ``type()`` -> encoder.  ``bool`` has its own row, so it never
+#: reaches the ``int`` one; subclasses go through :func:`_subclass_encoder`.
+_ENCODERS = {
+    type(None): lambda value: "n",
+    bool: lambda value: "b1" if value else "b0",
+    int: lambda value: f"i{value}",
+    float: _encode_float,
+    str: lambda value: "s" + escape_text(value),
+    bytes: lambda value: "y" + value.hex(),
+    tuple: _container_encoder("t"),
+    list: _container_encoder("l"),
+}
+
+
+def _subclass_encoder(value):
+    # bool before int: bool is an int subclass but must stay distinct.
+    for base in (bool, int, float, str, bytes, tuple, list):
+        if isinstance(value, base):
+            return _ENCODERS[base]
+    raise CodecError(
+        f"cannot encode {type(value).__name__!r} element {value!r}; "
+        "compiled sparklite supports None/bool/int/float/str/bytes and "
+        "tuple/list nests of those"
+    )
 
 
 def encode_element(value) -> str:
@@ -74,100 +120,75 @@ def encode_element(value) -> str:
     ``True`` all encode differently); containers carry explicit length
     prefixes so nesting round-trips unambiguously.
     """
-    # bool before int: bool is an int subclass but must stay distinct.
-    if value is None:
-        return "n"
-    if isinstance(value, bool):
-        return "b1" if value else "b0"
-    if isinstance(value, int):
-        return f"i{value}"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "fnan"
-        # repr round-trips every finite float (and +/-inf) exactly.
-        return f"f{value!r}"
-    if isinstance(value, str):
-        return "s" + escape_text(value)
-    if isinstance(value, bytes):
-        return "y" + value.hex()
-    if isinstance(value, (tuple, list)):
-        tag = "t" if isinstance(value, tuple) else "l"
-        parts = [encode_element(item) for item in value]
-        return tag + str(len(parts)) + "".join(f",{len(p)}:{p}" for p in parts)
-    raise CodecError(
-        f"cannot encode {type(value).__name__!r} element {value!r}; "
-        "compiled sparklite supports None/bool/int/float/str/bytes and "
-        "tuple/list nests of those"
-    )
+    encoder = _ENCODERS.get(type(value)) or _subclass_encoder(value)
+    return encoder(value)
 
 
 def decode_element(text: str):
-    """Invert :func:`encode_element`."""
-    value, rest = _decode(text)
-    if rest:
-        raise CodecError(f"trailing bytes {rest!r} after decoding {text!r}")
+    """Invert :func:`encode_element`; anything else is a :class:`CodecError`."""
+    end = len(text)
+    try:
+        value, pos = _decode_at(text, 0, end)
+    except ValueError as exc:  # int()/float()/fromhex() on a corrupt token
+        raise CodecError(f"corrupt encoding {text!r}: {exc}") from exc
+    if pos != end:
+        raise CodecError(f"trailing bytes {text[pos:]!r} after decoding {text!r}")
     return value
 
 
-def _decode(text: str):
-    if not text:
+def _decode_at(text: str, pos: int, end: int):
+    """Decode the element starting at ``pos``; ``(value, next position)``.
+
+    Reads ``text[pos:end]`` in place — no copy of the remainder — and
+    may stop short of ``end``; callers check for trailing bytes.
+    """
+    if pos >= end:
         raise CodecError("empty encoding")
-    tag, body = text[0], text[1:]
-    if tag == "n":
-        return None, body
-    if tag == "b":
-        if body[:1] not in ("0", "1"):
-            raise CodecError(f"bad bool encoding {text!r}")
-        return body[0] == "1", body[1:]
+    tag = text[pos]
+    pos += 1
     if tag == "i":
-        digits = _take_number(body)
-        return int(digits), body[len(digits):]
-    if tag == "f":
-        if body.startswith("nan"):
-            return math.nan, body[3:]
-        digits = _take_float(body)
-        return float(digits), body[len(digits):]
+        match = _INT.match(text, pos, end)
+        if match is None:
+            raise CodecError(f"expected number at offset {pos} of {text!r}")
+        return int(match[0]), match.end()
     if tag == "s":
-        return unescape_text(body), ""
-    if tag == "y":
-        return bytes.fromhex(body), ""
-    if tag in ("t", "l"):
-        count_digits = _take_number(body)
-        count = int(count_digits)
-        rest = body[len(count_digits):]
+        return unescape_text(text[pos:end]), end
+    if tag == "f":
+        match = _FLOAT.match(text, pos, end)
+        if match is None:
+            raise CodecError(f"expected float at offset {pos} of {text!r}")
+        return float(match[0]), match.end()
+    if tag == "t" or tag == "l":
+        match = _INT.match(text, pos, end)
+        count = -1 if match is None else int(match[0])
+        if count < 0:
+            raise CodecError(f"expected item count at offset {pos} of {text!r}")
+        pos = match.end()
         items = []
         for _ in range(count):
-            if not rest.startswith(","):
+            match = _ITEM.match(text, pos, end)
+            if match is None:
                 raise CodecError(f"bad container encoding {text!r}")
-            rest = rest[1:]
-            length_digits = _take_number(rest)
-            length = int(length_digits)
-            rest = rest[len(length_digits) + 1:]  # skip digits + ':'
-            items.append(decode_element(rest[:length]))
-            rest = rest[length:]
-        return (tuple(items) if tag == "t" else items), rest
+            start = match.end()
+            stop = start + int(match[1])
+            if stop > end:
+                raise CodecError(f"item at offset {start} runs past the end of {text!r}")
+            value, pos = _decode_at(text, start, stop)
+            if pos != stop:
+                raise CodecError(
+                    f"trailing bytes {text[pos:stop]!r} in item at offset {start} of {text!r}"
+                )
+            items.append(value)
+        return (tuple(items) if tag == "t" else items), pos
+    if tag == "n":
+        return None, pos
+    if tag == "b":
+        if pos == end or text[pos] not in "01":
+            raise CodecError(f"bad bool encoding {text!r}")
+        return text[pos] == "1", pos + 1
+    if tag == "y":
+        return bytes.fromhex(text[pos:end]), end
     raise CodecError(f"unknown tag {tag!r} in {text!r}")
-
-
-def _take_number(text: str) -> str:
-    i = 0
-    if text[:1] == "-":
-        i = 1
-    while i < len(text) and text[i].isdigit():
-        i += 1
-    if i == 0 or (i == 1 and text[:1] == "-"):
-        raise CodecError(f"expected number at {text!r}")
-    return text[:i]
-
-
-def _take_float(text: str) -> str:
-    i = 0
-    allowed = set("0123456789+-.einf")
-    while i < len(text) and text[i] in allowed:
-        i += 1
-    if i == 0:
-        raise CodecError(f"expected float at {text!r}")
-    return text[:i]
 
 
 def stable_hash(value) -> int:
