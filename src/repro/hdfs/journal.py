@@ -3,7 +3,7 @@
 Hadoop's answer to "block metadata lives in memory" (Figure 2) losing
 everything on a NameNode crash is the ``fsimage`` + ``edits`` pair: a
 periodic full snapshot of the namespace plus a write-ahead log of every
-mutation since.  This module is that pair, in the struct-framed RWF1
+mutation since.  This module is that pair, in the struct-framed
 style of :mod:`repro.mapreduce.wire`:
 
 EditLog (``RWJ1``)::

@@ -153,6 +153,8 @@ class PerfStats:
     #: Blobs encoded / decoded.
     blobs_encoded: int = 0
     blobs_decoded: int = 0
+    #: Map outputs that could not be framed and shipped in object form.
+    frame_fallbacks: int = 0
     #: Spill runs written by external sorts.
     spill_runs: int = 0
     #: Shuffle-plane shared memory: bytes published into segments.

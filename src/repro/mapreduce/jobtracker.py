@@ -557,7 +557,7 @@ class JobTracker:
             if job.maps_done:
                 job.log(self.sim.now, "all maps complete; reduces eligible")
         else:
-            task.output_records = len(execution.pairs)
+            task.output_records = execution.counters.get(C.REDUCE_OUTPUT_RECORDS)
         if job.maps_done and job.reduces_done:
             self._finish_job(job)
 

@@ -25,13 +25,14 @@ from repro.mapreduce.inputformat import (
     PrefetchedSplit,
     TextInputFormat,
 )
-from repro.mapreduce.counters import C, Counters, PerfStats, _perf_clock
+from repro.mapreduce.counters import C, Counters, PerfStats
 from repro.mapreduce.outputformat import TextOutputFormat
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
     Pair,
     PartitionTally,
+    ReduceInput,
     external_sorted,
     framed_merge_for_reduce,
     group_by_key,
@@ -42,7 +43,6 @@ from repro.mapreduce.shuffle import (
     sort_pairs,
 )
 from repro.mapreduce.types import Writable
-from repro.mapreduce.wire import FramedPairs
 from repro.util.errors import MapReduceError, TaskFailedError, WireFormatError
 
 SideReader = Callable[[str], tuple[str, float]]
@@ -79,12 +79,12 @@ class MapExecution:
 class ReduceExecution:
     """A finished reduce task's output pairs plus accounting.
 
-    ``pairs`` is a list on the serial/object paths and a
-    :class:`~repro.mapreduce.wire.FramedPairs` blob on the framed pooled
-    path — both support ``len()`` and iteration identically.
+    ``pairs`` is emptied before a pooled attempt's result crosses the
+    pool: callers use the rendered text, and the record count is the
+    ``REDUCE_OUTPUT_RECORDS`` counter.
     """
 
-    pairs: "list[Pair] | FramedPairs"
+    pairs: list[Pair]
     counters: Counters
     duration: float  # merge + user code; shuffle/write priced by caller
     input_records: int = 0
@@ -280,7 +280,12 @@ def execute_map(
             combine_records, 0
         )
 
-    final_bytes = sum(serialized_bytes(p) for p in partitions.values())
+    # Without a combiner the partitions hold exactly what was tallied.
+    final_bytes = (
+        output_bytes
+        if job.combiner is None
+        else sum(serialized_bytes(p) for p in partitions.values())
+    )
     counters.increment(C.FILE_BYTES_WRITTEN, final_bytes)
 
     # Spill accounting: every sort-buffer overflow is an extra disk
@@ -335,7 +340,7 @@ class IdentityReducer:
 
 def execute_reduce(
     job: Job,
-    merged_pairs: list[Pair],
+    merged_pairs: "list[Pair] | ReduceInput",
     cost: CostModel,
     side_reader: SideReader | None = None,
     node_cache: dict[str, Any] | None = None,
@@ -343,7 +348,12 @@ def execute_reduce(
     already_sorted: bool = True,
     mr_config: MapReduceConfig | None = None,
 ) -> ReduceExecution:
-    """Run one reduce task over its merged, key-sorted partition."""
+    """Run one reduce task over its merged, key-sorted partition.
+
+    A :class:`~repro.mapreduce.shuffle.ReduceInput` (the framed merge)
+    arrives grouped, with its record and byte totals; a pair list is
+    grouped and sized here.
+    """
     counters = Counters()
     conf = job.conf
     sanitizer = _make_sanitizer(
@@ -361,20 +371,25 @@ def execute_reduce(
         if sanitizer is not None
         else Context(**context_kwargs)
     )
-    pairs = merged_pairs if already_sorted else sort_pairs(merged_pairs)
+    if isinstance(merged_pairs, ReduceInput):
+        key_groups, in_records, in_bytes = merged_pairs
+    else:
+        pairs = merged_pairs if already_sorted else sort_pairs(merged_pairs)
+        key_groups = group_by_key(pairs)
+        in_records, in_bytes = len(pairs), serialized_bytes(pairs)
     reducer_cls = job.reducer if job.reducer is not None else IdentityReducer
     reducer = reducer_cls()
     groups = 0
     try:
         reducer.setup(context)
         if sanitizer is not None:
-            for key, values in group_by_key(pairs):
+            for key, values in key_groups:
                 groups += 1
                 snapshot = sanitizer.snapshot_inputs(key, values)
                 reducer.reduce(key, values, context)
                 sanitizer.verify_inputs("reduce", snapshot, key, values)
         else:
-            for key, values in group_by_key(pairs):
+            for key, values in key_groups:
                 groups += 1
                 reducer.reduce(key, values, context)
         reducer.cleanup(context)
@@ -382,22 +397,21 @@ def execute_reduce(
         raise _wrap_user_error("reduce", exc) from exc
 
     out_pairs = context.drain()
-    in_bytes = serialized_bytes(pairs)
-    counters.increment(C.REDUCE_INPUT_RECORDS, len(pairs))
+    counters.increment(C.REDUCE_INPUT_RECORDS, in_records)
     counters.increment(C.REDUCE_INPUT_GROUPS, groups)
     counters.increment(C.REDUCE_OUTPUT_RECORDS, len(out_pairs))
 
     duration = (
         cost.task_startup
-        + cost.sort_time(len(pairs))  # the merge
-        + cost.cpu_time(len(pairs), in_bytes)
+        + cost.sort_time(in_records)  # the merge
+        + cost.cpu_time(in_records, in_bytes)
         + context.extra_time
     )
     return ReduceExecution(
         pairs=out_pairs,
         counters=counters,
         duration=duration,
-        input_records=len(pairs),
+        input_records=in_records,
         violations=sanitizer.finish() if sanitizer is not None else [],
     )
 
@@ -482,10 +496,9 @@ def reduce_attempt_work(
     shuffle network time and performs the HDFS write (both touch
     simulation state, so they stay in the simulation thread).
 
-    Framed inputs (frozen map outputs) decode lazily per map and
-    heap-merge — a stable k-way merge of pre-sorted runs, identical in
-    sequence to the object path's concatenate-and-stable-sort.  Framed
-    runs also frame the reduce's own output pairs for the trip back.
+    Framed inputs (frozen map outputs) decode per map into key runs
+    and heap-merge run by run — a stable k-way merge, identical in
+    sequence to the object path's concatenate-and-stable-sort.
     """
     framed = _shuffle_transport(mr_config) in ("framed", "shm") and all(
         output.frozen for output in map_outputs
@@ -503,16 +516,6 @@ def reduce_attempt_work(
         mr_config=mr_config,
     )
     text = TextOutputFormat.render(execution.pairs)
-    if framed:
-        t0 = _perf_clock()
-        try:
-            framed_out = FramedPairs.from_pairs(execution.pairs)
-        except WireFormatError:
-            pass  # unframeable output pairs ride back as objects
-        else:
-            execution.pairs = framed_out
-            perf.bytes_framed += len(framed_out.blob)
-            perf.blobs_encoded += 1
-        perf.reduce_serialize_ms += (_perf_clock() - t0) * 1e3
+    execution.pairs = []  # the text is the output; nothing else reads them
     execution.perf = perf.as_dict()
     return execution, text

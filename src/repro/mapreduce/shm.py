@@ -4,7 +4,7 @@ PR 4's framed transport shrank what crosses the process pool to one
 blob per partition — but the blob itself still rode the pickle pipe,
 so every byte of map output was copied twice per hop (worker pickle →
 pipe → parent unpickle, and again parent → reduce worker).  This
-module removes the copies: a map worker writes its frozen RWF1 blobs
+module removes the copies: a map worker writes its frozen RWF2 blobs
 into one segment and ships only :class:`ShmSlice` triples; a reduce
 worker maps the segment once and decodes straight from a ``memoryview``
 over the shared pages.  A shuffle blob is materialised exactly once on

@@ -29,8 +29,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from itertools import compress, islice, pairwise
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import chain, compress, islice, pairwise
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from repro.mapreduce import wire
 from repro.mapreduce.api import Context, Reducer
@@ -312,6 +312,8 @@ class MapOutput:
                 self._records_memo[partition] = len(pairs)
         except WireFormatError:
             self._records_memo.clear()
+            if perf is not None:
+                perf.frame_fallbacks += 1
             return False
         self.frames = frames
         self.partitions = None
@@ -467,46 +469,62 @@ def merge_for_reduce(
     return sort_pairs(merged)
 
 
+class ReduceInput(NamedTuple):
+    """One reduce partition merged *and grouped*, with its totals."""
+
+    groups: list[tuple[Writable, list[Writable]]]
+    records: int
+    nbytes: int
+
+
 def framed_merge_for_reduce(
     outputs: Iterable[MapOutput], partition: int, perf: PerfStats | None = None
-) -> list[Pair]:
-    """Merge one partition from framed map outputs, k-way.
+) -> ReduceInput:
+    """Merge one partition from framed map outputs, k-way, run by run.
 
-    Each map's blob decodes to an already key-sorted run (the map task
-    sorted before partitioning; the codec recorded the flag), so the
+    Each map's blob decodes to key runs — one key Writable and its
+    values — already key-sorted (the codec recorded the flag), so the
     runs heap-merge without re-sorting.  ``heapq.merge`` is stable and
-    prefers earlier iterables on equal keys — map order, the exact
-    sequence :func:`merge_for_reduce`'s concatenate-and-stable-sort
-    produces — so framed and object reduces see identical input.  Any
-    unsorted run (custom partitioner games) falls back to the full
-    sort.
+    prefers earlier iterables on equal keys — map order, the sequence
+    :func:`merge_for_reduce`'s concatenate-and-stable-sort produces,
+    since a stream's equal-key records move together either way.
+    Adjacent runs of equal keys then join into the groups
+    :func:`group_by_key` would cut (the same :func:`_key_runs` rule);
+    the totals come from the outputs' memos, not from the records.  Any
+    unsorted blob (custom partitioner games, NaN keys) falls back to
+    the full sort.
     """
     t0 = _perf_clock() if perf is not None else 0.0
-    runs: list[list[Pair]] = []
+    streams: list[list[tuple[Writable, list[Writable]]]] = []
     all_sorted = True
+    records = nbytes = 0
     for output in outputs:
-        pairs = output.pairs_for(partition, perf)
-        if pairs:
-            runs.append(pairs)
-            all_sorted = all_sorted and output.partition_key_sorted(partition)
+        blob = output._blob_for(partition, perf)
+        if blob is None:
+            continue
+        streams.append(list(wire.decode_runs(blob)))
+        all_sorted = all_sorted and output.partition_key_sorted(partition)
+        records += output.partition_records(partition)
+        nbytes += output.partition_bytes(partition)
     if perf is not None:
         t1 = _perf_clock()
+        perf.blobs_decoded += len(streams)
         perf.shuffle_decode_ms += (t1 - t0) * 1e3
         t0 = t1
-    if not runs:
-        return []
-    if len(runs) == 1:
-        merged = runs[0] if all_sorted else sort_pairs(runs[0])
-    elif all_sorted:
-        merged = list(heapq.merge(*runs, key=_pair_sort_key))
+    if all_sorted:
+        runs = list(heapq.merge(*streams, key=_pair_sort_key))
+        groups = []
+        for start, stop in _key_runs(runs):
+            key, values = runs[start]
+            for _, more in runs[start + 1 : stop]:
+                values += more
+            groups.append((key, values))
     else:
-        concat: list[Pair] = []
-        for run in runs:
-            concat.extend(run)
-        merged = sort_pairs(concat)
+        pairs = list(wire.flatten_runs(chain.from_iterable(streams)))
+        groups = list(group_by_key(sort_pairs(pairs)))
     if perf is not None:
         perf.merge_ms += (_perf_clock() - t0) * 1e3
-    return merged
+    return ReduceInput(groups, records, nbytes)
 
 
 def external_sorted(
@@ -516,21 +534,23 @@ def external_sorted(
 
     Emission-order chunks of ``spill_limit`` records are each stably
     sorted, framed, and written to host-local disk
-    (:class:`~repro.mapreduce.blockio.MappedFile`); the runs are then
-    k-way merged from zero-copy mmap views, so only one run's records
-    are materialised as Python objects at a time during the merge.
+    (:class:`~repro.mapreduce.blockio.MappedFile`); the spills are
+    then k-way merged key run by key run from zero-copy mmap views, each
+    decoded a bounded batch at a time, so the merge never holds a whole
+    spill as Python objects.
 
     Determinism: the chunks partition emission order, each chunk sort
     is stable, and ``heapq.merge`` is stable preferring earlier
-    iterables (= earlier chunks = earlier emission) on equal keys — so
-    the yielded sequence is *exactly* ``sort_pairs(pairs)``, which the
+    iterables (= earlier chunks = earlier emission) on equal keys, with
+    a chunk's equal-key records moving together as one run — so the
+    yielded sequence is *exactly* ``sort_pairs(pairs)``, which the
     spill property tests assert.
     """
     from repro.mapreduce.blockio import MappedFile
 
     t0 = _perf_clock() if perf is not None else 0.0
     spills: list[MappedFile] = []
-    runs: list[Iterator[Pair]] = []
+    runs: list[Iterator[tuple[Writable, list[Writable]]]] = []
     try:
         for start in range(0, len(pairs), spill_limit):
             chunk = sort_pairs(pairs[start : start + spill_limit])
@@ -539,8 +559,8 @@ def external_sorted(
         if perf is not None:
             perf.spill_ms += (_perf_clock() - t0) * 1e3
             perf.spill_runs += len(spills)
-        runs = [wire.decode_pairs(spill.view()) for spill in spills]
-        yield from heapq.merge(*runs, key=_pair_sort_key)
+        runs = [wire.decode_runs(spill.view()) for spill in spills]
+        yield from wire.flatten_runs(heapq.merge(*runs, key=_pair_sort_key))
     finally:
         # Release the decode generators' memoryview exports before
         # closing the mmaps underneath them (else mmap.close raises

@@ -61,7 +61,7 @@ class MapTask:
     attempts: list[TaskAttempt] = field(default_factory=list)
     failures: int = 0
     #: The attempt's map output as the transport produced it: live pair
-    #: lists (object), or frozen RWF1 blobs (framed) that under shm are
+    #: lists (object), or frozen RWF2 blobs (framed) that under shm are
     #: replaced by slices of a shared segment (the segments these name
     #: belong to the job's ShmScope, which unlinks them when the job
     #: finishes or fails; the task never owns segment lifetime).

@@ -6,7 +6,7 @@ Three contracts:
    ``encode_pairs``/``decode_pairs`` (including the nasty corners:
    empty/NUL/astral-plane Text, negative and 2**63-boundary integers,
    signed zero and infinities);
-2. a frame's payload width equals the Writable's ``serialized_size()``
+2. an entry's payload width equals the Writable's ``serialized_size()``
    — the invariant that keeps framed and object runs' byte counters
    bit-identical;
 3. malformed input raises :class:`WireFormatError` with a useful
@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce import wire
-from repro.mapreduce.shuffle import serialized_bytes, sort_pairs
+from repro.mapreduce.counters import PerfStats
+from repro.mapreduce.shuffle import MapOutput, serialized_bytes, sort_pairs
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -126,6 +127,15 @@ class TestRoundTrip:
         with pytest.raises(WireFormatError):
             wire.encode_pairs([(Text("k"), Local(x=1))])
 
+    def test_unframeable_output_stays_in_object_form_and_is_counted(self):
+        Local = record_writable("Local", [("x", int)])
+        Local.__qualname__ = "test_local.<locals>.Local"
+        output = MapOutput(task_index=0, node="n", partitions={0: [(Text("k"), Local(x=1))]})
+        perf = PerfStats()
+        assert not output.freeze(perf)
+        assert perf.frame_fallbacks == 1
+        assert not output.frozen and output.pairs_for(0)[0][1].x == 1
+
     def test_non_writable_refuses_to_frame(self):
         with pytest.raises(WireFormatError):
             wire.encode_pairs([(Text("k"), "not a writable")])
@@ -194,9 +204,20 @@ class TestMalformed:
 
     def test_unknown_tag(self):
         blob = bytearray(self._blob())
-        blob[wire.HEADER.size] = 0x7F
+        blob[wire.HEADER.size] = 0x7F  # the key column's kind
+        with pytest.raises(WireFormatError, match="unknown column kind"):
+            wire.decode_pair_list(bytes(blob))
+        # mixed value classes ride in a tagged column: its first frame tag
+        assert blob[self._value_column()] == wire.KIND_TAGGED
+        blob = bytearray(self._blob())
+        blob[self._value_column() + wire.COLUMN.size] = 0x7F
         with pytest.raises(WireFormatError, match="unknown frame tag"):
             wire.decode_pair_list(bytes(blob))
+
+    def _value_column(self) -> int:
+        """Offset of the value column header in ``_blob()``."""
+        _kind, key_bytes = wire.COLUMN.unpack_from(self._blob(), wire.HEADER.size)
+        return wire.HEADER.size + wire.COLUMN.size + key_bytes
 
     def test_trailing_garbage(self):
         with pytest.raises(WireFormatError, match="trailing"):
@@ -205,7 +226,8 @@ class TestMalformed:
     def test_corrupt_utf8_payload(self):
         blob, _ = wire.encode_pairs([(Text("ab"), NullWritable())])
         broken = bytearray(blob)
-        broken[wire.HEADER.size + 5] = 0xFF  # inside the Text payload
+        # column header, run count, one byte width, then the Text payload
+        broken[wire.HEADER.size + wire.COLUMN.size + 8] = 0xFF
         with pytest.raises(WireFormatError, match="corrupt"):
             wire.decode_pair_list(bytes(broken))
 
@@ -232,27 +254,11 @@ class TestMalformed:
             + struct.pack(">I", len(payload))
             + payload
         )
-        blob = wire.HEADER.pack(wire.MAGIC, 0, 1) + frame + bytes((wire.TAG_NULL,))
+        blob = (
+            wire.HEADER.pack(wire.MAGIC, 0, 1)
+            + wire.COLUMN.pack(wire.KIND_TAGGED, len(frame))
+            + frame
+            + wire.COLUMN.pack(wire.TAG_NULL, 0)
+        )
         with pytest.raises(WireFormatError, match="not importable"):
             wire.decode_pair_list(blob)
-
-
-# -- FramedPairs ------------------------------------------------------------
-
-
-class TestFramedPairs:
-    def test_list_protocol(self):
-        pairs = [(Text("a"), IntWritable(1)), (Text("b"), IntWritable(2))]
-        framed = wire.FramedPairs.from_pairs(pairs)
-        assert len(framed) == 2 and bool(framed)
-        assert framed.to_list() == pairs
-        assert [k.value for k, _ in framed] == ["a", "b"]
-        assert not wire.FramedPairs.from_pairs([])
-
-    def test_pickles_as_one_blob(self):
-        import pickle
-
-        pairs = [(Text("a"), IntWritable(1))] * 50
-        framed = wire.FramedPairs.from_pairs(pairs)
-        clone = pickle.loads(pickle.dumps(framed))
-        assert clone.to_list() == pairs

@@ -1,7 +1,7 @@
 """Property: the shared-memory shuffle plane is invisible to results.
 
 The shm transport (``repro.mapreduce.shm``) changes only *where* frozen
-RWF1 partition blobs live while crossing the pool — a mapped segment
+RWF2 partition blobs live while crossing the pool — a mapped segment
 file instead of a pickled bytes payload.  Everything observable —
 counters, output pairs, simulated clocks, event counts — must be
 bit-identical between ``shuffle_transport="shm"`` and both older

@@ -15,10 +15,13 @@ import pytest
 
 from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.hdfs.localfs import LinuxFileSystem
-from repro.jobs.wordcount import WordCountJob, WordCountWithCombinerJob
+from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
+from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
+from repro.mapreduce.counters import perf_stats
 from repro.mapreduce.local_runner import LocalJobRunner
+from repro.mapreduce.types import FloatWritable, IntWritable
 
 ALL_DRILLS = tuple(SCENARIOS)
 
@@ -37,20 +40,24 @@ def _mr_config(transport, backend="pooled", spill=None):
     )
 
 
-def _local_fingerprint(mr_config, job_cls=WordCountWithCombinerJob):
+def _local_fingerprint(mr_config, job_cls=WordCountWithCombinerJob, corpus=CORPUS):
+    """Everything a transport must not move, part-file bytes included."""
     fs = LinuxFileSystem()
-    fs.write_file("/data/corpus.txt", CORPUS)
+    fs.write_file("/data/corpus.txt", corpus)
+    perf_stats().reset()
     with LocalJobRunner(
         localfs=fs, mr_config=mr_config, split_size=8 * 1024
     ) as runner:
         job = job_cls(JobConf(name="wc", num_reduces=3))
         result = runner.run(job, "/data/corpus.txt", "/out")
-        return (
-            result.simulated_seconds,
-            result.counters.as_dict(),
-            tuple(sorted(result.pairs)),
-            result.num_splits,
-        )
+    assert perf_stats().frame_fallbacks == 0  # built-in Writables always frame
+    return (
+        result.simulated_seconds,
+        result.counters.as_dict(),
+        tuple(sorted(result.pairs)),
+        result.num_splits,
+        {name: fs.read_file(f"/out/{name}") for name in fs.listdir("/out")},
+    )
 
 
 def _cluster_fingerprint(mr_config):
@@ -65,6 +72,59 @@ def _cluster_fingerprint(mr_config):
             mr.sim.now,
             mr.sim.events_processed,
         )
+
+
+class _NumberKeyMapper(Mapper):
+    """Emit ``(float(token), 1)`` per token."""
+
+    def map(self, key, value, context):
+        for token in value.value.split():
+            context.write(FloatWritable(float(token)), IntWritable(1))
+
+
+class FloatKeyJob(Job):
+    mapper = _NumberKeyMapper
+    reducer = IntSumReducer
+
+
+#: ``0.0`` / ``-0.0`` are one reduce group with two encodings, so which
+#: of them names the group depends on the merge order.
+FLOATS = "1.5 -0.0 0.0 2.25 -3.0 0.0 -0.0 1e300 inf -inf 7.0 1.5\n" * 400
+#: A NaN key is its own group and makes a blob unsortable.
+FLOATS_WITH_NAN = FLOATS.replace("2.25", "nan")
+
+
+class TestWholeJobIdentity:
+    """serial == framed == shm == object, down to the part files."""
+
+    @pytest.mark.parametrize(
+        "job_cls, corpus, spill",
+        [
+            (WordCountJob, CORPUS, None),
+            (FloatKeyJob, FLOATS, None),
+            (WordCountJob, CORPUS, 128),
+        ],
+        ids=["wordcount-no-combiner", "float-keys", "spilling"],
+    )
+    def test_every_transport_matches_serial(self, job_cls, corpus, spill):
+        serial = _local_fingerprint(
+            _mr_config("framed", backend="serial", spill=spill), job_cls, corpus
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for transport in ("framed", "shm", "object"):
+                pooled = _local_fingerprint(_mr_config(transport, spill=spill), job_cls, corpus)
+                assert pooled == serial, transport
+
+    def test_nan_keys_serial_equals_pooled(self):
+        """Regression: ``sk < prev`` is False for NaN, so a blob with NaN
+        keys used to be flagged sorted and heap-merged into a sequence
+        (and reduce groups) the serial concat-and-sort never produces."""
+        serial = _local_fingerprint(
+            _mr_config("framed", backend="serial"), FloatKeyJob, FLOATS_WITH_NAN
+        )
+        pooled = _local_fingerprint(_mr_config("framed"), FloatKeyJob, FLOATS_WITH_NAN)
+        assert pooled == serial
 
 
 class TestFramedEqualsObject:
