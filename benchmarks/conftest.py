@@ -4,34 +4,9 @@ Every benchmark regenerates one table/figure/claim from the paper,
 prints it next to the published numbers, and asserts the *shape* —
 orderings, rough factors, crossovers — not absolute values (our
 substrate is a simulator, not the authors' testbed).
-
-``--quick`` (or ``REPRO_BENCH_QUICK=1``) asks perf benchmarks to run a
-shrunken workload: identity/shape checks survive, timing assertions and
-result-file writes are skipped.  This is what the CI smoke job runs.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help="shrink perf benchmarks to smoke-test size (no timing asserts)",
-    )
-
-
-def quick_mode(request) -> bool:
-    """Is this benchmark run in quick/smoke mode?"""
-    try:
-        if request.config.getoption("--quick"):
-            return True
-    except ValueError:  # option not registered (run from another rootdir)
-        pass
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 def banner(title: str) -> None:

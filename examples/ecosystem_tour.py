@@ -137,41 +137,7 @@ def spark_demo() -> None:
           f"answers unchanged: {again == dict(events.collect())}")
 
 
-def yarn_demo() -> None:
-    print()
-    print("=" * 68)
-    print("4. YARN-lite: one resource manager, many kinds of work")
-    print("=" * 68)
-    from repro.util.units import GB
-    from repro.yarn import Application, Resource, TaskSpec, YarnCluster
-
-    cluster = YarnCluster(
-        num_nodes=2,
-        policy="fair",
-        node_capacity=Resource(memory=8 * GB, vcores=4),
-    )
-    batch = Application(
-        "nightly-batch",
-        [TaskSpec(name=f"b{i}", duration=8.0) for i in range(40)],
-    )
-    query = Application(
-        "ad-hoc-query",
-        [TaskSpec(name=f"q{i}", duration=2.0) for i in range(4)],
-    )
-    cluster.submit(batch)
-    cluster.sim.run_for(2.0)
-    cluster.submit(query)
-    cluster.run_until_finished(query, timeout=3600)
-    print(f"fair scheduling: the 4-container query finished at "
-          f"t={cluster.sim.now:.0f}s while the 40-container batch is at "
-          f"{batch.progress:.0%}")
-    cluster.run_until_finished(batch, timeout=3600)
-    print(f"batch finished at t={cluster.sim.now:.0f}s; "
-          f"{cluster.rm.containers_allocated} containers allocated in total")
-
-
 if __name__ == "__main__":
     hbase_demo()
     hive_demo()
     spark_demo()
-    yarn_demo()

@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="run the drill with the runtime sanitizer on "
                        "(MapReduceConfig.sanitize=True)")
     chaos.add_argument("--transport", default="framed",
-                       choices=("framed", "object", "shm"),
+                       choices=("framed", "shm"),
                        help="shuffle transport for the drill (results are "
                        "bit-identical; default framed)")
     chaos.set_defaults(fn=_cmd_chaos)

@@ -52,7 +52,7 @@ LECTURE_POINTS: dict[str, tuple[str, ...]] = {
         "Hive: SQL that compiles to the MapReduce you already know "
         "(repro.hive)",
         "beyond MapReduce: resource managers and in-memory computing "
-        "(repro.yarn, repro.sparklite)",
+        "(repro.sparklite)",
     ),
 }
 

@@ -550,7 +550,7 @@ def _pagerank_workload(
     from repro.sparklite.context import SparkLiteContext
 
     names = [node.name for node in mr.hdfs.topology.nodes()]
-    sc = SparkLiteContext(names, cluster=mr, sparklite_backend="mapreduce")
+    sc = SparkLiteContext(names, cluster=mr)
     graph = generate_web_graph(seed=3, num_pages=40, avg_degree=3)
     result = pagerank(sc, graph.edges, iterations=3, num_partitions=3)
     ranks = (

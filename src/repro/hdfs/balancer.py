@@ -101,6 +101,12 @@ class Balancer:
                 meta = namenode.block_map.get(block_id)
                 if meta is None or source_name not in meta.locations:
                     continue
+                # write_block checksums the bytes it is handed afresh,
+                # so a corrupt source must never be copied: report it
+                # and let re-replication heal from a good replica.
+                if not stored.verify():
+                    namenode.report_bad_block(block_id, source_name)
+                    continue
                 for target_name in targets:
                     target = self.cluster.datanode(target_name)
                     if target.has_block(block_id):

@@ -101,14 +101,13 @@ class StoredBlock:
     again; ``corrupt()`` replaces one replica's ``data`` and no CRC.
     """
 
-    __slots__ = ("block", "data", "chunk_size", "chunk_crcs", "_memo", "_use_memo")
+    __slots__ = ("block", "data", "chunk_size", "chunk_crcs", "_memo")
 
     def __init__(
         self,
         block: Block,
         data,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        memo: bool = True,
         upstream: "StoredBlock | None" = None,
     ):
         if len(data) != block.length:
@@ -120,7 +119,6 @@ class StoredBlock:
         self.block = block
         self.data = data if isinstance(data, bytes) else bytes(data)
         self.chunk_size = chunk_size
-        self._use_memo = memo
         if (
             upstream is not None
             and upstream.data is self.data
@@ -133,7 +131,7 @@ class StoredBlock:
                 checksum(view[i : i + chunk_size])
                 for i in range(0, block.length, chunk_size)
             ]
-        self._memo = bytearray([_OK] * len(self.chunk_crcs)) if memo else None
+        self._memo = bytearray([_OK] * len(self.chunk_crcs))
 
     @property
     def block_id(self) -> int:
@@ -152,24 +150,12 @@ class StoredBlock:
         return len(self.chunk_crcs)
 
     @property
-    def memo_enabled(self) -> bool:
-        return self._memo is not None
-
-    # Kept for callers/tests that knew the old whole-block field: the
-    # CRC of all bytes, derived from the same data the chunk CRCs cover.
-    @property
-    def crc(self) -> int:
-        return checksum(self.data)
-
-    @property
     def unverified_bytes(self) -> int:
         """Bytes a startup scan would still have to CRC.
 
         Chunks whose memo already holds a verdict cost nothing to
-        re-attest; with the memo disabled every byte needs scanning.
+        re-attest.
         """
-        if self._memo is None:
-            return self.length
         pending = self._memo.count(_UNKNOWN)
         if pending == 0:
             return 0
@@ -184,13 +170,12 @@ class StoredBlock:
         return min(self.chunk_size, self.length - start)
 
     def _verify_chunk(self, index: int) -> bool:
-        if self._memo is not None and self._memo[index] != _UNKNOWN:
+        if self._memo[index] != _UNKNOWN:
             return self._memo[index] == _OK
         start = index * self.chunk_size
         view = memoryview(self.data)[start : start + self.chunk_size]
         ok = checksum(view) == self.chunk_crcs[index]
-        if self._memo is not None:
-            self._memo[index] = _OK if ok else _BAD
+        self._memo[index] = _OK if ok else _BAD
         return ok
 
     def verify(self) -> bool:
@@ -246,5 +231,4 @@ class StoredBlock:
         mutated = bytearray(self.data)
         mutated[offset] ^= 0xFF
         self.data = bytes(mutated)
-        if self._memo is not None:
-            self._memo[offset // self.chunk_size] = _UNKNOWN
+        self._memo[offset // self.chunk_size] = _UNKNOWN

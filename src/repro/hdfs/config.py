@@ -55,12 +55,6 @@ class HdfsConfig:
     #: in :meth:`for_teaching` so classroom blocks still span many chunks
     #: (ranged reads then verify only the chunks they touch).
     checksum_chunk_size: int = 64 * 1024
-    #: Verified-read memo: once a chunk's CRC has been checked it is not
-    #: re-checked until the replica mutates (``StoredBlock.corrupt``).
-    #: ``False`` restores the pre-memo re-CRC-on-every-read behaviour
-    #: (and the scan-everything restart model) — kept so benchmarks can
-    #: price the old data path.
-    checksum_memo: bool = True
     #: Capacity of each DataNode's verified-block cache (LRU, keyed by
     #: (block_id, generation)).  0 disables the cache.  Cache state is
     #: host-side only: hits and misses charge identical simulated time.

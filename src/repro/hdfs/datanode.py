@@ -255,7 +255,6 @@ class DataNode:
             block,
             data,
             chunk_size=self.config.checksum_chunk_size,
-            memo=self.config.checksum_memo,
             upstream=upstream,
         )
         self._used_bytes += block.length
@@ -295,8 +294,7 @@ class DataNode:
             return cached.data
         data = stored.read()  # raises CorruptBlockError on bad checksum
         self.blocks_served += 1
-        if stored.memo_enabled:
-            self.cache.put(stored)
+        self.cache.put(stored)
         return data
 
     def read_block_range(self, block_id: int, offset: int, length: int | None) -> memoryview:

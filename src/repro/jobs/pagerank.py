@@ -2,9 +2,9 @@
 
 The canonical Spark demo, runnable on either sparklite backend: the
 link table is ``cache()``-ed once and every iteration joins it against
-the current ranks, so under ``sparklite_backend="mapreduce"`` each
-iteration compiles to a fresh join + reduce stage pair while the link
-shuffle runs exactly once (per-iteration stage reuse).  Caching each
+the current ranks, so on a compiled context each iteration compiles to
+a fresh join + reduce stage pair while the link shuffle runs exactly
+once (per-iteration stage reuse).  Caching each
 iteration's ranks also *prunes the lineage*: iteration *k*'s recompute
 stops at the materialized iteration *k-1* instead of replaying the
 whole chain — the property the ``pagerank_datanode_loss`` chaos drill

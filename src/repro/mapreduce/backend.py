@@ -59,7 +59,7 @@ BACKEND_NAMES = ("serial", "pooled", "pooled-threads", "auto")
 
 #: Below this much estimated input, :class:`AutoExecutionBackend` keeps
 #: work serial: pool startup + IPC overwhelm any parallel win on small
-#: jobs (the parallelism benchmark's small corpus is the evidence).
+#: jobs.
 AUTO_MIN_PARALLEL_BYTES = 1 << 20
 
 

@@ -65,13 +65,13 @@ class MapReduceConfig:
     #: How pooled task payloads/results cross the process boundary:
     #: "framed" packs Writable pairs into binary wire blobs
     #: (``repro.mapreduce.wire``) — one ``bytes`` per partition instead
-    #: of per-record pickled objects; "object" keeps the historical
-    #: pickled-list transport; "shm" frames and then writes the blobs
-    #: into mmap-ed segment files (``repro.mapreduce.shm``; on the
+    #: of per-record pickled objects; "shm" frames and then writes the
+    #: blobs into mmap-ed segment files (``repro.mapreduce.shm``; on the
     #: ``/dev/shm`` tmpfs where the host has one) so only (segment,
     #: offset, length) triples cross the pool — zero-copy on the reduce
-    #: side.  Results are bit-identical in all three (property-tested).
-    #: Serial backends never frame — nothing crosses a process boundary.
+    #: side.  Results are bit-identical in both and equal to the serial
+    #: backend's (property-tested), which never frames — nothing
+    #: crosses a process boundary there.
     shuffle_transport: str = "framed"
     #: Map-side external-sort threshold: when a map task emits more
     #: than this many records, its sort spills IFile-style sorted runs
@@ -110,9 +110,9 @@ class MapReduceConfig:
             raise ConfigError("tasktracker_heartbeat must be positive")
         if self.backend_workers < 0:
             raise ConfigError("backend_workers must be >= 0")
-        if self.shuffle_transport not in ("framed", "object", "shm"):
+        if self.shuffle_transport not in ("framed", "shm"):
             raise ConfigError(
-                f"shuffle_transport must be 'framed', 'object' or 'shm', "
+                f"shuffle_transport must be 'framed' or 'shm', "
                 f"got {self.shuffle_transport!r}"
             )
         if self.spill_record_limit is not None and self.spill_record_limit < 1:

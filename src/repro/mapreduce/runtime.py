@@ -102,7 +102,7 @@ def _wrap_user_error(phase: str, exc: Exception) -> TaskFailedError:
 
 
 def _make_sanitizer(
-    mr_config: MapReduceConfig | None,
+    mr_config: MapReduceConfig,
     conf: JobConf,
     counters: Counters,
     task: str,
@@ -114,7 +114,7 @@ def _make_sanitizer(
     overhead on the default path.  Violation counts land in ``counters``
     (group "Sanitizer"), riding the normal per-task merge into the job.
     """
-    if mr_config is None or not mr_config.sanitize:
+    if not mr_config.sanitize:
         return None
     from repro.analysis.sanitizer import TaskSanitizer
 
@@ -342,11 +342,11 @@ def execute_reduce(
     job: Job,
     merged_pairs: "list[Pair] | ReduceInput",
     cost: CostModel,
+    mr_config: MapReduceConfig,
     side_reader: SideReader | None = None,
     node_cache: dict[str, Any] | None = None,
     task_node: str | None = None,
     already_sorted: bool = True,
-    mr_config: MapReduceConfig | None = None,
 ) -> ReduceExecution:
     """Run one reduce task over its merged, key-sorted partition.
 
@@ -429,10 +429,6 @@ def _no_fetch(*_args, **_kwargs):
     )
 
 
-def _shuffle_transport(mr_config: MapReduceConfig | None) -> str:
-    return "object" if mr_config is None else mr_config.shuffle_transport
-
-
 def map_attempt_work(
     job: Job,
     split: InputSplit,
@@ -445,14 +441,14 @@ def map_attempt_work(
 ) -> MapExecution:
     """The share-nothing portion of one map attempt (pool-safe).
 
-    With the framed transport the partitioned output is frozen into
-    wire blobs *here*, inside the worker, so what pickles back to the
-    simulation thread is a handful of ``bytes`` objects — not a list of
-    per-record Writables.  Under ``shuffle_transport="shm"`` the frozen
-    blobs are additionally published into a shared-memory segment named
-    by the parent's scope ``shm_token``, and only slices ride the
-    pipe.  The result is bit-identical in every form; only the
-    representation in transit differs.
+    The partitioned output is frozen into wire blobs *here*, inside the
+    worker, so what pickles back to the simulation thread is a handful
+    of ``bytes`` objects — not a list of per-record Writables.  Under
+    ``shuffle_transport="shm"`` the frozen blobs are additionally
+    published into a shared-memory segment named by the parent's scope
+    ``shm_token``, and only slices ride the pipe.  The result is
+    bit-identical in every form; only the representation in transit
+    differs.
     """
     perf = PerfStats()
     execution = execute_map(
@@ -466,17 +462,15 @@ def map_attempt_work(
         prefetched=prefetched,
         perf=perf,
     )
-    transport = _shuffle_transport(mr_config)
-    if transport in ("framed", "shm"):
-        # An output that cannot be framed simply ships in object form
-        # (freeze reports False); the backend's pickle fallback remains
-        # the safety net behind that.
-        frozen = execution.output.freeze(perf)
-        if frozen and transport == "shm" and shm_token is not None:
-            # Best-effort: a failed publish (tmpfs full, scope already
-            # torn down, nothing to publish) leaves the output framed,
-            # which is always correct — just copied instead of shared.
-            execution.output.publish_shm(shm_token, perf)
+    # An output that cannot be framed simply ships in object form
+    # (freeze reports False); the backend's pickle fallback remains
+    # the safety net behind that.
+    frozen = execution.output.freeze(perf)
+    if frozen and shm_token is not None:
+        # Best-effort: a failed publish (tmpfs full, scope already
+        # torn down, nothing to publish) leaves the output framed,
+        # which is always correct — just copied instead of shared.
+        execution.output.publish_shm(shm_token, perf)
     execution.perf = perf.as_dict()
     return execution
 
@@ -487,7 +481,7 @@ def reduce_attempt_work(
     partition: int,
     cost: CostModel,
     task_node: str | None,
-    mr_config: MapReduceConfig | None = None,
+    mr_config: MapReduceConfig,
 ) -> tuple[ReduceExecution, str]:
     """The share-nothing portion of one reduce attempt (pool-safe).
 
@@ -496,15 +490,12 @@ def reduce_attempt_work(
     shuffle network time and performs the HDFS write (both touch
     simulation state, so they stay in the simulation thread).
 
-    Framed inputs (frozen map outputs) decode per map into key runs
-    and heap-merge run by run — a stable k-way merge, identical in
-    sequence to the object path's concatenate-and-stable-sort.
+    When every input is frozen the maps decode into key runs and
+    heap-merge run by run — a stable k-way merge, identical in sequence
+    to the concatenate-and-stable-sort that object-form inputs take.
     """
-    framed = _shuffle_transport(mr_config) in ("framed", "shm") and all(
-        output.frozen for output in map_outputs
-    )
     perf = PerfStats()
-    if framed:
+    if all(output.frozen for output in map_outputs):
         merged = framed_merge_for_reduce(map_outputs, partition, perf)
     else:
         merged = merge_for_reduce(map_outputs, partition)

@@ -245,9 +245,9 @@ class MapOutput:
 
     Two representations share this class:
 
-    - **object form** (``partitions``): partition -> pair list, the
-      historical shape, used by the serial path and the pooled
-      ``shuffle_transport="object"`` baseline;
+    - **object form** (``partitions``): partition -> pair list, what
+      the serial path produces and what an output that cannot be
+      framed stays in;
     - **binary form** (``frames``): partition -> wire blob, produced by
       :meth:`freeze` inside pool workers so a map result crosses the
       process boundary as a few ``bytes`` objects instead of thousands
@@ -294,7 +294,7 @@ class MapOutput:
 
         Returns ``True`` on success.  A partition that cannot be framed
         (a Writable subclass whose class reference does not round-trip)
-        leaves the output in object form — the object path ships it
+        leaves the output in object form — it ships as pickled pairs
         instead, mirroring the backend's pickling-error fallback — and
         returns ``False``.  Byte/record memos are filled from the
         encoder's own accounting, so later pricing never re-encodes.
@@ -402,8 +402,7 @@ class MapOutput:
         IPC payload holds just its own partition, not every partition
         of every map — and once published the payload is a ~50-byte
         triple regardless of blob size.  Only meaningful on frozen
-        outputs; an unfrozen output is returned whole (the object path
-        keeps its historical full-ship behaviour).
+        outputs; an unfrozen output is returned whole.
         """
         if self.partitions is not None:
             return self

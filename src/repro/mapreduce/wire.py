@@ -2,8 +2,8 @@
 
 Why this exists: the pooled execution backends ship map output across
 the process boundary, and pickling a list of per-record ``Writable``
-objects costs more than the map work itself — ``BENCH_parallelism.json``
-showed pooled runs *losing* to serial.  Real Hadoop moves map output as
+objects costs more than the map work itself — pooled runs *lost* to
+serial until map output crossed as bytes.  Real Hadoop moves map output as
 compact binary IFile runs; this module is that idea.  A partition's
 pairs become one ``bytes`` blob holding a key column and a value
 column, each stored as *runs of identical encodings*: a sorted map
@@ -169,8 +169,8 @@ def _encode_generic(out: list[bytes], w: Writable) -> int:
 
     Verified round-trippable at encode time: the ref must resolve back
     to the instance's own class (a class defined inside a function has
-    a ``<locals>`` qualname and cannot), otherwise the caller falls
-    back to the object path — the same constraint pickling has.
+    a ``<locals>`` qualname and cannot), otherwise the caller keeps
+    the output in object form — the same constraint pickling has.
     """
     cls = type(w)
     ref = _class_ref(cls)

@@ -6,15 +6,15 @@ the next action transparently recomputes exactly the lost partitions
 through the lineage, which the ``recomputations`` counter makes
 observable (the number Spark's resilience story is about).
 
-Two execution backends share one API (``sparklite_backend``):
+Two execution backends share one API, chosen by how the context is
+built:
 
-- ``"local"`` — the historical in-process recursive evaluator;
-- ``"mapreduce"`` — actions compile the lineage DAG into MapReduce
-  stages (``repro.sparklite.planner``) that run on an attached
-  :class:`~repro.mapreduce.cluster.MapReduceCluster`, riding the framed
-  /shm shuffle, spill merge, auto backend and HDFS block cache.  The
-  two backends produce bit-identical results (property-tested), so a
-  context can flip between them mid-session.
+- local (no ``cluster``) — the in-process recursive evaluator;
+- compiled (built with a ``cluster``) — actions compile the lineage DAG
+  into MapReduce stages (``repro.sparklite.planner``) that run on the
+  attached :class:`~repro.mapreduce.cluster.MapReduceCluster`, riding
+  the framed/shm shuffle, spill merge, auto backend and HDFS block
+  cache.  The two produce bit-identical results (property-tested).
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ class SparkLiteContext:
         self,
         executor_names: list[str],
         hdfs: HdfsCluster | None = None,
-        sparklite_backend: str = "local",
         cluster: "MapReduceCluster | None" = None,
-        keep_stage_outputs: bool = False,
     ):
         if not executor_names:
             raise ReproError("need at least one executor")
@@ -77,13 +75,9 @@ class SparkLiteContext:
             if hdfs is not None
             else None
         )
-        #: Keep compiled stage outputs in HDFS after each action (for
-        #: inspection/benchmarks) instead of deleting the non-cached ones.
-        self.keep_stage_outputs = keep_stage_outputs
         #: Context-owned lineage id counter (reproducible run-to-run).
         self._rdd_ids = itertools.count(1)
         self._runner: "CompiledRunner | None" = None
-        self.sparklite_backend = sparklite_backend
         #: Partitions recomputed because their cache was lost/absent of a
         #: cached RDD (the resilience observable).
         self.recomputations = 0
@@ -91,31 +85,12 @@ class SparkLiteContext:
         self.cache_hits = 0
 
     # ------------------------------------------------------------------
-    @property
-    def sparklite_backend(self) -> str:
-        """``"local"`` (in-process evaluator) or ``"mapreduce"``."""
-        return self._backend
-
-    @sparklite_backend.setter
-    def sparklite_backend(self, value: str) -> None:
-        if value not in ("local", "mapreduce"):
-            raise ReproError(
-                f'sparklite_backend must be "local" or "mapreduce", '
-                f"got {value!r}"
-            )
-        if value == "mapreduce" and self.cluster is None:
-            raise ReproError(
-                'sparklite_backend="mapreduce" needs a MapReduceCluster; '
-                "build the context with on_mapreduce() or pass cluster="
-            )
-        self._backend = value
-
     def _next_rdd_id(self) -> int:
         return next(self._rdd_ids)
 
     def _compiled_runner(self) -> "CompiledRunner | None":
-        """The compiled-stage runner, or None on the local backend."""
-        if self._backend != "mapreduce":
+        """The compiled-stage runner, or None on a local context."""
+        if self.cluster is None:
             return None
         if self._runner is None:
             from repro.sparklite.planner import CompiledRunner
@@ -151,7 +126,6 @@ class SparkLiteContext:
         num_workers: int = 4,
         seed: int = 1,
         mr_config=None,
-        **kwargs,
     ) -> "SparkLiteContext":
         """A compiled context: actions run as MapReduce stages.
 
@@ -171,9 +145,7 @@ class SparkLiteContext:
                 or MapReduceConfig(execution_backend="auto"),
             )
         names = [node.name for node in cluster.hdfs.topology.nodes()]
-        return cls(
-            names, cluster=cluster, sparklite_backend="mapreduce", **kwargs
-        )
+        return cls(names, cluster=cluster)
 
     # ------------------------------------------------------------------
     # RDD construction

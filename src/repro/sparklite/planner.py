@@ -568,9 +568,6 @@ class CompiledRunner:
         return out
 
     def _cleanup(self) -> None:
-        if self.context.keep_stage_outputs:
-            self._temp = []
-            return
         for path in self._temp:
             self._client.delete(path, recursive=True)
         self._temp = []

@@ -134,11 +134,11 @@ class RDD:
     # actions
     #
     # Every action funnels through ``collect``-style full evaluation.
-    # Under ``sparklite_backend="mapreduce"`` the context returns a
-    # compiled runner and the lineage executes as MapReduce stages on
-    # the cluster; the element order the two paths produce is identical
-    # by construction (see repro.sparklite.planner), so the derived
-    # actions below need no per-backend cases.
+    # A context built on a MapReduce cluster returns a compiled runner
+    # and the lineage executes as MapReduce stages on the cluster; the
+    # element order the two paths produce is identical by construction
+    # (see repro.sparklite.planner), so the derived actions below need
+    # no per-backend cases.
     def collect(self) -> list:
         runner = self.context._compiled_runner()
         if runner is not None:

@@ -120,7 +120,7 @@ class WireFormatError(MapReduceError):
     Raised with a human-readable position/reason instead of letting
     ``struct.error`` or ``UnicodeDecodeError`` noise escape — truncated
     or corrupt frames are an expected failure mode (spill files, IPC),
-    and callers fall back to the object path on encode-side failures.
+    and callers fall back to object form on encode-side failures.
     """
 
 

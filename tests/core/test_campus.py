@@ -68,6 +68,25 @@ class TestSharedWheelQueuePressure:
             run.close()
 
 
+class TestEventsPerJobStaysFlat:
+    def test_events_per_job_within_3x_from_200_to_800_jobs(self):
+        # The O(active) witness: heartbeats, liveness checks and
+        # scheduling must not scale with everything ever submitted.
+        per_job = []
+        for students in (200, 800):
+            report = run_campus(
+                small_scenario(
+                    num_students=students,
+                    num_clusters=1,
+                    window=120 * MINUTE,
+                    seed=17,
+                )
+            )
+            assert report.jobs_succeeded == report.jobs_submitted == students
+            per_job.append(report.events_per_job)
+        assert max(per_job) <= 3.0 * min(per_job), per_job
+
+
 class TestSteppingProgress:
     def test_next_step_target_always_advances(self):
         # Setup leaves the epoch off-grid (e.g. 15.0005625); when the

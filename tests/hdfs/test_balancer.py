@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hdfs.balancer import Balancer
+from repro.hdfs.fsck import fsck
 from tests.conftest import make_hdfs
 
 
@@ -67,3 +68,37 @@ class TestBalancer:
         assert cluster.network.counters.total_bytes >= (
             before + report.blocks_moved * 1024
         )
+
+    def test_corrupt_source_is_reported_not_laundered(self):
+        # write_block checksums whatever bytes it is handed, so copying
+        # a corrupt replica would mint a clean-looking bad copy.
+        cluster = make_hdfs(num_datanodes=4, block_size=1024, replication=2)
+        client = cluster.client(node="node0")
+        for i in range(8):
+            client.put_bytes(f"/d/f{i}", bytes([i + 1]) * 1024)
+        source = cluster.datanode("node0")
+        block_id = min(source.blocks)  # the balancer's first candidate
+        good = source.blocks[block_id].data
+        source.corrupt_block(block_id)
+
+        report = Balancer(cluster, threshold=1e-9).run()
+        assert report.blocks_moved > 0  # it moved on to other replicas
+
+        def holders():
+            return [
+                dn.blocks[block_id]
+                for dn in cluster.datanodes.values()
+                if block_id in dn.blocks
+            ]
+
+        assert all(s.data == good for s in holders() if s.verify())
+        meta = cluster.namenode.block_map[block_id]
+        assert "node0" in meta.corrupt_on
+        assert "node0" not in meta.locations
+        # Re-replication heals from the surviving good replica.
+        cluster.wait_until(lambda: len(meta.locations) == 2, timeout=600)
+        cluster.sim.run_for(30)  # let node0's invalidate command land
+        assert [s.data for s in holders()] == [good, good]
+        assert fsck(cluster.namenode).healthy
+        for i in range(8):
+            assert client.read_bytes(f"/d/f{i}").data == bytes([i + 1]) * 1024

@@ -97,13 +97,6 @@ class TestChunkedChecksums:
         assert stored.unverified_bytes == 0
         assert not stored.verify()
 
-    def test_memo_disabled_scans_everything(self):
-        stored = StoredBlock(Block(1, 1, 8), b"abcdefgh", chunk_size=4, memo=False)
-        assert not stored.memo_enabled
-        assert stored.unverified_bytes == 8
-        assert stored.verify()
-        assert stored.unverified_bytes == 8  # never attested
-
     def test_read_range_clamps_and_validates(self):
         stored = StoredBlock(Block(1, 1, 10), b"0123456789", chunk_size=4)
         assert bytes(stored.read_range(8)) == b"89"  # to end
@@ -126,7 +119,3 @@ class TestChunkedChecksums:
         stored = StoredBlock(Block(1, 1, 4), memoryview(buffer)[2:6])
         buffer[3] = 0  # mutating the source must not reach the replica
         assert stored.read() == b"cdef"
-
-    def test_whole_block_crc_still_exposed(self):
-        stored = StoredBlock(Block(1, 1, 4), b"data")
-        assert stored.crc == checksum(b"data")

@@ -14,9 +14,11 @@ answer byte-identically to the legacy single-stage/driver-side path.
 
 import pytest
 
+from repro.datasets.airline import CARRIERS, generate_airline
 from repro.hive import ColumnType, HiveLite, TableSchema
 from repro.hive.parser import SqlError, parse_query
 from repro.hive.planner import RangePartitioner
+from repro.mapreduce.counters import C
 from repro.mapreduce.types import Text
 from repro.util.errors import ConfigError
 from tests.conftest import make_mr
@@ -211,3 +213,64 @@ class TestRangePartitioner:
 
     def test_single_reduce_short_circuits(self):
         assert RangePartitioner([]).partition(Text("q"), 1) == 0
+
+
+class TestAirlineThreeStageJoin:
+    def test_best_carriers_match_ground_truth_with_na_rows_dropped(self):
+        data = generate_airline(seed=7, num_rows=600)
+        engine = HiveLite(
+            make_mr(num_workers=4, block_size=16384), multi_stage=True
+        )
+        engine.create_table(
+            TableSchema(
+                name="flights",
+                columns=(
+                    ("year", ColumnType.INT),
+                    ("month", ColumnType.INT),
+                    ("day", ColumnType.INT),
+                    ("dow", ColumnType.INT),
+                    ("dep_time", ColumnType.INT),
+                    ("carrier", ColumnType.STRING),
+                    ("flight_num", ColumnType.INT),
+                    ("arr_delay", ColumnType.INT),
+                    ("dep_delay", ColumnType.INT),
+                    ("origin", ColumnType.STRING),
+                    ("dest", ColumnType.STRING),
+                    ("distance", ColumnType.INT),
+                    ("cancelled", ColumnType.INT),
+                ),
+                location="/warehouse/flights.csv",
+                skip_header=True,
+            ),
+            data=data.csv_text,
+        )
+        engine.create_table(
+            TableSchema(
+                name="carriers",
+                columns=(
+                    ("code", ColumnType.STRING),
+                    ("mean_delay", ColumnType.FLOAT),
+                ),
+                location="/warehouse/carriers.csv",
+            ),
+            data="\n".join(f"{code},{mean}" for code, mean, _ in CARRIERS) + "\n",
+        )
+        result = engine.execute(
+            "SELECT carriers.code, AVG(flights.arr_delay) FROM flights "
+            "JOIN carriers ON flights.carrier = carriers.code "
+            "GROUP BY carriers.code ORDER BY AVG(flights.arr_delay) LIMIT 5"
+        )
+        truth = data.true_average_delays()
+        assert len(result.rows) == 5
+        for code, avg in result.rows:
+            assert avg == pytest.approx(truth[code], rel=1e-9)
+        assert result.rows[0][0] == data.best_carrier()
+        averages = [avg for _, avg in result.rows]
+        assert averages == sorted(averages)
+        assert len(result.stage_reports) == 3  # join, aggregate, sort
+        # Cancelled flights carry "NA" delays: they fail INT parsing and
+        # never reach the join shuffle.
+        na_rows = sum(",NA," in line for line in data.csv_text.splitlines())
+        map_output = result.stage_reports[0].counters.get(C.MAP_OUTPUT_RECORDS)
+        assert na_rows > 0
+        assert map_output == data.num_rows - na_rows + len(CARRIERS)

@@ -4,8 +4,9 @@ The shm transport (``repro.mapreduce.shm``) changes only *where* frozen
 RWF2 partition blobs live while crossing the pool — a mapped segment
 file instead of a pickled bytes payload.  Everything observable —
 counters, output pairs, simulated clocks, event counts — must be
-bit-identical between ``shuffle_transport="shm"`` and both older
-transports, on the local runner and the cluster, with spilling on, and
+bit-identical between ``shuffle_transport="shm"``, ``"framed"`` and the
+serial backend (the transport oracle: object-form outputs, nothing
+framed), on the local runner and the cluster, with spilling on, and
 under every chaos drill with the runtime sanitizer watching.  Each run
 must also leave zero live segments behind.
 """
@@ -85,7 +86,9 @@ class TestShmEqualsOtherTransports:
             warnings.simplefilter("error", RuntimeWarning)
             shared = _local_fingerprint(_mr_config("shm"), job_cls)
             framed = _local_fingerprint(_mr_config("framed"), job_cls)
-            plain = _local_fingerprint(_mr_config("object"), job_cls)
+            plain = _local_fingerprint(
+                _mr_config("shm", backend="serial"), job_cls
+            )
         assert shared == framed == plain
 
     def test_local_runner_matches_serial(self):
@@ -109,14 +112,14 @@ class TestShmEqualsOtherTransports:
 
     def test_thread_backend_bit_identical(self):
         shared = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
-        plain = _local_fingerprint(_mr_config("object", backend="pooled-threads"))
+        plain = _local_fingerprint(_mr_config("shm", backend="serial"))
         assert shared == plain
 
     def test_cluster_bit_identical(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             shared = _cluster_fingerprint(_mr_config("shm"))
-            plain = _cluster_fingerprint(_mr_config("object"))
+            plain = _cluster_fingerprint(_mr_config("shm", backend="serial"))
         assert shared == plain
 
     def test_cluster_shm_matches_serial(self):
@@ -125,10 +128,10 @@ class TestShmEqualsOtherTransports:
         assert shared == serial
 
     def test_shm_with_spill_bit_identical(self):
-        """Spilling and shm compose: still equal to the plain object
+        """Spilling and shm compose: still equal to the plain serial
         run, with only spill accounting allowed to move."""
         shared = _local_fingerprint(_mr_config("shm", spill=128))
-        plain = _local_fingerprint(_mr_config("object"))
+        plain = _local_fingerprint(_mr_config("shm", backend="serial"))
         assert shared[2] == plain[2]  # identical output pairs
         sc, pc = shared[1], plain[1]
         for group in pc:
@@ -161,9 +164,7 @@ class TestChaosDrillsShm:
         shared = run_scenario(
             name, seed=0, backend="pooled", sanitize=True, transport="shm"
         )
-        plain = run_scenario(
-            name, seed=0, backend="pooled", sanitize=True, transport="object"
-        )
+        plain = run_scenario(name, seed=0, backend="serial", sanitize=True)
         assert shared.output_files == plain.output_files
         assert shared.baseline_files == plain.baseline_files
         assert shared.fault_log == plain.fault_log

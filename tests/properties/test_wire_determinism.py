@@ -4,9 +4,11 @@ The binary wire codec (``repro.mapreduce.wire``) only changes how
 pooled task payloads cross the process boundary.  Everything the
 simulation can observe — counters, output pairs, simulated clocks,
 event counts — must be bit-identical between
-``shuffle_transport="framed"`` and ``"object"``, on the local runner
-and the cluster, with spilling on, and under every chaos drill with
-the runtime sanitizer watching.
+``shuffle_transport="framed"`` on a pooled backend and the serial
+backend (the transport oracle: its map outputs stay in object form and
+nothing is ever framed), on the local runner and the cluster, with
+spilling on, and under every chaos drill with the runtime sanitizer
+watching.
 """
 
 import warnings
@@ -16,12 +18,12 @@ import pytest
 from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
-from repro.mapreduce.api import Job, Mapper
+from repro.mapreduce.api import Job, Mapper, Reducer
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.counters import perf_stats
 from repro.mapreduce.local_runner import LocalJobRunner
-from repro.mapreduce.types import FloatWritable, IntWritable
+from repro.mapreduce.types import FloatWritable, IntWritable, Text, record_writable
 
 ALL_DRILLS = tuple(SCENARIOS)
 
@@ -32,6 +34,7 @@ CORPUS = (
 
 
 def _mr_config(transport, backend="pooled", spill=None):
+    """``backend="serial"`` is the oracle; ``transport`` is moot there."""
     return MapReduceConfig(
         execution_backend=backend,
         backend_workers=2,
@@ -40,7 +43,9 @@ def _mr_config(transport, backend="pooled", spill=None):
     )
 
 
-def _local_fingerprint(mr_config, job_cls=WordCountWithCombinerJob, corpus=CORPUS):
+def _local_fingerprint(
+    mr_config, job_cls=WordCountWithCombinerJob, corpus=CORPUS, unframed_maps=False
+):
     """Everything a transport must not move, part-file bytes included."""
     fs = LinuxFileSystem()
     fs.write_file("/data/corpus.txt", corpus)
@@ -50,7 +55,9 @@ def _local_fingerprint(mr_config, job_cls=WordCountWithCombinerJob, corpus=CORPU
     ) as runner:
         job = job_cls(JobConf(name="wc", num_reduces=3))
         result = runner.run(job, "/data/corpus.txt", "/out")
-    assert perf_stats().frame_fallbacks == 0  # built-in Writables always frame
+    # built-in Writables always frame; an unframeable class never does
+    expected_fallbacks = result.num_splits if unframed_maps else 0
+    assert perf_stats().frame_fallbacks == expected_fallbacks
     return (
         result.simulated_seconds,
         result.counters.as_dict(),
@@ -87,6 +94,28 @@ class FloatKeyJob(Job):
     reducer = IntSumReducer
 
 
+#: A value class whose reference does not resolve back to it, so its
+#: map outputs cannot be framed and stay in object form.
+Unframeable = record_writable("Unframeable", [("n", int)])
+Unframeable.__qualname__ = "make.<locals>.Unframeable"
+
+
+class _UnframeableValueMapper(Mapper):
+    def map(self, key, value, context):
+        for token in value.value.split():
+            context.write(Text(token), Unframeable(n=1))
+
+
+class _FieldSumReducer(Reducer):
+    def reduce(self, key, values, context):
+        context.write(key, IntWritable(sum(v.n for v in values)))
+
+
+class UnframeableValueJob(Job):
+    mapper = _UnframeableValueMapper
+    reducer = _FieldSumReducer
+
+
 #: ``0.0`` / ``-0.0`` are one reduce group with two encodings, so which
 #: of them names the group depends on the merge order.
 FLOATS = "1.5 -0.0 0.0 2.25 -3.0 0.0 -0.0 1e300 inf -inf 7.0 1.5\n" * 400
@@ -95,7 +124,7 @@ FLOATS_WITH_NAN = FLOATS.replace("2.25", "nan")
 
 
 class TestWholeJobIdentity:
-    """serial == framed == shm == object, down to the part files."""
+    """serial == framed == shm, down to the part files."""
 
     @pytest.mark.parametrize(
         "job_cls, corpus, spill",
@@ -112,9 +141,24 @@ class TestWholeJobIdentity:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for transport in ("framed", "shm", "object"):
+            for transport in ("framed", "shm"):
                 pooled = _local_fingerprint(_mr_config(transport, spill=spill), job_cls, corpus)
                 assert pooled == serial, transport
+
+    def test_unframeable_outputs_ship_in_object_form(self):
+        """Pooled but unframed: every map output falls back to object
+        form (counted), the reduce side concatenates and sorts, and the
+        job still answers exactly like serial.  Threads, because a class
+        that cannot be framed cannot be pickled either."""
+        serial = _local_fingerprint(
+            _mr_config("framed", backend="serial"), UnframeableValueJob
+        )
+        pooled = _local_fingerprint(
+            _mr_config("framed", backend="pooled-threads"),
+            UnframeableValueJob,
+            unframed_maps=True,
+        )
+        assert pooled == serial
 
     def test_nan_keys_serial_equals_pooled(self):
         """Regression: ``sk < prev`` is False for NaN, so a blob with NaN
@@ -134,7 +178,9 @@ class TestFramedEqualsObject:
             # an inline/pickle fallback would mask a broken framed path
             warnings.simplefilter("error", RuntimeWarning)
             framed = _local_fingerprint(_mr_config("framed"), job_cls)
-            plain = _local_fingerprint(_mr_config("object"), job_cls)
+            plain = _local_fingerprint(
+                _mr_config("framed", backend="serial"), job_cls
+            )
         assert framed == plain
 
     def test_local_runner_matches_serial(self):
@@ -146,7 +192,7 @@ class TestFramedEqualsObject:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             framed = _cluster_fingerprint(_mr_config("framed"))
-            plain = _cluster_fingerprint(_mr_config("object"))
+            plain = _cluster_fingerprint(_mr_config("framed", backend="serial"))
         assert framed == plain
 
     def test_cluster_framed_matches_serial(self):
@@ -156,9 +202,9 @@ class TestFramedEqualsObject:
 
     def test_framed_with_spill_bit_identical(self):
         """Spilling and framing compose: still equal to the plain
-        object run, with only spill accounting allowed to move."""
+        serial run, with only spill accounting allowed to move."""
         framed = _local_fingerprint(_mr_config("framed", spill=128))
-        plain = _local_fingerprint(_mr_config("object"))
+        plain = _local_fingerprint(_mr_config("framed", backend="serial"))
         assert framed[2] == plain[2]  # identical output pairs
         fc, pc = framed[1], plain[1]
         for group in pc:
@@ -183,9 +229,7 @@ class TestChaosDrillsFramed:
         framed = run_scenario(
             name, seed=0, backend="pooled", sanitize=True, transport="framed"
         )
-        plain = run_scenario(
-            name, seed=0, backend="pooled", sanitize=True, transport="object"
-        )
+        plain = run_scenario(name, seed=0, backend="serial", sanitize=True)
         assert framed.output_files == plain.output_files
         assert framed.baseline_files == plain.baseline_files
         assert framed.fault_log == plain.fault_log

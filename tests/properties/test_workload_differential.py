@@ -2,9 +2,9 @@
 
 Random pipelines and random tables, two evaluators each:
 
-- sparklite: random element mixes and transformation chains run on
-  ``sparklite_backend="local"`` and ``"mapreduce"`` must collect the
-  exact same list (order, values, types);
+- sparklite: random element mixes and transformation chains run on a
+  local context and on a compiled one must collect the exact same list
+  (order, values, types);
 - Hive: random tables and ORDER BY queries answered by the legacy
   driver-side sort and the multi-stage total-order sort stage must
   return the exact same rows.

@@ -1,7 +1,7 @@
 """Compiled sparklite ≡ the in-memory evaluator, bit for bit.
 
-Every test runs one pipeline twice — once on ``sparklite_backend=
-"local"``, once compiled onto a MapReduce cluster — and requires the
+Every test runs one pipeline twice — once on a local context, once
+compiled onto a MapReduce cluster — and requires the
 *exact same* answer: same elements, same order, same types.  That is
 the planner's contract (order out of actions, fold order into
 ``reduce_by_key``, value order inside ``group_by_key`` lists, pair
@@ -255,13 +255,6 @@ class TestCacheAndPlan:
         assert runner._cached
         cached.unpersist()
         assert cached.rdd_id not in runner._cached
-
-    def test_backend_flip_mid_session(self):
-        sc = make_compiled()
-        rdd = sc.parallelize(WORDS, 4).map(pair_one).reduce_by_key(add, 3)
-        compiled = rdd.collect()
-        sc.sparklite_backend = "local"
-        assert rdd.collect() == compiled
 
     def test_last_plan_exposes_stage_rollups(self):
         sc = make_compiled()

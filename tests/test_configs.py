@@ -84,6 +84,7 @@ class TestMapReduceConfig:
             {"map_slots_per_tracker": 0},
             {"reduce_slots_per_tracker": 0},
             {"tasktracker_heartbeat": 0},
+            {"shuffle_transport": "object"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
