@@ -171,9 +171,8 @@ class PooledExecutionBackend(ExecutionBackend):
     ``mode="thread"`` has no pickling constraints and suits
     free-threaded interpreters or I/O-heavy custom code.
 
-    ``inline=True`` submissions (node-state-sharing jobs, formats
-    without prefetch support) run eagerly in the caller's thread,
-    exactly as the serial backend would.
+    ``inline=True`` submissions (node-state-sharing jobs) run eagerly in
+    the caller's thread, exactly as the serial backend would.
     """
 
     name = "pooled"

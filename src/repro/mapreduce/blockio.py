@@ -10,7 +10,6 @@ DATA_LOCAL/RACK_LOCAL/OFF_RACK map counters in the job report.
 from __future__ import annotations
 
 import mmap
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,15 +27,10 @@ from repro.util.errors import (
 class MappedFile:
     """A host file read back zero-copy through one read-only ``mmap``.
 
-    Two users.  Map-side external sorts
-    (``MapReduceConfig.spill_record_limit``) :meth:`write` each sorted
-    run as a wire blob to an anonymous temp file, so only one run's
-    records are ever held as Python objects at a time.  The shm shuffle
-    plane (:mod:`repro.mapreduce.shm`) maps, with :meth:`open`, the
-    segment file a map worker published.  Either way these are host
-    files (the task's scratch disk), not simulated HDFS blocks; the
-    simulated cost of spilling and shuffling is priced separately by
-    the CostModel.
+    The shm shuffle plane (:mod:`repro.mapreduce.shm`) maps, with
+    :meth:`open`, the segment file a map worker published.  These are
+    host files, not simulated HDFS blocks; the simulated cost of
+    shuffling is priced separately by the CostModel.
     """
 
     __slots__ = ("_file", "_mmap")
@@ -49,18 +43,6 @@ class MappedFile:
             file.close()
             raise
         self._file = file
-
-    @classmethod
-    def write(cls, blob: bytes) -> "MappedFile":
-        """Persist one sorted run; the file vanishes on close/GC."""
-        file = tempfile.TemporaryFile(prefix="repro-spill-")
-        try:
-            file.write(blob)
-            file.flush()
-        except BaseException:
-            file.close()
-            raise
-        return cls(file)
 
     @classmethod
     def open(cls, path: str) -> "MappedFile":
@@ -181,14 +163,12 @@ class BlockFetcher:
         return {0: "node_local", 2: "rack_local"}.get(distance, "off_rack")
 
     # ------------------------------------------------------------------
-    def make_fetch(self, node: str | None, tally: dict[str, int] | None = None):
+    def make_fetch(self, node: str | None):
         """Adapt to the :data:`~repro.mapreduce.inputformat.BlockFetch`
-        signature, optionally tallying locality per call."""
+        signature for a task running on ``node``."""
 
         def fetch(path: str, block_index: int, max_bytes: int | None, offset: int = 0):
             read = self.read_block(path, block_index, node, max_bytes, offset)
-            if tally is not None:
-                tally[read.locality] = tally.get(read.locality, 0) + 1
             return read.data, read.elapsed
 
         return fetch

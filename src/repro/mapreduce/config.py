@@ -55,6 +55,8 @@ class MapReduceConfig:
     #: Heartbeats missed before the JobTracker declares a tracker lost.
     tracker_miss_limit: int = 10
     #: io.sort.mb — map output buffer before spilling to local disk.
+    #: The spill is simulated: each overflow re-counts the map output in
+    #: ``Spilled Records`` and charges one more pass at disk bandwidth.
     sort_buffer_bytes: int = 100 * MB
     #: Where task attempts' *real* work runs: ``None`` inherits the
     #: process-wide default (see ``repro.mapreduce.backend``), else one
@@ -73,20 +75,8 @@ class MapReduceConfig:
     #: backend's (property-tested), which never frames — nothing
     #: crosses a process boundary there.
     shuffle_transport: str = "framed"
-    #: Map-side external-sort threshold: when a map task emits more
-    #: than this many records, its sort spills IFile-style sorted runs
-    #: to host-local disk and heap-merges them (bounding the in-memory
-    #: sort working set), instead of one big in-memory sort.  ``None``
-    #: disables spilling (the historical behaviour).
-    spill_record_limit: int | None = None
-    #: Transient shuffle-fetch retries before a reduce escalates to
-    #: ``map_output_lost`` (Hadoop: mapreduce.reduce.shuffle.maxfetchfailures).
-    shuffle_fetch_retries: int = 3
-    #: Exponential-backoff base delay between shuffle-fetch retries, seconds.
-    shuffle_retry_base: float = 1.0
-    #: Backoff ceiling, seconds.
-    shuffle_retry_max: float = 20.0
-    #: Jitter fraction applied to each backoff delay (0 = none).
+    #: Jitter fraction applied to each shuffle-fetch retry's backoff
+    #: delay (0 = none, which window-sensitive fault drills need).
     shuffle_retry_jitter: float = 0.25
     #: Run the runtime sanitizer (``repro.analysis.sanitizer``) around
     #: user task code: detect input mutation, emitted-object aliasing,
@@ -115,12 +105,6 @@ class MapReduceConfig:
                 f"shuffle_transport must be 'framed' or 'shm', "
                 f"got {self.shuffle_transport!r}"
             )
-        if self.spill_record_limit is not None and self.spill_record_limit < 1:
-            raise ConfigError("spill_record_limit must be >= 1 (or None)")
-        if self.shuffle_fetch_retries < 0:
-            raise ConfigError("shuffle_fetch_retries must be >= 0")
-        if self.shuffle_retry_base <= 0 or self.shuffle_retry_max <= 0:
-            raise ConfigError("shuffle retry delays must be positive")
         if not (0.0 <= self.shuffle_retry_jitter <= 1.0):
             raise ConfigError("shuffle_retry_jitter must be in [0, 1]")
         if self.scheduler not in ("fifo", "fair"):

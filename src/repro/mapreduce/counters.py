@@ -107,8 +107,8 @@ class Counters:
 # Host-side performance attribution (NOT part of the job report).
 #
 # These numbers measure where *host wall-clock* goes in the framed
-# shuffle transport (serialize, decode, merge, spill) so the benchmark
-# can attribute its speedup.  They are deliberately kept outside
+# shuffle transport (serialize, decode, merge) so the benchmark can
+# attribute its speedup.  They are deliberately kept outside
 # :class:`Counters`: job counters are part of the deterministic,
 # bit-identical-across-backends contract, and wall-clock timings (and
 # transport-specific byte tallies) would break both the run-to-run and
@@ -130,9 +130,7 @@ class PerfStats:
     """Per-stage host timings and byte tallies for the shuffle transport.
 
     ``Perf.map_serialize_ms`` / ``shuffle_decode_ms`` / ``merge_ms`` are
-    the stage breakdown the parallelism benchmark reports; the byte
-    fields compare the framed codec against what pickling the same
-    pairs would have cost.
+    the stage breakdown the benchmark's traced pass reports.
     """
 
     #: Framing map output partitions into wire blobs (worker-side).
@@ -143,20 +141,13 @@ class PerfStats:
     shuffle_decode_ms: float = 0.0
     #: K-way merging the decoded (pre-sorted) per-map streams.
     merge_ms: float = 0.0
-    #: Writing + reading spill runs during external map-side sorts.
-    spill_ms: float = 0.0
     #: Total wire-blob bytes produced by the codec.
     bytes_framed: int = 0
-    #: Bytes pickle would have used for the same payloads (filled by
-    #: the benchmark, which prices both; 0 when not measured).
-    bytes_pickled: int = 0
     #: Blobs encoded / decoded.
     blobs_encoded: int = 0
     blobs_decoded: int = 0
     #: Map outputs that could not be framed and shipped in object form.
     frame_fallbacks: int = 0
-    #: Spill runs written by external sorts.
-    spill_runs: int = 0
     #: Shuffle-plane shared memory: bytes published into segments.
     shm_bytes: int = 0
     #: Segments created (one per published map output).
@@ -166,12 +157,6 @@ class PerfStats:
     #: Blob bytes decoded straight from a shared view instead of being
     #: pickled/copied across the pool — the zero-copy win.
     copy_avoided_bytes: int = 0
-    #: HDFS data-path sidecar (merged from per-DataNode BlockCache
-    #: tallies by benchmarks — the hdfs package stays import-free of
-    #: mapreduce, so it never writes these itself).
-    hdfs_cache_hits: int = 0
-    hdfs_cache_misses: int = 0
-    hdfs_cache_evictions: int = 0
 
     def merge(self, other: "PerfStats | dict") -> None:
         data = other.as_dict() if isinstance(other, PerfStats) else other

@@ -72,14 +72,12 @@ class TextInputFormat:
     The format is split into an I/O half (:meth:`prefetch` — every
     ``fetch`` call, boundary-line reassembly, byte/second accounting)
     and a CPU half (:meth:`parse_records` — record iteration over the
-    prefetched bytes).  :meth:`read_records` composes the two; parallel
-    execution backends run them on different threads of control.
-    Formats overriding :meth:`read_records` wholesale should set
-    ``supports_prefetch = False`` so backends fall back to inline
-    execution.
+    prefetched bytes).  Task attempts always run the halves apart — the
+    I/O in the simulation thread, the parse wherever the execution
+    backend puts the attempt — so a format customises *those*;
+    :meth:`read_records` is the composition for callers that just want
+    a split's records.
     """
-
-    supports_prefetch = True
 
     @staticmethod
     def splits_for_file(

@@ -10,6 +10,10 @@ and counters plus a *serial* simulated runtime — which is how the course
 (and our Claim-C1 benchmark) shows efficient vs. inefficient
 implementations differing by an order of magnitude even before HDFS
 enters the picture.
+
+Task attempts are built exactly as a TaskTracker builds them (see
+:mod:`repro.mapreduce.runtime`); only the file system, the one "node"
+and the absence of a scheduler differ.
 """
 
 from __future__ import annotations
@@ -20,20 +24,18 @@ from dataclasses import dataclass, field
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.mapreduce.api import Job
 from repro.mapreduce.backend import ExecutionBackend, resolve_backend
-from repro.mapreduce.config import CostModel, MapReduceConfig
+from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import PERF, Counters
 from repro.mapreduce.inputformat import InputSplit
 from repro.mapreduce.outputformat import TextOutputFormat, part_file_name
 from repro.mapreduce.runtime import (
     execute_map,
-    execute_reduce,
     job_input_format,
-    job_partitioner,
     map_attempt_work,
     prefetch_split,
     reduce_attempt_work,
 )
-from repro.mapreduce.shuffle import MapOutput, merge_for_reduce
+from repro.mapreduce.shuffle import MapOutput
 from repro.util.errors import FileNotFoundInHdfs, JobSubmissionError, OutputExistsError
 
 
@@ -63,25 +65,19 @@ class LocalJobRunner:
 
     #: Pseudo-block size used to exercise split logic even locally.
     DEFAULT_SPLIT_SIZE = 16 * 1024 * 1024
+    #: The workstation's one disk, bytes per simulated second.
+    LOCAL_DISK_BW = 100 * 1024 * 1024
 
     def __init__(
         self,
         localfs: LinuxFileSystem | None = None,
-        cost: CostModel | None = None,
         split_size: int | None = None,
-        local_disk_bw: float = 100 * 1024 * 1024,
         backend: ExecutionBackend | None = None,
         mr_config: MapReduceConfig | None = None,
     ):
         self.localfs = localfs or LinuxFileSystem()
-        if mr_config is not None:
-            self.mr_config = mr_config
-            self.cost = cost or mr_config.cost
-        else:
-            self.cost = cost or CostModel()
-            self.mr_config = MapReduceConfig(cost=self.cost)
+        self.mr_config = mr_config or MapReduceConfig()
         self.split_size = split_size or self.DEFAULT_SPLIT_SIZE
-        self.local_disk_bw = local_disk_bw
         self.backend = resolve_backend(
             backend,
             self.mr_config.execution_backend,
@@ -130,14 +126,15 @@ class LocalJobRunner:
             chunk = chunk[offset:]
         if max_bytes is not None:
             chunk = chunk[:max_bytes]
-        return chunk, len(chunk) / self.local_disk_bw
+        return chunk, len(chunk) / self.LOCAL_DISK_BW
 
     def _side_reader(self, path: str):
         data = self.localfs.read_file(path)
+        cost = self.mr_config.cost
         elapsed = (
-            self.cost.side_open_overhead
-            + len(data) / self.local_disk_bw
-            + len(data) * self.cost.side_read_per_byte
+            cost.side_open_overhead
+            + len(data) / self.LOCAL_DISK_BW
+            + len(data) * cost.side_read_per_byte
         )
         return data.decode("utf-8"), elapsed
 
@@ -167,19 +164,11 @@ class LocalJobRunner:
         splits = self._splits_for(job, files)
         if hasattr(self.backend, "decide"):  # "auto": size the job first
             self.backend.decide(sum(split.length for split in splits))
-        counters = Counters()
-        node_cache: dict = {}  # one workstation == one shared "JVM"
-        elapsed = 0.0
-        # Pooled execution applies only to share-nothing jobs whose
-        # input format separates I/O from parsing; everything else runs
-        # the historical serial path.  Completion callbacks fire in
-        # submission order, so counters merge and ``elapsed`` sums in
-        # exactly the serial order — results are bit-identical.
-        pooled = (
-            self.backend.parallel
-            and not job.shares_node_state
-            and getattr(job_input_format(job), "supports_prefetch", False)
-        )
+        # Pooled execution applies only to share-nothing jobs; the rest
+        # run inline.  Completion callbacks fire in submission order, so
+        # counters merge and ``elapsed`` sums in exactly the serial
+        # order — results are bit-identical.
+        pooled = self.backend.parallel and not job.shares_node_state
         # One shm scope per run: the parent mints the token, workers
         # publish segments under it, and the finally below guarantees
         # every segment is unlinked even when the run raises (including
@@ -190,10 +179,7 @@ class LocalJobRunner:
 
             shm_scope = shm.ShmScope()
         try:
-            return self._run_tasks(
-                job, splits, output_path, counters, node_cache,
-                elapsed, pooled, shm_scope,
-            )
+            return self._run_tasks(job, splits, output_path, pooled, shm_scope)
         finally:
             if shm_scope is not None:
                 shm_scope.release()
@@ -203,12 +189,12 @@ class LocalJobRunner:
         job: Job,
         splits: list[InputSplit],
         output_path: str,
-        counters: Counters,
-        node_cache: dict,
-        elapsed: float,
         pooled: bool,
         shm_scope,
     ) -> LocalJobResult:
+        counters = Counters()
+        node_cache: dict = {}  # one workstation == one shared "JVM"
+        elapsed = 0.0
         map_outputs: list[MapOutput] = []
         violations: list[str] = []
 
@@ -226,31 +212,26 @@ class LocalJobRunner:
                 PERF.merge(execution.perf)
 
         for index, split in enumerate(splits):
+            attempt = dict(
+                job=job,
+                split=split,
+                prefetched=prefetch_split(job, split, self._fetch),
+                mr_config=self.mr_config,
+                task_node="local",
+                disk_write_bw=self.LOCAL_DISK_BW,
+            )
             if pooled:
-                prefetched = prefetch_split(job, split, self._fetch)
                 work = functools.partial(
                     map_attempt_work,
-                    job,
-                    split,
-                    prefetched,
-                    self.cost,
-                    self.mr_config,
-                    "local",
-                    self.local_disk_bw,
+                    **attempt,
                     shm_token=None if shm_scope is None else shm_scope.token,
                 )
             else:
                 work = functools.partial(
                     execute_map,
-                    job=job,
-                    split=split,
-                    fetch=self._fetch,
-                    cost=self.cost,
-                    mr_config=self.mr_config,
+                    **attempt,
                     side_reader=self._side_reader,
                     node_cache=node_cache,
-                    task_node="local",
-                    disk_write_bw=self.local_disk_bw,
                 )
             self.backend.submit(
                 work,
@@ -271,38 +252,26 @@ class LocalJobRunner:
             violations.extend(execution.violations)
             part_path = f"{output_path}/{part_file_name(partition)}"
             self.localfs.write_file(part_path, text)
-            elapsed += len(text) / self.local_disk_bw
+            elapsed += len(text) / self.LOCAL_DISK_BW
             all_pairs.extend(TextOutputFormat.parse(text))
 
         for partition in range(job.conf.num_reduces):
-            if pooled:
-                # Frozen outputs slim to this partition's blob before
-                # crossing the process boundary (slice_for is a no-op —
-                # returns self — on unframed object-form outputs).
-                shipped = [out.slice_for(partition) for out in map_outputs]
+            # Frozen outputs slim to this partition's blob before
+            # crossing the process boundary (slice_for is a no-op —
+            # returns self — on unframed object-form outputs).
+            shipped = [out.slice_for(partition) for out in map_outputs]
+            work = functools.partial(
+                reduce_attempt_work,
+                job,
+                shipped,
+                partition,
+                "local",
+                self.mr_config,
+            )
+            if not pooled:
                 work = functools.partial(
-                    reduce_attempt_work,
-                    job,
-                    shipped,
-                    partition,
-                    self.cost,
-                    "local",
-                    self.mr_config,
+                    work, side_reader=self._side_reader, node_cache=node_cache
                 )
-            else:
-                def work(partition=partition):
-                    merged = merge_for_reduce(map_outputs, partition)
-                    execution = execute_reduce(
-                        job=job,
-                        merged_pairs=merged,
-                        cost=self.cost,
-                        side_reader=self._side_reader,
-                        node_cache=node_cache,
-                        task_node="local",
-                        mr_config=self.mr_config,
-                    )
-                    return execution, TextOutputFormat.render(execution.pairs)
-
             self.backend.submit(
                 work,
                 functools.partial(reduce_done, partition),

@@ -9,6 +9,12 @@ integration tests assert.
 Real user code runs eagerly over real records; the returned
 ``duration`` prices that work on the simulated hardware via the
 :class:`~repro.mapreduce.config.CostModel`.
+
+One path from split to part file, whichever driver and backend:
+:func:`prefetch_split` (the split's block I/O, in the driver's thread)
+-> :func:`execute_map` (parse, map, sort, partition, combine; wrapped by
+:func:`map_attempt_work` when the result has to cross a pool) ->
+:func:`reduce_attempt_work` (merge, reduce, render).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.mapreduce.api import Context, Job
-from repro.mapreduce.config import CostModel, JobConf, MapReduceConfig
+from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.inputformat import (
     FetchStats,
     InputSplit,
@@ -33,7 +39,6 @@ from repro.mapreduce.shuffle import (
     Pair,
     PartitionTally,
     ReduceInput,
-    external_sorted,
     framed_merge_for_reduce,
     group_by_key,
     merge_for_reduce,
@@ -43,7 +48,7 @@ from repro.mapreduce.shuffle import (
     sort_pairs,
 )
 from repro.mapreduce.types import Writable
-from repro.util.errors import MapReduceError, TaskFailedError, WireFormatError
+from repro.util.errors import TaskFailedError
 
 SideReader = Callable[[str], tuple[str, float]]
 
@@ -63,9 +68,6 @@ class MapExecution:
     output: MapOutput
     counters: Counters
     duration: float
-    input_records: int = 0
-    input_bytes: int = 0
-    spills: int = 0
     #: Runtime-sanitizer violation messages (empty unless
     #: ``MapReduceConfig.sanitize`` found something).
     violations: list[str] = field(default_factory=list)
@@ -87,7 +89,6 @@ class ReduceExecution:
     pairs: list[Pair]
     counters: Counters
     duration: float  # merge + user code; shuffle/write priced by caller
-    input_records: int = 0
     #: Runtime-sanitizer violation messages (empty unless
     #: ``MapReduceConfig.sanitize`` found something).
     violations: list[str] = field(default_factory=list)
@@ -125,51 +126,40 @@ def _make_sanitizer(
 class PrefetchedInput:
     """A split's bytes plus the I/O accounting already paid for them.
 
-    Built in the simulation thread by :func:`prefetch_split`; shipped to
-    pool workers so :func:`execute_map` needs no ``fetch`` callable.
+    Built in the simulation thread by :func:`prefetch_split`, so
+    :func:`execute_map` touches no simulation state and can run inside
+    a pool worker.
     """
 
     payload: PrefetchedSplit
     stats: FetchStats
 
 
-def prefetch_split(job: Job, split: InputSplit, fetch) -> PrefetchedInput | None:
-    """Perform a split's block I/O up front, if the input format allows.
-
-    Returns ``None`` when the job's input format does not support the
-    prefetch/parse separation (``supports_prefetch`` unset or False), in
-    which case the caller must execute the attempt inline.
-    """
-    input_format = job_input_format(job)
-    if not getattr(input_format, "supports_prefetch", False):
-        return None
+def prefetch_split(job: Job, split: InputSplit, fetch) -> PrefetchedInput:
+    """Perform a split's block I/O, before any user code runs."""
     stats = FetchStats()
-    payload = input_format.prefetch(split, fetch, stats)
+    payload = job_input_format(job).prefetch(split, fetch, stats)
     return PrefetchedInput(payload=payload, stats=stats)
 
 
 def execute_map(
     job: Job,
     split: InputSplit,
-    fetch,
-    cost: CostModel,
+    prefetched: PrefetchedInput,
     mr_config: MapReduceConfig,
     side_reader: SideReader | None = None,
     node_cache: dict[str, Any] | None = None,
     task_node: str | None = None,
     disk_write_bw: float = 100 * 1024 * 1024,
-    prefetched: "PrefetchedInput | None" = None,
-    perf: PerfStats | None = None,
 ) -> MapExecution:
-    """Run one map task over one split.
+    """Run one map task over one split's prefetched bytes.
 
-    When ``prefetched`` is given the split's block I/O has already been
-    performed (see :func:`prefetch_split`): records are parsed from the
-    prefetched bytes and ``fetch`` is never called, which is what lets
-    this function run inside a pool worker with no simulation state.
+    The block I/O is already done and paid for (:func:`prefetch_split`);
+    records are parsed here, where the user code consumes them.
     """
     counters = Counters()
     conf: JobConf = job.conf
+    cost = mr_config.cost
     sanitizer = _make_sanitizer(
         mr_config, conf, counters, f"map[{split.path}#{split.block_index}]"
     )
@@ -186,17 +176,11 @@ def execute_map(
         if sanitizer is not None
         else Context(**context_kwargs)
     )
-    input_format = job_input_format(job)
-    if prefetched is not None:
-        stats = prefetched.stats
-        records = input_format.parse_records(prefetched.payload)
-    else:
-        stats = FetchStats()
-        records = input_format.read_records(split, fetch, stats)
+    stats = prefetched.stats
+    records = job_input_format(job).parse_records(prefetched.payload)
 
     mapper = job.mapper()  # type: ignore[misc]
     records_in = 0
-    input_bytes_seen = 0
     try:
         mapper.setup(context)
         if sanitizer is not None:
@@ -212,42 +196,22 @@ def execute_map(
         mapper.cleanup(context)
     except Exception as exc:  # noqa: BLE001 - user code boundary
         raise _wrap_user_error("map", exc) from exc
-    input_bytes_seen = stats.bytes_read
 
     # Sort once, before partitioning: partitions are key-determined, so
     # a stable bucketing of sorted pairs leaves every bucket key-sorted
     # — the per-partition re-sort the combiner used to pay disappears.
-    # Past ``spill_record_limit`` the sort goes external: emission-order
-    # chunks spill as sorted framed runs and heap-merge back, yielding
-    # the exact same sequence with a bounded in-memory working set.
-    drained = context.drain()
-    spill_limit = mr_config.spill_record_limit
-    partitioner = job_partitioner(job)
-    spill_runs = 1
     # The combiner's key groups fall out of the partitioning pass; a job
     # without a combiner collects none.
     tally = PartitionTally(grouped=job.combiner is not None)
-    if spill_limit is not None and len(drained) > spill_limit:
-        try:
-            partitions = partition_pairs(
-                external_sorted(drained, spill_limit, perf),
-                partitioner,
-                conf.num_reduces,
-                tally,
-            )
-        except WireFormatError:
-            # Unframeable pairs cannot spill as wire runs; sort in
-            # memory instead (the error fires before anything yields,
-            # so nothing was partitioned or tallied yet).
-            partitions = partition_pairs(
-                sort_pairs(drained), partitioner, conf.num_reduces, tally
-            )
-        else:
-            spill_runs = -(-len(drained) // spill_limit)  # ceil
-    else:
-        partitions = partition_pairs(
-            sort_pairs(drained), partitioner, conf.num_reduces, tally
-        )
+    # ``drained`` stays bound until the task returns on purpose: it then
+    # holds the last reference to every pair, so they are freed in
+    # allocation order.  Dropped here, the key-sorted buckets free them
+    # instead — a random walk over the heap that takes ~2.4x as long
+    # (+6 % CPU on a 1 MiB WordCount).
+    drained = context.drain()
+    partitions = partition_pairs(
+        sort_pairs(drained), job_partitioner(job), conf.num_reduces, tally
+    )
     records_out, output_bytes = tally.records, tally.nbytes
     counters.increment(C.MAP_INPUT_RECORDS, records_in)
     counters.increment(C.MAP_OUTPUT_RECORDS, records_out)
@@ -288,22 +252,16 @@ def execute_map(
     )
     counters.increment(C.FILE_BYTES_WRITTEN, final_bytes)
 
-    # Spill accounting: every sort-buffer overflow is an extra disk
-    # pass, and so is every real external-sort run past the first.
-    spills = max(
-        1,
-        math.ceil(output_bytes / mr_config.sort_buffer_bytes),
-        spill_runs,
-    )
-    counters.increment(
-        C.SPILLED_RECORDS, records_out if spills == 1 else records_out * spills
-    )
+    # Spill accounting (simulated): every io.sort.mb overflow is an
+    # extra pass over the map output on local disk.
+    spills = max(1, math.ceil(output_bytes / mr_config.sort_buffer_bytes))
+    counters.increment(C.SPILLED_RECORDS, records_out * spills)
     spill_time = (spills - 1) * (output_bytes / disk_write_bw)
 
     duration = (
         cost.task_startup
         + stats.elapsed
-        + cost.cpu_time(records_in, input_bytes_seen)
+        + cost.cpu_time(records_in, stats.bytes_read)
         + context.extra_time
         + cost.sort_time(records_out)
         + combine_time
@@ -317,9 +275,6 @@ def execute_map(
         output=output,
         counters=counters,
         duration=duration,
-        input_records=records_in,
-        input_bytes=input_bytes_seen,
-        spills=spills,
         violations=sanitizer.finish() if sanitizer is not None else [],
     )
 
@@ -341,12 +296,10 @@ class IdentityReducer:
 def execute_reduce(
     job: Job,
     merged_pairs: "list[Pair] | ReduceInput",
-    cost: CostModel,
     mr_config: MapReduceConfig,
     side_reader: SideReader | None = None,
     node_cache: dict[str, Any] | None = None,
     task_node: str | None = None,
-    already_sorted: bool = True,
 ) -> ReduceExecution:
     """Run one reduce task over its merged, key-sorted partition.
 
@@ -374,9 +327,9 @@ def execute_reduce(
     if isinstance(merged_pairs, ReduceInput):
         key_groups, in_records, in_bytes = merged_pairs
     else:
-        pairs = merged_pairs if already_sorted else sort_pairs(merged_pairs)
-        key_groups = group_by_key(pairs)
-        in_records, in_bytes = len(pairs), serialized_bytes(pairs)
+        key_groups = group_by_key(merged_pairs)
+        in_records = len(merged_pairs)
+        in_bytes = serialized_bytes(merged_pairs)
     reducer_cls = job.reducer if job.reducer is not None else IdentityReducer
     reducer = reducer_cls()
     groups = 0
@@ -401,6 +354,7 @@ def execute_reduce(
     counters.increment(C.REDUCE_INPUT_GROUPS, groups)
     counters.increment(C.REDUCE_OUTPUT_RECORDS, len(out_pairs))
 
+    cost = mr_config.cost
     duration = (
         cost.task_startup
         + cost.sort_time(in_records)  # the merge
@@ -411,35 +365,28 @@ def execute_reduce(
         pairs=out_pairs,
         counters=counters,
         duration=duration,
-        input_records=in_records,
         violations=sanitizer.finish() if sanitizer is not None else [],
     )
 
 
 # ---------------------------------------------------------------------------
-# Pooled-work entry points.  These are the only functions execution
-# backends ship to pool workers, so they are module-level (picklable by
-# reference) and take *only* picklable, share-nothing arguments: no
-# fetch closures, no side readers, no node caches, no simulation state.
-
-
-def _no_fetch(*_args, **_kwargs):
-    raise MapReduceError(
-        "pooled map work must consume prefetched input, not call fetch()"
-    )
+# Attempt entry points.  These are what the drivers hand to an execution
+# backend; pooled backends ship them to workers, so they are module-level
+# (picklable by reference) and a pooled attempt passes them *only*
+# picklable, share-nothing arguments: no side readers, no node caches,
+# no simulation state.
 
 
 def map_attempt_work(
     job: Job,
     split: InputSplit,
     prefetched: PrefetchedInput,
-    cost: CostModel,
     mr_config: MapReduceConfig,
     task_node: str | None,
     disk_write_bw: float,
     shm_token: str | None = None,
 ) -> MapExecution:
-    """The share-nothing portion of one map attempt (pool-safe).
+    """One *pooled* map attempt: :func:`execute_map`, then freeze.
 
     The partitioned output is frozen into wire blobs *here*, inside the
     worker, so what pickles back to the simulation thread is a handful
@@ -448,19 +395,17 @@ def map_attempt_work(
     published into a shared-memory segment named by the parent's scope
     ``shm_token``, and only slices ride the pipe.  The result is
     bit-identical in every form; only the representation in transit
-    differs.
+    differs.  An inline attempt runs :func:`execute_map` itself and
+    never frames: nothing crosses a process boundary there.
     """
     perf = PerfStats()
     execution = execute_map(
         job=job,
         split=split,
-        fetch=_no_fetch,
-        cost=cost,
+        prefetched=prefetched,
         mr_config=mr_config,
         task_node=task_node,
         disk_write_bw=disk_write_bw,
-        prefetched=prefetched,
-        perf=perf,
     )
     # An output that cannot be framed simply ships in object form
     # (freeze reports False); the backend's pickle fallback remains
@@ -479,34 +424,40 @@ def reduce_attempt_work(
     job: Job,
     map_outputs: list[MapOutput],
     partition: int,
-    cost: CostModel,
     task_node: str | None,
     mr_config: MapReduceConfig,
+    side_reader: SideReader | None = None,
+    node_cache: dict[str, Any] | None = None,
 ) -> tuple[ReduceExecution, str]:
-    """The share-nothing portion of one reduce attempt (pool-safe).
+    """One reduce attempt, inline or pooled, up to its output text.
 
     Merges the already-shuffled map outputs for ``partition``, runs the
     reducer, and renders the output file text; the caller prices the
-    shuffle network time and performs the HDFS write (both touch
+    shuffle network time and performs the output write (both touch
     simulation state, so they stay in the simulation thread).
 
     When every input is frozen the maps decode into key runs and
     heap-merge run by run — a stable k-way merge, identical in sequence
-    to the concatenate-and-stable-sort that object-form inputs take.
+    to the concatenate-and-stable-sort that object-form inputs (serial
+    backends, inline attempts, unframeable outputs) take.
     """
-    perf = PerfStats()
     if all(output.frozen for output in map_outputs):
+        perf = PerfStats()
         merged = framed_merge_for_reduce(map_outputs, partition, perf)
+        timings = perf.as_dict()
     else:
+        # Object form in play: no transport timings to collect.
         merged = merge_for_reduce(map_outputs, partition)
+        timings = None
     execution = execute_reduce(
         job=job,
         merged_pairs=merged,
-        cost=cost,
-        task_node=task_node,
         mr_config=mr_config,
+        side_reader=side_reader,
+        node_cache=node_cache,
+        task_node=task_node,
     )
     text = TextOutputFormat.render(execution.pairs)
     execution.pairs = []  # the text is the output; nothing else reads them
-    execution.perf = perf.as_dict()
+    execution.perf = timings
     return execution, text

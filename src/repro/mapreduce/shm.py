@@ -12,8 +12,7 @@ the host.
 
 A segment is a ``0600`` file in its scope's private (``0700``)
 ``mkdtemp`` directory, read back through ``mmap``
-(:class:`~repro.mapreduce.blockio.MappedFile`, the spill-run
-mechanism).  The directory sits under ``/dev/shm`` where that tmpfs
+(:class:`~repro.mapreduce.blockio.MappedFile`).  The directory sits under ``/dev/shm`` where that tmpfs
 exists and is writable — POSIX shared memory *is* a file there, so
 these are the same page-cache pages with none of the
 ``multiprocessing`` bookkeeping — and under the system temp dir

@@ -380,13 +380,6 @@ class MapOutput:
             perf.blobs_decoded += 1
         return pairs
 
-    def iter_partition(self, partition: int) -> Iterator[Pair]:
-        """Lazily iterate one partition's pairs (any form)."""
-        if self.partitions is not None:
-            return iter(self.partitions.get(partition, ()))
-        blob = self._blob_for(partition)
-        return iter(()) if blob is None else wire.decode_pairs(blob)
-
     def partition_key_sorted(self, partition: int) -> bool:
         """Is this partition non-descending by key?  O(1) when binary
         (the codec records the flag at encode time)."""
@@ -524,48 +517,3 @@ def framed_merge_for_reduce(
     if perf is not None:
         perf.merge_ms += (_perf_clock() - t0) * 1e3
     return ReduceInput(groups, records, nbytes)
-
-
-def external_sorted(
-    pairs: list[Pair], spill_limit: int, perf: PerfStats | None = None
-) -> Iterator[Pair]:
-    """Key-sort via IFile-style spill runs + heap merge.
-
-    Emission-order chunks of ``spill_limit`` records are each stably
-    sorted, framed, and written to host-local disk
-    (:class:`~repro.mapreduce.blockio.MappedFile`); the spills are
-    then k-way merged key run by key run from zero-copy mmap views, each
-    decoded a bounded batch at a time, so the merge never holds a whole
-    spill as Python objects.
-
-    Determinism: the chunks partition emission order, each chunk sort
-    is stable, and ``heapq.merge`` is stable preferring earlier
-    iterables (= earlier chunks = earlier emission) on equal keys, with
-    a chunk's equal-key records moving together as one run — so the
-    yielded sequence is *exactly* ``sort_pairs(pairs)``, which the
-    spill property tests assert.
-    """
-    from repro.mapreduce.blockio import MappedFile
-
-    t0 = _perf_clock() if perf is not None else 0.0
-    spills: list[MappedFile] = []
-    runs: list[Iterator[tuple[Writable, list[Writable]]]] = []
-    try:
-        for start in range(0, len(pairs), spill_limit):
-            chunk = sort_pairs(pairs[start : start + spill_limit])
-            blob, _ = wire.encode_pairs(chunk)
-            spills.append(MappedFile.write(blob))
-        if perf is not None:
-            perf.spill_ms += (_perf_clock() - t0) * 1e3
-            perf.spill_runs += len(spills)
-        runs = [wire.decode_runs(spill.view()) for spill in spills]
-        yield from wire.flatten_runs(heapq.merge(*runs, key=_pair_sort_key))
-    finally:
-        # Release the decode generators' memoryview exports before
-        # closing the mmaps underneath them (else mmap.close raises
-        # BufferError when the caller abandons the iterator early).
-        for run in runs:
-            run.close()
-        runs.clear()
-        for spill in spills:
-            spill.close()

@@ -25,17 +25,14 @@ from repro.mapreduce.backend import (
 from repro.mapreduce.blockio import BlockFetcher
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import C, PERF
-from repro.mapreduce.inputformat import FetchStats
-from repro.mapreduce.outputformat import TextOutputFormat, part_file_name
+from repro.mapreduce.outputformat import part_file_name
 from repro.mapreduce.runtime import (
     _wrap_user_error,
     execute_map,
-    execute_reduce,
     map_attempt_work,
     prefetch_split,
     reduce_attempt_work,
 )
-from repro.mapreduce.shuffle import merge_for_reduce, serialized_bytes
 from repro.mapreduce.tasks import TaskType
 from repro.sim.engine import ScheduledEvent, Simulation
 from repro.util.errors import (
@@ -70,6 +67,13 @@ class _RunningAttempt:
 #: The fraction of a heap-leaking task's normal runtime it burns before
 #: the JVM dies (students watched tasks run a while, then OOM).
 HEAP_LEAK_BURN_FRACTION = 0.6
+
+#: Transient shuffle-fetch retries before a reduce escalates to
+#: ``map_output_lost`` (Hadoop: mapreduce.reduce.shuffle.maxfetchfailures).
+SHUFFLE_FETCH_RETRIES = 3
+#: Exponential-backoff base delay and ceiling between retries, seconds.
+SHUFFLE_RETRY_BASE = 1.0
+SHUFFLE_RETRY_MAX = 20.0
 
 
 class _ShuffleStall(Exception):
@@ -284,54 +288,44 @@ class TaskTracker:
             work, on_done, submit_time=self.sim.now, inline=inline
         )
 
-    def _run_inline(self, job: "Job | None") -> bool:
+    def _run_inline(self, job: "Job") -> bool:
         """Must this job's work stay in the simulation thread?"""
-        return not self.backend.parallel or bool(
-            job is not None and job.shares_node_state
-        )
+        return not self.backend.parallel or job.shares_node_state
 
     def _prepare_map(self, job, assignment):
         """Split a map attempt into (work, finalize, inline)."""
         task = job.map_tasks[assignment.task_index]
-        tally: dict[str, int] = {}
-        fetch = self.fetcher.make_fetch(self.name, tally)
-        prefetched = None
-        if not self._run_inline(job.job):
-            # Block I/O touches DataNode/network state: do it now, in
-            # the simulation thread, so the pool worker is share-nothing.
-            try:
-                prefetched = prefetch_split(job.job, task.split, fetch)
-            except Exception as exc:  # noqa: BLE001 - same wrap as serial
-                raise _wrap_user_error("map", exc) from exc
-        if prefetched is None:
-            def work_inline():
-                execution = execute_map(
-                    job=job.job,
-                    split=task.split,
-                    fetch=fetch,
-                    cost=self.mr_config.cost,
-                    mr_config=self.mr_config,
-                    side_reader=self._side_reader,
-                    node_cache=self.node_cache,
-                    task_node=self.name,
-                    disk_write_bw=self.node.spec.disk_write_bw,
-                )
-                return execution
-
-            work, inline = work_inline, True
+        # Block I/O touches DataNode/network state: do it now, in the
+        # simulation thread, so the work itself is share-nothing.
+        try:
+            prefetched = prefetch_split(
+                job.job, task.split, self.fetcher.make_fetch(self.name)
+            )
+        except Exception as exc:  # noqa: BLE001 - an unreadable split fails the map
+            raise _wrap_user_error("map", exc) from exc
+        attempt = dict(
+            job=job.job,
+            split=task.split,
+            prefetched=prefetched,
+            mr_config=self.mr_config,
+            task_node=self.name,
+            disk_write_bw=self.node.spec.disk_write_bw,
+        )
+        inline = self._run_inline(job.job)
+        if inline:
+            work = functools.partial(
+                execute_map,
+                **attempt,
+                side_reader=self._side_reader,
+                node_cache=self.node_cache,
+            )
         else:
             shm_scope = job.shm_scope
-            work, inline = functools.partial(
+            work = functools.partial(
                 map_attempt_work,
-                job.job,
-                task.split,
-                prefetched,
-                self.mr_config.cost,
-                self.mr_config,
-                self.name,
-                self.node.spec.disk_write_bw,
+                **attempt,
                 shm_token=None if shm_scope is None else shm_scope.token,
-            ), False
+            )
 
         def finalize(execution):
             execution.output.node = self.name
@@ -355,7 +349,7 @@ class TaskTracker:
         Shuffle fetch: map output lives on the node that ran the map.
         A fetch that fails — dead source node, or an injected transient
         failure — is retried with exponential backoff + jitter up to
-        ``shuffle_fetch_retries`` times (:class:`_ShuffleStall`); only
+        :data:`SHUFFLE_FETCH_RETRIES` times (:class:`_ShuffleStall`); only
         then does the reduce escalate to ``map_output_lost`` so the map
         re-runs (Hadoop's fetch-failure -> map re-execution path).
         """
@@ -377,7 +371,7 @@ class TaskTracker:
         ]
         if failed_sources or not job.maps_done:
             nodes = sorted({o.node for o in failed_sources})
-            if retry < self.mr_config.shuffle_fetch_retries:
+            if retry < SHUFFLE_FETCH_RETRIES:
                 raise _ShuffleStall(nodes)
             for output in failed_sources:
                 self.jobtracker.map_output_lost(
@@ -397,35 +391,23 @@ class TaskTracker:
             )
         shuffle_time, shuffle_bytes = self._price_shuffle(outputs, partition)
 
-        if self._run_inline(job.job):
-            def work_inline():
-                merged = merge_for_reduce(outputs, partition)
-                execution = execute_reduce(
-                    job=job.job,
-                    merged_pairs=merged,
-                    cost=self.mr_config.cost,
-                    side_reader=self._side_reader,
-                    node_cache=self.node_cache,
-                    task_node=self.name,
-                    mr_config=self.mr_config,
-                )
-                return execution, TextOutputFormat.render(execution.pairs)
-
-            work, inline = work_inline, True
-        else:
-            # Frozen (framed) map outputs slim to this partition's blob
-            # before pickling into the pool; object-form outputs pass
-            # through unchanged (slice_for returns self).
-            shipped = [output.slice_for(partition) for output in outputs]
-            work, inline = functools.partial(
-                reduce_attempt_work,
-                job.job,
-                shipped,
-                partition,
-                self.mr_config.cost,
-                self.name,
-                self.mr_config,
-            ), False
+        # Frozen (framed) map outputs slim to this partition's blob
+        # before pickling into the pool; object-form outputs pass
+        # through unchanged (slice_for returns self).
+        shipped = [output.slice_for(partition) for output in outputs]
+        work = functools.partial(
+            reduce_attempt_work,
+            job.job,
+            shipped,
+            partition,
+            self.name,
+            self.mr_config,
+        )
+        inline = self._run_inline(job.job)
+        if inline:
+            work = functools.partial(
+                work, side_reader=self._side_reader, node_cache=self.node_cache
+            )
 
         def finalize(payload):
             execution, text = payload
@@ -505,11 +487,11 @@ class TaskTracker:
         so it is identical across serial and pooled runs and across
         replays of the same seed.
         """
-        cfg = self.mr_config
-        delay = min(cfg.shuffle_retry_base * (2.0 ** retry), cfg.shuffle_retry_max)
-        if cfg.shuffle_retry_jitter > 0.0:
+        delay = min(SHUFFLE_RETRY_BASE * (2.0 ** retry), SHUFFLE_RETRY_MAX)
+        spread = self.mr_config.shuffle_retry_jitter
+        if spread > 0.0:
             jitter = self.rng.child("shuffle-retry", attempt_id, retry).uniform(
-                -cfg.shuffle_retry_jitter, cfg.shuffle_retry_jitter
+                -spread, spread
             )
             delay *= 1.0 + jitter
         return delay

@@ -13,8 +13,7 @@ built:
 - compiled (built with a ``cluster``) — actions compile the lineage DAG
   into MapReduce stages (``repro.sparklite.planner``) that run on the
   attached :class:`~repro.mapreduce.cluster.MapReduceCluster`, riding
-  the framed/shm shuffle, spill merge, auto backend and HDFS block
-  cache.  The two produce bit-identical results (property-tested).
+  the framed/shm shuffle, auto backend and HDFS block cache.  The two produce bit-identical results (property-tested).
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class SparkLiteContext:
     def last_plan(self) -> list[dict]:
         """Per-stage rollups of the most recent compiled action:
         one dict per stage with the job name, counters of interest and
-        the host-side PerfStats delta (framed/shm bytes, spill runs)."""
+        the host-side PerfStats delta (framed/shm bytes and timings)."""
         if self._runner is None:
             return []
         return self._runner.last_plan

@@ -119,7 +119,7 @@ class WireFormatError(MapReduceError):
 
     Raised with a human-readable position/reason instead of letting
     ``struct.error`` or ``UnicodeDecodeError`` noise escape — truncated
-    or corrupt frames are an expected failure mode (spill files, IPC),
+    or corrupt frames are an expected failure mode (IPC, segment files),
     and callers fall back to object form on encode-side failures.
     """
 

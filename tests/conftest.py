@@ -27,10 +27,11 @@ def make_mr(
     block_size: int = 2048,
     replication: int = 2,
     seed: int = 1,
+    backend=None,
 ) -> MapReduceCluster:
     config = HdfsConfig(block_size=block_size, replication=replication)
     return MapReduceCluster(
-        num_workers=num_workers, hdfs_config=config, seed=seed
+        num_workers=num_workers, hdfs_config=config, seed=seed, backend=backend
     )
 
 

@@ -4,17 +4,28 @@ import warnings
 
 import pytest
 
+from repro.hdfs.localfs import LinuxFileSystem
+from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.mapreduce import backend as backend_mod
+from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import (
+    AUTO_MIN_PARALLEL_BYTES,
     BACKEND_NAMES,
+    AutoExecutionBackend,
     PooledExecutionBackend,
     SerialExecutionBackend,
     create_backend,
     default_backend_spec,
     resolve_backend,
     set_default_backend,
+    usable_cores,
 )
+from repro.mapreduce.blockio import BlockFetcher
+from repro.mapreduce.config import JobConf
+from repro.mapreduce.local_runner import LocalJobRunner
 from repro.sim.engine import Simulation
 from repro.util.errors import ConfigError, TaskFailedError
+from tests.conftest import make_mr
 
 
 class TestSerialBackend:
@@ -255,6 +266,117 @@ class TestWorkerCrashRecovery:
                 seen[0].result()
         finally:
             backend.shutdown()
+
+
+CORPUS = "\n".join(
+    f"line {i % 7} word{i % 13} word{i % 5} tail" for i in range(400)
+)
+
+
+def _run_wordcount(backend):
+    fs = LinuxFileSystem()
+    fs.write_file("/in/corpus.txt", CORPUS)
+    with LocalJobRunner(localfs=fs, backend=backend, split_size=4 * 1024) as runner:
+        job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
+        return runner.run(job, "/in", "/out"), runner.backend
+
+
+class TestAutoBackend:
+    def test_decide_serial_on_one_core(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 1)
+        auto = AutoExecutionBackend()
+        try:
+            assert auto.decide(10 * AUTO_MIN_PARALLEL_BYTES) == "serial"
+            assert not auto.parallel
+        finally:
+            auto.shutdown()
+
+    def test_decide_serial_below_byte_floor(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 8)
+        auto = AutoExecutionBackend()
+        try:
+            assert auto.decide(AUTO_MIN_PARALLEL_BYTES - 1) == "serial"
+            assert auto.decide(AUTO_MIN_PARALLEL_BYTES) == "pooled"
+            assert auto.parallel
+            assert auto.decide(0) == "serial"  # flips back per job
+        finally:
+            auto.shutdown()
+
+    def test_decide_unknown_size_gates_on_cores_only(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 4)
+        auto = AutoExecutionBackend(workers=2)
+        try:
+            assert auto.decide(None) == "pooled"
+        finally:
+            auto.shutdown()
+
+    def test_auto_runner_matches_serial(self):
+        auto_result, auto = _run_wordcount(create_backend("auto", 2))
+        serial, _ = _run_wordcount(SerialExecutionBackend())
+        assert sorted(auto_result.pairs) == sorted(serial.pairs)
+        assert auto_result.counters.as_dict() == serial.counters.as_dict()
+        assert auto_result.simulated_seconds == serial.simulated_seconds
+        # this corpus is tiny, so auto must have stayed serial
+        assert auto.chosen == "serial"
+
+    def test_usable_cores_positive(self):
+        assert usable_cores() >= 1
+
+
+class _SetupRaisesMapper(Mapper):
+    def setup(self, context):
+        raise ValueError("no side file")
+
+    def map(self, key, value, context):
+        context.write(value, 1)
+
+
+class SetupRaisesJob(Job):
+    mapper = _SetupRaisesMapper
+    reducer = IntSumReducer
+
+
+class TestAttemptOrderIdentity:
+    """A map attempt reads its split *before* any user code runs, on
+    every backend — so what a failing attempt did to HDFS (reads served,
+    corrupt replicas found and reported) does not depend on where its
+    work ran."""
+
+    def _run(self, backend_name, monkeypatch):
+        reads = []
+        original = BlockFetcher.read_block
+
+        def counting(fetcher, path, block_index, node, *args, **kwargs):
+            reads.append((path, block_index, node))
+            return original(fetcher, path, block_index, node, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BlockFetcher, "read_block", counting)
+            with make_mr(
+                num_workers=3, backend=create_backend(backend_name, 2)
+            ) as mr:
+                mr.client().put_text("/in/w.txt", "w " * 3000)
+                namenode = mr.hdfs.namenode
+                for block_id, meta in sorted(namenode.block_map.items()):
+                    # one of each block's two replicas goes bad
+                    holder = sorted(meta.locations)[0]
+                    mr.hdfs.datanode(holder).corrupt_block(block_id)
+                reported = []
+                mr.sim.bus.subscribe(
+                    "hdfs.namenode.corrupt_replica",
+                    lambda e: reported.append((e["block_id"], e["datanode"])),
+                )
+                job = SetupRaisesJob(JobConf(name="boom", max_attempts=2))
+                report = mr.run_job(job, "/in", "/out")
+                assert not report.succeeded
+                return reads, reported
+
+    def test_failing_setup_reads_and_reports_identically(self, monkeypatch):
+        serial_reads, serial_reported = self._run("serial", monkeypatch)
+        pooled_reads, pooled_reported = self._run("pooled-threads", monkeypatch)
+        assert serial_reads and serial_reported
+        assert pooled_reads == serial_reads
+        assert pooled_reported == serial_reported
 
 
 def _answer_or_die(parent_pid):

@@ -359,9 +359,6 @@ class TestMapOutputDescriptorForm:
         assert output.partition_ids() == reference.partition_ids()
         for p in (0, 1, 2):
             assert output.pairs_for(p) == reference.pairs_for(p)
-            assert list(output.iter_partition(p)) == list(
-                reference.iter_partition(p)
-            )
             assert output.partition_key_sorted(p) == (
                 reference.partition_key_sorted(p)
             )

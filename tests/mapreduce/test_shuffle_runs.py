@@ -8,11 +8,13 @@ combiner groups — for sorted and unsorted input, and for the key kinds
 where "equal sort key" does *not* mean "same key".
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hdfs.localfs import LinuxFileSystem
-from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
 from repro.mapreduce import runtime, shuffle
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.config import JobConf, MapReduceConfig
@@ -300,11 +302,11 @@ CORPUS = "\n".join(
 )
 
 
-def _run(job_cls, mr_config):
+def _run(job_cls, mr_config, split_size=4 * 1024):
     fs = LinuxFileSystem()
     fs.write_file("/in/corpus.txt", CORPUS)
     with LocalJobRunner(
-        localfs=fs, mr_config=mr_config, split_size=4 * 1024
+        localfs=fs, mr_config=mr_config, split_size=split_size
     ) as runner:
         return runner.run(job_cls(JobConf(name="job", num_reduces=3)), "/in", "/out")
 
@@ -322,14 +324,7 @@ def _run_on_oracle(monkeypatch, job_cls, mr_config):
 class TestJobsMatchTheOracle:
     @pytest.mark.parametrize("job_cls", [WordCountWithCombinerJob, SignedZeroJob])
     @pytest.mark.parametrize(
-        "config",
-        [
-            {},
-            {"sanitize": True},
-            {"spill_record_limit": 64},
-            {"sanitize": True, "spill_record_limit": 50},
-        ],
-        ids=["plain", "sanitize", "spill", "sanitize+spill"],
+        "config", [{}, {"sanitize": True}], ids=["plain", "sanitize"]
     )
     def test_counters_output_and_clock_equal(self, monkeypatch, job_cls, config):
         got = _run(job_cls, MapReduceConfig(**config))
@@ -340,4 +335,41 @@ class TestJobsMatchTheOracle:
         assert got.sanitizer_violations == want.sanitizer_violations == []
         assert got.counters.get(C.COMBINE_INPUT_RECORDS) == got.counters.get(
             C.MAP_OUTPUT_RECORDS
+        )
+
+
+class TestSortBufferSpills:
+    """io.sort.mb: the spill is priced, never performed — a small buffer
+    moves ``Spilled Records`` and the simulated clock and nothing else."""
+
+    SORT_BUFFER = 1000
+
+    @pytest.mark.parametrize("job_cls", [WordCountJob, WordCountWithCombinerJob])
+    def test_small_buffer_moves_only_the_spill_accounting(self, job_cls):
+        # One split, so the job's counters are the one map task's.
+        roomy = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
+        tight = _run(
+            job_cls,
+            MapReduceConfig(sort_buffer_bytes=self.SORT_BUFFER),
+            split_size=1 << 20,
+        )
+        assert roomy.num_splits == tight.num_splits == 1
+
+        def part_files(result):
+            fs = result.localfs
+            return {name: fs.read_file(f"/out/{name}") for name in fs.listdir("/out")}
+
+        assert part_files(tight) == part_files(roomy)
+        want = roomy.counters.as_dict()
+        got = tight.counters.as_dict()
+        records = roomy.counters.get(C.MAP_OUTPUT_RECORDS)
+        nbytes = roomy.counters.get(C.MAP_OUTPUT_BYTES)
+        spills = math.ceil(nbytes / self.SORT_BUFFER)
+        assert spills > 1
+        assert want["Map-Reduce Framework"].pop("Spilled Records") == records
+        assert got["Map-Reduce Framework"].pop("Spilled Records") == records * spills
+        assert got == want
+        extra_passes = (spills - 1) * nbytes / LocalJobRunner.LOCAL_DISK_BW
+        assert tight.simulated_seconds - roomy.simulated_seconds == pytest.approx(
+            extra_passes, rel=1e-6
         )

@@ -112,17 +112,6 @@ class TestBlockFetcher:
         with pytest.raises(HdfsError):
             fetcher.read_block("/f", 0, None)
 
-    def test_make_fetch_tallies_locality(self):
-        cluster = make_hdfs(block_size=1000, replication=2)
-        cluster.client(node="node0").put_bytes("/f", b"z" * 2000)
-        fetcher = self.make_fetcher(cluster)
-        tally = {}
-        fetch = fetcher.make_fetch("node0", tally)
-        fetch("/f", 0, None)
-        fetch("/f", 1, None)
-        assert sum(tally.values()) == 2
-        assert tally.get("node_local", 0) >= 1
-
     def test_read_whole_file(self):
         cluster = make_hdfs(block_size=7)
         cluster.client().put_text("/f", "hello block world")

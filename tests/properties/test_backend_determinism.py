@@ -13,11 +13,13 @@ import pytest
 from repro.datasets.movielens import generate_movielens
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.movie_genres import GenreStatsJob
-from repro.jobs.wordcount import WordCountWithCombinerJob
+from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.local_runner import LocalJobRunner
+from tests.conftest import make_mr
 
 BACKENDS = ("pooled", "pooled-threads")
 
@@ -68,6 +70,46 @@ class TestClusterDeterminism:
             warnings.simplefilter("error", RuntimeWarning)
             pooled = _cluster_fingerprint(backend_name)
         assert pooled == serial
+
+
+class _MapRaisesMapper(Mapper):
+    def map(self, key, value, context):
+        raise ValueError("bad record")
+
+
+class MapRaisesJob(Job):
+    mapper = _MapRaisesMapper
+    reducer = IntSumReducer
+
+
+def _job_failure_time(backend_name):
+    # 3 workers, 2 KiB blocks, replication 2, seed 1
+    with make_mr(num_workers=3, backend=create_backend(backend_name, 2)) as mr:
+        mr.client().put_text("/in/w.txt", "w " * 3000)
+        failed = []
+        mr.sim.bus.subscribe("mr.jobtracker.failed", lambda e: failed.append(e.time))
+        job = MapRaisesJob(JobConf(name="boom", max_attempts=2))
+        assert not mr.run_job(job, "/in", "/out").succeeded
+        return failed
+
+
+class TestUserCodeFailureDeterminism:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "A failed attempt burns task_startup + 2.0 = 3.0 s, exactly one "
+            "tasktracker_heartbeat, so its failure event ties with a "
+            "TimerWheel tick.  On a serial backend on_done schedules it "
+            "during the heartbeat fan-out, before _tick re-arms: it sorts "
+            "first and the retry is assigned at that tick (job fails at sim "
+            "15.0).  On a pooled backend on_done runs at the join point, "
+            "after _arm(): the tick sorts first and the retry waits one more "
+            "heartbeat (18.0).  The fix is an engine tie-break change that "
+            "must keep every serial digest (ROADMAP item 3)."
+        ),
+    )
+    def test_failing_job_fails_at_the_same_instant(self):
+        assert _job_failure_time("pooled-threads") == _job_failure_time("serial")
 
 
 class TestLocalRunnerDeterminism:

@@ -6,9 +6,9 @@ file instead of a pickled bytes payload.  Everything observable —
 counters, output pairs, simulated clocks, event counts — must be
 bit-identical between ``shuffle_transport="shm"``, ``"framed"`` and the
 serial backend (the transport oracle: object-form outputs, nothing
-framed), on the local runner and the cluster, with spilling on, and
-under every chaos drill with the runtime sanitizer watching.  Each run
-must also leave zero live segments behind.
+framed), on the local runner and the cluster, and under every chaos
+drill with the runtime sanitizer watching.  Each run must also leave
+zero live segments behind.
 """
 
 import warnings
@@ -32,12 +32,11 @@ CORPUS = (
 )
 
 
-def _mr_config(transport, backend="pooled", spill=None):
+def _mr_config(transport, backend="pooled"):
     return MapReduceConfig(
         execution_backend=backend,
         backend_workers=2,
         shuffle_transport=transport,
-        spill_record_limit=spill,
     )
 
 
@@ -126,19 +125,6 @@ class TestShmEqualsOtherTransports:
         shared = _cluster_fingerprint(_mr_config("shm"))
         serial = _cluster_fingerprint(_mr_config("shm", backend="serial"))
         assert shared == serial
-
-    def test_shm_with_spill_bit_identical(self):
-        """Spilling and shm compose: still equal to the plain serial
-        run, with only spill accounting allowed to move."""
-        shared = _local_fingerprint(_mr_config("shm", spill=128))
-        plain = _local_fingerprint(_mr_config("shm", backend="serial"))
-        assert shared[2] == plain[2]  # identical output pairs
-        sc, pc = shared[1], plain[1]
-        for group in pc:
-            for name in pc[group]:
-                if name == "Spilled Records":
-                    continue
-                assert sc[group][name] == pc[group][name], (group, name)
 
     def test_unpublished_is_invisible(self, monkeypatch):
         """Outputs whose publish failed (tmpfs full) stay framed blobs

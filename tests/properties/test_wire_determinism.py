@@ -6,9 +6,8 @@ simulation can observe — counters, output pairs, simulated clocks,
 event counts — must be bit-identical between
 ``shuffle_transport="framed"`` on a pooled backend and the serial
 backend (the transport oracle: its map outputs stay in object form and
-nothing is ever framed), on the local runner and the cluster, with
-spilling on, and under every chaos drill with the runtime sanitizer
-watching.
+nothing is ever framed), on the local runner and the cluster, and
+under every chaos drill with the runtime sanitizer watching.
 """
 
 import warnings
@@ -33,13 +32,12 @@ CORPUS = (
 )
 
 
-def _mr_config(transport, backend="pooled", spill=None):
+def _mr_config(transport, backend="pooled"):
     """``backend="serial"`` is the oracle; ``transport`` is moot there."""
     return MapReduceConfig(
         execution_backend=backend,
         backend_workers=2,
         shuffle_transport=transport,
-        spill_record_limit=spill,
     )
 
 
@@ -127,22 +125,18 @@ class TestWholeJobIdentity:
     """serial == framed == shm, down to the part files."""
 
     @pytest.mark.parametrize(
-        "job_cls, corpus, spill",
-        [
-            (WordCountJob, CORPUS, None),
-            (FloatKeyJob, FLOATS, None),
-            (WordCountJob, CORPUS, 128),
-        ],
-        ids=["wordcount-no-combiner", "float-keys", "spilling"],
+        "job_cls, corpus",
+        [(WordCountJob, CORPUS), (FloatKeyJob, FLOATS)],
+        ids=["wordcount-no-combiner", "float-keys"],
     )
-    def test_every_transport_matches_serial(self, job_cls, corpus, spill):
+    def test_every_transport_matches_serial(self, job_cls, corpus):
         serial = _local_fingerprint(
-            _mr_config("framed", backend="serial", spill=spill), job_cls, corpus
+            _mr_config("framed", backend="serial"), job_cls, corpus
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for transport in ("framed", "shm"):
-                pooled = _local_fingerprint(_mr_config(transport, spill=spill), job_cls, corpus)
+                pooled = _local_fingerprint(_mr_config(transport), job_cls, corpus)
                 assert pooled == serial, transport
 
     def test_unframeable_outputs_ship_in_object_form(self):
@@ -199,19 +193,6 @@ class TestFramedEqualsObject:
         framed = _cluster_fingerprint(_mr_config("framed"))
         serial = _cluster_fingerprint(_mr_config("framed", backend="serial"))
         assert framed == serial
-
-    def test_framed_with_spill_bit_identical(self):
-        """Spilling and framing compose: still equal to the plain
-        serial run, with only spill accounting allowed to move."""
-        framed = _local_fingerprint(_mr_config("framed", spill=128))
-        plain = _local_fingerprint(_mr_config("framed", backend="serial"))
-        assert framed[2] == plain[2]  # identical output pairs
-        fc, pc = framed[1], plain[1]
-        for group in pc:
-            for name in pc[group]:
-                if name == "Spilled Records":
-                    continue
-                assert fc[group][name] == pc[group][name], (group, name)
 
 
 class TestChaosDrillsFramed:

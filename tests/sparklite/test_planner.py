@@ -193,21 +193,6 @@ def test_shuffle_transports_bit_identical(transport):
     assert result == local
 
 
-def test_spill_path_bit_identical():
-    sc = make_compiled(execution_backend="serial", spill_record_limit=8)
-    result = (
-        sc.parallelize(WORDS, 4).map(pair_one).reduce_by_key(add, 2).collect()
-    )
-    local = (
-        SparkLiteContext.local(3)
-        .parallelize(WORDS, 4)
-        .map(pair_one)
-        .reduce_by_key(add, 2)
-        .collect()
-    )
-    assert result == local
-
-
 class TestTextFile:
     def test_text_file_pipeline(self):
         text = "a b a\nc a b\n\na\n"

@@ -93,7 +93,21 @@ class TestMapReduceConfig:
 
     def test_field_count(self):
         """Knobs are a cost: adding one should be a deliberate act."""
-        assert len(dataclasses.fields(MapReduceConfig)) == 17
+        assert {f.name for f in dataclasses.fields(MapReduceConfig)} == {
+            "map_slots_per_tracker",
+            "reduce_slots_per_tracker",
+            "tasktracker_heartbeat",
+            "tracker_miss_limit",
+            "sort_buffer_bytes",
+            "execution_backend",
+            "backend_workers",
+            "shuffle_transport",
+            "shuffle_retry_jitter",
+            "sanitize",
+            "scheduler",
+            "user_quotas",
+            "cost",
+        }
 
 
 class TestCostModel:
