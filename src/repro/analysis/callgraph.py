@@ -15,6 +15,10 @@ Resolution covers the shapes student and engine code actually use:
 - ``ClassName(...)`` — the class's ``__init__``;
 - bare references (``rdd.map(helper)``) via :meth:`CallGraph.lookup`,
   which the sparklite closure rules use to chase named callables.
+
+What a function's *own* code is, binds and mutates is answered here
+too, once, for every rule family: :func:`walk_own_nodes`,
+:func:`closure_locals`, :func:`captured_mutations`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,112 @@ def walk_own_nodes(fn: ast.AST):
         yield node
         for child in ast.iter_child_nodes(node):
             stack.append(child)
+
+
+#: Methods that mutate their receiver in place.
+MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "add",
+        "update",
+        "pop",
+        "popitem",
+        "clear",
+        "remove",
+        "discard",
+        "setdefault",
+        "sort",
+        "reverse",
+    }
+)
+
+
+def root_name(node: ast.expr) -> str | None:
+    """The bare name a subscript/attribute chain hangs off, if any."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def binding_names(target: ast.expr) -> set[str]:
+    """Names a target expression *binds* — a subscript/attribute target
+    mutates an existing object, it does not bind its root name."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Starred):
+        return binding_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        out: set[str] = set()
+        for elt in target.elts:
+            out |= binding_names(elt)
+        return out
+    return set()
+
+
+def closure_locals(fn: ast.AST) -> set[str]:
+    """Names a function binds itself: params, assignments, loop and
+    ``with ... as`` variables (nested function bodies excluded)."""
+    args = fn.args
+    names = {
+        a.arg
+        for a in (
+            args.posonlyargs
+            + args.args
+            + args.kwonlyargs
+            + ([args.vararg] if args.vararg else [])
+            + ([args.kwarg] if args.kwarg else [])
+        )
+    }
+    if isinstance(fn, ast.Lambda):
+        return names
+    for sub in walk_own_nodes(fn):
+        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (
+                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            )
+            for target in targets:
+                names |= binding_names(target)
+        elif isinstance(sub, (ast.For, ast.AsyncFor)):
+            names |= binding_names(sub.target)
+        elif isinstance(sub, ast.NamedExpr) and isinstance(
+            sub.target, ast.Name
+        ):
+            names.add(sub.target.id)
+        elif isinstance(sub, (ast.With, ast.AsyncWith)):
+            for item in sub.items:
+                if item.optional_vars is not None:
+                    names |= binding_names(item.optional_vars)
+    return names
+
+
+def captured_mutations(fn: ast.AST) -> list[tuple[ast.AST, str]]:
+    """(site, name) pairs where a function mutates an object it did not
+    bind itself — state captured from the enclosing scope."""
+    local = closure_locals(fn)
+    out: list[tuple[ast.AST, str]] = []
+    for node in walk_own_nodes(fn):
+        name: str | None = None
+        if isinstance(node, ast.AugAssign) and isinstance(
+            node.target, (ast.Subscript, ast.Attribute)
+        ):
+            name = root_name(node.target)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, (ast.Subscript, ast.Attribute)):
+                    name = root_name(target)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_METHODS
+        ):
+            name = root_name(node.func.value)
+        if name is not None and name not in local and name != "self":
+            out.append((node, name))
+    return out
 
 
 @dataclass

@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.callgraph import walk_own_nodes
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import (
     KIND_TIME,
     NONDET_CALLS,
     SetTypes,
+    dotted_name,
     order_insensitive_generator_iters,
 )
 
@@ -136,17 +138,6 @@ _WALL_CLOCK_SUFFIXES = frozenset(
 _DICT_VIEW_METHODS = {"keys", "values", "items"}
 
 
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_dict_view_call(node: ast.expr) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -205,17 +196,8 @@ class _EngineVisitor:
     def _emit(
         self, rule_id: str, node: ast.AST, message: str, severity: str | None = None
     ) -> None:
-        rule = ENGINE_RULES[rule_id]
         self.findings.append(
-            Finding(
-                rule=rule_id,
-                path=self.path,
-                line=node.lineno,
-                col=node.col_offset,
-                severity=severity or rule.severity,
-                message=message,
-                hint=rule.hint,
-            )
+            ENGINE_RULES[rule_id].at(self.path, node, message, severity)
         )
 
     def run(self) -> list[Finding]:
@@ -249,7 +231,7 @@ class _EngineVisitor:
                     self._check_wall_clock(node)
 
     def _describe(self, node: ast.expr) -> str:
-        name = _dotted(node)
+        name = dotted_name(node)
         if name:
             return name
         return type(node).__name__.lower()
@@ -380,13 +362,13 @@ class _EngineVisitor:
         """
         mutators: list[ast.Call] = []
         journaled = False
-        for node in _walk_own_body(fn):
+        for node in walk_own_nodes(fn):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
             ):
                 continue
-            receiver = _dotted(node.func.value)
+            receiver = dotted_name(node.func.value)
             if receiver is None:
                 continue
             if node.func.attr in _NAMESPACE_MUTATORS and (
@@ -403,7 +385,7 @@ class _EngineVisitor:
             self._emit(
                 "MRE105",
                 call,
-                f"{_dotted(call.func)}(...) mutates the namespace with no "
+                f"{dotted_name(call.func)}(...) mutates the namespace with no "
                 "journal.log_*() record in the same function — invisible "
                 "to crash recovery",
             )
@@ -438,7 +420,7 @@ class _EngineVisitor:
     ) -> None:
         allocations = [
             node
-            for node in _walk_own_body(fn)
+            for node in walk_own_nodes(fn)
             if isinstance(node, ast.Call) and _is_shm_allocation(node)
         ]
         if not allocations:
@@ -451,7 +433,7 @@ class _EngineVisitor:
         for call in allocations:
             if call in with_guarded:
                 continue
-            name = _dotted(call.func) or "SharedMemory"
+            name = dotted_name(call.func) or "SharedMemory"
             self._emit(
                 "MRE104",
                 call,
@@ -461,7 +443,7 @@ class _EngineVisitor:
 
     # -- MRE102 -----------------------------------------------------------
     def _check_wall_clock(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         if name is None:
             return
         for suffix in _WALL_CLOCK_SUFFIXES:
@@ -491,7 +473,7 @@ class _EngineVisitor:
             else [handler.type]
         )
         for t in types_:
-            name = _dotted(t)
+            name = dotted_name(t)
             if name:
                 names.append(name.rsplit(".", 1)[-1])
         if not any(n in ("Exception", "BaseException") for n in names):
@@ -527,7 +509,7 @@ class _EngineVisitor:
 
 
 def _is_shm_allocation(call: ast.Call) -> bool:
-    name = _dotted(call.func)
+    name = dotted_name(call.func)
     if name is None:
         return False
     last = name.rsplit(".", 1)[-1]
@@ -537,21 +519,6 @@ def _is_shm_allocation(call: ast.Call) -> bool:
         name == dotted or name.endswith("." + dotted)
         for dotted in _SHM_ALLOCATOR_DOTTED
     )
-
-
-def _walk_own_body(fn: ast.FunctionDef):
-    """Walk a function's nodes, excluding nested function/lambda bodies
-    (those are audited as their own functions)."""
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
 
 
 def _class_owns_cleanup(klass: ast.ClassDef) -> bool:
@@ -564,7 +531,7 @@ def _class_owns_cleanup(klass: ast.ClassDef) -> bool:
 
 def _has_cleanup_guard(fn: ast.FunctionDef) -> bool:
     """Does ``fn`` contain a try whose finally/handlers release a handle?"""
-    for node in _walk_own_body(fn):
+    for node in walk_own_nodes(fn):
         if not isinstance(node, ast.Try):
             continue
         blocks: list[ast.stmt] = list(node.finalbody)
@@ -584,7 +551,7 @@ def _has_cleanup_guard(fn: ast.FunctionDef) -> bool:
 def _with_item_nodes(fn: ast.FunctionDef) -> set[ast.AST]:
     """Every node appearing inside a ``with`` item's context expression."""
     guarded: set[ast.AST] = set()
-    for node in _walk_own_body(fn):
+    for node in walk_own_nodes(fn):
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 guarded.update(ast.walk(item.context_expr))

@@ -170,3 +170,17 @@ class Rule:
     hint: str = ""
     #: Extra per-rule state threaded to the checker (unused by most).
     extra: dict = field(default_factory=dict)
+
+    def at(
+        self, path: str, node, message: str, severity: str | None = None
+    ) -> Finding:
+        """This rule's finding at AST ``node`` of ``path``."""
+        return Finding(
+            rule=self.id,
+            path=path,
+            line=node.lineno,
+            col=node.col_offset,
+            severity=severity or self.severity,
+            message=message,
+            hint=self.hint,
+        )

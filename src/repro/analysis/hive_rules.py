@@ -33,7 +33,11 @@ import ast
 import inspect
 import textwrap
 
-from repro.analysis.callgraph import FunctionInfo, walk_own_nodes
+from repro.analysis.callgraph import (
+    FunctionInfo,
+    captured_mutations,
+    walk_own_nodes,
+)
 from repro.analysis.cfg import header_expressions, is_header
 from repro.analysis.findings import Finding, Rule, sort_findings
 from repro.analysis.taint import (
@@ -77,67 +81,6 @@ HIVE_RULES = {
 #: Methods treated as SQL entry points for MRH303.
 _SQL_SINKS = frozenset({"execute", "explain"})
 
-#: Receiver-method mutations that count as writing captured state.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "setdefault",
-        "sort",
-        "reverse",
-    }
-)
-
-
-def _fn_locals(node: ast.AST) -> set[str]:
-    """Names a function binds itself (params, assignments, loop vars)."""
-    from repro.analysis.sparklite_rules import _binding_names
-
-    args = node.args
-    names = {
-        a.arg
-        for a in (
-            args.posonlyargs
-            + args.args
-            + args.kwonlyargs
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        )
-    }
-    if isinstance(node, ast.Lambda):
-        return names
-    for sub in walk_own_nodes(node):
-        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in targets:
-                names |= _binding_names(target)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            names |= _binding_names(sub.target)
-        elif isinstance(sub, ast.NamedExpr) and isinstance(
-            sub.target, ast.Name
-        ):
-            names.add(sub.target.id)
-    return names
-
-
-def _root_name(node: ast.expr) -> str | None:
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _state_carriers(info: FunctionInfo) -> list[tuple[ast.AST, str]]:
     """(site, description) pairs where the UDF keeps cross-call state."""
     node = info.node
@@ -157,32 +100,14 @@ def _state_carriers(info: FunctionInfo) -> list[tuple[ast.AST, str]]:
             out.append(
                 (default, "a mutable default argument (shared across calls)")
             )
-    local = _fn_locals(node)
     for sub in walk_own_nodes(node):
-        if isinstance(sub, ast.Global):
-            for name in sub.names:
-                out.append((sub, f"global '{name}'"))
-        elif isinstance(sub, ast.Nonlocal):
-            for name in sub.names:
-                out.append((sub, f"nonlocal '{name}'"))
-        else:
-            name: str | None = None
-            if isinstance(sub, ast.AugAssign) and isinstance(
-                sub.target, (ast.Subscript, ast.Attribute)
-            ):
-                name = _root_name(sub.target)
-            elif isinstance(sub, ast.Assign):
-                for target in sub.targets:
-                    if isinstance(target, (ast.Subscript, ast.Attribute)):
-                        name = _root_name(target)
-            elif (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _MUTATOR_METHODS
-            ):
-                name = _root_name(sub.func.value)
-            if name is not None and name not in local and name != "self":
-                out.append((sub, f"captured '{name}'"))
+        if isinstance(sub, (ast.Global, ast.Nonlocal)):
+            scope = type(sub).__name__.lower()
+            out.extend((sub, f"{scope} '{name}'") for name in sub.names)
+    out.extend(
+        (site, f"captured '{name}'")
+        for site, name in captured_mutations(node)
+    )
     return out
 
 
@@ -194,18 +119,7 @@ class _HiveVisitor:
         self.findings: list[Finding] = []
 
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
-        rule = HIVE_RULES[rule_id]
-        self.findings.append(
-            Finding(
-                rule=rule_id,
-                path=self.path,
-                line=node.lineno,
-                col=node.col_offset,
-                severity=rule.severity,
-                message=message,
-                hint=rule.hint,
-            )
-        )
+        self.findings.append(HIVE_RULES[rule_id].at(self.path, node, message))
 
     # ------------------------------------------------------------------
     def run(self) -> list[Finding]:

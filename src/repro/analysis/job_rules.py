@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import walk_own_nodes
+from repro.analysis.callgraph import MUTATOR_METHODS, walk_own_nodes
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import EFFECT_KINDS, ModuleTaint
 
@@ -107,40 +107,11 @@ JOB_RULES = {
     ),
 }
 
-#: Methods that mutate their receiver in place.
-_MUTATOR_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "pop",
-    "popitem",
-    "clear",
-    "remove",
-    "discard",
-    "sort",
-    "reverse",
-    "setdefault",
-}
-
 #: The task-lifecycle methods the framework calls.
 _TASK_METHODS = {"setup", "map", "reduce", "cleanup"}
 
 #: Per-record methods: called once per input record / key group.
 _PER_CALL_METHODS = {"map", "reduce"}
-
-
-def dotted(node: ast.expr) -> str | None:
-    """Render ``a.b.c`` attribute chains; None for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def root_symbol(node: ast.expr) -> tuple[str, ...] | None:
@@ -220,7 +191,7 @@ def _mutations(fn: ast.FunctionDef) -> list[tuple[int, int, tuple[str, ...]]]:
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
+            and node.func.attr in MUTATOR_METHODS
         ):
             targets = [node.func.value]
         for target in targets:
@@ -275,18 +246,7 @@ class _JobVisitor:
         self.findings: list[Finding] = []
 
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
-        rule = JOB_RULES[rule_id]
-        self.findings.append(
-            Finding(
-                rule=rule_id,
-                path=self.path,
-                line=node.lineno,
-                col=node.col_offset,
-                severity=rule.severity,
-                message=message,
-                hint=rule.hint,
-            )
-        )
+        self.findings.append(JOB_RULES[rule_id].at(self.path, node, message))
 
     # -- per-module entry -------------------------------------------------
     def run(self) -> list[Finding]:

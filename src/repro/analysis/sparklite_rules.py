@@ -34,7 +34,11 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import FunctionInfo, walk_own_nodes
+from repro.analysis.callgraph import (
+    FunctionInfo,
+    captured_mutations,
+    walk_own_nodes,
+)
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import EFFECT_KINDS, ModuleTaint, dotted_name
 
@@ -109,25 +113,6 @@ _RDD_PRODUCERS = TRANSFORMATIONS | frozenset(
     }
 )
 
-#: Receiver-method mutations that count as writing captured state.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "setdefault",
-        "sort",
-        "reverse",
-    }
-)
-
 #: Non-associative binary operators for MRS204.
 _NON_ASSOCIATIVE_OPS = (
     ast.Sub,
@@ -139,94 +124,6 @@ _NON_ASSOCIATIVE_OPS = (
     ast.LShift,
     ast.RShift,
 )
-
-
-def _binding_names(target: ast.expr) -> set[str]:
-    """Names a target expression *binds* — a subscript/attribute target
-    mutates an existing object, it does not bind its root name."""
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, ast.Starred):
-        return _binding_names(target.value)
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: set[str] = set()
-        for elt in target.elts:
-            out |= _binding_names(elt)
-        return out
-    return set()
-
-
-def _closure_locals(info: FunctionInfo) -> set[str]:
-    """Names the closure binds itself: params, assignments, loop vars."""
-    node = info.node
-    args = node.args
-    names = {
-        a.arg
-        for a in (
-            args.posonlyargs
-            + args.args
-            + args.kwonlyargs
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        )
-    }
-    if isinstance(node, ast.Lambda):
-        return names
-    for sub in walk_own_nodes(node):
-        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                sub.targets
-                if isinstance(sub, ast.Assign)
-                else [sub.target]
-            )
-            for target in targets:
-                names |= _binding_names(target)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            names |= _binding_names(sub.target)
-        elif isinstance(sub, ast.NamedExpr) and isinstance(
-            sub.target, ast.Name
-        ):
-            names.add(sub.target.id)
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    names |= _binding_names(item.optional_vars)
-    return names
-
-
-def _captured_mutations(
-    info: FunctionInfo,
-) -> list[tuple[ast.AST, str]]:
-    """(site, name) pairs where the closure mutates a captured object."""
-    local = _closure_locals(info)
-    out: list[tuple[ast.AST, str]] = []
-    for node in walk_own_nodes(info.node):
-        name: str | None = None
-        if isinstance(node, ast.AugAssign) and isinstance(
-            node.target, (ast.Subscript, ast.Attribute)
-        ):
-            name = _root_name(node.target)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    name = _root_name(target)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
-        ):
-            name = _root_name(node.func.value)
-        if name is not None and name not in local and name != "self":
-            out.append((node, name))
-    return out
-
-
-def _root_name(node: ast.expr) -> str | None:
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class _RddNames:
@@ -318,17 +215,8 @@ class _SparkliteVisitor:
         self._seen: set[tuple[str, int]] = set()
 
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
-        rule = SPARKLITE_RULES[rule_id]
         self.findings.append(
-            Finding(
-                rule=rule_id,
-                path=self.path,
-                line=node.lineno,
-                col=node.col_offset,
-                severity=rule.severity,
-                message=message,
-                hint=rule.hint,
-            )
+            SPARKLITE_RULES[rule_id].at(self.path, node, message)
         )
 
     # ------------------------------------------------------------------
@@ -387,7 +275,7 @@ class _SparkliteVisitor:
                 "produces different records than the first run",
             )
         # MRS202: mutating captured driver state.
-        for site, name in _captured_mutations(info):
+        for site, name in captured_mutations(info.node):
             if not self._first_report("MRS202", site):
                 continue
             self._emit(

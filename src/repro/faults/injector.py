@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.plan import FaultPlan, RateFault, ScheduledFault, TriggerFault
+from repro.mapreduce.backend import PooledExecutionBackend
 from repro.sim.engine import FaultSite, ScheduledEvent
 from repro.util.errors import ConfigError
 from repro.util.rng import RngStream
@@ -63,7 +64,11 @@ class FaultInjector(FaultSite):
         self._armed = True
         self.sim.install_faults(self)
         backend = self.cluster.backend
-        if "backend.worker_crash" in self._rates and backend.parallel:
+        # Every pool is armed, an ``auto`` one included: the hook is
+        # consulted only when a pooled result lands.
+        if "backend.worker_crash" in self._rates and isinstance(
+            backend, PooledExecutionBackend
+        ):
             backend._chaos = self._worker_chaos
         for fault in self.plan.scheduled:
             self._pending.append(
@@ -78,7 +83,7 @@ class FaultInjector(FaultSite):
             return
         self._armed = False
         self.sim.clear_faults()
-        if self.cluster.backend.parallel:
+        if isinstance(self.cluster.backend, PooledExecutionBackend):
             self.cluster.backend._chaos = None
         for handle in self._pending:
             handle.cancel()

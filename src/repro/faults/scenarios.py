@@ -25,6 +25,7 @@ from repro.faults.plan import FaultPlan
 from repro.hdfs.config import HdfsConfig
 from repro.hdfs.fsck import fsck
 from repro.jobs.wordcount import WordCountJob
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.job import JobReport
@@ -133,12 +134,10 @@ def _make_cluster(
         num_workers=5,
         hdfs_config=hdfs_config,
         mr_config=MapReduceConfig(
-            execution_backend=backend or "serial",
-            backend_workers=2,
-            sanitize=sanitize,
-            shuffle_transport=transport,
+            sanitize=sanitize, shuffle_transport=transport
         ),
         seed=CLUSTER_SEED,
+        backend=create_backend(backend or "serial", 2),
     )
 
 

@@ -23,8 +23,9 @@ from repro.hdfs.journal import (
     ImageState,
     MemoryJournalStorage,
     NameNodeJournal,
+    empty_image_state,
 )
-from repro.hdfs.namespace import FileStatus, Namespace, move_quotas, normalize
+from repro.hdfs.namespace import FileStatus, move_quotas, normalize
 from repro.hdfs.placement import ReplicaPlacementPolicy
 from repro.hdfs.protocol import (
     BlockReport,
@@ -97,38 +98,12 @@ class NameNode:
         self.topology = topology
         self.config = config or HdfsConfig()
         self.rng = rng or RngStream(seed=0).child("namenode")
-        self.namespace = Namespace()
-        self.block_map: dict[int, BlockMeta] = {}
-        self.datanodes: dict[str, DataNodeDescriptor] = {}
-        self.safemode = SafeMode(
-            threshold=self.config.safemode_threshold,
-            extension=self.config.safemode_extension,
-        )
         self.placement = ReplicaPlacementPolicy(topology, self.rng.child("placement"))
         self._block_ids = BlockIdGenerator()
-        self._pending_commands: dict[str, list[Command]] = defaultdict(list)
-        self._needs_reregister: set[str] = set()
-        self.under_replicated: set[int] = set()
-        self.over_replicated: set[int] = set()
-        #: Reverse replica index: datanode -> block ids with a replica
-        #: there.  Keeps node-scoped operations (death, decommission)
-        #: O(blocks on that node) instead of O(all blocks).
-        self._blocks_on: dict[str, set[int]] = defaultdict(set)
-        #: Count of blocks whose ``safe`` bit is set (O(1) safemode).
-        self._safe_blocks = 0
-        #: Liveness expiry heap: (last_heartbeat + timeout, name), at
-        #: most one entry per node (``_liveness_scheduled`` guards).
-        #: Entries are revalidated lazily on pop, so a sweep touches
-        #: only nodes whose previous deadline has passed — O(expired)
-        #: amortized, never O(#datanodes).
-        self._liveness_heap: list[tuple[float, str]] = []
-        self._liveness_scheduled: set[str] = set()
-        #: Directory quotas: path -> (namespace quota | None,
-        #: space quota in bytes x replication | None).  Survives restart
-        #: (it's namespace metadata, like the fsimage).
-        self.quotas: dict[str, tuple[int | None, int | None]] = {}
-        #: DataNodes being drained: no new replicas are placed on them.
-        self.decommissioning: set[str] = set()
+        # Everything a process death takes with it is built by these
+        # two, here and in crash()/restart(), so the lists cannot drift.
+        self._install_state(empty_image_state())
+        self._forget_datanodes()
         #: True between crash() and recover(): the process is gone, every
         #: RPC is refused, and only the journal remembers the namespace.
         self.down = False
@@ -601,7 +576,6 @@ class NameNode:
         self._track_liveness(
             info.name, self.sim.now + self.config.dead_node_timeout
         )
-        self._needs_reregister.discard(info.name)
         self.sim.bus.publish(
             "hdfs.namenode.registered", self.sim.now, datanode=info.name
         )
@@ -616,7 +590,7 @@ class NameNode:
             self.crash()
             return HeartbeatResponse()
         desc = self.datanodes.get(info.name)
-        if desc is None or info.name in self._needs_reregister:
+        if desc is None:  # never registered, or forgotten by a restart
             return HeartbeatResponse(re_register=True)
         was_dead = not desc.alive
         desc.info = info
@@ -800,25 +774,54 @@ class NameNode:
         )
 
     def _install_state(self, state: ImageState) -> None:
-        """Adopt a recovered ImageState and rebuild the block map from
-        the namespace walk (every block's expected replication is its
-        file's replication — the map is fully derivable)."""
+        """Adopt durable state and build every structure derived from
+        it.  The block map comes from the namespace walk (every block's
+        expected replication is its file's); replica locations start
+        empty and refill from block reports."""
         self.namespace = state.namespace
-        self.quotas = dict(state.quotas)
-        self.decommissioning = set(state.decommissioning)
+        #: Directory quotas: path -> (namespace quota | None,
+        #: space quota in bytes x replication | None).  Survives restart
+        #: (it's namespace metadata, like the fsimage).
+        self.quotas: dict[str, tuple[int | None, int | None]] = dict(
+            state.quotas
+        )
+        #: DataNodes being drained: no new replicas are placed on them.
+        self.decommissioning: set[str] = set(state.decommissioning)
         self._block_ids.restore(state.next_block_id)
-        self.block_map = {}
-        for _path, inode in self.namespace.walk_files("/"):
-            for block in inode.blocks:
-                self.block_map[block.block_id] = BlockMeta(
-                    block=block,
-                    expected_replication=inode.replication,
-                )
-        self._pending_commands.clear()
-        self.under_replicated.clear()
-        self.over_replicated.clear()
-        self._blocks_on.clear()
+        self.block_map: dict[int, BlockMeta] = {
+            block.block_id: BlockMeta(
+                block=block, expected_replication=inode.replication
+            )
+            for _path, inode in self.namespace.walk_files("/")
+            for block in inode.blocks
+        }
+        self._pending_commands: dict[str, list[Command]] = defaultdict(list)
+        self.under_replicated: set[int] = set()
+        self.over_replicated: set[int] = set()
+        #: Reverse replica index: datanode -> block ids with a replica
+        #: there.  Keeps node-scoped operations (death, decommission)
+        #: O(blocks on that node) instead of O(all blocks).
+        self._blocks_on: dict[str, set[int]] = defaultdict(set)
+        #: Count of blocks whose ``safe`` bit is set (O(1) safemode).
         self._safe_blocks = 0
+
+    def _forget_datanodes(self) -> None:
+        """Drop registrations, the liveness heap and safemode progress:
+        what any NameNode process start — first, restart or crash —
+        begins without.  A forgotten node's next heartbeat finds no
+        descriptor and is told to re-register."""
+        self.datanodes: dict[str, DataNodeDescriptor] = {}
+        #: Liveness expiry heap: (last_heartbeat + timeout, name), at
+        #: most one entry per node (``_liveness_scheduled`` guards).
+        #: Entries are revalidated lazily on pop, so a sweep touches
+        #: only nodes whose previous deadline has passed — O(expired)
+        #: amortized, never O(#datanodes).
+        self._liveness_heap: list[tuple[float, str]] = []
+        self._liveness_scheduled: set[str] = set()
+        self.safemode = SafeMode(
+            threshold=self.config.safemode_threshold,
+            extension=self.config.safemode_extension,
+        )
 
     def crash(self) -> None:
         """Kill the NameNode process.  Every in-memory structure — the
@@ -830,23 +833,8 @@ class NameNode:
             return
         self.down = True
         self.crashes += 1
-        self.namespace = Namespace()
-        self.block_map = {}
-        self.datanodes.clear()
-        self._pending_commands.clear()
-        self._needs_reregister.clear()
-        self.under_replicated.clear()
-        self.over_replicated.clear()
-        self._blocks_on.clear()
-        self._safe_blocks = 0
-        self._liveness_heap.clear()
-        self._liveness_scheduled.clear()
-        self.quotas = {}
-        self.decommissioning = set()
-        self.safemode = SafeMode(
-            threshold=self.config.safemode_threshold,
-            extension=self.config.safemode_extension,
-        )
+        self._install_state(empty_image_state())
+        self._forget_datanodes()
         self.sim.bus.publish("hdfs.namenode.crashed", self.sim.now)
 
     def recover(self) -> None:
@@ -898,28 +886,12 @@ class NameNode:
         in-heap namespace survives the way the pre-journal repro
         pretended the fsimage worked."""
         self.restarts += 1
-        if self.journal.enabled:
-            # _install_state rebuilds the block map with empty location
-            # sets, so there is nothing runtime-flavoured left to clear.
-            self._install_state(self.journal.recover())
-        else:
-            for meta in self.block_map.values():
-                meta.locations.clear()
-                meta.corrupt_on.clear()
-                meta.safe = False
-            self._pending_commands.clear()
-            self.under_replicated.clear()
-            self.over_replicated.clear()
-            self._blocks_on.clear()
-            self._safe_blocks = 0
-        self._needs_reregister = set(self.datanodes)
-        self.datanodes.clear()
-        self._liveness_heap.clear()
-        self._liveness_scheduled.clear()
-        self.safemode = SafeMode(
-            threshold=self.config.safemode_threshold,
-            extension=self.config.safemode_extension,
+        self._install_state(
+            self.journal.recover()
+            if self.journal.enabled
+            else self._image_state()
         )
+        self._forget_datanodes()
         self._update_safemode()
         self.sim.bus.publish("hdfs.namenode.restarted", self.sim.now)
 

@@ -7,16 +7,20 @@ The compilation is the lecture's punchline, visible in code:
 - every aggregate carries a uniform ``(count, sum, min, max)`` partial —
   a monoid — so the combiner is *always* legal and is installed
   automatically (Lin's "Monoidify!" applied mechanically);
-- ``ORDER BY``/``LIMIT`` run in the final single-threaded stage, as
-  Hive's plans do — *or*, with ``multi_stage=True``, as a total-order
-  sort stage with a sampled :class:`~repro.hive.planner.RangePartitioner`;
-- ``JOIN`` always plans multi-stage: a repartition-join job feeds the
+- ``JOIN`` puts a repartition-join job in front, feeding the
   aggregation/projection job through HDFS temp files
-  (see :mod:`repro.hive.planner`).
+  (see :mod:`repro.hive.planner`);
+- ``ORDER BY`` is sorted by the driver, as Hive's final single-threaded
+  stage does — *or*, with ``multi_stage=True`` and after any ``JOIN``,
+  by a total-order sort stage with a sampled
+  :class:`~repro.hive.planner.RangePartitioner`; ``LIMIT`` cuts last.
 
-Single-stage and multi-stage plans return bit-identical rows: both
-order results by the same composite sort token
-(:func:`~repro.hive.planner.row_sort_token`).
+One executor (:meth:`HiveLite.execute`) runs every plan as *join? →
+aggregate/project → sort?*; ``multi_stage`` chooses only how ``ORDER
+BY`` runs.  Both ways return bit-identical rows: they order by the same
+composite sort token (:func:`~repro.hive.planner.row_sort_token`) and
+decode stage output with the same
+:func:`~repro.hive.planner.result_row_decoder`.
 """
 
 from __future__ import annotations
@@ -27,14 +31,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.hive.parser import (
-    AGGREGATES,
-    Condition,
-    Query,
-    SelectItem,
-    SqlError,
-    parse_query,
-)
+from repro.hive.parser import AGGREGATES, Query, SqlError, parse_query
 
 # Re-exported from the planner so stage code and engine never disagree
 # on the wire format (historically these lived here).
@@ -47,6 +44,8 @@ from repro.hive.planner import (
     JoinStageJob,
     RangePartitioner,
     SortStageJob,
+    apply_op,
+    result_row_decoder,
     row_sort_token,
     sample_boundaries,
 )
@@ -159,27 +158,6 @@ class Partial:
         raise SqlError(f"unknown aggregate {aggregate!r}")
 
 
-def _apply_condition(condition: Condition, value) -> bool:
-    op = condition.op
-    literal = condition.literal
-    if op == "=":
-        return value == literal
-    if op == "!=":
-        return value != literal
-    try:
-        if op == "<":
-            return value < literal
-        if op == "<=":
-            return value <= literal
-        if op == ">":
-            return value > literal
-        if op == ">=":
-            return value >= literal
-    except TypeError:
-        return False
-    raise SqlError(f"unknown operator {op!r}")
-
-
 # --------------------------------------------------------------------------
 # the generated jobs
 
@@ -205,7 +183,7 @@ class _HiveMapperBase(Mapper):
         if row is None:
             return None
         for condition, index in zip(self.query.where, self._where_indexes):
-            if not _apply_condition(condition, row[index]):
+            if not apply_op(row[index], condition.op, condition.literal):
                 return None
         return row
 
@@ -338,8 +316,7 @@ class QueryResult:
     rows: list[tuple]
     report: JobReport | None = None
     sql: str = ""
-    #: Every stage's report in plan order (multi-stage plans; a
-    #: single-stage query has the one report here too).
+    #: Every stage's report in plan order (``report`` is the last).
     stage_reports: tuple = ()
 
     def render(self) -> str:
@@ -355,9 +332,9 @@ class HiveLite:
     """Parse, plan, run — over a MapReduceCluster.
 
     ``multi_stage=True`` plans ``ORDER BY`` as a total-order sort stage
-    instead of a driver-side sort (``JOIN`` queries are always
-    multi-stage).  ``sort_partitions`` sizes that stage; the default
-    follows the cluster's worker count, capped at 4.
+    instead of a driver-side sort (after a ``JOIN`` it always is one).
+    ``sort_partitions`` sizes that stage; the default follows the
+    cluster's worker count, capped at 4.
     """
 
     def __init__(
@@ -510,7 +487,7 @@ class HiveLite:
             lines.append("  map-only projection")
         if query.order_by:
             direction = "DESC" if query.order_desc else "ASC"
-            if self.multi_stage or query.is_join:
+            if self._total_order(query):
                 lines.append(
                     f"  sort stage: total-order sort by {query.order_by} "
                     f"{direction} ({self.sort_partitions} sampled ranges)"
@@ -524,53 +501,37 @@ class HiveLite:
         return "\n".join(lines)
 
     # -- execution ---------------------------------------------------------
-    def execute(self, sql: str) -> QueryResult:
-        query = parse_query(sql)
-        if query.is_join or (self.multi_stage and query.order_by is not None):
-            return self._execute_multi_stage(query, sql)
-        schema = self.metastore.get(query.table)
-        self._validate(query, schema)
-        output = f"/tmp/hive/query_{next(self._seq):05d}"
-        if query.is_aggregation:
-            job = _aggregation_job(schema, query)
-        else:
-            job = _projection_job(schema, query, self.udfs)
-        report = self.cluster.run_job(
-            job, schema.location, output, require_success=True
-        )
-        rows = self._collect(query, schema, output)
-        rows = self._order_and_limit(query, schema, rows)
-        columns = self._output_columns(query, schema)
-        return QueryResult(
-            columns=columns,
-            rows=rows,
-            report=report,
-            sql=sql,
-            stage_reports=(report,),
+    def _total_order(self, query: Query) -> bool:
+        """Does ``ORDER BY`` run as a sort stage (else the driver sorts)?"""
+        return query.order_by is not None and (
+            self.multi_stage or query.is_join
         )
 
-    def _execute_multi_stage(self, query: Query, sql: str) -> QueryResult:
-        """JOIN / total-order plans: stages chained through HDFS temps."""
-        base = f"/tmp/hive/query_{next(self._seq):05d}"
+    def execute(self, sql: str) -> QueryResult:
+        """Run the plan :meth:`explain` prints: an optional join stage,
+        the aggregation/projection stage, an optional sort stage —
+        chained through HDFS temps under ``/tmp/hive/query_NNNNN``."""
+        query = parse_query(sql)
         reports: list[JobReport] = []
         if query.is_join:
             query, schema, join_job, inputs = self._compile_join(query)
-            self._validate(query, schema)
-            join_out = f"{base}_join"
-            reports.append(
-                self.cluster.run_job(
-                    join_job, inputs, join_out, require_success=True
-                )
-            )
-            stage_inputs = self._nonempty_parts(join_out)
         else:
             schema = self.metastore.get(query.table)
-            self._validate(query, schema)
-            stage_inputs = [schema.location]
-        columns = self._output_columns(query, schema)
+        self._validate(query, schema)
+        base = f"/tmp/hive/query_{next(self._seq):05d}"
+        if query.is_join:
+            reports.append(
+                self.cluster.run_job(
+                    join_job, inputs, f"{base}_join", require_success=True
+                )
+            )
+            stage_inputs = self._nonempty_parts(f"{base}_join")
+        else:
+            stage_inputs = schema.location
+        staged = query.is_join or self._total_order(query)
+        result_out = f"{base}_result" if staged else base
         rows: list[tuple] = []
         if stage_inputs:
-            result_out = f"{base}_result"
             if query.is_aggregation:
                 job = _aggregation_job(schema, query)
             else:
@@ -580,18 +541,18 @@ class HiveLite:
                     job, stage_inputs, result_out, require_success=True
                 )
             )
-            if query.order_by is not None:
-                sorted_out = f"{base}_sorted"
+            if self._total_order(query):
                 sort_report, rows = self._sort_stage(
-                    query, schema, result_out, sorted_out
+                    query, schema, result_out, f"{base}_sorted"
                 )
                 if sort_report is not None:
                     reports.append(sort_report)
             else:
-                rows = self._collect(query, schema, result_out)
-                rows = self._order_and_limit(query, schema, rows)
+                rows = self._order_and_limit(
+                    query, schema, self._collect(query, schema, result_out)
+                )
         return QueryResult(
-            columns=columns,
+            columns=self._output_columns(query, schema),
             rows=rows,
             report=reports[-1] if reports else None,
             sql=sql,
@@ -763,11 +724,10 @@ class HiveLite:
         report = self.cluster.run_job(
             job, [path for path, _len in parts], output, require_success=True
         )
-        return report, self._sorted_rows(query, schema, output)
+        decode = result_row_decoder(fields, query.is_aggregation)
+        return report, self._sorted_rows(query, decode, output)
 
-    def _sorted_rows(
-        self, query: Query, schema: TableSchema, output: str
-    ) -> list[tuple]:
+    def _sorted_rows(self, query: Query, decode, output: str) -> list[tuple]:
         """Concatenate sorted parts in partition (= key) order.
 
         ``LIMIT k`` stops after the first parts that supply *k* rows —
@@ -775,26 +735,16 @@ class HiveLite:
         tail partitions (reversed for DESC).
         """
         client = self.cluster._output_client(None)
-        names = sorted(
-            status.path
-            for status in client.list_status(output)
-            if not status.is_dir
-            and status.path.rsplit("/", 1)[-1].startswith("part-")
-        )
+        names = self._nonempty_parts(output)
         if query.order_desc:
-            names = list(reversed(names))
+            names.reverse()
         rows: list[tuple] = []
         for path in names:
             pairs = TextOutputFormat.parse(client.read_text(path))
             if query.order_desc:
-                pairs = list(reversed(pairs))
-            lines = [unescape_text(value) for _token, value in pairs]
+                pairs.reverse()
             rows.extend(
-                self._rows_from_pairs(
-                    query,
-                    schema,
-                    [TextOutputFormat.parse_line(line) for line in lines],
-                )
+                tuple(decode(unescape_text(value))) for _token, value in pairs
             )
             if query.limit is not None and len(rows) >= query.limit:
                 break
@@ -826,74 +776,25 @@ class HiveLite:
         return tuple(out)
 
     def _collect(self, query: Query, schema: TableSchema, output: str) -> list[tuple]:
-        return self._rows_from_pairs(
-            query, schema, self.cluster.read_output(output)
+        """Every row of a finished result stage, in no promised order —
+        decoded from whole lines, exactly as the sort mappers do."""
+        client = self.cluster._output_client(None)
+        decode = result_row_decoder(
+            self._field_specs(query, schema), query.is_aggregation
         )
-
-    def _rows_from_pairs(
-        self, query: Query, schema: TableSchema, pairs: list[tuple[str, str]]
-    ) -> list[tuple]:
-        rows: list[tuple] = []
-        if not query.is_aggregation:
-            parsers: list[Callable[[str], object]] = []
-            for item in query.items:
-                if item.column == "*":
-                    parsers.extend(
-                        t.parse for _name, t in schema.columns
-                    )
-                elif item.udf is not None:
-                    # UDF output type is whatever the function returned,
-                    # serialised; keep the raw text.
-                    parsers.append(lambda p: p)
-                else:
-                    parsers.append(schema.column_type(item.column).parse)
-            for key_text, _null in pairs:
-                parts = key_text.split(GROUP_SEP)
-                rows.append(
-                    tuple(parse(p) for parse, p in zip(parsers, parts))
-                )
-            return rows
-
-        group_types = [schema.column_type(c) for c in query.group_by]
-        for key_text, value_text in pairs:
-            row: list = []
-            if query.group_by:
-                group_values = key_text.split(GROUP_SEP)
-                group_map = dict(zip(query.group_by, (
-                    t.parse(v) for t, v in zip(group_types, group_values)
-                )))
-            else:
-                group_map = {}
-            finals = value_text.split(AGG_SEP)
-            agg_iter = iter(finals)
-            for item in query.items:
-                if item.aggregate is None:
-                    row.append(group_map[item.column])
-                else:
-                    raw = next(agg_iter)
-                    row.append(self._parse_agg(item, schema, raw))
-            rows.append(tuple(row))
-        return rows
-
-    @staticmethod
-    def _parse_agg(item: SelectItem, schema: TableSchema, raw: str):
-        if raw == "":
-            return None
-        if item.aggregate == "COUNT":
-            return int(raw)
-        if item.aggregate == "AVG":
-            return float(raw)
-        if item.aggregate == "SUM":
-            return float(raw)
-        # MIN/MAX keep the column's type.
-        return schema.column_type(item.column).parse(raw)
+        return [
+            tuple(decode(line))
+            for path in self._nonempty_parts(output)
+            for line in client.read_text(path).split("\n")
+            if line
+        ]
 
     def _order_and_limit(
         self, query: Query, schema: TableSchema, rows: list[tuple]
     ) -> list[tuple]:
         if query.order_by is not None:
-            # The same composite token the multi-stage sort shuffles on:
-            # single-stage and total-order plans return identical rows.
+            # The same composite token the sort stage shuffles on: the
+            # driver-side and total-order sorts return identical rows.
             index = self._sort_index(query, schema)
             rows = sorted(
                 rows,

@@ -1,9 +1,9 @@
 """Multi-stage Hive plans: the jobs a single MapReduce pass can't do.
 
-The single-stage engine (``repro.hive.engine``) compiles one SELECT
-into one job and finishes ``ORDER BY``/``LIMIT`` on the driver.  Real
-Hive plans chain *stages* through HDFS temp files, and two query shapes
-force that here:
+One aggregation/projection job (``repro.hive.engine``) answers a plain
+SELECT, with ``ORDER BY``/``LIMIT`` finished on the driver.  Real Hive
+plans chain *stages* through HDFS temp files, and two query shapes add
+a stage around that job here:
 
 - ``JOIN`` — the classic **repartition join**: both tables map into one
   shuffle, values tagged by side, and each reduce group crosses the
@@ -23,8 +23,9 @@ and the pooled execution backends can ship them to worker processes.
 
 The sort key is a *composite token* built by :func:`row_sort_token`:
 ``null-flag + order-preserving scalar encoding + full-row tiebreak``.
-The driver-side ``_order_and_limit`` sorts by the same token, which is
-what makes single-stage and multi-stage answers bit-identical.
+The driver-side ``_order_and_limit`` sorts by the same token, and both
+read stage output through :func:`result_row_decoder`, which is what
+makes driver-sorted and stage-sorted answers bit-identical.
 """
 
 from __future__ import annotations
@@ -90,29 +91,43 @@ def apply_op(value, op: str, literal) -> bool:
     raise SqlError(f"unknown operator {op!r}")
 
 
-def decode_result_row(line: str, fields, aggregated: bool) -> list:
-    """Parse one stage-output line back into the typed result row.
+def result_row_decoder(fields, aggregated: bool):
+    """Build ``decode(line) -> row`` for one stage's output lines.
+
+    The one decoder of result rows: the sort stage's mappers, the
+    boundary sampler and the driver's final collect all go through it,
+    with the per-column converters resolved here, once, not per cell.
 
     ``fields`` is the driver-computed spec, one entry per output column
     in SELECT order: ``(source, index, kind)`` with source ``"group"``
     (GROUP BY cell of an aggregation key), ``"agg"`` (finalized
     aggregate, ``""`` meaning SQL NULL) or ``"key"`` (projection cell).
+
+    A projection line is all key (its value is a ``NullWritable``), so
+    a TAB inside a STRING cell or a UDF result survives.  An aggregation
+    line is ``key<TAB>value`` text cut at its first TAB: a TAB inside a
+    GROUP BY cell or a ``MIN``/``MAX`` string is ambiguous there and
+    still lands in the wrong column.
     """
-    if aggregated:
-        key_text, value_text = TextOutputFormat.parse_line(line)
-        groups = key_text.split(GROUP_SEP)
-        finals = value_text.split(AGG_SEP)
-    else:
-        groups = line.split(GROUP_SEP)
-        finals = []
-    row: list = []
-    for source, index, kind in fields:
-        raw = finals[index] if source == "agg" else groups[index]
-        if source == "agg" and raw == "":
-            row.append(None)
+    columns = tuple(
+        (source == "agg", index, cell_converter(kind))
+        for source, index, kind in fields
+    )
+
+    def decode(line: str) -> list:
+        if aggregated:
+            key_text, value_text = TextOutputFormat.parse_line(line)
+            groups = key_text.split(GROUP_SEP)
+            finals = value_text.split(AGG_SEP)
         else:
-            row.append(parse_cell(kind, raw))
-    return row
+            groups, finals = line.split(GROUP_SEP), ()
+        row: list = []
+        for is_agg, index, convert in columns:
+            raw = finals[index] if is_agg else groups[index]
+            row.append(None if is_agg and raw == "" else convert(raw))
+        return row
+
+    return decode
 
 
 def row_sort_token(row, index: int) -> str:
@@ -257,17 +272,18 @@ class _SortMapper(Mapper):
     """Re-key each upstream result line by its composite sort token."""
 
     def setup(self, context: Context) -> None:
-        self._fields = context.get("hv_fields")
+        self._decode = result_row_decoder(
+            context.get("hv_fields"), context.get("hv_agg")
+        )
         self._sort = context.get("hv_sort")
-        self._agg = context.get("hv_agg")
 
     def map(self, key: Writable, value: Writable, context: Context) -> None:
         line = value.value
         if not line:
             return
-        row = decode_result_row(line, self._fields, self._agg)
         context.write(
-            Text(row_sort_token(row, self._sort)), Text(escape_text(line))
+            Text(row_sort_token(self._decode(line), self._sort)),
+            Text(escape_text(line)),
         )
 
 
@@ -302,6 +318,7 @@ def sample_boundaries(
     ``sample_bytes`` of each part are fetched (``pread`` — no full
     scan), the possibly-torn last line dropped when the file is longer.
     """
+    decode = result_row_decoder(fields, aggregated)
     samples: list[str] = []
     for path, length in files:
         head = client.open(path).pread(0, min(length, sample_bytes))
@@ -310,11 +327,7 @@ def sample_boundaries(
             lines = lines[:-1]
         for line in lines:
             if line:
-                samples.append(
-                    row_sort_token(
-                        decode_result_row(line, fields, aggregated), sort_index
-                    )
-                )
+                samples.append(row_sort_token(decode(line), sort_index))
     samples.sort()
     if not samples:
         return []

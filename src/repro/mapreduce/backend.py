@@ -17,6 +17,14 @@ An :class:`ExecutionBackend` decouples the two:
   :class:`~repro.sim.engine.WorkJoiner` protocol) joins all in-flight
   work, in submission order, before the clock advances past the
   simulated instant at which the work was submitted.
+- :class:`AutoExecutionBackend` *is* that pool plus one per-job flag:
+  the drivers call ``decide(input bytes)`` at submission (a no-op on
+  every other backend) and a job below the threshold, or on a one-core
+  host, runs inline — the pool is not even started.
+
+A cluster or runner gets its backend one way: the ``backend=`` instance
+it was handed (``create_backend(name, workers)``), else a fresh one of
+the process-wide default the CLI's ``--backend/--workers`` set.
 
 The determinism contract
 ========================
@@ -123,6 +131,11 @@ class ExecutionBackend:
         — but exceptions from ``on_done`` itself propagate.
         """
         raise NotImplementedError
+
+    def decide(self, estimated_bytes: int | None) -> str:
+        """Told each job's input size before its tasks are submitted;
+        only ``auto`` acts on it.  Returns how the job will run."""
+        return self.name
 
     # -- WorkJoiner protocol (see repro.sim.engine) ---------------------
     def pending_since(self) -> float | None:
@@ -339,102 +352,54 @@ def _release_shm_scopes() -> None:
         shm.release_all_scopes()
 
 
-class AutoExecutionBackend(ExecutionBackend):
-    """Pick serial or pooled per job, based on the host and the input.
+class AutoExecutionBackend(PooledExecutionBackend):
+    """A pool that runs a job inline unless pooling can pay for itself.
 
     Pooling pays a fixed tax (pool startup, payload pickling/framing)
     that a small job never earns back, and buys nothing on a one-core
-    host.  ``auto`` starts serial and lets the runner/JobTracker call
+    host.  ``auto`` starts serial and the runner/JobTracker call
     :meth:`decide` with the job's estimated input bytes before tasks
     are scheduled: parallel only when the schedulable core count is
     >= 2 **and** the input clears :data:`AUTO_MIN_PARALLEL_BYTES`.
+    The pool is built lazily, so a backend that never goes parallel
+    never starts one.
 
-    The decision is observable via :attr:`chosen` (benchmarks and tests
-    read it); work submitted between jobs follows the latest decision.
-    Determinism is unaffected either way — both inner backends honour
-    the bit-identical contract, so ``auto`` may flip between jobs
-    without changing any job's counters or outputs.
+    The decision is observable via :attr:`chosen`; work submitted
+    between jobs follows the latest decision, and work already on the
+    pool is still joined in order after a flip back to serial.
+    Determinism is unaffected either way — inline and pooled work
+    honour the same bit-identical contract.
     """
 
     name = "auto"
-
-    def __init__(self, workers: int | None = None, mode: str = "process"):
-        self._workers = workers
-        self._mode = mode
-        self._serial = SerialExecutionBackend()
-        self._pooled: PooledExecutionBackend | None = None
-        self._active: ExecutionBackend = self._serial
-        self._chaos_hook: Callable[[int], bool] | None = None
-
-    @property
-    def _chaos(self) -> Callable[[int], bool] | None:
-        """Worker-crash fault hook, forwarded to the pooled inner
-        backend (the fault injector arms ``backend._chaos`` directly)."""
-        return self._chaos_hook
-
-    @_chaos.setter
-    def _chaos(self, hook: Callable[[int], bool] | None) -> None:
-        self._chaos_hook = hook
-        if self._pooled is not None:
-            self._pooled._chaos = hook
-
-    @property
-    def worker_crash_recoveries(self) -> int:
-        return 0 if self._pooled is None else self._pooled.worker_crash_recoveries
-
-    @property
-    def parallel(self) -> bool:  # type: ignore[override]
-        return self._active.parallel
+    parallel = False  # until the first decide()
 
     @property
     def chosen(self) -> str:
-        """The currently active inner backend's name."""
-        return self._active.name
+        """How work submitted now runs: ``"serial"`` or ``"pooled"``."""
+        return "pooled" if self.parallel else "serial"
 
     def decide(self, estimated_bytes: int | None) -> str:
-        """Choose the inner backend for the next job; returns its name.
+        """Choose serial or pooled for the next job; returns the choice.
 
         ``estimated_bytes`` is the job's input size (sum of split
         lengths); ``None`` means unknown, which is treated as large —
         the caller had no cheap estimate, so only the core count gates.
         """
-        cores = usable_cores()
         small = (
             estimated_bytes is not None
             and estimated_bytes < AUTO_MIN_PARALLEL_BYTES
         )
-        if cores < 2 or small:
-            self._active = self._serial
-        else:
-            if self._pooled is None:
-                self._pooled = PooledExecutionBackend(
-                    workers=self._workers, mode=self._mode
-                )
-                self._pooled._chaos = self._chaos_hook
-            self._active = self._pooled
-        return self._active.name
+        self.parallel = usable_cores() >= 2 and not small
+        return self.chosen
 
     def submit(self, fn, on_done, *, submit_time=0.0, inline=False):
-        return self._active.submit(
-            fn, on_done, submit_time=submit_time, inline=inline
+        return super().submit(
+            fn,
+            on_done,
+            submit_time=submit_time,
+            inline=inline or not self.parallel,
         )
-
-    # -- WorkJoiner protocol --------------------------------------------
-    def pending_since(self) -> float | None:
-        # Only the pooled inner backend ever holds in-flight work.
-        if self._pooled is not None:
-            return self._pooled.pending_since()
-        return None
-
-    def join_all(self) -> None:
-        if self._pooled is not None:
-            self._pooled.join_all()
-
-    def shutdown(self) -> None:
-        if self._pooled is not None:
-            self._pooled.shutdown()
-            self._pooled = None
-        self._active = self._serial
 
 
 class _InjectedWorkerCrash(Exception):
@@ -514,20 +479,9 @@ def create_backend(name: str, workers: int = 0) -> ExecutionBackend:
     )
 
 
-def resolve_backend(
-    backend: "ExecutionBackend | None",
-    config_name: str | None = None,
-    config_workers: int = 0,
-) -> ExecutionBackend:
-    """Pick the backend for a cluster/runner.
-
-    Explicit instance > per-config knob
-    (:attr:`~repro.mapreduce.config.MapReduceConfig.execution_backend`)
-    > process-wide default (:func:`set_default_backend`).
-    """
+def resolve_backend(backend: "ExecutionBackend | None") -> ExecutionBackend:
+    """The backend a cluster/runner was handed, else a fresh one of the
+    process-wide default (:func:`set_default_backend`)."""
     if backend is not None:
         return backend
-    default_name, default_workers = _default_spec
-    name = config_name or default_name
-    workers = config_workers or default_workers
-    return create_backend(name, workers)
+    return create_backend(*_default_spec)

@@ -44,11 +44,7 @@ class MapReduceCluster:
         )
         self.sim = self.hdfs.sim
         self.mr_config = mr_config or MapReduceConfig()
-        self.backend = resolve_backend(
-            backend,
-            self.mr_config.execution_backend,
-            self.mr_config.backend_workers,
-        )
+        self.backend = resolve_backend(backend)
         # The engine joins in-flight pooled work before the simulated
         # clock passes its submit time — the determinism barrier.
         self.sim.register_work_joiner(self.backend)

@@ -58,12 +58,6 @@ class MapReduceConfig:
     #: The spill is simulated: each overflow re-counts the map output in
     #: ``Spilled Records`` and charges one more pass at disk bandwidth.
     sort_buffer_bytes: int = 100 * MB
-    #: Where task attempts' *real* work runs: ``None`` inherits the
-    #: process-wide default (see ``repro.mapreduce.backend``), else one
-    #: of "serial", "pooled" (process pool), "pooled-threads".
-    execution_backend: str | None = None
-    #: Pool size for pooled backends; 0 means one worker per host CPU.
-    backend_workers: int = 0
     #: How pooled task payloads/results cross the process boundary:
     #: "framed" packs Writable pairs into binary wire blobs
     #: (``repro.mapreduce.wire``) — one ``bytes`` per partition instead
@@ -98,8 +92,6 @@ class MapReduceConfig:
             raise ConfigError("slot counts must be >= 1")
         if self.tasktracker_heartbeat <= 0:
             raise ConfigError("tasktracker_heartbeat must be positive")
-        if self.backend_workers < 0:
-            raise ConfigError("backend_workers must be >= 0")
         if self.shuffle_transport not in ("framed", "shm"):
             raise ConfigError(
                 f"shuffle_transport must be 'framed' or 'shm', "

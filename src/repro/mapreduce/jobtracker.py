@@ -269,8 +269,8 @@ class JobTracker:
         for path in files:
             lengths, locations = self.fetcher.block_layout(path)
             splits.extend(input_format.splits_for_file(path, lengths, locations))
-        if self.backend is not None and hasattr(self.backend, "decide"):
-            # "auto" backend: pick serial vs pooled for this job's size.
+        if self.backend is not None:
+            # "auto" picks serial vs pooled from this job's size.
             self.backend.decide(sum(split.length for split in splits))
         self._seq += 1
         job_id = f"job_{self._seq:04d}"

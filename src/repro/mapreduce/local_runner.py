@@ -78,11 +78,7 @@ class LocalJobRunner:
         self.localfs = localfs or LinuxFileSystem()
         self.mr_config = mr_config or MapReduceConfig()
         self.split_size = split_size or self.DEFAULT_SPLIT_SIZE
-        self.backend = resolve_backend(
-            backend,
-            self.mr_config.execution_backend,
-            self.mr_config.backend_workers,
-        )
+        self.backend = resolve_backend(backend)
 
     def close(self) -> None:
         """Release backend resources (worker pools, if any)."""
@@ -162,8 +158,7 @@ class LocalJobRunner:
             raise OutputExistsError(f"output {output_path} already exists")
 
         splits = self._splits_for(job, files)
-        if hasattr(self.backend, "decide"):  # "auto": size the job first
-            self.backend.decide(sum(split.length for split in splits))
+        self.backend.decide(sum(split.length for split in splits))
         # Pooled execution applies only to share-nothing jobs; the rest
         # run inline.  Completion callbacks fire in submission order, so
         # counters merge and ``elapsed`` sums in exactly the serial

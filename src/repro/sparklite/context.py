@@ -129,19 +129,19 @@ class SparkLiteContext:
         """A compiled context: actions run as MapReduce stages.
 
         With no ``cluster``, builds one whose defaults are the fast
-        path: ``execution_backend="auto"`` picks serial vs pooled per
-        stage, the framed wire transport carries the shuffle, and the
-        PR 5 block cache serves re-read intermediates.
+        path: the ``auto`` backend picks serial vs pooled per stage,
+        the framed wire transport carries the shuffle, and the PR 5
+        block cache serves re-read intermediates.
         """
         if cluster is None:
+            from repro.mapreduce.backend import create_backend
             from repro.mapreduce.cluster import MapReduceCluster
-            from repro.mapreduce.config import MapReduceConfig
 
             cluster = MapReduceCluster(
                 num_workers=num_workers,
                 seed=seed,
-                mr_config=mr_config
-                or MapReduceConfig(execution_backend="auto"),
+                mr_config=mr_config,
+                backend=create_backend("auto"),
             )
         names = [node.name for node in cluster.hdfs.topology.nodes()]
         return cls(names, cluster=cluster)

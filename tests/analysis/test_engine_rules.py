@@ -374,6 +374,19 @@ def rename(self, src, dst):
 """
         assert engine_lint(src) == []
 
+    def test_journal_call_in_a_nested_def_does_not_cover_the_mutation(self):
+        """The nested function is audited on its own (it may never be
+        called); the old private walker descended into a ``def`` sitting
+        directly in the body and let it clear the outer mutation."""
+        src = """
+def delete(self, path):
+    self.namespace.delete(path)
+    def later():
+        self.journal.log_delete(path, False)
+"""
+        findings = engine_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRE105", 3)]
+
     def test_replay_code_under_another_name_is_exempt(self):
         # Journal replay rebuilds a namespace held in a local — it IS
         # the journal being applied, so it must not need a log call.

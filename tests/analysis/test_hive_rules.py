@@ -73,6 +73,22 @@ class TestUdfResolution:
         assert {f.rule for f in hive_lint(src)} == {"MRH302"}
 
 
+    def test_with_bound_local_is_not_captured_state(self):
+        """``with ... as seen`` binds ``seen`` in the UDF itself — the
+        hive copy of the locals scan used to miss the ``With`` arm and
+        report "captured 'seen'"."""
+        src = (
+            "from contextlib import closing\n"
+            "def clean(x):\n"
+            "    with closing(set()) as seen:\n"
+            "        seen.add(x)\n"
+            "        return x\n"
+            "def build(engine):\n"
+            "    engine.register_udf('clean', clean)\n"
+        )
+        assert hive_lint(src) == []
+
+
 class TestSqlSinks:
     def test_literal_sql_is_clean(self):
         src = (

@@ -2,6 +2,7 @@
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RateFault
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.streaming import streaming_job
 from tests.conftest import make_mr
@@ -32,6 +33,16 @@ class TestLifecycle:
         injector = FaultInjector(FaultPlan(), mr)
         assert injector.arm() is injector.arm()
         injector.disarm()
+
+    def test_worker_crash_hook_is_armed_on_an_auto_backend(self):
+        """``auto`` reports ``parallel=False`` until its first
+        ``decide``; arming used to test that flag and skip it."""
+        with make_mr(backend=create_backend("auto", 2)) as mr:
+            plan = FaultPlan(seed=1).worker_crash_rate(0.5)
+            injector = FaultInjector(plan, mr).arm()
+            assert mr.backend._chaos is not None
+            injector.disarm()
+            assert mr.backend._chaos is None
 
     def test_disarm_cancels_pending_scheduled_faults(self):
         mr = make_mr()

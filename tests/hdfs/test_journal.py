@@ -27,6 +27,8 @@ from repro.hdfs.journal import (
     frame_record,
     scan_edits,
 )
+from repro.hdfs.namenode import NameNode
+from repro.sim.engine import Simulation
 from repro.util.errors import (
     ConfigError,
     HdfsError,
@@ -263,6 +265,42 @@ class TestNameNodeCrashRecovery:
             nn.exists("/user/a/one.txt")
         with pytest.raises(NameNodeDownError):
             nn.mkdirs("/nope")
+
+    #: Structures holding durable state, which recover/restart refill.
+    DURABLE = {"namespace", "quotas", "decommissioning", "block_map"}
+
+    @pytest.mark.parametrize(
+        "journal,events",
+        [
+            (True, ("crash",)),
+            (True, ("crash", "recover")),
+            (True, ("restart",)),
+            (False, ("restart",)),
+        ],
+    )
+    def test_a_new_process_forgets_what_a_fresh_namenode_never_knew(
+        self, journal, events
+    ):
+        """crash, recover and restart share one list of runtime state:
+        right after each, the NameNode has exactly a fresh one's
+        attributes and every runtime container is as empty as a fresh
+        one's (a field reset in one of them and not the others fails
+        here)."""
+        hdfs = self._loaded_cluster(journal=journal)
+        hdfs.crash_datanode("node0")  # queue re-replication work
+        hdfs.sim.run_for(hdfs.namenode.config.dead_node_timeout * 2)
+        nn = hdfs.namenode
+        assert nn.datanodes and nn._blocks_on and nn._liveness_scheduled
+        for event in events:
+            getattr(nn, event)()
+        fresh = NameNode(Simulation(), hdfs.topology, nn.config)
+        assert vars(nn).keys() == vars(fresh).keys()
+        for name, value in vars(fresh).items():
+            if name in self.DURABLE or not isinstance(value, (dict, set, list)):
+                continue
+            assert len(getattr(nn, name)) == len(value) == 0, name
+        assert nn._safe_blocks == fresh._safe_blocks == 0
+        assert nn.safemode.blocks_safe == fresh.safemode.blocks_safe == 0
 
     def test_recovery_restores_the_exact_namespace(self):
         hdfs = self._loaded_cluster()

@@ -178,6 +178,50 @@ class TestMultiStageOrderBy:
         assert len(actual.stage_reports) > len(expected.stage_reports)
 
 
+class TestOneExecutor:
+    """``explain()`` and ``execute()`` ask the same predicate for "does
+    ORDER BY run as a stage", so the plan printed is the plan run."""
+
+    SHAPES = [
+        "SELECT user_id, stars FROM ratings",
+        "SELECT user_id, SUM(stars) FROM ratings GROUP BY user_id "
+        "ORDER BY SUM(stars)",
+        "SELECT ratings.user_id, movies.title FROM ratings "
+        "JOIN movies ON ratings.movie_id = movies.id",
+        "SELECT movies.title, COUNT(*) FROM ratings "
+        "JOIN movies ON ratings.movie_id = movies.id "
+        "GROUP BY movies.title ORDER BY COUNT(*) DESC",
+    ]
+
+    @pytest.mark.parametrize("multi_stage", [False, True])
+    def test_explain_prints_one_line_per_stage_run(self, multi_stage):
+        engine = _build_engine(multi_stage=multi_stage)
+        for sql in self.SHAPES:
+            # "final stage:" lines are driver-side work, not jobs.
+            stage_lines = [
+                line
+                for line in engine.explain(sql).splitlines()
+                if line.lstrip().startswith(("scan:", "stage ", "sort stage:"))
+            ]
+            assert len(stage_lines) == len(engine.execute(sql).stage_reports), sql
+
+    @pytest.mark.parametrize("multi_stage", [False, True])
+    def test_tab_inside_a_string_cell_survives_projection(self, multi_stage):
+        """A projection line is all key; the driver used to cut it at
+        the first TAB while the sort mapper read it whole."""
+        engine = HiveLite(make_mr(num_workers=4, block_size=4096), multi_stage)
+        engine.create_table(
+            TableSchema(
+                name="t",
+                columns=(("id", ColumnType.INT), ("note", ColumnType.STRING)),
+                location="/warehouse/t.csv",
+            ),
+            data="1,plain\n2,with\ttab\n3,zzz\n",
+        )
+        result = engine.execute("SELECT id, note FROM t ORDER BY id")
+        assert result.rows == [(1, "plain"), (2, "with\ttab"), (3, "zzz")]
+
+
 class TestParserJoin:
     def test_join_clause_parses(self):
         query = parse_query(

@@ -125,9 +125,6 @@ class TestRegistry:
         try:
             explicit = SerialExecutionBackend()
             assert resolve_backend(explicit) is explicit
-            resolved = resolve_backend(None, "pooled-threads", 2)
-            assert resolved.parallel and resolved.mode == "thread"
-            resolved.shutdown()
             set_default_backend("pooled-threads", 1)
             fallback = resolve_backend(None)
             assert fallback.parallel
@@ -318,6 +315,36 @@ class TestAutoBackend:
         assert auto_result.simulated_seconds == serial.simulated_seconds
         # this corpus is tiny, so auto must have stayed serial
         assert auto.chosen == "serial"
+
+    def test_small_job_never_starts_a_pool(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 8)
+        fs = LinuxFileSystem()
+        fs.write_file("/in/corpus.txt", CORPUS)
+        auto = create_backend("auto", 2)
+        with LocalJobRunner(localfs=fs, backend=auto, split_size=4 * 1024) as runner:
+            job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
+            runner.run(job, "/in", "/out")
+            assert auto.chosen == "serial"
+            assert auto._executor is None  # checked before shutdown
+
+    def test_pooled_work_joins_in_order_after_flip_to_serial(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 2)
+        auto = AutoExecutionBackend(workers=2, mode="thread")
+        done = []
+        record = lambda handle: done.append(handle.result())  # noqa: E731
+        try:
+            assert auto.decide(None) == "pooled"
+            auto.submit(lambda: "pooled-1", record, submit_time=1.0)
+            auto.submit(lambda: "pooled-2", record, submit_time=2.0)
+            assert auto.decide(0) == "serial"
+            auto.submit(lambda: "inline", record, submit_time=3.0)
+            # inline work ran at once; the pooled items wait for the join
+            assert done == ["inline"] and auto.pending_since() == 1.0
+            auto.join_all()
+            assert done == ["inline", "pooled-1", "pooled-2"]
+            assert auto.pending_since() is None
+        finally:
+            auto.shutdown()
 
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdfs.config import HdfsConfig
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.counters import C
@@ -227,10 +228,8 @@ class TestPooledWorkerCrashOnCluster:
         mr = MapReduceCluster(
             num_workers=4,
             hdfs_config=HdfsConfig(block_size=2048, replication=2),
-            mr_config=MapReduceConfig(
-                execution_backend="pooled-threads", backend_workers=2
-            ),
             seed=1,
+            backend=create_backend("pooled-threads", 2),
         )
         with mr:
             mr.client().put_text("/in.txt", "a b a c\n" * 300)

@@ -265,6 +265,7 @@ class TestScopeLifecycle:
         from repro.hdfs.localfs import LinuxFileSystem
         from repro.jobs.wordcount import WordCountJob
         from repro.mapreduce import local_runner as lr_mod
+        from repro.mapreduce.backend import create_backend
         from repro.mapreduce.config import JobConf, MapReduceConfig
         from repro.mapreduce.local_runner import LocalJobRunner
 
@@ -273,13 +274,14 @@ class TestScopeLifecycle:
 
         fs = LinuxFileSystem()
         fs.write_file("/data/c.txt", "a b c\n" * 200)
-        mr = MapReduceConfig(
-            execution_backend="pooled-threads",
-            backend_workers=2,
-            shuffle_transport="shm",
-        )
+        mr = MapReduceConfig(shuffle_transport="shm")
         before = shm.live_scope_tokens()
-        with LocalJobRunner(localfs=fs, mr_config=mr, split_size=512) as runner:
+        with LocalJobRunner(
+            localfs=fs,
+            backend=create_backend("pooled-threads", 2),
+            mr_config=mr,
+            split_size=512,
+        ) as runner:
             monkeypatch.setattr(lr_mod, "reduce_attempt_work", interrupt)
             job = WordCountJob(JobConf(name="wc", num_reduces=2))
             with pytest.raises(KeyboardInterrupt):
@@ -299,15 +301,15 @@ def _pooled_shm_wordcounts(jobs, lines, start_tracker):
 
         from repro.hdfs.localfs import LinuxFileSystem
         from repro.jobs.wordcount import WordCountJob
+        from repro.mapreduce.backend import create_backend
         from repro.mapreduce.config import JobConf, MapReduceConfig
         from repro.mapreduce.local_runner import LocalJobRunner
 
         fs = LinuxFileSystem()
         fs.write_file("/data/c.txt", "a b c d e f g h\\n" * {lines})
-        mr = MapReduceConfig(execution_backend="pooled",
-                             backend_workers=2,
-                             shuffle_transport="shm")
+        mr = MapReduceConfig(shuffle_transport="shm")
         with LocalJobRunner(localfs=fs, mr_config=mr,
+                            backend=create_backend("pooled", 2),
                             split_size=64 * 1024) as runner:
             for n in range({jobs}):
                 job = WordCountJob(JobConf(name="wc", num_reduces=4))

@@ -15,8 +15,9 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.hdfs.config import HdfsConfig
 from repro.jobs.movie_genres import GenreStatsJob
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
-from repro.mapreduce.config import JobConf, MapReduceConfig
+from repro.mapreduce.config import JobConf
 from repro.mapreduce.types import IntWritable, Text, Writable
 
 BACKENDS = ("serial", "pooled-threads")
@@ -55,8 +56,8 @@ def make_cluster(backend: str) -> MapReduceCluster:
     return MapReduceCluster(
         num_workers=4,
         hdfs_config=HdfsConfig(block_size=2048, replication=2),
-        mr_config=MapReduceConfig(execution_backend=backend, backend_workers=2),
         seed=1,
+        backend=create_backend(backend, 2),
     )
 
 

@@ -77,6 +77,39 @@ class TestRepeatability:
         assert render_sarif(findings) == render_sarif(findings)
 
 
+class TestOneHomePerHelper:
+    def test_shared_closure_helpers_are_defined_once(self):
+        """What a closure binds, mutates and is called is decided in one
+        place; a second copy in a rule module is how the MRH302 ``with``
+        and MRE105 nested-``def`` bugs got in."""
+        import ast
+
+        shared = {
+            "MUTATOR_METHODS",
+            "dotted_name",
+            "root_name",
+            "binding_names",
+            "closure_locals",
+            "captured_mutations",
+            "walk_own_nodes",
+        }
+        homes: dict[str, list[str]] = {name: [] for name in shared}
+        for path in sorted((REPO_SRC / "repro" / "analysis").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [
+                        t.id for t in node.targets if isinstance(t, ast.Name)
+                    ]
+                else:
+                    continue
+                for name in names:
+                    if name.lstrip("_") in shared:
+                        homes[name.lstrip("_")].append(path.name)
+        assert all(len(where) == 1 for where in homes.values()), homes
+
+
 _IDENT = st.sampled_from(
     ["alpha", "beta", "gamma", "counts", "acc", "rng", "value", "key"]
 )

@@ -18,6 +18,7 @@ from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
 from repro.mapreduce.api import Job, Mapper, Reducer
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.counters import perf_stats
@@ -33,23 +34,24 @@ CORPUS = (
 
 
 def _mr_config(transport, backend="pooled"):
-    """``backend="serial"`` is the oracle; ``transport`` is moot there."""
-    return MapReduceConfig(
-        execution_backend=backend,
-        backend_workers=2,
-        shuffle_transport=transport,
-    )
+    """``(config, backend name)``; ``backend="serial"`` is the oracle and
+    ``transport`` is moot there."""
+    return MapReduceConfig(shuffle_transport=transport), backend
 
 
 def _local_fingerprint(
-    mr_config, job_cls=WordCountWithCombinerJob, corpus=CORPUS, unframed_maps=False
+    setup, job_cls=WordCountWithCombinerJob, corpus=CORPUS, unframed_maps=False
 ):
     """Everything a transport must not move, part-file bytes included."""
+    mr_config, backend = setup
     fs = LinuxFileSystem()
     fs.write_file("/data/corpus.txt", corpus)
     perf_stats().reset()
     with LocalJobRunner(
-        localfs=fs, mr_config=mr_config, split_size=8 * 1024
+        localfs=fs,
+        backend=create_backend(backend, 2),
+        mr_config=mr_config,
+        split_size=8 * 1024,
     ) as runner:
         job = job_cls(JobConf(name="wc", num_reduces=3))
         result = runner.run(job, "/data/corpus.txt", "/out")
@@ -65,8 +67,14 @@ def _local_fingerprint(
     )
 
 
-def _cluster_fingerprint(mr_config):
-    with MapReduceCluster(num_workers=4, seed=11, mr_config=mr_config) as mr:
+def _cluster_fingerprint(setup):
+    mr_config, backend = setup
+    with MapReduceCluster(
+        num_workers=4,
+        seed=11,
+        mr_config=mr_config,
+        backend=create_backend(backend, 2),
+    ) as mr:
         mr.client().put_text("/in/corpus.txt", CORPUS)
         job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=3))
         report = mr.run_job(job, "/in", "/out", require_success=True)

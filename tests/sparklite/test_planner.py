@@ -13,6 +13,8 @@ import warnings
 
 import pytest
 
+from repro.mapreduce.backend import create_backend
+from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import MapReduceConfig
 from repro.sparklite import SparkLiteContext
 
@@ -53,11 +55,20 @@ WORDS = (
 ).split()
 
 
-def make_compiled(**mr_kwargs):
+def make_compiled(backend=None, **mr_kwargs):
+    """A compiled context; on ``auto`` unless ``backend`` names one."""
     config = MapReduceConfig(**mr_kwargs) if mr_kwargs else None
-    return SparkLiteContext.on_mapreduce(
-        num_workers=4, seed=1, mr_config=config
+    if backend is None:
+        return SparkLiteContext.on_mapreduce(
+            num_workers=4, seed=1, mr_config=config
+        )
+    cluster = MapReduceCluster(
+        num_workers=4,
+        seed=1,
+        mr_config=config,
+        backend=create_backend(backend, 2),
     )
+    return SparkLiteContext.on_mapreduce(cluster=cluster)
 
 
 def both_backends(pipeline):
@@ -161,7 +172,7 @@ class TestDifferential:
 
 @pytest.mark.parametrize("backend", ["serial", "pooled", "auto"])
 def test_execution_backends_bit_identical(backend):
-    sc = make_compiled(execution_backend=backend)
+    sc = make_compiled(backend)
     result = (
         sc.parallelize(WORDS, 4).map(pair_one).reduce_by_key(add, 3).collect()
     )
@@ -177,9 +188,7 @@ def test_execution_backends_bit_identical(backend):
 
 @pytest.mark.parametrize("transport", ["framed", "shm"])
 def test_shuffle_transports_bit_identical(transport):
-    sc = make_compiled(
-        execution_backend="pooled", shuffle_transport=transport
-    )
+    sc = make_compiled("pooled", shuffle_transport=transport)
     result = (
         sc.parallelize(WORDS, 4).map(by_first_char).group_by_key(3).collect()
     )

@@ -99,8 +99,6 @@ class TestMapReduceConfig:
             "tasktracker_heartbeat",
             "tracker_miss_limit",
             "sort_buffer_bytes",
-            "execution_backend",
-            "backend_workers",
             "shuffle_transport",
             "shuffle_retry_jitter",
             "sanitize",
@@ -108,6 +106,15 @@ class TestMapReduceConfig:
             "user_quotas",
             "cost",
         }
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"execution_backend": "pooled"}, {"backend_workers": 2}]
+    )
+    def test_backend_is_not_a_config_field(self, kwargs):
+        """A cluster's backend is its ``backend=`` argument (or the CLI
+        default), never a config knob."""
+        with pytest.raises(TypeError):
+            MapReduceConfig(**kwargs)
 
 
 class TestCostModel:
