@@ -4,7 +4,7 @@ The correctness tooling the paper's teaching moments beg for (and PR 2
 proved the engine itself needs).  Two halves:
 
 - **Static** (:mod:`repro.analysis.linter`): dataflow-backed rules
-  (CFG + reaching definitions + interprocedural nondeterminism taint,
+  (CFG + worklist solver + interprocedural nondeterminism taint,
   :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` /
   :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.taint`) over
   student map/reduce code (``MRJ0xx``,

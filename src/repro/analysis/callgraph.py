@@ -384,6 +384,3 @@ class CallGraph:
 
     def callees_of(self, info: FunctionInfo) -> list[CallSite]:
         return [site for site in self.calls if site.caller is info]
-
-    def callers_of(self, info: FunctionInfo) -> list[CallSite]:
-        return [site for site in self.calls if site.callee is info]

@@ -5,7 +5,7 @@ mrlint 1.x walked raw ASTs, which made every rule *path-insensitive*:
 the hot path, and a sanitising ``sorted(...)`` could not "kill" the
 hash-order taint it provably removes.  This module builds a classic
 basic-block CFG per function so :mod:`repro.analysis.dataflow` can run
-worklist analyses (reaching definitions, taint propagation) over it.
+the worklist taint analysis over it.
 
 Design notes
 ============
@@ -161,7 +161,7 @@ class _Builder:
                 current.add_successor(self.loops[-1][0])
             return None
         # Plain statement (also covers nested FunctionDef/ClassDef —
-        # their bodies get their own CFGs via build_cfgs()).
+        # callers build a CFG per function body with build_cfg()).
         current.statements.append(stmt)
         self._edge_to_handlers(current)
         return current
@@ -248,7 +248,7 @@ class _Builder:
 class _HeaderMarker:
     """Compound-statement headers enter the CFG as the statement itself.
 
-    Analyses that only look at *expressions* (taint, reaching defs) need
+    Analyses that only look at *expressions* (taint) need
     the header's test/iter expressions in flow order but must not
     descend into the compound body twice.  We record the original node;
     :func:`header_expressions` yields just the header-owned parts.
@@ -295,25 +295,3 @@ def build_cfg(fn: ast.AST, name: str | None = None) -> CFG:
     _Builder(cfg).build(fn.body)
     return cfg
 
-
-def build_cfgs(tree: ast.Module) -> dict[str, CFG]:
-    """CFGs for every function in a module, keyed by qualified name.
-
-    Methods key as ``Class.method``; nested functions as
-    ``outer.<locals>.inner`` (matching ``__qualname__``).
-    """
-    out: dict[str, CFG] = {}
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = prefix + child.name
-                out[qualname] = build_cfg(child, qualname)
-                visit(child, qualname + ".<locals>.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return out

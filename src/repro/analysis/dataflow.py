@@ -1,26 +1,19 @@
 """Worklist dataflow over :mod:`repro.analysis.cfg` graphs.
 
-Two layers:
-
-- :func:`solve_forward` — the generic monotone-framework engine.  A
-  client supplies a transfer function over whole blocks and a join; the
-  solver iterates to fixpoint.  Block order and join inputs are always
-  visited in deterministic (index) order, so analysis results — and
-  therefore lint output — are byte-identical run to run, which the
-  property suite asserts under varying ``PYTHONHASHSEED``.
-- :class:`ReachingDefinitions` — the classic gen/kill instance: which
-  assignments of each name may reach each program point.  The taint
-  engine uses it to answer "was ``self.rng`` ever assigned an unseeded
-  RNG on a path reaching this call?" instead of PR 3's "does the text
-  mention random anywhere".
+:func:`solve_forward` is the generic monotone-framework engine.  A
+client supplies a transfer function over whole blocks and a join; the
+solver iterates to fixpoint.  Block order and join inputs are always
+visited in deterministic (index) order, so analysis results — and
+therefore lint output — are byte-identical run to run, which the
+property suite asserts under varying ``PYTHONHASHSEED``.  Its one
+client is the nondeterminism-taint pass in :mod:`repro.analysis.taint`.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Callable, TypeVar
 
-from repro.analysis.cfg import CFG, Block, header_expressions, is_header
+from repro.analysis.cfg import CFG, Block
 
 State = TypeVar("State")
 
@@ -69,151 +62,3 @@ def solve_forward(
         index: (ins.get(index, bottom), outs.get(index, bottom))
         for index in sorted(set(ins) | set(outs))
     }
-
-
-# --------------------------------------------------------------------------
-# reaching definitions
-
-
-def _assigned_names(stmt: ast.stmt) -> list[tuple[str, ast.AST]]:
-    """Names (re)bound by a statement, with the binding node."""
-    names: list[tuple[str, ast.AST]] = []
-
-    def targets_of(node: ast.AST) -> list[ast.expr]:
-        if isinstance(node, ast.Assign):
-            return list(node.targets)
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return [node.target] if node.target is not None else []
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            return [node.target]
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            return [
-                item.optional_vars
-                for item in node.items
-                if item.optional_vars is not None
-            ]
-        return []
-
-    def flatten(target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            names.append((target.id, target))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                flatten(elt)
-        elif isinstance(target, ast.Starred):
-            flatten(target.value)
-        elif isinstance(target, ast.Attribute):
-            # self.x = ... binds an attribute "name" of the receiver;
-            # modelled as the dotted string so taint can track it.
-            base = target.value
-            if isinstance(base, ast.Name):
-                names.append((f"{base.id}.{target.attr}", target))
-
-    for target in targets_of(stmt):
-        flatten(target)
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names.append((stmt.name, stmt))
-    # Walrus targets anywhere in the statement's expressions.
-    walk_roots: list[ast.AST]
-    if is_header(stmt):
-        walk_roots = list(header_expressions(stmt))
-    else:
-        walk_roots = [stmt]
-    for root in walk_roots:
-        if root is None:
-            continue
-        for node in ast.walk(root):
-            if isinstance(node, ast.NamedExpr) and isinstance(
-                node.target, ast.Name
-            ):
-                names.append((node.target.id, node.target))
-    return names
-
-
-class Definition:
-    """One binding site of one name."""
-
-    __slots__ = ("name", "node", "stmt")
-
-    def __init__(self, name: str, node: ast.AST, stmt: ast.stmt):
-        self.name = name
-        self.node = node
-        self.stmt = stmt
-
-    @property
-    def line(self) -> int:
-        return getattr(self.node, "lineno", 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Definition({self.name!r}@{self.line})"
-
-
-class ReachingDefinitions:
-    """Which definitions of each name may reach each block entry."""
-
-    def __init__(self, cfg: CFG):
-        self.cfg = cfg
-        #: Definitions by the statement that created them, in block order.
-        self.defs_by_stmt: dict[int, list[Definition]] = {}
-        all_defs: list[Definition] = []
-        for block in cfg.blocks:
-            for stmt in block.statements:
-                defs = [
-                    Definition(name, node, stmt)
-                    for name, node in _assigned_names(stmt)
-                ]
-                if defs:
-                    self.defs_by_stmt[id(stmt)] = defs
-                    all_defs.extend(defs)
-        self._all = all_defs
-        self._solution = solve_forward(
-            cfg,
-            transfer=self._transfer,
-            join=self._join,
-            initial={},
-            bottom={},
-            equal=self._states_equal,
-        )
-
-    # -- lattice: name -> tuple of Definitions (ordered, deduped) -------
-    @staticmethod
-    def _states_equal(a: dict, b: dict) -> bool:
-        if set(a) != set(b):
-            return False
-        return all(
-            {id(d) for d in a[k]} == {id(d) for d in b[k]} for k in a
-        )
-
-    @staticmethod
-    def _join(states: list[dict]) -> dict:
-        merged: dict[str, list[Definition]] = {}
-        for state in states:
-            for name, defs in state.items():
-                bucket = merged.setdefault(name, [])
-                known = {id(d) for d in bucket}
-                for definition in defs:
-                    if id(definition) not in known:
-                        bucket.append(definition)
-                        known.add(id(definition))
-        return merged
-
-    def _transfer(self, block, state: dict) -> dict:
-        state = {name: list(defs) for name, defs in state.items()}
-        for stmt in block.statements:
-            for definition in self.defs_by_stmt.get(id(stmt), []):
-                if isinstance(definition.stmt, ast.AugAssign):
-                    # x += 1 reads the old definition too: accumulate.
-                    state.setdefault(definition.name, []).append(definition)
-                else:
-                    state[definition.name] = [definition]
-        return state
-
-    # ------------------------------------------------------------------
-    def reaching_in(self, block_index: int) -> dict[str, list[Definition]]:
-        return self._solution.get(block_index, ({}, {}))[0]
-
-    def reaching_out(self, block_index: int) -> dict[str, list[Definition]]:
-        return self._solution.get(block_index, ({}, {}))[1]
-
-    def definitions_of(self, name: str) -> list[Definition]:
-        return [d for d in self._all if d.name == name]

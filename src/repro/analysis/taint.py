@@ -363,19 +363,6 @@ class ModuleTaint:
             out.append(effect)
         return out
 
-    def value_taint(
-        self, expr: ast.expr, info: FunctionInfo | None
-    ) -> frozenset:
-        """Taint of one expression evaluated in ``info``'s environment.
-
-        Convenience for rules that inspect a single expression (e.g. a
-        value interpolated into SQL): parameters are treated as clean,
-        ``self.<attr>`` resolves through the class attribute map.
-        """
-        analysis = _FunctionAnalysis(self, info)
-        env = analysis.env_at_end() if info is not None else {}
-        return analysis.eval_taint(expr, env, record=False)
-
     def analysis_for(self, info: FunctionInfo) -> "_FunctionAnalysis":
         """A fresh intraprocedural pass over ``info`` for rules needing
         per-statement environments (:meth:`_FunctionAnalysis.statement_envs`)."""
@@ -443,13 +430,6 @@ class _FunctionAnalysis:
             returns=frozenset(self.returns),
             seeds_module_rng=self.seeds_module_rng,
         )
-
-    def env_at_end(self) -> dict[str, frozenset]:
-        if self.cfg is None:
-            return {}
-        solution = self._solve_cfg()
-        _in, out = solution.get(self.cfg.exit.index, ({}, {}))
-        return out
 
     def statement_envs(self) -> dict[int, dict[str, frozenset]]:
         """``id(stmt) -> env before the statement`` for every statement."""

@@ -6,12 +6,15 @@ guide: make it work and make it measurable before making it clever):
 - node-local "transfers" are free and never touch the network;
 - rack-local transfers run at the NIC rate;
 - off-rack transfers run at the NIC rate divided by the rack uplink
-  oversubscription factor.
+  oversubscription factor — and a party outside the topology (the
+  login node, a laptop) is off-rack from every node, a rule that lives
+  here (:meth:`NetworkModel.distance`) and nowhere else.
 
-Every transfer is tallied by locality class, which is exactly the
-observable the course asks students to reason about ("observe how data
-distribution/layout can affect an algorithm's communication costs",
-Table V).
+Every transfer is tallied by locality class — pipeline hops, shuffle
+fetches and every HDFS read, a map task's node-local block read
+included — which is exactly the observable the course asks students to
+reason about ("observe how data distribution/layout can affect an
+algorithm's communication costs", Table V).
 """
 
 from __future__ import annotations
@@ -70,23 +73,38 @@ class NetworkModel:
         if self.rack_oversubscription < 1:
             raise ValueError("rack_oversubscription must be >= 1")
 
-    def bandwidth_between(self, src: str, dst: str) -> float:
-        """Effective streaming bandwidth between two nodes."""
-        distance = self.topology.distance(src, dst)
+    def distance(self, src: str | None, dst: str | None) -> int:
+        """Hadoop network distance between two parties.  One outside
+        the topology (``None`` or an unknown name: the login node, a
+        laptop) is off-rack from everything."""
+        topology = self.topology
+        if src not in topology or dst not in topology:
+            return 4
+        return topology.distance(src, dst)
+
+    def _bandwidth(self, distance: int) -> float:
         if distance == 0:
             return float("inf")
         if distance == 2:
             return self.nic_bw
         return self.nic_bw / self.rack_oversubscription
 
-    def transfer_time(self, src: str, dst: str, nbytes: int) -> float:
+    def bandwidth_between(self, src: str | None, dst: str | None) -> float:
+        """Effective streaming bandwidth between two parties."""
+        return self._bandwidth(self.distance(src, dst))
+
+    def transfer_time(self, src: str | None, dst: str | None, nbytes: int) -> float:
         """Seconds to move ``nbytes`` from ``src`` to ``dst``.
 
         Also records the traffic in :attr:`counters`.
         """
+        return self.hop_time(self.distance(src, dst), nbytes)
+
+    def hop_time(self, distance: int, nbytes: int) -> float:
+        """:meth:`transfer_time` for a caller that already holds the
+        :meth:`distance` (a reader classifies its locality from it too)."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        distance = self.topology.distance(src, dst)
         if distance == 0:
             self.counters.node_local += nbytes
             return 0.0
@@ -94,7 +112,7 @@ class NetworkModel:
             self.counters.rack_local += nbytes
         else:
             self.counters.off_rack += nbytes
-        return self.latency + nbytes / self.bandwidth_between(src, dst)
+        return self.latency + nbytes / self._bandwidth(distance)
 
     def reset_counters(self) -> None:
         self.counters = TrafficCounters()

@@ -20,6 +20,12 @@ from repro.cluster.hardware import Node, NodeSpec, CLEMSON_NODE_SPEC
 from repro.util.errors import ConfigError
 
 
+#: Network distance -> locality class: the one table behind the
+#: scheduler's DATA_LOCAL/RACK_LOCAL counters and the locality every
+#: HDFS read reports.
+LOCALITY_OF_DISTANCE = {0: "node_local", 2: "rack_local", 4: "off_rack"}
+
+
 @dataclass
 class Rack:
     """A rack: a named group of nodes behind one top-of-rack switch."""
@@ -120,9 +126,6 @@ class ClusterTopology:
         ``task_node`` reading data replicated on ``data_nodes``."""
         if not data_nodes:
             return "off_rack"
-        best = min(self.distance(task_node, d) for d in data_nodes)
-        if best == 0:
-            return "node_local"
-        if best == 2:
-            return "rack_local"
-        return "off_rack"
+        return LOCALITY_OF_DISTANCE[
+            min(self.distance(task_node, d) for d in data_nodes)
+        ]

@@ -1,9 +1,14 @@
-"""DFSClient: the file-level read/write path.
+"""DFSClient: the file-level read/write path, and the one replica reader.
 
 Writes split data into blocks, ask the NameNode for targets, and push
-each block through the replica pipeline; reads fetch each block from the
-nearest live, non-corrupt replica, reporting bad checksums back to the
-NameNode exactly as Hadoop clients do.
+each block through the replica pipeline.  Reads all go through
+:func:`read_replica` — ``hadoop fs -cat`` (:meth:`DFSClient.read_bytes`),
+positional reads (:meth:`DFSInputStream.pread`) and a map task's block
+read (``repro.mapreduce.blockio.BlockFetcher``) alike — so "nearest
+live replica, fail over past a dead or corrupt one, report the bad
+checksum to the NameNode, pay for the disk and the hop" is decided
+once, and a slow disk or a corrupt replica means the same thing to
+every reader.
 
 Every operation returns an ``elapsed`` simulated duration computed from
 the disk and network cost models; by default the client also advances
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.network import NetworkModel
+from repro.cluster.topology import LOCALITY_OF_DISTANCE
 from repro.hdfs.config import HdfsConfig
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.localfs import LinuxFileSystem
@@ -63,6 +69,64 @@ class ReadResult:
         return self.data.decode("utf-8")
 
 
+def read_replica(
+    located_block,
+    reader_node: str | None,
+    namenode: NameNode,
+    dn_lookup: Callable[[str], DataNode],
+    network: NetworkModel,
+    offset: int = 0,
+    length: int | None = None,
+):
+    """Read one located block — or its range ``[offset, offset+length)``
+    — for ``reader_node``, from the nearest replica that can serve it.
+
+    ``located_block.locations`` is already nearest-first.  A corrupt
+    replica is reported to the NameNode and skipped; a dead DataNode or
+    a replica that has gone missing is skipped.  A whole block
+    (``offset == 0 and length is None``) goes through
+    ``DataNode.read_block`` and so the verified-block cache; a range
+    verifies and moves only the checksum chunks it touches.  The read
+    costs the serving disk (times its ``disk_slow_factor``) plus the
+    network hop, both for the bytes actually moved.
+
+    Returns ``(data, elapsed, source, locality, corrupt_replicas_hit)``
+    or raises :class:`HdfsError` when no replica could be read.
+    """
+    block_id = located_block.block.block_id
+    whole_block = offset == 0 and length is None
+    corrupt = 0
+    errors = ""
+    for source in located_block.locations:
+        try:
+            datanode = dn_lookup(source)
+        except KeyError:
+            continue
+        try:
+            if whole_block:
+                data = datanode.read_block(block_id)
+            else:
+                data = datanode.read_block_range(block_id, offset, length)
+        except CorruptBlockError:
+            corrupt += 1
+            namenode.report_bad_block(block_id, source)
+            errors += f" {source}: corrupt;"
+            continue
+        except (DataNodeDownError, BlockNotFoundError) as exc:
+            errors += f" {source}: {exc};"
+            continue
+        nbytes = len(data)
+        disk_time = datanode.node.disk.read_time(nbytes) * datanode.disk_slow_factor
+        distance = network.distance(source, reader_node)
+        elapsed = disk_time + network.hop_time(distance, nbytes)
+        return data, elapsed, source, LOCALITY_OF_DISTANCE[distance], corrupt
+    span = "" if whole_block else f"[{offset}:+{length}]"
+    raise HdfsError(
+        f"could not read blk_{block_id}{span}: tried "
+        f"{located_block.locations or 'no replicas'} ({errors.strip()})"
+    )
+
+
 class DFSClient:
     """A client handle, optionally pinned to a cluster node."""
 
@@ -90,15 +154,6 @@ class DFSClient:
     def _charge(self, elapsed: float) -> None:
         if self.charge_time and elapsed > 0:
             self.sim.run_for(elapsed)
-
-    def _transfer_in(self, source_dn: str, nbytes: int) -> float:
-        """Network time to pull bytes from a DataNode to this client."""
-        if self.node is not None and self.node in self.network.topology:
-            return self.network.transfer_time(source_dn, self.node, nbytes)
-        # Client outside the cluster (login node / laptop): off-rack rate.
-        self.network.counters.off_rack += nbytes
-        slowest = self.network.nic_bw / self.network.rack_oversubscription
-        return self.network.latency + nbytes / slowest
 
     # ------------------------------------------------------------------
     # write path
@@ -171,58 +226,29 @@ class DFSClient:
     # read path
     def read_bytes(self, path: str) -> ReadResult:
         located = self.namenode.get_block_locations(path, client_node=self.node)
-        pieces: list[bytes] = []
-        elapsed = 0.0
         result = ReadResult(
             path=path, data=b"", elapsed=0.0, blocks=len(located)
         )
-        for lb in located:
-            data, block_elapsed = self._read_one_block(lb, result)
-            pieces.append(data)
-            elapsed += block_elapsed
-        result.data = b"".join(pieces)
-        result.elapsed = elapsed
-        self._charge(elapsed)
+        result.data = b"".join([self._read(lb, result) for lb in located])
+        self._charge(result.elapsed)
         return result
 
-    def _read_one_block(self, located_block, result: ReadResult) -> tuple[bytes, float]:
-        block = located_block.block
-        errors: list[str] = []
-        for dn_name in located_block.locations:
-            try:
-                datanode = self.dn_lookup(dn_name)
-            except KeyError:
-                continue
-            try:
-                data = datanode.read_block(block.block_id)
-            except CorruptBlockError:
-                result.corrupt_replicas_hit += 1
-                self.namenode.report_bad_block(block.block_id, dn_name)
-                errors.append(f"{dn_name}: corrupt")
-                continue
-            except (DataNodeDownError, BlockNotFoundError) as exc:
-                errors.append(f"{dn_name}: {exc}")
-                continue
-            elapsed = datanode.node.disk.read_time(block.length)
-            elapsed += self._transfer_in(dn_name, block.length)
-            self._tally_locality(dn_name, result)
-            return data, elapsed
-        raise HdfsError(
-            f"could not read blk_{block.block_id} of {result.path}: "
-            f"tried {located_block.locations or 'no replicas'} ({errors})"
+    def _read(self, located_block, result: ReadResult, offset=0, length=None):
+        """One block (or range) through :func:`read_replica`, its time,
+        locality and corrupt replicas tallied into ``result``."""
+        data, elapsed, _source, locality, corrupt = read_replica(
+            located_block, self.node, self.namenode, self.dn_lookup, self.network,
+            offset, length,
         )
-
-    def _tally_locality(self, dn_name: str, result: ReadResult) -> None:
-        if self.node is None or self.node not in self.network.topology:
-            result.off_rack_blocks += 1
-            return
-        distance = self.network.topology.distance(self.node, dn_name)
-        if distance == 0:
+        result.elapsed += elapsed
+        result.corrupt_replicas_hit += corrupt
+        if locality == "node_local":
             result.node_local_blocks += 1
-        elif distance == 2:
+        elif locality == "rack_local":
             result.rack_local_blocks += 1
         else:
             result.off_rack_blocks += 1
+        return data
 
     def read_text(self, path: str) -> str:
         return self.read_bytes(path).text()
@@ -284,10 +310,10 @@ class DFSInputStream:
     ``pread(offset, length)`` touches only the blocks the range
     overlaps, and each DataNode verifies only the checksum chunks the
     range covers (``read_block_range``) — a continuation probe over the
-    first kilobyte of a 64 MB block no longer CRCs 64 MB.  Failover,
-    corrupt-replica reporting, locality tallies, and simulated time all
-    behave exactly like whole-block reads, charged for the bytes
-    actually moved.
+    first kilobyte of a 64 MB block no longer CRCs 64 MB.  Each piece
+    is one :func:`read_replica` call, so failover, corrupt-replica
+    reporting, locality and simulated time are the whole-block read's,
+    charged for the bytes actually moved.
     """
 
     def __init__(self, client: DFSClient, path: str, located):
@@ -320,7 +346,6 @@ class DFSInputStream:
         length = min(length, self.length - offset)
         result = ReadResult(path=self.path, data=b"", elapsed=0.0, blocks=0)
         pieces: list = []
-        elapsed = 0.0
         index = bisect.bisect_right(self._starts, offset) - 1 if self._starts else 0
         remaining = length
         while remaining > 0 and index < len(self.located):
@@ -328,44 +353,11 @@ class DFSInputStream:
             block_offset = offset - self._starts[index]
             take = min(remaining, lb.block.length - block_offset)
             if take > 0:
-                view, block_elapsed = self._read_range(lb, block_offset, take, result)
-                pieces.append(view)
-                elapsed += block_elapsed
+                pieces.append(self.client._read(lb, result, block_offset, take))
                 result.blocks += 1
                 offset += take
                 remaining -= take
             index += 1
         result.data = b"".join(pieces)
-        result.elapsed = elapsed
-        self.client._charge(elapsed)
+        self.client._charge(result.elapsed)
         return result
-
-    def _read_range(
-        self, located_block, offset: int, length: int, result: ReadResult
-    ) -> tuple[memoryview, float]:
-        block = located_block.block
-        errors: list[str] = []
-        for dn_name in located_block.locations:
-            try:
-                datanode = self.client.dn_lookup(dn_name)
-            except KeyError:
-                continue
-            try:
-                view = datanode.read_block_range(block.block_id, offset, length)
-            except CorruptBlockError:
-                result.corrupt_replicas_hit += 1
-                self.client.namenode.report_bad_block(block.block_id, dn_name)
-                errors.append(f"{dn_name}: corrupt")
-                continue
-            except (DataNodeDownError, BlockNotFoundError) as exc:
-                errors.append(f"{dn_name}: {exc}")
-                continue
-            elapsed = datanode.node.disk.read_time(length)
-            elapsed += self.client._transfer_in(dn_name, length)
-            self.client._tally_locality(dn_name, result)
-            return view, elapsed
-        raise HdfsError(
-            f"could not read blk_{block.block_id}[{offset}:{offset + length}] "
-            f"of {self.path}: tried {located_block.locations or 'no replicas'} "
-            f"({errors})"
-        )

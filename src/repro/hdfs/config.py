@@ -8,6 +8,12 @@ from repro.util.errors import ConfigError
 from repro.util.units import MB, parse_size
 
 
+#: Heartbeats a NameNode may miss before declaring a DataNode dead.
+#: Hadoop 1.x waits 10 minutes; 10 intervals keeps simulations brisk
+#: while preserving the mechanism.
+HEARTBEAT_MISS_LIMIT = 10
+
+
 @dataclass
 class HdfsConfig:
     """Tunable HDFS parameters.
@@ -24,31 +30,12 @@ class HdfsConfig:
     replication: int = 3
     #: dfs.heartbeat.interval, seconds.
     heartbeat_interval: float = 3.0
-    #: Heartbeats a NameNode may miss before declaring a DataNode dead.
-    #: Hadoop 1.x waits 10 minutes; we default to 10 intervals to keep
-    #: simulations brisk while preserving the mechanism.
-    heartbeat_miss_limit: int = 10
-    #: dfs.safemode.threshold.pct — fraction of blocks that must be
-    #: reported before the NameNode leaves safe mode.
-    safemode_threshold: float = 0.999
-    #: Extra seconds the NameNode lingers in safe mode after the
-    #: threshold is met (dfs.safemode.extension).
-    safemode_extension: float = 5.0
     #: Seconds between replication-monitor sweeps.
     replication_check_interval: float = 3.0
     #: DataNode startup integrity scan rate, bytes/second.  Scanning a
     #: near-full 850 GB HDD at ~1 GB/s of combined seek+verify work gives
     #: the paper's "at least fifteen minutes" restart.
     startup_scan_bw: float = 1024 * MB
-    #: Maximum number of blocks a replication sweep re-replicates.
-    max_replication_streams: int = 2
-    #: Minimum replicas that must land for a pipeline write to succeed.
-    min_replicas: int = 1
-    #: Bytes of NameNode heap consumed per block record (block metadata
-    #: lives in memory — Figure 2's caption).  ~150 bytes in Hadoop lore.
-    namenode_bytes_per_block: int = 150
-    #: Permitted percentage of disk used before a DataNode refuses writes.
-    datanode_full_fraction: float = 0.95
     #: io.bytes.per.checksum — bytes covered by one CRC32 entry.  Hadoop
     #: ships 512; we default to 64 KB so production-scale 64 MB blocks
     #: keep their CRC arrays small, and shrink it alongside ``block_size``
@@ -80,16 +67,8 @@ class HdfsConfig:
             raise ConfigError("block_size must be positive")
         if self.replication < 1:
             raise ConfigError("replication must be >= 1")
-        if not (0.0 < self.safemode_threshold <= 1.0):
-            raise ConfigError("safemode_threshold must be in (0, 1]")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be positive")
-        if self.heartbeat_miss_limit < 1:
-            raise ConfigError("heartbeat_miss_limit must be >= 1")
-        if self.min_replicas < 1:
-            raise ConfigError("min_replicas must be >= 1")
-        if not (0.0 < self.datanode_full_fraction <= 1.0):
-            raise ConfigError("datanode_full_fraction must be in (0, 1]")
         self.checksum_chunk_size = parse_size(self.checksum_chunk_size)
         if self.checksum_chunk_size <= 0:
             raise ConfigError("checksum_chunk_size must be positive")
@@ -104,7 +83,7 @@ class HdfsConfig:
     @property
     def dead_node_timeout(self) -> float:
         """Seconds of heartbeat silence before a node is declared dead."""
-        return self.heartbeat_interval * self.heartbeat_miss_limit
+        return self.heartbeat_interval * HEARTBEAT_MISS_LIMIT
 
     def for_teaching(self, block_size: int | str = 64 * 1024) -> "HdfsConfig":
         """A copy with a classroom-scale block size (default 64 KB).

@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hdfs.namenode import NameNode
 
 
+#: Fraction of the disk that may be used before a DataNode refuses writes.
+DATANODE_FULL_FRACTION = 0.95
+
+
 class DataNodeState(enum.Enum):
     STOPPED = "stopped"
     STARTING = "starting"  # running the startup integrity scan
@@ -104,7 +108,7 @@ class DataNode:
     def has_space_for(self, nbytes: int) -> bool:
         # The whole disk counts, not just HDFS blocks: scratch data and
         # other tenants share the same spindle.
-        limit = self.node.spec.disk_bytes * self.config.datanode_full_fraction
+        limit = self.node.spec.disk_bytes * DATANODE_FULL_FRACTION
         return self.node.disk.used + nbytes <= limit
 
     # -- lifecycle -------------------------------------------------------

@@ -48,6 +48,16 @@ from repro.util.errors import (
 from repro.util.rng import RngStream
 
 
+#: Blocks one replication sweep may schedule for re-replication.
+MAX_REPLICATION_STREAMS = 2
+#: Replicas that must land for a block write to succeed, and that a
+#: block needs to count as reported in safe mode.
+MIN_REPLICAS = 1
+#: NameNode heap consumed per block record (block metadata lives in
+#: memory — Figure 2's caption).  ~150 bytes in Hadoop lore.
+BYTES_PER_BLOCK = 150
+
+
 @dataclass
 class BlockMeta:
     """NameNode-side record for one block.  It names no file: reports
@@ -57,7 +67,7 @@ class BlockMeta:
     expected_replication: int
     locations: set[str] = field(default_factory=set)
     corrupt_on: set[str] = field(default_factory=set)
-    #: Cached "counts toward safemode" bit (>= min_replicas live
+    #: Cached "counts toward safemode" bit (>= MIN_REPLICAS live
     #: replicas); maintained by NameNode._refresh_safe so safemode
     #: updates are O(1) instead of an O(#blocks) rescan per event.
     safe: bool = False
@@ -193,7 +203,7 @@ class NameNode:
             return
         streams = 0
         for block_id in sorted(self.under_replicated):
-            if streams >= self.config.max_replication_streams:
+            if streams >= MAX_REPLICATION_STREAMS:
                 break
             meta = self.block_map.get(block_id)
             if meta is None:
@@ -415,7 +425,7 @@ class NameNode:
         targets = self.placement.choose_targets(
             inode.replication, candidates, writer=writer, exclude=exclude
         )
-        if len(targets) < self.config.min_replicas:
+        if len(targets) < MIN_REPLICAS:
             raise ReplicationError(
                 f"could only place {len(targets)} of {inode.replication} "
                 f"replicas for a new block of {path} "
@@ -460,7 +470,7 @@ class NameNode:
         inode = self.namespace.get_file(path)
         for block in inode.blocks:
             meta = self.block_map[block.block_id]
-            if meta.live_replicas < self.config.min_replicas:
+            if meta.live_replicas < MIN_REPLICAS:
                 raise ReplicationError(
                     f"block blk_{block.block_id} of {path} has only "
                     f"{meta.live_replicas} replicas at completion"
@@ -479,13 +489,23 @@ class NameNode:
         )
 
     def get_block_locations(
-        self, path: str, client_node: str | None = None
+        self,
+        path: str,
+        client_node: str | None = None,
+        block_index: int | None = None,
     ) -> list[LocatedBlock]:
-        """Blocks of a file with live replica locations, nearest-first."""
+        """Blocks of a file with live replica locations, nearest-first.
+
+        ``block_index`` locates just that block (``[]`` past the end) —
+        Hadoop's ``getBlockLocations(src, offset, length)`` in block
+        units, so a task reading one block does not pay for all of them.
+        """
         self._check_down("locate blocks")
-        inode = self.namespace.get_file(path)
+        blocks = self.namespace.get_file(path).blocks
+        if block_index is not None:
+            blocks = blocks[block_index : block_index + 1]
         located = []
-        for block in inode.blocks:
+        for block in blocks:
             meta = self.block_map[block.block_id]
             live = [
                 d
@@ -684,10 +704,7 @@ class NameNode:
     def _refresh_safe(self, meta: BlockMeta) -> None:
         """Recompute the block's safemode bit — O(replication), and the
         only place ``_safe_blocks`` moves."""
-        safe = (
-            sum(1 for d in meta.locations if self._is_live(d))
-            >= self.config.min_replicas
-        )
+        safe = sum(1 for d in meta.locations if self._is_live(d)) >= MIN_REPLICAS
         if safe and not meta.safe:
             meta.safe = True
             self._safe_blocks += 1
@@ -818,10 +835,7 @@ class NameNode:
         #: amortized, never O(#datanodes).
         self._liveness_heap: list[tuple[float, str]] = []
         self._liveness_scheduled: set[str] = set()
-        self.safemode = SafeMode(
-            threshold=self.config.safemode_threshold,
-            extension=self.config.safemode_extension,
-        )
+        self.safemode = SafeMode()
 
     def crash(self) -> None:
         """Kill the NameNode process.  Every in-memory structure — the
@@ -900,7 +914,7 @@ class NameNode:
     def heap_used_bytes(self) -> int:
         """Estimated NameNode heap held by block metadata (Figure 2:
         'Block metadata lives in memory')."""
-        return len(self.block_map) * self.config.namenode_bytes_per_block
+        return len(self.block_map) * BYTES_PER_BLOCK
 
     def capacity_report(self) -> dict[str, int]:
         # Audited for the per-heartbeat O(#blocks) pattern fixed in

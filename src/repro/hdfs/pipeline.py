@@ -77,14 +77,9 @@ def pipeline_write(
             continue
         upstream = datanode.blocks[block.block_id]
 
-        # Network hop from the previous pipeline stage.
-        if prev is not None and prev in network.topology:
-            hop_times.append(network.transfer_time(prev, target_name, block.length))
-        else:
-            # Client outside the cluster: charge an off-rack-rate ingest hop.
-            network.counters.off_rack += block.length
-            slowest = network.nic_bw / network.rack_oversubscription
-            hop_times.append(network.latency + block.length / slowest)
+        # Network hop from the previous pipeline stage (a client outside
+        # the cluster is priced off-rack by the network model).
+        hop_times.append(network.transfer_time(prev, target_name, block.length))
         # Disk write at this stage (overlapped with forwarding).
         hop_times.append(datanode.node.disk.write_time(block.length))
 

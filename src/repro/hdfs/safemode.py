@@ -17,7 +17,11 @@ from repro.util.errors import SafeModeException
 class SafeMode:
     """Tracks block-report progress and the manual override."""
 
-    def __init__(self, threshold: float, extension: float):
+    def __init__(self, threshold: float = 0.999, extension: float = 5.0):
+        """``threshold`` is dfs.safemode.threshold.pct, the fraction of
+        blocks that must be reported before safe mode can end;
+        ``extension`` (dfs.safemode.extension) the seconds the NameNode
+        lingers after it is met."""
         self.threshold = threshold
         self.extension = extension
         self.active = True

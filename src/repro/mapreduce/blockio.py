@@ -1,10 +1,12 @@
 """Task-side HDFS block I/O with locality accounting.
 
 Map tasks do not read whole files; they read *their block*, ideally from
-the local disk.  The :class:`BlockFetcher` implements that path: nearest
-live replica, checksum verification, corrupt-replica failover and
-reporting, and per-read locality classification — the numbers behind the
-DATA_LOCAL/RACK_LOCAL/OFF_RACK map counters in the job report.
+the local disk.  :class:`BlockFetcher` is the task's handle on that: it
+asks the NameNode to locate the one block and reads it through
+:func:`repro.hdfs.client.read_replica` — the same failover, checksum
+reporting and pricing every HDFS reader gets — keeping only the
+per-read locality class behind the DATA_LOCAL/RACK_LOCAL/OFF_RACK map
+counters in the job report.
 """
 
 from __future__ import annotations
@@ -14,14 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.network import NetworkModel
+from repro.hdfs.client import read_replica
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.util.errors import (
-    BlockNotFoundError,
-    CorruptBlockError,
-    DataNodeDownError,
-    HdfsError,
-)
 
 
 class MappedFile:
@@ -116,51 +113,20 @@ class BlockFetcher:
         ``max_bytes is None``) keep the DataNode's verified-block cache
         in play.
         """
-        located = self.namenode.get_block_locations(path, client_node=node)
-        if block_index >= len(located):
-            raise IndexError(
-                f"{path} has {len(located)} blocks, asked for {block_index}"
-            )
-        lb = located[block_index]
-        whole_block = offset == 0 and max_bytes is None
-        errors: list[str] = []
-        for dn_name in lb.locations:
-            try:
-                datanode = self.dn_lookup(dn_name)
-                if whole_block:
-                    data = datanode.read_block(lb.block.block_id)
-                else:
-                    data = bytes(
-                        datanode.read_block_range(lb.block.block_id, offset, max_bytes)
-                    )
-            except CorruptBlockError:
-                self.namenode.report_bad_block(lb.block.block_id, dn_name)
-                errors.append(f"{dn_name}: corrupt")
-                continue
-            except (DataNodeDownError, BlockNotFoundError, KeyError) as exc:
-                errors.append(f"{dn_name}: {exc}")
-                continue
-            elapsed = datanode.node.disk.read_time(len(data)) * datanode.disk_slow_factor
-            locality = self._classify(node, dn_name)
-            if locality != "node_local":
-                if node is not None and node in self.network.topology:
-                    elapsed += self.network.transfer_time(dn_name, node, len(data))
-                else:
-                    self.network.counters.off_rack += len(data)
-                    slowest = self.network.nic_bw / self.network.rack_oversubscription
-                    elapsed += self.network.latency + len(data) / slowest
-            return BlockRead(
-                data=data, elapsed=elapsed, locality=locality, source=dn_name
-            )
-        raise HdfsError(
-            f"no readable replica for block {block_index} of {path}: {errors}"
+        located = self.namenode.get_block_locations(
+            path, client_node=node, block_index=block_index
         )
-
-    def _classify(self, node: str | None, source: str) -> str:
-        if node is None or node not in self.network.topology:
-            return "off_rack"
-        distance = self.network.topology.distance(node, source)
-        return {0: "node_local", 2: "rack_local"}.get(distance, "off_rack")
+        if not located:
+            raise IndexError(f"{path} has no block {block_index}")
+        data, elapsed, source, locality, _corrupt = read_replica(
+            located[0], node, self.namenode, self.dn_lookup, self.network,
+            offset, max_bytes,
+        )
+        # A ranged read hands back a view into the replica; bytes() of a
+        # whole block's bytes is the same object, not a copy.
+        return BlockRead(
+            data=bytes(data), elapsed=elapsed, locality=locality, source=source
+        )
 
     # ------------------------------------------------------------------
     def make_fetch(self, node: str | None):
@@ -172,14 +138,3 @@ class BlockFetcher:
             return read.data, read.elapsed
 
         return fetch
-
-    def read_whole_file(self, path: str, node: str | None) -> tuple[str, float]:
-        """Side-file read: stream every block to the task's node."""
-        located = self.namenode.get_block_locations(path, client_node=node)
-        pieces: list[bytes] = []
-        elapsed = 0.0
-        for index in range(len(located)):
-            read = self.read_block(path, index, node)
-            pieces.append(read.data)
-            elapsed += read.elapsed
-        return b"".join(pieces).decode("utf-8"), elapsed

@@ -45,6 +45,10 @@ class CostModel:
         return records * math.log2(records) * self.sort_per_record
 
 
+#: Heartbeats missed before the JobTracker declares a tracker lost.
+TRACKER_MISS_LIMIT = 10
+
+
 @dataclass
 class MapReduceConfig:
     """Framework-level settings shared by all jobs on a cluster."""
@@ -52,8 +56,6 @@ class MapReduceConfig:
     map_slots_per_tracker: int = 2
     reduce_slots_per_tracker: int = 2
     tasktracker_heartbeat: float = 3.0
-    #: Heartbeats missed before the JobTracker declares a tracker lost.
-    tracker_miss_limit: int = 10
     #: io.sort.mb — map output buffer before spilling to local disk.
     #: The spill is simulated: each overflow re-counts the map output in
     #: ``Spilled Records`` and charges one more pass at disk bandwidth.
@@ -110,7 +112,7 @@ class MapReduceConfig:
 
     @property
     def tracker_timeout(self) -> float:
-        return self.tasktracker_heartbeat * self.tracker_miss_limit
+        return self.tasktracker_heartbeat * TRACKER_MISS_LIMIT
 
 
 @dataclass

@@ -470,10 +470,11 @@ class TaskTracker:
         The cost model's per-byte streaming charge represents the open/
         deserialize overhead students pay per redundant read.
         """
-        text, io_elapsed = self.fetcher.read_whole_file(path, self.name)
+        read = self.output_client_factory(self.name).read_bytes(path)
+        text = read.text()
         cost = self.mr_config.cost
         elapsed = (
-            io_elapsed
+            read.elapsed
             + cost.side_open_overhead
             + len(text) * cost.side_read_per_byte
         )

@@ -10,8 +10,7 @@ import ast
 import textwrap
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import build_cfg, build_cfgs
-from repro.analysis.dataflow import ReachingDefinitions
+from repro.analysis.cfg import build_cfg
 from repro.analysis.taint import KIND_RANDOM, KIND_TIME, ModuleTaint
 
 
@@ -69,48 +68,6 @@ class TestCfg:
     def test_module_level_build(self):
         tree = ast.parse("y = (lambda v: v + 1)(2)\nprint(y)")
         assert build_cfg(tree, "<module>").statements_in_flow_order()
-
-    def test_build_cfgs_keys_by_qualname(self):
-        tree = ast.parse(
-            "def outer():\n"
-            "    def inner():\n"
-            "        return 1\n"
-            "    return inner\n"
-            "class C:\n"
-            "    def m(self):\n"
-            "        return 2\n"
-        )
-        cfgs = build_cfgs(tree)
-        assert "outer" in cfgs
-        assert "outer.<locals>.inner" in cfgs
-        assert "C.m" in cfgs
-
-
-class TestReachingDefinitions:
-    def test_branch_join_sees_both_defs(self):
-        cfg = fn_cfg("if x:\n    a = 1\nelse:\n    a = 2\nreturn a")
-        rd = ReachingDefinitions(cfg)
-        assert len(rd.definitions_of("a")) == 2
-        exit_in = rd.reaching_in(cfg.exit.index)
-        assert {d.line for d in exit_in.get("a", [])} == {3, 5}
-
-    def test_rebind_kills_previous(self):
-        cfg = fn_cfg("a = 1\na = 2\nreturn a")
-        rd = ReachingDefinitions(cfg)
-        exit_in = rd.reaching_in(cfg.exit.index)
-        assert [d.line for d in exit_in["a"]] == [3]
-
-    def test_augassign_accumulates(self):
-        cfg = fn_cfg("a = 1\na += 2\nreturn a")
-        rd = ReachingDefinitions(cfg)
-        exit_in = rd.reaching_in(cfg.exit.index)
-        assert len(exit_in["a"]) == 2
-
-    def test_self_attribute_definitions_are_tracked(self):
-        src = "def f(self):\n    self.rng = 1\n    return self.rng"
-        cfg = build_cfg(ast.parse(src).body[0], "f")
-        rd = ReachingDefinitions(cfg)
-        assert rd.definitions_of("self.rng")
 
 
 def graph_of(src: str) -> CallGraph:

@@ -1,5 +1,7 @@
 """FaultInjector: hook wiring, name-keyed draws, replayable fault logs."""
 
+import pytest
+
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RateFault
 from repro.mapreduce.backend import create_backend
@@ -100,6 +102,31 @@ class TestScheduledFaults:
             assert mr.hdfs.datanodes["node0"].disk_slow_factor == 1.0
             kinds = [kind for _, kind, _ in injector.injected]
         assert kinds == ["disk.slow", "disk.healed"]
+
+    def test_slow_disk_slows_every_reader_alike(self):
+        """``hadoop fs -cat``, a positional read and a map task's block
+        read share one reader, so a failing spindle costs each the same
+        factor; before PR 20 only the task paid (x1, x1, x6)."""
+        mr = make_mr(num_workers=1, block_size=65536, replication=1)
+        mr.client().put_bytes("/f", b"s" * 100_000)
+        client = mr.hdfs.client(node="node0", charge_time=False)
+
+        def costs():
+            return [
+                client.read_bytes("/f").elapsed,
+                client.open("/f").pread(10, 50_000).elapsed,
+                mr.fetcher.read_block("/f", 0, "node0").elapsed,
+            ]
+
+        healthy = costs()
+        plan = FaultPlan().slow_disk(at=1.0, node="node0", factor=6.0, duration=10.0)
+        with FaultInjector(plan, mr):
+            mr.sim.run_for(2.0)
+            slowed = costs()
+            mr.sim.run_for(15.0)
+            assert costs() == healthy
+        # One worker: every read is node-local, so elapsed is all disk.
+        assert slowed == pytest.approx([6.0 * cost for cost in healthy], rel=1e-12)
 
     def test_corruption_storm_spares_last_replica(self):
         mr = make_mr()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hdfs.datanode import DataNodeState
+from repro.hdfs.namenode import BYTES_PER_BLOCK
 from repro.util.errors import (
     BlockNotFoundError,
     DataNodeDownError,
@@ -170,8 +171,7 @@ class TestNameNodeMetrics:
         cluster = make_hdfs()
         base = cluster.namenode.heap_used_bytes()
         cluster.client().put_bytes("/f", b"n" * 5000)  # 5 blocks
-        per_block = cluster.config.namenode_bytes_per_block
-        assert cluster.namenode.heap_used_bytes() == base + 5 * per_block
+        assert cluster.namenode.heap_used_bytes() == base + 5 * BYTES_PER_BLOCK
 
     def test_capacity_report_consistent(self):
         cluster = make_hdfs(num_datanodes=3)

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.hdfs.namenode import LocatedBlock
+from repro.jobs.wordcount import WordCountWithCombinerJob
 from repro.mapreduce.blockio import BlockFetcher
+from repro.mapreduce.config import JobConf
+from repro.mapreduce.counters import C
 from repro.mapreduce.streaming import streaming_job
 from repro.mapreduce.webui import (
     render_cluster_status,
@@ -113,9 +117,82 @@ class TestBlockFetcher:
             fetcher.read_block("/f", 0, None)
 
     def test_read_whole_file(self):
+        """A side-file read is ``read_bytes`` on the uncharged client
+        ``TaskTracker._side_reader`` already holds (the fetcher's own
+        ``read_whole_file`` is gone): same text, a positive cost, the
+        clock left alone."""
         cluster = make_hdfs(block_size=7)
         cluster.client().put_text("/f", "hello block world")
-        fetcher = self.make_fetcher(cluster)
-        text, elapsed = fetcher.read_whole_file("/f", None)
-        assert text == "hello block world"
+        before = cluster.sim.now
+        read = cluster.client(charge_time=False).read_bytes("/f")
+        assert read.text() == "hello block world"
+        assert read.elapsed > 0
+        assert cluster.sim.now == before
+
+    def test_public_surface(self):
+        """A task's handle on HDFS, not a second client."""
+        public = {n for n in vars(BlockFetcher) if not n.startswith("_")}
+        assert public == {"block_layout", "read_block", "make_fetch"}
+
+
+class TestTaskReadsAreTallied:
+    def test_node_local_map_reads_reach_the_traffic_counters(self):
+        """One worker, one replica: every map read is node-local, and
+        ``TrafficCounters`` — the artifact Table V's "observe how data
+        layout affects communication costs" points at — sees all of it.
+        Before PR 20 a task's node-local read skipped the network model
+        and the job added only its (combined) shuffle and output write."""
+        with make_mr(num_workers=1, replication=1) as mr:
+            mr.client(node="node0").put_text("/in.txt", "a b c d\n" * 2000)
+            before = mr.hdfs.network.counters.as_dict()
+            job = WordCountWithCombinerJob(JobConf(name="wc"))
+            report = mr.run_job(job, "/in.txt", "/out", require_success=True)
+            after = mr.hdfs.network.counters.as_dict()
+        read = report.counters.get(C.HDFS_BYTES_READ)
+        assert read > 0
+        assert after["node_local"] - before["node_local"] >= read
+        assert after["rack_local"] == before["rack_local"]
+        assert after["off_rack"] == before["off_rack"]
+
+
+class TestBlockLookupsStayLinear:
+    """Counting cost guard: a task that reads one block asks the
+    NameNode to locate one block.  Before PR 20 every read located the
+    whole file — 2N^2 ``LocatedBlock``s for a job over N blocks."""
+
+    @pytest.fixture
+    def located_blocks(self, monkeypatch):
+        built = []
+        init = LocatedBlock.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocatedBlock, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("blocks", [25, 100])
+    def test_wordcount_locates_at_most_three_blocks_per_block(
+        self, located_blocks, blocks
+    ):
+        with make_mr(num_workers=4, block_size=2048, replication=2) as mr:
+            line = "the quick brown fox jumps over the dog\n"
+            text = line * (blocks * 2048 // len(line))
+            mr.client().put_text("/in.txt", text)
+            assert len(mr.fetcher.block_layout("/in.txt")[0]) == blocks
+            del located_blocks[:]
+            job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
+            mr.run_job(job, "/in.txt", "/out", require_success=True)
+        # Split planning, one read per map, one continuation probe.
+        assert len(located_blocks) <= 3 * blocks
+
+    def test_side_file_read_is_one_listing(self, located_blocks):
+        with make_mr(num_workers=4, block_size=2048, replication=2) as mr:
+            mr.client().put_bytes("/side.dat", b"s" * (12 * 2048))
+            del located_blocks[:]
+            tracker = mr.tasktrackers["node2"]
+            text, elapsed = tracker._side_reader("/side.dat")
+        assert text == "s" * (12 * 2048)
         assert elapsed > 0
+        assert len(located_blocks) == 12  # one listing, not N(N+1)
