@@ -5,7 +5,9 @@ writer-local first replica makes this easy to trigger in class), block
 distribution skews.  The balancer iteratively moves replicas from
 over-utilized DataNodes to under-utilized ones until every node sits
 within ``threshold`` of the cluster-average utilization, preserving the
-replication invariant (never two replicas of a block on one node).
+replication invariant (never two replicas of a block on one node).  A
+move is :meth:`DataNode.copy_replica` (the routine re-replication uses)
+followed by the NameNode's own ``_drop_replica`` for the source.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ class Balancer:
                 meta = namenode.block_map.get(block_id)
                 if meta is None or source_name not in meta.locations:
                     continue
-                # write_block checksums the bytes it is handed afresh,
-                # so a corrupt source must never be copied: report it
-                # and let re-replication heal from a good replica.
+                # A corrupt source is never copied (copy_replica refuses
+                # it too): report it and let re-replication heal from a
+                # good replica.
                 if not stored.verify():
                     namenode.report_bad_block(block_id, source_name)
                     continue
@@ -111,17 +113,13 @@ class Balancer:
                     target = self.cluster.datanode(target_name)
                     if target.has_block(block_id):
                         continue  # would violate one-replica-per-node
-                    if not target.has_space_for(stored.length):
-                        continue
-                    if not target.write_block(stored.block, stored.data):
-                        continue
-                    # Commit: target gains the replica, source loses it.
-                    # drop_block keeps the source's byte counter and
-                    # block cache consistent with the removal.
-                    namenode.block_received(target_name, stored.block)
-                    meta.locations.discard(source_name)
+                    if not source.copy_replica(block_id, target):
+                        continue  # target down or out of space
+                    # Commit: the target has the replica, the source
+                    # loses it.  drop_block keeps the source's byte
+                    # counter and block cache consistent with the removal.
+                    namenode._drop_replica(meta, source_name, invalidate=False)
                     source.drop_block(block_id)
-                    namenode._check_replication(meta)
                     # Charge the transfer to the network model.
                     self.cluster.network.transfer_time(
                         source_name, target_name, stored.length

@@ -83,10 +83,7 @@ class HdfsCluster:
     def _ready(self) -> bool:
         if self.namenode.safemode.active:
             return False
-        live = sum(
-            1 for d in self.namenode.datanodes.values() if d.alive
-        )
-        return live >= len(self.datanodes)
+        return len(self.namenode.liveness.alive) >= len(self.datanodes)
 
     def wait_until(
         self,

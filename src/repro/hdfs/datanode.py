@@ -200,18 +200,11 @@ class DataNode:
             self._replicate(command.block_id, command.target)
 
     def _replicate(self, block_id: int, target_name: str) -> None:
-        stored = self.blocks.get(block_id)
-        if stored is None or not stored.verify():
-            return  # source lost or corrupt; NameNode will retry elsewhere
         try:
             target = self.peer_lookup(target_name)
         except KeyError:
             return
-        if not target.is_serving:
-            return
-        ok = target.write_block(stored.block, stored.data)
-        if ok:
-            self.namenode.block_received(target_name, stored.block)
+        if self.copy_replica(block_id, target):
             self.sim.bus.publish(
                 "hdfs.block.replicated",
                 self.sim.now,
@@ -219,6 +212,22 @@ class DataNode:
                 source=self.name,
                 target=target_name,
             )
+
+    def copy_replica(self, block_id: int, target: "DataNode") -> bool:
+        """Copy my replica of a block onto ``target`` and tell the
+        NameNode it landed — the one copy routine, for re-replication
+        and the balancer alike.  False when nothing was copied: the
+        source is lost or corrupt (a copy re-checksums the bytes it is
+        handed and never forwards CRCs, so a corrupt source must not be
+        copied; the NameNode retries elsewhere), or the target is down
+        or out of space."""
+        stored = self.blocks.get(block_id)
+        if stored is None or not stored.verify():
+            return False
+        if not target.write_block(stored.block, stored.data):
+            return False
+        self.namenode.block_received(target.name, stored.block)
+        return True
 
     def send_block_report(self) -> None:
         # verify() is memoised per chunk: a report over clean, already

@@ -39,15 +39,15 @@ class DfsAdmin:
             "",
         ]
         for name in sorted(nn.datanodes):
-            desc = nn.datanodes[name]
-            state = "In Service" if desc.alive else "Dead"
+            info = nn.datanodes[name]
+            state = "In Service" if name in nn.liveness.alive else "Dead"
             lines += [
-                f"Name: {name} (rack {desc.info.rack})",
+                f"Name: {name} (rack {info.rack})",
                 f"State: {state}",
-                f"Configured Capacity: {desc.info.capacity}",
-                f"DFS Used: {desc.info.used}",
-                f"DFS Remaining: {desc.info.remaining}",
-                f"Last contact: t={desc.last_heartbeat:.1f}s",
+                f"Configured Capacity: {info.capacity}",
+                f"DFS Used: {info.used}",
+                f"DFS Remaining: {info.remaining}",
+                f"Last contact: t={nn.liveness.last_beat[name]:.1f}s",
                 "",
             ]
         return "\n".join(lines).rstrip()
@@ -121,7 +121,7 @@ class DfsAdmin:
             locs = ",".join(sorted(meta.locations)) or "<none>"
             lines.append(
                 f"blk_{block_id} len={meta.block.length} "
-                f"repl={meta.live_replicas}/{meta.expected_replication} "
+                f"repl={nn.census(meta)[0]}/{meta.expected_replication} "
                 f"file={path_of[block_id]} on=[{locs}]"
             )
         return "\n".join(lines)

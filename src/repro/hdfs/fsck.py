@@ -2,9 +2,10 @@
 
 The paper's instructors "ended up with a corrupted Hadoop cluster that
 stopped all the new jobs"; fsck is the tool that diagnoses that state.
-It walks the namespace, cross-references every block against the
-NameNode's location map, and reports missing, corrupt and
-under-replicated blocks with an overall HEALTHY/CORRUPT verdict.
+It walks the namespace once, asks the NameNode's census
+(:meth:`NameNode.census`) about every block, and reports missing,
+corrupt and under-replicated blocks with an overall HEALTHY/CORRUPT
+verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class FsckReport:
     over_replicated: int = 0
     missing_blocks: int = 0
     corrupt_replicas: int = 0
-    min_replication_found: int = 0
     problem_files: list[str] = field(default_factory=list)
     detail_lines: list[str] = field(default_factory=list)
 
@@ -64,31 +64,24 @@ def fsck(
 ) -> FsckReport:
     """Check the subtree under ``path``."""
     report = FsckReport(path=path)
-    node = namenode.namespace._resolve(path)
-    if node.is_dir:
-        # Count directories in the subtree (the root of the walk included).
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.is_dir:
-                report.total_dirs += 1
-                stack.extend(current.children.values())
-
-    for file_path, inode in namenode.namespace.walk_files(path):
+    for file_path, inode in namenode.namespace.walk_all(path):
+        if inode.is_dir:
+            report.total_dirs += 1
+            continue
         report.total_files += 1
         report.total_bytes += inode.length
         file_missing = 0
         for block in inode.blocks:
             report.total_blocks += 1
             meta = namenode.block_map[block.block_id]
-            live = sum(1 for d in meta.locations if namenode._is_live(d))
+            live, _counted, state = namenode.census(meta)
             report.corrupt_replicas += len(meta.corrupt_on)
-            if live == 0:
+            if state == "missing":
                 report.missing_blocks += 1
                 file_missing += 1
-            elif live < meta.expected_replication:
+            elif state == "under":
                 report.under_replicated += 1
-            elif live > meta.expected_replication:
+            elif state == "over":
                 report.over_replicated += 1
             if list_blocks:
                 locs = ",".join(sorted(meta.locations)) or "<none>"

@@ -334,6 +334,12 @@ def empty_image_state() -> ImageState:
     )
 
 
+def _image_size(state: ImageState) -> tuple[int, int]:
+    """``(inodes, blocks)`` an fsimage of ``state`` holds (for the stats)."""
+    inodes = [inode for _, inode in state.namespace.walk_all("/")]
+    return len(inodes), sum(len(i.blocks) for i in inodes if not i.is_dir)
+
+
 def encode_image(state: ImageState) -> bytes:
     """Serialize a full namespace snapshot (the fsimage)."""
     body = bytearray()
@@ -408,9 +414,9 @@ def decode_image(blob) -> ImageState:
             if path == "/":
                 ns.root.mtime = mtime
             else:
-                # Preorder serialization: parents always precede children.
+                # Preorder serialization: parents always precede
+                # children, so this creates exactly one directory.
                 ns.mkdirs(path, mtime=mtime)
-                ns.get_dir(path).mtime = mtime
         elif kind == _KIND_FILE:
             replication = reader.u32()
             under_construction = reader.u8() == 1
@@ -699,15 +705,13 @@ class NameNodeJournal:
         if self._snapshot_source is None:
             raise HdfsError("journal has no snapshot source bound")
         state = self._snapshot_source()
-        entries = list(state.namespace.walk_all("/"))
         self.storage.write_image(encode_image(state))
         self.storage.rewrite_edits(edits_header())
+        image_inodes, image_blocks = _image_size(state)
         stats = CheckpointStats(
             edits_truncated=self.edits_since_checkpoint,
-            image_inodes=len(entries),
-            image_blocks=sum(
-                len(inode.blocks) for _, inode in entries if not inode.is_dir
-            ),
+            image_inodes=image_inodes,
+            image_blocks=image_blocks,
         )
         self.edits_since_checkpoint = 0
         self.checkpoints += 1
@@ -727,11 +731,7 @@ class NameNodeJournal:
             state = empty_image_state()
         else:
             state = decode_image(image_blob)
-        entries = list(state.namespace.walk_all("/"))
-        image_inodes = len(entries)
-        image_blocks = sum(
-            len(inode.blocks) for _, inode in entries if not inode.is_dir
-        )
+        image_inodes, image_blocks = _image_size(state)
         blob = self.storage.edits_blob()
         scan = scan_edits(blob)
         for op, values in scan.records:

@@ -5,12 +5,16 @@ NameNode holds the directory tree (:class:`~repro.hdfs.namespace.Namespace`)
 and a block map from block id to expected replication and current
 locations.  DataNodes report in; the NameNode never calls them — all
 control flows back through heartbeat responses
-(:class:`~repro.hdfs.protocol.HeartbeatResponse`).
+(:class:`~repro.hdfs.protocol.HeartbeatResponse`).  Each question the
+master answers has one home here: a path is normalised once per RPC and
+walked once by the namespace; a block's health is :meth:`NameNode.census`
+(``fsck``, ``replication_health`` and ``dfsadmin`` read it too); who is
+alive is ``liveness``, a :class:`~repro.sim.engine.LivenessTable`; and
+``locations`` change only in ``_add_replica`` / ``_drop_replica``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -36,7 +40,7 @@ from repro.hdfs.protocol import (
     ReplicateCommand,
 )
 from repro.hdfs.safemode import SafeMode
-from repro.sim.engine import Simulation
+from repro.sim.engine import LivenessTable, Simulation
 from repro.util.errors import (
     BlockNotFoundError,
     FileNotFoundInHdfs,
@@ -68,13 +72,9 @@ class BlockMeta:
     locations: set[str] = field(default_factory=set)
     corrupt_on: set[str] = field(default_factory=set)
     #: Cached "counts toward safemode" bit (>= MIN_REPLICAS live
-    #: replicas); maintained by NameNode._refresh_safe so safemode
+    #: replicas); maintained by NameNode._check_replication so safemode
     #: updates are O(1) instead of an O(#blocks) rescan per event.
     safe: bool = False
-
-    @property
-    def live_replicas(self) -> int:
-        return len(self.locations)
 
 
 @dataclass
@@ -83,15 +83,6 @@ class LocatedBlock:
 
     block: Block
     locations: list[str]
-
-
-@dataclass
-class DataNodeDescriptor:
-    """What the NameNode remembers about one DataNode."""
-
-    info: DatanodeInfo
-    last_heartbeat: float
-    alive: bool = True
 
 
 class NameNode:
@@ -136,66 +127,43 @@ class NameNode:
         self.crashes = 0
         self.recoveries = 0
         self.heartbeats_processed = 0
-        self._monitors_started = False
-        self._start_monitors()
+        self.sim.wheel(self.config.heartbeat_interval).subscribe(
+            self._check_liveness
+        )
+        self.sim.wheel(self.config.replication_check_interval).subscribe(
+            self._replication_sweep
+        )
         # A freshly formatted NameNode has no blocks to wait for.
         self._update_safemode()
 
     # ------------------------------------------------------------------
     # monitors
-    def _start_monitors(self) -> None:
-        if self._monitors_started:
-            return
-        self._monitors_started = True
-        self._cancel_liveness = self.sim.wheel(
-            self.config.heartbeat_interval
-        ).subscribe(self._check_liveness)
-        self._cancel_replication = self.sim.wheel(
-            self.config.replication_check_interval
-        ).subscribe(self._replication_sweep)
-
-    def _track_liveness(self, name: str, expiry: float) -> None:
-        """Ensure ``name`` has exactly one expiry entry in the heap."""
-        if name not in self._liveness_scheduled:
-            self._liveness_scheduled.add(name)
-            heapq.heappush(self._liveness_heap, (expiry, name))
-
     def _check_liveness(self) -> None:
-        """Declare DataNodes dead after prolonged heartbeat silence.
-
-        Driven by the expiry heap: only nodes whose recorded deadline
-        has passed are examined; a node that heartbeated since is
-        re-armed at its fresh deadline.  Equal-expiry nodes die in name
-        order — deterministic regardless of registration history.
-        """
+        """Declare DataNodes dead after prolonged heartbeat silence."""
         if self.down:
             return
-        timeout = self.config.dead_node_timeout
-        now = self.sim.now
-        while self._liveness_heap and self._liveness_heap[0][0] < now:
-            _expiry, name = heapq.heappop(self._liveness_heap)
-            self._liveness_scheduled.discard(name)
-            desc = self.datanodes.get(name)
-            if desc is None or not desc.alive:
-                continue  # unregistered or already declared dead
-            if now - desc.last_heartbeat > timeout:
-                desc.alive = False
-                self._remove_location_everywhere(name)
-                self.sim.bus.publish(
-                    "hdfs.namenode.node_dead", self.sim.now, datanode=name
-                )
-            else:
-                self._track_liveness(name, desc.last_heartbeat + timeout)
+        for name in self.liveness.expired(self.sim.now):
+            self._remove_location_everywhere(name)
+            self.sim.bus.publish(
+                "hdfs.namenode.node_dead", self.sim.now, datanode=name
+            )
+
+    def _blocks_of(self, datanode: str) -> list[BlockMeta]:
+        """Every block with a replica on ``datanode``, in id order."""
+        return [
+            self.block_map[block_id]
+            for block_id in sorted(self._blocks_on.get(datanode, ()))
+        ]
 
     def _remove_location_everywhere(self, datanode: str) -> None:
-        for block_id in sorted(self._blocks_on.pop(datanode, set())):
-            meta = self.block_map.get(block_id)
-            if meta is None:
-                continue
-            meta.locations.discard(datanode)
-            self._refresh_safe(meta)
-            self._check_replication(meta)
+        for meta in self._blocks_of(datanode):
+            self._drop_replica(meta, datanode, invalidate=False)
         self._update_safemode()
+
+    def _readable_replicas(self, meta: BlockMeta) -> list[str]:
+        """Where a reader or a re-replication may copy this block from:
+        live, not known corrupt, in name order."""
+        return sorted((meta.locations & self.liveness.alive) - meta.corrupt_on)
 
     def _replication_sweep(self) -> None:
         """Queue re-replication / deletion work, a few blocks per sweep."""
@@ -209,11 +177,7 @@ class NameNode:
             if meta is None:
                 self.under_replicated.discard(block_id)
                 continue
-            live_sources = [
-                d
-                for d in sorted(meta.locations)
-                if self._is_live(d) and d not in meta.corrupt_on
-            ]
+            live_sources = self._readable_replicas(meta)
             if not live_sources:
                 continue  # missing block: nothing to copy from
             candidates = self._eligible_targets(meta.block.length)
@@ -230,7 +194,7 @@ class NameNode:
         # Trim over-replicated blocks (e.g., a dead node came back).
         for block_id in sorted(self.over_replicated):
             meta = self.block_map.get(block_id)
-            if meta is None or meta.live_replicas <= meta.expected_replication:
+            if meta is None or self.census(meta)[2] != "over":
                 self.over_replicated.discard(block_id)
                 continue
             # Tie-break free space by name: set iteration order is hash-
@@ -239,27 +203,19 @@ class NameNode:
             extra = sorted(
                 meta.locations, key=lambda d: (self._free_space_of(d), d)
             )[0]
-            self._remove_replica(meta, extra)
-            self._pending_commands[extra].append(
-                InvalidateCommand(block_ids=(block_id,))
-            )
-            self._check_replication(meta)
+            self._drop_replica(meta, extra)
 
     def _free_space_of(self, datanode: str) -> int:
-        desc = self.datanodes.get(datanode)
-        return desc.info.remaining if desc else 0
-
-    def _is_live(self, datanode: str) -> bool:
-        desc = self.datanodes.get(datanode)
-        return desc is not None and desc.alive
+        info = self.datanodes.get(datanode)
+        return info.remaining if info else 0
 
     def _eligible_targets(self, block_length: int) -> list[str]:
         return [
             name
-            for name, desc in self.datanodes.items()
-            if desc.alive
+            for name, info in self.datanodes.items()
+            if name in self.liveness.alive
             and name not in self.decommissioning
-            and desc.info.remaining >= block_length
+            and info.remaining >= block_length
         ]
 
     # ------------------------------------------------------------------
@@ -272,21 +228,19 @@ class NameNode:
     ) -> None:
         """Set (or clear, with None/None) quotas on a directory."""
         self._check_down("set a quota")
-        directory = self.namespace.get_dir(path)  # must exist and be a dir
         norm = normalize(path)
-        if namespace_quota is None and space_quota is None:
-            self.quotas.pop(norm, None)
-            self.journal.log_set_quota(norm, None, None)
-            return
+        self.namespace.get_dir(norm)  # must exist and be a dir
         if namespace_quota is not None and namespace_quota < 1:
             raise QuotaExceededError("namespace quota must be >= 1")
         if space_quota is not None and space_quota < 0:
             raise QuotaExceededError("space quota must be >= 0")
-        self.quotas[norm] = (namespace_quota, space_quota)
+        if namespace_quota is None and space_quota is None:
+            self.quotas.pop(norm, None)
+        else:
+            self.quotas[norm] = (namespace_quota, space_quota)
         self.journal.log_set_quota(norm, namespace_quota, space_quota)
 
-    def _quota_roots_for(self, path: str) -> list[str]:
-        norm = normalize(path)
+    def _quota_roots_for(self, norm: str) -> list[str]:
         return [
             root
             for root in self.quotas
@@ -336,10 +290,8 @@ class NameNode:
             raise HdfsError(f"unknown DataNode {datanode!r}")
         self.decommissioning.add(datanode)
         self.journal.log_decommission_start(datanode)
-        for block_id in sorted(self._blocks_on.get(datanode, set())):
-            meta = self.block_map.get(block_id)
-            if meta is not None:
-                self._check_replication(meta)
+        for meta in self._blocks_of(datanode):
+            self._check_replication(meta)
         self.sim.bus.publish(
             "hdfs.namenode.decommission_started", self.sim.now,
             datanode=datanode,
@@ -349,18 +301,8 @@ class NameNode:
         """True when every block on the node is safe without it."""
         if datanode not in self.decommissioning:
             return False
-        for block_id in sorted(self._blocks_on.get(datanode, set())):
-            meta = self.block_map.get(block_id)
-            if meta is None:
-                continue
-            safe_replicas = sum(
-                1
-                for d in meta.locations
-                if self._is_live(d)
-                and d != datanode
-                and d not in self.decommissioning
-            )
-            if safe_replicas < min(
+        for meta in self._blocks_of(datanode):
+            if self.census(meta)[1] < min(
                 meta.expected_replication, len(self._eligible_targets(0)) or 1
             ):
                 return False
@@ -370,21 +312,28 @@ class NameNode:
         self._check_down("stop decommissioning")
         self.decommissioning.discard(datanode)
         self.journal.log_decommission_stop(datanode)
-        for block_id in sorted(self._blocks_on.get(datanode, set())):
-            meta = self.block_map.get(block_id)
-            if meta is not None:
-                self._check_replication(meta)
+        for meta in self._blocks_of(datanode):
+            self._check_replication(meta)
 
     # ------------------------------------------------------------------
     # namespace operations (client RPCs)
     def mkdirs(self, path: str) -> bool:
         self._check_down("mkdirs")
         self.safemode.check("mkdirs")
-        if not self.namespace.exists(path):
-            self._check_namespace_quota(path)
-        created = self.namespace.mkdirs(path, mtime=self.sim.now)
-        self.journal.log_mkdirs(normalize(path), self.sim.now)
+        norm = normalize(path)
+        created = self.namespace.mkdirs(
+            norm, mtime=self.sim.now, admit=self._admit_create
+        )
+        self.journal.log_mkdirs(norm, self.sim.now)
         return created
+
+    def _admit_create(self, norm: str, existing) -> None:
+        """Before ``mkdirs`` / ``create_file`` change anything: a file
+        about to be overwritten is deleted (journals its own OP_DELETE),
+        then the new path is charged to its quota roots."""
+        if existing is not None:
+            self.delete(norm)
+        self._check_namespace_quota(norm)
 
     def create_file(
         self,
@@ -397,14 +346,15 @@ class NameNode:
         rep = replication if replication is not None else self.config.replication
         if rep < 1:
             raise ReplicationError(f"replication must be >= 1, got {rep}")
-        if overwrite and self.namespace.exists(path) and not self.namespace.is_dir(path):
-            self.delete(path)  # journals its own OP_DELETE record
-        if not self.namespace.exists(path):
-            self._check_namespace_quota(path)
+        norm = normalize(path)
         self.namespace.create_file(
-            path, replication=rep, mtime=self.sim.now, overwrite=overwrite
+            norm,
+            replication=rep,
+            mtime=self.sim.now,
+            overwrite=overwrite,
+            admit=self._admit_create,
         )
-        self.journal.log_create(normalize(path), rep, self.sim.now)
+        self.journal.log_create(norm, rep, self.sim.now)
 
     def add_block(
         self,
@@ -417,10 +367,11 @@ class NameNode:
         choose pipeline targets for it."""
         self._check_down("add a block")
         self.safemode.check("add block")
-        inode = self.namespace.get_file(path)
+        norm = normalize(path)
+        inode = self.namespace.get_file(norm)
         if not inode.under_construction:
             raise HdfsError(f"{path} is not under construction")
-        self._check_space_quota(path, length * inode.replication)
+        self._check_space_quota(norm, length * inode.replication)
         candidates = self._eligible_targets(length)
         targets = self.placement.choose_targets(
             inode.replication, candidates, writer=writer, exclude=exclude
@@ -443,42 +394,36 @@ class NameNode:
             expected_replication=inode.replication,
         )
         self.journal.log_add_block(
-            normalize(path), block.block_id, block.generation, block.length
+            norm, block.block_id, block.generation, block.length
         )
         return block, targets
 
     def abandon_block(self, path: str, block: Block) -> None:
         """Roll back a block whose pipeline completely failed."""
         self._check_down("abandon a block")
-        inode = self.namespace.get_file(path)
+        norm = normalize(path)
+        inode = self.namespace.get_file(norm)
         inode.blocks = [b for b in inode.blocks if b.block_id != block.block_id]
-        meta = self.block_map.pop(block.block_id, None)
-        if meta:
-            self._drop_block_index(meta)
-            # sorted(): keep _pending_commands keyed in a deterministic
-            # order regardless of set hash order (mrlint MRE101).
-            for dn in sorted(meta.locations):
-                self._pending_commands[dn].append(
-                    InvalidateCommand(block_ids=(block.block_id,))
-                )
-        self.under_replicated.discard(block.block_id)
-        self.journal.log_abandon_block(normalize(path), block.block_id)
+        self._forget_block(block.block_id)
+        self.journal.log_abandon_block(norm, block.block_id)
         self._update_safemode()
 
     def complete_file(self, path: str) -> None:
         self._check_down("complete a file")
-        inode = self.namespace.get_file(path)
+        norm = normalize(path)
+        inode = self.namespace.get_file(norm)
         for block in inode.blocks:
             meta = self.block_map[block.block_id]
-            if meta.live_replicas < MIN_REPLICAS:
+            live = self.census(meta)[0]
+            if live < MIN_REPLICAS:
                 raise ReplicationError(
                     f"block blk_{block.block_id} of {path} has only "
-                    f"{meta.live_replicas} replicas at completion"
+                    f"{live} replicas at completion"
                 )
             self._check_replication(meta)
         inode.under_construction = False
         inode.mtime = self.sim.now
-        self.journal.log_complete(normalize(path), self.sim.now)
+        self.journal.log_complete(norm, self.sim.now)
         self._update_safemode()
         self.sim.bus.publish(
             "hdfs.namenode.file_completed",
@@ -507,11 +452,7 @@ class NameNode:
         located = []
         for block in blocks:
             meta = self.block_map[block.block_id]
-            live = [
-                d
-                for d in sorted(meta.locations)
-                if self._is_live(d) and d not in meta.corrupt_on
-            ]
+            live = self._readable_replicas(meta)
             if client_node is not None and client_node in self.topology:
                 live.sort(key=lambda d: (self.topology.distance(client_node, d), d))
             located.append(LocatedBlock(block=block, locations=live))
@@ -520,30 +461,23 @@ class NameNode:
     def delete(self, path: str, recursive: bool = False) -> bool:
         self._check_down("delete")
         self.safemode.check("delete")
-        freed = self.namespace.delete(path, recursive=recursive)
-        move_quotas(self.quotas, normalize(path), None)
-        self.journal.log_delete(normalize(path), recursive)
+        norm = normalize(path)
+        freed = self.namespace.delete(norm, recursive=recursive)
+        move_quotas(self.quotas, norm, None)
+        self.journal.log_delete(norm, recursive)
         for block in freed:
-            meta = self.block_map.pop(block.block_id, None)
-            self.under_replicated.discard(block.block_id)
-            self.over_replicated.discard(block.block_id)
-            if meta:
-                self._drop_block_index(meta)
-                # sorted(): deterministic invalidate fan-out (MRE101).
-                for dn in sorted(meta.locations):
-                    self._pending_commands[dn].append(
-                        InvalidateCommand(block_ids=(block.block_id,))
-                    )
+            self._forget_block(block.block_id)
         self._update_safemode()
         return True
 
     def rename(self, src: str, dst: str) -> None:
         self._check_down("rename")
         self.safemode.check("rename")
+        src, dst = normalize(src), normalize(dst)
         landed = self.namespace.rename(src, dst, admit=self._admit_rename)
         if landed is not None:  # src == dst moved nothing: nothing to redo
-            move_quotas(self.quotas, normalize(src), landed)
-            self.journal.log_rename(normalize(src), normalize(dst))
+            move_quotas(self.quotas, src, landed)
+            self.journal.log_rename(src, dst)
 
     def _admit_rename(self, src: str, landed: str) -> None:
         """Charge the moved subtree to the quota roots it enters (those
@@ -560,13 +494,14 @@ class NameNode:
         self.safemode.check("setrep")
         if replication < 1:
             raise ReplicationError("replication must be >= 1")
-        inode = self.namespace.get_file(path)
+        norm = normalize(path)
+        inode = self.namespace.get_file(norm)
         if replication > inode.replication:
             self._check_space_quota(
-                path, inode.length * (replication - inode.replication)
+                norm, inode.length * (replication - inode.replication)
             )
         inode.replication = replication
-        self.journal.log_set_replication(normalize(path), replication)
+        self.journal.log_set_replication(norm, replication)
         for block in inode.blocks:
             meta = self.block_map[block.block_id]
             meta.expected_replication = replication
@@ -590,12 +525,8 @@ class NameNode:
     def register_datanode(self, info: DatanodeInfo) -> None:
         if self.down:
             return
-        self.datanodes[info.name] = DataNodeDescriptor(
-            info=info, last_heartbeat=self.sim.now, alive=True
-        )
-        self._track_liveness(
-            info.name, self.sim.now + self.config.dead_node_timeout
-        )
+        self.datanodes[info.name] = info
+        self.liveness.beat(info.name, self.sim.now)
         self.sim.bus.publish(
             "hdfs.namenode.registered", self.sim.now, datanode=info.name
         )
@@ -609,18 +540,12 @@ class NameNode:
         if self.sim.faults.namenode_heartbeat_crash(self):
             self.crash()
             return HeartbeatResponse()
-        desc = self.datanodes.get(info.name)
-        if desc is None:  # never registered, or forgotten by a restart
+        if info.name not in self.datanodes:
+            # Never registered, or forgotten by a restart.
             return HeartbeatResponse(re_register=True)
-        was_dead = not desc.alive
-        desc.info = info
-        desc.last_heartbeat = self.sim.now
-        desc.alive = True
-        # Re-arm the expiry entry if it lapsed (dead node returning, or
-        # the heap entry was consumed); no-op while one is queued.
-        self._track_liveness(
-            info.name, self.sim.now + self.config.dead_node_timeout
-        )
+        was_dead = info.name not in self.liveness.alive
+        self.datanodes[info.name] = info
+        self.liveness.beat(info.name, self.sim.now)
         if was_dead:
             # A returning node must resend its block report.
             return HeartbeatResponse(re_register=True)
@@ -638,8 +563,6 @@ class NameNode:
                 orphans.append(block_id)  # deleted while the node was away
                 continue
             self._add_replica(meta, name)
-            meta.corrupt_on.discard(name)
-            self._check_replication(meta)
         for block_id in report.corrupt_ids:
             self.report_bad_block(block_id, name)
         if orphans:
@@ -658,8 +581,6 @@ class NameNode:
         if meta is None:
             raise BlockNotFoundError(f"blk_{block.block_id} unknown to NameNode")
         self._add_replica(meta, datanode)
-        meta.corrupt_on.discard(datanode)
-        self._check_replication(meta)
         self._update_safemode()
 
     def report_bad_block(self, block_id: int, datanode: str) -> None:
@@ -670,11 +591,7 @@ class NameNode:
         if meta is None:
             return
         meta.corrupt_on.add(datanode)
-        self._remove_replica(meta, datanode)
-        self._pending_commands[datanode].append(
-            InvalidateCommand(block_ids=(block_id,))
-        )
-        self._check_replication(meta)
+        self._drop_replica(meta, datanode)
         self.sim.bus.publish(
             "hdfs.namenode.corrupt_replica",
             self.sim.now,
@@ -685,68 +602,94 @@ class NameNode:
     # ------------------------------------------------------------------
     # replication bookkeeping
     def _add_replica(self, meta: BlockMeta, datanode: str) -> None:
-        """Record a replica: the one mutation path for ``locations``
-        adds, keeping the reverse index and safe-count exact."""
+        """A DataNode reported or confirmed a good replica.  This and
+        :meth:`_drop_replica` are the one mutation path for
+        ``locations``, keeping the reverse index and the queues exact."""
         if datanode not in meta.locations:
             meta.locations.add(datanode)
             self._blocks_on[datanode].add(meta.block.block_id)
-        self._refresh_safe(meta)
+        meta.corrupt_on.discard(datanode)
+        self._check_replication(meta)
 
-    def _remove_replica(self, meta: BlockMeta, datanode: str) -> None:
-        """Forget a replica (mirror of :meth:`_add_replica`)."""
+    def _drop_replica(
+        self, meta: BlockMeta, datanode: str, invalidate: bool = True
+    ) -> None:
+        """A replica is no longer wanted where it is (corrupt, surplus,
+        or moved away by the balancer): forget it and have the DataNode
+        delete it, unless the caller already has."""
         if datanode in meta.locations:
             meta.locations.discard(datanode)
-            bucket = self._blocks_on.get(datanode)
-            if bucket is not None:
-                bucket.discard(meta.block.block_id)
-        self._refresh_safe(meta)
+            self._blocks_on[datanode].discard(meta.block.block_id)
+        if invalidate:
+            self._pending_commands[datanode].append(
+                InvalidateCommand(block_ids=(meta.block.block_id,))
+            )
+        self._check_replication(meta)
 
-    def _refresh_safe(self, meta: BlockMeta) -> None:
-        """Recompute the block's safemode bit — O(replication), and the
-        only place ``_safe_blocks`` moves."""
-        safe = sum(1 for d in meta.locations if self._is_live(d)) >= MIN_REPLICAS
-        if safe and not meta.safe:
-            meta.safe = True
-            self._safe_blocks += 1
-        elif not safe and meta.safe:
-            meta.safe = False
-            self._safe_blocks -= 1
-
-    def _drop_block_index(self, meta: BlockMeta) -> None:
-        """Unhook a block leaving the block map (delete/abandon)."""
-        for dn in sorted(meta.locations):
-            bucket = self._blocks_on.get(dn)
-            if bucket is not None:
-                bucket.discard(meta.block.block_id)
+    def _forget_block(self, block_id: int) -> None:
+        """A block leaves the block map (its file was deleted or the
+        write abandoned): unhook every index and invalidate its replicas."""
+        meta = self.block_map.pop(block_id, None)
+        self.under_replicated.discard(block_id)
+        self.over_replicated.discard(block_id)
+        if meta is None:
+            return
         if meta.safe:
             meta.safe = False
             self._safe_blocks -= 1
+        # sorted(): keep _pending_commands keyed in a deterministic
+        # order regardless of set hash order (mrlint MRE101).
+        for dn in sorted(meta.locations):
+            self._blocks_on[dn].discard(block_id)
+            self._pending_commands[dn].append(
+                InvalidateCommand(block_ids=(block_id,))
+            )
+
+    def census(self, meta: BlockMeta) -> tuple[int, int, str]:
+        """The one definition of a block's health: ``(live, counted,
+        state)``.  ``live`` replicas sit on DataNodes believed alive;
+        ``counted`` leaves out those on decommissioning nodes, which
+        still serve reads but do not count toward the target (the block
+        must become safe without them before the node can leave).
+        ``state`` is exclusive: ``"missing"`` (no live replica), else
+        ``"under"`` / ``"ok"`` / ``"over"`` by ``counted`` against
+        ``expected_replication``."""
+        alive = meta.locations & self.liveness.alive
+        live, counted = len(alive), len(alive - self.decommissioning)
+        if live == 0:
+            return 0, 0, "missing"
+        if counted < meta.expected_replication:
+            return live, counted, "under"
+        if counted > meta.expected_replication:
+            return live, counted, "over"
+        return live, counted, "ok"
 
     def _check_replication(self, meta: BlockMeta) -> None:
-        # Replicas on decommissioning nodes still serve reads but do not
-        # count toward the replication target: the block must become
-        # safe without them before the node can leave.
-        live = sum(
-            1
-            for d in meta.locations
-            if self._is_live(d) and d not in self.decommissioning
-        )
-        if live < meta.expected_replication:
-            self.under_replicated.add(meta.block.block_id)
-            self.over_replicated.discard(meta.block.block_id)
-        elif live > meta.expected_replication:
-            self.over_replicated.add(meta.block.block_id)
-            self.under_replicated.discard(meta.block.block_id)
+        """Act on the block's census after any change to it: set its
+        safemode bit (the only place ``_safe_blocks`` moves while the
+        block is mapped) and file it in the queue its state calls for —
+        a missing block waits in ``under_replicated`` for a source."""
+        live, _counted, state = self.census(meta)
+        safe = live >= MIN_REPLICAS
+        if safe != meta.safe:
+            meta.safe = safe
+            self._safe_blocks += 1 if safe else -1
+        block_id = meta.block.block_id
+        if state in ("missing", "under"):
+            self.under_replicated.add(block_id)
         else:
-            self.under_replicated.discard(meta.block.block_id)
-            self.over_replicated.discard(meta.block.block_id)
+            self.under_replicated.discard(block_id)
+        if state == "over":
+            self.over_replicated.add(block_id)
+        else:
+            self.over_replicated.discard(block_id)
 
     def missing_blocks(self) -> list[int]:
         """Blocks with zero live replicas — data loss until a node returns."""
         return sorted(
             block_id
             for block_id, meta in self.block_map.items()
-            if not any(self._is_live(d) for d in meta.locations)
+            if self.census(meta)[2] == "missing"
         )
 
     # ------------------------------------------------------------------
@@ -755,7 +698,7 @@ class NameNode:
         if self.down:
             return
         # O(1): the safe-block census is maintained incrementally by
-        # _refresh_safe at every replica/liveness mutation.
+        # _check_replication at every replica/liveness mutation.
         self.safemode.set_block_totals(len(self.block_map), self._safe_blocks)
         exit_time = self.safemode.maybe_schedule_exit(self.sim.now)
         if exit_time is not None:
@@ -823,18 +766,14 @@ class NameNode:
         self._safe_blocks = 0
 
     def _forget_datanodes(self) -> None:
-        """Drop registrations, the liveness heap and safemode progress:
+        """Drop registrations, the liveness table and safemode progress:
         what any NameNode process start — first, restart or crash —
         begins without.  A forgotten node's next heartbeat finds no
         descriptor and is told to re-register."""
-        self.datanodes: dict[str, DataNodeDescriptor] = {}
-        #: Liveness expiry heap: (last_heartbeat + timeout, name), at
-        #: most one entry per node (``_liveness_scheduled`` guards).
-        #: Entries are revalidated lazily on pop, so a sweep touches
-        #: only nodes whose previous deadline has passed — O(expired)
-        #: amortized, never O(#datanodes).
-        self._liveness_heap: list[tuple[float, str]] = []
-        self._liveness_scheduled: set[str] = set()
+        #: The latest report of every registered DataNode, and the
+        #: heartbeat table that says which of them are alive.
+        self.datanodes: dict[str, DatanodeInfo] = {}
+        self.liveness = LivenessTable(self.config.dead_node_timeout)
         self.safemode = SafeMode()
 
     def crash(self) -> None:
@@ -921,15 +860,17 @@ class NameNode:
         # DataNode.used_bytes: these sums are over per-node info records
         # already maintained by heartbeats (O(#datanodes)), and the
         # report is built on demand — nothing to precompute here.
-        live = [d for d in self.datanodes.values() if d.alive]
+        live = [
+            info
+            for name, info in self.datanodes.items()
+            if name in self.liveness.alive
+        ]
         return {
-            "capacity": sum(d.info.capacity for d in live),
-            "used": sum(d.info.used for d in live),
-            "remaining": sum(d.info.remaining for d in live),
+            "capacity": sum(d.capacity for d in live),
+            "used": sum(d.used for d in live),
+            "remaining": sum(d.remaining for d in live),
             "live_datanodes": len(live),
-            "dead_datanodes": sum(
-                1 for d in self.datanodes.values() if not d.alive
-            ),
+            "dead_datanodes": len(self.datanodes) - len(live),
             "under_replicated": len(self.under_replicated),
             "missing": len(self.missing_blocks()),
             "blocks": len(self.block_map),

@@ -2,7 +2,9 @@
 
 This is the "HDFS Abstractions: Directories/Files" layer of the paper's
 Figure 2 — the part of HDFS that looks like a file system, kept entirely
-in NameNode memory and mapped onto blocks below it.
+in NameNode memory and mapped onto blocks below it.  Every lookup and
+every mutator makes one walk down the tree per path argument
+(:meth:`Namespace._descend`); paths may arrive unnormalised.
 """
 
 from __future__ import annotations
@@ -25,17 +27,10 @@ def normalize(path: str) -> str:
     """Normalize an absolute HDFS path (``"/a//b/./c" -> "/a/b/c"``)."""
     if not path.startswith("/"):
         raise FileNotFoundInHdfs(f"HDFS paths must be absolute: {path!r}")
-    norm = posixpath.normpath(path)
-    return "/" if norm in ("", "/", ".") else norm
-
-
-def split_path(path: str) -> tuple[str, str]:
-    """Return ``(parent, basename)`` of a normalized path."""
-    norm = normalize(path)
-    if norm == "/":
-        raise FileNotFoundInHdfs("the root directory has no parent")
-    parent, base = posixpath.split(norm)
-    return parent, base
+    # normpath keeps exactly two leading slashes (POSIX lets them mean
+    # something); HDFS has one root.
+    norm = posixpath.normpath(path).lstrip("/")
+    return "/" + norm
 
 
 def move_quotas(quotas: dict[str, tuple], src: str, dst: str | None) -> None:
@@ -114,120 +109,168 @@ class Namespace:
         self.root = INodeDirectory(name="")
 
     # -- resolution ----------------------------------------------------
-    def _resolve(self, path: str) -> INode:
-        norm = normalize(path)
-        node: INode = self.root
+    def _descend(
+        self, norm: str
+    ) -> tuple[INodeDirectory, list[str], INode | None]:
+        """The one walk down ``children``: follow a normalized path from
+        the root as far as the tree goes.  Returns the deepest directory
+        reached, the components still below it, and the inode at
+        ``norm`` (``None`` if nothing is there) — so ``(parent, [base],
+        inode)`` whenever the parent exists, ``(root, [], root)`` for
+        the root.  A file on the way raises :class:`NotADirectory`."""
+        node = self.root
         if norm == "/":
-            return node
-        for part in norm.strip("/").split("/"):
-            if not isinstance(node, INodeDirectory):
-                raise NotADirectory(f"{part!r} reached through a file in {path!r}")
-            try:
-                node = node.children[part]
-            except KeyError:
-                raise FileNotFoundInHdfs(path) from None
-        return node
+            return node, [], node
+        parts = norm[1:].split("/")
+        for depth, part in enumerate(parts[:-1]):
+            child = node.children.get(part)
+            if child is None:
+                return node, parts[depth:], None
+            if not child.is_dir:
+                raise NotADirectory(f"{part!r} reached through a file in {norm!r}")
+            node = child  # type: ignore[assignment]
+        return node, parts[-1:], node.children.get(parts[-1])
+
+    def _inode(self, path: str) -> tuple[str, INode]:
+        """``(normalized path, inode)`` of a path that must exist."""
+        norm = normalize(path)
+        node = self._descend(norm)[2]
+        if node is None:
+            raise FileNotFoundInHdfs(path)
+        return norm, node
+
+    def _find(self, path: str) -> INode | None:
+        try:
+            return self._descend(normalize(path))[2]
+        except (FileNotFoundInHdfs, NotADirectory):
+            return None
 
     def exists(self, path: str) -> bool:
-        try:
-            self._resolve(path)
-            return True
-        except (FileNotFoundInHdfs, NotADirectory):
-            return False
+        return self._find(path) is not None
 
     def is_dir(self, path: str) -> bool:
-        return self.exists(path) and self._resolve(path).is_dir
+        node = self._find(path)
+        return node is not None and node.is_dir
 
     def get_file(self, path: str) -> INodeFile:
-        node = self._resolve(path)
+        node = self._inode(path)[1]
         if node.is_dir:
             raise IsADirectory(path)
         return node  # type: ignore[return-value]
 
     def get_dir(self, path: str) -> INodeDirectory:
-        node = self._resolve(path)
+        node = self._inode(path)[1]
         if not node.is_dir:
             raise NotADirectory(path)
         return node  # type: ignore[return-value]
 
     # -- mutation ------------------------------------------------------
-    def mkdirs(self, path: str, mtime: float = 0.0) -> bool:
-        """Create a directory and any missing parents (``mkdir -p``)."""
+    # ``admit`` hooks run after every namespace check and before anything
+    # changes; if one raises, nothing has (the NameNode's quota checks).
+    @staticmethod
+    def _make_dirs(
+        node: INodeDirectory, names: list[str], mtime: float
+    ) -> INodeDirectory:
+        for name in names:
+            child = INodeDirectory(name=name, mtime=mtime)
+            node.children[name] = child
+            node = child
+        return node
+
+    def mkdirs(
+        self,
+        path: str,
+        mtime: float = 0.0,
+        admit: Callable[[str, None], None] | None = None,
+    ) -> bool:
+        """Create a directory and any missing parents (``mkdir -p``).
+        ``admit(path, None)`` runs only if something will be created."""
         norm = normalize(path)
-        node: INodeDirectory = self.root
-        if norm == "/":
-            return True
-        for part in norm.strip("/").split("/"):
-            child = node.children.get(part)
-            if child is None:
-                child = INodeDirectory(name=part, mtime=mtime)
-                node.children[part] = child
-            elif not child.is_dir:
-                raise NotADirectory(f"{path!r}: {part!r} is a file")
-            node = child  # type: ignore[assignment]
+        node, rest, existing = self._descend(norm)
+        if existing is None:
+            if admit is not None:
+                admit(norm, None)
+            self._make_dirs(node, rest, mtime)
+        elif not existing.is_dir:
+            raise NotADirectory(f"{path!r} is a file")
         return True
 
     def create_file(
-        self, path: str, replication: int, mtime: float = 0.0, overwrite: bool = False
+        self,
+        path: str,
+        replication: int,
+        mtime: float = 0.0,
+        overwrite: bool = False,
+        admit: Callable[[str, INodeFile | None], None] | None = None,
     ) -> INodeFile:
-        parent_path, base = split_path(path)
-        self.mkdirs(parent_path, mtime=mtime)
-        parent = self.get_dir(parent_path)
-        existing = parent.children.get(base)
+        """Create an empty under-construction file (and missing parents).
+        ``admit(path, existing)`` sees the file about to be replaced, or
+        ``None`` for a new path; it may delete ``existing`` itself."""
+        norm = normalize(path)
+        node, rest, existing = self._descend(norm)
+        if not rest:
+            raise FileNotFoundInHdfs("the root directory has no parent")
         if existing is not None:
             if existing.is_dir:
                 raise IsADirectory(path)
             if not overwrite:
                 raise FileAlreadyExists(path)
+        if admit is not None:
+            admit(norm, existing)  # type: ignore[arg-type]
+        base = rest[-1]
         inode = INodeFile(
             name=base, replication=replication, mtime=mtime, under_construction=True
         )
-        parent.children[base] = inode
+        self._make_dirs(node, rest[:-1], mtime).children[base] = inode
         return inode
 
     def delete(self, path: str, recursive: bool = False) -> list[Block]:
         """Remove a path; returns the blocks freed for invalidation."""
-        norm = normalize(path)
-        if norm == "/":
+        parent, rest, node = self._descend(normalize(path))
+        if not rest:
             raise IsADirectory("cannot delete the root directory")
-        parent_path, base = split_path(norm)
-        parent = self.get_dir(parent_path)
-        if base not in parent.children:
+        if node is None:
             raise FileNotFoundInHdfs(path)
-        node = parent.children[base]
         if node.is_dir and node.children and not recursive:  # type: ignore[union-attr]
             raise DirectoryNotEmpty(path)
         freed: list[Block] = list(self._collect_blocks(node))
-        del parent.children[base]
+        del parent.children[rest[0]]
         return freed
 
     def rename(
         self, src: str, dst: str, admit: Callable[[str, str], None] | None = None
     ) -> str | None:
         """Move ``src`` to ``dst``; returns the path the inode landed at
-        (``None`` for the ``src == dst`` no-op).  ``admit(src, landed)``
-        runs after every namespace check and before anything moves; if
-        it raises, nothing has changed (the NameNode's quota check)."""
+        (``None`` for the ``src == dst`` no-op), which is what
+        ``admit(src, landed)`` is shown."""
         src_norm, dst_norm = normalize(src), normalize(dst)
         if dst_norm == src_norm:
             return None
         if dst_norm.startswith(src_norm + "/"):
             raise NotADirectory(f"cannot move {src!r} into itself")
-        node = self._resolve(src_norm)
+        src_parent, src_rest, node = self._descend(src_norm)
+        if node is None:
+            raise FileNotFoundInHdfs(src)
+        try:
+            dst_parent, dst_rest, target = self._descend(dst_norm)
+        except NotADirectory:
+            raise FileNotFoundInHdfs(f"rename target parent missing: {dst!r}") from None
         # Moving onto an existing directory moves *into* it (fs -mv semantics).
-        if self.is_dir(dst_norm):
-            dst_norm = posixpath.join(dst_norm, node.name)
-        if self.exists(dst_norm):
+        if target is not None and target.is_dir and node is not self.root:
+            dst_parent, dst_rest = target, [node.name]  # type: ignore[assignment]
+            dst_norm = dst_norm.rstrip("/") + "/" + node.name
+            target = dst_parent.children.get(node.name)
+        if target is not None:
             raise FileAlreadyExists(dst)
-        src_parent, src_base = split_path(src_norm)
-        dst_parent, dst_base = split_path(dst_norm)
-        if not self.is_dir(dst_parent):
-            raise FileNotFoundInHdfs(f"rename target parent missing: {dst_parent}")
+        if node is self.root:
+            raise FileNotFoundInHdfs("the root directory has no parent")
+        if len(dst_rest) != 1:
+            raise FileNotFoundInHdfs(f"rename target parent missing: {dst!r}")
         if admit is not None:
             admit(src_norm, dst_norm)
-        del self.get_dir(src_parent).children[src_base]
-        node.name = dst_base
-        self.get_dir(dst_parent).children[dst_base] = node
+        del src_parent.children[src_rest[0]]
+        node.name = dst_rest[0]
+        dst_parent.children[node.name] = node
         return dst_norm
 
     # -- listing / traversal -------------------------------------------
@@ -247,12 +290,11 @@ class Namespace:
         )
 
     def status(self, path: str) -> FileStatus:
-        return self._status_of(normalize(path), self._resolve(path))
+        return self._status_of(*self._inode(path))
 
     def list_status(self, path: str) -> list[FileStatus]:
         """Children of a directory (or the file itself), sorted by name."""
-        node = self._resolve(path)
-        norm = normalize(path)
+        norm, node = self._inode(path)
         if not node.is_dir:
             return [self._status_of(norm, node)]
         prefix = norm.rstrip("/") + "/"
@@ -270,7 +312,7 @@ class Namespace:
         The start path is resolved once; below it the walk follows
         ``children``, so it costs O(inodes under ``path``) at any depth.
         """
-        stack = [(normalize(path), self._resolve(path))]
+        stack = [self._inode(path)]
         while stack:
             walked, node = stack.pop()
             yield walked, node

@@ -186,15 +186,6 @@ class PerfStats:
                 out[name] = moved
         return out
 
-    def render(self) -> str:
-        lines = ["Perf (host-side, non-deterministic):"]
-        for name, value in self.as_dict().items():
-            if isinstance(value, float):
-                lines.append(f"  {name}={value:.3f}")
-            else:
-                lines.append(f"  {name}={value}")
-        return "\n".join(lines)
-
 
 #: Process-wide accumulator: runner/tracker callbacks merge each task's
 #: worker-side PerfStats into this after the work resolves.

@@ -18,7 +18,6 @@ information from NameNode."  Scheduling follows Hadoop 1.x:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +40,7 @@ from repro.mapreduce.tasks import (
     TaskType,
 )
 from repro.mapreduce.tasktracker import TaskTracker
-from repro.sim.engine import Simulation
+from repro.sim.engine import LivenessTable, Simulation
 from repro.util.errors import JobSubmissionError, OutputExistsError
 from repro.util.rng import RngStream
 
@@ -55,13 +54,6 @@ class Assignment:
     task_index: int  # map index or reduce partition
     attempt_id: str
     speculative: bool = False
-
-
-@dataclass
-class TrackerInfo:
-    tracker: TaskTracker
-    last_heartbeat: float
-    alive: bool = True
 
 
 #: Failures by one tracker on one job before it is blacklisted for it.
@@ -95,9 +87,8 @@ class JobTracker:
         #: sizing decisions (``auto``) made at submission time.
         self.backend = backend
         self.rng = rng or RngStream(seed=0).child("jobtracker")
-        self.trackers: dict[str, TrackerInfo] = {}
+        self.trackers: dict[str, TaskTracker] = {}
         self.jobs: dict[str, RunningJob] = {}
-        self._job_order: list[str] = []
         self._seq = 0
         #: Indexes keyed by submit_seq so iteration in sorted-key order
         #: IS submission (FIFO) order.  ``_active`` holds every RUNNING
@@ -109,10 +100,8 @@ class JobTracker:
         self.scheduler = make_scheduler(
             mr_config.scheduler, mr_config.user_quotas
         )
-        #: Tracker-liveness expiry heap — same lazy-revalidation scheme
-        #: as the NameNode's: one entry per tracker, O(expired) sweeps.
-        self._tracker_expiry: list[tuple[float, str]] = []
-        self._tracker_scheduled: set[str] = set()
+        #: Which registered trackers are alive (the heartbeat table).
+        self.liveness = LivenessTable(self.mr_config.tracker_timeout)
         self.sim.wheel(self.mr_config.tasktracker_heartbeat).subscribe(
             self._check_trackers
         )
@@ -120,19 +109,9 @@ class JobTracker:
     # ------------------------------------------------------------------
     # registration & liveness
     def register_tracker(self, tracker: TaskTracker) -> None:
-        self.trackers[tracker.name] = TrackerInfo(
-            tracker=tracker, last_heartbeat=self.sim.now
-        )
-        self._track_tracker_expiry(tracker.name)
+        self.trackers[tracker.name] = tracker
+        self.liveness.beat(tracker.name, self.sim.now)
         self._reconcile_tracker(tracker)
-
-    def _track_tracker_expiry(self, name: str) -> None:
-        if name not in self._tracker_scheduled:
-            self._tracker_scheduled.add(name)
-            heapq.heappush(
-                self._tracker_expiry,
-                (self.sim.now + self.mr_config.tracker_timeout, name),
-            )
 
     def _reconcile_tracker(self, tracker: TaskTracker) -> None:
         """Reconcile bookkeeping with a freshly (re)registered tracker.
@@ -150,51 +129,50 @@ class JobTracker:
                         attempt.tracker == tracker.name
                         and attempt.attempt_id not in tracker.running
                     ):
-                        attempt.state = AttemptState.KILLED
-                        attempt.finish_time = self.sim.now
-                        attempt.failure = "TaskTracker restarted"
-                        job.active_attempts -= 1
-                        self._requeue(job, task)
+                        self._kill_and_requeue(
+                            job, task, attempt, "TaskTracker restarted"
+                        )
                         job.log(
                             self.sim.now,
                             f"{attempt.attempt_id} lost in restart of "
                             f"{tracker.name}; re-queued",
                         )
 
+    def _end_attempt(
+        self,
+        job: RunningJob,
+        attempt: TaskAttempt,
+        state: AttemptState,
+        failure: str | None = None,
+    ) -> None:
+        """An attempt is over: record how and when, and take it off the
+        job's count of attempts in flight."""
+        attempt.state = state
+        attempt.finish_time = self.sim.now
+        attempt.failure = failure
+        job.active_attempts -= 1
+
+    def _kill_and_requeue(
+        self, job: RunningJob, task, attempt: TaskAttempt, failure: str
+    ) -> None:
+        """An attempt died with its tracker: kill it without penalty
+        and put the task back in the queue."""
+        self._end_attempt(job, attempt, AttemptState.KILLED, failure)
+        self._requeue(job, task)
+
     def _check_trackers(self) -> None:
-        """Expiry-heap liveness: only trackers whose recorded deadline
-        has passed are examined (lazy revalidation against the actual
-        last heartbeat); equal-expiry trackers die in name order."""
-        timeout = self.mr_config.tracker_timeout
-        now = self.sim.now
-        while self._tracker_expiry and self._tracker_expiry[0][0] < now:
-            _expiry, name = heapq.heappop(self._tracker_expiry)
-            self._tracker_scheduled.discard(name)
-            info = self.trackers.get(name)
-            if info is None or not info.alive:
-                continue
-            if now - info.last_heartbeat > timeout:
-                info.alive = False
-                self._tracker_lost(name)
-            else:
-                self._tracker_scheduled.add(name)
-                heapq.heappush(
-                    self._tracker_expiry,
-                    (info.last_heartbeat + timeout, name),
-                )
+        for name in self.liveness.expired(self.sim.now):
+            self._tracker_lost(name)
 
     def _tracker_lost(self, name: str) -> None:
         self.sim.bus.publish("mr.jobtracker.tracker_lost", self.sim.now, tracker=name)
         for job in self._active_jobs():
-            # Kill (without penalty) attempts running on the lost node.
             for task in [*job.map_tasks, *job.reduce_tasks]:
                 for attempt in task.running_attempts:
                     if attempt.tracker == name:
-                        attempt.state = AttemptState.KILLED
-                        attempt.finish_time = self.sim.now
-                        attempt.failure = "Lost TaskTracker"
-                        job.active_attempts -= 1
-                        self._requeue(job, task)
+                        self._kill_and_requeue(
+                            job, task, attempt, "Lost TaskTracker"
+                        )
             # Completed map output on that node is gone; re-run those maps
             # unless every reduce has already pulled its data.
             if not job.reduces_done:
@@ -203,25 +181,31 @@ class JobTracker:
                         task.state == TaskState.SUCCEEDED
                         and task.completed_on == name
                     ):
-                        task.state = TaskState.PENDING
-                        task.output = None
-                        task.completed_on = None
-                        job.succeeded_maps -= 1
-                        job.pending_maps.add(task.index)
-                        self._index_map_schedulable(job)
-                        job.log(
-                            self.sim.now,
-                            f"{task.task_id} output lost with tracker {name}; "
-                            f"re-queued",
-                        )
-                        self.sim.bus.publish(
-                            "mr.jobtracker.map_output_lost",
-                            self.sim.now,
-                            job_id=job.job_id,
-                            task_id=task.task_id,
-                            node=name,
-                            reason="tracker_lost",
-                        )
+                        self._map_output_gone(job, task, name, "tracker_lost")
+
+    def _map_output_gone(
+        self, job: RunningJob, task: MapTask, node: str, reason: str
+    ) -> None:
+        """A finished map's output can no longer be fetched from
+        ``node``: the map goes back to PENDING and runs again."""
+        task.output = None
+        task.completed_on = None
+        job.succeeded_maps -= 1
+        self._requeue(job, task)
+        why = (
+            f"lost with tracker {node}"
+            if reason == "tracker_lost"
+            else f"unfetchable from {node}"
+        )
+        job.log(self.sim.now, f"{task.task_id} output {why}; re-queued")
+        self.sim.bus.publish(
+            "mr.jobtracker.map_output_lost",
+            self.sim.now,
+            job_id=job.job_id,
+            task_id=task.task_id,
+            node=node,
+            reason=reason,
+        )
 
     def _requeue(self, job: RunningJob, task) -> None:
         if task.state == TaskState.FAILED:
@@ -296,7 +280,6 @@ class JobTracker:
 
             running.shm_scope = shm.ShmScope()
         self.jobs[job_id] = running
-        self._job_order.append(job_id)
         self._active[running.submit_seq] = running
         if running.pending_maps:
             self._map_schedulable[running.submit_seq] = running
@@ -349,13 +332,9 @@ class JobTracker:
         run the wave's real work concurrently before the engine's join
         barrier lets the clock move on.
         """
-        info = self.trackers.get(tracker.name)
-        if info is None:
+        if tracker.name not in self.trackers:
             self.register_tracker(tracker)
-            info = self.trackers[tracker.name]
-        info.last_heartbeat = self.sim.now
-        info.alive = True
-        self._track_tracker_expiry(tracker.name)
+        self.liveness.beat(tracker.name, self.sim.now)
         # Fair scheduling accounts per-user load once per wave, then
         # updates it incrementally as this heartbeat launches work.
         loads = self.scheduler.wave_loads(self._active)
@@ -394,16 +373,16 @@ class JobTracker:
             picked = job.pending_maps.pick_for(tracker.name)
             if picked is not None:
                 index, locality = picked
-                return self._launch_map(
-                    job, index, tracker, locality, loads=loads
+                return self._launch(
+                    job, job.map_tasks[index], tracker, loads, locality
                 )
             speculated = self._pick_straggler(job, tracker)
             if speculated is not None:
-                return self._launch_map(
-                    job, speculated, tracker,
-                    self._map_locality(job.map_tasks[speculated], tracker.name),
+                task = job.map_tasks[speculated]
+                return self._launch(
+                    job, task, tracker, loads,
+                    self._map_locality(task, tracker.name),
                     speculative=True,
-                    loads=loads,
                 )
         return None
 
@@ -432,23 +411,30 @@ class JobTracker:
                 return task.index
         return None
 
-    def _launch_map(
+    def _launch(
         self,
         job: RunningJob,
-        index: int,
+        task: MapTask | ReduceTask,
         tracker: TaskTracker,
-        locality: str,
+        loads: dict[str, int] | None,
+        locality: str | None = None,  # maps only
         speculative: bool = False,
-        loads: dict[str, int] | None = None,
     ) -> Assignment:
+        """Start one attempt of ``task`` on ``tracker``: all the
+        bookkeeping a launch owes the job, its user and its counters."""
         job.active_attempts += 1
         if loads is not None:
             loads[job.conf.user] = loads.get(job.conf.user, 0) + 1
-        task = job.map_tasks[index]
+        if isinstance(task, MapTask):
+            task_type, index = TaskType.MAP, task.index
+            launched = C.TOTAL_LAUNCHED_MAPS
+        else:
+            task_type, index = TaskType.REDUCE, task.partition
+            launched = C.TOTAL_LAUNCHED_REDUCES
         attempt = TaskAttempt(
             attempt_id=task.next_attempt_id(),
             task_id=task.task_id,
-            task_type=TaskType.MAP,
+            task_type=task_type,
             tracker=tracker.name,
             start_time=self.sim.now,
             locality=locality,
@@ -456,18 +442,20 @@ class JobTracker:
         )
         task.attempts.append(attempt)
         task.state = TaskState.RUNNING
-        job.counters.increment(C.TOTAL_LAUNCHED_MAPS)
-        counter = {
-            "node_local": C.DATA_LOCAL_MAPS,
-            "rack_local": C.RACK_LOCAL_MAPS,
-            "off_rack": C.OFF_RACK_MAPS,
-        }[locality]
-        job.counters.increment(counter)
+        job.counters.increment(launched)
+        if locality is not None:
+            job.counters.increment(
+                {
+                    "node_local": C.DATA_LOCAL_MAPS,
+                    "rack_local": C.RACK_LOCAL_MAPS,
+                    "off_rack": C.OFF_RACK_MAPS,
+                }[locality]
+            )
         if speculative:
             job.log(self.sim.now, f"speculative attempt of {task.task_id}")
         return Assignment(
             job_id=job.job_id,
-            task_type=TaskType.MAP,
+            task_type=task_type,
             task_index=index,
             attempt_id=attempt.attempt_id,
             speculative=speculative,
@@ -491,26 +479,7 @@ class JobTracker:
             partition = job.pending_reduces.popleft()
             if not job.pending_reduces:
                 self._reduce_schedulable.pop(job.submit_seq, None)
-            job.active_attempts += 1
-            if loads is not None:
-                loads[job.conf.user] = loads.get(job.conf.user, 0) + 1
-            task = job.reduce_tasks[partition]
-            attempt = TaskAttempt(
-                attempt_id=task.next_attempt_id(),
-                task_id=task.task_id,
-                task_type=TaskType.REDUCE,
-                tracker=tracker.name,
-                start_time=self.sim.now,
-            )
-            task.attempts.append(attempt)
-            task.state = TaskState.RUNNING
-            job.counters.increment(C.TOTAL_LAUNCHED_REDUCES)
-            return Assignment(
-                job_id=job.job_id,
-                task_type=TaskType.REDUCE,
-                task_index=partition,
-                attempt_id=attempt.attempt_id,
-            )
+            return self._launch(job, job.reduce_tasks[partition], tracker, loads)
         return None
 
     # ------------------------------------------------------------------
@@ -523,18 +492,16 @@ class JobTracker:
             return
         task = self._task_of(job, assignment)
         attempt = self._attempt_of(task, assignment.attempt_id)
+        lost_race = task.state == TaskState.SUCCEEDED  # a twin already won
         if attempt is not None:
-            job.active_attempts -= 1
-        if task.state == TaskState.SUCCEEDED:
-            # A speculative twin already won.
-            if attempt is not None:
-                attempt.state = AttemptState.KILLED
-                attempt.finish_time = self.sim.now
+            self._end_attempt(
+                job,
+                attempt,
+                AttemptState.KILLED if lost_race else AttemptState.SUCCEEDED,
+            )
+        if lost_race:
             job.counters.increment(C.KILLED_SPECULATIVE)
             return
-        if attempt is not None:
-            attempt.state = AttemptState.SUCCEEDED
-            attempt.finish_time = self.sim.now
         task.state = TaskState.SUCCEEDED
         if assignment.task_type == TaskType.MAP:
             job.succeeded_maps += 1
@@ -565,17 +532,13 @@ class JobTracker:
         for attempt in task.running_attempts:
             if attempt.attempt_id == winner_attempt_id:
                 continue
-            attempt.state = AttemptState.KILLED
-            attempt.finish_time = self.sim.now
-            job.active_attempts -= 1
-            info = self.trackers.get(attempt.tracker)
-            if info is not None:
-                info.tracker.kill_attempt(attempt.attempt_id)
+            self._end_attempt(job, attempt, AttemptState.KILLED)
+            if attempt.tracker in self.trackers:
+                self.trackers[attempt.tracker].kill_attempt(attempt.attempt_id)
             job.counters.increment(C.KILLED_SPECULATIVE)
 
     def tracker_is_serving(self, name: str) -> bool:
-        info = self.trackers.get(name)
-        return info is not None and info.alive and info.tracker.is_serving
+        return name in self.liveness.alive and self.trackers[name].is_serving
 
     def map_output_lost(
         self, job_id: str, task_index: int, node: str
@@ -587,24 +550,7 @@ class JobTracker:
         task = job.map_tasks[task_index]
         if task.state != TaskState.SUCCEEDED or task.completed_on != node:
             return
-        task.state = TaskState.PENDING
-        task.output = None
-        task.completed_on = None
-        job.succeeded_maps -= 1
-        job.pending_maps.add(task.index)
-        self._index_map_schedulable(job)
-        job.log(
-            self.sim.now,
-            f"{task.task_id} output unfetchable from {node}; re-queued",
-        )
-        self.sim.bus.publish(
-            "mr.jobtracker.map_output_lost",
-            self.sim.now,
-            job_id=job.job_id,
-            task_id=task.task_id,
-            node=node,
-            reason="fetch_failed",
-        )
+        self._map_output_gone(job, task, node, "fetch_failed")
 
     def task_failed(
         self,
@@ -619,12 +565,12 @@ class JobTracker:
         task = self._task_of(job, assignment)
         attempt = self._attempt_of(task, assignment.attempt_id)
         if attempt is not None:
-            job.active_attempts -= 1
-            attempt.state = (
-                AttemptState.FAILED if counts_against else AttemptState.KILLED
+            self._end_attempt(
+                job,
+                attempt,
+                AttemptState.FAILED if counts_against else AttemptState.KILLED,
+                reason,
             )
-            attempt.finish_time = self.sim.now
-            attempt.failure = reason
         self.sim.bus.publish(
             "mr.task.failed",
             self.sim.now,
@@ -661,14 +607,7 @@ class JobTracker:
             job.tracker_failures.get(tracker.name, 0) + 1
         )
         if job.tracker_failures[tracker.name] >= BLACKLIST_THRESHOLD:
-            # mrlint MRE101 audit: dict-view iteration, but the result is
-            # an order-insensitive count — not sensitive to the
-            # registration order trackers reach after restarts.
-            live = sum(
-                1
-                for info in self.trackers.values()
-                if info.alive and info.tracker.is_serving
-            )
+            live = sum(map(self.tracker_is_serving, self.liveness.alive))
             if len(job.blacklist) < max(1, live // 4):
                 job.blacklist.add(tracker.name)
         if task.failures >= job.conf.max_attempts:
@@ -716,15 +655,13 @@ class JobTracker:
         # every matching attempt on every tracker is killed, so the
         # visit order (registration order, which changes after tracker
         # restarts) cannot affect the outcome.
-        for info in self.trackers.values():
-            for attempt_id, running in list(info.tracker.running.items()):
+        for tracker in self.trackers.values():
+            for attempt_id, running in list(tracker.running.items()):
                 if running.assignment.job_id == job.job_id:
-                    info.tracker.kill_attempt(attempt_id)
+                    tracker.kill_attempt(attempt_id)
         for task in [*job.map_tasks, *job.reduce_tasks]:
             for attempt in task.running_attempts:
-                attempt.state = AttemptState.KILLED
-                attempt.finish_time = self.sim.now
-                job.active_attempts -= 1
+                self._end_attempt(job, attempt, AttemptState.KILLED)
         job.log(self.sim.now, f"job failed: {reason}")
         # After every attempt is killed nothing will read the job's
         # shuffle segments again; unlink them.

@@ -37,7 +37,7 @@ def render_cluster_status(cluster: "MapReduceCluster") -> str:
         )
     lines.append(table.render())
     jobs = TextTable(["Job", "Name", "State", "Maps", "Reduces"])
-    for job_id in cluster.jobtracker._job_order:
+    for job_id in cluster.jobtracker.jobs:
         job = cluster.jobtracker.jobs[job_id]
         done_maps = sum(
             1 for t in job.map_tasks if t.state == TaskState.SUCCEEDED

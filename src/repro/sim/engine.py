@@ -180,6 +180,51 @@ class TimerWheel:
         return cancel
 
 
+class LivenessTable:
+    """Who is alive: the one heartbeat table both masters keep (NameNode
+    over DataNodes, JobTracker over TaskTrackers).  Each master keeps
+    only what it *does* when a name expires.
+
+    A heap holds exactly one ``(deadline, name)`` entry per live name
+    and is revalidated lazily against the last beat, so a sweep touches
+    only names whose queued deadline has passed — O(expired) amortized,
+    never O(names).
+    """
+
+    __slots__ = ("timeout", "last_beat", "alive", "_heap")
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        #: name -> time of its last beat (kept after it expires).
+        self.last_beat: dict[str, float] = {}
+        #: Names that have beaten and not gone silent since.
+        self.alive: set[str] = set()
+        self._heap: list[tuple[float, str]] = []
+
+    def beat(self, name: str, now: float) -> None:
+        """Record a heartbeat (registration included)."""
+        self.last_beat[name] = now
+        if name not in self.alive:
+            self.alive.add(name)
+            heapq.heappush(self._heap, (now + self.timeout, name))
+
+    def expired(self, now: float) -> list[str]:
+        """Declare dead, and return, the names silent for longer than
+        ``timeout`` — equal deadlines in name order, deterministic
+        regardless of registration history.  A name that beat since its
+        queued deadline is re-armed at its fresh one."""
+        dead = []
+        while self._heap and self._heap[0][0] < now:
+            _deadline, name = heapq.heappop(self._heap)
+            last = self.last_beat[name]
+            if now - last > self.timeout:
+                self.alive.discard(name)
+                dead.append(name)
+            else:
+                heapq.heappush(self._heap, (last + self.timeout, name))
+        return dead
+
+
 class Simulation:
     """A discrete-event simulation with a shared clock and event bus.
 

@@ -102,3 +102,36 @@ class TestBalancer:
         assert fsck(cluster.namenode).healthy
         for i in range(8):
             assert client.read_bytes(f"/d/f{i}").data == bytes([i + 1]) * 1024
+
+    def test_moves_keep_the_namenodes_replica_bookkeeping_exact(self):
+        """A move goes through the NameNode's own add/drop path.  The
+        parent's balancer discarded the source from ``locations``
+        itself, so ``_blocks_on[source]`` kept every moved block id
+        (40 listed on node0 against 10 really there) and a later
+        decommission or node death iterated blocks that had left."""
+        cluster = make_hdfs(num_datanodes=4, block_size=1024, replication=1)
+        client = cluster.client(node="node0")
+        for i in range(40):
+            client.put_bytes(f"/data/f{i}", bytes([i]) * 1024)
+        namenode = cluster.namenode
+        before = {bid: set(meta.locations) for bid, meta in namenode.block_map.items()}
+        assert all(locations == {"node0"} for locations in before.values())
+
+        report = Balancer(cluster, threshold=1e-9).run()
+
+        assert report.blocks_moved == 30
+        moved = [
+            meta for bid, meta in namenode.block_map.items()
+            if meta.locations != before[bid]
+        ]
+        assert len(moved) == 30 and all(meta.safe for meta in moved)
+        for datanode in cluster.datanodes:
+            assert namenode._blocks_on[datanode] == {
+                bid for bid, meta in namenode.block_map.items()
+                if datanode in meta.locations
+            }, datanode
+        assert len(namenode._blocks_on["node0"]) == 10
+        assert namenode.under_replicated == namenode.over_replicated == set()
+        # What tripped over the stale index: draining the source node.
+        namenode.start_decommission("node0")
+        assert len(namenode.under_replicated) == 10

@@ -290,7 +290,7 @@ class TestNameNodeCrashRecovery:
         hdfs.crash_datanode("node0")  # queue re-replication work
         hdfs.sim.run_for(hdfs.namenode.config.dead_node_timeout * 2)
         nn = hdfs.namenode
-        assert nn.datanodes and nn._blocks_on and nn._liveness_scheduled
+        assert nn.datanodes and nn._blocks_on and nn.liveness.last_beat
         for event in events:
             getattr(nn, event)()
         fresh = NameNode(Simulation(), hdfs.topology, nn.config)
@@ -299,6 +299,7 @@ class TestNameNodeCrashRecovery:
             if name in self.DURABLE or not isinstance(value, (dict, set, list)):
                 continue
             assert len(getattr(nn, name)) == len(value) == 0, name
+        assert nn.liveness.last_beat == fresh.liveness.last_beat == {}
         assert nn._safe_blocks == fresh._safe_blocks == 0
         assert nn.safemode.blocks_safe == fresh.safemode.blocks_safe == 0
 

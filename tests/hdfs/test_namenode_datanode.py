@@ -20,8 +20,8 @@ class TestStartup:
 
     def test_all_datanodes_registered_and_live(self):
         cluster = make_hdfs(num_datanodes=3)
-        live = [d for d in cluster.namenode.datanodes.values() if d.alive]
-        assert len(live) == 3
+        assert cluster.namenode.liveness.alive == set(cluster.namenode.datanodes)
+        assert len(cluster.namenode.datanodes) == 3
 
     def test_heartbeats_flow(self):
         cluster = make_hdfs()
@@ -36,7 +36,7 @@ class TestDeadNodeDetection:
         cluster.crash_datanode("node1")
         timeout = cluster.config.dead_node_timeout
         cluster.sim.run_for(timeout + 3 * cluster.config.heartbeat_interval)
-        assert not cluster.namenode.datanodes["node1"].alive
+        assert "node1" not in cluster.namenode.liveness.alive
 
     def test_dead_node_locations_removed(self):
         cluster = make_hdfs(replication=3)
@@ -54,10 +54,10 @@ class TestDeadNodeDetection:
         cluster = make_hdfs()
         cluster.stop_datanode("node2")
         cluster.sim.run_for(cluster.config.dead_node_timeout + 10)
-        assert not cluster.namenode.datanodes["node2"].alive
+        assert "node2" not in cluster.namenode.liveness.alive
         cluster.restart_datanode("node2")
         cluster.wait_until(
-            lambda: cluster.namenode.datanodes["node2"].alive, timeout=120
+            lambda: "node2" in cluster.namenode.liveness.alive, timeout=120
         )
         assert cluster.datanode("node2").state == DataNodeState.UP
 

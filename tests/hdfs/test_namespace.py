@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdfs.block import Block
-from repro.hdfs.namespace import Namespace, normalize, split_path
+from repro.hdfs.namespace import Namespace, normalize
 from repro.util.errors import (
     DirectoryNotEmpty,
     FileAlreadyExists,
@@ -22,6 +22,8 @@ class TestPathNormalization:
             ("/a/./b", "/a/b"),
             ("/a/b/../c", "/a/c"),
             ("/a/b/", "/a/b"),
+            ("//", "/"),  # normpath alone keeps two leading slashes
+            ("//a//b", "/a/b"),
         ],
     )
     def test_normalize(self, raw, expected):
@@ -30,11 +32,6 @@ class TestPathNormalization:
     def test_relative_rejected(self):
         with pytest.raises(FileNotFoundInHdfs):
             normalize("relative/path")
-
-    def test_split(self):
-        assert split_path("/a/b/c") == ("/a/b", "c")
-        with pytest.raises(FileNotFoundInHdfs):
-            split_path("/")
 
 
 class TestDirectories:

@@ -15,6 +15,8 @@ rename reports and costs, and ``dfsadmin -metasave`` byte for byte.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hdfs import namenode as namenode_module
+from repro.hdfs import namespace as namespace_module
 from repro.hdfs.block import Block
 from repro.hdfs.namespace import Namespace
 from repro.util.errors import FileAlreadyExists, HdfsError
@@ -30,12 +32,21 @@ NAMES = ("a", "a.b", "a0", "a-", "b", "B", "é")
 _names = st.sampled_from(NAMES)
 _paths = st.lists(_names, min_size=1, max_size=5).map(lambda parts: "/" + "/".join(parts))
 _pick = st.integers(min_value=0, max_value=10_000)  # index into what exists
+#: Where an op's path comes from: a literal, an existing path, or an
+#: existing path plus one new component (so: onto files, into
+#: directories, into itself, missing parents, through a file).
+_where = st.one_of(_paths, _pick, st.tuples(_pick, _names))
+#: How it is spelled: 0 as is, else one unnormalised variant.
+_spelling = st.integers(min_value=0, max_value=4)
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("mkdirs"), _paths),
-        st.tuples(st.just("file"), _paths, st.lists(st.integers(0, 5000), max_size=3)),
-        st.tuples(st.just("rename"), _pick, st.one_of(_paths, _pick, st.tuples(_pick, _names))),
-        st.tuples(st.just("delete"), _pick),
+        st.tuples(st.just("mkdirs"), _where, _spelling),
+        st.tuples(
+            st.just("file"), _where, _spelling, st.booleans(),
+            st.lists(st.integers(0, 5000), max_size=3),
+        ),
+        st.tuples(st.just("rename"), _where, _spelling, _where, _spelling),
+        st.tuples(st.just("delete"), _where, _spelling, st.booleans()),
     ),
     max_size=30,
 )
@@ -45,40 +56,25 @@ def _existing(ns: Namespace) -> list[str]:
     return [path for path, _ in oracle.walk_all(ns, "/")]
 
 
-def _choose(ns: Namespace, pick) -> str:
+def _choose(ns: Namespace, pick, spelling: int) -> str:
     """An op's path argument: literal, an existing path, or an existing
-    path plus one new component."""
+    path plus one new component — in one of five spellings."""
     if isinstance(pick, str):
-        return pick
-    existing = _existing(ns)
-    if isinstance(pick, tuple):
-        index, name = pick
-        return existing[index % len(existing)].rstrip("/") + "/" + name
-    return existing[pick % len(existing)]
-
-
-def _build(ops) -> Namespace:
-    ns = Namespace()
-    next_block = iter(range(1, 10_000))
-    for op in ops:
-        try:
-            if op[0] == "mkdirs":
-                ns.mkdirs(op[1], mtime=1.5)
-            elif op[0] == "file":
-                inode = ns.create_file(op[1], replication=2, mtime=2.5)
-                inode.blocks = [Block(next(next_block), 1, n) for n in op[2]]
-            elif op[0] == "rename":
-                src = _choose(ns, op[1])
-                node = ns._resolve(src)
-                landed = ns.rename(src, _choose(ns, op[2]))
-                if landed is not None:
-                    assert ns._resolve(landed) is node
-                    assert not ns.exists(src)
-            else:
-                ns.delete(_choose(ns, op[1]), recursive=True)
-        except HdfsError:
-            pass  # refused ops are part of the history too
-    return ns
+        path = pick
+    else:
+        existing = _existing(ns)
+        if isinstance(pick, tuple):
+            index, name = pick
+            path = existing[index % len(existing)].rstrip("/") + "/" + name
+        else:
+            path = existing[pick % len(existing)]
+    return (
+        path,
+        path.replace("/", "//"),
+        path + "/",
+        path.replace("/", "/./", 1),
+        "/a/.." + path,
+    )[spelling]
 
 
 def _outcome(call):
@@ -87,6 +83,53 @@ def _outcome(call):
         return ("ok", call())
     except HdfsError as exc:
         return ("raised", type(exc))
+
+
+def _file_fields(outcome):
+    kind, inode = outcome
+    if kind == "raised":
+        return outcome
+    return kind, (inode.name, inode.replication, inode.mtime, inode.under_construction)
+
+
+def _build(ops) -> Namespace:
+    """Apply ``ops`` to a namespace and, step for step, to a twin tree
+    driven by the parent's bodies (``namespace_oracle``): same value or
+    same exception type, same ``admit`` calls, same ``dump()``."""
+    ns, twin = Namespace(), Namespace()
+    next_block = iter(range(1, 10_000))
+    for op in ops:
+        path = _choose(twin, op[1], op[2])
+        if op[0] == "mkdirs":
+            got = _outcome(lambda: ns.mkdirs(path, mtime=1.5))
+            want = _outcome(lambda: oracle.mkdirs(twin, path, mtime=1.5))
+        elif op[0] == "file":
+            made = _outcome(lambda: ns.create_file(path, 2, mtime=2.5, overwrite=op[3]))
+            wanted = _outcome(
+                lambda: oracle.create_file(twin, path, 2, mtime=2.5, overwrite=op[3])
+            )
+            got, want = _file_fields(made), _file_fields(wanted)
+            if made[0] == wanted[0] == "ok":
+                blocks = [Block(next(next_block), 1, n) for n in op[4]]
+                made[1].blocks, wanted[1].blocks = blocks, list(blocks)
+        elif op[0] == "rename":
+            dst = _choose(twin, op[3], op[4])
+            moved = _outcome(lambda: oracle.resolve(ns, path))
+            seen, expected = [], []
+            got = _outcome(lambda: ns.rename(path, dst, admit=lambda *a: seen.append(a)))
+            want = _outcome(
+                lambda: oracle.rename(twin, path, dst, admit=lambda *a: expected.append(a))
+            )
+            assert seen == expected
+            if got[0] == "ok" and got[1] is not None:
+                assert oracle.resolve(ns, got[1]) is moved[1]
+                assert not ns.exists(path)
+        else:
+            got = _outcome(lambda: ns.delete(path, recursive=op[3]))
+            want = _outcome(lambda: oracle.delete(twin, path, recursive=op[3]))
+        assert got == want, (op, path)
+        assert ns.dump() == twin.dump(), (op, path)
+    return ns
 
 
 def _walked(pairs) -> list[tuple[str, int]]:
@@ -182,11 +225,20 @@ class _CountingDict(dict):
     touched = 0
 
 
+class _RootDict(_CountingDict):
+    """The root's ``children``: a walk from ``/`` to anything below it
+    looks in here exactly once, so touches here count walks."""
+
+    walks = 0
+
+
 def _counting(name):
     plain = getattr(dict, name)
 
     def method(self, *args):
         _CountingDict.touched += 1
+        if isinstance(self, _RootDict):
+            _RootDict.walks += 1
         return plain(self, *args)
 
     return method
@@ -199,9 +251,10 @@ for _name in (
     setattr(_CountingDict, _name, _counting(_name))
 
 
-def _rename_touches(num_files: int) -> int:
-    """Directory lookups one ``NameNode.rename`` makes in a namespace of
-    ``num_files`` files spread over 20 directories."""
+def _rpc_costs(monkeypatch, num_files: int) -> dict[str, tuple[int, int, int]]:
+    """``{rpc: (walks from the root, normalize calls, directory
+    lookups)}`` for one call of each NameNode RPC at depth 3, in a
+    namespace of ``num_files`` files spread over 20 directories."""
     cluster = make_hdfs()
     namenode = cluster.namenode
     for index in range(num_files):
@@ -210,22 +263,66 @@ def _rename_touches(num_files: int) -> int:
         )
     for _, inode in list(namenode.namespace.walk_all("/")):
         if inode.is_dir:
-            inode.children = _CountingDict(inode.children)
-    _CountingDict.touched = 0
-    namenode.rename("/data/d07/f00007", "/data/d07/renamed")
-    touched = _CountingDict.touched
+            kind = _RootDict if inode is namenode.namespace.root else _CountingDict
+            inode.children = kind(inode.children)
+    normalized = []
+
+    def counting_normalize(path, plain=namespace_module.normalize):
+        normalized.append(path)
+        return plain(path)
+
+    monkeypatch.setattr(namespace_module, "normalize", counting_normalize)
+    monkeypatch.setattr(namenode_module, "normalize", counting_normalize)
+    costs = {}
+
+    def measure(rpc, call):
+        _CountingDict.touched = _RootDict.walks = 0
+        del normalized[:]
+        result = call()
+        costs[rpc] = (_RootDict.walks, len(normalized), _CountingDict.touched)
+        return result
+
+    measure("rename", lambda: namenode.rename("/data/d07/f00007", "/data/d07/renamed"))
+    measure("create", lambda: namenode.create_file("/data/d07/fresh"))
+    block, _targets = measure(
+        "add_block", lambda: namenode.add_block("/data/d07/fresh", 10)
+    )
+    measure("abandon_block", lambda: namenode.abandon_block("/data/d07/fresh", block))
+    measure("complete_file", lambda: namenode.complete_file("/data/d07/fresh"))
+    measure("overwrite", lambda: namenode.create_file("/data/d07/fresh", overwrite=True))
+    measure("set_replication", lambda: namenode.set_replication("/data/d07/f00027", 2))
+    measure("status", lambda: namenode.status("/data/d07/f00027"))
+    measure("get_block_locations", lambda: namenode.get_block_locations("/data/d07/f00027"))
+    measure("mkdirs", lambda: namenode.mkdirs("/data/d07/sub"))
+    measure("delete", lambda: namenode.delete("/data/d07/f00027"))
+    monkeypatch.undo()
     assert namenode.namespace.exists("/data/d07/renamed")
     assert not namenode.namespace.exists("/data/d07/f00007")
-    return touched
+    assert not namenode.namespace.exists("/data/d07/f00027")
+    return costs
 
 
 class TestRenameCostsItsDepthNotTheNamespace:
-    def test_lookups_do_not_grow_with_the_namespace(self):
-        small, large = _rename_touches(200), _rename_touches(2000)
+    def test_lookups_do_not_grow_with_the_namespace(self, monkeypatch):
+        small, large = _rpc_costs(monkeypatch, 200), _rpc_costs(monkeypatch, 2000)
         assert small == large
-        # depth 3, a handful of resolves each: a constant, nowhere near
-        # the 20 directories (let alone the 2 000 files).
-        assert 0 < large <= 60
+        # One walk per path argument at depth 3 plus the unlink and the
+        # link: a constant, nowhere near the 20 directories (let alone
+        # the 2 000 files).  (The parent made 7-8 walks, ~25 lookups.)
+        assert 0 < large["rename"][2] <= 8
+
+    def test_one_walk_per_path_argument_per_rpc(self, monkeypatch):
+        """(walks, normalizes) per RPC.  The parent: rename 7-8 walks
+        and 16-17 normalizes, a fresh create 3 and 6, an overwriting
+        create 6 and 14, add_block 1 and 3, delete 1 and 5."""
+        costs = {rpc: cost[:2] for rpc, cost in _rpc_costs(monkeypatch, 200).items()}
+        walks, normalizes = costs.pop("rename")
+        assert walks <= 3 and normalizes <= 2 * 2  # two path arguments
+        walks, normalizes = costs.pop("overwrite")  # the delete + the create
+        assert walks <= 2 and normalizes <= 2 * 2
+        assert len(costs) == 9
+        for rpc, (walks, normalizes) in costs.items():
+            assert walks == 1 and normalizes <= 2, (rpc, walks, normalizes)
 
     def test_rename_walks_nothing(self, monkeypatch):
         cluster = make_hdfs()

@@ -121,7 +121,7 @@ class TestDecommission:
             others = [
                 d
                 for d in meta.locations
-                if d != victim and cluster.namenode._is_live(d)
+                if d != victim and d in cluster.namenode.liveness.alive
             ]
             assert len(others) >= meta.expected_replication
 
