@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="pool size for pooled backends (0 = one per host CPU)",
+        help="pool size for pooled backends (0 = one per usable core)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo").set_defaults(fn=_cmd_demo)
@@ -415,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.workers < 0:
-        parser.error("--workers must be >= 0 (0 = one per host CPU)")
+        parser.error("--workers must be >= 0 (0 = one per usable core)")
     if args.backend is not None:
         from repro.mapreduce.backend import set_default_backend
 

@@ -195,8 +195,8 @@ class PooledExecutionBackend(ExecutionBackend):
         if mode not in ("process", "thread"):
             raise ConfigError(f"unknown pool mode {mode!r}")
         if workers is not None and workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = one per host CPU)")
-        self.workers = workers or os.cpu_count() or 1
+            raise ConfigError("workers must be >= 0 (0 = one per usable core)")
+        self.workers = workers or usable_cores()
         self.mode = mode
         self._executor: Executor | None = None
         #: (handle, on_done, fn, index) in submission order; fn kept for
@@ -455,7 +455,7 @@ def set_default_backend(name: str, workers: int = 0) -> None:
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
     if workers < 0:
-        raise ConfigError("workers must be >= 0 (0 = one per host CPU)")
+        raise ConfigError("workers must be >= 0 (0 = one per usable core)")
     global _default_spec
     _default_spec = (name, workers)
 

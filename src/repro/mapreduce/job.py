@@ -87,12 +87,16 @@ class RunningJob:
         #: Shared-memory shuffle scope (``repro.mapreduce.shm.ShmScope``)
         #: when this job runs pooled with ``shuffle_transport="shm"``;
         #: the JobTracker creates it at submit and releases it on the
-        #: job-finish/-fail paths (see :meth:`release_shm`).
+        #: job-finish/-fail paths (see :meth:`release_shuffle`).
         self.shm_scope = None
 
-    def release_shm(self) -> None:
-        """Unlink this job's shuffle segments (idempotent, safe to call
-        from every teardown path)."""
+    def release_shuffle(self) -> None:
+        """A finished job holds no shuffle data in any form: drop every
+        map task's output (object, framed or shm slices) and unlink the
+        job's shared-memory segments.  Idempotent, safe to call from
+        every teardown path."""
+        for task in self.map_tasks:
+            task.output = None
         if self.shm_scope is not None:
             self.shm_scope.release()
 

@@ -636,9 +636,9 @@ class JobTracker:
         job.state = JobState.SUCCEEDED
         job.finish_time = self.sim.now
         self._deindex_job(job)
-        # All reduces have consumed their input: unlink the job's
-        # shuffle segments now rather than at cluster teardown.
-        job.release_shm()
+        # All reduces have consumed their input: release the job's
+        # shuffle data now rather than at cluster teardown.
+        job.release_shuffle()
         client = self.output_client_factory(None)
         client.put_bytes(f"{job.output_path}/_SUCCESS", b"", overwrite=True)
         job.log(self.sim.now, "job succeeded")
@@ -664,8 +664,8 @@ class JobTracker:
                 self._end_attempt(job, attempt, AttemptState.KILLED)
         job.log(self.sim.now, f"job failed: {reason}")
         # After every attempt is killed nothing will read the job's
-        # shuffle segments again; unlink them.
-        job.release_shm()
+        # shuffle data again; release it.
+        job.release_shuffle()
         self.sim.bus.publish(
             "mr.jobtracker.failed",
             self.sim.now,

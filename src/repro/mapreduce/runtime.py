@@ -14,12 +14,16 @@ One path from split to part file, whichever driver and backend:
 :func:`prefetch_split` (the split's block I/O, in the driver's thread)
 -> :func:`execute_map` (parse, map, sort, partition, combine; wrapped by
 :func:`map_attempt_work` when the result has to cross a pool) ->
-:func:`reduce_attempt_work` (merge, reduce, render).
+:func:`reduce_attempt_work` (merge, reduce, render).  All three run
+inside :func:`attempt_heap`.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -51,6 +55,46 @@ from repro.mapreduce.types import Writable
 from repro.util.errors import TaskFailedError
 
 SideReader = Callable[[str], tuple[str, float]]
+
+_heap_lock = threading.Lock()
+#: Attempt scopes open in this process, and whether the cyclic
+#: collector was on when the outermost of them opened.
+_open_heaps = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def attempt_heap():
+    """An attempt owns its heap for its lifetime, as a Hadoop 1.x child
+    JVM does: the cyclic collector is paused while any attempt runs.
+
+    An attempt allocates one tracked tuple per record; the generational
+    collector would re-walk all of them (and every earlier map's
+    retained output) over and over to find nothing — ``Text``,
+    ``IntWritable`` and ``(key, value)`` pairs are acyclic and die by
+    refcount, paused or not.  Cycles user code builds wait for the
+    collection the interpreter runs by itself right after the outermost
+    scope closes, so memory is bounded by one attempt.
+
+    Re-entrant and thread-safe (inline attempts, ``pooled-threads``
+    workers and :func:`map_attempt_work` -> :func:`execute_map` nest):
+    the outermost entry records ``gc.isenabled()``, the outermost exit
+    restores exactly that.  Host-side only — no simulated quantity and
+    no output depends on it.
+    """
+    global _open_heaps, _gc_was_enabled
+    with _heap_lock:
+        if _open_heaps == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _open_heaps += 1
+    try:
+        yield
+    finally:
+        with _heap_lock:
+            _open_heaps -= 1
+            if _open_heaps == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def job_partitioner(job: Job) -> Partitioner:
@@ -142,6 +186,7 @@ def prefetch_split(job: Job, split: InputSplit, fetch) -> PrefetchedInput:
     return PrefetchedInput(payload=payload, stats=stats)
 
 
+@attempt_heap()
 def execute_map(
     job: Job,
     split: InputSplit,
@@ -377,6 +422,7 @@ def execute_reduce(
 # no simulation state.
 
 
+@attempt_heap()
 def map_attempt_work(
     job: Job,
     split: InputSplit,
@@ -420,6 +466,7 @@ def map_attempt_work(
     return execution
 
 
+@attempt_heap()
 def reduce_attempt_work(
     job: Job,
     map_outputs: list[MapOutput],

@@ -13,6 +13,7 @@ plain functions instead of Mapper/Reducer classes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
@@ -37,6 +38,44 @@ def _decode_key(key: Writable):
     return key
 
 
+class _StreamMapper(Mapper):
+    def __init__(self, map_fn: MapFn):
+        self.map_fn = map_fn
+
+    def map(self, key: Writable, value: Writable, context: Context) -> None:
+        for out_key, out_value in self.map_fn(_decode_key(key), _decode_key(value)):
+            context.write(out_key, out_value)
+
+
+class _StreamReducer(Reducer):
+    def __init__(self, fn: ReduceFn):
+        self.fn = fn
+
+    def reduce(self, key, values, context: Context) -> None:
+        plain = [_decode_key(v) for v in values]
+        for out_key, out_value in self.fn(_decode_key(key), plain):
+            context.write(out_key, out_value)
+
+
+def _factory(cls: type, fn: Callable | None):
+    """What ``Job`` expects of a mapper/reducer "class": a zero-argument
+    callable with a ``__name__`` — here ``cls`` bound to the user's
+    function, so no class is built per job."""
+    if fn is None:
+        return None
+    bound = partial(cls, fn)
+    bound.__name__ = cls.__name__
+    return bound
+
+
+class _StreamJob(Job):
+    def __init__(self, map_fn, reduce_fn, combine_fn, conf: JobConf, **params):
+        self.mapper = _factory(_StreamMapper, map_fn)
+        self.reducer = _factory(_StreamReducer, reduce_fn)
+        self.combiner = _factory(_StreamReducer, combine_fn)
+        super().__init__(conf=conf, **params)
+
+
 def streaming_job(
     name: str,
     map_fn: MapFn,
@@ -53,28 +92,11 @@ def streaming_job(
     ``reduce_fn(key, values)`` receives a key string and the list of
     plain values; it returns/yields output pairs.  ``combine_fn`` runs as
     the combiner and must be a monoid over ``reduce_fn``'s input.
+
+    Every call returns an instance of the one module-level job class;
+    the functions ride on the instance, not in per-call classes.
     """
-
-    class _StreamMapper(Mapper):
-        def map(self, key: Writable, value: Writable, context: Context) -> None:
-            for out_key, out_value in map_fn(_decode_key(key), _decode_key(value)):
-                context.write(out_key, out_value)
-
-    def _make_reducer(fn: ReduceFn) -> type[Reducer]:
-        class _StreamReducer(Reducer):
-            def reduce(self, key, values, context: Context) -> None:
-                plain = [_decode_key(v) for v in values]
-                for out_key, out_value in fn(_decode_key(key), plain):
-                    context.write(out_key, out_value)
-
-        return _StreamReducer
-
-    class _StreamJob(Job):
-        mapper = _StreamMapper
-        reducer = _make_reducer(reduce_fn) if reduce_fn is not None else None
-        combiner = _make_reducer(combine_fn) if combine_fn is not None else None
-
     job_conf = conf or JobConf(name=name, num_reduces=num_reduces)
     if conf is not None:
         job_conf.name = name
-    return _StreamJob(conf=job_conf, **params)
+    return _StreamJob(map_fn, reduce_fn, combine_fn, job_conf, **params)

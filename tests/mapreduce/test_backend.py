@@ -349,6 +349,22 @@ class TestAutoBackend:
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1
 
+    @pytest.mark.parametrize("mode", ["process", "thread"])
+    def test_default_pool_size_is_the_usable_cores_not_the_hosts(
+        self, monkeypatch, mode
+    ):
+        """Under a cgroup/affinity limit the pool forks one worker per
+        schedulable core — the same number ``auto`` decides from."""
+        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            backend_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        assert usable_cores() == 2
+        assert PooledExecutionBackend(mode=mode).workers == 2
+        assert create_backend("pooled", 0).workers == 2
+        assert AutoExecutionBackend(workers=0).workers == 2
+        assert PooledExecutionBackend(workers=3, mode=mode).workers == 3
+
 
 class _SetupRaisesMapper(Mapper):
     def setup(self, context):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C
 from repro.mapreduce.streaming import streaming_job
 from repro.util.errors import JobSubmissionError, OutputExistsError
@@ -131,3 +132,56 @@ class TestReportRendering:
         assert "SUCCEEDED" in text
         assert "Maps:" in text
         assert "Counters:" in text
+
+
+class TestFinishedJobHoldsNoShuffle:
+    def _finished(self, mr, reduce_fn=lambda k, vs: [(k, sum(vs))], **conf):
+        mr.sim.bus.record_history = True
+        mr.client().put_text("/in.txt", "w " * 4000)
+        job = streaming_job(
+            "j",
+            lambda k, v: ((w, 1) for w in v.split()),
+            reduce_fn,
+            conf=JobConf(name="j", num_reduces=2, **conf),
+        )
+        running = mr.submit(job, "/in.txt", "/out")
+        seen_output = []
+        mr.sim.bus.subscribe(
+            "mr.task.completed",
+            lambda e: seen_output.append(
+                any(t.output is not None for t in running.map_tasks)
+            ),
+        )
+        mr.wait_for_job(running, timeout=24 * 3600)
+        assert any(seen_output)  # the outputs existed while the job ran
+        return running
+
+    def test_succeeded_job_drops_every_map_output(self, mr):
+        running = self._finished(mr)
+        assert running.succeeded
+        assert all(t.output is None for t in running.map_tasks)
+        assert mr.output_dict("/out") == {"w": "4000"}
+
+    def test_failed_job_drops_every_map_output(self, mr):
+        def bad_reduce(key, values):
+            raise RuntimeError("reduce-side bug")
+
+        running = self._finished(mr, bad_reduce, max_attempts=2)
+        assert running.state.value == "failed"
+        assert all(t.output is None for t in running.map_tasks)
+
+    def test_late_output_loss_for_a_finished_job_is_a_no_op(self, mr):
+        running = self._finished(mr)
+        before = [(t.state, t.completed_on, len(t.attempts)) for t in running.map_tasks]
+        victim = running.map_tasks[0].completed_on
+        mr.jobtracker.map_output_lost(running.job_id, 0, victim)
+        mr.tasktrackers[victim].crash()
+        mr.sim.run_for(2 * mr.mr_config.tracker_timeout)
+        assert mr.sim.bus.history("mr.jobtracker.tracker_lost")
+        assert not mr.sim.bus.history("mr.jobtracker.map_output_lost")
+        assert running.succeeded
+        assert running.succeeded_maps == len(running.map_tasks)
+        assert before == [
+            (t.state, t.completed_on, len(t.attempts)) for t in running.map_tasks
+        ]
+        assert mr.output_dict("/out") == {"w": "4000"}

@@ -59,6 +59,25 @@ class TestStreamingJob:
         assert job.name == "myjob"
         assert "mapper=" in job.describe()
 
+    def test_no_class_is_built_per_job(self):
+        sum_fn = lambda k, vs: [(k, sum(vs))]  # noqa: E731
+        job_a = streaming_job("a", lambda k, v: [(v, 1)], sum_fn, sum_fn)
+        job_b = streaming_job("b", lambda k, v: [(v, 2)])
+        assert type(job_a) is type(job_b)
+        assert type(job_a.mapper()) is type(job_b.mapper())
+        assert type(job_a.reducer()) is type(job_a.combiner())
+        assert job_b.reducer is None and job_b.combiner is None
+        assert job_a.describe() == (
+            "a(mapper=_StreamMapper, combiner=_StreamReducer, "
+            "reducer=_StreamReducer, reduces=1)"
+        )
+        # the functions ride on the instances, so jobs stay independent
+        fs = LinuxFileSystem()
+        fs.write_file("/in.txt", "x\nx\n")
+        runner = LocalJobRunner(localfs=fs)
+        assert runner.run(job_a, "/in.txt", "/a").output_dict() == {"x": "2"}
+        assert runner.run(job_b, "/in.txt", "/b").pairs == [("x", "2"), ("x", "2")]
+
     def test_job_without_mapper_rejected(self):
         from repro.mapreduce.api import Job
 

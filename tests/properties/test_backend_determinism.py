@@ -7,6 +7,7 @@ parallelism is an optimisation of host wall-clock, never a semantic.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.datasets.movielens import generate_movielens
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.movie_genres import GenreStatsJob
 from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.mapreduce import runtime
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
@@ -125,6 +127,28 @@ class TestLocalRunnerDeterminism:
             warnings.simplefilter("error", RuntimeWarning)
             pooled = _local_fingerprint(backend_name, job, files)
         assert pooled == serial
+
+    @pytest.mark.parametrize("backend_name", ("serial", *BACKENDS))
+    def test_attempt_heap_is_host_side_only(self, backend_name, monkeypatch):
+        """Outputs, counters and simulated seconds do not depend on the
+        collector pause every attempt runs under."""
+        files = {"/data/corpus.txt": CORPUS}
+
+        def job():
+            return WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
+
+        def fingerprints():
+            return (
+                _local_fingerprint(backend_name, job, files),
+                _cluster_fingerprint(backend_name),
+            )
+
+        paused = fingerprints()
+        never_paused = SimpleNamespace(
+            isenabled=lambda: True, disable=lambda: None, enable=lambda: None
+        )
+        monkeypatch.setattr(runtime, "gc", never_paused)  # forked workers too
+        assert fingerprints() == paused
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_movie_ratings_job_runs_inline_identically(self, backend_name):
