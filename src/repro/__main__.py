@@ -267,25 +267,27 @@ def _cmd_lint(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.mapreduce.backend import BACKEND_NAMES, set_default_backend
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Educational Hadoop 1.x stack (paper reproduction)",
     )
     parser.add_argument(
         "--backend",
-        choices=("serial", "pooled", "pooled-threads", "auto"),
+        choices=BACKEND_NAMES,
         default=None,
         help="where task attempts' real work runs (default: serial); "
-        "pooled backends parallelise share-nothing work while keeping "
-        "simulated results bit-identical; 'auto' picks serial or "
-        "pooled per job from the host's core count and the input size",
+        "'pooled' runs share-nothing work on a process pool while "
+        "keeping simulated results bit-identical; 'auto' decides per "
+        "job from the host's core count and the job's input size",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=0,
         metavar="N",
-        help="pool size for pooled backends (0 = one per usable core)",
+        help="pool size (0 = one per usable core)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo").set_defaults(fn=_cmd_demo)
@@ -417,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 0:
         parser.error("--workers must be >= 0 (0 = one per usable core)")
     if args.backend is not None:
-        from repro.mapreduce.backend import set_default_backend
-
         set_default_backend(args.backend, args.workers)
     return args.fn(args)
 

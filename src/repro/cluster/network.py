@@ -89,10 +89,6 @@ class NetworkModel:
             return self.nic_bw
         return self.nic_bw / self.rack_oversubscription
 
-    def bandwidth_between(self, src: str | None, dst: str | None) -> float:
-        """Effective streaming bandwidth between two parties."""
-        return self._bandwidth(self.distance(src, dst))
-
     def transfer_time(self, src: str | None, dst: str | None, nbytes: int) -> float:
         """Seconds to move ``nbytes`` from ``src`` to ``dst``.
 

@@ -2,14 +2,14 @@
 
 The injector is the cluster-facing half of the chaos layer: it installs
 itself as the simulation's :class:`~repro.sim.engine.FaultSite`, wires
-the pooled backend's worker-crash hook, schedules the plan's timed
+the backend's worker-crash hook, schedules the plan's timed
 faults, and subscribes its event triggers.
 
 The determinism contract
 ========================
 
 Every probabilistic draw comes from ``RngStream(plan.seed)`` *named by
-the opportunity* — ``(kind, attempt_id)``, ``(kind, node,
+the opportunity* — ``(kind, attempt_id)``, ``(kind, "namenode",
 heartbeat_number)``, ``(kind, work_index)`` — never by call order.  Two
 consequences:
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.plan import FaultPlan, RateFault, ScheduledFault, TriggerFault
-from repro.mapreduce.backend import PooledExecutionBackend
 from repro.sim.engine import FaultSite, ScheduledEvent
 from repro.util.errors import ConfigError
 from repro.util.rng import RngStream
@@ -63,13 +62,10 @@ class FaultInjector(FaultSite):
             return self
         self._armed = True
         self.sim.install_faults(self)
-        backend = self.cluster.backend
-        # Every pool is armed, an ``auto`` one included: the hook is
-        # consulted only when a pooled result lands.
-        if "backend.worker_crash" in self._rates and isinstance(
-            backend, PooledExecutionBackend
-        ):
-            backend._chaos = self._worker_chaos
+        # The hook is consulted only when a pooled result lands, so a
+        # backend whose jobs all run inline never fires it.
+        if "backend.worker_crash" in self._rates:
+            self.cluster.backend._chaos = self._worker_chaos
         for fault in self.plan.scheduled:
             self._pending.append(
                 self.sim.schedule(fault.at, self._fire_scheduled, fault)
@@ -83,8 +79,7 @@ class FaultInjector(FaultSite):
             return
         self._armed = False
         self.sim.clear_faults()
-        if isinstance(self.cluster.backend, PooledExecutionBackend):
-            self.cluster.backend._chaos = None
+        self.cluster.backend._chaos = None
         for handle in self._pending:
             handle.cancel()
         self._pending.clear()
@@ -109,30 +104,6 @@ class FaultInjector(FaultSite):
         return self.rng.child(rate_fault.kind, *key).bernoulli(rate_fault.rate)
 
     # -- FaultSite hooks (probabilistic catalog) -------------------------
-    def datanode_heartbeat_crash(self, datanode) -> bool:
-        rate_fault = self._rates.get("datanode.crash")
-        if rate_fault is None or not self._fires(
-            rate_fault, datanode.name, datanode.heartbeats_sent
-        ):
-            return False
-        self._record("datanode.crash", node=datanode.name, via="rate")
-        restart_after = rate_fault.param("restart_after")
-        if restart_after is not None:
-            self.sim.schedule(restart_after, self._restart_datanode, datanode.name)
-        return True
-
-    def tracker_heartbeat_crash(self, tracker) -> bool:
-        rate_fault = self._rates.get("tracker.crash")
-        if rate_fault is None or not self._fires(
-            rate_fault, tracker.name, tracker.heartbeats_sent
-        ):
-            return False
-        self._record("tracker.crash", node=tracker.name, via="rate")
-        restart_after = rate_fault.param("restart_after")
-        if restart_after is not None:
-            self.sim.schedule(restart_after, self._restart_tracker, tracker.name)
-        return True
-
     def namenode_heartbeat_crash(self, namenode) -> bool:
         rate_fault = self._rates.get("namenode.crash")
         if rate_fault is None or not self._fires(

@@ -26,7 +26,7 @@ event trips a trigger):
 =====================  ==================================================
 
 Probabilistic faults (a rate in ``[0, 1]`` drawn once per opportunity,
-from an RNG stream named by the opportunity — attempt id, node +
+from an RNG stream named by the opportunity — attempt id, NameNode
 heartbeat number, work index — so draws replay identically regardless
 of execution order or backend):
 
@@ -34,9 +34,7 @@ of execution order or backend):
 ``task.exception``         a task attempt raises at launch
 ``task.straggler``         an attempt's runtime is multiplied
 ``shuffle.fetch_failure``  one reduce-side fetch fails transiently
-``datanode.crash``         a DataNode dies instead of heartbeating
-``tracker.crash``          a TaskTracker dies instead of heartbeating
-``backend.worker_crash``   a pooled-backend worker dies holding a result
+``backend.worker_crash``   a pool worker dies holding a result
 ``namenode.crash``         the NameNode dies servicing a heartbeat
 =========================  ============================================
 """
@@ -73,8 +71,6 @@ RATE_KINDS = frozenset(
         "task.exception",
         "task.straggler",
         "shuffle.fetch_failure",
-        "datanode.crash",
-        "tracker.crash",
         "backend.worker_crash",
         "namenode.crash",
     }
@@ -351,31 +347,16 @@ class FaultPlan:
         """Per-fetch probability that a reduce's map-output copy fails."""
         return self._add_rate("shuffle.fetch_failure", rate)
 
-    def datanode_crash_rate(
-        self, rate: float, restart_after: float | None = None
-    ) -> "FaultPlan":
-        """Per-heartbeat probability that a DataNode dies."""
-        return self._add_rate(
-            "datanode.crash", rate, restart_after=restart_after
-        )
-
-    def tracker_crash_rate(
-        self, rate: float, restart_after: float | None = None
-    ) -> "FaultPlan":
-        """Per-heartbeat probability that a TaskTracker dies."""
-        return self._add_rate("tracker.crash", rate, restart_after=restart_after)
-
     def worker_crash_rate(self, rate: float) -> "FaultPlan":
-        """Per-work-item probability that a pooled backend worker dies."""
+        """Per-work-item probability that a pool worker dies."""
         return self._add_rate("backend.worker_crash", rate)
 
     def namenode_crash_rate(
         self, rate: float, recover_after: float = 60.0
     ) -> "FaultPlan":
         """Per-processed-heartbeat probability that the NameNode dies.
-        Unlike the DataNode/tracker rates, recovery defaults to *on*
-        (60 s): a cluster whose NameNode never comes back cannot finish
-        any drill."""
+        Recovery defaults to *on* (60 s): a cluster whose NameNode never
+        comes back cannot finish any drill."""
         return self._add_rate("namenode.crash", rate, recover_after=recover_after)
 
     # -- utilities -------------------------------------------------------

@@ -174,9 +174,6 @@ class DataNode:
     def _heartbeat(self) -> None:
         if not self.is_serving:
             return
-        if self.sim.faults.datanode_heartbeat_crash(self):
-            self.crash()
-            return
         self.heartbeats_sent += 1
         response = self.namenode.heartbeat(self.info())
         if response.re_register:

@@ -159,149 +159,172 @@ class Partial:
 
 
 # --------------------------------------------------------------------------
-# the generated jobs
+# the generated jobs: module-level classes configured through
+# ``JobConf.params``, so a job pickles onto a process pool
 
 
 class _HiveMapperBase(Mapper):
-    """Parses rows against the schema and applies the WHERE filter."""
-
-    schema: TableSchema
-    query: Query
+    """Parses rows against the table schema (param ``hv_schema``) and
+    applies the WHERE filter (``hv_where``: ``(column index, op,
+    literal)`` per condition)."""
 
     def setup(self, context: Context) -> None:
-        self._where_indexes = [
-            self.schema.column_index(c.column) for c in self.query.where
-        ]
-        self._line_no = 0
+        self._schema = context.get("hv_schema")
+        self._where = context.get("hv_where")
 
     def _parse(self, value: Writable) -> list | None:
         line = value.value
-        self._line_no += 1
-        if self.schema.skip_header and line and not self._header_checked(line):
+        schema = self._schema
+        # A header line fails numeric parsing anyway; this fast-path just
+        # avoids warning noise for the common CSV-with-header case.
+        header = schema.columns[0][0]
+        if schema.skip_header and line and line.split(schema.delimiter)[0] == header:
             return None
-        row = self.schema.parse_row(line)
+        row = schema.parse_row(line)
         if row is None:
             return None
-        for condition, index in zip(self.query.where, self._where_indexes):
-            if not apply_op(row[index], condition.op, condition.literal):
+        for index, op, literal in self._where:
+            if not apply_op(row[index], op, literal):
                 return None
         return row
 
-    def _header_checked(self, line: str) -> bool:
-        # A header line fails numeric parsing anyway; this fast-path just
-        # avoids warning noise for the common CSV-with-header case.
-        first_field = line.split(self.schema.delimiter)[0]
-        return first_field != self.schema.columns[0][0]
+
+def _scan_params(schema: TableSchema, query: Query) -> dict:
+    """The :class:`_HiveMapperBase` params of one table scan."""
+    return dict(
+        hv_schema=schema,
+        hv_where=tuple(
+            (schema.column_index(c.column), c.op, c.literal)
+            for c in query.where
+        ),
+    )
 
 
-def _aggregation_job(schema: TableSchema, query: Query) -> Job:
-    group_indexes = [schema.column_index(c) for c in query.group_by]
-    agg_items = query.aggregates
-    agg_indexes = [
-        None if item.column == "*" else schema.column_index(item.column)
-        for item in agg_items
-    ]
+class AggMapper(_HiveMapperBase):
+    """Emit ``group -> one partial per aggregate`` for each kept row;
+    params ``hv_group`` (GROUP BY column indexes) and ``hv_aggs`` (the
+    aggregated column's index per aggregate, None for ``*``)."""
 
-    class AggMapper(_HiveMapperBase):
-        pass
+    def setup(self, context: Context) -> None:
+        super().setup(context)
+        self._group = context.get("hv_group")
+        self._aggs = context.get("hv_aggs")
 
-    AggMapper.schema = schema
-    AggMapper.query = query
-
-    def agg_map(self, key, value, context):
+    def map(self, key, value, context):
         row = self._parse(value)
         if row is None:
             return
-        if group_indexes:
-            group = GROUP_SEP.join(str(row[i]) for i in group_indexes)
+        if self._group:
+            group = GROUP_SEP.join(str(row[i]) for i in self._group)
         else:
             group = GLOBAL_GROUP
         partials = [
             Partial.encode_one(1 if index is None else row[index])
-            for index in agg_indexes
+            for index in self._aggs
         ]
         context.write(Text(group), Text(AGG_SEP.join(partials)))
 
-    AggMapper.map = agg_map
 
-    class AggCombiner(Reducer):
-        """Merge partials — legal because (count,sum,min,max) is a monoid."""
+class _PartialMerger(Reducer):
+    """Merges a group's ``AGG_SEP``-joined partials, aggregate by
+    aggregate; param ``hv_finals`` names the aggregate per partial."""
 
-        def reduce(self, key, values, context):
-            merged = [Partial() for _ in agg_items]
-            for value in values:
-                for partial, piece in zip(merged, value.value.split(AGG_SEP)):
-                    partial.merge(Partial.decode(piece))
-            context.write(
-                key, Text(AGG_SEP.join(p.encode() for p in merged))
-            )
+    def setup(self, context: Context) -> None:
+        self._finals = context.get("hv_finals")
 
-    class AggReducer(Reducer):
-        def reduce(self, key, values, context):
-            merged = [Partial() for _ in agg_items]
-            for value in values:
-                for partial, piece in zip(merged, value.value.split(AGG_SEP)):
-                    partial.merge(Partial.decode(piece))
-            finals = [
-                partial.finalize(item.aggregate)
-                for partial, item in zip(merged, agg_items)
-            ]
-            context.write(
-                key, Text(AGG_SEP.join("" if f is None else str(f) for f in finals))
-            )
-
-    class HiveAggJob(Job):
-        mapper = AggMapper
-        reducer = AggReducer
-        combiner = AggCombiner
-
-    return HiveAggJob(conf=JobConf(name=f"hive-agg-{schema.name}"))
+    def _merged(self, values) -> list[Partial]:
+        merged = [Partial() for _ in self._finals]
+        for value in values:
+            for partial, piece in zip(merged, value.value.split(AGG_SEP)):
+                partial.merge(Partial.decode(piece))
+        return merged
 
 
-def _projection_job(
-    schema: TableSchema, query: Query, udfs: dict[str, Callable]
-) -> Job:
-    #: (column index, udf | None) per output field, '*' expanded.
-    fields: list[tuple[int, Callable | None]] = []
-    for item in query.items:
-        if item.column == "*":
-            fields.extend(
-                (i, None) for i in range(len(schema.columns))
-            )
-        else:
-            fields.append(
-                (
-                    schema.column_index(item.column),
-                    udfs[item.udf] if item.udf else None,
-                )
-            )
+class AggCombiner(_PartialMerger):
+    """Merge partials — legal because (count,sum,min,max) is a monoid."""
 
-    class ProjectMapper(_HiveMapperBase):
-        pass
+    def reduce(self, key, values, context):
+        merged = self._merged(values)
+        context.write(key, Text(AGG_SEP.join(p.encode() for p in merged)))
 
-    ProjectMapper.schema = schema
-    ProjectMapper.query = query
 
-    def project_map(self, key, value, context):
+class AggReducer(_PartialMerger):
+    """Merge partials, then finalize each."""
+
+    def reduce(self, key, values, context):
+        finals = [
+            partial.finalize(aggregate)
+            for partial, aggregate in zip(self._merged(values), self._finals)
+        ]
+        context.write(
+            key, Text(AGG_SEP.join("" if f is None else str(f) for f in finals))
+        )
+
+
+class HiveAggJob(Job):
+    mapper = AggMapper
+    reducer = AggReducer
+    combiner = AggCombiner
+
+
+def _aggregation_job(schema: TableSchema, query: Query) -> Job:
+    aggregates = query.aggregates
+    return HiveAggJob(
+        conf=JobConf(name=f"hive-agg-{schema.name}"),
+        hv_group=tuple(schema.column_index(c) for c in query.group_by),
+        hv_aggs=tuple(
+            None if item.column == "*" else schema.column_index(item.column)
+            for item in aggregates
+        ),
+        hv_finals=tuple(item.aggregate for item in aggregates),
+        **_scan_params(schema, query),
+    )
+
+
+class ProjectMapper(_HiveMapperBase):
+    """Emit each kept row's SELECT list as the key; param ``hv_project``:
+    ``(column index, UDF or None)`` per output field, ``*`` expanded.  A
+    module-level UDF pickles with the job; any other callable makes the
+    pool fall back to running the attempt inline."""
+
+    def setup(self, context: Context) -> None:
+        super().setup(context)
+        self._fields = context.get("hv_project")
+
+    def map(self, key, value, context):
         row = self._parse(value)
         if row is None:
             return
         context.write(
             Text(
                 GROUP_SEP.join(
-                    str(fn(row[i]) if fn else row[i]) for i, fn in fields
+                    str(fn(row[i]) if fn else row[i]) for i, fn in self._fields
                 )
             ),
             NullWritable(),
         )
 
-    ProjectMapper.map = project_map
 
-    class HiveProjectJob(Job):
-        mapper = ProjectMapper
-        reducer = None  # identity
+class HiveProjectJob(Job):
+    mapper = ProjectMapper
+    reducer = None  # identity
 
-    return HiveProjectJob(conf=JobConf(name=f"hive-select-{schema.name}"))
+
+def _projection_job(
+    schema: TableSchema, query: Query, udfs: dict[str, Callable]
+) -> Job:
+    fields: list[tuple[int, Callable | None]] = []
+    for item in query.items:
+        if item.column == "*":
+            fields.extend((i, None) for i in range(len(schema.columns)))
+        else:
+            udf = udfs[item.udf] if item.udf else None
+            fields.append((schema.column_index(item.column), udf))
+    return HiveProjectJob(
+        conf=JobConf(name=f"hive-select-{schema.name}"),
+        hv_project=tuple(fields),
+        **_scan_params(schema, query),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ a stage around that job here:
 
 Everything here is **param-driven**: module-level Mapper/Reducer/Job
 classes configured through ``JobConf.params``, so jobs stay picklable
-and the pooled execution backends can ship them to worker processes.
+and a pooled job can ship them to worker processes.
 
 The sort key is a *composite token* built by :func:`row_sort_token`:
 ``null-flag + order-preserving scalar encoding + full-row tiebreak``.

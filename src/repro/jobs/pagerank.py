@@ -12,7 +12,7 @@ leans on when a DataNode dies mid-iteration.
 
 Every transformation argument is a module-level function (or a
 ``functools.partial`` of one), so compiled stages stay picklable and
-the pooled execution backends can ship them to worker processes.
+a pooled job can ship them to worker processes.
 """
 
 from __future__ import annotations

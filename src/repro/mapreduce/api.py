@@ -153,8 +153,8 @@ class Job:
     input_format = None
     #: Declare True when the job's tasks read or mutate state shared
     #: across tasks — ``Context.node_cache``, ``read_side_file`` /
-    #: ``cached_side_file`` — so parallel execution backends run its
-    #: attempts inline (serial semantics) instead of on the pool, where
+    #: ``cached_side_file`` — so the job is placed inline (serial
+    #: semantics) at submission instead of on the pool, where
     #: per-node shared state and side-file cost accounting would not be
     #: reproduced bit-identically.  Side-file readers are simply absent
     #: on the pool, so an undeclared job fails loudly, not subtly.

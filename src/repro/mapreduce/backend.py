@@ -1,26 +1,27 @@
-"""Execution backends: where a task attempt's *real* work runs.
+"""The execution backend: where a task attempt's *real* work runs.
 
 The simulator prices map/reduce work in simulated seconds, but the user
 code itself (tokenising, sorting, combining, reducing) executes for
-real.  Historically that execution was inline and serial: every task
-attempt ran to completion inside the discrete-event loop, so a
-multi-node simulated cluster used exactly one core of the host.
+real.  Run inline, every attempt completes inside the discrete-event
+loop and a multi-node simulated cluster uses one core of the host.
 
-An :class:`ExecutionBackend` decouples the two:
+One class, :class:`ExecutionBackend`, decouples the two:
 
-- :class:`SerialExecutionBackend` reproduces the historical behaviour
-  exactly — ``submit`` runs the work and its completion callback
-  immediately, in the simulation thread.
-- :class:`PooledExecutionBackend` dispatches share-nothing work onto a
-  ``concurrent.futures`` pool and resolves results at a deterministic
-  *join point*: the simulation engine (via the
-  :class:`~repro.sim.engine.WorkJoiner` protocol) joins all in-flight
-  work, in submission order, before the clock advances past the
-  simulated instant at which the work was submitted.
-- :class:`AutoExecutionBackend` *is* that pool plus one per-job flag:
-  the drivers call ``decide(input bytes)`` at submission (a no-op on
-  every other backend) and a job below the threshold, or on a one-core
-  host, runs inline — the pool is not even started.
+- ``submit(fn, on_done, inline=True)`` runs the work and its completion
+  callback at once, in the simulation thread;
+- ``submit(fn, on_done)`` ships share-nothing work to a lazily created
+  process pool and resolves it at a deterministic *join point*: the
+  simulation engine (via the :class:`~repro.sim.engine.WorkJoiner`
+  protocol) joins all in-flight work, in submission order, before the
+  clock advances past the simulated instant the work was submitted at.
+
+Which of the two a job gets is decided once per job, at submission, by
+whoever runs it (the JobTracker or the ``LocalJobRunner``):
+``backend.pools(input bytes) and not job.shares_node_state``.
+The backend's ``policy`` (``serial | pooled | auto``, fixed at
+construction) answers :meth:`ExecutionBackend.pools` and holds no
+per-job state; the answer is kept with the job
+(``RunningJob.pooled`` on a cluster, a local in ``LocalJobRunner.run``).
 
 A cluster or runner gets its backend one way: the ``backend=`` instance
 it was handed (``create_backend(name, workers)``), else a fresh one of
@@ -48,26 +49,21 @@ assert exactly this.
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import warnings
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Any, Callable
 
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, ReproError
 
 OnDone = Callable[["WorkHandle"], None]
 
-#: Backend names accepted by :func:`create_backend` and the CLI.
-BACKEND_NAMES = ("serial", "pooled", "pooled-threads", "auto")
+#: Backend policies accepted by :func:`create_backend` and the CLI.
+BACKEND_NAMES = ("serial", "pooled", "auto")
 
-#: Below this much estimated input, :class:`AutoExecutionBackend` keeps
-#: work serial: pool startup + IPC overwhelm any parallel win on small
-#: jobs.
+#: Below this much job input, ``auto`` keeps the job inline: pool
+#: startup + IPC overwhelm any parallel win on small jobs.
 AUTO_MIN_PARALLEL_BYTES = 1 << 20
 
 
@@ -107,98 +103,29 @@ class WorkHandle:
         return self._result
 
 
+def _check_spec(policy: str, workers: int) -> None:
+    if policy not in BACKEND_NAMES:
+        raise ConfigError(
+            f"unknown backend {policy!r}; expected one of {BACKEND_NAMES}"
+        )
+    if workers < 0:
+        raise ConfigError("workers must be >= 0 (0 = one per usable core)")
+
+
 class ExecutionBackend:
-    """Where task attempts' real work runs.  See the module docstring."""
+    """Where task attempts' real work runs.  See the module docstring.
 
-    name = "base"
-    #: True when share-nothing work may execute off the sim thread.
-    parallel = False
-
-    def submit(
-        self,
-        fn: Callable[[], Any],
-        on_done: OnDone,
-        *,
-        submit_time: float = 0.0,
-        inline: bool = False,
-    ) -> WorkHandle:
-        """Run ``fn`` and eventually call ``on_done(handle)``.
-
-        ``inline=True`` demands execution in the caller's thread before
-        ``submit`` returns (work that touches shared simulation or
-        node state).  Exceptions raised by ``fn`` are captured in the
-        handle — ``on_done`` observes them via :meth:`WorkHandle.result`
-        — but exceptions from ``on_done`` itself propagate.
-        """
-        raise NotImplementedError
-
-    def decide(self, estimated_bytes: int | None) -> str:
-        """Told each job's input size before its tasks are submitted;
-        only ``auto`` acts on it.  Returns how the job will run."""
-        return self.name
-
-    # -- WorkJoiner protocol (see repro.sim.engine) ---------------------
-    def pending_since(self) -> float | None:
-        return None
-
-    def join_all(self) -> None:
-        pass
-
-    def shutdown(self) -> None:
-        pass
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-def _run_captured(fn: Callable[[], Any], handle: WorkHandle) -> None:
-    try:
-        handle._result = fn()
-    except BaseException as exc:  # noqa: BLE001 - relayed via handle.result()
-        handle._error = exc
-
-
-class SerialExecutionBackend(ExecutionBackend):
-    """The historical inline executor: everything runs at submit time."""
-
-    name = "serial"
-    parallel = False
-
-    def submit(self, fn, on_done, *, submit_time=0.0, inline=False):
-        handle = WorkHandle(submit_time)
-        _run_captured(fn, handle)
-        on_done(handle)
-        return handle
-
-
-class PooledExecutionBackend(ExecutionBackend):
-    """Dispatch share-nothing real work onto a thread/process pool.
-
-    ``mode="process"`` (the default) sidesteps the GIL for CPU-bound
-    user code; payloads and results must be picklable.  Work that fails
-    to pickle is transparently re-run inline at the join point (the
-    result is identical — pooling is an optimisation, never a semantic).
-    ``mode="thread"`` has no pickling constraints and suits
-    free-threaded interpreters or I/O-heavy custom code.
-
-    ``inline=True`` submissions (node-state-sharing jobs) run eagerly in
-    the caller's thread, exactly as the serial backend would.
+    Payloads and results of pooled work must pickle.  Work that fails
+    to is re-run inline at the join point (the result is identical —
+    pooling is an optimisation, never a semantic), with a
+    ``RuntimeWarning`` and one more :attr:`inline_fallbacks`.
     """
 
-    name = "pooled"
-    parallel = True
-
-    def __init__(self, workers: int | None = None, mode: str = "process"):
-        if mode not in ("process", "thread"):
-            raise ConfigError(f"unknown pool mode {mode!r}")
-        if workers is not None and workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = one per usable core)")
+    def __init__(self, policy: str, workers: int = 0):
+        _check_spec(policy, workers)
+        self.policy = policy
         self.workers = workers or usable_cores()
-        self.mode = mode
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         #: (handle, on_done, fn, index) in submission order; fn kept for
         #: resubmission after worker death and the inline fallbacks.
         self._in_flight: list[
@@ -214,39 +141,65 @@ class PooledExecutionBackend(ExecutionBackend):
         #: Work items whose results were recovered after a worker death
         #: (by resubmission or the final inline fallback).
         self.worker_crash_recoveries = 0
+        #: Pooled work items re-run inline because their payload or
+        #: result could not cross the process boundary.
+        self.inline_fallbacks = 0
+
+    def pools(self, input_bytes: int | None) -> bool:
+        """May a job with this much input run on the pool?
+
+        ``serial`` never pools and ``pooled`` always does.  ``auto``
+        pools when the host has two usable cores and the input is at
+        least :data:`AUTO_MIN_PARALLEL_BYTES`; ``None`` (no cheap
+        estimate) counts as large, so only the core count gates.
+        """
+        if self.policy == "auto":
+            return usable_cores() >= 2 and (
+                input_bytes is None or input_bytes >= AUTO_MIN_PARALLEL_BYTES
+            )
+        return self.policy == "pooled"
 
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            if self.mode == "process":
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-pooled",
-                )
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
-    def submit(self, fn, on_done, *, submit_time=0.0, inline=False):
+    def submit(
+        self,
+        fn: Callable[[], Any],
+        on_done: OnDone,
+        *,
+        submit_time: float = 0.0,
+        inline: bool = False,
+    ) -> WorkHandle:
+        """Run ``fn`` and eventually call ``on_done(handle)``.
+
+        ``inline=True`` runs it in the caller's thread before ``submit``
+        returns (a job that is not pooled, or work that touches shared
+        simulation or node state); otherwise it goes to the pool and
+        ``on_done`` fires at the join point.  Exceptions raised by
+        ``fn`` are captured in the handle — ``on_done`` observes them
+        via :meth:`WorkHandle.result` — but exceptions from ``on_done``
+        itself propagate.
+        """
         handle = WorkHandle(submit_time)
-        if inline:
-            _run_captured(fn, handle)
-            on_done(handle)
-            return handle
-        try:
-            handle._future = self._ensure_executor().submit(fn)
-        except RuntimeError:
-            # Executor already shut down (e.g. interpreter teardown):
-            # degrade to inline execution rather than losing the task.
-            _run_captured(fn, handle)
-            on_done(handle)
-            return handle
-        index = self._submit_count
-        self._submit_count += 1
-        self._in_flight.append((handle, on_done, fn, index))
+        if not inline:
+            try:
+                handle._future = self._ensure_executor().submit(fn)
+            except RuntimeError:
+                # Executor already shut down (e.g. interpreter teardown):
+                # degrade to inline execution rather than losing the task.
+                pass
+            else:
+                self._in_flight.append((handle, on_done, fn, self._submit_count))
+                self._submit_count += 1
+                return handle
+        _run_captured(fn, handle)
+        on_done(handle)
         return handle
 
-    # -- WorkJoiner protocol --------------------------------------------
+    # -- WorkJoiner protocol (see repro.sim.engine) ---------------------
     def pending_since(self) -> float | None:
         if not self._in_flight:
             return None
@@ -276,6 +229,7 @@ class PooledExecutionBackend(ExecutionBackend):
                             RuntimeWarning,
                             stacklevel=2,
                         )
+                        self.inline_fallbacks += 1
                         _run_captured(fn, handle)
                     else:
                         handle._error = exc
@@ -342,64 +296,22 @@ class PooledExecutionBackend(ExecutionBackend):
         # by the scopes' directory removal; never sweep them at
         # _discard_executor time, because completed futures from a
         # broken pool may hold slices the parent has yet to adopt.
-        _release_shm_scopes()
+        shm = sys.modules.get("repro.mapreduce.shm")  # if ever imported
+        if shm is not None:
+            shm.release_all_scopes()
 
 
-def _release_shm_scopes() -> None:
-    """Release live shm scopes, if the shm plane was ever imported."""
-    shm = sys.modules.get("repro.mapreduce.shm")
-    if shm is not None:
-        shm.release_all_scopes()
+#: The benchmark's span table (``benchmarks/perf/trace.py``) resolves
+#: ``submit`` and ``join_all`` through this name, from the class dict;
+#: it goes when the benchmark names :class:`ExecutionBackend` instead.
+PooledExecutionBackend = ExecutionBackend
 
 
-class AutoExecutionBackend(PooledExecutionBackend):
-    """A pool that runs a job inline unless pooling can pay for itself.
-
-    Pooling pays a fixed tax (pool startup, payload pickling/framing)
-    that a small job never earns back, and buys nothing on a one-core
-    host.  ``auto`` starts serial and the runner/JobTracker call
-    :meth:`decide` with the job's estimated input bytes before tasks
-    are scheduled: parallel only when the schedulable core count is
-    >= 2 **and** the input clears :data:`AUTO_MIN_PARALLEL_BYTES`.
-    The pool is built lazily, so a backend that never goes parallel
-    never starts one.
-
-    The decision is observable via :attr:`chosen`; work submitted
-    between jobs follows the latest decision, and work already on the
-    pool is still joined in order after a flip back to serial.
-    Determinism is unaffected either way — inline and pooled work
-    honour the same bit-identical contract.
-    """
-
-    name = "auto"
-    parallel = False  # until the first decide()
-
-    @property
-    def chosen(self) -> str:
-        """How work submitted now runs: ``"serial"`` or ``"pooled"``."""
-        return "pooled" if self.parallel else "serial"
-
-    def decide(self, estimated_bytes: int | None) -> str:
-        """Choose serial or pooled for the next job; returns the choice.
-
-        ``estimated_bytes`` is the job's input size (sum of split
-        lengths); ``None`` means unknown, which is treated as large —
-        the caller had no cheap estimate, so only the core count gates.
-        """
-        small = (
-            estimated_bytes is not None
-            and estimated_bytes < AUTO_MIN_PARALLEL_BYTES
-        )
-        self.parallel = usable_cores() >= 2 and not small
-        return self.chosen
-
-    def submit(self, fn, on_done, *, submit_time=0.0, inline=False):
-        return super().submit(
-            fn,
-            on_done,
-            submit_time=submit_time,
-            inline=inline or not self.parallel,
-        )
+def _run_captured(fn: Callable[[], Any], handle: WorkHandle) -> None:
+    try:
+        handle._result = fn()
+    except BaseException as exc:  # noqa: BLE001 - relayed via handle.result()
+        handle._error = exc
 
 
 class _InjectedWorkerCrash(Exception):
@@ -416,26 +328,18 @@ def _is_pickling_error(exc: BaseException) -> bool:
     fallback re-runs the work inline, which yields an identical answer —
     at worst a deterministic failure is computed twice.
     """
-    import pickle
-
-    from repro.util.errors import ReproError
-
     if isinstance(exc, ReproError):
         return False
-    return isinstance(
-        exc, (pickle.PicklingError, TypeError, AttributeError)
-    )
+    return isinstance(exc, (pickle.PicklingError, TypeError, AttributeError))
 
 
 def _is_worker_crash(exc: BaseException) -> bool:
     """Did a pool worker die (OOM-killed, segfaulted, injected)?
 
-    ``BrokenExecutor`` covers ``BrokenProcessPool`` and
-    ``BrokenThreadPool``; :class:`_InjectedWorkerCrash` is the fault
-    injector's simulated flavour of the same event.
+    ``BrokenExecutor`` covers ``BrokenProcessPool``;
+    :class:`_InjectedWorkerCrash` is the fault injector's simulated
+    flavour of the same event.
     """
-    from concurrent.futures import BrokenExecutor
-
     return isinstance(exc, (BrokenExecutor, _InjectedWorkerCrash))
 
 
@@ -450,33 +354,15 @@ _default_spec: tuple[str, int] = ("serial", 0)
 
 def set_default_backend(name: str, workers: int = 0) -> None:
     """Set the process-wide default backend spec (e.g. from the CLI)."""
-    if name not in BACKEND_NAMES:
-        raise ConfigError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if workers < 0:
-        raise ConfigError("workers must be >= 0 (0 = one per usable core)")
+    _check_spec(name, workers)
     global _default_spec
     _default_spec = (name, workers)
 
 
-def default_backend_spec() -> tuple[str, int]:
-    return _default_spec
-
-
 def create_backend(name: str, workers: int = 0) -> ExecutionBackend:
-    """Instantiate a backend by name (one of :data:`BACKEND_NAMES`)."""
-    if name == "serial":
-        return SerialExecutionBackend()
-    if name == "pooled":
-        return PooledExecutionBackend(workers=workers or None, mode="process")
-    if name == "pooled-threads":
-        return PooledExecutionBackend(workers=workers or None, mode="thread")
-    if name == "auto":
-        return AutoExecutionBackend(workers=workers or None, mode="process")
-    raise ConfigError(
-        f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-    )
+    """A backend with policy ``name`` (one of :data:`BACKEND_NAMES`);
+    ``workers=0`` sizes its pool at one worker per usable core."""
+    return ExecutionBackend(name, workers)
 
 
 def resolve_backend(backend: "ExecutionBackend | None") -> ExecutionBackend:

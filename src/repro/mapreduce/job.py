@@ -43,11 +43,16 @@ class RunningJob:
         splits: list[InputSplit],
         submit_time: float,
         submit_seq: int = 0,
+        pooled: bool = False,
     ):
         self.job = job
         self.job_id = job_id
         #: Monotonic submission number — the scheduler's FIFO key.
         self.submit_seq = submit_seq
+        #: Whether every attempt of this job — map, reduce, shuffle
+        #: retry, speculative twin — runs on the backend's pool (else
+        #: inline); decided once, at submission.
+        self.pooled = pooled
         self.input_paths = list(input_paths)
         self.output_path = output_path
         self.submit_time = submit_time

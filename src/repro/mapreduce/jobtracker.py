@@ -29,7 +29,7 @@ from repro.mapreduce.blockio import BlockFetcher
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.job import JobState, RunningJob
-from repro.mapreduce.runtime import job_input_format
+from repro.mapreduce.runtime import job_input_format, job_pooled
 from repro.mapreduce.scheduler import make_scheduler
 from repro.mapreduce.tasks import (
     AttemptState,
@@ -83,9 +83,9 @@ class JobTracker:
         self.fetcher = fetcher
         self.mr_config = mr_config
         self.output_client_factory = output_client_factory
-        #: The cluster's execution backend, when it wants per-job
-        #: sizing decisions (``auto``) made at submission time.
-        self.backend = backend
+        #: The cluster's execution backend; asked once per job, at
+        #: submission, whether the job runs on its pool.
+        self.backend = backend if backend is not None else ExecutionBackend("serial")
         self.rng = rng or RngStream(seed=0).child("jobtracker")
         self.trackers: dict[str, TaskTracker] = {}
         self.jobs: dict[str, RunningJob] = {}
@@ -253,9 +253,6 @@ class JobTracker:
         for path in files:
             lengths, locations = self.fetcher.block_layout(path)
             splits.extend(input_format.splits_for_file(path, lengths, locations))
-        if self.backend is not None:
-            # "auto" picks serial vs pooled from this job's size.
-            self.backend.decide(sum(split.length for split in splits))
         self._seq += 1
         job_id = f"job_{self._seq:04d}"
         running = RunningJob(
@@ -266,13 +263,10 @@ class JobTracker:
             splits=splits,
             submit_time=self.sim.now,
             submit_seq=self._seq,
+            pooled=job_pooled(self.backend, job, splits),
         )
         running.build_map_index(self.topology)
-        if (
-            self.backend is not None
-            and self.backend.parallel
-            and self.mr_config.shuffle_transport == "shm"
-        ):
+        if running.pooled and self.mr_config.shuffle_transport == "shm":
             # Per-job shuffle scope: map workers publish under its
             # token; released on the job finish/fail paths (and by
             # backend shutdown / atexit as backstops).

@@ -11,9 +11,10 @@ and counters plus a *serial* simulated runtime — which is how the course
 implementations differing by an order of magnitude even before HDFS
 enters the picture.
 
-Task attempts are built exactly as a TaskTracker builds them (see
-:mod:`repro.mapreduce.runtime`); only the file system, the one "node"
-and the absence of a scheduler differ.
+Task attempts are built exactly as a TaskTracker builds them
+(:func:`~repro.mapreduce.runtime.map_attempt` and
+:func:`~repro.mapreduce.runtime.reduce_attempt`); only the file system,
+the one "node" and the absence of a scheduler differ.
 """
 
 from __future__ import annotations
@@ -29,12 +30,15 @@ from repro.mapreduce.counters import PERF, Counters
 from repro.mapreduce.inputformat import InputSplit
 from repro.mapreduce.outputformat import TextOutputFormat, part_file_name
 from repro.mapreduce.runtime import (
-    execute_map,
     job_input_format,
-    map_attempt_work,
+    job_pooled,
+    map_attempt,
     prefetch_split,
-    reduce_attempt_work,
+    reduce_attempt,
 )
+# Unused here: benchmarks/perf/tests/test_tracer.py checks that the
+# tracer also patches this by-name import.  It goes when that test does.
+from repro.mapreduce.runtime import execute_map  # noqa: F401
 from repro.mapreduce.shuffle import MapOutput
 from repro.util.errors import FileNotFoundInHdfs, JobSubmissionError, OutputExistsError
 
@@ -158,12 +162,10 @@ class LocalJobRunner:
             raise OutputExistsError(f"output {output_path} already exists")
 
         splits = self._splits_for(job, files)
-        self.backend.decide(sum(split.length for split in splits))
-        # Pooled execution applies only to share-nothing jobs; the rest
-        # run inline.  Completion callbacks fire in submission order, so
-        # counters merge and ``elapsed`` sums in exactly the serial
-        # order — results are bit-identical.
-        pooled = self.backend.parallel and not job.shares_node_state
+        # Completion callbacks fire in submission order, so counters
+        # merge and ``elapsed`` sums in exactly the serial order whether
+        # or not the job is pooled — results are bit-identical.
+        pooled = job_pooled(self.backend, job, splits)
         # One shm scope per run: the parent mints the token, workers
         # publish segments under it, and the finally below guarantees
         # every segment is unlinked even when the run raises (including
@@ -207,27 +209,18 @@ class LocalJobRunner:
                 PERF.merge(execution.perf)
 
         for index, split in enumerate(splits):
-            attempt = dict(
-                job=job,
-                split=split,
-                prefetched=prefetch_split(job, split, self._fetch),
-                mr_config=self.mr_config,
-                task_node="local",
-                disk_write_bw=self.LOCAL_DISK_BW,
+            work = map_attempt(
+                job,
+                split,
+                prefetch_split(job, split, self._fetch),
+                self.mr_config,
+                "local",
+                self.LOCAL_DISK_BW,
+                pooled=pooled,
+                side_reader=self._side_reader,
+                node_cache=node_cache,
+                shm_scope=shm_scope,
             )
-            if pooled:
-                work = functools.partial(
-                    map_attempt_work,
-                    **attempt,
-                    shm_token=None if shm_scope is None else shm_scope.token,
-                )
-            else:
-                work = functools.partial(
-                    execute_map,
-                    **attempt,
-                    side_reader=self._side_reader,
-                    node_cache=node_cache,
-                )
             self.backend.submit(
                 work,
                 functools.partial(map_done, index),
@@ -251,22 +244,16 @@ class LocalJobRunner:
             all_pairs.extend(TextOutputFormat.parse(text))
 
         for partition in range(job.conf.num_reduces):
-            # Frozen outputs slim to this partition's blob before
-            # crossing the process boundary (slice_for is a no-op —
-            # returns self — on unframed object-form outputs).
-            shipped = [out.slice_for(partition) for out in map_outputs]
-            work = functools.partial(
-                reduce_attempt_work,
+            work = reduce_attempt(
                 job,
-                shipped,
+                map_outputs,
                 partition,
                 "local",
                 self.mr_config,
+                pooled=pooled,
+                side_reader=self._side_reader,
+                node_cache=node_cache,
             )
-            if not pooled:
-                work = functools.partial(
-                    work, side_reader=self._side_reader, node_cache=node_cache
-                )
             self.backend.submit(
                 work,
                 functools.partial(reduce_done, partition),

@@ -15,11 +15,14 @@ One path from split to part file, whichever driver and backend:
 -> :func:`execute_map` (parse, map, sort, partition, combine; wrapped by
 :func:`map_attempt_work` when the result has to cross a pool) ->
 :func:`reduce_attempt_work` (merge, reduce, render).  All three run
-inside :func:`attempt_heap`.
+inside :func:`attempt_heap`.  TaskTrackers and the ``LocalJobRunner``
+build the work they submit with :func:`map_attempt` and
+:func:`reduce_attempt`.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import threading
@@ -76,11 +79,13 @@ def attempt_heap():
     collection the interpreter runs by itself right after the outermost
     scope closes, so memory is bounded by one attempt.
 
-    Re-entrant and thread-safe (inline attempts, ``pooled-threads``
-    workers and :func:`map_attempt_work` -> :func:`execute_map` nest):
+    Re-entrant (:func:`map_attempt_work` -> :func:`execute_map` nest):
     the outermost entry records ``gc.isenabled()``, the outermost exit
-    restores exactly that.  Host-side only — no simulated quantity and
-    no output depends on it.
+    restores exactly that.  Attempts run in the simulation thread or in
+    a pool worker process, never on two threads of one process; the
+    lock keeps the scope correct for a program that calls the attempt
+    functions from threads of its own.  Host-side only — no simulated
+    quantity and no output depends on it.
     """
     global _open_heaps, _gc_was_enabled
     with _heap_lock:
@@ -103,6 +108,16 @@ def job_partitioner(job: Job) -> Partitioner:
 
 def job_input_format(job: Job):
     return job.input_format if job.input_format is not None else TextInputFormat
+
+
+def job_pooled(backend, job: Job, splits: list[InputSplit]) -> bool:
+    """Where every attempt of ``job`` runs, decided once, at submission:
+    on ``backend``'s pool if its policy pools this much input and the
+    job shares no per-node state, else inline."""
+    return (
+        backend.pools(sum(split.length for split in splits))
+        and not job.shares_node_state
+    )
 
 
 @dataclass
@@ -415,11 +430,11 @@ def execute_reduce(
 
 
 # ---------------------------------------------------------------------------
-# Attempt entry points.  These are what the drivers hand to an execution
-# backend; pooled backends ship them to workers, so they are module-level
-# (picklable by reference) and a pooled attempt passes them *only*
-# picklable, share-nothing arguments: no side readers, no node caches,
-# no simulation state.
+# Attempt entry points.  These are what a TaskTracker or the runner hands
+# to the execution backend; a pooled job's attempts ship to workers, so
+# they are module-level (picklable by reference) and a pooled attempt
+# passes them *only* picklable, share-nothing arguments: no side
+# readers, no node caches, no simulation state.
 
 
 @attempt_heap()
@@ -508,3 +523,67 @@ def reduce_attempt_work(
     execution.pairs = []  # the text is the output; nothing else reads them
     execution.perf = timings
     return execution, text
+
+
+# ---------------------------------------------------------------------------
+# What a TaskTracker or the LocalJobRunner submits.  Both look the entry
+# points up when called, so a wrapper installed over them (e.g. a
+# tracer's) still applies.
+
+
+def map_attempt(
+    job: Job,
+    split: InputSplit,
+    prefetched: PrefetchedInput,
+    mr_config: MapReduceConfig,
+    task_node: str | None,
+    disk_write_bw: float,
+    *,
+    pooled: bool,
+    side_reader: SideReader | None = None,
+    node_cache: dict[str, Any] | None = None,
+    shm_scope=None,
+) -> Callable[[], MapExecution]:
+    """One map attempt's zero-argument work: pooled (framed, published
+    under ``shm_scope`` if the job has one), or inline with the caller's
+    ``side_reader`` and ``node_cache``."""
+    if pooled:
+        token = None if shm_scope is None else shm_scope.token
+        work = functools.partial(map_attempt_work, shm_token=token)
+    else:
+        work = functools.partial(
+            execute_map, side_reader=side_reader, node_cache=node_cache
+        )
+    return functools.partial(
+        work,
+        job=job,
+        split=split,
+        prefetched=prefetched,
+        mr_config=mr_config,
+        task_node=task_node,
+        disk_write_bw=disk_write_bw,
+    )
+
+
+def reduce_attempt(
+    job: Job,
+    map_outputs: list[MapOutput],
+    partition: int,
+    task_node: str | None,
+    mr_config: MapReduceConfig,
+    *,
+    pooled: bool,
+    side_reader: SideReader | None = None,
+    node_cache: dict[str, Any] | None = None,
+) -> Callable[[], tuple[ReduceExecution, str]]:
+    """One reduce attempt's zero-argument work over ``partition`` of
+    ``map_outputs``: pooled, or inline with the caller's ``side_reader``
+    and ``node_cache``.  Frozen outputs slim to this partition's blob
+    first (``slice_for`` returns an object-form output itself)."""
+    shipped = [output.slice_for(partition) for output in map_outputs]
+    work = functools.partial(
+        reduce_attempt_work, job, shipped, partition, task_node, mr_config
+    )
+    if pooled:
+        return work
+    return functools.partial(work, side_reader=side_reader, node_cache=node_cache)

@@ -259,7 +259,7 @@ class ShmScope:
         with _scopes_lock:
             _live_scopes.pop(self.token, None)
         # Drop this process's own mappings first so the unlinked pages
-        # are actually freed (pooled-threads runs attach in-process).
+        # are actually freed (work re-run inline attaches in-process).
         inside = self.token + os.sep
         _detach_where(lambda segment: segment.startswith(inside))
         for path in adopted:

@@ -12,26 +12,20 @@ daemon (and, configurably, the co-located DataNode) down with it.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.hardware import Node
-from repro.mapreduce.backend import (
-    ExecutionBackend,
-    SerialExecutionBackend,
-    WorkHandle,
-)
+from repro.mapreduce.backend import ExecutionBackend, WorkHandle
 from repro.mapreduce.blockio import BlockFetcher
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import C, PERF
 from repro.mapreduce.outputformat import part_file_name
 from repro.mapreduce.runtime import (
     _wrap_user_error,
-    execute_map,
-    map_attempt_work,
+    map_attempt,
     prefetch_split,
-    reduce_attempt_work,
+    reduce_attempt,
 )
 from repro.mapreduce.tasks import TaskType
 from repro.sim.engine import ScheduledEvent, Simulation
@@ -58,8 +52,8 @@ class TrackerState(enum.Enum):
 @dataclass
 class _RunningAttempt:
     assignment: "Assignment"
-    #: None while the attempt's real work is still in flight on a
-    #: parallel backend; set once the work resolves and a completion
+    #: None while the attempt's real work is still in flight on the
+    #: backend's pool; set once the work resolves and a completion
     #: (or failure/heap-leak) event is scheduled.
     completion: ScheduledEvent | None = None
 
@@ -106,7 +100,7 @@ class TaskTracker:
         self.output_client_factory = output_client_factory
         self.rng = rng
         self.co_datanode = co_datanode
-        self.backend = backend if backend is not None else SerialExecutionBackend()
+        self.backend = backend if backend is not None else ExecutionBackend("serial")
         self.jobtracker: "JobTracker | None" = None
         self.state = TrackerState.STOPPED
         self.running: dict[str, _RunningAttempt] = {}
@@ -117,7 +111,6 @@ class TaskTracker:
         self._cancel_heartbeat: Callable[[], None] | None = None
         self.tasks_run = 0
         self.crashes = 0
-        self.heartbeats_sent = 0
         self.shuffle_retries = 0
 
     # ------------------------------------------------------------------
@@ -173,10 +166,10 @@ class TaskTracker:
         if self._cancel_heartbeat is not None:
             self._cancel_heartbeat()
             self._cancel_heartbeat = None
-        # Resolve any in-flight pooled work first: on a serial backend
-        # the work (and its side effects, e.g. a reduce's output write)
-        # already happened at launch, so a pooled run must let it land
-        # too before the completions are cancelled — identical outcome.
+        # Resolve any in-flight pooled work first: inline work (and its
+        # side effects, e.g. a reduce's output write) already happened
+        # at launch, so a pooled run must let it land too before the
+        # completions are cancelled — identical outcome.
         self.backend.join_all()
         for running in self.running.values():
             if running.completion is not None:
@@ -189,10 +182,6 @@ class TaskTracker:
     def _heartbeat(self) -> None:
         if not self.is_serving or self.jobtracker is None:
             return
-        if self.sim.faults.tracker_heartbeat_crash(self):
-            self.crash()
-            return
-        self.heartbeats_sent += 1
         assignments = self.jobtracker.heartbeat(self)
         for assignment in assignments:
             self._launch(assignment)
@@ -201,13 +190,14 @@ class TaskTracker:
     def _launch(self, assignment: "Assignment", retry: int = 0) -> None:
         """Start one task attempt (``retry`` counts shuffle re-fetches).
 
-        The attempt's *real* work runs wherever the execution backend
-        puts it (inline for the serial backend; on a pool otherwise),
-        but every simulation-visible consequence — completion events,
-        failure scheduling, the heap-leak RNG draw, the reduce-output
-        HDFS write — happens in ``on_done``, which parallel backends
-        invoke in submission order at the engine's deterministic join
-        point, with the simulated clock still at the submit instant.
+        The attempt's *real* work runs where its job was placed at
+        submission (``RunningJob.pooled``: on the backend's pool, else
+        inline), but every simulation-visible consequence — completion
+        events, failure scheduling, the heap-leak RNG draw, the
+        reduce-output HDFS write — happens in ``on_done``, which the
+        backend invokes for pooled work in submission order at the
+        engine's deterministic join point, with the simulated clock
+        still at the submit instant.
         Pooled and serial runs are therefore bit-identical.
         """
         job = self.jobtracker.running_job(assignment.job_id)
@@ -221,11 +211,9 @@ class TaskTracker:
                 return
         try:
             if assignment.task_type == TaskType.MAP:
-                work, finalize, inline = self._prepare_map(job, assignment)
+                work, finalize = self._prepare_map(job, assignment)
             else:
-                work, finalize, inline = self._prepare_reduce(
-                    job, assignment, retry
-                )
+                work, finalize = self._prepare_reduce(job, assignment, retry)
         except _ShuffleStall as stall:
             self._schedule_shuffle_retry(assignment, stall, retry)
             return
@@ -285,15 +273,11 @@ class TaskTracker:
             )
 
         self.backend.submit(
-            work, on_done, submit_time=self.sim.now, inline=inline
+            work, on_done, submit_time=self.sim.now, inline=not job.pooled
         )
 
-    def _run_inline(self, job: "Job") -> bool:
-        """Must this job's work stay in the simulation thread?"""
-        return not self.backend.parallel or job.shares_node_state
-
     def _prepare_map(self, job, assignment):
-        """Split a map attempt into (work, finalize, inline)."""
+        """Split a map attempt into (work, finalize)."""
         task = job.map_tasks[assignment.task_index]
         # Block I/O touches DataNode/network state: do it now, in the
         # simulation thread, so the work itself is share-nothing.
@@ -303,29 +287,18 @@ class TaskTracker:
             )
         except Exception as exc:  # noqa: BLE001 - an unreadable split fails the map
             raise _wrap_user_error("map", exc) from exc
-        attempt = dict(
-            job=job.job,
-            split=task.split,
-            prefetched=prefetched,
-            mr_config=self.mr_config,
-            task_node=self.name,
-            disk_write_bw=self.node.spec.disk_write_bw,
+        work = map_attempt(
+            job.job,
+            task.split,
+            prefetched,
+            self.mr_config,
+            self.name,
+            self.node.spec.disk_write_bw,
+            pooled=job.pooled,
+            side_reader=self._side_reader,
+            node_cache=self.node_cache,
+            shm_scope=job.shm_scope,
         )
-        inline = self._run_inline(job.job)
-        if inline:
-            work = functools.partial(
-                execute_map,
-                **attempt,
-                side_reader=self._side_reader,
-                node_cache=self.node_cache,
-            )
-        else:
-            shm_scope = job.shm_scope
-            work = functools.partial(
-                map_attempt_work,
-                **attempt,
-                shm_token=None if shm_scope is None else shm_scope.token,
-            )
 
         def finalize(execution):
             execution.output.node = self.name
@@ -341,10 +314,10 @@ class TaskTracker:
             self._publish_violations(assignment, execution)
             return execution, execution.duration
 
-        return work, finalize, inline
+        return work, finalize
 
     def _prepare_reduce(self, job, assignment, retry: int = 0):
-        """Split a reduce attempt into (work, finalize, inline).
+        """Split a reduce attempt into (work, finalize).
 
         Shuffle fetch: map output lives on the node that ran the map.
         A fetch that fails — dead source node, or an injected transient
@@ -391,23 +364,16 @@ class TaskTracker:
             )
         shuffle_time, shuffle_bytes = self._price_shuffle(outputs, partition)
 
-        # Frozen (framed) map outputs slim to this partition's blob
-        # before pickling into the pool; object-form outputs pass
-        # through unchanged (slice_for returns self).
-        shipped = [output.slice_for(partition) for output in outputs]
-        work = functools.partial(
-            reduce_attempt_work,
+        work = reduce_attempt(
             job.job,
-            shipped,
+            outputs,
             partition,
             self.name,
             self.mr_config,
+            pooled=job.pooled,
+            side_reader=self._side_reader,
+            node_cache=self.node_cache,
         )
-        inline = self._run_inline(job.job)
-        if inline:
-            work = functools.partial(
-                work, side_reader=self._side_reader, node_cache=self.node_cache
-            )
 
         def finalize(payload):
             execution, text = payload
@@ -426,7 +392,7 @@ class TaskTracker:
             self._publish_violations(assignment, execution)
             return execution, duration
 
-        return work, finalize, inline
+        return work, finalize
 
     def _publish_violations(self, assignment, execution) -> None:
         """Surface runtime-sanitizer findings on the event bus.

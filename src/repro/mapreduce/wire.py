@@ -1,6 +1,6 @@
 """Binary framed shuffle transport: run-packed columns of Writable pairs.
 
-Why this exists: the pooled execution backends ship map output across
+Why this exists: a pooled job ships map output across
 the process boundary, and pickling a list of per-record ``Writable``
 objects costs more than the map work itself — pooled runs *lost* to
 serial until map output crossed as bytes.  Real Hadoop moves map output as

@@ -43,20 +43,12 @@ class FaultSite:
     """Injection points consulted by simulated components.
 
     The default instance injects nothing, so components can call the
-    hooks unconditionally — ``sim.faults.datanode_heartbeat_crash(dn)``
+    hooks unconditionally — ``sim.faults.task_attempt_fault(job, attempt)``
     is a no-op until a fault plan is installed (see ``repro.faults``).
     Hooks are keyed by stable names (node name, attempt id, retry
     number), never call order, so an armed injector draws identically
     across serial and pooled backends.
     """
-
-    def datanode_heartbeat_crash(self, datanode) -> bool:
-        """True → the DataNode crashes instead of heartbeating."""
-        return False
-
-    def tracker_heartbeat_crash(self, tracker) -> bool:
-        """True → the TaskTracker dies instead of heartbeating."""
-        return False
 
     def namenode_heartbeat_crash(self, namenode) -> bool:
         """True → the NameNode process dies while servicing this

@@ -17,10 +17,11 @@ Two things make this non-trivial:
     with deep-copied cells, registering the copy in the memo *before*
     filling cells so self-referential closures terminate.
 
-2.  Work-joiner backends (process/thread pools) hold OS resources that
-    cannot be copied.  They are pre-seeded into the memo so both runs
-    share them by reference — safe because a snapshot is refused while
-    any joiner has work in flight.
+2.  Work joiners (the execution backend's process pool) hold OS
+    resources that cannot be copied.  They are pre-seeded into the memo
+    so both runs share them by reference — safe because a snapshot is
+    refused while any joiner has work in flight, and a backend keeps no
+    per-job state (a job's placement is copied with its ``RunningJob``).
 """
 
 from __future__ import annotations

@@ -15,14 +15,16 @@ def net():
 
 class TestBandwidth:
     def test_node_local_is_free(self, net):
-        assert net.bandwidth_between("node0", "node0") == float("inf")
         assert net.transfer_time("node0", "node0", 10 * MB) == 0.0
+        assert net.transfer_time("node0", "node0", 100 * MB) == 0.0
 
     def test_rack_local_full_nic(self, net):
-        assert net.bandwidth_between("node0", "node1") == 100 * MB
+        elapsed = net.transfer_time("node0", "node1", 10 * MB)
+        assert elapsed == pytest.approx(net.latency + 10 * MB / (100 * MB))
 
     def test_cross_rack_oversubscribed(self, net):
-        assert net.bandwidth_between("node0", "node3") == 25 * MB
+        elapsed = net.transfer_time("node0", "node3", 10 * MB)
+        assert elapsed == pytest.approx(net.latency + 10 * MB / (25 * MB))
 
     def test_transfer_time_scales_linearly(self, net):
         t1 = net.transfer_time("node0", "node1", 10 * MB)

@@ -37,8 +37,8 @@ class TestLifecycle:
         injector.disarm()
 
     def test_worker_crash_hook_is_armed_on_an_auto_backend(self):
-        """``auto`` reports ``parallel=False`` until its first
-        ``decide``; arming used to test that flag and skip it."""
+        """Arming once tested a backend-wide ``parallel`` flag that
+        ``auto`` cleared until its first job, and skipped the hook."""
         with make_mr(backend=create_backend("auto", 2)) as mr:
             plan = FaultPlan(seed=1).worker_crash_rate(0.5)
             injector = FaultInjector(plan, mr).arm()

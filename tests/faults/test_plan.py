@@ -86,6 +86,10 @@ class TestValidation:
             FaultPlan()._add_rate("meteor.strike", 0.5)
         with pytest.raises(ConfigError):
             FaultPlan().on_event("mr.task.completed", "meteor.strike")
+        # Daemon crashes are scheduled or triggered, never drawn per heartbeat.
+        for kind in ("datanode.crash", "tracker.crash"):
+            with pytest.raises(ConfigError):
+                FaultPlan()._add_rate(kind, 0.5)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):

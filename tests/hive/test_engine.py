@@ -1,10 +1,14 @@
 """Hive-lite end to end: SQL answers vs plain-Python ground truth."""
 
+import pickle
+import warnings
+
 import pytest
 
 from repro.hive import ColumnType, HiveLite, TableSchema
 from repro.hive.engine import Partial
 from repro.hive.parser import SqlError
+from repro.mapreduce.backend import create_backend
 from repro.util.errors import ConfigError
 from tests.conftest import make_mr
 
@@ -127,6 +131,89 @@ class TestAggregation:
         from repro.mapreduce.counters import C
 
         assert result.report.counters.get(C.COMBINE_INPUT_RECORDS) > 0
+
+
+def shout(value):
+    """A module-level UDF: it pickles with the job, by reference."""
+    return str(value).upper()
+
+
+SCHEMA = TableSchema(
+    name="players",
+    columns=(
+        ("name", ColumnType.STRING),
+        ("team", ColumnType.STRING),
+        ("score", ColumnType.INT),
+        ("minutes", ColumnType.FLOAT),
+    ),
+    location="/warehouse/players.csv",
+)
+MANY_ROWS = "".join(
+    f"p{i},{('red', 'blue', 'green')[i % 3]},{i % 97},{(i % 13) / 4}\n"
+    for i in range(3000)
+)
+GROUP_BY = (
+    "SELECT team, COUNT(*), AVG(score), MIN(name), MAX(minutes) "
+    "FROM players GROUP BY team"
+)
+PROJECTION = "SELECT name, score FROM players WHERE score > 50"
+WITH_UDF = "SELECT shout(name), minutes FROM players WHERE team = 'red'"
+
+
+class TestPooledExecution:
+    """The generated aggregation and projection jobs are module-level
+    classes configured through params, so they reach pool workers
+    instead of falling back inline attempt by attempt."""
+
+    def test_generated_jobs_pickle_and_reuse_their_classes(
+        self, hive, monkeypatch
+    ):
+        hive.register_udf("shout", shout)
+        jobs = []
+        run_job = hive.cluster.run_job
+
+        def capture(job, *args, **kwargs):
+            jobs.append(job)
+            return run_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(hive.cluster, "run_job", capture)
+        for sql in (GROUP_BY, WITH_UDF, GROUP_BY, WITH_UDF):
+            hive.execute(sql)
+        assert [job.name for job in jobs] == [
+            "hive-agg-players",
+            "hive-select-players",
+        ] * 2
+        for first, again in zip(jobs[:2], jobs[2:]):
+            assert type(first) is type(again)  # no class per query
+            clone = pickle.loads(pickle.dumps(first))
+            assert type(clone) is type(first)
+            assert clone.describe() == first.describe()
+            assert clone.conf.params == first.conf.params
+        assert jobs[0].describe() == (
+            "hive-agg-players(mapper=AggMapper, combiner=AggCombiner, "
+            "reducer=AggReducer, reduces=1)"
+        )
+        assert jobs[1].describe() == (
+            "hive-select-players(mapper=ProjectMapper, reduces=1)"
+        )
+
+    def test_pooled_queries_equal_serial_without_fallbacks(self):
+        answers = {}
+        for backend_name in ("serial", "pooled"):
+            backend = create_backend(backend_name, 2)
+            with make_mr(num_workers=2, block_size=4096, backend=backend) as mr:
+                engine = HiveLite(mr)
+                engine.create_table(SCHEMA, data=MANY_ROWS)
+                engine.register_udf("shout", shout)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    answers[backend_name] = [
+                        engine.execute(sql).rows
+                        for sql in (GROUP_BY, PROJECTION, WITH_UDF)
+                    ]
+            assert backend.inline_fallbacks == 0
+        assert answers["pooled"] == answers["serial"]
+        assert all(answers["serial"])
 
 
 class TestValidation:

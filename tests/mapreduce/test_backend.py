@@ -1,21 +1,25 @@
-"""Execution backends: submit/join semantics and the engine barrier."""
+"""The execution backend: placement policy, submit/join semantics, the
+engine barrier, and where each job of a cluster runs."""
 
+import functools
+import os
 import warnings
 
 import pytest
 
 from repro.hdfs.localfs import LinuxFileSystem
-from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.jobs.wordcount import (
+    IntSumReducer,
+    TokenizerMapper,
+    WordCountWithCombinerJob,
+)
 from repro.mapreduce import backend as backend_mod
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import (
     AUTO_MIN_PARALLEL_BYTES,
     BACKEND_NAMES,
-    AutoExecutionBackend,
-    PooledExecutionBackend,
-    SerialExecutionBackend,
+    ExecutionBackend,
     create_backend,
-    default_backend_spec,
     resolve_backend,
     set_default_backend,
     usable_cores,
@@ -27,32 +31,94 @@ from repro.sim.engine import Simulation
 from repro.util.errors import ConfigError, TaskFailedError
 from tests.conftest import make_mr
 
+#: ``pools(size)`` for an unknown size, just below the floor, at it and
+#: far above it — per policy, on hosts with one and two usable cores.
+SIZES = (
+    None,
+    AUTO_MIN_PARALLEL_BYTES - 1,
+    AUTO_MIN_PARALLEL_BYTES,
+    10 * AUTO_MIN_PARALLEL_BYTES,
+)
+POLICY_TABLE = {
+    ("serial", 1): (False, False, False, False),
+    ("serial", 2): (False, False, False, False),
+    ("pooled", 1): (True, True, True, True),
+    ("pooled", 2): (True, True, True, True),
+    ("auto", 1): (False, False, False, False),
+    ("auto", 2): (True, False, True, True),
+}
+
+#: What a backend may change about itself after construction: its pool
+#: and its counters, never a decision.
+LIFECYCLE = frozenset(
+    {
+        "_executor",
+        "_in_flight",
+        "_submit_count",
+        "worker_crash_recoveries",
+        "inline_fallbacks",
+    }
+)
+
+
+def _decisions(backend) -> dict:
+    return {k: v for k, v in vars(backend).items() if k not in LIFECYCLE}
+
+
+class TestPolicy:
+    def test_names(self):
+        assert BACKEND_NAMES == ("serial", "pooled", "auto")
+
+    @pytest.mark.parametrize("policy, cores", sorted(POLICY_TABLE))
+    def test_pools(self, monkeypatch, policy, cores):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: cores)
+        backend = ExecutionBackend(policy, 2)
+        before = _decisions(backend)
+        assert tuple(backend.pools(size) for size in SIZES) == (
+            POLICY_TABLE[policy, cores]
+        )
+        assert _decisions(backend) == before  # asking is pure
+        assert backend._executor is None  # and starts nothing
+
 
 class TestSerialBackend:
     def test_runs_at_submit(self):
-        backend = SerialExecutionBackend()
+        backend = create_backend("serial")
         seen = []
-        handle = backend.submit(lambda: 41 + 1, lambda h: seen.append(h.result()))
+        handle = backend.submit(
+            lambda: 41 + 1, lambda h: seen.append(h.result()), inline=True
+        )
         assert seen == [42]
         assert handle.result() == 42
         assert backend.pending_since() is None
+        assert backend._executor is None
 
     def test_error_captured_in_handle(self):
-        backend = SerialExecutionBackend()
+        backend = create_backend("serial")
         seen = []
 
         def boom():
             raise TaskFailedError("map raised ValueError: nope")
 
-        backend.submit(boom, seen.append)
+        backend.submit(boom, seen.append, inline=True)
         with pytest.raises(TaskFailedError):
             seen[0].result()
 
+    def test_serial_run_never_starts_a_pool(self):
+        fs = LinuxFileSystem()
+        fs.write_file("/in/corpus.txt", CORPUS)
+        serial = create_backend("serial", 2)
+        with LocalJobRunner(localfs=fs, backend=serial, split_size=4 * 1024) as runner:
+            job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
+            runner.run(job, "/in", "/out")
+            assert serial._executor is None  # checked before shutdown
+            assert serial._submit_count == 0
+
 
 class TestPooledBackend:
-    @pytest.fixture(params=["thread", "process"])
+    @pytest.fixture(params=["process"])  # the one kind of pool
     def pooled(self, request):
-        backend = PooledExecutionBackend(workers=2, mode=request.param)
+        backend = create_backend("pooled", 2)
         yield backend
         backend.shutdown()
 
@@ -88,12 +154,14 @@ class TestPooledBackend:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
-            PooledExecutionBackend(mode="fibers")
+            ExecutionBackend("threads")
+        with pytest.raises(ConfigError):
+            ExecutionBackend("pooled", -1)
 
 
 class TestTransportFallback:
     def test_unpicklable_work_reruns_inline(self):
-        backend = PooledExecutionBackend(workers=1, mode="process")
+        backend = create_backend("pooled", 1)
         try:
             seen = []
             local_state = {"x": 7}
@@ -105,8 +173,40 @@ class TestTransportFallback:
             assert any(
                 issubclass(w.category, RuntimeWarning) for w in caught
             )
+            assert backend.inline_fallbacks == 1
         finally:
             backend.shutdown()
+
+    def test_unpicklable_job_falls_back_once_per_attempt(self):
+        class LocalMapper(TokenizerMapper):
+            pass
+
+        class LocalJob(Job):
+            mapper = LocalMapper
+            reducer = IntSumReducer
+
+        def run(backend_name):
+            fs = LinuxFileSystem()
+            fs.write_file("/in/corpus.txt", CORPUS)
+            backend = create_backend(backend_name, 2)
+            with LocalJobRunner(
+                localfs=fs, backend=backend, split_size=4 * 1024
+            ) as runner:
+                result = runner.run(
+                    LocalJob(JobConf(name="wc", num_reduces=2)), "/in", "/out"
+                )
+            return result, backend
+
+        serial, _ = run("serial")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled, backend = run("pooled")
+        attempts = pooled.num_splits + 2
+        assert attempts > 2
+        assert backend.inline_fallbacks == attempts
+        assert sum(issubclass(w.category, RuntimeWarning) for w in caught) == attempts
+        assert sorted(pooled.pairs) == sorted(serial.pairs)
+        assert pooled.counters.as_dict() == serial.counters.as_dict()
 
 
 class TestRegistry:
@@ -114,24 +214,24 @@ class TestRegistry:
         for name in BACKEND_NAMES:
             backend = create_backend(name, workers=1)
             try:
-                assert backend.name in ("serial", "pooled", "auto")
+                assert backend.policy == name and backend.workers == 1
             finally:
                 backend.shutdown()
         with pytest.raises(ConfigError):
             create_backend("gpu")
 
     def test_resolve_precedence(self):
-        original = default_backend_spec()
+        original = backend_mod._default_spec
         try:
-            explicit = SerialExecutionBackend()
+            explicit = create_backend("serial")
             assert resolve_backend(explicit) is explicit
-            set_default_backend("pooled-threads", 1)
+            set_default_backend("pooled", 1)
             fallback = resolve_backend(None)
-            assert fallback.parallel
+            assert (fallback.policy, fallback.workers) == ("pooled", 1)
             fallback.shutdown()
         finally:
             set_default_backend(*original)
-        assert not resolve_backend(None).parallel
+        assert resolve_backend(None).policy == "serial"
 
     def test_unknown_default_rejected(self):
         with pytest.raises(ConfigError):
@@ -143,13 +243,13 @@ class TestEngineBarrier:
         """The engine joins in-flight work before advancing past its
         submit time: same-time events overlap, later events do not."""
         sim = Simulation()
-        backend = PooledExecutionBackend(workers=2, mode="thread")
+        backend = create_backend("pooled", 2)
         sim.register_work_joiner(backend)
         trace = []
 
         def launch(tag):
             backend.submit(
-                lambda: tag,
+                functools.partial(_echo, tag),
                 lambda h: trace.append((sim.now, "joined", h.result())),
                 submit_time=sim.now,
             )
@@ -172,7 +272,7 @@ class TestWorkerCrashRecovery:
     inline fallback — the answer survives either way."""
 
     def test_injected_crash_recovers_on_resubmit(self):
-        backend = PooledExecutionBackend(workers=2, mode="thread")
+        backend = create_backend("pooled", 2)
         try:
             backend._chaos = lambda index: index == 1
             seen = []
@@ -185,11 +285,12 @@ class TestWorkerCrashRecovery:
                 backend.join_all()  # resubmit succeeds; no inline fallback
             assert seen == [0, 2, 4, 6]
             assert backend.worker_crash_recoveries == 1
+            assert backend.inline_fallbacks == 0
         finally:
             backend.shutdown()
 
     def test_injected_crash_keeps_callback_order(self):
-        backend = PooledExecutionBackend(workers=2, mode="thread")
+        backend = create_backend("pooled", 2)
         try:
             backend._chaos = lambda index: index in (0, 2)
             order = []
@@ -204,7 +305,7 @@ class TestWorkerCrashRecovery:
             backend.shutdown()
 
     def test_pool_survives_injected_crash(self):
-        backend = PooledExecutionBackend(workers=1, mode="thread")
+        backend = create_backend("pooled", 1)
         try:
             backend._chaos = lambda index: index == 0
             seen = []
@@ -221,10 +322,7 @@ class TestWorkerCrashRecovery:
     def test_real_broken_process_pool_falls_back_inline(self):
         """A work payload that kills every pool worker it lands on:
         resubmits exhaust, the inline fallback (same process) answers."""
-        import functools
-        import os
-
-        backend = PooledExecutionBackend(workers=1, mode="process")
+        backend = create_backend("pooled", 1)
         try:
             seen = []
             backend.submit(
@@ -244,20 +342,15 @@ class TestWorkerCrashRecovery:
         finally:
             backend.shutdown()
 
-    def test_work_error_during_resubmit_is_reported(self):
-        backend = PooledExecutionBackend(workers=1, mode="thread")
+    def test_work_error_during_resubmit_is_reported(self, tmp_path):
+        backend = create_backend("pooled", 1)
         try:
             backend._chaos = lambda index: True
-            state = {"calls": 0}
-
-            def flaky():
-                state["calls"] += 1
-                if state["calls"] > 1:
-                    raise TaskFailedError("real failure on the rerun")
-                return "first"
-
             seen = []
-            backend.submit(flaky, seen.append)
+            backend.submit(
+                functools.partial(_fails_on_rerun, str(tmp_path / "ran")),
+                seen.append,
+            )
             backend.join_all()
             with pytest.raises(TaskFailedError):
                 seen[0].result()
@@ -278,43 +371,43 @@ def _run_wordcount(backend):
         return runner.run(job, "/in", "/out"), runner.backend
 
 
+def _placed_on_pool(policy, files):
+    """Submit one job per ``{name: text}`` file; what each RunningJob
+    records about where its attempts will run."""
+    with make_mr(block_size=256 * 1024, backend=create_backend(policy, 2)) as mr:
+        placed = {}
+        for name, text in files.items():
+            mr.client().put_text(f"/{name}.txt", text)
+            job = WordCountWithCombinerJob(JobConf(name=name))
+            placed[name] = mr.submit(job, f"/{name}.txt", f"/out-{name}").pooled
+        return placed
+
+
 class TestAutoBackend:
     def test_decide_serial_on_one_core(self, monkeypatch):
+        """On one usable core a job is placed inline, however large."""
         monkeypatch.setattr(backend_mod, "usable_cores", lambda: 1)
-        auto = AutoExecutionBackend()
-        try:
-            assert auto.decide(10 * AUTO_MIN_PARALLEL_BYTES) == "serial"
-            assert not auto.parallel
-        finally:
-            auto.shutdown()
+        assert _placed_on_pool("auto", {"big": BIG_TEXT}) == {"big": False}
 
     def test_decide_serial_below_byte_floor(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "usable_cores", lambda: 8)
-        auto = AutoExecutionBackend()
-        try:
-            assert auto.decide(AUTO_MIN_PARALLEL_BYTES - 1) == "serial"
-            assert auto.decide(AUTO_MIN_PARALLEL_BYTES) == "pooled"
-            assert auto.parallel
-            assert auto.decide(0) == "serial"  # flips back per job
-        finally:
-            auto.shutdown()
+        placed = _placed_on_pool("auto", {"small": SMALL_TEXT, "big": BIG_TEXT})
+        assert placed == {"small": False, "big": True}
 
     def test_decide_unknown_size_gates_on_cores_only(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 4)
-        auto = AutoExecutionBackend(workers=2)
-        try:
-            assert auto.decide(None) == "pooled"
-        finally:
-            auto.shutdown()
+        auto = create_backend("auto", 2)
+        for cores, expected in ((1, False), (4, True)):
+            monkeypatch.setattr(backend_mod, "usable_cores", lambda n=cores: n)
+            assert auto.pools(None) is expected
 
     def test_auto_runner_matches_serial(self):
         auto_result, auto = _run_wordcount(create_backend("auto", 2))
-        serial, _ = _run_wordcount(SerialExecutionBackend())
+        serial, _ = _run_wordcount(create_backend("serial"))
         assert sorted(auto_result.pairs) == sorted(serial.pairs)
         assert auto_result.counters.as_dict() == serial.counters.as_dict()
         assert auto_result.simulated_seconds == serial.simulated_seconds
-        # this corpus is tiny, so auto must have stayed serial
-        assert auto.chosen == "serial"
+        # this corpus is tiny, so auto must have kept every attempt inline
+        assert auto._submit_count == 0
 
     def test_small_job_never_starts_a_pool(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "usable_cores", lambda: 8)
@@ -324,21 +417,23 @@ class TestAutoBackend:
         with LocalJobRunner(localfs=fs, backend=auto, split_size=4 * 1024) as runner:
             job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=2))
             runner.run(job, "/in", "/out")
-            assert auto.chosen == "serial"
             assert auto._executor is None  # checked before shutdown
 
     def test_pooled_work_joins_in_order_after_flip_to_serial(self, monkeypatch):
+        """A job placed on the pool, then one placed inline: the inline
+        work runs at once, the pooled work still joins in order."""
         monkeypatch.setattr(backend_mod, "usable_cores", lambda: 2)
-        auto = AutoExecutionBackend(workers=2, mode="thread")
+        auto = create_backend("auto", 2)
         done = []
         record = lambda handle: done.append(handle.result())  # noqa: E731
         try:
-            assert auto.decide(None) == "pooled"
-            auto.submit(lambda: "pooled-1", record, submit_time=1.0)
-            auto.submit(lambda: "pooled-2", record, submit_time=2.0)
-            assert auto.decide(0) == "serial"
-            auto.submit(lambda: "inline", record, submit_time=3.0)
-            # inline work ran at once; the pooled items wait for the join
+            assert auto.pools(None)
+            auto.submit(functools.partial(_echo, "pooled-1"), record, submit_time=1.0)
+            auto.submit(functools.partial(_echo, "pooled-2"), record, submit_time=2.0)
+            assert not auto.pools(0)
+            auto.submit(
+                functools.partial(_echo, "inline"), record, submit_time=3.0, inline=True
+            )
             assert done == ["inline"] and auto.pending_since() == 1.0
             auto.join_all()
             assert done == ["inline", "pooled-1", "pooled-2"]
@@ -349,10 +444,7 @@ class TestAutoBackend:
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1
 
-    @pytest.mark.parametrize("mode", ["process", "thread"])
-    def test_default_pool_size_is_the_usable_cores_not_the_hosts(
-        self, monkeypatch, mode
-    ):
+    def test_default_pool_size_is_the_usable_cores_not_the_hosts(self, monkeypatch):
         """Under a cgroup/affinity limit the pool forks one worker per
         schedulable core — the same number ``auto`` decides from."""
         monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 64)
@@ -360,10 +452,85 @@ class TestAutoBackend:
             backend_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
         )
         assert usable_cores() == 2
-        assert PooledExecutionBackend(mode=mode).workers == 2
-        assert create_backend("pooled", 0).workers == 2
-        assert AutoExecutionBackend(workers=0).workers == 2
-        assert PooledExecutionBackend(workers=3, mode=mode).workers == 3
+        for name in BACKEND_NAMES:
+            assert create_backend(name, 0).workers == 2
+        assert create_backend("pooled", 3).workers == 3
+
+
+SMALL_TEXT = "tiny job words here\n" * 500  # 10 KB
+BIG_TEXT = "the quick brown fox jumps over the lazy dog\n" * 28_000  # 1.2 MB
+
+
+def _job_name(work) -> str:
+    """The job an attempt's work belongs to (in the partial's arguments)."""
+    while isinstance(work, functools.partial):
+        for arg in (*work.args, *work.keywords.values()):
+            if isinstance(arg, Job):
+                return arg.name
+        work = work.func
+    raise AssertionError(f"no job in {work!r}")
+
+
+def _two_jobs_at_once(backend):
+    """A small and a large job submitted before the first heartbeat.
+    Returns outputs, reports, every attempt's ``(job, inline)`` and
+    whether running them changed any of the backend's decisions."""
+    placed = []
+    submit = backend.submit
+
+    def spy(work, on_done, **kwargs):
+        placed.append((_job_name(work), kwargs.get("inline", False)))
+        return submit(work, on_done, **kwargs)
+
+    backend.submit = spy
+    with make_mr(block_size=256 * 1024, backend=backend) as mr:
+        mr.client().put_text("/small.txt", SMALL_TEXT)
+        mr.client().put_text("/big.txt", BIG_TEXT)
+        decisions = _decisions(backend)
+        jobs = [
+            mr.submit(
+                WordCountWithCombinerJob(JobConf(name=name, num_reduces=2)),
+                f"/{name}.txt",
+                f"/out-{name}",
+            )
+            for name in ("small", "big")
+        ]
+        for job in jobs:
+            mr.wait_for_job(job)
+        changed = _decisions(backend) != decisions
+        reports = [job.report() for job in jobs]
+        outputs = [sorted(mr.read_output(f"/out-{n}")) for n in ("small", "big")]
+        return (
+            outputs,
+            [(r.succeeded, r.elapsed, r.counters.as_dict()) for r in reports],
+            placed,
+            changed,
+        )
+
+
+class TestPerJobPlacement:
+    """Where a job runs is decided once, at its submission, and every
+    attempt of that job follows it — a later job's decision does not
+    move an earlier job's attempts."""
+
+    def test_concurrent_auto_jobs_keep_their_own_placement(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "usable_cores", lambda: 2)
+        assert len(SMALL_TEXT) < AUTO_MIN_PARALLEL_BYTES <= len(BIG_TEXT)
+        serial_out, serial_reports, _, _ = _two_jobs_at_once(
+            create_backend("serial")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            auto = create_backend("auto", 2)
+            outputs, reports, placed, changed = _two_jobs_at_once(auto)
+        small = [inline for name, inline in placed if name == "small"]
+        big = [inline for name, inline in placed if name == "big"]
+        assert len(small) >= 3 and all(small)  # one map, two reduces
+        assert len(big) >= 7 and not any(big)  # five maps, two reduces
+        assert not changed  # only the pool and the counters moved
+        assert auto.inline_fallbacks == 0
+        assert outputs == serial_out
+        assert reports == serial_reports
 
 
 class _SetupRaisesMapper(Mapper):
@@ -416,7 +583,7 @@ class TestAttemptOrderIdentity:
 
     def test_failing_setup_reads_and_reports_identically(self, monkeypatch):
         serial_reads, serial_reported = self._run("serial", monkeypatch)
-        pooled_reads, pooled_reported = self._run("pooled-threads", monkeypatch)
+        pooled_reads, pooled_reported = self._run("pooled", monkeypatch)
         assert serial_reads and serial_reported
         assert pooled_reads == serial_reads
         assert pooled_reported == serial_reported
@@ -424,16 +591,24 @@ class TestAttemptOrderIdentity:
 
 def _answer_or_die(parent_pid):
     """Kill any pool worker this lands on; answer only in the parent."""
-    import os
-
     if os.getpid() != parent_pid:
         os._exit(1)
     return "survived"
 
 
-def _double_factory(i):
-    import functools
+def _fails_on_rerun(marker):
+    """Answer the first run; raise on every later one, in any process."""
+    if os.path.exists(marker):
+        raise TaskFailedError("real failure on the rerun")
+    open(marker, "w").close()
+    return "first"
 
+
+def _echo(value):
+    return value
+
+
+def _double_factory(i):
     return functools.partial(_double, i)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdfs.config import HdfsConfig
+from repro.jobs.wordcount import WordCountJob
 from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
@@ -217,11 +218,15 @@ class TestPooledWorkerCrashOnCluster:
     def test_worker_death_recovery_preserves_results(self):
         """Every pooled work item loses its first result to an injected
         worker crash; bounded resubmission recovers all of them and the
-        job's answer matches a serial run."""
+        job's answer matches a serial run.  (A module-level job: the
+        streaming one's lambdas would never reach a worker.)"""
         serial = make_mr(num_workers=4)
         serial.client().put_text("/in.txt", "a b a c\n" * 300)
         serial_report = serial.run_job(
-            wc_job(num_reduces=2), "/in.txt", "/out", require_success=True
+            WordCountJob(JobConf(name="wc", num_reduces=2)),
+            "/in.txt",
+            "/out",
+            require_success=True,
         )
         serial_out = serial.output_dict("/out")
 
@@ -229,14 +234,14 @@ class TestPooledWorkerCrashOnCluster:
             num_workers=4,
             hdfs_config=HdfsConfig(block_size=2048, replication=2),
             seed=1,
-            backend=create_backend("pooled-threads", 2),
+            backend=create_backend("pooled", 2),
         )
         with mr:
             mr.client().put_text("/in.txt", "a b a c\n" * 300)
             plan = FaultPlan(seed=5).worker_crash_rate(1.0)
             with FaultInjector(plan, mr) as injector:
                 report = mr.run_job(
-                    wc_job(num_reduces=2),
+                    WordCountJob(JobConf(name="wc", num_reduces=2)),
                     "/in.txt",
                     "/out",
                     timeout=24 * 3600,
@@ -248,5 +253,6 @@ class TestPooledWorkerCrashOnCluster:
                 ]
             assert crashes, "rate=1.0 must crash every pooled work item"
             assert mr.backend.worker_crash_recoveries == len(crashes)
+            assert mr.backend.inline_fallbacks == 0
             assert mr.output_dict("/out") == serial_out
             assert non_job_counters(report) == non_job_counters(serial_report)

@@ -27,7 +27,7 @@ import textwrap
 import pytest
 
 from repro.mapreduce import shm, wire
-from repro.mapreduce.backend import PooledExecutionBackend
+from repro.mapreduce.backend import create_backend
 from repro.mapreduce.counters import PerfStats
 from repro.mapreduce.shuffle import MapOutput
 from repro.mapreduce.types import IntWritable, Text
@@ -213,7 +213,7 @@ class TestScopeLifecycle:
         leaves no segment behind."""
         scope = shm.ShmScope()
         sentinel = str(tmp_path / "died-once")
-        backend = PooledExecutionBackend(workers=1, mode="process")
+        backend = create_backend("pooled", 1)
         try:
             seen = []
             backend.submit(
@@ -236,7 +236,7 @@ class TestScopeLifecycle:
         assert scope.live_segments() == []
 
     def test_backend_shutdown_releases_scopes(self):
-        backend = PooledExecutionBackend(workers=1, mode="thread")
+        backend = create_backend("pooled", 1)
         scope = shm.ShmScope()
         shm.publish_frames({0: _blob(3)}, scope.token)
         backend.shutdown()
@@ -264,13 +264,9 @@ class TestScopeLifecycle:
         runner's finally: no segment survives."""
         from repro.hdfs.localfs import LinuxFileSystem
         from repro.jobs.wordcount import WordCountJob
-        from repro.mapreduce import local_runner as lr_mod
-        from repro.mapreduce.backend import create_backend
+        from repro.mapreduce import runtime
         from repro.mapreduce.config import JobConf, MapReduceConfig
         from repro.mapreduce.local_runner import LocalJobRunner
-
-        def interrupt(*args, **kwargs):
-            raise KeyboardInterrupt
 
         fs = LinuxFileSystem()
         fs.write_file("/data/c.txt", "a b c\n" * 200)
@@ -278,15 +274,19 @@ class TestScopeLifecycle:
         before = shm.live_scope_tokens()
         with LocalJobRunner(
             localfs=fs,
-            backend=create_backend("pooled-threads", 2),
+            backend=create_backend("pooled", 2),
             mr_config=mr,
             split_size=512,
         ) as runner:
-            monkeypatch.setattr(lr_mod, "reduce_attempt_work", interrupt)
+            monkeypatch.setattr(runtime, "reduce_attempt_work", _interrupt)
             job = WordCountJob(JobConf(name="wc", num_reduces=2))
             with pytest.raises(KeyboardInterrupt):
                 runner.run(job, "/data/c.txt", "/out")
         assert shm.live_scope_tokens() == before
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
 
 
 def _pooled_shm_wordcounts(jobs, lines, start_tracker):

@@ -1,9 +1,10 @@
 """Serial vs pooled execution: bit-identical simulated universes.
 
-The ExecutionBackend contract (see ``repro.mapreduce.backend``): pooled
-backends may run task attempts' real work in parallel, but counters,
-output pairs and *simulated* clocks must equal a serial run exactly —
-parallelism is an optimisation of host wall-clock, never a semantic.
+The ExecutionBackend contract (see ``repro.mapreduce.backend``): a
+pooled job may run its task attempts' real work in parallel, but
+counters, output pairs and *simulated* clocks must equal a serial run
+exactly — parallelism is an optimisation of host wall-clock, never a
+semantic.  No attempt may reach that answer by re-running inline.
 """
 
 import warnings
@@ -23,7 +24,7 @@ from repro.mapreduce.config import JobConf
 from repro.mapreduce.local_runner import LocalJobRunner
 from tests.conftest import make_mr
 
-BACKENDS = ("pooled", "pooled-threads")
+BACKENDS = ("pooled",)
 
 CORPUS = (
     "the quick brown fox jumps over the lazy dog\n" * 400
@@ -37,6 +38,7 @@ def _cluster_fingerprint(backend_name):
         mr.client().put_text("/in/corpus.txt", CORPUS)
         job = WordCountWithCombinerJob(JobConf(name="wc", num_reduces=3))
         report = mr.run_job(job, "/in", "/out", require_success=True)
+        assert backend.inline_fallbacks == 0
         return (
             report.elapsed,
             report.counters.as_dict(),
@@ -55,6 +57,7 @@ def _local_fingerprint(backend_name, job_factory, files):
         localfs=fs, backend=backend, split_size=8 * 1024
     ) as runner:
         result = runner.run(job_factory(), list(files)[0], "/out")
+        assert backend.inline_fallbacks == 0
         return (
             result.simulated_seconds,
             result.counters.as_dict(),
@@ -111,7 +114,7 @@ class TestUserCodeFailureDeterminism:
         ),
     )
     def test_failing_job_fails_at_the_same_instant(self):
-        assert _job_failure_time("pooled-threads") == _job_failure_time("serial")
+        assert _job_failure_time("pooled") == _job_failure_time("serial")
 
 
 class TestLocalRunnerDeterminism:
@@ -153,7 +156,7 @@ class TestLocalRunnerDeterminism:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_movie_ratings_job_runs_inline_identically(self, backend_name):
         """GenreStatsJob reads a side file via node-state sharing, so a
-        pooled backend must route it inline — and still match serial."""
+        pooled backend must place it inline — and still match serial."""
         data = generate_movielens(
             seed=7, num_ratings=800, num_movies=40, num_users=50
         )

@@ -20,7 +20,7 @@ from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.types import IntWritable, Text, Writable
 
-BACKENDS = ("serial", "pooled-threads")
+BACKENDS = ("serial", "pooled")
 WORDS_COUNTED = ("App Metrics", "words counted")
 
 
@@ -120,7 +120,7 @@ class TestWordCountUnderChaos:
         (Log *order* may interleave differently at equal timestamps —
         pooled callbacks land at the join — so compare the sorted set.)"""
         results = {b: run_wordcount(b, chaos_plan(17)) for b in BACKENDS}
-        serial, pooled = results["serial"], results["pooled-threads"]
+        serial, pooled = results["serial"], results["pooled"]
         assert sorted(serial[2]) == sorted(pooled[2])
         assert serial[0] == pooled[0]
         assert serial[1] == pooled[1]

@@ -117,11 +117,6 @@ class TestShmEqualsOtherTransports:
         assert moved["segments_created"] == filed[3]  # one per map task
         assert moved["copy_avoided_bytes"] == moved["shm_bytes"]
 
-    def test_thread_backend_bit_identical(self):
-        shared = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
-        plain = _local_fingerprint(_mr_config("shm", backend="serial"))
-        assert shared == plain
-
     def test_cluster_bit_identical(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -137,9 +132,10 @@ class TestShmEqualsOtherTransports:
     def test_unpublished_is_invisible(self, monkeypatch):
         """Outputs whose publish failed (tmpfs full) stay framed blobs
         under the shm transport; not one observable bit may change."""
-        published = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
+        published = _local_fingerprint(_mr_config("shm"))
+        # Patched before the pool forks, so its workers see it too.
         monkeypatch.setattr(shm, "publish_frames", lambda *args: None)
-        framed = _local_fingerprint(_mr_config("shm", backend="pooled-threads"))
+        framed = _local_fingerprint(_mr_config("shm"))
         assert framed == published
 
 
