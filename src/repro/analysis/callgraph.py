@@ -179,9 +179,6 @@ class FunctionInfo:
     def __hash__(self) -> int:
         return id(self.node)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FunctionInfo) and other.node is self.node
-
 
 @dataclass
 class CallSite:

@@ -89,22 +89,6 @@ class CFG:
             out.extend(block.statements)
         return out
 
-    def render(self) -> str:
-        """Debug rendering (used by tests and DESIGN.md examples)."""
-        lines = [f"cfg {self.name}: {len(self.blocks)} blocks"]
-        for block in self.blocks:
-            head = f"  B{block.index}"
-            if block.index == self.entry.index:
-                head += " (entry)"
-            if block.index == self.exit.index:
-                head += " (exit)"
-            stmts = ", ".join(
-                type(stmt).__name__ for stmt in block.statements
-            )
-            succ = ", ".join(f"B{s}" for s in block.successors)
-            lines.append(f"{head}: [{stmts}] -> [{succ}]")
-        return "\n".join(lines)
-
 
 class _Builder:
     """Recursive statement-list walker producing the block structure."""

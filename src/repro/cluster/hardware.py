@@ -65,23 +65,3 @@ class Node:
     @property
     def is_up(self) -> bool:
         return self.state == NodeState.UP
-
-    @property
-    def network_location(self) -> str:
-        """Hadoop-style topology path, e.g. ``/rack1/node3``."""
-        return f"/{self.rack_name}/{self.name}"
-
-    def mark_down(self) -> None:
-        self.state = NodeState.DOWN
-
-    def mark_up(self) -> None:
-        self.state = NodeState.UP
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Node) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __repr__(self) -> str:
-        return f"Node({self.name!r}, rack={self.rack_name!r}, {self.state.value})"

@@ -91,11 +91,6 @@ class ParallelFileSystem:
         self.bytes_read += nbytes
         return nbytes / self.effective_bw(concurrent_clients)
 
-    def write_time(self, nbytes: int, concurrent_clients: int = 1) -> float:
-        self.bytes_written += nbytes
-        self.used += nbytes
-        return nbytes / self.effective_bw(concurrent_clients)
-
     def saturation_point(self) -> int:
         """Number of clients beyond which the backbone, not the NIC, limits
         per-client bandwidth — where HPC scan scaling flattens."""

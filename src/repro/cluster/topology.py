@@ -102,10 +102,6 @@ class ClusterTopology:
     def rack_of(self, node_name: str) -> str:
         return self.node(node_name).rack_name
 
-    def nodes_in_rack(self, rack_name: str) -> list[Node]:
-        rack = self.racks.get(rack_name)
-        return list(rack.nodes) if rack else []
-
     def num_racks(self) -> int:
         return len(self.racks)
 

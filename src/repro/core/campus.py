@@ -9,16 +9,17 @@ once?  It is the workload the O(active) engine work exists for:
 
 - every poller and daemon rides a shared timer wheel, so 10k students
   polling at one instant is one engine event, not 10k;
-- the JobTracker's indexed scheduler keeps each heartbeat O(jobs that
-  can actually be scheduled), not O(every job ever submitted);
+- the JobTracker's indexed FIFO scheduler keeps each heartbeat O(jobs
+  that can actually be scheduled), not O(every job ever submitted);
 - the whole run snapshots and restores bit-identically mid-chaos
   (:meth:`CampusClusterRun.digest` is the equality witness).
 
 The model is deliberately lean: each student submits a fixed number of
 small wordcount jobs at random times in a submission window; jobs carry
-a per-course ``user`` so the fair scheduler and per-user quotas have
-tenants to arbitrate between.  A chaos agent can crash/restart workers
-on a fixed cadence to keep recovery machinery in the loop.
+a per-course ``user``, and the statistics are kept per course.  A chaos
+agent can crash/restart workers on a fixed cadence to keep recovery
+machinery in the loop.  One :class:`CampusClusterRun` is one course
+cluster; clusters are independent simulations.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.util.errors import ReproError
 from repro.util.rng import RngStream
 from repro.util.units import HOUR, MINUTE
 
-#: The campus's course sections — the fair scheduler's tenants.
+#: The campus's course sections (the ``user`` of their students' jobs).
 DEFAULT_USERS = ("cs1060", "cs4060", "cs6060", "research")
 
 
@@ -53,21 +54,8 @@ class CampusScenario:
     #: Submission window: jobs land uniformly at random inside it.
     window: float = 2 * HOUR
     workers_per_cluster: int = 8
-    #: Course accounts, dealt to students round-robin; optionally
-    #: weighted so one tenant can flood the cluster (see
-    #: ``user_weights``).
+    #: Course accounts, dealt to students round-robin.
     users: tuple[str, ...] = DEFAULT_USERS
-    #: Relative share of students per user (defaults to uniform).
-    user_weights: tuple[float, ...] | None = None
-    #: "fifo" (historical, bit-identical) or "fair" (equal shares).
-    scheduler: str = "fifo"
-    #: Per-user running-attempt caps, fair scheduler only.
-    user_quotas: dict[str, int] | None = None
-    #: Starvation drill: this user's students submit inside
-    #: ``flood_window`` instead of ``window`` — a deadline binge that
-    #: front-loads the queue with one tenant's jobs.
-    flood_user: str | None = None
-    flood_window: float | None = None
     input_bytes: int = 2 * 1024
     block_size: int = 4 * 1024
     #: Heartbeat/poll cadence.  Campus runs use a coarser tick than
@@ -107,82 +95,7 @@ class ClusterStats:
     under_replicated: int = 0
     per_user_completed: dict[str, int] = field(default_factory=dict)
     per_user_wait_sum: dict[str, float] = field(default_factory=dict)
-    per_user_wait_max: dict[str, float] = field(default_factory=dict)
     digest: str = ""
-
-    @property
-    def events_per_job(self) -> float:
-        return self.events_processed / max(1, self.jobs_submitted)
-
-    def mean_wait(self, user: str) -> float:
-        done = self.per_user_completed.get(user, 0)
-        return self.per_user_wait_sum.get(user, 0.0) / done if done else 0.0
-
-
-@dataclass
-class CampusReport:
-    """Campus-wide aggregate of every cluster's stats."""
-
-    scenario: str
-    num_students: int
-    num_clusters: int
-    clusters: list[ClusterStats] = field(default_factory=list)
-
-    @property
-    def jobs_submitted(self) -> int:
-        return sum(c.jobs_submitted for c in self.clusters)
-
-    @property
-    def jobs_succeeded(self) -> int:
-        return sum(c.jobs_succeeded for c in self.clusters)
-
-    @property
-    def events_processed(self) -> int:
-        return sum(c.events_processed for c in self.clusters)
-
-    @property
-    def sim_seconds(self) -> float:
-        return max((c.sim_seconds for c in self.clusters), default=0.0)
-
-    @property
-    def events_per_job(self) -> float:
-        return self.events_processed / max(1, self.jobs_submitted)
-
-    def per_user_completed(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for stats in self.clusters:
-            for user in sorted(stats.per_user_completed):
-                totals[user] = (
-                    totals.get(user, 0) + stats.per_user_completed[user]
-                )
-        return totals
-
-    def per_user_mean_wait(self) -> dict[str, float]:
-        waits: dict[str, float] = {}
-        for stats in self.clusters:
-            for user in sorted(stats.per_user_wait_sum):
-                waits[user] = waits.get(user, 0.0) + stats.per_user_wait_sum[user]
-        done = self.per_user_completed()
-        return {
-            user: waits[user] / done[user]
-            for user in sorted(waits)
-            if done.get(user)
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"Campus scenario {self.scenario!r}: "
-            f"{self.num_students} students / {self.num_clusters} clusters",
-            f"  jobs: {self.jobs_succeeded}/{self.jobs_submitted} succeeded",
-            f"  engine events: {self.events_processed} "
-            f"({self.events_per_job:.1f} per job)",
-        ]
-        for user, wait in sorted(self.per_user_mean_wait().items()):
-            done = self.per_user_completed().get(user, 0)
-            lines.append(
-                f"  {user}: {done} done, mean wait {wait / 60:.1f} min"
-            )
-        return "\n".join(lines)
 
 
 def _campus_job(user: str, student_id: int, attempt: int) -> object:
@@ -223,11 +136,7 @@ class CampusClusterRun:
                 heartbeat_interval=scenario.daemon_interval,
                 replication_check_interval=scenario.daemon_interval,
             ),
-            mr_config=MapReduceConfig(
-                tasktracker_heartbeat=scenario.daemon_interval,
-                scheduler=scenario.scheduler,
-                user_quotas=scenario.user_quotas,
-            ),
+            mr_config=MapReduceConfig(tasktracker_heartbeat=scenario.daemon_interval),
             seed=scenario.seed + cluster_index,
         )
         self.sim = self.mr.sim
@@ -252,26 +161,12 @@ class CampusClusterRun:
     # ------------------------------------------------------------------
     def _schedule_submissions(self, rng: RngStream) -> None:
         scenario = self.scenario
-        weights = scenario.user_weights
-        if weights is not None:
-            total = sum(weights)
-            weights = [w / total for w in weights]
         for local_id in range(scenario.students_of_cluster(self.cluster_index)):
             srng = rng.child("student", local_id)
-            if weights is None:
-                user = scenario.users[local_id % len(scenario.users)]
-            else:
-                user = srng.child("user").choice(list(scenario.users), p=weights)
-            window = scenario.window
-            if (
-                scenario.flood_user is not None
-                and user == scenario.flood_user
-                and scenario.flood_window is not None
-            ):
-                window = scenario.flood_window
+            user = scenario.users[local_id % len(scenario.users)]
             for attempt in range(scenario.jobs_per_student):
                 at = self._epoch + srng.child("at", attempt).uniform(
-                    0.0, window
+                    0.0, scenario.window
                 )
                 self.sim.schedule_at(at, self._submit, user, local_id, attempt)
                 self._planned += 1
@@ -305,8 +200,6 @@ class CampusClusterRun:
                 wait = running.finish_time - running.submit_time
                 sums = self.stats.per_user_wait_sum
                 sums[user] = sums.get(user, 0.0) + wait
-                peaks = self.stats.per_user_wait_max
-                peaks[user] = max(peaks.get(user, 0.0), wait)
             else:
                 self.stats.jobs_failed += 1
         self._watching = still
@@ -409,19 +302,3 @@ class CampusClusterRun:
     def close(self) -> None:
         self.mr.close()
 
-
-def run_campus(scenario: CampusScenario) -> CampusReport:
-    """Run every course cluster to completion (sequentially: clusters
-    are independent simulations, and one at a time bounds memory)."""
-    report = CampusReport(
-        scenario=scenario.name,
-        num_students=scenario.num_students,
-        num_clusters=scenario.num_clusters,
-    )
-    for index in range(scenario.num_clusters):
-        run = CampusClusterRun(scenario, index)
-        try:
-            report.clusters.append(run.run_to_completion())
-        finally:
-            run.close()
-    return report

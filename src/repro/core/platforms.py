@@ -63,10 +63,6 @@ class TeachingPlatform:
     home: LinuxFileSystem = field(default_factory=LinuxFileSystem)
     quirks: tuple[str, ...] = ()
 
-    @property
-    def sim(self) -> Simulation:
-        return self.mr.sim
-
     def put_text(self, hdfs_path: str, text: str) -> None:
         self.mr.client().put_text(hdfs_path, text)
 

@@ -105,10 +105,6 @@ class MovieLensDataset:
         best = max(counts.values())
         return min(g for g, c in counts.items() if c == best)
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.ratings_text.encode()) + len(self.movies_text.encode())
-
 
 _TITLE_WORDS = (
     "Midnight Return Last Golden Silent Broken Secret Lost City River "

@@ -81,10 +81,6 @@ class ShakespeareCorpus:
         )
         return candidates[0], top_count
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.text.encode("utf-8"))
-
 
 def generate_shakespeare(
     seed: int = 0,

@@ -47,10 +47,6 @@ class YahooMusicDataset:
         best = max(averages.values())
         return min(a for a, avg in averages.items() if avg == best)
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.ratings_text.encode()) + len(self.songs_text.encode())
-
 
 def generate_yahoo_music(
     seed: int = 0,

@@ -9,8 +9,8 @@ The determinism contract
 ========================
 
 Every probabilistic draw comes from ``RngStream(plan.seed)`` *named by
-the opportunity* — ``(kind, attempt_id)``, ``(kind, "namenode",
-heartbeat_number)``, ``(kind, work_index)`` — never by call order.  Two
+the opportunity* — ``(kind, attempt_id)``, ``(kind, attempt_id, source,
+retry)``, ``(kind, work_index)`` — never by call order.  Two
 consequences:
 
 - serial and pooled backends see identical faults (the hooks are called
@@ -104,18 +104,6 @@ class FaultInjector(FaultSite):
         return self.rng.child(rate_fault.kind, *key).bernoulli(rate_fault.rate)
 
     # -- FaultSite hooks (probabilistic catalog) -------------------------
-    def namenode_heartbeat_crash(self, namenode) -> bool:
-        rate_fault = self._rates.get("namenode.crash")
-        if rate_fault is None or not self._fires(
-            rate_fault, "namenode", namenode.heartbeats_processed
-        ):
-            return False
-        self._record("namenode.crash", via="rate")
-        recover_after = rate_fault.param("recover_after")
-        if recover_after is not None:
-            self.sim.schedule(recover_after, self._recover_namenode)
-        return True
-
     def task_attempt_fault(self, job_id: str, attempt_id: str) -> str | None:
         rate_fault = self._rates.get("task.exception")
         if rate_fault is None or not self._fires(rate_fault, attempt_id):
@@ -171,16 +159,10 @@ class FaultInjector(FaultSite):
                 self._record("tracker.crash", node=target, via="scheduled")
                 tracker.crash()
                 self._maybe_restart(fault, self._restart_tracker, target)
-        elif kind == "worker.crash":
-            self._record("worker.crash", node=target, via="scheduled")
-            self.cluster.crash_worker(target)
-            self._maybe_restart(fault, self._restart_worker, target)
         elif kind == "datanode.restart":
             self._restart_datanode(target)
         elif kind == "tracker.restart":
             self._restart_tracker(target)
-        elif kind == "worker.restart":
-            self._restart_worker(target)
         elif kind == "disk.slow":
             self._slow_disk(fault)
         elif kind == "blocks.corrupt":
@@ -236,10 +218,6 @@ class FaultInjector(FaultSite):
         if not tracker.is_serving:
             self._record("tracker.restart", node=name)
             tracker.start(self.cluster.jobtracker)
-
-    def _restart_worker(self, name: str) -> None:
-        self._record("worker.restart", node=name)
-        self.cluster.restart_worker(name)
 
     def _recover_namenode(self) -> None:
         # Calls NameNode.recover() directly, never the cluster wrapper:

@@ -14,7 +14,6 @@ event trips a trigger):
 =====================  ==================================================
 ``datanode.crash``     one DataNode daemon dies (optionally restarts)
 ``tracker.crash``      one TaskTracker daemon dies
-``worker.crash``       both daemons on one node die together
 ``disk.slow``          a node's disk reads slow down by ``factor``
 ``blocks.corrupt``     silent on-disk corruption of stored replicas
 ``cluster.restart``    the paper's bounce-everything recovery procedure
@@ -26,16 +25,15 @@ event trips a trigger):
 =====================  ==================================================
 
 Probabilistic faults (a rate in ``[0, 1]`` drawn once per opportunity,
-from an RNG stream named by the opportunity — attempt id, NameNode
-heartbeat number, work index — so draws replay identically regardless
-of execution order or backend):
+from an RNG stream named by the opportunity — attempt id, fetch, work
+index — so draws replay identically regardless of execution order or
+backend):
 
 =========================  ============================================
 ``task.exception``         a task attempt raises at launch
 ``task.straggler``         an attempt's runtime is multiplied
 ``shuffle.fetch_failure``  one reduce-side fetch fails transiently
 ``backend.worker_crash``   a pool worker dies holding a result
-``namenode.crash``         the NameNode dies servicing a heartbeat
 =========================  ============================================
 """
 
@@ -51,10 +49,8 @@ SCHEDULED_KINDS = frozenset(
     {
         "datanode.crash",
         "tracker.crash",
-        "worker.crash",
         "datanode.restart",
         "tracker.restart",
-        "worker.restart",
         "disk.slow",
         "blocks.corrupt",
         "cluster.restart",
@@ -72,7 +68,6 @@ RATE_KINDS = frozenset(
         "task.straggler",
         "shuffle.fetch_failure",
         "backend.worker_crash",
-        "namenode.crash",
     }
 )
 
@@ -81,10 +76,8 @@ _NEEDS_TARGET = frozenset(
     {
         "datanode.crash",
         "tracker.crash",
-        "worker.crash",
         "datanode.restart",
         "tracker.restart",
-        "worker.restart",
         "disk.slow",
     }
 )
@@ -209,14 +202,6 @@ class FaultPlan:
     ) -> "FaultPlan":
         return self._add_scheduled(
             at, "tracker.crash", node, restart_after=restart_after
-        )
-
-    def crash_worker(
-        self, at: float, node: str, restart_after: float | None = None
-    ) -> "FaultPlan":
-        """Kill both daemons on one node (the heap-leak cascade shape)."""
-        return self._add_scheduled(
-            at, "worker.crash", node, restart_after=restart_after
         )
 
     def slow_disk(
@@ -350,14 +335,6 @@ class FaultPlan:
     def worker_crash_rate(self, rate: float) -> "FaultPlan":
         """Per-work-item probability that a pool worker dies."""
         return self._add_rate("backend.worker_crash", rate)
-
-    def namenode_crash_rate(
-        self, rate: float, recover_after: float = 60.0
-    ) -> "FaultPlan":
-        """Per-processed-heartbeat probability that the NameNode dies.
-        Recovery defaults to *on* (60 s): a cluster whose NameNode never
-        comes back cannot finish any drill."""
-        return self._add_rate("namenode.crash", rate, recover_after=recover_after)
 
     # -- utilities -------------------------------------------------------
     def with_seed(self, seed: int) -> "FaultPlan":

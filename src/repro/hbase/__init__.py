@@ -10,22 +10,22 @@ store layered on this repository's HDFS.
 The architecture follows HBase 0.94 (the release contemporary with the
 course), simplified but honest:
 
-- :class:`~repro.hbase.model.KeyValue` cells with timestamps and
-  tombstones;
+- :class:`~repro.hbase.model.Cell`\\ s with timestamps, newest wins;
 - a per-region :class:`~repro.hbase.memstore.MemStore` flushed into
   immutable, sorted :class:`~repro.hbase.hfile.HFile`\\ s stored *in
   HDFS* (you can watch the blocks appear with ``hadoop fs -ls``);
 - :class:`~repro.hbase.region.Region`\\ s covering row-key ranges, with
-  minor compaction and midpoint splits;
+  midpoint splits;
 - :class:`~repro.hbase.server.RegionServer`\\ s with write-ahead logs on
   HDFS, so a crashed server's unflushed edits replay on reassignment;
 - an :class:`~repro.hbase.master.HMaster` owning the table catalog,
   region assignment and failure recovery;
-- a client :class:`~repro.hbase.client.Table` API: put / get / delete /
-  scan.
+- a client :class:`~repro.hbase.client.Table` API: put / get / scan.
+
+``examples/ecosystem_tour.py`` shows each of these in turn.
 """
 
-from repro.hbase.model import Cell, Delete, Get, Put, Scan
+from repro.hbase.model import Cell, Get, Put, Scan
 from repro.hbase.cluster import HBaseCluster
 
-__all__ = ["Cell", "Put", "Get", "Delete", "Scan", "HBaseCluster"]
+__all__ = ["Cell", "Put", "Get", "Scan", "HBaseCluster"]

@@ -5,15 +5,7 @@ from __future__ import annotations
 import itertools
 
 from repro.hbase.master import HMaster
-from repro.hbase.model import (
-    TOMBSTONE,
-    Cell,
-    Delete,
-    Get,
-    Put,
-    RowResult,
-    Scan,
-)
+from repro.hbase.model import Get, Put, RowResult, Scan
 from repro.util.errors import ConfigError
 
 
@@ -55,20 +47,6 @@ class Table:
         region = self.master.region_handle(entry)
         return region.get_row(get.row, columns=get.columns)
 
-    def delete(self, delete: Delete) -> None:
-        entry = self.master.locate(self.name, delete.row)
-        server = self.master.servers[entry.server]
-        region = self.master.region_handle(entry)
-        timestamp = self._timestamp()
-        columns = list(delete.columns)
-        if not columns:
-            # Whole-row delete: tombstone every visible column.
-            current = region.get_row(delete.row)
-            columns = sorted(current.cells)
-        for family, qualifier in columns:
-            cell = Cell(delete.row, family, qualifier, timestamp, TOMBSTONE)
-            server.apply_edit(entry.spec.name, cell)
-
     def scan(self, scan: Scan | None = None) -> list[RowResult]:
         scan = scan or Scan()
         if scan.columns:
@@ -95,8 +73,3 @@ class Table:
     # ------------------------------------------------------------------
     def count(self) -> int:
         return len(self.scan())
-
-    def flush(self) -> None:
-        """Flush every region of this table (visible in ``fs -ls``)."""
-        for entry in self.master.regions_of(self.name):
-            self.master.region_handle(entry).flush()

@@ -46,9 +46,6 @@ class HBaseCluster:
     def table(self, name: str) -> Table:
         return Table(self.master, name)
 
-    def drop_table(self, name: str) -> None:
-        self.master.drop_table(name)
-
     # ------------------------------------------------------------------
     def crash_server(self, name: str) -> None:
         self.servers[name].crash()

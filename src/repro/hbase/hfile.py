@@ -1,7 +1,7 @@
 """HFiles: immutable sorted cell files stored in HDFS.
 
-Each flush writes one HFile; compaction merges several into one.  The
-files live in the same HDFS this repository's MapReduce uses, so the
+Each flush writes one HFile; a region split rewrites its cells into
+its daughters' HFiles and deletes the parent's.  The files live in the same HDFS this repository's MapReduce uses, so the
 HBase lecture's punchline — "it's all files on HDFS underneath" — is
 directly observable with ``hadoop fs -ls /hbase``.
 """
@@ -26,11 +26,6 @@ class HFile:
     first_row: str | None
     last_row: str | None
     size_bytes: int
-
-    def may_contain_row(self, row: str) -> bool:
-        if self.first_row is None or self.last_row is None:
-            return False
-        return self.first_row <= row <= self.last_row
 
     def overlaps(self, start_row: str | None, stop_row: str | None) -> bool:
         if self.first_row is None:

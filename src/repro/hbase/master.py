@@ -69,19 +69,6 @@ class HMaster:
         self._assign(spec, hfiles=None)
         return descriptor
 
-    def drop_table(self, name: str) -> None:
-        descriptor = self.tables.pop(name, None)
-        if descriptor is None:
-            raise TableNotFoundError(name)
-        for region_name in [
-            rn for rn, e in self.meta.items() if e.spec.table == name
-        ]:
-            entry = self.meta.pop(region_name)
-            server = self.servers[entry.server]
-            if server.alive and region_name in server.regions:
-                region = server.regions.pop(region_name)
-                region.drop_storage()
-
     def describe(self, name: str) -> TableDescriptor:
         try:
             return self.tables[name]

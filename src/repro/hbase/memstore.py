@@ -24,9 +24,6 @@ class MemStore:
     def size_bytes(self) -> int:
         return self._bytes
 
-    def __len__(self) -> int:
-        return len(self._cells)
-
     @property
     def empty(self) -> bool:
         return not self._cells

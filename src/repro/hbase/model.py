@@ -1,9 +1,8 @@
 """HBase data model: cells, mutations, reads.
 
 A cell is ``(row, family, qualifier, timestamp) -> value``; rows are
-sorted lexicographically (the property region sharding relies on);
-deletes are tombstone cells that win over older values until a
-compaction drops both.
+sorted lexicographically (the property region sharding relies on), and
+the newest timestamp of a column wins.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from repro.util.errors import ConfigError
 
 #: Field separator in serialized cells; forbidden in keys.
 SEP = "\x01"
-#: Tombstone marker value.
-TOMBSTONE = "\x00__tombstone__"
 
 
 def _check_key(part: str, what: str) -> str:
@@ -36,10 +33,6 @@ class CellKey:
     #: Negated timestamp so higher (newer) timestamps sort first.
     neg_timestamp: int
 
-    @property
-    def timestamp(self) -> int:
-        return -self.neg_timestamp
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -54,10 +47,6 @@ class Cell:
     @property
     def key(self) -> CellKey:
         return CellKey(self.row, self.family, self.qualifier, -self.timestamp)
-
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value == TOMBSTONE
 
     def encode(self) -> str:
         return SEP.join(
@@ -97,18 +86,6 @@ class Put:
 
 
 @dataclass
-class Delete:
-    """Delete a whole row, or specific columns of it."""
-
-    row: str
-    columns: list[tuple[str, str]] = field(default_factory=list)
-
-    def add_column(self, family: str, qualifier: str) -> "Delete":
-        self.columns.append((family, qualifier))
-        return self
-
-
-@dataclass
 class Get:
     """Read one row (optionally restricted to columns)."""
 
@@ -135,7 +112,3 @@ class RowResult:
 
     def value(self, family: str, qualifier: str) -> str | None:
         return self.cells.get((family, qualifier))
-
-    @property
-    def empty(self) -> bool:
-        return not self.cells

@@ -1,10 +1,8 @@
 """Regions: contiguous row-key ranges of a table.
 
 A region owns a MemStore and a set of HFiles in HDFS.  Reads merge all
-of them, newest timestamp wins, tombstones hide older values.  Flushes
-turn the MemStore into a new HFile; compactions merge HFiles (dropping
-shadowed versions and tombstones); a region past the split threshold
-splits at its midpoint row.
+of them, newest timestamp wins.  Flushes turn the MemStore into a new
+HFile; a region past the split threshold splits at its midpoint row.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.hbase.hfile import HFile, delete_hfile, read_hfile, write_hfile
 from repro.hbase.memstore import MemStore
-from repro.hbase.model import TOMBSTONE, Cell, RowResult
+from repro.hbase.model import Cell, RowResult
 from repro.hdfs.client import DFSClient
 
 
@@ -41,10 +39,9 @@ class RegionSpec:
 
 @dataclass
 class RegionConfig:
-    """Flush/compaction/split thresholds (hbase-site.xml, in spirit)."""
+    """Flush/split thresholds (hbase-site.xml, in spirit)."""
 
     memstore_flush_bytes: int = 8 * 1024
-    compaction_min_hfiles: int = 4
     split_threshold_bytes: int = 64 * 1024
 
 
@@ -64,7 +61,6 @@ class Region:
         self.memstore = MemStore()
         self.hfiles: list[HFile] = list(hfiles or [])
         self.flushes = 0
-        self.compactions = 0
 
     # ------------------------------------------------------------------
     @property
@@ -92,34 +88,11 @@ class Region:
         self.hfiles.append(hfile)
         self.memstore.clear()
         self.flushes += 1
-        if len(self.hfiles) >= self.config.compaction_min_hfiles:
-            self.compact()
         return hfile
-
-    def compact(self) -> None:
-        """Merge all HFiles into one, dropping shadowed cells and
-        tombstones (a major compaction)."""
-        if len(self.hfiles) <= 1:
-            return
-        visible = self._visible_cells(None, None, include_memstore=False)
-        merged: list[Cell] = [
-            Cell(row, family, qualifier, ts, value)
-            for (row, family, qualifier), (ts, value) in sorted(visible.items())
-            if value != TOMBSTONE
-        ]
-        old = list(self.hfiles)
-        new_hfile = write_hfile(self.client, self.directory, merged)
-        self.hfiles = [new_hfile]
-        for hfile in old:
-            delete_hfile(self.client, hfile)
-        self.compactions += 1
 
     # -- reads -----------------------------------------------------------
     def _visible_cells(
-        self,
-        start_row: str | None,
-        stop_row: str | None,
-        include_memstore: bool = True,
+        self, start_row: str | None, stop_row: str | None
     ) -> dict[tuple[str, str, str], tuple[int, str]]:
         """(row, family, qualifier) -> (winning timestamp, value)."""
         winners: dict[tuple[str, str, str], tuple[int, str]] = {}
@@ -139,13 +112,12 @@ class Region:
                 continue
             for cell in read_hfile(self.client, hfile):
                 consider(cell)
-        if include_memstore:
-            # Memstore last: at equal timestamps the newest write wins.
-            for cell in self.memstore.scan(start_row, stop_row):
-                key = (cell.row, cell.family, cell.qualifier)
-                current = winners.get(key)
-                if current is None or cell.timestamp >= current[0]:
-                    winners[key] = (cell.timestamp, cell.value)
+        # Memstore last: at equal timestamps the newest write wins.
+        for cell in self.memstore.scan(start_row, stop_row):
+            key = (cell.row, cell.family, cell.qualifier)
+            current = winners.get(key)
+            if current is None or cell.timestamp >= current[0]:
+                winners[key] = (cell.timestamp, cell.value)
         return winners
 
     def get_row(
@@ -154,7 +126,7 @@ class Region:
         visible = self._visible_cells(row, row + "\x00")
         result = RowResult(row=row)
         for (r, family, qualifier), (_ts, value) in visible.items():
-            if r != row or value == TOMBSTONE:
+            if r != row:
                 continue
             if columns is not None and (family, qualifier) not in columns:
                 continue
@@ -170,8 +142,6 @@ class Region:
         visible = self._visible_cells(start_row, stop_row)
         rows: dict[str, RowResult] = {}
         for (row, family, qualifier), (_ts, value) in sorted(visible.items()):
-            if value == TOMBSTONE:
-                continue
             if columns is not None and (family, qualifier) not in columns:
                 continue
             rows.setdefault(row, RowResult(row=row)).cells[
@@ -204,7 +174,7 @@ class Region:
         ]
 
     def drop_storage(self) -> None:
-        """Delete this region's HFiles (after a split or table drop)."""
+        """Delete this region's HFiles (after a split)."""
         for hfile in self.hfiles:
             delete_hfile(self.client, hfile)
         self.hfiles.clear()

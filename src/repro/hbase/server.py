@@ -64,13 +64,6 @@ class RegionServer:
         self.regions[spec.name] = region
         return region
 
-    def close_region(self, region_name: str) -> list[HFile]:
-        """Graceful close: flush, return the HFiles for reassignment."""
-        self._check_alive()
-        region = self.regions.pop(region_name)
-        region.flush()
-        return list(region.hfiles)
-
     def region_for(self, region_name: str) -> Region:
         self._check_alive()
         return self.regions[region_name]
@@ -97,17 +90,6 @@ class RegionServer:
         self.wal_segments.append(path)
         self._wal_buffer.clear()
 
-    def flush_all(self) -> None:
-        """Flush every region and discard the now-redundant WAL."""
-        self._check_alive()
-        for region in self.regions.values():
-            region.flush()
-        for path in self.wal_segments:
-            if self.client.exists(path):
-                self.client.delete(path)
-        self.wal_segments.clear()
-        self._wal_buffer.clear()
-
     # -- failure ------------------------------------------------------------
     def crash(self) -> None:
         """Abrupt death: MemStores and the unsynced WAL tail are gone;
@@ -116,9 +98,6 @@ class RegionServer:
         self._wal_buffer.clear()
         for region in self.regions.values():
             region.memstore.clear()
-
-    def hosted_specs(self) -> list[RegionSpec]:
-        return [region.spec for region in self.regions.values()]
 
 
 def replay_wal(

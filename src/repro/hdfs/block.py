@@ -50,9 +50,6 @@ class Block:
         """The on-disk file name, as in Figure 2's physical view."""
         return f"blk_{self.block_id}"
 
-    def __repr__(self) -> str:
-        return f"Block(blk_{self.block_id}, gen={self.generation}, len={self.length})"
-
 
 class BlockIdGenerator:
     """Monotonic block-id source owned by the NameNode.

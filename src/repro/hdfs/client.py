@@ -328,9 +328,6 @@ class DFSInputStream:
         #: Total file length, from the location snapshot.
         self.length = offset
 
-    def block_length(self, index: int) -> int:
-        return self.located[index].block.length
-
     def pread(self, offset: int, length: int | None = None) -> ReadResult:
         """Read ``length`` bytes starting at file offset ``offset``.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.errors import ConfigError
 from repro.util.units import MB, parse_size
@@ -84,17 +84,3 @@ class HdfsConfig:
     def dead_node_timeout(self) -> float:
         """Seconds of heartbeat silence before a node is declared dead."""
         return self.heartbeat_interval * HEARTBEAT_MISS_LIMIT
-
-    def for_teaching(self, block_size: int | str = 64 * 1024) -> "HdfsConfig":
-        """A copy with a classroom-scale block size (default 64 KB).
-
-        The checksum chunk shrinks with the block (1/16th, floor 512 —
-        Hadoop's io.bytes.per.checksum) so classroom blocks still span
-        many chunks and ranged reads exercise partial verification.
-        """
-        small_block = parse_size(block_size)
-        return replace(
-            self,
-            block_size=small_block,
-            checksum_chunk_size=max(512, small_block // 16),
-        )

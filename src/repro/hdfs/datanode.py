@@ -350,9 +350,3 @@ class DataNode:
         """The Linux-FS view of this DataNode's storage directory —
         the ``blk_xxx`` files in the paper's Figure 2."""
         return sorted(f"blk_{bid}" for bid in self.blocks)
-
-    def __repr__(self) -> str:
-        return (
-            f"DataNode({self.name}, {self.state.value}, "
-            f"{len(self.blocks)} blocks, {self.used_bytes} bytes)"
-        )

@@ -126,7 +126,6 @@ class NameNode:
         self.restarts = 0
         self.crashes = 0
         self.recoveries = 0
-        self.heartbeats_processed = 0
         self.sim.wheel(self.config.heartbeat_interval).subscribe(
             self._check_liveness
         )
@@ -535,10 +534,6 @@ class NameNode:
         if self.down:
             # A dead process answers nothing; the DataNode simply retries
             # on its next interval and re-registers after recovery.
-            return HeartbeatResponse()
-        self.heartbeats_processed += 1
-        if self.sim.faults.namenode_heartbeat_crash(self):
-            self.crash()
             return HeartbeatResponse()
         if info.name not in self.datanodes:
             # Never registered, or forgotten by a restart.

@@ -33,14 +33,6 @@ class ReplicationHealth:
     def healthy(self) -> bool:
         return self.missing == 0 and self.under_replicated == 0
 
-    def describe(self) -> str:
-        return (
-            f"blocks={self.total_blocks} ok={self.fully_replicated} "
-            f"under={self.under_replicated} over={self.over_replicated} "
-            f"missing={self.missing} corrupt_replicas={self.corrupt_replicas} "
-            f"avg_replication={self.average_replication:.2f}"
-        )
-
 
 def replication_health(namenode: NameNode) -> ReplicationHealth:
     """Compute replica health from the NameNode's block map."""

@@ -29,9 +29,6 @@ class ShellResult:
     def ok(self) -> bool:
         return self.code == 0
 
-    def lines(self) -> list[str]:
-        return self.output.splitlines()
-
 
 class FsShell:
     """Dispatcher for ``hadoop fs <command>`` invocations."""

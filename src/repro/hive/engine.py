@@ -91,15 +91,6 @@ class Partial:
     minimum: float | str | None = None
     maximum: float | str | None = None
 
-    def observe(self, value) -> None:
-        self.count += 1
-        if isinstance(value, (int, float)):
-            self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
     def merge(self, other: "Partial") -> None:
         self.count += other.count
         self.total += other.total

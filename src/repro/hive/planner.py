@@ -61,16 +61,6 @@ ROW_SEP = "\x01"
 # shared cell/row codecs (mapper-side and driver-side must agree)
 
 
-def parse_cell(kind: str, raw: str):
-    """Parse one delimited cell by its kind code.
-
-    ``"raw"`` keeps the text (UDF outputs have no declared type);
-    ``ValueError`` propagates for int/float so malformed *intermediate*
-    lines fail loudly — stage inputs are machine-written, not user CSV.
-    """
-    return cell_converter(kind)(raw)
-
-
 def apply_op(value, op: str, literal) -> bool:
     """One WHERE comparison (the pushed-down, param-encoded form)."""
     if op == "=":

@@ -24,9 +24,6 @@ class ColumnType(enum.Enum):
     FLOAT = "float"
     STRING = "string"
 
-    def parse(self, text: str):
-        return cell_converter(self.value)(text)
-
 
 @dataclass(frozen=True)
 class TableSchema:
@@ -93,9 +90,3 @@ class Metastore:
             return self._tables[name]
         except KeyError:
             raise ConfigError(f"unknown table {name!r}") from None
-
-    def drop(self, name: str) -> None:
-        self._tables.pop(name, None)
-
-    def tables(self) -> list[str]:
-        return sorted(self._tables)

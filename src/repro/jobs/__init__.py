@@ -48,9 +48,8 @@ from repro.jobs.pagerank import (
     PageRankResult,
     generate_web_graph,
     pagerank,
-    pagerank_reference,
 )
-from repro.jobs.ngrams import ngram_counts, ngram_reference, top_ngrams
+from repro.jobs.ngrams import ngram_counts, top_ngrams
 
 __all__ = [
     "WordCountJob",
@@ -71,8 +70,6 @@ __all__ = [
     "PageRankResult",
     "generate_web_graph",
     "pagerank",
-    "pagerank_reference",
     "ngram_counts",
-    "ngram_reference",
     "top_ngrams",
 ]

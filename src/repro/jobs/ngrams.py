@@ -15,7 +15,6 @@ them to pooled workers instead of falling back inline.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 
 from repro.datasets.shakespeare import tokenize
@@ -55,11 +54,3 @@ def ngram_counts(lines_rdd, n: int = 2, num_partitions: int = 4):
 def top_ngrams(counts_rdd, k: int = 10) -> list[tuple[str, int]]:
     """The ``k`` most frequent grams, count-desc then gram-asc."""
     return sorted(counts_rdd.collect(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
-
-def ngram_reference(text: str, n: int = 2) -> dict[str, int]:
-    """Pure-Python ground truth for grading pipeline output."""
-    counts: Counter = Counter()
-    for line in text.splitlines():
-        counts.update(line_ngrams(line, n))
-    return dict(counts)

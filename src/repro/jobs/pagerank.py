@@ -17,7 +17,6 @@ a pooled job can ship them to worker processes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.util.rng import RngStream
@@ -117,25 +116,6 @@ def pagerank(
         previous = ranks
     final = sorted(ranks.collect())
     return PageRankResult(ranks=final, iterations=iterations)
-
-
-def pagerank_reference(
-    edges: list[tuple[int, int]], iterations: int = 5
-) -> dict[int, float]:
-    """Pure-Python ground truth (float-tolerant, not bit-identical:
-    it sums contributions in sorted order, not shuffle order)."""
-    links: dict[int, list[int]] = defaultdict(list)
-    for source, dest in edges:
-        links[source].append(dest)
-    ranks = {page: 1.0 for page in links}
-    for _round in range(iterations):
-        totals: dict[int, float] = {page: 0.0 for page in links}
-        for page in sorted(links):
-            share = ranks.get(page, 0.0) / len(links[page])
-            for dest in links[page]:
-                totals[dest] = totals.get(dest, 0.0) + share
-        ranks = {page: _dampen(total) for page, total in totals.items()}
-    return ranks
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,11 @@ requires several values for each key" — here
 :data:`RaterProfileWritable`, carrying (rating count, favourite genre).
 
 Implementation: mappers join ratings to genres (cached side file) and
-emit ``(user, genre)``; a single reducer tallies each user's total and
-per-genre counts, tracks the global maximum, and emits one winner at
-``cleanup`` — so the whole answer comes from one job, as required.
+emit ``(user, genre)`` once per genre of the rated movie, plus one
+``(user, RATING_MARKER)`` per rating; a single reducer tallies each
+user's ratings and per-genre votes, tracks the global maximum, and
+emits one winner at ``cleanup`` — so the whole answer comes from one
+job, as required.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ RaterProfileWritable = record_writable(
 
 
 class UserGenreMapper(Mapper):
+    """Emits a rating marker, then one genre vote per genre of the movie."""
+
     MOVIES_CACHE_KEY = "movies-table"
 
     def setup(self, context: Context) -> None:
@@ -48,6 +52,7 @@ class UserGenreMapper(Mapper):
         if parsed is None:
             return
         user, movie, _rating = parsed
+        context.write(IntWritable(user), Text(TopRaterReducer.RATING_MARKER))
         for genre in self._table.get(movie, []):
             context.write(IntWritable(user), Text(genre))
 
@@ -55,15 +60,12 @@ class UserGenreMapper(Mapper):
 class TopRaterReducer(Reducer):
     """Track the most active user across all keys; emit at cleanup.
 
-    Rating count is the number of *ratings*; a multi-genre movie adds
-    several genre votes but only one rating, so the mapper's per-genre
-    fan-out is corrected by counting distinct (deduplication is
-    unnecessary: every rating contributes >= 1 genre, and the
-    tie-breaking ground truth counts raw ratings, so we weight each
-    genre vote by 1/genres... which Writables can't carry).  Instead the
-    reducer counts genre votes for the favourite and receives the true
-    rating count separately via the ``__rating__`` marker genre emitted
-    once per rating by the mapper.
+    A user's rating count is the number of ``RATING_MARKER`` values the
+    mapper sent, one per rating.  The genre values cannot stand in for
+    it: a movie with several genres sends several genre votes for one
+    rating.  The favourite genre is the one with the most votes (ties
+    go to the alphabetically first), and ties on the rating count go to
+    the lower user id.
     """
 
     RATING_MARKER = "__rating__"
@@ -105,23 +107,10 @@ class TopRaterReducer(Reducer):
             )
 
 
-class MarkedUserGenreMapper(UserGenreMapper):
-    """Adds the once-per-rating marker the reducer counts."""
-
-    def map(self, key: Writable, value: Writable, context: Context) -> None:
-        parsed = parse_rating(value.value)
-        if parsed is None:
-            return
-        user, movie, _rating = parsed
-        context.write(IntWritable(user), Text(TopRaterReducer.RATING_MARKER))
-        for genre in self._table.get(movie, []):
-            context.write(IntWritable(user), Text(genre))
-
-
 class TopRaterJob(Job):
     """One job, one answer: (top user, RaterProfileWritable)."""
 
-    mapper = MarkedUserGenreMapper
+    mapper = UserGenreMapper
     reducer = TopRaterReducer
     shares_node_state = True  # cached side file via node_cache
 

@@ -154,9 +154,6 @@ class MapReduceCluster:
             pairs.extend(TextOutputFormat.parse(client.read_text(status.path)))
         return pairs
 
-    def output_dict(self, output_path: str) -> dict[str, str]:
-        return dict(self.read_output(output_path))
-
     # ------------------------------------------------------------------
     # failure / recovery conveniences
     def crash_worker(self, name: str) -> None:

@@ -80,13 +80,6 @@ class MapReduceConfig:
     #: job counters (group "Sanitizer"); clean runs are bit-identical
     #: to unsanitized runs.
     sanitize: bool = False
-    #: Job-ordering policy: "fifo" (submission order, the historical
-    #: behaviour, bit-identical) or "fair" (equal per-user shares of
-    #: running attempts with optional ``user_quotas`` caps).
-    scheduler: str = "fifo"
-    #: Per-user cap on concurrently running task attempts, consulted by
-    #: the fair scheduler only.  Users absent from the map are uncapped.
-    user_quotas: dict[str, int] | None = None
     cost: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
@@ -101,14 +94,6 @@ class MapReduceConfig:
             )
         if not (0.0 <= self.shuffle_retry_jitter <= 1.0):
             raise ConfigError("shuffle_retry_jitter must be in [0, 1]")
-        if self.scheduler not in ("fifo", "fair"):
-            raise ConfigError(
-                f"scheduler must be 'fifo' or 'fair', got {self.scheduler!r}"
-            )
-        if self.user_quotas is not None and any(
-            cap < 1 for cap in self.user_quotas.values()
-        ):
-            raise ConfigError("user_quotas entries must be >= 1")
 
     @property
     def tracker_timeout(self) -> float:
@@ -120,7 +105,7 @@ class JobConf:
     """Per-job configuration, Hadoop ``JobConf`` style."""
 
     name: str = "job"
-    #: Submitting user — the fair scheduler's accounting key.
+    #: Submitting user (a course account on a shared cluster).
     user: str = "student"
     num_reduces: int = 1
     max_attempts: int = 4

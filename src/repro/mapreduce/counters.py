@@ -99,9 +99,6 @@ class Counters:
                 lines.append(f"    {name}={value}")
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 # ---------------------------------------------------------------------------
 # Host-side performance attribution (NOT part of the job report).

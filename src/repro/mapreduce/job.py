@@ -75,9 +75,6 @@ class RunningJob:
         #: the JobTracker at the success/revert transitions.
         self.succeeded_maps = 0
         self.succeeded_reduces = 0
-        #: Currently running task attempts (launched minus terminated) —
-        #: the fair scheduler's per-user load signal.
-        self.active_attempts = 0
         #: Scheduler-level counters (launches, locality, failures).
         self.counters = Counters()
         #: Execution counters of each task's *latest successful* attempt,

@@ -30,7 +30,6 @@ from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.job import JobState, RunningJob
 from repro.mapreduce.runtime import job_input_format, job_pooled
-from repro.mapreduce.scheduler import make_scheduler
 from repro.mapreduce.tasks import (
     AttemptState,
     MapTask,
@@ -97,9 +96,6 @@ class JobTracker:
         self._active: dict[int, RunningJob] = {}
         self._map_schedulable: dict[int, RunningJob] = {}
         self._reduce_schedulable: dict[int, RunningJob] = {}
-        self.scheduler = make_scheduler(
-            mr_config.scheduler, mr_config.user_quotas
-        )
         #: Which registered trackers are alive (the heartbeat table).
         self.liveness = LivenessTable(self.mr_config.tracker_timeout)
         self.sim.wheel(self.mr_config.tasktracker_heartbeat).subscribe(
@@ -139,25 +135,19 @@ class JobTracker:
                         )
 
     def _end_attempt(
-        self,
-        job: RunningJob,
-        attempt: TaskAttempt,
-        state: AttemptState,
-        failure: str | None = None,
+        self, attempt: TaskAttempt, state: AttemptState, failure: str | None = None
     ) -> None:
-        """An attempt is over: record how and when, and take it off the
-        job's count of attempts in flight."""
+        """An attempt is over: record how and when."""
         attempt.state = state
         attempt.finish_time = self.sim.now
         attempt.failure = failure
-        job.active_attempts -= 1
 
     def _kill_and_requeue(
         self, job: RunningJob, task, attempt: TaskAttempt, failure: str
     ) -> None:
         """An attempt died with its tracker: kill it without penalty
         and put the task back in the queue."""
-        self._end_attempt(job, attempt, AttemptState.KILLED, failure)
+        self._end_attempt(attempt, AttemptState.KILLED, failure)
         self._requeue(job, task)
 
     def _check_trackers(self) -> None:
@@ -329,30 +319,24 @@ class JobTracker:
         if tracker.name not in self.trackers:
             self.register_tracker(tracker)
         self.liveness.beat(tracker.name, self.sim.now)
-        # Fair scheduling accounts per-user load once per wave, then
-        # updates it incrementally as this heartbeat launches work.
-        loads = self.scheduler.wave_loads(self._active)
         assignments: list[Assignment] = []
         for _ in range(tracker.free_map_slots):
-            assignment = self._assign_map(tracker, loads)
+            assignment = self._assign_map(tracker)
             if assignment is None:
                 break
             assignments.append(assignment)
         for _ in range(tracker.free_reduce_slots):
-            assignment = self._assign_reduce(tracker, loads)
+            assignment = self._assign_reduce(tracker)
             if assignment is None:
                 break
             assignments.append(assignment)
         return assignments
 
-    def _assign_map(
-        self, tracker: TaskTracker, loads: dict[str, int] | None = None
-    ) -> Assignment | None:
-        candidates = [
-            (seq, self._map_schedulable[seq])
-            for seq in sorted(self._map_schedulable)
-        ]
-        for job in self.scheduler.job_order(candidates, loads):
+    def _assign_map(self, tracker: TaskTracker) -> Assignment | None:
+        # Jobs in submission (FIFO) order; the loop may deindex them.
+        for job in [
+            self._map_schedulable[seq] for seq in sorted(self._map_schedulable)
+        ]:
             if not job.pending_maps and (
                 not job.conf.speculative_execution or job.maps_done
             ):
@@ -367,14 +351,12 @@ class JobTracker:
             picked = job.pending_maps.pick_for(tracker.name)
             if picked is not None:
                 index, locality = picked
-                return self._launch(
-                    job, job.map_tasks[index], tracker, loads, locality
-                )
+                return self._launch(job, job.map_tasks[index], tracker, locality)
             speculated = self._pick_straggler(job, tracker)
             if speculated is not None:
                 task = job.map_tasks[speculated]
                 return self._launch(
-                    job, task, tracker, loads,
+                    job, task, tracker,
                     self._map_locality(task, tracker.name),
                     speculative=True,
                 )
@@ -410,15 +392,11 @@ class JobTracker:
         job: RunningJob,
         task: MapTask | ReduceTask,
         tracker: TaskTracker,
-        loads: dict[str, int] | None,
         locality: str | None = None,  # maps only
         speculative: bool = False,
     ) -> Assignment:
         """Start one attempt of ``task`` on ``tracker``: all the
-        bookkeeping a launch owes the job, its user and its counters."""
-        job.active_attempts += 1
-        if loads is not None:
-            loads[job.conf.user] = loads.get(job.conf.user, 0) + 1
+        bookkeeping a launch owes the job and its counters."""
         if isinstance(task, MapTask):
             task_type, index = TaskType.MAP, task.index
             launched = C.TOTAL_LAUNCHED_MAPS
@@ -455,14 +433,10 @@ class JobTracker:
             speculative=speculative,
         )
 
-    def _assign_reduce(
-        self, tracker: TaskTracker, loads: dict[str, int] | None = None
-    ) -> Assignment | None:
-        candidates = [
-            (seq, self._reduce_schedulable[seq])
-            for seq in sorted(self._reduce_schedulable)
-        ]
-        for job in self.scheduler.job_order(candidates, loads):
+    def _assign_reduce(self, tracker: TaskTracker) -> Assignment | None:
+        for job in [
+            self._reduce_schedulable[seq] for seq in sorted(self._reduce_schedulable)
+        ]:
             if not job.pending_reduces:
                 self._reduce_schedulable.pop(job.submit_seq, None)
                 continue
@@ -473,7 +447,7 @@ class JobTracker:
             partition = job.pending_reduces.popleft()
             if not job.pending_reduces:
                 self._reduce_schedulable.pop(job.submit_seq, None)
-            return self._launch(job, job.reduce_tasks[partition], tracker, loads)
+            return self._launch(job, job.reduce_tasks[partition], tracker)
         return None
 
     # ------------------------------------------------------------------
@@ -489,7 +463,6 @@ class JobTracker:
         lost_race = task.state == TaskState.SUCCEEDED  # a twin already won
         if attempt is not None:
             self._end_attempt(
-                job,
                 attempt,
                 AttemptState.KILLED if lost_race else AttemptState.SUCCEEDED,
             )
@@ -526,7 +499,7 @@ class JobTracker:
         for attempt in task.running_attempts:
             if attempt.attempt_id == winner_attempt_id:
                 continue
-            self._end_attempt(job, attempt, AttemptState.KILLED)
+            self._end_attempt(attempt, AttemptState.KILLED)
             if attempt.tracker in self.trackers:
                 self.trackers[attempt.tracker].kill_attempt(attempt.attempt_id)
             job.counters.increment(C.KILLED_SPECULATIVE)
@@ -560,7 +533,6 @@ class JobTracker:
         attempt = self._attempt_of(task, assignment.attempt_id)
         if attempt is not None:
             self._end_attempt(
-                job,
                 attempt,
                 AttemptState.FAILED if counts_against else AttemptState.KILLED,
                 reason,
@@ -655,7 +627,7 @@ class JobTracker:
                     tracker.kill_attempt(attempt_id)
         for task in [*job.map_tasks, *job.reduce_tasks]:
             for attempt in task.running_attempts:
-                self._end_attempt(job, attempt, AttemptState.KILLED)
+                self._end_attempt(attempt, AttemptState.KILLED)
         job.log(self.sim.now, f"job failed: {reason}")
         # After every attempt is killed nothing will read the job's
         # shuffle data again; release it.

@@ -1,22 +1,13 @@
-"""Indexed, pluggable task scheduling for the JobTracker.
+"""Locality-indexed pending maps for the JobTracker.
 
-Two structures keep campus-scale scheduling O(active) instead of
-O(everything):
-
-:class:`PendingMapQueue`
-    Locality-indexed pending-map buckets.  The historical
-    ``_pick_pending_map`` scanned every pending map and looked up its
-    locality per candidate — O(pending × locality) per free slot per
-    heartbeat.  The queue maintains per-node and per-rack FIFO heaps
-    incrementally on add/launch/requeue, so a pick is O(log pending)
-    and provably reproduces the scan's choice (see :meth:`pick_for`).
-
-:class:`FifoScheduler` / :class:`FairScheduler`
-    Pluggable job-ordering strategies.  FIFO preserves the historical
-    submission-order assignment bit-identically.  Fair share orders
-    users by current running-attempt load (fewest first, equal shares)
-    and enforces optional per-user quota caps — the multi-tenant
-    deadline-crunch policy the campus scenario needs.
+:class:`PendingMapQueue` keeps campus-scale scheduling O(active) instead
+of O(everything).  The historical ``_pick_pending_map`` scanned every
+pending map and looked up its locality per candidate — O(pending ×
+locality) per free slot per heartbeat.  The queue maintains per-node and
+per-rack FIFO heaps incrementally on add/launch/requeue, so a pick is
+O(log pending) and provably reproduces the scan's choice (see
+:meth:`PendingMapQueue.pick_for`).  Jobs themselves are served in
+submission (FIFO) order by the JobTracker.
 """
 
 from __future__ import annotations
@@ -26,10 +17,8 @@ import itertools
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.topology import ClusterTopology
-from repro.util.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mapreduce.job import RunningJob
     from repro.mapreduce.tasks import MapTask
 
 
@@ -146,79 +135,3 @@ class PendingMapQueue:
         assert index is not None  # membership non-empty ⇒ live global head
         del self._membership[index]
         return index, "off_rack"
-
-
-class SchedulerStrategy:
-    """Job-ordering policy consulted on every assignment round."""
-
-    name = "base"
-    #: True if the strategy wants per-user running-attempt loads
-    #: computed at the start of each heartbeat wave.
-    needs_loads = False
-
-    def wave_loads(
-        self, active: "dict[int, RunningJob]"
-    ) -> dict[str, int] | None:
-        return None
-
-    def job_order(
-        self,
-        candidates: "list[tuple[int, RunningJob]]",
-        loads: dict[str, int] | None,
-    ) -> "list[RunningJob]":
-        raise NotImplementedError
-
-
-class FifoScheduler(SchedulerStrategy):
-    """Submission order — the historical policy, bit-identical."""
-
-    name = "fifo"
-
-    def job_order(self, candidates, loads):
-        return [job for _seq, job in candidates]
-
-
-class FairScheduler(SchedulerStrategy):
-    """Equal per-user shares with optional hard quota caps.
-
-    Users are ordered by current running-attempt count (fewest first,
-    name tie-break), their jobs FIFO within each user.  A user at or
-    above their quota cap is skipped for this round entirely — capacity
-    flows to the others, which is what stops one tenant's 500-job
-    deadline binge from starving everyone else.
-    """
-
-    name = "fair"
-    needs_loads = True
-
-    def __init__(self, quotas: dict[str, int] | None = None):
-        self.quotas = dict(quotas or {})
-
-    def wave_loads(self, active):
-        loads: dict[str, int] = {}
-        for seq in sorted(active):
-            job = active[seq]
-            user = job.conf.user
-            loads[user] = loads.get(user, 0) + job.active_attempts
-        return loads
-
-    def job_order(self, candidates, loads):
-        loads = loads or {}
-        by_user: dict[str, list] = {}
-        for _seq, job in candidates:  # already FIFO by seq
-            by_user.setdefault(job.conf.user, []).append(job)
-        ordered: list = []
-        for user in sorted(by_user, key=lambda u: (loads.get(u, 0), u)):
-            cap = self.quotas.get(user)
-            if cap is not None and loads.get(user, 0) >= cap:
-                continue  # over quota: nothing this round
-            ordered.extend(by_user[user])
-        return ordered
-
-
-def make_scheduler(name: str, quotas: dict[str, int] | None = None):
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "fair":
-        return FairScheduler(quotas)
-    raise ConfigError(f"unknown scheduler {name!r} (want 'fifo' or 'fair')")

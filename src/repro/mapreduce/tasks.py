@@ -43,12 +43,6 @@ class TaskAttempt:
     failure: str | None = None
     speculative: bool = False
 
-    @property
-    def elapsed(self) -> float | None:
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.start_time
-
 
 @dataclass
 class MapTask:

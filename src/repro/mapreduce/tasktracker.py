@@ -594,9 +594,3 @@ class TaskTracker:
         if running.completion is not None:
             running.completion.cancel()
         return True
-
-    def __repr__(self) -> str:
-        return (
-            f"TaskTracker({self.name}, {self.state.value}, "
-            f"running={len(self.running)})"
-        )

@@ -76,10 +76,6 @@ class Writable:
         self._check_comparable(other)
         return self.sort_key() < other.sort_key()
 
-    def __le__(self, other: "Writable") -> bool:
-        self._check_comparable(other)
-        return self.sort_key() <= other.sort_key()
-
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.sort_key()))
 
@@ -212,10 +208,6 @@ class NullWritable(Writable):
 
     def encode(self) -> str:
         return ""
-
-    @classmethod
-    def decode(cls, text: str) -> "NullWritable":
-        return cls()
 
     def sort_key(self) -> str:
         return ""

@@ -288,13 +288,6 @@ class MyHadoopProvisioner:
                 killed += 1
         return killed
 
-    def ghost_daemons_on(self, node_name: str) -> dict[int, str]:
-        """Ports still bound on a node by clusters no longer active."""
-        cluster = self._clusters_on_node.get(node_name)
-        if cluster is None or (cluster.reservation.active and not cluster.abandoned):
-            return {}
-        return self.ports.bound_on(node_name)
-
     # ------------------------------------------------------------------
     def _tear_down(self, cluster: DynamicHadoopCluster) -> None:
         for name in cluster.node_names:

@@ -25,6 +25,3 @@ class SimClock:
         if t < self._now:
             raise ValueError(f"clock cannot move backward: {t} < {self._now}")
         self._now = t
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.3f})"

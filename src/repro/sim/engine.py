@@ -50,11 +50,6 @@ class FaultSite:
     across serial and pooled backends.
     """
 
-    def namenode_heartbeat_crash(self, namenode) -> bool:
-        """True → the NameNode process dies while servicing this
-        heartbeat (recovers only by replaying its journal)."""
-        return False
-
     def task_attempt_fault(self, job_id: str, attempt_id: str) -> str | None:
         """An error message to raise for this attempt, or None."""
         return None
@@ -129,9 +124,6 @@ class TimerWheel:
         self._subs: dict[int, tuple[Callable[..., Any], tuple, float]] = {}
         self._tokens = itertools.count()
         self._pending: ScheduledEvent | None = None
-
-    def __len__(self) -> int:
-        return len(self._subs)
 
     def _next_tick(self) -> float:
         """First tick time strictly after now, on the wheel's phase."""

@@ -23,10 +23,6 @@ class Scale:
             )
         return value
 
-    @property
-    def width(self) -> int:
-        return self.high - self.low + 1
-
 
 #: Table I: "Level of Proficiency (0 to 10 with 10 being highest)".
 PROFICIENCY_SCALE = Scale(name="proficiency", low=0, high=10)

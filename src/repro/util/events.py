@@ -22,9 +22,6 @@ class Event:
     time: float
     data: dict[str, Any] = field(default_factory=dict)
 
-    def __getitem__(self, key: str) -> Any:
-        return self.data[key]
-
 
 Listener = Callable[[Event], None]
 
@@ -76,6 +73,3 @@ class EventBus:
             for e in self._history
             if e.topic == topic_prefix or e.topic.startswith(topic_prefix + ".")
         ]
-
-    def clear_history(self) -> None:
-        self._history.clear()

@@ -65,16 +65,12 @@ class RngStream:
         """Draw one integer in ``[low, high)``."""
         return int(self.rng.integers(low, high))
 
-    def normal(self, mean: float, std: float) -> float:
-        return float(self.rng.normal(mean, std))
-
     def exponential(self, scale: float) -> float:
         return float(self.rng.exponential(scale))
 
-    def choice(self, seq, p=None):
-        """Choose one element of a sequence (optionally weighted)."""
-        idx = self.rng.choice(len(seq), p=p)
-        return seq[int(idx)]
+    def choice(self, seq):
+        """Choose one element of a sequence, uniformly."""
+        return seq[int(self.rng.choice(len(seq)))]
 
     def shuffle(self, seq: list) -> None:
         """Shuffle a list in place."""
@@ -82,6 +78,3 @@ class RngStream:
 
     def bernoulli(self, p: float) -> bool:
         return bool(self.rng.random() < p)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.seed}, path={'/'.join(map(str, self.path))})"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.builder import build_hadoop_cluster, build_hpc_cluster
-from repro.cluster.hardware import NodeSpec
+from repro.cluster.hardware import NodeSpec, NodeState
 from repro.util.units import GB, MB
 
 
@@ -32,7 +32,7 @@ class TestHadoopBuilder:
     def test_scan_requires_live_nodes(self):
         hadoop = build_hadoop_cluster(num_workers=2)
         for node in hadoop.topology.nodes():
-            node.mark_down()
+            node.state = NodeState.DOWN
         with pytest.raises(ValueError):
             hadoop.scan_time(GB)
 

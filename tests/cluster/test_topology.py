@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.hardware import Node
+from repro.cluster.hardware import Node, NodeState
 from repro.cluster.topology import ClusterTopology
 from repro.util.errors import ConfigError
 
@@ -12,8 +12,8 @@ class TestRegularTopology:
         topo = ClusterTopology.regular(num_nodes=10, nodes_per_rack=4)
         assert len(topo) == 10
         assert topo.num_racks() == 3  # 4 + 4 + 2
-        assert len(topo.nodes_in_rack("rack0")) == 4
-        assert len(topo.nodes_in_rack("rack2")) == 2
+        assert len(topo.racks["rack0"].nodes) == 4
+        assert len(topo.racks["rack2"].nodes) == 2
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -78,5 +78,5 @@ class TestLocalityClassification:
 class TestLiveNodes:
     def test_live_excludes_down(self):
         topo = ClusterTopology.regular(num_nodes=3)
-        topo.node("node1").mark_down()
+        topo.node("node1").state = NodeState.DOWN
         assert [n.name for n in topo.live_nodes()] == ["node0", "node2"]

@@ -1,13 +1,10 @@
-"""Campus-scale scenario: multi-tenant scheduling at class-section size."""
+"""Campus-scale scenario: many course clusters, FIFO scheduling."""
 
 import pytest
 
-from repro.core.campus import (
-    CampusClusterRun,
-    CampusScenario,
-    run_campus,
-)
+from repro.core.campus import CampusClusterRun, CampusScenario
 from repro.util.units import MINUTE
+from tests.core.campus_harness import run_campus
 
 
 def small_scenario(**overrides):
@@ -40,10 +37,6 @@ class TestCampusRun:
         completed = report.per_user_completed()
         assert set(completed) == set(small_scenario().users)
         assert all(done > 0 for done in completed.values())
-
-    def test_describe_renders(self, report):
-        text = report.describe()
-        assert "Campus scenario" in text and "40" in text
 
     def test_replay_is_bit_identical(self, report):
         again = run_campus(small_scenario())
@@ -110,38 +103,7 @@ class TestSteppingProgress:
             run.close()
 
 
-class TestFairnessKnobs:
-    def test_quota_protects_light_tenants(self):
-        base = dict(
-            num_students=60,
-            num_clusters=1,
-            jobs_per_student=2,
-            window=10 * MINUTE,
-            users=("cs1060", "research"),
-            user_weights=(0.5, 0.5),
-            flood_user="research",
-            flood_window=1 * MINUTE,
-            seed=4,
-        )
-        fifo = run_campus(small_scenario(**base, scheduler="fifo"))
-        fair = run_campus(
-            small_scenario(
-                **base, scheduler="fair", user_quotas={"research": 6}
-            )
-        )
-        assert fifo.jobs_succeeded == fifo.jobs_submitted
-        assert fair.jobs_succeeded == fair.jobs_submitted
-        # The quota visibly throttles the flooding tenant...
-        assert (
-            fair.per_user_mean_wait()["research"]
-            > fifo.per_user_mean_wait()["research"]
-        )
-        # ...without hurting the light tenant (tolerance: at this mini
-        # scale there is no queueing to win back, only noise).
-        assert fair.per_user_mean_wait()["cs1060"] <= (
-            fifo.per_user_mean_wait()["cs1060"] * 1.05 + 1.0
-        )
-
+class TestCampusChaos:
     def test_chaos_replays_identically(self):
         scenario = small_scenario(
             num_students=30, num_clusters=1, chaos_interval=3 * MINUTE

@@ -191,15 +191,6 @@ class TestScheduledFaults:
         assert recovery.torn_bytes > 0
         assert recovery.replayed_edits == edits_before - 1
 
-    def test_namenode_crash_rate_draws_by_heartbeat_count(self):
-        mr = make_mr()
-        plan = FaultPlan(seed=5).namenode_crash_rate(0.02, recover_after=30.0)
-        with FaultInjector(plan, mr) as injector:
-            mr.sim.run_for(4 * 3600.0)
-            kinds = [kind for _, kind, _ in injector.injected]
-        assert "namenode.crash" in kinds and "namenode.recover" in kinds
-        assert not mr.hdfs.namenode.down  # every crash recovered
-
     def test_trigger_fires_on_nth_event_only_once(self):
         mr = make_mr()
         plan = FaultPlan().on_event(

@@ -37,7 +37,6 @@ class TestBuilders:
             .roll_checkpoint(at=3.0)
             .tear_journal_tail(at=4.0)
             .recover_namenode(at=60.0)
-            .namenode_crash_rate(0.01)
         )
         assert len(plan.scheduled) == 4
         kinds = {fault.kind for fault in plan.scheduled}
@@ -49,11 +48,7 @@ class TestBuilders:
         }
         crash = next(f for f in plan.scheduled if f.kind == "namenode.crash")
         assert crash.param("recover_after") == 45.0
-        (rate,) = plan.rates
-        assert rate.kind == "namenode.crash"
-        # The NameNode rate defaults recovery ON — a dead control plane
-        # can never finish a drill.
-        assert rate.param("recover_after") == 60.0
+        assert not plan.rates
 
     def test_namenode_crash_as_trigger(self):
         plan = FaultPlan().on_event(

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.hbase.model import (
-    TOMBSTONE,
-    Cell,
-    CellKey,
-    Delete,
-    Get,
-    Put,
-    RowResult,
-    Scan,
-)
+from repro.hbase.model import Cell, Put, RowResult, Scan
 from repro.util.errors import ConfigError
 
 
@@ -24,10 +15,6 @@ class TestCell:
         cell = Cell("r", "f", "q", 1, "a:b,c d")
         assert Cell.decode(cell.encode()).value == "a:b,c d"
 
-    def test_tombstone_flag(self):
-        assert Cell("r", "f", "q", 1, TOMBSTONE).is_tombstone
-        assert not Cell("r", "f", "q", 1, "x").is_tombstone
-
 
 class TestCellKeyOrdering:
     def test_rows_sort_lexicographically(self):
@@ -39,9 +26,6 @@ class TestCellKeyOrdering:
         old = Cell("r", "f", "q", 1, "v").key
         new = Cell("r", "f", "q", 9, "v").key
         assert new < old
-
-    def test_timestamp_property(self):
-        assert CellKey("r", "f", "q", -5).timestamp == 5
 
 
 class TestPut:
@@ -69,16 +53,11 @@ class TestPut:
 
 
 class TestOtherOps:
-    def test_delete_builder(self):
-        delete = Delete(row="r").add_column("f", "a").add_column("f", "b")
-        assert delete.columns == [("f", "a"), ("f", "b")]
-
     def test_row_result(self):
         result = RowResult(row="r", cells={("f", "q"): "v"})
         assert result.value("f", "q") == "v"
         assert result.value("f", "other") is None
-        assert not result.empty
-        assert RowResult(row="r").empty
+        assert RowResult(row="r").cells == {}
 
     def test_scan_defaults_open(self):
         scan = Scan()

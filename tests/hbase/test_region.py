@@ -1,8 +1,8 @@
-"""Regions: memstore/HFile merge semantics, flush, compaction, split."""
+"""Regions: memstore/HFile merge semantics, flush, split."""
 
 import pytest
 
-from repro.hbase.model import TOMBSTONE, Cell
+from repro.hbase.model import Cell
 from repro.hbase.region import Region, RegionConfig, RegionSpec
 from tests.conftest import make_hdfs
 
@@ -37,28 +37,12 @@ class TestReadYourWrites:
         assert row.value("f", "other") == "in-memory"
 
     def test_newer_hfile_version_beats_older(self):
-        region, _ = make_region(
-            memstore_flush_bytes=10**9, compaction_min_hfiles=99
-        )
+        region, _ = make_region(memstore_flush_bytes=10**9)
         region.apply(Cell("r1", "f", "q", 1, "v1"))
         region.flush()
         region.apply(Cell("r1", "f", "q", 5, "v5"))
         region.flush()
         assert region.get_row("r1").value("f", "q") == "v5"
-
-    def test_tombstone_hides_value(self):
-        region, _ = make_region(memstore_flush_bytes=10**9)
-        region.apply(Cell("r1", "f", "q", 1, "v"))
-        region.flush()
-        region.apply(Cell("r1", "f", "q", 2, TOMBSTONE))
-        assert region.get_row("r1").value("f", "q") is None
-
-    def test_write_after_tombstone_resurrects(self):
-        region, _ = make_region()
-        region.apply(Cell("r1", "f", "q", 1, "v"))
-        region.apply(Cell("r1", "f", "q", 2, TOMBSTONE))
-        region.apply(Cell("r1", "f", "q", 3, "back"))
-        assert region.get_row("r1").value("f", "q") == "back"
 
 
 class TestFlushAndCompaction:
@@ -80,47 +64,6 @@ class TestFlushAndCompaction:
             region.apply(Cell(f"r{i:02d}", "f", "q", i, "value"))
         assert region.flushes >= 1
         assert region.hfiles
-
-    def test_compaction_merges_hfiles(self):
-        region, client = make_region(
-            memstore_flush_bytes=10**9, compaction_min_hfiles=3
-        )
-        for batch in range(3):
-            for i in range(4):
-                region.apply(Cell(f"r{i}", "f", "q", batch * 10 + i, f"b{batch}"))
-            region.flush()
-        assert len(region.hfiles) == 1  # compacted
-        assert region.compactions == 1
-        for i in range(4):
-            assert region.get_row(f"r{i}").value("f", "q") == "b2"
-
-    def test_compaction_drops_tombstones(self):
-        region, _ = make_region(
-            memstore_flush_bytes=10**9, compaction_min_hfiles=99
-        )
-        region.apply(Cell("r1", "f", "q", 1, "v"))
-        region.flush()
-        region.apply(Cell("r1", "f", "q", 2, TOMBSTONE))
-        region.flush()
-        region.hfiles and region.compact()
-        assert len(region.hfiles) == 1
-        from repro.hbase.hfile import read_hfile
-
-        cells = read_hfile(region.client, region.hfiles[0])
-        assert all(not c.is_tombstone for c in cells)
-        assert region.get_row("r1").value("f", "q") is None
-
-    def test_compaction_frees_old_files(self):
-        region, client = make_region(
-            memstore_flush_bytes=10**9, compaction_min_hfiles=99
-        )
-        paths = []
-        for batch in range(3):
-            region.apply(Cell("r", "f", "q", batch, f"v{batch}"))
-            paths.append(region.flush().path)
-        region.compact()
-        for path in paths:
-            assert not client.exists(path)
 
 
 class TestScan:

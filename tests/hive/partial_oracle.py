@@ -44,10 +44,21 @@ def decode_partial(text: str) -> Partial:
     )
 
 
+def observe(partial: Partial, value) -> None:
+    """Fold one non-null value into ``partial``."""
+    partial.count += 1
+    if isinstance(value, (int, float)):
+        partial.total += value
+    if partial.minimum is None or value < partial.minimum:
+        partial.minimum = value
+    if partial.maximum is None or value > partial.maximum:
+        partial.maximum = value
+
+
 def map_side_partial(value) -> str:
     """One row's contribution: ``Partial()`` → ``observe`` → ``encode``."""
     partial = Partial()
-    partial.observe(value)
+    observe(partial, value)
     return encode_partial(partial)
 
 

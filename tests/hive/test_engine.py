@@ -11,6 +11,7 @@ from repro.hive.parser import SqlError
 from repro.mapreduce.backend import create_backend
 from repro.util.errors import ConfigError
 from tests.conftest import make_mr
+from tests.hive import partial_oracle as oracle
 
 ROWS = [
     # name, team, score, minutes
@@ -265,7 +266,7 @@ class TestPartialMonoid:
         def partial_of(vals):
             p = Partial()
             for v in vals:
-                p.observe(v)
+                oracle.observe(p, v)
             return p
 
         left = partial_of(values[:2])
@@ -279,7 +280,7 @@ class TestPartialMonoid:
     def test_encode_decode_round_trip(self):
         p = Partial()
         for v in ("alpha", "beta"):
-            p.observe(v)
+            oracle.observe(p, v)
         decoded = Partial.decode(p.encode())
         assert decoded.minimum == "alpha" and decoded.maximum == "beta"
         assert decoded.count == 2

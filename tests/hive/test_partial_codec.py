@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hive import ColumnType, HiveLite, TableSchema
 from repro.hive import planner
 from repro.hive.engine import Partial
+from repro.hive import schema as schema_module
 from repro.hive.schema import cell_converter
 from tests.conftest import make_mr
 from tests.hive import partial_oracle as oracle
@@ -48,7 +49,7 @@ STRINGS = [
 def _partial_of(*values) -> Partial:
     partial = Partial()
     for value in values:
-        partial.observe(value)
+        oracle.observe(partial, value)
     return partial
 
 
@@ -245,18 +246,18 @@ class TestRowParsers:
                 expected = oracle.parse_cell(kind, raw)
             except ValueError:
                 with pytest.raises(ValueError):
-                    planner.parse_cell(kind, raw)
+                    cell_converter(kind)(raw)
                 continue
-            assert _same_value(planner.parse_cell(kind, raw), expected)
+            assert _same_value(cell_converter(kind)(raw), expected)
             if kind != "raw":
-                assert _same_value(ColumnType(kind).parse(raw), expected)
+                assert _same_value(cell_converter(ColumnType(kind).value)(raw), expected)
 
     def test_converters_are_built_once_per_schema(self, monkeypatch):
         schema = dataclasses.replace(SCHEMA, name="fresh")
         calls = []
-        original = ColumnType.parse
+        original = schema_module.cell_converter
         monkeypatch.setattr(
-            ColumnType, "parse", lambda self, text: calls.append(text) or original(self, text)
+            schema_module, "cell_converter", lambda kind: calls.append(kind) or original(kind)
         )
         assert schema.parse_row("1::2::3.5::a") == [1, 2, 3.5, "a"]
         first = schema._converters

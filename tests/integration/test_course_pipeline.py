@@ -90,7 +90,7 @@ class TestChainedJobsOverHdfs:
             input_format = KeyValueTextInputFormat
 
         mr.run_job(TotalJob(), "/counts", "/total", require_success=True)
-        assert mr.output_dict("/total") == {"total": "180"}
+        assert dict(mr.read_output("/total")) == {"total": "180"}
 
 
 class TestWholeClusterLifecycle:
@@ -111,13 +111,13 @@ class TestWholeClusterLifecycle:
         client.put_text("/data/in.txt", "ha doop " * 500)
 
         first = mr.run_job(wc(), "/data/in.txt", "/o1", require_success=True)
-        assert mr.output_dict("/o1") == {"ha": "500", "doop": "500"}
+        assert dict(mr.read_output("/o1")) == {"ha": "500", "doop": "500"}
 
         # A worker dies; the data survives via replication.
         mr.crash_worker("node2")
         mr.hdfs.sim.run_for(mr.hdfs.config.dead_node_timeout + 30)
         second = mr.run_job(wc(), "/data/in.txt", "/o2", require_success=True)
-        assert mr.output_dict("/o2") == mr.output_dict("/o1")
+        assert dict(mr.read_output("/o2")) == dict(mr.read_output("/o1"))
 
         # Full cluster restart (the instructors' hammer), then rerun.
         for tracker in mr.tasktrackers.values():
@@ -130,4 +130,4 @@ class TestWholeClusterLifecycle:
         for tracker in mr.tasktrackers.values():
             tracker.start(mr.jobtracker)
         third = mr.run_job(wc(), "/data/in.txt", "/o3", require_success=True)
-        assert mr.output_dict("/o3") == mr.output_dict("/o1")
+        assert dict(mr.read_output("/o3")) == dict(mr.read_output("/o1"))

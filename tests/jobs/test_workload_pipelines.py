@@ -9,14 +9,11 @@ import math
 
 import pytest
 
-from repro.jobs.ngrams import ngram_counts, ngram_reference, top_ngrams
-from repro.jobs.pagerank import (
-    generate_web_graph,
-    pagerank,
-    pagerank_reference,
-)
+from repro.jobs.ngrams import ngram_counts, top_ngrams
+from repro.jobs.pagerank import generate_web_graph, pagerank
 from repro.datasets.shakespeare import generate_shakespeare
 from repro.sparklite import SparkLiteContext
+from tests.jobs.reference_oracles import ngram_reference, pagerank_reference
 
 
 @pytest.fixture(scope="module")

@@ -574,7 +574,9 @@ class TestAttemptOrderIdentity:
                 reported = []
                 mr.sim.bus.subscribe(
                     "hdfs.namenode.corrupt_replica",
-                    lambda e: reported.append((e["block_id"], e["datanode"])),
+                    lambda e: reported.append(
+                        (e.data["block_id"], e.data["datanode"])
+                    ),
                 )
                 job = SetupRaisesJob(JobConf(name="boom", max_attempts=2))
                 report = mr.run_job(job, "/in", "/out")

@@ -25,7 +25,7 @@ class TestBasicExecution:
         mr.client().put_text("/in.txt", "a b a\nc a b\n" * 100)
         report = mr.run_job(wc_job(), "/in.txt", "/out", require_success=True)
         assert report.succeeded
-        assert mr.output_dict("/out") == {"a": "300", "b": "200", "c": "100"}
+        assert dict(mr.read_output("/out")) == {"a": "300", "b": "200", "c": "100"}
 
     def test_one_map_per_block(self, mr):
         text = "word " * 2000  # ~10KB over 2KB blocks
@@ -47,7 +47,7 @@ class TestBasicExecution:
         ]
         assert len(parts) == 4
         assert client.exists("/out/_SUCCESS")
-        assert len(mr.output_dict("/out")) == 200
+        assert len(dict(mr.read_output("/out"))) == 200
 
     def test_directory_input_skips_markers(self, mr):
         client = mr.client()
@@ -55,7 +55,7 @@ class TestBasicExecution:
         client.put_text("/data/b.txt", "y\n")
         client.put_text("/data/_SUCCESS", "")
         report = mr.run_job(wc_job(), "/data", "/out", require_success=True)
-        assert set(mr.output_dict("/out")) == {"x", "y"}
+        assert set(dict(mr.read_output("/out"))) == {"x", "y"}
 
     def test_output_exists_rejected(self, mr):
         mr.client().put_text("/in.txt", "a\n")
@@ -73,7 +73,7 @@ class TestBasicExecution:
         r1 = mr.run_job(wc_job("j1"), "/in.txt", "/o1", require_success=True)
         r2 = mr.run_job(wc_job("j2"), "/in.txt", "/o2", require_success=True)
         assert r1.job_id != r2.job_id
-        assert mr.output_dict("/o1") == mr.output_dict("/o2")
+        assert dict(mr.read_output("/o1")) == dict(mr.read_output("/o2"))
 
 
 class TestLocality:
@@ -121,7 +121,7 @@ class TestCounters:
             wc_job("comb", combine=True), "/in.txt", "/c", require_success=True
         )
         assert combined.shuffle_bytes < plain.shuffle_bytes / 3
-        assert mr.output_dict("/p") == mr.output_dict("/c")
+        assert dict(mr.read_output("/p")) == dict(mr.read_output("/c"))
 
 
 class TestReportRendering:
@@ -160,7 +160,7 @@ class TestFinishedJobHoldsNoShuffle:
         running = self._finished(mr)
         assert running.succeeded
         assert all(t.output is None for t in running.map_tasks)
-        assert mr.output_dict("/out") == {"w": "4000"}
+        assert dict(mr.read_output("/out")) == {"w": "4000"}
 
     def test_failed_job_drops_every_map_output(self, mr):
         def bad_reduce(key, values):
@@ -184,4 +184,4 @@ class TestFinishedJobHoldsNoShuffle:
         assert before == [
             (t.state, t.completed_on, len(t.attempts)) for t in running.map_tasks
         ]
-        assert mr.output_dict("/out") == {"w": "4000"}
+        assert dict(mr.read_output("/out")) == {"w": "4000"}

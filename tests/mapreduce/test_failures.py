@@ -121,7 +121,7 @@ class TestHeapLeakCascade:
         )
         report = mr.run_job(wc_job(conf), "/in.txt", "/out", timeout=24 * 3600)
         assert report.succeeded
-        assert mr.output_dict("/out") == {"x": "50", "y": "50", "z": "50"}
+        assert dict(mr.read_output("/out")) == {"x": "50", "y": "50", "z": "50"}
 
 
 class TestLostTracker:
@@ -145,7 +145,7 @@ class TestLostTracker:
         assert all(
             t.completed_on != victim for t in running.map_tasks
         )
-        assert mr.output_dict("/out") == {"w": "8000"}
+        assert dict(mr.read_output("/out")) == {"w": "8000"}
 
     def test_killed_attempts_not_counted_as_failures(self):
         mr = make_mr(num_workers=4)
@@ -174,4 +174,4 @@ class TestSpeculativeExecution:
         # No stragglers on a healthy homogeneous cluster: speculation
         # must not fire spuriously.
         assert report.killed_attempts == 0
-        assert mr.output_dict("/out") == {"w": "6000"}
+        assert dict(mr.read_output("/out")) == {"w": "6000"}

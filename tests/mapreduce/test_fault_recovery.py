@@ -117,7 +117,7 @@ class TestLostMapOutputChain:
 
         # ...and the *answer* counters match an undisturbed run exactly.
         report = running.report()
-        assert mr.output_dict("/out") == {"w": "8000"}
+        assert dict(mr.read_output("/out")) == {"w": "8000"}
         assert non_job_counters(report) == non_job_counters(
             self._clean_baseline()
         )
@@ -155,7 +155,7 @@ class TestShuffleRetryRidesOutBlips:
         assert not mr.sim.bus.history("mr.jobtracker.map_output_lost"), (
             "a retry-absorbable blip must not re-execute maps"
         )
-        assert mr.output_dict("/out") == {"w": "8000"}
+        assert dict(mr.read_output("/out")) == {"w": "8000"}
         assert report.counters.get(C.FAILED_MAPS) == 0
 
 
@@ -182,7 +182,7 @@ class TestTaskTimeout:
             wc_job(conf=conf), "/in.txt", "/out", require_success=True
         )
         assert report.succeeded
-        assert mr.output_dict("/out") == {"a": "100", "b": "50"}
+        assert dict(mr.read_output("/out")) == {"a": "100", "b": "50"}
 
 
 class TestTrackerRestartReconciliation:
@@ -211,7 +211,7 @@ class TestTrackerRestartReconciliation:
             and a.failure == "TaskTracker restarted"
         ]
         assert orphaned and all(a.tracker == name for a in orphaned)
-        assert mr.output_dict("/out") == {"w": "12000"}
+        assert dict(mr.read_output("/out")) == {"w": "12000"}
 
 
 class TestPooledWorkerCrashOnCluster:
@@ -228,7 +228,7 @@ class TestPooledWorkerCrashOnCluster:
             "/out",
             require_success=True,
         )
-        serial_out = serial.output_dict("/out")
+        serial_out = dict(serial.read_output("/out"))
 
         mr = MapReduceCluster(
             num_workers=4,
@@ -254,5 +254,5 @@ class TestPooledWorkerCrashOnCluster:
             assert crashes, "rate=1.0 must crash every pooled work item"
             assert mr.backend.worker_crash_recoveries == len(crashes)
             assert mr.backend.inline_fallbacks == 0
-            assert mr.output_dict("/out") == serial_out
+            assert dict(mr.read_output("/out")) == serial_out
             assert non_job_counters(report) == non_job_counters(serial_report)

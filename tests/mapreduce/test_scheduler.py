@@ -1,18 +1,11 @@
-"""PendingMapQueue locality buckets and the pluggable job schedulers."""
+"""PendingMapQueue locality buckets."""
 
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.inputformat import InputSplit
-from repro.mapreduce.scheduler import (
-    FairScheduler,
-    FifoScheduler,
-    PendingMapQueue,
-    make_scheduler,
-)
+from repro.mapreduce.scheduler import PendingMapQueue
 from repro.mapreduce.tasks import MapTask
-from repro.util.errors import ConfigError
 
 
 def make_tasks(locations_per_task):
@@ -101,66 +94,3 @@ class TestPendingMapQueue:
         # A tracker not in the topology cannot be node/rack local.
         assert queue.pick_for("not-a-node") == (0, "off_rack")
 
-
-class FakeJob:
-    def __init__(self, user, active_attempts=0):
-        self.conf = JobConf(name="j", user=user)
-        self.active_attempts = active_attempts
-
-
-class TestStrategies:
-    def test_fifo_preserves_submission_order(self):
-        jobs = [(1, FakeJob("a")), (2, FakeJob("b")), (3, FakeJob("a"))]
-        assert FifoScheduler().job_order(jobs, None) == [
-            job for _seq, job in jobs
-        ]
-
-    def test_fair_orders_users_by_load(self):
-        light, heavy = FakeJob("light"), FakeJob("heavy")
-        candidates = [(1, heavy), (2, light)]
-        loads = {"heavy": 10, "light": 1}
-        assert FairScheduler().job_order(candidates, loads) == [light, heavy]
-
-    def test_fair_fifo_within_user(self):
-        first, second = FakeJob("u"), FakeJob("u")
-        ordered = FairScheduler().job_order([(1, first), (2, second)], {})
-        assert ordered == [first, second]
-
-    def test_quota_cap_skips_user_for_the_round(self):
-        capped, free = FakeJob("capped"), FakeJob("free")
-        scheduler = FairScheduler(quotas={"capped": 4})
-        ordered = scheduler.job_order(
-            [(1, capped), (2, free)], {"capped": 4, "free": 0}
-        )
-        assert ordered == [free]
-
-    def test_wave_loads_sums_active_attempts_per_user(self):
-        active = {
-            1: FakeJob("a", active_attempts=2),
-            2: FakeJob("b", active_attempts=1),
-            3: FakeJob("a", active_attempts=3),
-        }
-        assert FairScheduler().wave_loads(active) == {"a": 5, "b": 1}
-
-    def test_make_scheduler(self):
-        assert make_scheduler("fifo").name == "fifo"
-        fair = make_scheduler("fair", {"u": 2})
-        assert fair.name == "fair" and fair.quotas == {"u": 2}
-        with pytest.raises(ConfigError):
-            make_scheduler("lottery")
-
-
-class TestConfigValidation:
-    def test_scheduler_name_validated(self):
-        with pytest.raises(ConfigError):
-            MapReduceConfig(scheduler="lottery")
-
-    def test_quota_floor_validated(self):
-        with pytest.raises(ConfigError):
-            MapReduceConfig(user_quotas={"u": 0})
-
-    def test_defaults_are_fifo_no_quotas(self):
-        config = MapReduceConfig()
-        assert config.scheduler == "fifo"
-        assert config.user_quotas is None
-        assert JobConf().user == "student"

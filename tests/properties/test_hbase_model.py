@@ -1,14 +1,14 @@
 """Model-based testing: HBase-lite vs a plain-dict reference.
 
-Hypothesis drives random operation sequences — puts, column deletes,
-row deletes, flushes, compactions, even RegionServer crash+recover —
-against both the real store and a dict model.  After every sequence,
+Hypothesis drives random operation sequences — puts, flushes, even
+RegionServer crash+recover — against both the real store and a dict
+model.  After every sequence,
 a full scan must agree with the model exactly.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hbase import Delete, Get, HBaseCluster, Put, Scan
+from repro.hbase import Get, HBaseCluster, Put, Scan
 from repro.hbase.region import RegionConfig
 
 ROWS = [f"row{i}" for i in range(6)]
@@ -21,11 +21,7 @@ OPERATION = st.one_of(
         st.sampled_from(QUALIFIERS),
         st.text(alphabet="xyz09", min_size=1, max_size=5),
     ),
-    st.tuples(st.just("delete_col"), st.sampled_from(ROWS),
-              st.sampled_from(QUALIFIERS)),
-    st.tuples(st.just("delete_row"), st.sampled_from(ROWS)),
     st.tuples(st.just("flush")),
-    st.tuples(st.just("compact")),
     st.tuples(st.just("crash_recover")),
 )
 
@@ -35,14 +31,7 @@ def apply_to_model(model: dict, op: tuple) -> None:
     if kind == "put":
         _, row, qualifier, value = op
         model[(row, qualifier)] = value
-    elif kind == "delete_col":
-        _, row, qualifier = op
-        model.pop((row, qualifier), None)
-    elif kind == "delete_row":
-        _, row = op
-        for key in [k for k in model if k[0] == row]:
-            del model[key]
-    # flush/compact/crash_recover don't change visible contents.
+    # flush/crash_recover don't change visible contents.
 
 
 def apply_to_store(hb: HBaseCluster, table, op: tuple) -> None:
@@ -50,17 +39,9 @@ def apply_to_store(hb: HBaseCluster, table, op: tuple) -> None:
     if kind == "put":
         _, row, qualifier, value = op
         table.put(Put(row=row).add("f", qualifier, value))
-    elif kind == "delete_col":
-        _, row, qualifier = op
-        table.delete(Delete(row=row).add_column("f", qualifier))
-    elif kind == "delete_row":
-        _, row = op
-        table.delete(Delete(row=row))
     elif kind == "flush":
-        table.flush()
-    elif kind == "compact":
         for entry in hb.master.regions_of("t"):
-            hb.master.region_handle(entry).compact()
+            hb.master.region_handle(entry).flush()
     elif kind == "crash_recover":
         # Crash the server hosting the first region, then recover.
         victim = hb.master.regions_of("t")[0].server
@@ -87,7 +68,6 @@ class TestHBaseAgainstModel:
             wal_sync_every=1,  # full durability: crashes lose nothing
             region_config=RegionConfig(
                 memstore_flush_bytes=256,  # frequent flushes
-                compaction_min_hfiles=3,
                 split_threshold_bytes=4 * 1024,  # splits under load
             ),
         )

@@ -237,7 +237,9 @@ def _datapath_cluster(block_size, replication, data, corrupt, crash):
     reported = []
     cluster.sim.bus.subscribe(
         "hdfs.namenode.corrupt_replica",
-        lambda event: reported.append((event["block_id"], event["datanode"])),
+        lambda event: reported.append(
+            (event.data["block_id"], event.data["datanode"])
+        ),
     )
     return cluster, reported
 

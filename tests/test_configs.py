@@ -51,39 +51,6 @@ class TestHdfsConfig:
             "checkpoint_edit_limit",
         }
 
-    def test_for_teaching_shrinks_blocks_only(self):
-        base = HdfsConfig(replication=2, heartbeat_interval=7.0)
-        teaching = base.for_teaching(block_size=4096)
-        assert teaching.block_size == 4096
-        assert teaching.replication == 2
-        assert teaching.heartbeat_interval == 7.0
-        assert base.block_size == 64 * 1024 * 1024  # original untouched
-
-    def test_for_teaching_carries_every_other_field(self):
-        """Each field in turn set away from its default (one at a time:
-        ``journal=False`` and a ``journal_dir`` exclude each other), so
-        a field added later cannot be silently dropped from the copy."""
-        defaults = HdfsConfig()
-        rescaled = {"block_size": 4096, "checksum_chunk_size": 512}
-        for f in dataclasses.fields(HdfsConfig):
-            value = getattr(defaults, f.name)
-            if isinstance(value, bool):
-                value = not value
-            elif isinstance(value, int):
-                value += 1
-            elif isinstance(value, float):
-                value /= 2
-            else:
-                assert f.name == "journal_dir"
-                value = "/var/journal"
-            changed = HdfsConfig(**{f.name: value})
-            assert getattr(changed, f.name) != getattr(defaults, f.name)
-            teaching = changed.for_teaching(block_size=4096)
-            assert dataclasses.asdict(teaching) == {
-                **dataclasses.asdict(changed),
-                **rescaled,
-            }
-
 
 class TestMapReduceConfig:
     def test_tracker_timeout_derived(self):
@@ -112,8 +79,6 @@ class TestMapReduceConfig:
             "shuffle_transport",
             "shuffle_retry_jitter",
             "sanitize",
-            "scheduler",
-            "user_quotas",
             "cost",
         }
 
