@@ -82,6 +82,26 @@ def _decode_extremum(text: str):
     return int(text)
 
 
+def parse_partial(text: str) -> tuple:
+    """``(count, total, minimum, maximum)`` of one encoded partial.
+
+    The one field parser of the line :meth:`Partial.encode` writes; a
+    corrupt line is a ``ValueError``.
+    """
+    count, total, extrema = text.split(FIELD_SEP, 2)
+    literal = _STR_LITERAL.match(extrema)
+    # Only a string literal can hold FIELD_SEP; a number or "" cannot.
+    cut = literal.end() if literal else extrema.find(FIELD_SEP)
+    if cut < 0 or extrema[cut : cut + 1] != FIELD_SEP:
+        raise ValueError(f"corrupt partial {text!r}")
+    return (
+        int(count),
+        float(total),
+        _decode_extremum(extrema[:cut]),
+        _decode_extremum(extrema[cut + 1 :]),
+    )
+
+
 @dataclass
 class Partial:
     """(count, sum, min, max) over the non-null values seen so far."""
@@ -90,15 +110,6 @@ class Partial:
     total: float = 0.0
     minimum: float | str | None = None
     maximum: float | str | None = None
-
-    def merge(self, other: "Partial") -> None:
-        self.count += other.count
-        self.total += other.total
-        for attr, pick in (("minimum", min), ("maximum", max)):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if theirs is None:
-                continue
-            setattr(self, attr, theirs if mine is None else pick(mine, theirs))
 
     def encode(self) -> str:
         return FIELD_SEP.join(
@@ -117,21 +128,6 @@ class Partial:
         total = 0.0 + value if isinstance(value, (int, float)) else 0.0
         text = repr(value)
         return FIELD_SEP.join(("1", repr(total), text, text))
-
-    @classmethod
-    def decode(cls, text: str) -> "Partial":
-        count, total, extrema = text.split(FIELD_SEP, 2)
-        literal = _STR_LITERAL.match(extrema)
-        # Only a string literal can hold FIELD_SEP; a number or "" cannot.
-        cut = literal.end() if literal else extrema.find(FIELD_SEP)
-        if cut < 0 or extrema[cut : cut + 1] != FIELD_SEP:
-            raise ValueError(f"corrupt partial {text!r}")
-        return cls(
-            int(count),
-            float(total),
-            _decode_extremum(extrema[:cut]),
-            _decode_extremum(extrema[cut + 1 :]),
-        )
 
     def finalize(self, aggregate: str):
         if aggregate == "COUNT":
@@ -224,11 +220,21 @@ class _PartialMerger(Reducer):
         self._finals = context.get("hv_finals")
 
     def _merged(self, values) -> list[Partial]:
-        merged = [Partial() for _ in self._finals]
+        # One [count, total, min, max] fold per aggregate, updated in
+        # place: no object per value, one Partial per aggregate per group.
+        folds = [[0, 0.0, None, None] for _ in self._finals]
         for value in values:
-            for partial, piece in zip(merged, value.value.split(AGG_SEP)):
-                partial.merge(Partial.decode(piece))
-        return merged
+            for fold, piece in zip(folds, value.value.split(AGG_SEP)):
+                count, total, low, high = parse_partial(piece)
+                fold[0] += count
+                fold[1] += total
+                if low is not None:
+                    mine = fold[2]
+                    fold[2] = low if mine is None else min(mine, low)
+                if high is not None:
+                    mine = fold[3]
+                    fold[3] = high if mine is None else max(mine, high)
+        return [Partial(*fold) for fold in folds]
 
 
 class AggCombiner(_PartialMerger):

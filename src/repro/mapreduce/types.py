@@ -110,13 +110,20 @@ class Text(Writable):
         return self.value
 
     def serialized_size(self) -> int:
+        """UTF-8 bytes of the value.
+
+        ASCII (nearly every key of the course's corpora) is one byte per
+        character, and ``str.isascii`` is O(1) in CPython (the string
+        carries the flag), so ASCII text is sized with no encode and no
+        memo.  Only non-ASCII text encodes, once, into the memo.
+        """
+        value = self.value
+        if value.isascii():
+            return len(value)
         try:
             return self._size_memo
         except AttributeError:
-            # ASCII (nearly every key of the course's corpora) is one
-            # byte per character: no throwaway UTF-8 copy to measure.
-            text = self.encode()
-            size = len(text) if text.isascii() else len(text.encode("utf-8"))
+            size = len(self.encode().encode("utf-8"))
             self._size_memo = size
             return size
 

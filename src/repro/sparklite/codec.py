@@ -75,14 +75,20 @@ def _encode_float(value: float) -> str:
     return "fnan" if value != value else f"f{value!r}"
 
 
+def _frame(tag: str, parts) -> str:
+    """A container around already-encoded items (any iterable): ``tag``,
+    the item count, then ``,len:item`` per item.  The one place the
+    frame is written; :func:`_decode_at` reads it."""
+    pieces = [tag, ""]
+    for part in parts:
+        pieces.append(f",{len(part)}:{part}")
+    pieces[1] = str(len(pieces) - 2)
+    return "".join(pieces)
+
+
 def _container_encoder(tag: str):
     def encode(value) -> str:
-        pieces = [tag, ""]
-        for item in value:
-            part = encode_element(item)
-            pieces.append(f",{len(part)}:{part}")
-        pieces[1] = str(len(pieces) - 2)
-        return "".join(pieces)
+        return _frame(tag, map(encode_element, value))
 
     return encode
 
@@ -166,13 +172,7 @@ def _decode_at(text: str, pos: int, end: int):
         pos = match.end()
         items = []
         for _ in range(count):
-            match = _ITEM.match(text, pos, end)
-            if match is None:
-                raise CodecError(f"bad container encoding {text!r}")
-            start = match.end()
-            stop = start + int(match[1])
-            if stop > end:
-                raise CodecError(f"item at offset {start} runs past the end of {text!r}")
+            start, stop = _item_span(text, pos, end)
             value, pos = _decode_at(text, start, stop)
             if pos != stop:
                 raise CodecError(
@@ -189,6 +189,63 @@ def _decode_at(text: str, pos: int, end: int):
     if tag == "y":
         return bytes.fromhex(text[pos:end]), end
     raise CodecError(f"unknown tag {tag!r} in {text!r}")
+
+
+def _item_span(text: str, pos: int, end: int) -> tuple[int, int]:
+    """``(start, stop)`` of the container item whose ``,len:`` header
+    starts at ``pos``; the item must end by ``end``."""
+    match = _ITEM.match(text, pos, end)
+    if match is None:
+        raise CodecError(f"bad container encoding {text!r}")
+    start = match.end()
+    stop = start + int(match[1])
+    if stop > end:
+        raise CodecError(f"item at offset {start} runs past the end of {text!r}")
+    return start, stop
+
+
+# --------------------------------------------------------------------------
+# moving encoded items without reading them (compiled stages forward
+# what their user code never sees)
+
+_PAIR_HEADS = ("t2,", "l2,")
+
+
+def split_pair(line: str) -> tuple[str, str]:
+    """The two encoded items of an encoded 2-tuple or 2-list, unread.
+
+    ``split_pair(encode_element((x, y)))`` is ``(encode_element(x),
+    encode_element(y))``.  Only the container frame is checked, with
+    :func:`_decode_at`'s own header scans; the items are sliced out, not
+    decoded, so forwarding them is byte-identical to re-encoding them
+    whenever the line came from :func:`encode_element` (every stage
+    output and parallelized slice does).  Any other frame takes the
+    decoding path — ``k, v = decode_element(line)``, then both
+    re-encoded — so it splits, or raises, exactly as that does.
+    """
+    end = len(line)
+    if line.startswith(_PAIR_HEADS):
+        try:
+            start, mid = _item_span(line, 2, end)
+            second, stop = _item_span(line, mid, end)
+        except CodecError:
+            pass
+        else:
+            if stop == end and start < mid and second < stop:
+                return line[start:mid], line[second:stop]
+    first, other = decode_element(line)
+    return encode_element(first), encode_element(other)
+
+
+def pair(a: str, b: str) -> str:
+    """``encode_element((x, y))`` from ``a = encode_element(x)`` and
+    ``b = encode_element(y)``."""
+    return _frame("t", (a, b))
+
+
+def encoded_list(parts: list[str]) -> str:
+    """``encode_element([x, ...])`` from the items' encodings."""
+    return _frame("l", parts)
 
 
 def stable_hash(value) -> int:

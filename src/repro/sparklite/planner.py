@@ -48,7 +48,13 @@ from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C, perf_stats
 from repro.mapreduce.types import NullWritable, Text
-from repro.sparklite.codec import decode_element, encode_element
+from repro.sparklite.codec import (
+    decode_element,
+    encode_element,
+    encoded_list,
+    pair,
+    split_pair,
+)
 from repro.sparklite.rdd import (
     RDD,
     HdfsTextRDD,
@@ -148,10 +154,26 @@ class _ShuffleMapper(_StageMapperBase):
 
 
 class _JoinMapper(_StageMapperBase):
-    """Tagged-union join map side: prefix each value with its side."""
+    """Tagged-union join map side: prefix each value with its side.
+
+    An encoded input with no chain to run — a cached or stage-output
+    side, the common join input — is *forwarded*: its lines are already
+    pair encodings, so the encoded key and value are sliced out
+    (:func:`split_pair`) instead of decoded and re-encoded.  The bytes
+    are the same, since an ``enc`` line is always
+    :func:`encode_element` output.
+    """
+
+    def setup(self, context: Context) -> None:
+        super().setup(context)
+        self._forward = self._spec.kind == "enc" and not self._spec.chain
 
     def map(self, key, value, context: Context) -> None:
         side = self._spec.side
+        if self._forward:
+            k, v = split_pair(value.value)
+            context.write(Text(k), Text(side + v))
+            return
         for k, v in self._elements(value):
             context.write(Text(encode_element(k)), Text(side + encode_element(v)))
 
@@ -180,58 +202,55 @@ class _FoldReducer(Reducer):
 
     Arrival order is (map task, emission) = (parent partition,
     position) — the same order the in-memory evaluator folds in, so
-    non-associative merge functions still agree bit-for-bit.
+    non-associative merge functions still agree bit-for-bit.  The key
+    is spliced back encoded; a lone value, which the merge function
+    never sees, is forwarded undecoded.
     """
 
     def setup(self, context: Context) -> None:
         self._fn = context.get("sl_merge_fn")
 
     def reduce(self, key, values, context: Context) -> None:
-        fn = self._fn
-        acc = None
-        seen = False
-        for value in values:
-            item = decode_element(value.value)
-            if not seen:
-                acc, seen = item, True
-            else:
-                acc = fn(acc, item)
-        context.write(
-            NullWritable(),
-            Text(encode_element((decode_element(key.value), acc))),
-        )
+        folded, *rest = [value.value for value in values]
+        if rest:
+            fn = self._fn
+            acc = decode_element(folded)
+            for text in rest:
+                acc = fn(acc, decode_element(text))
+            folded = encode_element(acc)
+        context.write(NullWritable(), Text(pair(key.value, folded)))
 
 
 class _GroupReducer(Reducer):
-    """``group_by_key``: values in arrival order, as one list."""
+    """``group_by_key``: values in arrival order, as one list (spliced
+    from the encoded values; nothing is decoded)."""
 
     def reduce(self, key, values, context: Context) -> None:
-        items = [decode_element(v.value) for v in values]
-        context.write(
-            NullWritable(),
-            Text(encode_element((decode_element(key.value), items))),
-        )
+        items = encoded_list([v.value for v in values])
+        context.write(NullWritable(), Text(pair(key.value, items)))
 
 
 class _JoinReducer(Reducer):
-    """Buffer left values, stream the right side (repartition join)."""
+    """Buffer left values, stream the right side (repartition join).
+
+    Each output ``(key, (left, right))`` is spliced from the encoded
+    key and sides; nothing is decoded.
+    """
 
     def reduce(self, key, values, context: Context) -> None:
         lefts: list = []
         rights: list = []
         for value in values:
             text = value.value
-            (lefts if text[0] == "0" else rights).append(
-                decode_element(text[1:])
-            )
+            (lefts if text[0] == "0" else rights).append(text[1:])
         if not lefts or not rights:
             return
-        decoded_key = decode_element(key.value)
+        encoded_key = key.value
         for right in rights:
             for left in lefts:
                 context.write(
                     NullWritable(),
-                    Text(encode_element((decoded_key, (left, right)))),
+                    Text(pair(encoded_key, pair(left, right))),
                 )
 
 
@@ -302,17 +321,24 @@ class CompiledRunner:
         self.cache_hits = 0
 
     # -- the action entry point -----------------------------------------
-    def collect(self, rdd: RDD) -> list:
+    def collect(self, rdd: RDD, decode: bool = True) -> list:
         """Compile + run the lineage below ``rdd``; return its elements
-        in exactly the order ``RDD.collect`` produces in-memory."""
+        in exactly the order ``RDD.collect`` produces in-memory.
+
+        Every action comes through here.  ``decode=False`` (``count``)
+        returns the elements' encoded lines instead.
+        """
         self._memo = {}
         self._temp = []
         self.last_plan = []
         try:
             source = self._compile(rdd)
-            return self._read(source)
+            lines = self._read(source)
         finally:
             self._cleanup()
+        if source.kind == "raw" or not decode:
+            return lines
+        return [decode_element(line) for line in lines]
 
     def evict(self, rdd_id: int) -> None:
         """Forget (and delete) a cached materialization (unpersist)."""
@@ -554,17 +580,14 @@ class CompiledRunner:
         return f"/tmp/sparklite/stage_{self._seq:05d}_{safe}_{rdd_id}"
 
     # -- reading results -------------------------------------------------
-    def _read(self, source: _Source) -> list:
-        out: list = []
+    def _read(self, source: _Source) -> list[str]:
+        out: list[str] = []
         for path in source.files:
             text = self._client.read_text(path)
             lines = text.split("\n")
             if lines and lines[-1] == "":
                 lines.pop()
-            if source.kind == "raw":
-                out.extend(lines)
-            else:
-                out.extend(decode_element(line) for line in lines)
+            out.extend(lines)
         return out
 
     def _cleanup(self) -> None:

@@ -151,7 +151,7 @@ class RDD:
     def count(self) -> int:
         runner = self.context._compiled_runner()
         if runner is not None:
-            return len(runner.collect(self))
+            return len(runner.collect(self, decode=False))
         return sum(len(self.partition(i)) for i in range(self.num_partitions))
 
     def take(self, n: int) -> list:

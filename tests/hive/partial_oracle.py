@@ -9,12 +9,20 @@ ladder.  The partial *line format* is frozen — combiners and reducers of
 one job may run different code paths over the same bytes — so the new
 encoder must match these byte for byte, and the new decoder must agree
 wherever this one decodes.
+
+``merged`` is ``_PartialMerger._merged`` before it folded
+``(count, sum, min, max)`` in place: one ``Partial`` decoded per value
+(``decode``, the eval-free ``Partial.decode`` as it last shipped) and
+merged attribute by attribute (``merge``, ``Partial.merge``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.hive import engine
 from repro.hive.engine import Partial
-from repro.hive.planner import FIELD_SEP
+from repro.hive.planner import AGG_SEP, FIELD_SEP
 from repro.hive.schema import ColumnType, TableSchema
 
 
@@ -42,6 +50,37 @@ def decode_partial(text: str) -> Partial:
         minimum=dec(minimum),
         maximum=dec(maximum),
     )
+
+
+def parse_partial(text: str) -> tuple:
+    """:func:`decode_partial` in the shape of ``engine.parse_partial``."""
+    return dataclasses.astuple(decode_partial(text))
+
+
+def decode(text: str) -> Partial:
+    """``Partial.decode`` as it last shipped (looked up at call time, so
+    a patched ``engine.parse_partial`` applies)."""
+    return Partial(*engine.parse_partial(text))
+
+
+def merge(partial: Partial, other: Partial) -> None:
+    """``Partial.merge``: fold ``other`` into ``partial``."""
+    partial.count += other.count
+    partial.total += other.total
+    for attr, pick in (("minimum", min), ("maximum", max)):
+        mine, theirs = getattr(partial, attr), getattr(other, attr)
+        if theirs is None:
+            continue
+        setattr(partial, attr, theirs if mine is None else pick(mine, theirs))
+
+
+def merged(self, values) -> list[Partial]:
+    """``_PartialMerger._merged``: a ``Partial`` per value, merged."""
+    out = [Partial() for _ in self._finals]
+    for value in values:
+        for partial, piece in zip(out, value.value.split(AGG_SEP)):
+            merge(partial, decode(piece))
+    return out
 
 
 def observe(partial: Partial, value) -> None:

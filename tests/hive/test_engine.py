@@ -6,9 +6,10 @@ import warnings
 import pytest
 
 from repro.hive import ColumnType, HiveLite, TableSchema
-from repro.hive.engine import Partial
+from repro.hive.engine import AggCombiner, Partial, parse_partial
 from repro.hive.parser import SqlError
 from repro.mapreduce.backend import create_backend
+from repro.mapreduce.types import Text
 from repro.util.errors import ConfigError
 from tests.conftest import make_mr
 from tests.hive import partial_oracle as oracle
@@ -269,10 +270,14 @@ class TestPartialMonoid:
                 oracle.observe(p, v)
             return p
 
-        left = partial_of(values[:2])
-        left.merge(partial_of(values[2:]))
-        right = partial_of(values[:4])
-        right.merge(partial_of(values[4:]))
+        def fold(*partials):
+            merger = AggCombiner()
+            merger._finals = ("AVG",)
+            return merger._merged([Text(p.encode()) for p in partials])[0]
+
+        a, b, c = partial_of(values[:2]), partial_of(values[2:4]), partial_of(values[4:])
+        left = fold(fold(a, b), c)
+        right = fold(a, fold(b, c))
         assert left.encode() == right.encode()
         assert left.finalize("AVG") == sum(values) / len(values)
         assert left.finalize("MIN") == 1 and left.finalize("MAX") == 9
@@ -281,7 +286,7 @@ class TestPartialMonoid:
         p = Partial()
         for v in ("alpha", "beta"):
             oracle.observe(p, v)
-        decoded = Partial.decode(p.encode())
+        decoded = Partial(*parse_partial(p.encode()))
         assert decoded.minimum == "alpha" and decoded.maximum == "beta"
         assert decoded.count == 2
 

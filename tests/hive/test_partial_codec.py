@@ -5,9 +5,13 @@ and split the line on every ``":"``; ``tests/hive/partial_oracle.py``
 keeps those bodies.  The line format is frozen, so the new encoder must
 match the oracle byte for byte and the new decoder must agree wherever
 the oracle decodes — and must also read what the oracle could not: a
-string holding ``":"``, ``inf``, ``nan``.  Row parsers now run a
-per-schema tuple of converters; they must parse what the per-cell enum
-ladder parsed, and a schema must stay frozen, hashable and picklable.
+string holding ``":"``, ``inf``, ``nan``.  The decoder is now
+``parse_partial``, a tuple of fields, and the combiner/reducer fold
+folds those tuples in place; it must equal the old decode-a-``Partial``-
+and-``merge`` fold (``oracle.merged``) partial for partial.  Row parsers
+now run a per-schema tuple of converters; they must parse what the
+per-cell enum ladder parsed, and a schema must stay frozen, hashable and
+picklable.
 """
 
 import dataclasses
@@ -19,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hive import ColumnType, HiveLite, TableSchema
 from repro.hive import planner
-from repro.hive.engine import Partial
+from repro.hive.engine import AggCombiner, Partial, parse_partial
 from repro.hive import schema as schema_module
 from repro.hive.schema import cell_converter
+from repro.mapreduce.types import Text
 from tests.conftest import make_mr
 from tests.hive import partial_oracle as oracle
 from tests.sparklite.test_codec_differential import _same as _same_value
@@ -53,6 +58,10 @@ def _partial_of(*values) -> Partial:
     return partial
 
 
+def _decode(text: str) -> Partial:
+    return Partial(*parse_partial(text))
+
+
 def _same_partial(a: Partial, b: Partial) -> bool:
     return all(
         _same_value(getattr(a, f.name), getattr(b, f.name))
@@ -64,7 +73,7 @@ class TestPartialRoundTrip:
     @pytest.mark.parametrize("value", NUMBERS + NON_FINITE + STRINGS, ids=repr)
     def test_one_observation(self, value):
         partial = _partial_of(value)
-        assert _same_partial(Partial.decode(partial.encode()), partial)
+        assert _same_partial(_decode(partial.encode()), partial)
 
     @pytest.mark.parametrize(
         "low, high",
@@ -72,21 +81,21 @@ class TestPartialRoundTrip:
     )
     def test_distinct_extrema(self, low, high):
         partial = _partial_of(low, high)
-        decoded = Partial.decode(partial.encode())
+        decoded = _decode(partial.encode())
         assert _same_partial(decoded, partial)
         assert decoded.minimum == low and decoded.maximum == high
 
     def test_empty_partial(self):
         assert Partial().encode() == "0:0.0::"
-        assert _same_partial(Partial.decode("0:0.0::"), Partial())
+        assert _same_partial(_decode("0:0.0::"), Partial())
 
     def test_parent_reproductions(self):
         # ValueError: too many values to unpack, then NameError x2, on the parent.
-        assert Partial.decode(_partial_of("Star Wars: A New Hope").encode()).minimum == (
+        assert _decode(_partial_of("Star Wars: A New Hope").encode()).minimum == (
             "Star Wars: A New Hope"
         )
-        assert Partial.decode(_partial_of(math.inf).encode()).maximum == math.inf
-        assert math.isnan(Partial.decode(_partial_of(math.nan).encode()).minimum)
+        assert _decode(_partial_of(math.inf).encode()).maximum == math.inf
+        assert math.isnan(_decode(_partial_of(math.nan).encode()).minimum)
 
     @pytest.mark.parametrize(
         "text",
@@ -104,7 +113,7 @@ class TestPartialRoundTrip:
     )
     def test_corrupt_lines_are_value_errors(self, text):
         with pytest.raises(ValueError):
-            Partial.decode(text)
+            _decode(text)
 
 
 _observed = st.one_of(
@@ -127,12 +136,72 @@ class TestPartialMatchesOracle:
         partial = _partial_of(*values)
         line = partial.encode()
         assert line == oracle.encode_partial(partial)
-        assert _same_partial(Partial.decode(line), oracle.decode_partial(line))
+        assert _same_partial(_decode(line), oracle.decode_partial(line))
 
     @SETTINGS
     @given(st.one_of(_observed, _colon_free, st.sampled_from(NON_FINITE + STRINGS)))
     def test_map_side_line_is_the_one_observation_partial(self, value):
         assert Partial.encode_one(value) == oracle.map_side_partial(value)
+
+
+# --------------------------------------------------------------------------
+# the combiner/reducer fold: in place, against decode-a-Partial-and-merge
+
+_fold_numbers = st.lists(st.one_of(_observed, st.sampled_from(NON_FINITE)), max_size=3)
+_fold_strings = st.lists(
+    st.one_of(
+        _colon_free, st.sampled_from(STRINGS), st.text(alphabet=":'\"\\ ab", max_size=6)
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _group_lines(draw):
+    """One group's ``AGG_SEP``-joined value lines; each aggregate column
+    holds numbers (with inf and NaN) or strings (with ``:`` and quotes),
+    and an empty observation list gives the empty-extrema partial."""
+    columns = draw(st.lists(st.sampled_from([_fold_numbers, _fold_strings]), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=5))
+    lines = [planner.AGG_SEP.join(_partial_of(*vals).encode() for vals in row) for row in rows]
+    return len(columns), lines
+
+
+def _merger(aggregates: int) -> AggCombiner:
+    merger = AggCombiner()
+    merger._finals = ("MIN",) * aggregates
+    return merger
+
+
+class TestMergedMatchesOracle:
+    def _check(self, merger, lines):
+        values = [Text(line) for line in lines]
+        new = merger._merged(values)
+        old = oracle.merged(merger, values)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert _same_partial(a, b)
+            assert a.encode() == b.encode()
+
+    @SETTINGS
+    @given(_group_lines(), st.integers(-1, 1))
+    def test_in_place_fold_is_decode_and_merge(self, group, skew):
+        aggregates, lines = group
+        # More or fewer aggregates than pieces: both zip the same way.
+        self._check(_merger(max(1, aggregates + skew)), lines)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["0:0.0::", "0:0.0::"],
+            ["0:0.0::", "1:0.0:'a:b':'a:b'", "1:0.0:'it\\'s: \"z\"':'it\\'s: \"z\"'"],
+            ["1:nan:nan:nan", "1:1.0:1.0:1.0", "0:0.0::"],
+            ["1:1.0:1.0:1.0", "1:nan:nan:nan"],
+            ["2:-inf:-inf:inf", "1:-0.0:-0.0:-0.0", "1:0.0:0:0"],
+        ],
+    )
+    def test_empty_extrema_colons_quotes_and_nan(self, lines):
+        self._check(_merger(1), lines)
 
 
 def _movie_engine(multi_stage: bool) -> HiveLite:

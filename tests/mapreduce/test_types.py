@@ -1,6 +1,7 @@
 """Writable type system: serialization, ordering, custom records."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce.types import (
     FloatWritable,
@@ -12,6 +13,18 @@ from repro.mapreduce.types import (
     wrap,
 )
 from repro.util.errors import InvalidWritableError
+
+
+def memoised_text_size(self) -> int:
+    """``Text.serialized_size`` before ASCII text skipped the memo: the
+    test oracle (every text filled the memo on its first sizing)."""
+    try:
+        return self._size_memo
+    except AttributeError:
+        text = self.encode()
+        size = len(text) if text.isascii() else len(text.encode("utf-8"))
+        self._size_memo = size
+        return size
 
 
 class TestText:
@@ -185,11 +198,28 @@ class TestMemoisation:
             return original(self)
 
         monkeypatch.setattr(Text, "encode", counting_encode)
-        value = Text("memoised payload")
-        first = value.serialized_size()
+        ascii_text = Text("ascii payload")
         for _ in range(5):
-            assert value.serialized_size() == first
+            assert ascii_text.serialized_size() == 13
+        # ASCII is one byte per character: sized with no encode, no memo.
+        assert calls["n"] == 0
+        assert not hasattr(ascii_text, "_size_memo")
+        wide = Text("naïve payload")
+        for _ in range(5):
+            assert wide.serialized_size() == 14
         assert calls["n"] == 1
+        assert wide._size_memo == 14
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from("ab é日😀\x00"), st.characters(exclude_categories=["Cs"]))))
+    def test_serialized_size_matches_the_memoised_oracle(self, value):
+        text = Text(value)
+        assert text.serialized_size() == memoised_text_size(Text(value))
+        assert text.serialized_size() == len(value.encode("utf-8"))
+        # A memo the wire decoder planted is the same number either way.
+        planted = Text(value)
+        planted._size_memo = len(value.encode("utf-8"))
+        assert planted.serialized_size() == text.serialized_size()
 
     def test_record_sort_key_built_once_and_stable(self):
         Pt = record_writable("Pt", [("x", int), ("y", int)])

@@ -1,15 +1,17 @@
 """Whole jobs with the old record codecs patched in ≡ the new ones.
 
 The element codec, the ``Partial`` line codec and the row parsers were
-rewritten for cost; not one encoded byte may have moved, because those
-bytes are shuffle keys, partition hashes and the sizes the simulated
-clock is computed from.  So the two front-end pipelines of
-``benchmarks/perf``'s ``pipelines`` workload — compiled PageRank and the
-three-stage Hive join — run here at small scale twice, once as shipped
-and once with every oracle body (``tests/sparklite/codec_oracle.py``,
-``tests/hive/partial_oracle.py``) monkeypatched over its replacement,
-and must agree on output, on every job's counters and on the simulated
-clock.  CI also runs this file under two ``PYTHONHASHSEED`` values: the
+rewritten for cost, and the compiled stages, the partial merge and
+``Text`` sizing stopped paying for what they only move; not one encoded
+byte may have moved, because those bytes are shuffle keys, partition
+hashes and the sizes the simulated clock is computed from.  So the two
+front-end pipelines of ``benchmarks/perf``'s ``pipelines`` workload —
+compiled PageRank and the three-stage Hive join — run here at small
+scale twice, once as shipped and once with every oracle body
+(``tests/sparklite/codec_oracle.py``, ``tests/sparklite/stage_oracle.py``,
+``tests/hive/partial_oracle.py``, the memoised ``Text`` sizing)
+monkeypatched over its replacement, and must agree on output, on every
+job's counters and on the simulated clock.  CI also runs this file under two ``PYTHONHASHSEED`` values: the
 encoder now dispatches through a ``type``-keyed dict, and the codec's
 seed-stability promise must not have come to rest on dict order.
 """
@@ -22,11 +24,13 @@ from repro.hive import engine as hive_engine
 from repro.hive import planner as hive_planner
 from repro.jobs.pagerank import generate_web_graph, pagerank
 from repro.mapreduce.cluster import MapReduceCluster
+from repro.mapreduce.types import Text
 from repro.sparklite import SparkLiteContext
 from repro.sparklite import codec
 from repro.sparklite import planner as spark_planner
 from tests.hive import partial_oracle
-from tests.sparklite import codec_oracle
+from tests.mapreduce.test_types import memoised_text_size
+from tests.sparklite import codec_oracle, stage_oracle
 
 JOIN_SQL = (
     "SELECT movies.title, COUNT(*), AVG(ratings.rating), MIN(ratings.rating) "
@@ -64,14 +68,15 @@ def _patch_in_the_oracles(monkeypatch) -> None:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, old)
     monkeypatch.setattr(hive_engine.Partial, "encode", partial_oracle.encode_partial)
-    monkeypatch.setattr(
-        hive_engine.Partial, "decode", staticmethod(partial_oracle.decode_partial)
-    )
+    monkeypatch.setattr(hive_engine, "parse_partial", partial_oracle.parse_partial)
+    monkeypatch.setattr(hive_engine._PartialMerger, "_merged", partial_oracle.merged)
     monkeypatch.setattr(
         hive_engine.Partial, "encode_one", staticmethod(partial_oracle.map_side_partial)
     )
     monkeypatch.setattr(TableSchema, "parse_row", partial_oracle.parse_row)
     monkeypatch.setattr(hive_planner, "_parse_side_row", partial_oracle.parse_side_row)
+    stage_oracle.patch_in(monkeypatch)
+    monkeypatch.setattr(Text, "serialized_size", memoised_text_size)
 
 
 def _run_pipelines() -> dict:
@@ -115,6 +120,7 @@ def test_oracle_codecs_and_new_codecs_run_identical_jobs(monkeypatch):
         _patch_in_the_oracles(patch)
         # The patch took: the shipped decoder refuses this, the oracle reads it.
         assert spark_planner.decode_element("t-1") == ()
+        assert spark_planner._JoinReducer.reduce is stage_oracle.join_reduce
         with_oracles = _run_pipelines()
     with pytest.raises(codec.CodecError):
         spark_planner.decode_element("t-1")

@@ -2,8 +2,9 @@
 
 Every text format the stack reads back (sparklite elements, Hive
 partials, journal edits, wire frames) has a parser that accepts that
-format and nothing else.  ``hive.engine.Partial.decode`` was the one
-place that handed record text to ``eval``; this walk keeps it the last.
+format and nothing else.  Hive's partial decoder (now
+``hive.engine.parse_partial``) was the one place that handed record text
+to ``eval``; this walk keeps it the last.
 """
 
 import ast

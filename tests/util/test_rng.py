@@ -1,6 +1,22 @@
 """Determinism and independence of named RNG streams."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.util.rng import RngStream, derive_seed
+
+
+def choice_oracle(stream: RngStream, seq):
+    """``RngStream.choice`` before it drew through ``integers``."""
+    return seq[int(stream.rng.choice(len(seq)))]
+
+
+#: One interleaved draw: a choice over ``n`` items, a uniform, a random.
+_DRAWS = st.one_of(
+    st.tuples(st.just("choice"), st.integers(1, 40)),
+    st.tuples(st.just("uniform"), st.just(0)),
+    st.tuples(st.just("random"), st.just(0)),
+)
 
 
 class TestDeriveSeed:
@@ -66,3 +82,30 @@ class TestRngStream:
         stream = RngStream(8).child("ints")
         draws = [stream.integers(0, 3) for _ in range(100)]
         assert set(draws) <= {0, 1, 2}
+
+
+class TestChoiceStream:
+    """``choice`` draws through ``Generator.integers(0, n)``, which must
+    leave every stream exactly where ``Generator.choice(n)`` left it:
+    placement and the campus model replay from these streams."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(_DRAWS, max_size=300))
+    def test_same_stream_as_generator_choice(self, seed, draws):
+        new, old = RngStream(seed).child("c"), RngStream(seed).child("c")
+        for kind, n in draws:
+            if kind == "choice":
+                seq = list(range(100, 100 + n))
+                assert new.choice(seq) == choice_oracle(old, seq)
+            elif kind == "uniform":
+                assert new.uniform() == old.uniform()
+            else:
+                assert new.rng.random() == old.rng.random()
+        assert new.rng.random() == old.rng.random()
+
+    def test_empty_sequence_is_a_value_error(self):
+        stream = RngStream(1).child("empty")
+        with pytest.raises(ValueError):
+            stream.choice([])
+        with pytest.raises(ValueError):
+            choice_oracle(RngStream(1).child("empty"), [])
