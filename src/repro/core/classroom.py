@@ -305,7 +305,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
         state["restart_pending"] = False
         report.timeline.append((sim.now, "trackers restarted"))
 
-    sim.every(scenario.instructor_check_interval, instructor_check)
+    sim.wheel(scenario.instructor_check_interval).subscribe(instructor_check)
     sim.run_until(deadline)
 
     report.completed = sum(1 for s in students if s.state == StudentState.DONE)

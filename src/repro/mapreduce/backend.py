@@ -7,13 +7,16 @@ loop and a multi-node simulated cluster uses one core of the host.
 
 One class, :class:`ExecutionBackend`, decouples the two:
 
-- ``submit(fn, on_done, inline=True)`` runs the work and its completion
-  callback at once, in the simulation thread;
+- ``submit(fn, on_done, inline=True)`` runs the work at once, in the
+  simulation thread;
 - ``submit(fn, on_done)`` ships share-nothing work to a lazily created
-  process pool and resolves it at a deterministic *join point*: the
-  simulation engine (via the :class:`~repro.sim.engine.WorkJoiner`
-  protocol) joins all in-flight work, in submission order, before the
-  clock advances past the simulated instant the work was submitted at.
+  process pool.
+
+Either way the completion callback waits for a deterministic *join
+point*: the simulation engine (via the
+:class:`~repro.sim.engine.WorkJoiner` protocol) joins all in-flight
+work, inline and pooled alike, in submission order, before the clock
+advances past the simulated instant the work was submitted at.
 
 Which of the two a job gets is decided once per job, at submission, by
 whoever runs it (the JobTracker or the ``LocalJobRunner``):
@@ -35,8 +38,8 @@ Real work runs in parallel; simulated time stays serial.  Because
 1. every pooled work item is a pure function of its arguments (no
    simulation state crosses the boundary — input bytes are prefetched,
    node-shared state forces inline execution),
-2. completion callbacks fire in submission order, which equals the
-   serial execution order, and
+2. completion callbacks fire in submission order from the one join
+   point, wherever the work ran — by construction, and
 3. completion *events* land at ``submit_time + duration`` with
    durations computed from the cost model, not the host,
 
@@ -126,10 +129,11 @@ class ExecutionBackend:
         self.policy = policy
         self.workers = workers or usable_cores()
         self._executor: ProcessPoolExecutor | None = None
-        #: (handle, on_done, fn, index) in submission order; fn kept for
-        #: resubmission after worker death and the inline fallbacks.
+        #: (handle, on_done, fn, index) in submission order.  Pooled work
+        #: keeps fn (for resubmission after worker death and the inline
+        #: fallbacks) and its index; inline work, already run, has None.
         self._in_flight: list[
-            tuple[WorkHandle, OnDone, Callable[[], Any], int]
+            tuple[WorkHandle, OnDone, Callable[[], Any] | None, int | None]
         ] = []
         #: Monotonic pooled-submission counter; the chaos hook keys
         #: deterministic worker-crash draws off it.
@@ -173,17 +177,19 @@ class ExecutionBackend:
         submit_time: float = 0.0,
         inline: bool = False,
     ) -> WorkHandle:
-        """Run ``fn`` and eventually call ``on_done(handle)``.
+        """Run ``fn``; call ``on_done(handle)`` from the next join.
 
-        ``inline=True`` runs it in the caller's thread before ``submit``
-        returns (a job that is not pooled, or work that touches shared
-        simulation or node state); otherwise it goes to the pool and
-        ``on_done`` fires at the join point.  Exceptions raised by
+        ``inline=True`` runs ``fn`` in the caller's thread before
+        ``submit`` returns (a job that is not pooled, or work that
+        touches shared simulation or node state); otherwise it goes to
+        the pool.  Either way ``on_done`` fires only from
+        :meth:`join_all`, in submission order.  Exceptions raised by
         ``fn`` are captured in the handle — ``on_done`` observes them
         via :meth:`WorkHandle.result` — but exceptions from ``on_done``
-        itself propagate.
+        itself propagate out of :meth:`join_all`.
         """
         handle = WorkHandle(submit_time)
+        index = None
         if not inline:
             try:
                 handle._future = self._ensure_executor().submit(fn)
@@ -192,11 +198,12 @@ class ExecutionBackend:
                 # degrade to inline execution rather than losing the task.
                 pass
             else:
-                self._in_flight.append((handle, on_done, fn, self._submit_count))
+                index = self._submit_count
                 self._submit_count += 1
-                return handle
-        _run_captured(fn, handle)
-        on_done(handle)
+        if index is None:
+            _run_captured(fn, handle)
+            fn = None  # never re-run; don't keep its input alive
+        self._in_flight.append((handle, on_done, fn, index))
         return handle
 
     # -- WorkJoiner protocol (see repro.sim.engine) ---------------------
@@ -210,31 +217,32 @@ class ExecutionBackend:
         while self._in_flight:
             batch, self._in_flight = self._in_flight, []
             for handle, on_done, fn, index in batch:
-                try:
-                    handle._result = handle._future.result()
-                    if self._chaos is not None and self._chaos(index):
-                        raise _InjectedWorkerCrash(
-                            f"injected worker crash (work #{index})"
-                        )
-                except BaseException as exc:  # noqa: BLE001
-                    if _is_worker_crash(exc):
-                        self._recover_worker_crash(handle, fn, exc)
-                    elif _is_pickling_error(exc):
-                        # The payload/result couldn't cross the process
-                        # boundary — the work itself may be fine.  Re-run
-                        # inline for an identical answer.
-                        warnings.warn(
-                            f"pooled work fell back to inline execution: "
-                            f"{type(exc).__name__}: {exc}",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        self.inline_fallbacks += 1
-                        _run_captured(fn, handle)
-                    else:
-                        handle._error = exc
-                finally:
-                    handle._future = None
+                if index is not None:  # pooled; inline work resolved at submit
+                    try:
+                        handle._result = handle._future.result()
+                        if self._chaos is not None and self._chaos(index):
+                            raise _InjectedWorkerCrash(
+                                f"injected worker crash (work #{index})"
+                            )
+                    except BaseException as exc:  # noqa: BLE001
+                        if _is_worker_crash(exc):
+                            self._recover_worker_crash(handle, fn, exc)
+                        elif _is_pickling_error(exc):
+                            # The payload/result couldn't cross the
+                            # process boundary — the work itself may be
+                            # fine.  Re-run inline for an identical answer.
+                            warnings.warn(
+                                f"pooled work fell back to inline execution: "
+                                f"{type(exc).__name__}: {exc}",
+                                RuntimeWarning,
+                                stacklevel=2,
+                            )
+                            self.inline_fallbacks += 1
+                            _run_captured(fn, handle)
+                        else:
+                            handle._error = exc
+                    finally:
+                        handle._future = None
                 on_done(handle)
                 # on_done may submit more work (rare); the outer while
                 # loop drains it in order.

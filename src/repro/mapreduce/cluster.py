@@ -188,7 +188,7 @@ class MapReduceCluster:
             if tracker.is_serving:
                 tracker.stop()
         scan = self.hdfs.restart_cluster()
-        self._resume_trackers_when_safe(start_delay=scan)
+        self._resume_trackers_when_safe()
         return scan
 
     # -- NameNode-only outage ride-out ---------------------------------
@@ -209,9 +209,10 @@ class MapReduceCluster:
             if tracker.is_serving:
                 tracker.stop()
 
-    def _resume_trackers_when_safe(self, start_delay: float | None = None) -> None:
-        """Restart stopped trackers once the NameNode is up and out of
-        safemode (shared by restart_cluster and NameNode recovery)."""
+    def _resume_trackers_when_safe(self) -> None:
+        """Restart stopped trackers at the first heartbeat tick that finds
+        the NameNode up and out of safemode (shared by restart_cluster
+        and NameNode recovery)."""
 
         def tick() -> None:
             namenode = self.hdfs.namenode
@@ -222,6 +223,4 @@ class MapReduceCluster:
                     tracker.start(self.jobtracker)
             cancel()
 
-        cancel = self.sim.every(
-            self.mr_config.tasktracker_heartbeat, tick, start_delay=start_delay
-        )
+        cancel = self.sim.wheel(self.mr_config.tasktracker_heartbeat).subscribe(tick)

@@ -52,9 +52,9 @@ class TrackerState(enum.Enum):
 @dataclass
 class _RunningAttempt:
     assignment: "Assignment"
-    #: None while the attempt's real work is still in flight on the
-    #: backend's pool; set once the work resolves and a completion
-    #: (or failure/heap-leak) event is scheduled.
+    #: None until the backend joins the attempt's work; set once it
+    #: resolves and a completion (or failure/heap-leak) event is
+    #: scheduled.
     completion: ScheduledEvent | None = None
 
 
@@ -166,10 +166,9 @@ class TaskTracker:
         if self._cancel_heartbeat is not None:
             self._cancel_heartbeat()
             self._cancel_heartbeat = None
-        # Resolve any in-flight pooled work first: inline work (and its
-        # side effects, e.g. a reduce's output write) already happened
-        # at launch, so a pooled run must let it land too before the
-        # completions are cancelled — identical outcome.
+        # Let every launched attempt's completion land first (its side
+        # effects, e.g. a reduce's output write, included), then cancel
+        # the completion events it scheduled.
         self.backend.join_all()
         for running in self.running.values():
             if running.completion is not None:
@@ -195,10 +194,10 @@ class TaskTracker:
         inline), but every simulation-visible consequence — completion
         events, failure scheduling, the heap-leak RNG draw, the
         reduce-output HDFS write — happens in ``on_done``, which the
-        backend invokes for pooled work in submission order at the
-        engine's deterministic join point, with the simulated clock
-        still at the submit instant.
-        Pooled and serial runs are therefore bit-identical.
+        backend invokes for every attempt, inline or pooled, in
+        submission order at the engine's join point, with the simulated
+        clock still at the submit instant.  Pooled and serial runs are
+        therefore bit-identical by construction.
         """
         job = self.jobtracker.running_job(assignment.job_id)
         if retry == 0:
@@ -585,8 +584,8 @@ class TaskTracker:
 
     def kill_attempt(self, attempt_id: str) -> bool:
         """Cancel a running attempt (losing speculative twin)."""
-        # Let in-flight work resolve first (see _halt) so the kill
-        # cancels a scheduled completion, exactly as on a serial run.
+        # Let launched work's completions land first (see _halt) so the
+        # kill always cancels a scheduled completion event.
         self.backend.join_all()
         running = self.running.pop(attempt_id, None)
         if running is None:

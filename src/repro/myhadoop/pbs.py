@@ -79,7 +79,7 @@ class PbsScheduler:
         #: every free node (the provisioner registers its daemon scrub).
         self.cleanup_hooks: list[Callable[[str], None]] = []
         self.cleanups_performed = 0
-        self.sim.every(cleanup_interval, self._cleanup_sweep)
+        self.sim.wheel(cleanup_interval).subscribe(self._cleanup_sweep)
 
     # ------------------------------------------------------------------
     def qsub(

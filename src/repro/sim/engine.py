@@ -18,8 +18,10 @@ from repro.util.events import EventBus
 
 
 class WorkJoiner(Protocol):
-    """Something holding real (wall-clock) work in flight on behalf of
-    simulated events — e.g. a pooled task-execution backend.
+    """Something holding real (wall-clock) work's completions on behalf
+    of simulated events — e.g. the task-execution backend, which holds
+    every attempt's completion until the join, whether its work ran
+    inline or on a pool.
 
     The contract that keeps parallel real work deterministic: work is
     submitted while the clock sits at some simulated time ``S``; its
@@ -28,7 +30,8 @@ class WorkJoiner(Protocol):
     in-flight work before processing any event with time strictly
     greater than ``S`` — but events at exactly ``S`` may run first,
     which is the window in which a whole wave of task launches overlaps
-    on real CPUs.
+    on real CPUs.  Since every completion passes through this join,
+    where the work ran cannot change the order of what it schedules.
     """
 
     def pending_since(self) -> float | None:
@@ -96,20 +99,22 @@ class ScheduledEvent:
 
 
 class TimerWheel:
-    """One engine event per tick shared by every fixed-interval timer.
+    """One engine event per tick shared by every fixed-interval timer —
+    the engine's one periodic mechanism.
 
-    10k DataNode heartbeats at the same instant used to be 10k
-    closure-per-tick :meth:`Simulation.every` timers — 10k heap pushes
-    and pops per interval.  A wheel is *one* scheduled event per tick
-    that fans out over a subscriber index, so the engine's per-tick
-    work is O(1) heap traffic plus the fan-out itself.
+    10k DataNode heartbeats at the same instant would be 10k heap pushes
+    and pops per interval as one-event-per-timer chains.  A wheel is
+    *one* scheduled event per tick that fans out over a subscriber
+    index, so the engine's per-tick work is O(1) heap traffic plus the
+    fan-out itself.
 
-    Determinism: subscribers fire in subscription order (a monotonic
-    token), and a subscriber joining at time ``s`` first fires at the
-    first tick strictly after ``s`` — mirroring ``every()``'s
-    "first fire at s + interval" contract up to phase alignment (wheel
-    ticks sit on multiples of ``interval`` from the wheel's creation
-    time, so co-interval daemons share one event).
+    Determinism: subscribers fire in subscription order, and a
+    subscriber joining at time ``s`` first fires at the first tick
+    strictly after ``s``.  Ticks sit on multiples of ``interval`` from
+    the wheel's creation time, so co-interval daemons share one event.
+    Tokens are monotonic and each is inserted once, so ``_subs`` (a
+    dict) is always in token order: a fan-out walks a snapshot of it
+    unsorted.
     """
 
     __slots__ = ("sim", "interval", "epoch", "_subs", "_tokens", "_pending")
@@ -120,7 +125,7 @@ class TimerWheel:
         self.sim = sim
         self.interval = interval
         self.epoch = sim.now
-        #: token -> (fn, args, joined_at); insertion order == token order.
+        #: token -> (fn, args, joined_at), in token order (see above).
         self._subs: dict[int, tuple[Callable[..., Any], tuple, float]] = {}
         self._tokens = itertools.count()
         self._pending: ScheduledEvent | None = None
@@ -141,7 +146,7 @@ class TimerWheel:
     def _tick(self) -> None:
         self._pending = None
         now = self.sim.now
-        for token, (fn, args, joined_at) in sorted(self._subs.items()):
+        for token, (fn, args, joined_at) in list(self._subs.items()):
             if joined_at >= now:
                 continue  # first fire is the next tick after joining
             if token in self._subs:  # not unsubscribed mid-fan-out
@@ -150,7 +155,7 @@ class TimerWheel:
 
     def subscribe(self, fn: Callable[..., Any], *args: Any) -> Callable[[], None]:
         """Fire ``fn(*args)`` every tick until cancelled; returns the
-        cancel callable (same contract as :meth:`Simulation.every`)."""
+        cancel callable, which ``fn`` itself may call."""
         token = next(self._tokens)
         self._subs[token] = (fn, args, self.sim.now)
         self._arm()
@@ -307,40 +312,6 @@ class Simulation:
             wheel = TimerWheel(self, interval)
             self._wheels[interval] = wheel
         return wheel
-
-    def every(
-        self,
-        interval: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        start_delay: float | None = None,
-    ) -> Callable[[], None]:
-        """Run ``fn(*args)`` every ``interval`` seconds until cancelled.
-
-        Returns a cancel callable.  The callback may itself cancel the
-        timer; re-arming happens after the call so cancellation from
-        inside the callback is honoured.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        state = {"stopped": False, "handle": None}
-
-        def tick() -> None:
-            if state["stopped"]:
-                return
-            fn(*args)
-            if not state["stopped"]:
-                state["handle"] = self.schedule(interval, tick)
-
-        def cancel() -> None:
-            state["stopped"] = True
-            handle = state["handle"]
-            if handle is not None:
-                handle.cancel()
-
-        first_delay = interval if start_delay is None else start_delay
-        state["handle"] = self.schedule(first_delay, tick)
-        return cancel
 
     # ------------------------------------------------------------------
     def snapshot(self, *roots: Any):

@@ -10,7 +10,7 @@ trace the original would have produced, event for event.
 Two things make this non-trivial:
 
 1.  ``copy.deepcopy`` treats function objects as atomic.  The engine's
-    queue is full of closures (``every()`` ticks, classroom pollers,
+    queue is full of closures (wheel subscribers, classroom pollers,
     retry continuations) whose cells capture mutable state; sharing the
     function between original and copy would let the restored run
     mutate the original's state.  ``_copy_function`` rebuilds closures

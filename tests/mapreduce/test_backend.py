@@ -83,13 +83,21 @@ class TestPolicy:
 
 class TestSerialBackend:
     def test_runs_at_submit(self):
+        """Inline work runs at submit; its callback waits for the join."""
         backend = create_backend("serial")
-        seen = []
+        ran, seen = [], []
+
+        def work():
+            ran.append(True)
+            return 41 + 1
+
         handle = backend.submit(
-            lambda: 41 + 1, lambda h: seen.append(h.result()), inline=True
+            work, lambda h: seen.append(h.result()), submit_time=3.0, inline=True
         )
+        assert ran == [True] and handle.result() == 42
+        assert seen == [] and backend.pending_since() == 3.0
+        backend.join_all()
         assert seen == [42]
-        assert handle.result() == 42
         assert backend.pending_since() is None
         assert backend._executor is None
 
@@ -100,7 +108,9 @@ class TestSerialBackend:
         def boom():
             raise TaskFailedError("map raised ValueError: nope")
 
-        backend.submit(boom, seen.append, inline=True)
+        backend.submit(boom, seen.append, inline=True)  # does not raise
+        assert seen == []
+        backend.join_all()
         with pytest.raises(TaskFailedError):
             seen[0].result()
 
@@ -136,9 +146,20 @@ class TestPooledBackend:
         assert pooled.pending_since() is None
 
     def test_inline_submission_runs_immediately(self, pooled):
-        seen = []
-        pooled.submit(lambda: "now", lambda h: seen.append(h.result()), inline=True)
-        assert seen == ["now"]  # before any join
+        """Inline work runs at once but joins with pooled work, in
+        submission order."""
+        ran, seen = [], []
+
+        def now():
+            ran.append("now")
+            return "now"
+
+        pooled.submit(_double_factory(1), lambda h: seen.append(h.result()))
+        pooled.submit(now, lambda h: seen.append(h.result()), inline=True)
+        pooled.submit(_double_factory(2), lambda h: seen.append(h.result()))
+        assert ran == ["now"] and seen == []  # before any join
+        pooled.join_all()
+        assert seen == [2, "now", 4]
         assert pooled.pending_since() is None
 
     def test_callback_submitting_more_work_is_drained(self, pooled):
@@ -421,7 +442,7 @@ class TestAutoBackend:
 
     def test_pooled_work_joins_in_order_after_flip_to_serial(self, monkeypatch):
         """A job placed on the pool, then one placed inline: the inline
-        work runs at once, the pooled work still joins in order."""
+        work runs at once, and every callback joins in submission order."""
         monkeypatch.setattr(backend_mod, "usable_cores", lambda: 2)
         auto = create_backend("auto", 2)
         done = []
@@ -431,12 +452,13 @@ class TestAutoBackend:
             auto.submit(functools.partial(_echo, "pooled-1"), record, submit_time=1.0)
             auto.submit(functools.partial(_echo, "pooled-2"), record, submit_time=2.0)
             assert not auto.pools(0)
-            auto.submit(
+            inline = auto.submit(
                 functools.partial(_echo, "inline"), record, submit_time=3.0, inline=True
             )
-            assert done == ["inline"] and auto.pending_since() == 1.0
+            assert inline.result() == "inline"  # ran at submit
+            assert done == [] and auto.pending_since() == 1.0
             auto.join_all()
-            assert done == ["inline", "pooled-1", "pooled-2"]
+            assert done == ["pooled-1", "pooled-2", "inline"]
             assert auto.pending_since() is None
         finally:
             auto.shutdown()

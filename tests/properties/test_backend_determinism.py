@@ -7,6 +7,7 @@ exactly — parallelism is an optimisation of host wall-clock, never a
 semantic.  No attempt may reach that answer by re-running inline.
 """
 
+import functools
 import warnings
 from types import SimpleNamespace
 
@@ -15,13 +16,18 @@ import pytest
 from repro.datasets.movielens import generate_movielens
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.movie_genres import GenreStatsJob
-from repro.jobs.wordcount import IntSumReducer, WordCountWithCombinerJob
+from repro.jobs.wordcount import (
+    IntSumReducer,
+    TokenizerMapper,
+    WordCountWithCombinerJob,
+)
 from repro.mapreduce import runtime
 from repro.mapreduce.api import Job, Mapper
-from repro.mapreduce.backend import create_backend
+from repro.mapreduce.backend import BACKEND_NAMES, create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.local_runner import LocalJobRunner
+from repro.util.errors import TaskFailedError
 from tests.conftest import make_mr
 
 BACKENDS = ("pooled",)
@@ -87,34 +93,126 @@ class MapRaisesJob(Job):
     reducer = IntSumReducer
 
 
-def _job_failure_time(backend_name):
+class _BadNodeMapper(TokenizerMapper):
+    """Raises only when run on the node named by the ``bad_node`` param."""
+
+    def map(self, key, value, context):
+        if context.task_node == context.get("bad_node"):
+            raise ValueError(f"bad disk on {context.task_node}")
+        super().map(key, value, context)
+
+
+class BadNodeJob(Job):
+    mapper = _BadNodeMapper
+    reducer = IntSumReducer
+
+
+class _ReduceRaisesReducer(IntSumReducer):
+    """Raises in partition 1 of 2 ("dog"), after partition 0 is written."""
+
+    def reduce(self, key, values, context):
+        if key.value == "dog":
+            raise ValueError("bad group")
+        super().reduce(key, values, context)
+
+
+class ReduceRaisesJob(Job):
+    mapper = TokenizerMapper
+    reducer = _ReduceRaisesReducer
+
+
+def _assert_same_on_every_backend(fingerprint, backend_name):
+    mine = fingerprint(backend_name)
+    for other in BACKEND_NAMES:
+        assert fingerprint(other) == mine, f"{backend_name} != {other}"
+
+
+@functools.cache
+def _failing_job(backend_name):
+    """Every attempt raises: when the job fails, and with what counters."""
     # 3 workers, 2 KiB blocks, replication 2, seed 1
     with make_mr(num_workers=3, backend=create_backend(backend_name, 2)) as mr:
         mr.client().put_text("/in/w.txt", "w " * 3000)
         failed = []
         mr.sim.bus.subscribe("mr.jobtracker.failed", lambda e: failed.append(e.time))
         job = MapRaisesJob(JobConf(name="boom", max_attempts=2))
-        assert not mr.run_job(job, "/in", "/out").succeeded
-        return failed
+        report = mr.run_job(job, "/in", "/out")
+        assert not report.succeeded and failed
+        return (
+            failed,
+            report.counters.as_dict(),
+            mr.sim.now,
+            mr.sim.events_processed,
+        )
 
 
+@functools.cache
+def _bad_node_job(backend_name):
+    """One attempt raises (on ``node1``), its retry elsewhere succeeds."""
+    with make_mr(num_workers=3, backend=create_backend(backend_name, 2)) as mr:
+        mr.client().put_text("/in/w.txt", "a b c d " * 1500)
+        failures = []
+        mr.sim.bus.subscribe(
+            "mr.task.failed",
+            lambda e: failures.append((e.time, e.data["tracker"])),
+        )
+        job = BadNodeJob(JobConf(name="flaky", params={"bad_node": "node1"}))
+        report = mr.run_job(job, "/in", "/out", require_success=True)
+        assert failures
+        return (
+            report.elapsed,
+            report.counters.as_dict(),
+            tuple(sorted(mr.read_output("/out"))),
+            mr.sim.now,
+            mr.sim.events_processed,
+            failures,
+        )
+
+
+class _ReadLoggingFileSystem(LinuxFileSystem):
+    def __init__(self):
+        super().__init__()
+        self.reads: list[str] = []
+
+    def read_file(self, path):
+        self.reads.append(path)
+        return super().read_file(path)
+
+
+@functools.cache
+def _local_failures(backend_name):
+    """A raising mapper, then a raising reducer, on the LocalJobRunner:
+    the error, what the run read and what it left on disk."""
+    outcomes = []
+    for job in (
+        MapRaisesJob(JobConf(name="map-boom")),
+        ReduceRaisesJob(JobConf(name="reduce-boom", num_reduces=2)),
+    ):
+        fs = _ReadLoggingFileSystem()
+        fs.write_file("/data/corpus.txt", CORPUS)
+        backend = create_backend(backend_name, 2)
+        with LocalJobRunner(
+            localfs=fs, backend=backend, split_size=8 * 1024
+        ) as runner:
+            with pytest.raises(TaskFailedError) as caught:
+                runner.run(job, "/data/corpus.txt", "/out")
+        outcomes.append((str(caught.value), fs.reads, fs.walk("/")))
+    return outcomes
+
+
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 class TestUserCodeFailureDeterminism:
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "A failed attempt burns task_startup + 2.0 = 3.0 s, exactly one "
-            "tasktracker_heartbeat, so its failure event ties with a "
-            "TimerWheel tick.  On a serial backend on_done schedules it "
-            "during the heartbeat fan-out, before _tick re-arms: it sorts "
-            "first and the retry is assigned at that tick (job fails at sim "
-            "15.0).  On a pooled backend on_done runs at the join point, "
-            "after _arm(): the tick sorts first and the retry waits one more "
-            "heartbeat (18.0).  The fix is an engine tie-break change that "
-            "must keep every serial digest (ROADMAP item 3)."
-        ),
-    )
-    def test_failing_job_fails_at_the_same_instant(self):
-        assert _job_failure_time("pooled") == _job_failure_time("serial")
+    """A raising attempt's completion is joined like any other, so where
+    its work ran cannot move the failure, its retry or what follows."""
+
+    def test_failing_job_fails_at_the_same_instant(self, backend_name):
+        _assert_same_on_every_backend(_failing_job, backend_name)
+
+    def test_job_surviving_a_failed_attempt_is_identical(self, backend_name):
+        _assert_same_on_every_backend(_bad_node_job, backend_name)
+
+    def test_local_runner_failures_are_identical(self, backend_name):
+        _assert_same_on_every_backend(_local_failures, backend_name)
 
 
 class TestLocalRunnerDeterminism:

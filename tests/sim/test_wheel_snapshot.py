@@ -47,6 +47,27 @@ class TestTimerWheel:
         sim.run_until(10.0)
         assert fired == [2.0, 4.0]
 
+    def test_cancel_from_inside_callback(self):
+        sim = Simulation()
+        ticks = []
+        holder = {}
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 3:
+                holder["cancel"]()
+
+        holder["cancel"] = sim.wheel(1.0).subscribe(tick)
+        sim.run_until(10.0)
+        assert ticks == [1.0, 2.0, 3.0]
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    def test_non_positive_interval_rejected(self, interval):
+        sim = Simulation()
+        with pytest.raises(ValueError):
+            sim.wheel(interval)
+
     def test_subscribers_fire_in_subscription_order(self):
         sim = Simulation()
         order = []
