@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.platforms import build_dedicated_platform, build_myhadoop_platform
 from repro.datasets.zipf_text import ZipfTextGenerator
 from repro.hdfs.config import HdfsConfig
-from repro.hdfs.replication import replication_health
+from repro.hdfs.fsck import fsck
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.streaming import streaming_job
 from repro.myhadoop.provision import MyHadoopConfig
@@ -272,9 +272,12 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
     # dead — after a detection/reaction delay, and students immediately
     # pile back on.
     def instructor_check() -> None:
-        health = replication_health(mr.hdfs.namenode)
+        # Below target, missing blocks included, as in the NameNode's own
+        # re-replication queue (fsck lists the two apart).
+        health = fsck(mr.hdfs.namenode)
         report.max_under_replicated = max(
-            report.max_under_replicated, health.under_replicated
+            report.max_under_replicated,
+            health.under_replicated + health.missing_blocks,
         )
         live = sum(1 for t in mr.tasktrackers.values() if t.is_serving)
         if (

@@ -29,6 +29,7 @@ from repro.mapreduce.backend import create_backend
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.job import JobReport
+from repro.mapreduce.outputformat import data_files
 from repro.util.errors import ConfigError
 from repro.util.rng import RngStream
 
@@ -156,12 +157,10 @@ def _job() -> WordCountJob:
 
 def _read_part_files(mr: MapReduceCluster, output: str) -> dict[str, bytes]:
     client = mr._output_client(None)
-    files: dict[str, bytes] = {}
-    for status in client.list_status(output):
-        name = status.path.rsplit("/", 1)[-1]
-        if not status.is_dir and name.startswith("part-"):
-            files[name] = client.read_text(status.path).encode()
-    return files
+    return {
+        status.path.rsplit("/", 1)[-1]: client.read_text(status.path).encode()
+        for status in data_files(client, output)
+    }
 
 
 def _framework_counters(report: JobReport) -> dict[str, dict[str, int]]:

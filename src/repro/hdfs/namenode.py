@@ -8,9 +8,9 @@ control flows back through heartbeat responses
 (:class:`~repro.hdfs.protocol.HeartbeatResponse`).  Each question the
 master answers has one home here: a path is normalised once per RPC and
 walked once by the namespace; a block's health is :meth:`NameNode.census`
-(``fsck``, ``replication_health`` and ``dfsadmin`` read it too); who is
-alive is ``liveness``, a :class:`~repro.sim.engine.LivenessTable`; and
-``locations`` change only in ``_add_replica`` / ``_drop_replica``.
+(``fsck`` and ``dfsadmin`` read it too); who is alive is ``liveness``, a
+:class:`~repro.sim.engine.LivenessTable`; and ``locations`` change only
+in ``_add_replica`` / ``_drop_replica``.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobReport
-from repro.mapreduce.outputformat import TextOutputFormat
+from repro.mapreduce.outputformat import TextOutputFormat, data_files
 from repro.mapreduce.types import NullWritable, Text, Writable
 from repro.sparklite.codec import unescape_text
 
@@ -773,15 +773,13 @@ class HiveLite:
         return rows
 
     def _nonempty_parts(self, output: str, with_length: bool = False):
-        """Non-empty ``part-*`` files of a finished stage, name-sorted."""
+        """Non-empty data files of a finished stage, name-sorted."""
         client = self.cluster._output_client(None)
-        parts = sorted(
+        parts = [
             (status.path, status.length)
-            for status in client.list_status(output)
-            if not status.is_dir
-            and status.path.rsplit("/", 1)[-1].startswith("part-")
-            and status.length > 0
-        )
+            for status in data_files(client, output)
+            if status.length > 0
+        ]
         if with_length:
             return parts
         return [path for path, _length in parts]

@@ -17,7 +17,7 @@ from repro.mapreduce.blockio import BlockFetcher
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.job import JobReport, RunningJob
 from repro.mapreduce.jobtracker import JobTracker
-from repro.mapreduce.outputformat import TextOutputFormat
+from repro.mapreduce.outputformat import TextOutputFormat, data_files
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.util.errors import JobFailedError
 from repro.util.rng import RngStream
@@ -144,13 +144,10 @@ class MapReduceCluster:
 
     # ------------------------------------------------------------------
     def read_output(self, output_path: str) -> list[tuple[str, str]]:
-        """Read and parse every ``part-*`` file of a finished job."""
+        """Read and parse every data file of a finished job."""
         client = self._output_client(None)
         pairs: list[tuple[str, str]] = []
-        for status in client.list_status(output_path):
-            name = status.path.rsplit("/", 1)[-1]
-            if status.is_dir or not name.startswith("part-"):
-                continue
+        for status in data_files(client, output_path):
             pairs.extend(TextOutputFormat.parse(client.read_text(status.path)))
         return pairs
 

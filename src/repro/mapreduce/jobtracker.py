@@ -29,6 +29,7 @@ from repro.mapreduce.blockio import BlockFetcher
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.job import JobState, RunningJob
+from repro.mapreduce.outputformat import data_files
 from repro.mapreduce.runtime import job_input_format, job_pooled
 from repro.mapreduce.tasks import (
     AttemptState,
@@ -286,14 +287,10 @@ class JobTracker:
         files: list[str] = []
         for path in paths:
             status = self.namenode.status(path)  # raises if missing
-            if not status.is_dir:
+            if status.is_dir:
+                files.extend(s.path for s in data_files(self.namenode, path))
+            else:
                 files.append(status.path)
-                continue
-            for child in self.namenode.list_status(path):
-                name = child.path.rsplit("/", 1)[-1]
-                if child.is_dir or name.startswith(("_", ".")):
-                    continue
-                files.append(child.path)
         return files
 
     def running_job(self, job_id: str) -> RunningJob:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.mapreduce.types import NullWritable, Text, Writable
+
+if TYPE_CHECKING:
+    from repro.hdfs.namespace import FileStatus
 
 
 class TextOutputFormat:
@@ -40,3 +45,17 @@ class TextOutputFormat:
 def part_file_name(partition: int) -> str:
     """Hadoop's reduce-output naming: ``part-00000``, ``part-00001``…"""
     return f"part-{partition:05d}"
+
+
+def data_files(fs, path: str) -> list[FileStatus]:
+    """Hadoop's hidden-file rule, the one place a directory is read back:
+    its data files are the non-directory entries whose names start with
+    neither ``_`` nor ``.`` — so a job's ``part-*`` files, never its
+    ``_SUCCESS`` marker.  ``fs`` (a client or the NameNode) is asked for
+    one ``list_status``; entries keep its name order."""
+    return [
+        status
+        for status in fs.list_status(path)
+        if not status.is_dir
+        and not status.path.rsplit("/", 1)[-1].startswith(("_", "."))
+    ]

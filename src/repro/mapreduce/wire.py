@@ -112,8 +112,10 @@ _FIXED = {
 }
 _FIXED_KINDS = {kind: (cls, code, width) for cls, (kind, code, width) in _FIXED.items()}
 
-#: Runs decoded per step of a packed column: bounds what a lazily
-#: consumed blob (a spill run under merge) holds unpacked at a time.
+#: Runs decoded per step of a packed column: bounds the scratch tuples
+#: and lists one step unpacks (run lengths, Text widths, values) to this
+#: many entries.  Every product reader drains ``decode_runs`` with
+#: ``list(...)``, so it does not bound what a reader ends up holding.
 _BATCH = 4096
 
 _KEY = operator.itemgetter(0)

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C, perf_stats
+from repro.mapreduce.outputformat import data_files, part_file_name
 from repro.mapreduce.types import NullWritable, Text
 from repro.sparklite.codec import (
     decode_element,
@@ -549,7 +550,7 @@ class CompiledRunner:
         for index, slice_ in enumerate(rdd._slices):
             if not slice_:
                 continue
-            path = f"{base}/part-{index:05d}"
+            path = f"{base}/{part_file_name(index)}"
             text = "\n".join(encode_element(item) for item in slice_) + "\n"
             self._client.put_text(path, text, overwrite=True)
             files.append(path)
@@ -567,10 +568,8 @@ class CompiledRunner:
     def _dir_source(self, out: str) -> _Source:
         files = tuple(
             status.path
-            for status in self._client.list_status(out)
-            if not status.is_dir
-            and status.path.rsplit("/", 1)[-1].startswith("part-")
-            and status.length > 0
+            for status in data_files(self._client, out)
+            if status.length > 0
         )
         return _Source("enc", files)
 

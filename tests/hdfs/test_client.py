@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hdfs.fsck import fsck
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.util.errors import (
     FileAlreadyExists,
@@ -165,10 +166,8 @@ class TestNamespacePassthroughs:
         client = cluster.client()
         client.put_bytes("/f", b"l" * 900)
         client.set_replication("/f", 3)
-        from repro.hdfs.replication import wait_for_full_replication
-
-        assert wait_for_full_replication(
-            cluster.sim, cluster.namenode, timeout=600
+        assert cluster.wait_until(
+            lambda: fsck(cluster.namenode).under_replicated == 0, timeout=600
         )
         for meta in cluster.namenode.block_map.values():
             assert len(meta.locations) == 3

@@ -315,6 +315,25 @@ class TestNameNodeCrashRecovery:
         # And the data path works end to end on the recovered namespace.
         assert "first file" in hdfs.client().read_text("/user/a/one.txt")
 
+    def test_abandoned_block_and_cleared_quota_replay_exactly(self):
+        hdfs = self._loaded_cluster()
+        nn = hdfs.namenode
+        # A write whose whole pipeline failed: the block is rolled back.
+        nn.create_file("/user/a/partial.txt")
+        block, _targets = nn.add_block("/user/a/partial.txt", 100)
+        nn.abandon_block("/user/a/partial.txt", block)
+        # One quota set and then cleared (None/None), one left standing.
+        nn.set_quota("/user/b", namespace_quota=10, space_quota=10_000)
+        nn.set_quota("/user/a", namespace_quota=5)
+        nn.set_quota("/user/b")
+        assert nn.namespace.get_file("/user/a/partial.txt").blocks == []
+        assert set(nn.quotas) == {"/user/a"}
+        before = nn.namespace_digest()
+        hdfs.crash_namenode()
+        hdfs.recover_namenode()
+        assert hdfs.namenode.journal.last_recovery.replayed_edits > 0
+        assert hdfs.namenode.namespace_digest() == before
+
     def test_restart_replays_the_journal(self):
         hdfs = self._loaded_cluster()
         before = hdfs.namenode.namespace_digest()

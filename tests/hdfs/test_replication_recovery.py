@@ -1,20 +1,29 @@
 """Re-replication after failures — the recovery machinery the paper's
 students inadvertently load-tested."""
 
-import pytest
-
-from repro.hdfs.replication import replication_health, wait_for_full_replication
+from repro.hdfs.fsck import fsck
 from tests.conftest import make_hdfs
+
+
+def fully_replicated(cluster) -> bool:
+    """fsck finds every block at its target: none missing, none under."""
+    report = fsck(cluster.namenode)
+    return report.missing_blocks == 0 and report.under_replicated == 0
 
 
 class TestReplicationHealth:
     def test_healthy_after_write(self):
         cluster = make_hdfs(replication=2)
         cluster.client().put_bytes("/f", b"a" * 3000)
-        health = replication_health(cluster.namenode)
-        assert health.healthy
-        assert health.total_blocks == 3
-        assert health.average_replication == pytest.approx(2.0)
+        report = fsck(cluster.namenode)
+        assert (
+            report.missing_blocks, report.under_replicated, report.over_replicated
+        ) == (0, 0, 0)
+        assert report.total_blocks == 3
+        assert all(
+            len(meta.locations) == 2
+            for meta in cluster.namenode.block_map.values()
+        )
 
     def test_under_replication_detected_on_crash(self):
         cluster = make_hdfs(replication=2)
@@ -40,11 +49,7 @@ class TestReplicationHealth:
         cluster.crash_datanode(victim)
         # Let the NameNode notice the death before demanding convergence.
         cluster.sim.run_for(cluster.config.dead_node_timeout + 10)
-        assert wait_for_full_replication(
-            cluster.sim, cluster.namenode, timeout=1200
-        )
-        health = replication_health(cluster.namenode)
-        assert health.healthy
+        assert cluster.wait_until(lambda: fully_replicated(cluster), timeout=1200)
         # Replicas must live on surviving nodes only.
         for meta in cluster.namenode.block_map.values():
             assert victim not in meta.locations
@@ -56,7 +61,7 @@ class TestReplicationHealth:
         victim = next(n for n, d in cluster.datanodes.items() if d.blocks)
         cluster.crash_datanode(victim)
         cluster.sim.run_for(cluster.config.dead_node_timeout + 10)
-        wait_for_full_replication(cluster.sim, cluster.namenode, timeout=1200)
+        cluster.wait_until(lambda: fully_replicated(cluster), timeout=1200)
         assert cluster.client().read_bytes("/f").data == payload
 
     def test_missing_blocks_when_all_replicas_lost(self):
@@ -69,8 +74,7 @@ class TestReplicationHealth:
             cluster.crash_datanode(name)
         cluster.sim.run_for(cluster.config.dead_node_timeout + 10)
         assert cluster.namenode.missing_blocks()
-        health = replication_health(cluster.namenode)
-        assert health.missing > 0
+        assert fsck(cluster.namenode).missing_blocks > 0
 
     def test_missing_block_recovers_when_node_returns(self):
         cluster = make_hdfs(replication=1, num_datanodes=3)

@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.cluster.builder import HadoopHardware
+from repro.cluster.hardware import Node, NodeSpec
+from repro.cluster.network import NetworkModel
+from repro.cluster.topology import ClusterTopology
+from repro.hdfs.config import HdfsConfig
+from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C
 from repro.mapreduce.streaming import streaming_job
+from repro.mapreduce.tasks import AttemptState
 from repro.util.errors import JobFailedError
 from tests.conftest import make_mr
 
@@ -175,3 +182,57 @@ class TestSpeculativeExecution:
         # must not fire spuriously.
         assert report.killed_attempts == 0
         assert dict(mr.read_output("/out")) == {"w": "6000"}
+
+    @staticmethod
+    def _run_with_slow_disk(speculative: bool):
+        """Ablation A4 in miniature: three healthy workers and one whose
+        disk reads crawl at 10 KB/s, so its node-local maps straggle."""
+        topology = ClusterTopology()
+        for i in range(3):
+            topology.add_node(Node(name=f"node{i}", spec=NodeSpec()), "rack0")
+        topology.add_node(
+            Node(name="node3", spec=NodeSpec(disk_read_bw=10 * 1024)), "rack0"
+        )
+        mr = MapReduceCluster(
+            hardware=HadoopHardware(
+                topology=topology, network=NetworkModel(topology=topology)
+            ),
+            hdfs_config=HdfsConfig(block_size=32 * 1024, replication=3),
+            seed=37,
+        )
+        mr.client(node="node0").put_text(
+            "/in.txt", "word stream flowing by\n" * 12_000
+        )
+        conf = JobConf(name="spec", speculative_execution=speculative)
+        report = mr.run_job(wc_job(conf), "/in.txt", "/out", require_success=True)
+        return mr, report
+
+    def test_speculation_fires_on_a_straggler_and_keeps_the_output(self):
+        mr, report = self._run_with_slow_disk(speculative=True)
+        running = mr.jobtracker.running_job(report.job_id)
+        twins = [
+            task.attempts
+            for task in running.map_tasks
+            if any(a.speculative for a in task.attempts)
+        ]
+        assert twins, "no speculative attempt was launched"
+        for attempts in twins:
+            # One of the pair won; the other was killed, not failed.
+            assert sorted(a.state.value for a in attempts) == ["killed", "succeeded"]
+            assert len({a.tracker for a in attempts}) == 2
+        # The clone on a fast node beat the straggler, which the
+        # JobTracker then killed on its slow tracker.
+        assert any(
+            a.speculative and a.state == AttemptState.SUCCEEDED
+            for attempts in twins
+            for a in attempts
+        )
+        killed = report.counters.get(C.KILLED_SPECULATIVE)
+        assert killed == len(twins) == report.killed_attempts
+        off_mr, off = self._run_with_slow_disk(speculative=False)
+        assert off.counters.get(C.KILLED_SPECULATIVE) == 0
+        assert off.killed_attempts == 0
+        assert mr.read_output("/out") == off_mr.read_output("/out")
+        assert dict(mr.read_output("/out")) == {
+            word: "12000" for word in ("by", "flowing", "stream", "word")
+        }

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.hdfs.balancer import Balancer
 from repro.hdfs.fsck import fsck
 from repro.hdfs.namespace import Namespace, normalize
-from repro.hdfs.replication import replication_health
 from repro.util.errors import HdfsError
 from tests.conftest import make_hdfs
 
@@ -133,7 +132,7 @@ class TestNamespaceProperties:
         assert len(files) == 1
 
 
-# -- replica bookkeeping: one census, three readers, one reverse index -------
+# -- replica bookkeeping: one census, two readers, one reverse index ---------
 
 _file = st.integers(min_value=0, max_value=5)
 _node = st.integers(min_value=0, max_value=3)
@@ -204,15 +203,15 @@ def assert_replica_bookkeeping(cluster) -> None:
     below = namenode.under_replicated | missing
     assert below | namenode.over_replicated <= set(block_map)
     assert namenode._safe_blocks == sum(meta.safe for meta in block_map.values())
-    # replication_health and fsck count the same blocks the same way as
-    # the NameNode's own queues.
-    health = replication_health(namenode)
+    # fsck, over the whole tree and file by file, counts the same blocks
+    # the same way as the NameNode's own queues.
+    report = fsck(namenode)
     assert (
-        health.missing, health.under_replicated, health.over_replicated,
-        health.fully_replicated,
+        report.total_blocks, report.missing_blocks, report.under_replicated,
+        report.over_replicated,
     ) == (
-        len(missing), len(below), len(namenode.over_replicated),
-        len(block_map) - len(below) - len(namenode.over_replicated),
+        len(block_map), len(missing), len(below - missing),
+        len(namenode.over_replicated),
     )
     for path, inode in namenode.namespace.walk_files("/"):
         ids = {block.block_id for block in inode.blocks}
