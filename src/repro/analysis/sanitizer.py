@@ -171,19 +171,19 @@ class TaskSanitizer:
     def check_combiner(
         self,
         combiner_cls: type[Reducer],
-        partitions: dict[int, list[tuple[Writable, Writable]]],
+        partition_groups: dict[int, list[tuple[Writable, list[Writable]]]],
     ) -> None:
         """Spot-check the combiner on sampled key groups of this task.
 
-        ``partitions`` holds the *uncombined*, key-sorted map output.
-        All re-executions run on deep copies with scratch contexts, so
-        neither the real pairs nor the task's counters are disturbed.
+        ``partition_groups`` maps each partition to the ``(key, values)``
+        groups of its *uncombined*, key-sorted map output; they are only
+        read.  All re-executions run on deep copies with scratch
+        contexts, so neither the real groups nor the task's counters are
+        disturbed.
         """
-        from repro.mapreduce.shuffle import group_by_key
-
         groups: list[tuple[Writable, list[Writable]]] = []
-        for partition in sorted(partitions):
-            groups.extend(group_by_key(partitions[partition]))
+        for partition in sorted(partition_groups):
+            groups.extend(partition_groups[partition])
         if not groups:
             return
         if len(groups) > MAX_COMBINER_GROUPS:

@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.hdfs.config import HdfsConfig
-from repro.hdfs.fsck import fsck
+from repro.hdfs.fsck import FsckReport, fsck
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.streaming import streaming_job
@@ -263,19 +263,19 @@ class CampusClusterRun:
         health = fsck(self.mr.hdfs.namenode)
         stats.missing_blocks = health.missing_blocks
         stats.under_replicated = health.under_replicated
-        stats.digest = self.digest()
+        stats.digest = self.digest(health)
         return stats
 
-    def digest(self) -> str:
+    def digest(self, health: FsckReport) -> str:
         """A bit-identity witness over everything the run observed.
 
         Two runs with equal digests made the same scheduling decisions,
         processed the same number of engine events, finished the same
         jobs for the same users at the same simulated times, and left
-        HDFS in the same health state.
+        HDFS in the same health state.  ``health`` is an ``fsck`` of the
+        cluster as it stands now.
         """
         stats = self.stats
-        health = fsck(self.mr.hdfs.namenode)
         payload = repr(
             (
                 round(self.sim.now, 9),

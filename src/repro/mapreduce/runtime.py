@@ -47,12 +47,10 @@ from repro.mapreduce.shuffle import (
     PartitionTally,
     ReduceInput,
     framed_merge_for_reduce,
-    group_by_key,
     merge_for_reduce,
     partition_pairs,
     run_combiner,
     serialized_bytes,
-    sort_pairs,
 )
 from repro.mapreduce.types import Writable
 from repro.util.errors import TaskFailedError
@@ -257,11 +255,9 @@ def execute_map(
     except Exception as exc:  # noqa: BLE001 - user code boundary
         raise _wrap_user_error("map", exc) from exc
 
-    # Sort once, before partitioning: partitions are key-determined, so
-    # a stable bucketing of sorted pairs leaves every bucket key-sorted
-    # — the per-partition re-sort the combiner used to pay disappears.
-    # The combiner's key groups fall out of the partitioning pass; a job
-    # without a combiner collects none.
+    # One pass orders and buckets the output: every bucket comes back
+    # key-sorted, so the combiner never re-sorts, and its key groups
+    # fall out of the same pass (a job without a combiner collects none).
     tally = PartitionTally(grouped=job.combiner is not None)
     # ``drained`` stays bound until the task returns on purpose: it then
     # holds the last reference to every pair, so they are freed in
@@ -270,7 +266,7 @@ def execute_map(
     # (+6 % CPU on a 1 MiB WordCount).
     drained = context.drain()
     partitions = partition_pairs(
-        sort_pairs(drained), job_partitioner(job), conf.num_reduces, tally
+        drained, job_partitioner(job), conf.num_reduces, tally
     )
     records_out, output_bytes = tally.records, tally.nbytes
     counters.increment(C.MAP_INPUT_RECORDS, records_in)
@@ -282,8 +278,8 @@ def execute_map(
     if job.combiner is not None:
         if sanitizer is not None:
             # Spot-check the combiner contract on the *uncombined*,
-            # key-sorted output before the real combine consumes it.
-            sanitizer.check_combiner(job.combiner, partitions)
+            # key-sorted groups before the real combine consumes them.
+            sanitizer.check_combiner(job.combiner, tally.groups)
         combined: dict[int, list[Pair]] = {}
         combine_records = 0
         for partition, ppairs in partitions.items():
@@ -293,8 +289,7 @@ def execute_map(
                     ppairs,
                     context,
                     counters,
-                    presorted=True,
-                    groups=tally.groups.pop(partition),
+                    tally.groups.pop(partition),
                 )
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise _wrap_user_error("combine", exc) from exc
@@ -355,18 +350,14 @@ class IdentityReducer:
 
 def execute_reduce(
     job: Job,
-    merged_pairs: "list[Pair] | ReduceInput",
+    merged: ReduceInput,
     mr_config: MapReduceConfig,
     side_reader: SideReader | None = None,
     node_cache: dict[str, Any] | None = None,
     task_node: str | None = None,
 ) -> ReduceExecution:
-    """Run one reduce task over its merged, key-sorted partition.
-
-    A :class:`~repro.mapreduce.shuffle.ReduceInput` (the framed merge)
-    arrives grouped, with its record and byte totals; a pair list is
-    grouped and sized here.
-    """
+    """Run one reduce task over its merged partition, which arrives
+    grouped and key-sorted, with its record and byte totals."""
     counters = Counters()
     conf = job.conf
     sanitizer = _make_sanitizer(
@@ -384,12 +375,7 @@ def execute_reduce(
         if sanitizer is not None
         else Context(**context_kwargs)
     )
-    if isinstance(merged_pairs, ReduceInput):
-        key_groups, in_records, in_bytes = merged_pairs
-    else:
-        key_groups = group_by_key(merged_pairs)
-        in_records = len(merged_pairs)
-        in_bytes = serialized_bytes(merged_pairs)
+    key_groups, in_records, in_bytes = merged
     reducer_cls = job.reducer if job.reducer is not None else IdentityReducer
     reducer = reducer_cls()
     groups = 0
@@ -499,8 +485,8 @@ def reduce_attempt_work(
     simulation state, so they stay in the simulation thread).
 
     When every input is frozen the maps decode into key runs and
-    heap-merge run by run — a stable k-way merge, identical in sequence
-    to the concatenate-and-stable-sort that object-form inputs (serial
+    heap-merge run by run — a stable k-way merge, identical in groups
+    to the concatenate-and-group that object-form inputs (serial
     backends, inline attempts, unframeable outputs) take.
     """
     if all(output.frozen for output in map_outputs):
@@ -513,7 +499,7 @@ def reduce_attempt_work(
         timings = None
     execution = execute_reduce(
         job=job,
-        merged_pairs=merged,
+        merged=merged,
         mr_config=mr_config,
         side_reader=side_reader,
         node_cache=node_cache,

@@ -6,22 +6,32 @@ lecture has students compare ("increased map task run time ... versus
 reduced network traffic").
 
 Hot-path notes: these functions sit inside every task attempt, so they
-pay per *run of equal keys* rather than per record.  A map task sorts
-its output exactly once; :func:`partition_pairs` then walks that list
-as runs of adjacent keys of equal ``(type, sort_key)`` — the grouping
-rule of ``Writable.__eq__``, found with one ``sort_key()`` per record
-and C-level neighbour comparisons (:func:`_key_runs`).  Each run costs
-one partitioner call, one key size and one slice-extend of its bucket
-(materialising only non-empty partitions), and is kept as the
-``(key, values)`` group the combiner consumes, so :func:`run_combiner`
-(``presorted``, still checked) does not regroup.  Runs whose key class
-does not pin the encoding to the sort key are partitioned and sized
-record by record (:func:`_uniform_runs`), which keeps buckets, tallies
-and groups identical to a per-record pass for any input order.  The
-reduce side's :func:`group_by_key` is the same walk.  Sizes come from
-per-instance ``serialized_size`` memos (see
-:class:`~repro.mapreduce.types.Writable`) and per-partition byte memos
-on :class:`MapOutput`.
+pay per *distinct key* where they can, and per record only where they
+must.  One grouping rule serves both sides (:func:`_runs`): a pair list
+in emission order becomes what a stable sort by ``sort_key()`` and a
+cut between adjacent unequal keys (``Writable.__eq__``) would give —
+key-sorted runs of equal keys, each in emission order.  When every key
+is of one exact class in
+:data:`~repro.mapreduce.types.SORT_KEY_PINS_ENCODING` (``Text``,
+``IntWritable``, ``LongWritable``, ``NullWritable``), equal sort keys
+are identical keys, so the run *is* the dict entry of its sort key: the
+pairs are collected by hashing, with one ``sort_key()`` per record, and
+only the distinct sort keys are sorted.  Every other key column
+(``FloatWritable``, whose ``0.0 == -0.0``; ``record_writable`` keys,
+whose ``(1,) == (1.0,)``; subclasses; mixed classes) takes the stable
+sort and the neighbour walk of :func:`_key_runs`.
+
+:func:`partition_pairs` takes a map attempt's output in emission order
+and returns key-sorted buckets.  A run costs one partitioner call, one
+key size and one extend of its bucket (materialising only non-empty
+partitions), and is kept as the ``(key, values)`` group the combiner
+consumes, so :func:`run_combiner` does not regroup.  A run of a class
+that does not pin the encoding to the sort key is partitioned and sized
+record by record, which keeps buckets, tallies and groups identical to
+a per-record pass.  :func:`merge_for_reduce` groups the concatenated
+map outputs by the same rule.  Sizes come from per-instance
+``serialized_size`` memos (see :class:`~repro.mapreduce.types.Writable`)
+and per-partition byte memos on :class:`MapOutput`.
 """
 
 from __future__ import annotations
@@ -97,30 +107,45 @@ def _key_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
     return pairwise([0, *compress(range(1, count), is_boundary), count])
 
 
-def group_by_key(sorted_pairs: Iterable[Pair]) -> Iterator[tuple[Writable, list[Writable]]]:
-    """Group a key-sorted pair stream into (key, values) runs."""
-    pairs = sorted_pairs if isinstance(sorted_pairs, list) else list(sorted_pairs)
-    values = list(map(_VALUE, pairs))
-    for start, stop in _key_runs(pairs):
-        yield pairs[start][0], values[start:stop]
+def _runs(pairs: list[Pair]) -> list[list[Pair]]:
+    """The one grouping rule: ``pairs`` as key-sorted runs of equal keys.
 
-
-def _uniform_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
-    """:func:`_key_runs`, cut down to spans one partitioner call and one
-    key size are exact for.
-
-    For the classes in
-    :data:`~repro.mapreduce.types.SORT_KEY_PINS_ENCODING` equal sort keys
-    mean identical keys.  For any other class they need not — ``0.0``
-    and ``-0.0`` are one ``FloatWritable`` group but two CRC32 inputs,
-    and a custom class may order on a subset of what it encodes — so a
-    longer run of those is taken record by record.
+    The runs are what :func:`sort_pairs` followed by :func:`_key_runs`
+    cuts, the same pair objects in the same order.  When they are found
+    by hashing (see the module notes for when), equal sort keys are
+    identical keys, totally ordered, so filing each pair under its sort
+    key and sorting the distinct sort keys gives the stable sort's order.
     """
-    for start, stop in _key_runs(pairs):
-        if stop - start == 1 or type(pairs[start][0]) in SORT_KEY_PINS_ENCODING:
-            yield start, stop
-        else:
-            yield from zip(range(start, stop), range(start + 1, stop + 1))
+    if not pairs:
+        return []
+    cls = type(pairs[0][0])
+    if cls in SORT_KEY_PINS_ENCODING and len(set(map(type, map(_KEY, pairs)))) == 1:
+        by_sort_key: dict = {}
+        get = by_sort_key.get
+        for kv in pairs:
+            sort_key = kv[0].sort_key()
+            run = get(sort_key)
+            if run is None:
+                by_sort_key[sort_key] = [kv]
+            else:
+                run.append(kv)
+        return [by_sort_key[sort_key] for sort_key in sorted(by_sort_key)]
+    ordered = sort_pairs(pairs)
+    return [ordered[start:stop] for start, stop in _key_runs(ordered)]
+
+
+def _groups(pairs: list[Pair]) -> list[tuple[Writable, list[Writable]]]:
+    """``(key, values)`` per run of :func:`_runs`: the reduce groups."""
+    return [(run[0][0], list(map(_VALUE, run))) for run in _runs(pairs)]
+
+
+def _groups_in_order(groups: list[tuple[Writable, list[Writable]]]) -> bool:
+    """Group keys non-descending by :func:`is_key_sorted`'s own rule, and
+    no key split over two adjacent groups (``Writable.__eq__``)."""
+    keys = list(map(_KEY, groups))
+    return is_key_sorted(groups) and not any(
+        map(operator.eq, keys, islice(keys, 1, None))
+    )
 
 
 class PartitionTally:
@@ -128,8 +153,8 @@ class PartitionTally:
 
     ``records`` / ``nbytes`` are the map-output record and payload-byte
     totals.  ``groups`` (only collected when ``grouped``) maps each
-    partition to ``group_by_key`` of its bucket, as a list — what the
-    combiner consumes, so it does not regroup per record.
+    partition to the ``(key, values)`` groups of its bucket, as a list —
+    what the combiner consumes, so it does not regroup per record.
     """
 
     __slots__ = ("records", "nbytes", "groups")
@@ -148,51 +173,59 @@ def partition_pairs(
     num_reduces: int,
     tally: PartitionTally | None = None,
 ) -> dict[int, list[Pair]]:
-    """Bucket pairs by reduce partition, one step per run of equal keys.
+    """Order a map attempt's output by key and bucket it by partition.
 
-    Only partitions that receive at least one pair are materialised;
-    consumers read absent partitions via ``.get(p, ())``.  For wide
-    reduce fan-outs this skips allocating hundreds of empty lists per
-    map task.
+    ``pairs`` come in emission order; each bucket comes back key-sorted
+    (stably), holding what a stable sort and a per-record bucketing
+    pass would put there.  Only partitions that receive at least one
+    pair are materialised; consumers read absent partitions via
+    ``.get(p, ())``.
 
-    Adjacent equal keys share a partition and a key size, so the
-    partitioner is asked once per run and the run is slice-copied into
-    its bucket.  Any input order gives the buckets a per-record pass
-    would; the key-sorted list a map task hands over just has the
-    fewest runs.  ``tally``, when given, is filled along the way.
+    The partitioner is asked once per run of :func:`_runs` and the run
+    joins its bucket whole — except a run of a class whose sort key does
+    not pin its encoding, whose records may still partition and size
+    apart (``0.0`` and ``-0.0`` are one ``FloatWritable`` group but two
+    CRC32 inputs) and are taken one by one.  ``tally``, when given, is
+    filled along the way.
     """
     if not isinstance(pairs, list):
         pairs = list(pairs)
     buckets: dict[int, list[Pair]] = {}
     groups = tally.groups if tally is not None else None
-    values = list(map(_VALUE, pairs)) if groups is not None else None
     # Value sizes first: their scratch list is gone before the buckets
     # and groups grow.
     nbytes = (
         sum([kv[1].serialized_size() for kv in pairs]) if tally is not None else 0
     )
     part = partitioner.partition
-    for start, stop in _uniform_runs(pairs):
-        key = pairs[start][0]
-        p = part(key, num_reduces)
-        nbytes += key.serialized_size() * (stop - start)
-        bucket = buckets.get(p)
-        if bucket is None:
-            buckets[p] = pairs[start:stop]
+    for run in _runs(pairs):
+        if len(run) == 1 or type(run[0][0]) in SORT_KEY_PINS_ENCODING:
+            spans = (run,)
         else:
-            bucket += pairs[start:stop]
-        if groups is None:
-            continue
-        pgroups = groups.get(p)
-        if pgroups is None:
-            groups[p] = [(key, values[start:stop])]
-        elif pgroups[-1][0] == key:
-            # The bucket's previous pair carries this key too (a run cut
-            # up above, or unsorted input): one group, as group_by_key
-            # over the bucket would make it.
-            pgroups[-1][1].extend(values[start:stop])
-        else:
-            pgroups.append((key, values[start:stop]))
+            spans = [[kv] for kv in run]
+        for span in spans:
+            key = span[0][0]
+            p = part(key, num_reduces)
+            nbytes += key.serialized_size() * len(span)
+            values = list(map(_VALUE, span)) if groups is not None else None
+            bucket = buckets.get(p)
+            if bucket is None:
+                buckets[p] = span
+            else:
+                bucket += span
+            if groups is None:
+                continue
+            pgroups = groups.get(p)
+            if pgroups is None:
+                groups[p] = [(key, values)]
+            elif pgroups[-1][0] == key:
+                # The bucket's previous pair carries this key too (a run
+                # taken record by record, or IntWritable(1) runs either
+                # side of a LongWritable(1) one): one group, as grouping
+                # the bucket would make it.
+                pgroups[-1][1].extend(values)
+            else:
+                pgroups.append((key, values))
     if tally is not None:
         tally.records = len(pairs)
         tally.nbytes = nbytes
@@ -204,31 +237,21 @@ def run_combiner(
     pairs: list[Pair],
     context: Context,
     counters: Counters,
-    presorted: bool = False,
-    groups: Iterable[tuple[Writable, list[Writable]]] | None = None,
+    groups: list[tuple[Writable, list[Writable]]],
 ) -> list[Pair]:
-    """Apply a combiner to one map task's (sorted) output.
+    """Apply a combiner to one map task's key-sorted output.
 
     Returns the combined pair list.  Counter deltas
     (COMBINE_INPUT/OUTPUT_RECORDS) land in ``counters``.
 
-    ``presorted=True`` promises the caller already key-sorted ``pairs``
-    (the map task sorts its output exactly once before partitioning, and
-    a stable sort bucketed on a key-derived partition stays sorted), so
-    the redundant per-partition re-sort is skipped.  The promise is
-    checked in debug mode.
-
-    ``groups`` are the key groups of presorted ``pairs`` when the caller
-    already holds them (:class:`PartitionTally` does), which saves
-    regrouping them here.
+    ``groups`` are the key groups of ``pairs``, in key order, as
+    :class:`PartitionTally` collects them.  The order is checked in
+    debug mode at one step per group: keys must be non-descending and
+    no key may be split over two adjacent groups.
     """
     counters.increment(C.COMBINE_INPUT_RECORDS, len(pairs))
-    if presorted and __debug__ and not is_key_sorted(pairs):
-        raise AssertionError(
-            "run_combiner(presorted=True) received unsorted pairs"
-        )
-    if groups is None:
-        groups = group_by_key(pairs if presorted else sort_pairs(pairs))
+    if __debug__ and not _groups_in_order(groups):
+        raise AssertionError("run_combiner received groups out of key order")
     combiner = combiner_cls()
     combiner.setup(context)
     for key, values in groups:
@@ -445,28 +468,28 @@ class MapOutput:
         return sum(self.partition_records(p) for p in self.partition_ids())
 
 
-def merge_for_reduce(
-    outputs: Iterable[MapOutput], partition: int
-) -> list[Pair]:
-    """Merge one partition's pairs from every map output, key-sorted.
-
-    A k-way merge in Hadoop; a concatenate-and-sort here (same result,
-    and the sort cost model charges the equivalent comparisons).  Map
-    outputs arrive key-sorted per partition, so Timsort's galloping
-    merge makes this pass close to linear.
-    """
-    merged: list[Pair] = []
-    for output in outputs:
-        merged.extend(output.pairs_for(partition))
-    return sort_pairs(merged)
-
-
 class ReduceInput(NamedTuple):
     """One reduce partition merged *and grouped*, with its totals."""
 
     groups: list[tuple[Writable, list[Writable]]]
     records: int
     nbytes: int
+
+
+def merge_for_reduce(outputs: Iterable[MapOutput], partition: int) -> ReduceInput:
+    """Merge and group one partition's pairs from every map output.
+
+    A k-way merge in Hadoop; here the map outputs are concatenated in
+    map order and grouped by :func:`_runs` — the groups a stable sort
+    of the concatenation would cut (the sort cost model charges the
+    equivalent comparisons).  The totals come from the outputs' memos.
+    """
+    merged: list[Pair] = []
+    nbytes = 0
+    for output in outputs:
+        merged.extend(output.pairs_for(partition))
+        nbytes += output.partition_bytes(partition)
+    return ReduceInput(_groups(merged), len(merged), nbytes)
 
 
 def framed_merge_for_reduce(
@@ -481,10 +504,10 @@ def framed_merge_for_reduce(
     :func:`merge_for_reduce`'s concatenate-and-stable-sort produces,
     since a stream's equal-key records move together either way.
     Adjacent runs of equal keys then join into the groups
-    :func:`group_by_key` would cut (the same :func:`_key_runs` rule);
-    the totals come from the outputs' memos, not from the records.  Any
-    unsorted blob (custom partitioner games, NaN keys) falls back to
-    the full sort.
+    :func:`merge_for_reduce` would cut (the same :func:`_key_runs`
+    rule); the totals come from the outputs' memos, not from the
+    records.  Any unsorted blob (custom partitioner games, NaN keys)
+    falls back to grouping the flattened pairs by :func:`_runs`.
     """
     t0 = _perf_clock() if perf is not None else 0.0
     streams: list[list[tuple[Writable, list[Writable]]]] = []
@@ -512,8 +535,7 @@ def framed_merge_for_reduce(
                 values += more
             groups.append((key, values))
     else:
-        pairs = list(wire.flatten_runs(chain.from_iterable(streams)))
-        groups = list(group_by_key(sort_pairs(pairs)))
+        groups = _groups(list(wire.flatten_runs(chain.from_iterable(streams))))
     if perf is not None:
         perf.merge_ms += (_perf_clock() - t0) * 1e3
     return ReduceInput(groups, records, nbytes)

@@ -112,3 +112,27 @@ class TestCampusChaos:
         second = run_campus(scenario)
         assert first.clusters[0].chaos_crashes > 0
         assert first.clusters[0].digest == second.clusters[0].digest
+
+
+class TestFinalize:
+    def test_one_fsck_per_finalize(self, monkeypatch):
+        # finalize hands its health report to the digest: one namespace
+        # walk, and a digest over a fresh fsck agrees.
+        from repro.core import campus
+
+        walks = []
+
+        def counted_fsck(namenode):
+            walks.append(namenode)
+            return real_fsck(namenode)
+
+        real_fsck = campus.fsck
+        run = CampusClusterRun(small_scenario(num_students=10, num_clusters=1), 0)
+        try:
+            monkeypatch.setattr(campus, "fsck", counted_fsck)
+            stats = run.run_to_completion()
+            assert len(walks) == 1
+            assert stats.digest == run.digest(campus.fsck(run.mr.hdfs.namenode))
+            assert len(walks) == 2
+        finally:
+            run.close()

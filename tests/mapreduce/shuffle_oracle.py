@@ -1,20 +1,35 @@
-"""Reference oracle: the per-record map output path, as it was.
+"""Reference oracle: the sort-then-walk map and reduce sides, as they were.
 
-These are the bodies ``repro.mapreduce.shuffle.partition_pairs``,
-``group_by_key`` and ``repro.mapreduce.runtime._PairTally`` had before
-the run-aware rewrite — one partitioner call, two ``serialized_size()``
-calls and one ``Writable.__eq__`` per record.  They define what the
-fast path must reproduce exactly; ``test_shuffle_runs.py`` compares the
-two.  Not collected by pytest (no ``test_`` prefix).
+These are the bodies ``repro.mapreduce.shuffle`` had before the map
+side grouped ``SORT_KEY_PINS_ENCODING`` keys by hashing: one stable
+sort of the map output (:func:`sort_pairs`), then a walk over runs of
+adjacent equal keys that partitions each run once (:func:`partition_pairs`),
+and on the reduce side a list-returning :func:`merge_for_reduce` that
+``execute_reduce`` grouped with :func:`group_by_key`.  :func:`map_side`
+and :func:`reduce_input` are what the parent's ``execute_map`` and
+``execute_reduce`` computed, reported through today's signatures; they
+define what the hash path must reproduce exactly (``test_shuffle_runs.py``
+compares the two).  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import compress, islice, pairwise
 from typing import Iterable, Iterator
 
 from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.shuffle import Pair, PartitionTally
-from repro.mapreduce.types import Writable
+from repro.mapreduce.shuffle import (
+    MapOutput,
+    Pair,
+    PartitionTally,
+    ReduceInput,
+    serialized_bytes,
+)
+from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Writable
+
+_KEY = operator.itemgetter(0)
+_VALUE = operator.itemgetter(1)
 
 
 def is_key_sorted(pairs: list[Pair]) -> bool:
@@ -24,69 +39,100 @@ def is_key_sorted(pairs: list[Pair]) -> bool:
     )
 
 
-def group_by_key(
-    sorted_pairs: Iterable[Pair],
-) -> Iterator[tuple[Writable, list[Writable]]]:
-    current_key: Writable | None = None
-    values: list[Writable] = []
-    for key, value in sorted_pairs:
-        if current_key is None or key != current_key:
-            if current_key is not None:
-                yield current_key, values
-            current_key, values = key, [value]
+def sort_pairs(pairs: list[Pair]) -> list[Pair]:
+    return sorted(pairs, key=lambda kv: kv[0].sort_key())
+
+
+def _key_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
+    count = len(pairs)
+    if not count:
+        return iter(())
+    sort_keys = [kv[0].sort_key() for kv in pairs]
+    is_boundary = map(operator.ne, sort_keys, islice(sort_keys, 1, None))
+    classes = list(map(type, map(_KEY, pairs)))
+    if len(set(classes)) > 1:
+        is_boundary = map(
+            operator.or_,
+            is_boundary,
+            map(operator.is_not, classes, islice(classes, 1, None)),
+        )
+    return pairwise([0, *compress(range(1, count), is_boundary), count])
+
+
+def group_by_key(sorted_pairs: Iterable[Pair]) -> Iterator[tuple[Writable, list[Writable]]]:
+    pairs = sorted_pairs if isinstance(sorted_pairs, list) else list(sorted_pairs)
+    values = list(map(_VALUE, pairs))
+    for start, stop in _key_runs(pairs):
+        yield pairs[start][0], values[start:stop]
+
+
+def _uniform_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
+    for start, stop in _key_runs(pairs):
+        if stop - start == 1 or type(pairs[start][0]) in SORT_KEY_PINS_ENCODING:
+            yield start, stop
         else:
-            values.append(value)
-    if current_key is not None:
-        yield current_key, values
+            yield from zip(range(start, stop), range(start + 1, stop + 1))
 
 
 def partition_pairs(
-    pairs: Iterable[Pair], partitioner: Partitioner, num_reduces: int
-) -> dict[int, list[Pair]]:
-    buckets: dict[int, list[Pair]] = {}
-    part = partitioner.partition
-    get = buckets.get
-    for kv in pairs:
-        p = part(kv[0], num_reduces)
-        bucket = get(p)
-        if bucket is None:
-            buckets[p] = [kv]
-        else:
-            bucket.append(kv)
-    return buckets
-
-
-class PairTally:
-    """Pass-through pair iterator tallying records and payload bytes."""
-
-    __slots__ = ("source", "records", "nbytes")
-
-    def __init__(self, source):
-        self.source = source
-        self.records = 0
-        self.nbytes = 0
-
-    def __iter__(self):
-        for kv in self.source:
-            self.records += 1
-            self.nbytes += kv[0].serialized_size() + kv[1].serialized_size()
-            yield kv
-
-
-def tallied_partition_pairs(
     pairs: Iterable[Pair],
     partitioner: Partitioner,
     num_reduces: int,
     tally: PartitionTally | None = None,
 ) -> dict[int, list[Pair]]:
-    """The oracle behind today's ``partition_pairs`` signature: what the
-    old ``execute_map`` computed, reported the way the new one reads it
-    (per-bucket ``group_by_key`` is what ``run_combiner`` used to do)."""
-    counted = PairTally(pairs)
-    buckets = partition_pairs(counted, partitioner, num_reduces)
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
+    buckets: dict[int, list[Pair]] = {}
+    groups = tally.groups if tally is not None else None
+    values = list(map(_VALUE, pairs)) if groups is not None else None
+    nbytes = (
+        sum([kv[1].serialized_size() for kv in pairs]) if tally is not None else 0
+    )
+    part = partitioner.partition
+    for start, stop in _uniform_runs(pairs):
+        key = pairs[start][0]
+        p = part(key, num_reduces)
+        nbytes += key.serialized_size() * (stop - start)
+        bucket = buckets.get(p)
+        if bucket is None:
+            buckets[p] = pairs[start:stop]
+        else:
+            bucket += pairs[start:stop]
+        if groups is None:
+            continue
+        pgroups = groups.get(p)
+        if pgroups is None:
+            groups[p] = [(key, values[start:stop])]
+        elif pgroups[-1][0] == key:
+            pgroups[-1][1].extend(values[start:stop])
+        else:
+            pgroups.append((key, values[start:stop]))
     if tally is not None:
-        tally.records, tally.nbytes = counted.records, counted.nbytes
-        if tally.groups is not None:
-            for partition, bucket in buckets.items():
-                tally.groups[partition] = list(group_by_key(bucket))
+        tally.records = len(pairs)
+        tally.nbytes = nbytes
     return buckets
+
+
+def merge_for_reduce(outputs: Iterable[MapOutput], partition: int) -> list[Pair]:
+    merged: list[Pair] = []
+    for output in outputs:
+        merged.extend(output.pairs_for(partition))
+    return sort_pairs(merged)
+
+
+def map_side(
+    pairs: list[Pair],
+    partitioner: Partitioner,
+    num_reduces: int,
+    tally: PartitionTally | None = None,
+) -> dict[int, list[Pair]]:
+    """The parent ``execute_map``: sort once, then partition the runs."""
+    return partition_pairs(sort_pairs(pairs), partitioner, num_reduces, tally)
+
+
+def reduce_input(outputs: Iterable[MapOutput], partition: int) -> ReduceInput:
+    """The parent ``execute_reduce``'s view of its merged partition."""
+    merged = merge_for_reduce(outputs, partition)
+    return ReduceInput(
+        list(group_by_key(merged)), len(merged), serialized_bytes(merged)
+    )

@@ -1,12 +1,13 @@
 """Sort/partition/group/combine plumbing."""
 
+import pytest
+
 from repro.mapreduce.api import Context
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
-    group_by_key,
     is_key_sorted,
     merge_for_reduce,
     partition_pairs,
@@ -15,10 +16,17 @@ from repro.mapreduce.shuffle import (
     sort_pairs,
 )
 from repro.mapreduce.types import IntWritable, Text
+from tests.mapreduce import shuffle_oracle
 
 
 def pairs_of(*items):
     return [(Text(k), IntWritable(v)) for k, v in items]
+
+
+def groups_of(pairs):
+    """The reduce groups of ``pairs``, as the combiner receives them."""
+    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+    return merge_for_reduce([output], 0).groups
 
 
 class TestSortAndGroup:
@@ -33,14 +41,16 @@ class TestSortAndGroup:
         assert values == [1, 2, 3]
 
     def test_group_by_key(self):
-        pairs = sort_pairs(pairs_of(("a", 1), ("b", 5), ("a", 2)))
-        groups = {
-            k.value: [v.value for v in vs] for k, vs in group_by_key(pairs)
-        }
-        assert groups == {"a": [1, 2], "b": [5]}
+        out = MapOutput(
+            task_index=0, node="n0", partitions={0: pairs_of(("a", 1), ("b", 5), ("a", 2))}
+        )
+        groups = [
+            (k.value, [v.value for v in vs]) for k, vs in merge_for_reduce([out], 0).groups
+        ]
+        assert groups == [("a", [1, 2]), ("b", [5])]
 
     def test_group_empty(self):
-        assert list(group_by_key([])) == []
+        assert merge_for_reduce([], 0) == ([], 0, 0)
 
 
 class TestPartitioning:
@@ -68,13 +78,14 @@ class TestPartitioning:
         assert len(nonempty) == 1
 
     def test_stable_bucketing_of_sorted_input_stays_sorted(self):
-        # The map side sorts once, then partitions: each bucket of a
-        # key-sorted list must itself be key-sorted (what lets the
-        # combiner run with presorted=True).
-        pairs = sort_pairs(pairs_of(*[(f"k{i % 13}", i) for i in range(60)]))
+        # Every bucket comes back key-sorted whatever the input order
+        # (what lets the combiner run with presorted=True), equal keys
+        # in emission order.
+        pairs = pairs_of(*[(f"k{(i * 7) % 13}", i) for i in range(60)])
         buckets = partition_pairs(pairs, HashPartitioner(), 4)
         for bucket in buckets.values():
             assert is_key_sorted(bucket)
+            assert bucket == sort_pairs(bucket)
 
 
 class TestSerializedBytes:
@@ -101,7 +112,9 @@ class TestCombiner:
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         pairs = pairs_of(("a", 1), ("a", 1), ("b", 1))
-        combined = run_combiner(self.SumCombiner, pairs, context, counters)
+        combined = run_combiner(
+            self.SumCombiner, pairs, context, counters, groups_of(pairs)
+        )
         as_dict = {k.value: v.value for k, v in combined}
         assert as_dict == {"a": 2, "b": 1}
         assert counters.get(C.COMBINE_INPUT_RECORDS) == 3
@@ -112,30 +125,76 @@ class TestCombiner:
         context = Context(conf=JobConf(), counters=counters)
         pairs = sort_pairs(pairs_of(("b", 1), ("a", 2), ("a", 3)))
         combined = run_combiner(
-            self.SumCombiner, pairs, context, counters, presorted=True
+            self.SumCombiner, pairs, context, counters, groups_of(pairs)
         )
         assert {k.value: v.value for k, v in combined} == {"a": 5, "b": 1}
 
     def test_presorted_lie_is_caught_in_debug_mode(self):
-        import pytest
-
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         unsorted = pairs_of(("b", 1), ("a", 2))
+        in_emission_order = [(k, [v]) for k, v in unsorted]
         if __debug__:
             with pytest.raises(AssertionError):
                 run_combiner(
                     self.SumCombiner, unsorted, context, counters,
-                    presorted=True,
+                    in_emission_order,
                 )
+
+    @pytest.mark.parametrize("lie", ["out-of-order", "split-group"])
+    def test_presorted_groups_lie_is_caught_in_debug_mode(self, lie):
+        # The promise is checked over the groups: keys non-descending,
+        # and no key split over two adjacent groups.
+        a1, a2, b = Text("a"), Text("a"), Text("b")
+        one = IntWritable(1)
+        if lie == "out-of-order":
+            pairs = [(b, one), (a1, one)]
+            groups = [(b, [one]), (a1, [one])]
+        else:
+            pairs = [(a1, one), (a2, one), (b, one)]
+            groups = [(a1, [one]), (a2, [one]), (b, [one])]
+        counters = Counters()
+        context = Context(conf=JobConf(), counters=counters)
+        if __debug__:
+            with pytest.raises(AssertionError):
+                run_combiner(self.SumCombiner, pairs, context, counters, groups)
+        # The honest groups of the same pairs pass.
+        ordered = sort_pairs(pairs)
+        combined = run_combiner(
+            self.SumCombiner, ordered, context, counters, groups_of(ordered)
+        )
+        assert [(k.value, v.value) for k, v in combined] == (
+            [("a", 1), ("b", 1)] if lie == "out-of-order" else [("a", 2), ("b", 1)]
+        )
+
+
+def _assert_merge_matches_oracle(outputs, partition):
+    """Same groups (the very same objects), records and bytes as the
+    parent's sort-the-concatenation-then-group merge."""
+    got = merge_for_reduce(outputs, partition)
+    want = shuffle_oracle.reduce_input(outputs, partition)
+    assert (got.records, got.nbytes) == (want.records, want.nbytes)
+    assert [(id(k), list(map(id, vs))) for k, vs in got.groups] == [
+        (id(k), list(map(id, vs))) for k, vs in want.groups
+    ]
+    return got
 
 
 class TestMergeForReduce:
     def test_merges_across_map_outputs(self):
-        out1 = MapOutput(task_index=0, node="n0", partitions={0: pairs_of(("b", 1))})
-        out2 = MapOutput(task_index=1, node="n1", partitions={0: pairs_of(("a", 2))})
-        merged = merge_for_reduce([out1, out2], 0)
-        assert [k.value for k, _ in merged] == ["a", "b"]
+        out1 = MapOutput(
+            task_index=0, node="n0", partitions={0: pairs_of(("b", 1), ("c", 3))}
+        )
+        out2 = MapOutput(
+            task_index=1, node="n1", partitions={0: pairs_of(("a", 2), ("b", 4))}
+        )
+        merged = _assert_merge_matches_oracle([out1, out2], 0)
+        assert [(k.value, [v.value for v in vs]) for k, vs in merged.groups] == [
+            ("a", [2]),
+            ("b", [1, 4]),
+            ("c", [3]),
+        ]
+        assert (merged.records, merged.nbytes) == (4, 4 * 5)
 
     def test_partition_isolation(self):
         out = MapOutput(
@@ -143,7 +202,8 @@ class TestMergeForReduce:
             node="n0",
             partitions={0: pairs_of(("a", 1)), 1: pairs_of(("b", 1))},
         )
-        assert [k.value for k, _ in merge_for_reduce([out], 1)] == ["b"]
+        merged = _assert_merge_matches_oracle([out], 1)
+        assert [k.value for k, _ in merged.groups] == ["b"]
 
     def test_byte_accounting(self):
         out = MapOutput(task_index=0, node="n0", partitions={0: pairs_of(("ab", 1))})

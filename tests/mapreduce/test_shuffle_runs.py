@@ -1,11 +1,13 @@
-"""The run-aware map output path ≡ the per-record path it replaced.
+"""The hash-grouped map and reduce sides ≡ the sort-then-walk ones.
 
-``partition_pairs`` / ``group_by_key`` walk runs of adjacent equal keys;
-``shuffle_oracle`` keeps the per-record bodies they had before.  Every
-check here is a differential: identical buckets (the very same pair
-objects, in the same order), identical record/byte tallies, identical
-combiner groups — for sorted and unsorted input, and for the key kinds
-where "equal sort key" does *not* mean "same key".
+``partition_pairs`` takes a map attempt's output in emission order and
+returns key-sorted buckets; ``merge_for_reduce`` returns its partition
+grouped.  ``shuffle_oracle`` keeps the bodies they replaced: one stable
+sort, then a walk over runs of adjacent equal keys.  Every check here is
+a differential: the very same pair objects in the same order, identical
+record/byte tallies, combiner groups, partitioner call sequence and
+``ReduceInput`` — over every key column, including those where "equal
+sort key" does *not* mean "same key", which must not take the hash path.
 """
 
 import math
@@ -22,9 +24,10 @@ from repro.mapreduce.counters import C
 from repro.mapreduce.local_runner import LocalJobRunner
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
+    MapOutput,
     PartitionTally,
-    group_by_key,
     is_key_sorted,
+    merge_for_reduce,
     partition_pairs,
     sort_pairs,
 )
@@ -43,7 +46,7 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 #: One ``nan`` object shared by several keys: ``nan == nan`` is False,
 #: so each is its own group, but ``nan is nan`` — the identity shortcut
-#: container comparisons take must not merge them.
+#: container comparisons (and dict lookups) take must not merge them.
 NAN = float("nan")
 
 Pt = record_writable("Pt", [("x", float), ("y", int)])
@@ -66,6 +69,16 @@ class LossyKey(Writable):
         return self.name
 
 
+class FoldedText(Text):
+    """A ``Text`` subclass that orders and groups case-insensitively but
+    encodes as written: ``A`` and ``a`` are one group, two partitions."""
+
+    __slots__ = ()
+
+    def sort_key(self) -> str:
+        return self.value.lower()
+
+
 class EncodedLengthPartitioner(Partitioner):
     """A custom partitioner that looks at the whole encoded key."""
 
@@ -74,38 +87,74 @@ class EncodedLengthPartitioner(Partitioner):
         return (len(encoded) + sum(map(ord, encoded))) % num_reduces
 
 
-# Key families: sort keys compare with ``<`` inside a family (so the
-# list can be key-sorted) but only with ``==`` across families.
-_stringy = st.one_of(
-    st.text(alphabet="abé", max_size=2).map(Text),
-    st.just(NullWritable()),
-)
-_numeric = st.one_of(
-    st.integers(min_value=-2, max_value=2).map(IntWritable),
-    st.integers(min_value=-2, max_value=2).map(LongWritable),
-    st.sampled_from([0.0, -0.0, 1.0, 1.5, NAN]).map(FloatWritable),
-    st.just(IntWritable(2**40)),  # widens to 8 bytes
-)
-_records = st.builds(
-    Pt, st.sampled_from([1, 1.0, 2.5, NAN]), st.integers(min_value=0, max_value=1)
-)
-_lossy = st.builds(
-    LossyKey, st.sampled_from(["a", "b"]), st.sampled_from([1, 22, 333])
-)
+class RecordingPartitioner(Partitioner):
+    """Delegates, and logs every key it is asked about."""
+
+    def __init__(self, inner: Partitioner):
+        self.inner = inner
+        self.keys: list[Writable] = []
+
+    def partition(self, key: Writable, num_reduces: int) -> int:
+        self.keys.append(key)
+        return self.inner.partition(key, num_reduces)
+
+
+_ints = st.one_of(st.integers(min_value=-2, max_value=2), st.just(2**40))
+_text = st.text(alphabet="aAb", max_size=2)
+
+#: Key columns.  The first five hold one class of
+#: ``SORT_KEY_PINS_ENCODING`` each and take the hash path; the rest
+#: must take the sort path.
+COLUMNS = {
+    "text-ascii": _text.map(Text),
+    "text-non-ascii": st.text(alphabet="aé日", max_size=2).map(Text),
+    "int": _ints.map(IntWritable),
+    "long": _ints.map(LongWritable),
+    "null": st.just(NullWritable()),
+    "int-and-long": st.one_of(_ints.map(IntWritable), _ints.map(LongWritable)),
+    "text-and-null": st.one_of(_text.map(Text), st.just(NullWritable())),
+    # A shared nan object and fresh ones (two nans are two objects).
+    "float": st.one_of(
+        st.sampled_from([0.0, -0.0, 1.5, NAN]).map(FloatWritable),
+        st.builds(lambda: FloatWritable(float("nan"))),
+    ),
+    "record": st.builds(
+        Pt, st.sampled_from([1, 1.0, 2.5, NAN]), st.integers(min_value=0, max_value=1)
+    ),
+    "lossy": st.builds(
+        LossyKey, st.sampled_from(["a", "b"]), st.sampled_from([1, 22, 333])
+    ),
+    "text-subclass": _text.map(FoldedText),
+    "text-and-subclass": st.one_of(_text.map(Text), _text.map(FoldedText)),
+}
 _values = st.one_of(
     st.integers(min_value=-3, max_value=2**33).map(IntWritable),
     st.text(alphabet="xyé", max_size=3).map(Text),
 )
-_families = [_stringy, _numeric, _records, _lossy]
 
 
-def _pairs_of(keys):
-    return st.lists(st.tuples(keys, _values), max_size=40)
+def _identity_class(kv):
+    return type(kv[0]), kv[0].sort_key()
 
 
-#: Sortable lists (one family each) and free mixtures of all of them.
-sortable_pairs = st.one_of(*[_pairs_of(family) for family in _families])
-any_pairs = _pairs_of(st.one_of(*_families))
+def _outputs_of(keys):
+    """Emission-order map outputs over ``keys``: any, all-equal (one key
+    object throughout) and all-distinct."""
+    return st.one_of(
+        st.lists(st.tuples(keys, _values), max_size=40),
+        st.tuples(keys, st.lists(_values, max_size=12)).map(
+            lambda kv: [(kv[0], value) for value in kv[1]]
+        ),
+        st.lists(st.tuples(keys, _values), max_size=20, unique_by=_identity_class),
+    )
+
+
+column_outputs = st.sampled_from(sorted(COLUMNS)).flatmap(
+    lambda name: _outputs_of(COLUMNS[name])
+)
+#: Columns mixed freely: sort keys that do not compare (``str`` beside
+#: ``int``) make both sides raise the same ``TypeError``.
+mixed_outputs = _outputs_of(st.one_of(*COLUMNS.values()))
 partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
 reduce_counts = st.sampled_from([1, 2, 3, 7])
 
@@ -118,19 +167,32 @@ def _group_ids(groups):
     return [(id(key), [id(v) for v in values]) for key, values in groups]
 
 
+def _reduce_groups(pairs):
+    """The product's reduce groups of one map output's partition."""
+    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+    return merge_for_reduce([output], 0).groups
+
+
 def assert_matches_oracle(pairs, partitioner, num_reduces):
     expected_tally = PartitionTally(grouped=True)
-    expected = oracle.tallied_partition_pairs(
-        pairs, partitioner, num_reduces, expected_tally
-    )
+    expected_calls = RecordingPartitioner(partitioner)
+    try:
+        expected = oracle.map_side(pairs, expected_calls, num_reduces, expected_tally)
+    except TypeError:
+        with pytest.raises(TypeError):
+            partition_pairs(pairs, partitioner, num_reduces, PartitionTally(grouped=True))
+        return
     tally = PartitionTally(grouped=True)
-    got = partition_pairs(pairs, partitioner, num_reduces, tally)
+    calls = RecordingPartitioner(partitioner)
+    got = partition_pairs(pairs, calls, num_reduces, tally)
 
     # Same partitions, first-seen order included, holding the very
-    # same pair objects in the same order.
+    # same pair objects in the same order; the partitioner asked about
+    # the same key objects in the same order.
     assert list(got) == list(expected)
     for partition in expected:
         assert _ids(got[partition]) == _ids(expected[partition])
+    assert list(map(id, calls.keys)) == list(map(id, expected_calls.keys))
     assert (tally.records, tally.nbytes) == (
         expected_tally.records,
         expected_tally.nbytes,
@@ -156,26 +218,63 @@ def assert_matches_oracle(pairs, partitioner, num_reduces):
             assert _ids(other[partition]) == _ids(expected[partition])
 
 
+def assert_reduce_matches_oracle(maps):
+    outputs = [
+        MapOutput(task_index=i, node="n", partitions={0: pairs})
+        for i, pairs in enumerate(maps)
+    ]
+    try:
+        expected = oracle.reduce_input(outputs, 0)
+    except TypeError:
+        with pytest.raises(TypeError):
+            merge_for_reduce(outputs, 0)
+        return
+    got = merge_for_reduce(outputs, 0)
+    assert (got.records, got.nbytes) == (expected.records, expected.nbytes)
+    assert _group_ids(got.groups) == _group_ids(expected.groups)
+
+
 class TestDifferential:
-    @given(pairs=sortable_pairs, partitioner=partitioners, n=reduce_counts)
+    @given(pairs=column_outputs, partitioner=partitioners, n=reduce_counts)
     @SETTINGS
     def test_key_sorted_input(self, pairs, partitioner, n):
-        # What execute_map hands over: one stable sort, then partition.
-        assert_matches_oracle(sort_pairs(pairs), partitioner, n)
+        # Input that is sorted already: the hash path must not reorder it.
+        try:
+            pairs = sort_pairs(pairs)
+        except TypeError:
+            pass
+        assert_matches_oracle(pairs, partitioner, n)
 
-    @given(pairs=any_pairs, partitioner=partitioners, n=reduce_counts)
+    @given(pairs=column_outputs, partitioner=partitioners, n=reduce_counts)
+    @SETTINGS
+    def test_emission_order_input(self, pairs, partitioner, n):
+        # What execute_map hands over.
+        assert_matches_oracle(pairs, partitioner, n)
+
+    @given(pairs=mixed_outputs, partitioner=partitioners, n=reduce_counts)
     @SETTINGS
     def test_any_input_order(self, pairs, partitioner, n):
         assert_matches_oracle(pairs, partitioner, n)
 
-    @given(pairs=any_pairs)
+    @given(pairs=mixed_outputs)
     @SETTINGS
     def test_group_by_key(self, pairs):
-        expected = list(oracle.group_by_key(pairs))
-        assert _group_ids(group_by_key(pairs)) == _group_ids(expected)
-        assert _group_ids(group_by_key(iter(pairs))) == _group_ids(expected)
+        # The reduce side's grouping of one output, any order, any mix.
+        assert_reduce_matches_oracle([pairs])
 
-    @given(pairs=sortable_pairs, sort_first=st.booleans())
+    @given(
+        maps=st.sampled_from(sorted(COLUMNS)).flatmap(
+            lambda name: st.lists(_outputs_of(COLUMNS[name]), min_size=1, max_size=3)
+        ),
+        sort_first=st.booleans(),
+    )
+    @SETTINGS
+    def test_reduce_input(self, maps, sort_first):
+        if sort_first:  # as map tasks hand them over
+            maps = [sort_pairs(pairs) for pairs in maps]
+        assert_reduce_matches_oracle(maps)
+
+    @given(pairs=column_outputs, sort_first=st.booleans())
     @SETTINGS
     def test_is_key_sorted(self, pairs, sort_first):
         if sort_first:
@@ -199,13 +298,13 @@ class TestEdgeCases:
             (IntWritable(1), _one()),
         ]
         assert is_key_sorted(pairs)  # equal sort keys throughout
-        assert [len(vs) for _, vs in group_by_key(pairs)] == [1, 2, 1]
+        assert [len(vs) for _, vs in _reduce_groups(pairs)] == [1, 2, 1]
         assert_matches_oracle(pairs, HashPartitioner(), n)
 
     def test_interleaved_classes_regroup_inside_a_bucket(self):
         # Long(1) leaves for another partition, so the two Int(1) runs
         # end up adjacent in their bucket: one combiner group, as
-        # group_by_key over that bucket always made it.
+        # grouping that bucket always made it.
         class ByClass(Partitioner):
             def partition(self, key, num_reduces):
                 return 0 if type(key) is IntWritable else 1
@@ -223,7 +322,7 @@ class TestEdgeCases:
     def test_nan_keys_sharing_one_nan_object_stay_apart(self):
         pairs = [(FloatWritable(NAN), _one(i)) for i in range(3)]
         assert pairs[0][0].sort_key() is pairs[1][0].sort_key()
-        assert len(list(group_by_key(pairs))) == 3
+        assert len(_reduce_groups(pairs)) == 3
         assert_matches_oracle(pairs, HashPartitioner(), 4)
 
     def test_signed_zero_is_one_group_but_two_partitions(self):
@@ -232,7 +331,7 @@ class TestEdgeCases:
             (FloatWritable(-0.0), _one()),
             (FloatWritable(0.0), _one()),
         ]
-        assert len(list(group_by_key(pairs))) == 1
+        assert len(_reduce_groups(pairs)) == 1
         hashed = HashPartitioner()
         assert hashed.partition(pairs[0][0], 7) != hashed.partition(pairs[1][0], 7)
         assert_matches_oracle(pairs, hashed, 7)
@@ -246,11 +345,9 @@ class TestEdgeCases:
         assert_matches_oracle(pairs, HashPartitioner(), 4)
 
     def test_record_key(self):
-        pairs = sort_pairs(
-            [(Pt(x, y), _one()) for x in (1, 1.0, 2.5) for y in (0, 1, 0)]
-        )
+        pairs = [(Pt(x, y), _one()) for x in (1, 1.0, 2.5) for y in (0, 1, 0)]
         # (1, 0) == (1.0, 0): one group whose members encode differently.
-        assert len(list(group_by_key(pairs))) == 4
+        assert len(_reduce_groups(pairs)) == 4
         assert_matches_oracle(pairs, HashPartitioner(), 5)
 
     @pytest.mark.parametrize(
@@ -258,21 +355,33 @@ class TestEdgeCases:
     )
     def test_sort_key_that_ignores_an_encoded_field(self, partitioner):
         pairs = [(LossyKey("a", tag), _one()) for tag in (1, 22, 333, 1)]
-        assert len(list(group_by_key(pairs))) == 1
+        assert len(_reduce_groups(pairs)) == 1
         tally = PartitionTally()
         partition_pairs(pairs, partitioner, 5, tally)
         # key sizes 3 + 4 + 5 + 3, four 4-byte values: per record exact
         assert tally.nbytes == 15 + 16
         assert_matches_oracle(pairs, partitioner, 5)
 
+    def test_text_subclass_is_not_hashed(self):
+        # Equal under its own sort key, apart under CRC32 of its bytes.
+        pairs = [(FoldedText(w), _one()) for w in ("b", "A", "a", "B", "a")]
+        assert [len(vs) for _, vs in _reduce_groups(pairs)] == [3, 2]
+        assert_matches_oracle(pairs, EncodedLengthPartitioner(), 3)
+
     def test_single_reduce(self):
-        pairs = sort_pairs([(Text(c), _one()) for c in "banana"])
+        pairs = [(Text(c), _one()) for c in "banana"]
         buckets = partition_pairs(pairs, EncodedLengthPartitioner(), 1)
-        assert list(buckets) == [0] and buckets[0] == pairs
+        assert list(buckets) == [0] and buckets[0] == sort_pairs(pairs)
         assert_matches_oracle(pairs, EncodedLengthPartitioner(), 1)
 
+    def test_empty_output(self):
+        tally = PartitionTally(grouped=True)
+        assert partition_pairs([], HashPartitioner(), 4, tally) == {}
+        assert (tally.records, tally.nbytes, tally.groups) == (0, 0, {})
+        assert _reduce_groups([]) == []
+
     def test_non_ascii_text_sizes(self):
-        pairs = sort_pairs([(Text(w), Text(w)) for w in ("é", "é", "e", "日本")])
+        pairs = [(Text(w), Text(w)) for w in ("é", "é", "e", "日本")]
         tally = PartitionTally()
         partition_pairs(pairs, HashPartitioner(), 3, tally)
         assert tally.nbytes == 2 * (2 + 2 + 1 + 6)
@@ -312,17 +421,18 @@ def _run(job_cls, mr_config, split_size=4 * 1024):
 
 
 def _run_on_oracle(monkeypatch, job_cls, mr_config):
-    """The same job with the per-record bodies swapped back in."""
+    """The same job with the parent's sort-then-walk bodies swapped in:
+    nothing of the new ordering runs on this path."""
     with monkeypatch.context() as patch:
-        patch.setattr(runtime, "partition_pairs", oracle.tallied_partition_pairs)
-        patch.setattr(runtime, "group_by_key", oracle.group_by_key)
-        patch.setattr(shuffle, "group_by_key", oracle.group_by_key)
-        patch.setattr(shuffle, "is_key_sorted", oracle.is_key_sorted)
+        patch.setattr(runtime, "partition_pairs", oracle.map_side)
+        patch.setattr(runtime, "merge_for_reduce", oracle.reduce_input)
         return _run(job_cls, mr_config)
 
 
 class TestJobsMatchTheOracle:
-    @pytest.mark.parametrize("job_cls", [WordCountWithCombinerJob, SignedZeroJob])
+    @pytest.mark.parametrize(
+        "job_cls", [WordCountWithCombinerJob, SignedZeroJob, WordCountJob]
+    )
     @pytest.mark.parametrize(
         "config", [{}, {"sanitize": True}], ids=["plain", "sanitize"]
     )
@@ -333,9 +443,62 @@ class TestJobsMatchTheOracle:
         assert got.pairs == want.pairs
         assert got.simulated_seconds == want.simulated_seconds
         assert got.sanitizer_violations == want.sanitizer_violations == []
-        assert got.counters.get(C.COMBINE_INPUT_RECORDS) == got.counters.get(
-            C.MAP_OUTPUT_RECORDS
-        )
+        if job_cls.combiner is not None:
+            assert got.counters.get(C.COMBINE_INPUT_RECORDS) == got.counters.get(
+                C.MAP_OUTPUT_RECORDS
+            )
+
+    def test_a_reversed_distinct_key_sort_is_caught(self, monkeypatch):
+        # Break the hash path's one sort: the job's output changes, and
+        # the oracle run, which takes none of the new ordering, does not.
+        clean = _run(WordCountJob, MapReduceConfig())
+        real_runs = shuffle._runs
+
+        def reversed_runs(pairs):
+            return real_runs(pairs)[::-1]
+
+        monkeypatch.setattr(shuffle, "_runs", reversed_runs)
+        broken = _run(WordCountJob, MapReduceConfig())
+        want = _run_on_oracle(monkeypatch, WordCountJob, MapReduceConfig())
+        assert broken.pairs != clean.pairs
+        assert want.pairs == clean.pairs
+
+
+class TestCostPerDistinctKey:
+    """One ``sort_key()`` per record on a ``Text``-keyed map attempt.  The
+    sort-then-walk path paid two (the sort, the run walk) and, with a
+    combiner, a third (its presorted check over every pair)."""
+
+    @pytest.mark.parametrize("job_cls", [WordCountJob, WordCountWithCombinerJob])
+    def test_one_sort_key_per_record(self, monkeypatch, job_cls):
+        calls = [0]
+        in_map = [False]
+        real_sort_key = Text.sort_key
+        real_execute_map = runtime.execute_map
+
+        def counting_sort_key(self):
+            calls[0] += in_map[0]
+            return real_sort_key(self)
+
+        def execute_map(*args, **kwargs):
+            in_map[0] = True
+            try:
+                return real_execute_map(*args, **kwargs)
+            finally:
+                in_map[0] = False
+
+        monkeypatch.setattr(Text, "sort_key", counting_sort_key)
+        monkeypatch.setattr(runtime, "execute_map", execute_map)
+        result = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
+        assert result.num_splits == 1
+        records = result.counters.get(C.MAP_OUTPUT_RECORDS)
+        # With a combiner, grouping asks Writable.__eq__ (two calls) of
+        # each run against its bucket's previous group, and the
+        # combiner's check walks the groups: its order rule once,
+        # Writable.__eq__ twice per neighbour.  Five calls per group.
+        groups = result.counters.get(C.COMBINE_OUTPUT_RECORDS)
+        assert records > 10 * groups
+        assert records <= calls[0] <= records + 5 * groups
 
 
 class TestSortBufferSpills:

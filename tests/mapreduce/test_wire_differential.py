@@ -145,10 +145,11 @@ class TestRunMergeEqualsRecordMerge:
         plain = [MapOutput(task_index=i, node="n", partitions={0: p}) for i, p in enumerate(maps)]
         frozen = [MapOutput(task_index=i, node="n", partitions={0: list(p)}) for i, p in enumerate(maps)]
         assert all(output.freeze() for output in frozen)
-        merged = merge_for_reduce(plain, 0)
+        merged = shuffle_oracle.merge_for_reduce(plain, 0)
         expected = list(shuffle_oracle.group_by_key(merged))
         groups, records, nbytes = framed_merge_for_reduce(frozen, 0)
         assert (records, nbytes) == (len(merged), serialized_bytes(merged))
+        assert merge_for_reduce(plain, 0)[1:] == (records, nbytes)
         assert len(groups) == len(expected)
         for (k1, vs1), (k2, vs2) in zip(groups, expected):
             assert _facts(k1)[:3] == _facts(k2)[:3]
