@@ -130,7 +130,8 @@ class PerfStats:
     the stage breakdown the benchmark's traced pass reports.
     """
 
-    #: Framing map output partitions into wire blobs (worker-side).
+    #: Framing map output partitions into wire blobs (worker-side);
+    #: encoding only, not freeing the object form it replaces.
     map_serialize_ms: float = 0.0
     #: Framing reduce output for the trip back (worker-side).
     reduce_serialize_ms: float = 0.0

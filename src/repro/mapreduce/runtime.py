@@ -209,11 +209,16 @@ def execute_map(
     node_cache: dict[str, Any] | None = None,
     task_node: str | None = None,
     disk_write_bw: float = 100 * 1024 * 1024,
+    perf: PerfStats | None = None,
 ) -> MapExecution:
     """Run one map task over one split's prefetched bytes.
 
     The block I/O is already done and paid for (:func:`prefetch_split`);
     records are parsed here, where the user code consumes them.
+
+    ``perf`` is given only by a pooled attempt (:func:`map_attempt_work`),
+    whose output crosses a process boundary: the output is then frozen
+    into wire blobs here, with the freeze's timings in ``perf``.
     """
     counters = Counters()
     conf: JobConf = job.conf
@@ -257,13 +262,21 @@ def execute_map(
 
     # One pass orders and buckets the output: every bucket comes back
     # key-sorted, so the combiner never re-sorts, and its key groups
-    # fall out of the same pass (a job without a combiner collects none).
-    tally = PartitionTally(grouped=job.combiner is not None)
+    # fall out of the same pass (a job without a combiner collects
+    # none).  An output that will be framed as it stands (pooled, no
+    # combiner) collects its buckets' key runs instead, which the
+    # encoder writes the key column from.
+    tally = PartitionTally(
+        grouped=job.combiner is not None,
+        runs=perf is not None and job.combiner is None,
+    )
     # ``drained`` stays bound until the task returns on purpose: it then
     # holds the last reference to every pair, so they are freed in
     # allocation order.  Dropped here, the key-sorted buckets free them
     # instead — a random walk over the heap that takes ~2.4x as long
-    # (+6 % CPU on a 1 MiB WordCount).
+    # (+6 % CPU on a 1 MiB WordCount).  A pooled attempt freezes its
+    # output below, before returning, for the same reason: the frozen
+    # output keeps no pair, so ``drained`` is the last to let go.
     drained = context.drain()
     partitions = partition_pairs(
         drained, job_partitioner(job), conf.num_reduces, tally
@@ -326,6 +339,14 @@ def execute_map(
     output = MapOutput(
         task_index=split.block_index, node=task_node or "", partitions=partitions
     )
+    if perf is not None:
+        # With ``partitions`` unbound too, the frozen output leaves
+        # ``drained`` the last holder of every pair.  An output that
+        # cannot be framed simply ships in object form (``freeze``
+        # reports False); the backend's pickle fallback remains the
+        # safety net behind that.
+        partitions = None
+        output.freeze(perf, tally.key_runs)
     return MapExecution(
         output=output,
         counters=counters,
@@ -433,10 +454,11 @@ def map_attempt_work(
     disk_write_bw: float,
     shm_token: str | None = None,
 ) -> MapExecution:
-    """One *pooled* map attempt: :func:`execute_map`, then freeze.
+    """One *pooled* map attempt: :func:`execute_map`, frozen.
 
-    The partitioned output is frozen into wire blobs *here*, inside the
-    worker, so what pickles back to the simulation thread is a handful
+    The partitioned output is frozen into wire blobs inside the worker
+    (by :func:`execute_map`, before it lets go of the attempt's
+    records), so what pickles back to the simulation thread is a handful
     of ``bytes`` objects — not a list of per-record Writables.  Under
     ``shuffle_transport="shm"`` the frozen blobs are additionally
     published into a shared-memory segment named by the parent's scope
@@ -453,12 +475,9 @@ def map_attempt_work(
         mr_config=mr_config,
         task_node=task_node,
         disk_write_bw=disk_write_bw,
+        perf=perf,
     )
-    # An output that cannot be framed simply ships in object form
-    # (freeze reports False); the backend's pickle fallback remains
-    # the safety net behind that.
-    frozen = execution.output.freeze(perf)
-    if frozen and shm_token is not None:
+    if execution.output.frozen and shm_token is not None:
         # Best-effort: a failed publish (tmpfs full, scope already
         # torn down, nothing to publish) leaves the output framed,
         # which is always correct — just copied instead of shared.

@@ -25,7 +25,9 @@ sort and the neighbour walk of :func:`_key_runs`.
 and returns key-sorted buckets.  A run costs one partitioner call, one
 key size and one extend of its bucket (materialising only non-empty
 partitions), and is kept as the ``(key, values)`` group the combiner
-consumes, so :func:`run_combiner` does not regroup.  A run of a class
+consumes, so :func:`run_combiner` does not regroup — or, for an output
+a pooled attempt will frame as it stands, as a run length the wire
+encoder writes the key column from.  A run of a class
 that does not pin the encoding to the sort key is partitioned and sized
 record by record, which keeps buckets, tallies and groups identical to
 a per-record pass.  :func:`merge_for_reduce` groups the concatenated
@@ -155,16 +157,23 @@ class PartitionTally:
     totals.  ``groups`` (only collected when ``grouped``) maps each
     partition to the ``(key, values)`` groups of its bucket, as a list —
     what the combiner consumes, so it does not regroup per record.
+    ``key_runs`` (only collected when ``runs``) maps each partition to
+    the lengths of its bucket's runs of equal keys — the cuts
+    :func:`_key_runs` would make — which a pooled attempt's
+    :meth:`MapOutput.freeze` hands to :func:`wire.encode_pairs
+    <repro.mapreduce.wire.encode_pairs>`, so the key column is written
+    per run, not re-derived per record.
     """
 
-    __slots__ = ("records", "nbytes", "groups")
+    __slots__ = ("records", "nbytes", "groups", "key_runs")
 
-    def __init__(self, grouped: bool = False):
+    def __init__(self, grouped: bool = False, runs: bool = False):
         self.records = 0
         self.nbytes = 0
         self.groups: dict[int, list[tuple[Writable, list[Writable]]]] | None = (
             {} if grouped else None
         )
+        self.key_runs: dict[int, list[int]] | None = {} if runs else None
 
 
 def partition_pairs(
@@ -186,12 +195,14 @@ def partition_pairs(
     not pin its encoding, whose records may still partition and size
     apart (``0.0`` and ``-0.0`` are one ``FloatWritable`` group but two
     CRC32 inputs) and are taken one by one.  ``tally``, when given, is
-    filled along the way.
+    filled along the way; a span that meets an equal key at the end of
+    its bucket joins that key's group and run.
     """
     if not isinstance(pairs, list):
         pairs = list(pairs)
     buckets: dict[int, list[Pair]] = {}
     groups = tally.groups if tally is not None else None
+    key_runs = tally.key_runs if tally is not None else None
     # Value sizes first: their scratch list is gone before the buckets
     # and groups grow.
     nbytes = (
@@ -207,25 +218,32 @@ def partition_pairs(
             key = span[0][0]
             p = part(key, num_reduces)
             nbytes += key.serialized_size() * len(span)
-            values = list(map(_VALUE, span)) if groups is not None else None
             bucket = buckets.get(p)
             if bucket is None:
                 buckets[p] = span
-            else:
-                bucket += span
-            if groups is None:
+                if groups is not None:
+                    groups[p] = [(key, list(map(_VALUE, span)))]
+                if key_runs is not None:
+                    key_runs[p] = [len(span)]
                 continue
-            pgroups = groups.get(p)
-            if pgroups is None:
-                groups[p] = [(key, values)]
-            elif pgroups[-1][0] == key:
-                # The bucket's previous pair carries this key too (a run
-                # taken record by record, or IntWritable(1) runs either
-                # side of a LongWritable(1) one): one group, as grouping
-                # the bucket would make it.
-                pgroups[-1][1].extend(values)
-            else:
-                pgroups.append((key, values))
+            # The bucket's previous pair may carry this key too (a run
+            # taken record by record, or IntWritable(1) runs either side
+            # of a LongWritable(1) one): one group and one run, as
+            # grouping the bucket would make them.
+            joins = (
+                groups is not None or key_runs is not None
+            ) and bucket[-1][0] == key
+            bucket += span
+            if groups is not None:
+                if joins:
+                    groups[p][-1][1].extend(map(_VALUE, span))
+                else:
+                    groups[p].append((key, list(map(_VALUE, span))))
+            if key_runs is not None:
+                if joins:
+                    key_runs[p][-1] += len(span)
+                else:
+                    key_runs[p].append(len(span))
     if tally is not None:
         tally.records = len(pairs)
         tally.nbytes = nbytes
@@ -312,7 +330,11 @@ class MapOutput:
         """In the binary form the framed reduce path consumes."""
         return self.frames is not None
 
-    def freeze(self, perf: PerfStats | None = None) -> bool:
+    def freeze(
+        self,
+        perf: PerfStats | None = None,
+        key_runs: dict[int, list[int]] | None = None,
+    ) -> bool:
         """Encode every partition into a wire blob and drop the lists.
 
         Returns ``True`` on success.  A partition that cannot be framed
@@ -321,15 +343,20 @@ class MapOutput:
         instead, mirroring the backend's pickling-error fallback — and
         returns ``False``.  Byte/record memos are filled from the
         encoder's own accounting, so later pricing never re-encodes.
+        ``key_runs`` are the partitions' run lengths as
+        :class:`PartitionTally` records them; the blobs are the same
+        with or without them.  The ``map_serialize_ms`` clock stops
+        before the lists are dropped: freeing records is not encoding.
         """
         if self.frozen:
             return True
         assert self.partitions is not None
         t0 = _perf_clock() if perf is not None else 0.0
         frames: dict[int, bytes] = {}
+        key_runs = key_runs or {}
         try:
             for partition, pairs in self.partitions.items():
-                blob, payload_bytes = wire.encode_pairs(pairs)
+                blob, payload_bytes = wire.encode_pairs(pairs, key_runs.get(partition))
                 frames[partition] = blob
                 self._bytes_memo[partition] = payload_bytes
                 self._records_memo[partition] = len(pairs)
@@ -338,12 +365,12 @@ class MapOutput:
             if perf is not None:
                 perf.frame_fallbacks += 1
             return False
-        self.frames = frames
-        self.partitions = None
         if perf is not None:
             perf.map_serialize_ms += (_perf_clock() - t0) * 1e3
             perf.blobs_encoded += len(frames)
             perf.bytes_framed += sum(len(b) for b in frames.values())
+        self.frames = frames
+        self.partitions = None
         return True
 
     def publish_shm(self, token: str, perf: PerfStats | None = None) -> bool:

@@ -51,6 +51,15 @@ and length prefixes excluded) equals its Writable's
 byte counters equal to what actually crosses the simulated network,
 asserted by ``tests/mapreduce/test_wire.py``.
 
+A pooled map attempt already knows its key runs: the map side cuts each
+bucket into runs of equal keys as it builds it
+(:class:`~repro.mapreduce.shuffle.PartitionTally`), and
+``encode_pairs(pairs, key_runs)`` writes a ``Text`` / ``IntWritable`` /
+``LongWritable`` key column from the run heads alone — no per-record
+key read and no sortedness walk.  Any other key column takes the
+per-record path, and the blob is byte-identical either way (asserted by
+``tests/mapreduce/test_wire_runs.py``).
+
 Malformed input (truncation, bad magic, unknown kind or tag, run lengths
 that do not sum to the count, lengths past the end, trailing bytes, bad
 UTF-8) raises :class:`~repro.util.errors.WireFormatError`, never raw
@@ -231,6 +240,36 @@ def _encode_one(out: list[bytes], w: Writable) -> int:
     return _encode_generic(out, w)
 
 
+def _pack_runs(
+    out: list[bytes], cls: type, firsts: list, lengths: list[int], count: int
+) -> int | None:
+    """Append a packed column of one class, given its runs.
+
+    ``firsts`` are the runs' ``.value`` entries and ``lengths`` their
+    record counts.  Returns the column's payload bytes, or ``None`` —
+    with nothing appended — when an integer is beyond the class's width.
+    """
+    runs = len(firsts)
+    parts = [_U32.pack(runs)]
+    if runs < count:
+        parts.append(struct.pack(f">{runs}I", *lengths))
+    if cls is Text:
+        kind, entries = TAG_TEXT, list(map(str.encode, firsts))
+        widths = list(map(len, entries))
+        parts.append(struct.pack(f">{runs}I", *widths))
+        parts += entries
+    else:
+        kind, code, width = _FIXED[cls]
+        widths = repeat(width)
+        try:
+            parts.append(struct.pack(f">{runs}{code}", *firsts))
+        except struct.error:  # an integer beyond the width
+            return None
+    out.append(COLUMN.pack(kind, sum(map(len, parts))))
+    out += parts
+    return sum(map(operator.mul, widths, lengths))
+
+
 def _encode_column(out: list[bytes], column: list[Writable]) -> tuple[int, list | None]:
     """Append one column to ``out``.
 
@@ -253,28 +292,10 @@ def _encode_column(out: list[bytes], column: list[Writable]) -> tuple[int, list 
             else values
         )
         starts = [0, *compress(range(1, count), map(operator.ne, same, islice(same, 1, None)))]
-        runs = len(starts)
         lengths = list(map(operator.sub, [*starts[1:], count], starts))
-        parts = [_U32.pack(runs)]
-        if runs < count:
-            parts.append(struct.pack(f">{runs}I", *lengths))
-        firsts = [values[i] for i in starts]
-        if cls is Text:
-            kind, entries = TAG_TEXT, list(map(str.encode, firsts))
-            widths = list(map(len, entries))
-            parts.append(struct.pack(f">{runs}I", *widths))
-            parts += entries
-        else:
-            kind, code, width = _FIXED[cls]
-            widths = repeat(width)
-            try:
-                parts.append(struct.pack(f">{runs}{code}", *firsts))
-            except struct.error:  # an integer beyond the width
-                parts = None
-        if parts is not None:
-            out.append(COLUMN.pack(kind, sum(map(len, parts))))
-            out += parts
-            return sum(map(operator.mul, widths, lengths)), values
+        payload_bytes = _pack_runs(out, cls, [values[i] for i in starts], lengths, count)
+        if payload_bytes is not None:
+            return payload_bytes, values
     frames: list[bytes] = []
     payload_bytes = sum([_encode_one(frames, w) for w in column])
     out.append(COLUMN.pack(KIND_TAGGED, sum(map(len, frames))))
@@ -282,30 +303,71 @@ def _encode_column(out: list[bytes], column: list[Writable]) -> tuple[int, list 
     return payload_bytes, None
 
 
-def encode_pairs(pairs: Iterable[Pair]) -> tuple[bytes, int]:
+def _encode_key_runs(out: list[bytes], pairs: list[Pair], key_runs: list[int]) -> int | None:
+    """Append the key column from the heads of ``key_runs`` alone.
+
+    Returns its payload bytes, or ``None`` — with nothing appended —
+    when the runs cannot stand for the column: they do not cover the
+    pairs, the heads are not all ``Text``, all ``IntWritable`` or all
+    ``LongWritable`` (those whose equal keys encode alike), an integer
+    is beyond its width, or a head does not sort strictly after the one
+    before it.  Strictly ascending heads are distinct, so the runs are
+    the maximal runs of identical encodings a per-record walk would
+    cut, and every record is in key order.
+    """
+    count = len(pairs)
+    if not count or sum(key_runs) != count or 0 in key_runs:
+        return None
+    heads = [pairs[i][0] for i in accumulate(key_runs[:-1], initial=0)]
+    classes = set(map(type, heads))
+    cls = classes.pop() if len(classes) == 1 else None
+    if cls is not Text and cls is not IntWritable and cls is not LongWritable:
+        return None
+    firsts = list(map(_VALUE_OF, heads))
+    if not all(map(operator.lt, firsts, islice(firsts, 1, None))):
+        return None
+    return _pack_runs(out, cls, firsts, key_runs, count)
+
+
+def encode_pairs(
+    pairs: Iterable[Pair], key_runs: list[int] | None = None
+) -> tuple[bytes, int]:
     """Frame a pair sequence into one blob.
 
     Returns ``(blob, payload_bytes)`` where ``payload_bytes`` is the sum
     of entry payload widths over all records — by construction equal to
     :func:`~repro.mapreduce.shuffle.serialized_bytes` over the same
     pairs.  Costs C-level passes per column, not calls per record.
+
+    ``key_runs``, when given, are the lengths of the maximal runs of
+    equal keys (``Writable.__eq__``) that cut ``pairs``, in order — what
+    :func:`~repro.mapreduce.shuffle.partition_pairs` records for a
+    bucket.  They are trusted, not re-derived: the key column is then
+    written from each run's first key, and no other key is read.  When
+    the runs cannot stand for the column (see :func:`_encode_key_runs`)
+    the keys are encoded record by record, as without ``key_runs``; the
+    blob is byte-identical either way.
     """
     if not isinstance(pairs, list):
         pairs = list(pairs)
-    keys = list(map(_KEY, pairs))
     out: list[bytes] = [b""]  # the header's place: the flag comes last
-    key_bytes, sort_keys = _encode_column(out, keys)
+    key_bytes = None if key_runs is None else _encode_key_runs(out, pairs, key_runs)
+    if key_bytes is not None:
+        key_sorted = True  # the run heads ascend strictly
+    else:
+        keys = list(map(_KEY, pairs))
+        key_bytes, sort_keys = _encode_column(out, keys)
+        if sort_keys is None:
+            sort_keys = [key.sort_key() for key in keys]
+        try:
+            # ``<=`` for every neighbour, and the first key against itself:
+            # a NaN key, like an incomparable (mixed-type) one, is not
+            # sortable, so not sorted.  Encoding is still fine — only the
+            # merge optimisation is off the table.
+            key_sorted = all(map(operator.le, chain(sort_keys[:1], sort_keys), sort_keys))
+        except TypeError:
+            key_sorted = False
     value_bytes, _ = _encode_column(out, list(map(_VALUE, pairs)))
-    if sort_keys is None:
-        sort_keys = [key.sort_key() for key in keys]
-    try:
-        # ``<=`` for every neighbour, and the first key against itself:
-        # a NaN key, like an incomparable (mixed-type) one, is not
-        # sortable, so not sorted.  Encoding is still fine — only the
-        # merge optimisation is off the table.
-        key_sorted = all(map(operator.le, chain(sort_keys[:1], sort_keys), sort_keys))
-    except TypeError:
-        key_sorted = False
     out[0] = HEADER.pack(MAGIC, FLAG_KEY_SORTED if key_sorted else 0, len(pairs))
     return b"".join(out), key_bytes + value_bytes
 

@@ -1,0 +1,303 @@
+"""The key column written from partition runs ≡ the one written per record.
+
+A pooled map attempt without a combiner collects its buckets' run
+lengths while :func:`partition_pairs` builds them, and
+``wire.encode_pairs(pairs, key_runs)`` writes the key column from the
+run heads alone.  Every check here is a differential against
+``wire.encode_pairs(pairs)``: the same bytes and the same payload width,
+over every key column — including those that must decline the runs and
+take the per-record path (``FloatWritable``, ``record_writable`` and
+mixed classes, integers too wide to pack).  The cost guard makes any
+per-record key read raise; the attempt guard checks that a pooled
+attempt, which now freezes inside :func:`execute_map`, ships exactly
+what ``execute_map()`` followed by ``freeze()`` shipped.
+"""
+
+from itertools import accumulate, pairwise
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.jobs.wordcount import (
+    IntSumReducer,
+    WordCountJob,
+    WordCountWithCombinerJob,
+)
+from repro.mapreduce import runtime, wire
+from repro.mapreduce.api import Job, Mapper
+from repro.mapreduce.config import JobConf, MapReduceConfig
+from repro.mapreduce.inputformat import TextInputFormat
+from repro.mapreduce.partitioner import HashPartitioner, Partitioner
+from repro.mapreduce.shuffle import PartitionTally, _key_runs, partition_pairs
+from repro.mapreduce.types import (
+    FloatWritable,
+    IntWritable,
+    LongWritable,
+    NullWritable,
+    Text,
+    Writable,
+    record_writable,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+Station = record_writable("Station", [("name", str), ("level", float)])
+
+#: One class each; the runs may stand for the column (wide integers
+#: aside).
+RUN_COLUMNS = {
+    "text": st.text(alphabet="abé日\U0001f600", max_size=2).map(Text),
+    "int": st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([2**31, -(2**31) - 1, 2**40]),
+    ).map(IntWritable),
+    "long": st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([2**40, 2**63, -(2**63) - 1, 10**30]),
+    ).map(LongWritable),
+}
+#: Columns whose runs must not stand for the key column.
+OTHER_COLUMNS = {
+    "null": st.just(NullWritable()),
+    "float": st.sampled_from([0.0, -0.0, 1.5, float("nan")]).map(FloatWritable),
+    "record": st.builds(
+        Station, st.sampled_from(["x", "y"]), st.sampled_from([1, 1.0, 2.5])
+    ),
+    "int-and-long": st.one_of(
+        st.integers(min_value=0, max_value=2).map(IntWritable),
+        st.integers(min_value=0, max_value=2).map(LongWritable),
+    ),
+    "text-and-null": st.one_of(
+        st.sampled_from(["", "a", "b"]).map(Text), st.just(NullWritable())
+    ),
+}
+_values = st.one_of(
+    st.integers(min_value=-3, max_value=2**33).map(IntWritable),
+    st.text(alphabet="xyé", max_size=3).map(Text),
+)
+
+
+def _outputs_of(keys):
+    """Emission-order map outputs: any, one key throughout (a single
+    run), and all keys distinct (single-record runs)."""
+    return st.one_of(
+        st.lists(st.tuples(keys, _values), max_size=40),
+        st.tuples(keys, st.lists(_values, min_size=1, max_size=12)).map(
+            lambda kv: [(kv[0], value) for value in kv[1]]
+        ),
+        st.lists(
+            st.tuples(keys, _values),
+            max_size=20,
+            unique_by=lambda kv: (type(kv[0]), kv[0].encode()),
+        ),
+    )
+
+
+class EncodedLengthPartitioner(Partitioner):
+    """A custom partitioner that looks at the whole encoded key."""
+
+    def partition(self, key: Writable, num_reduces: int) -> int:
+        encoded = key.encode()
+        return (len(encoded) + sum(map(ord, encoded))) % num_reduces
+
+
+partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
+reduce_counts = st.sampled_from([1, 2, 3, 7])
+
+
+def _packs_from_runs(bucket) -> bool:
+    """Would the runs stand for this bucket's key column?"""
+    classes = {type(key) for key, _ in bucket}
+    if len(classes) != 1:
+        return False
+    (cls,) = classes
+    if cls is Text:
+        return True
+    low, high = (-(2**31), 2**31 - 1) if cls is IntWritable else (-(2**63), 2**63 - 1)
+    return cls in (IntWritable, LongWritable) and all(
+        low <= key.value <= high for key, _ in bucket
+    )
+
+
+def _cuts(runs):
+    return list(pairwise(accumulate(runs, initial=0)))
+
+
+def assert_runs_encode_alike(pairs, partitioner, num_reduces):
+    tally = PartitionTally(runs=True)
+    buckets = partition_pairs(pairs, partitioner, num_reduces, tally)
+    assert list(tally.key_runs) == list(buckets)
+    for partition, bucket in buckets.items():
+        runs = tally.key_runs[partition]
+        assert _cuts(runs) == list(_key_runs(bucket))
+        assert wire.encode_pairs(bucket, runs) == wire.encode_pairs(bucket)
+        column: list[bytes] = []
+        taken = wire._encode_key_runs(column, bucket, runs)
+        assert (taken is not None) == _packs_from_runs(bucket)
+        if taken is None:
+            assert column == []  # declined before appending anything
+
+
+class TestRunsEqualRecords:
+    @given(
+        pairs=st.sampled_from(sorted(RUN_COLUMNS)).flatmap(
+            lambda name: _outputs_of(RUN_COLUMNS[name])
+        ),
+        partitioner=partitioners,
+        n=reduce_counts,
+    )
+    @SETTINGS
+    def test_run_columns(self, pairs, partitioner, n):
+        assert_runs_encode_alike(pairs, partitioner, n)
+
+    @given(
+        pairs=st.sampled_from(sorted(OTHER_COLUMNS)).flatmap(
+            lambda name: _outputs_of(OTHER_COLUMNS[name])
+        ),
+        partitioner=partitioners,
+        n=reduce_counts,
+    )
+    @SETTINGS
+    def test_other_columns_take_the_per_record_path(self, pairs, partitioner, n):
+        assert_runs_encode_alike(pairs, partitioner, n)
+
+    def test_single_record_runs(self):
+        pairs = [(Text(f"k{i:03d}"), IntWritable(i)) for i in range(50)]
+        tally = PartitionTally(runs=True)
+        (bucket,) = partition_pairs(pairs, HashPartitioner(), 1, tally).values()
+        assert tally.key_runs[0] == [1] * 50
+        assert wire.encode_pairs(bucket, tally.key_runs[0]) == wire.encode_pairs(bucket)
+
+    def test_single_run_bucket(self):
+        pairs = [(LongWritable(7), Text(f"v{i}")) for i in range(9)]
+        tally = PartitionTally(runs=True)
+        (bucket,) = partition_pairs(pairs, HashPartitioner(), 3, tally).values()
+        assert list(tally.key_runs.values()) == [[9]]
+        assert wire.encode_pairs(bucket, [9]) == wire.encode_pairs(bucket)
+
+    def test_wide_ints_fall_back_to_the_tagged_column(self):
+        for cls, wide in ((IntWritable, 2**31), (LongWritable, 2**63)):
+            bucket = [(cls(1), NullWritable()), (cls(wide), NullWritable())]
+            blob, payload = wire.encode_pairs(bucket, [1, 1])
+            assert (blob, payload) == wire.encode_pairs(bucket)
+            kind, _ = wire.COLUMN.unpack_from(blob, wire.HEADER.size)
+            assert kind == wire.KIND_TAGGED
+
+    def test_runs_that_do_not_fit_the_pairs_are_not_used(self):
+        # Caught: wrong totals, empty runs, equal adjacent heads.  A run
+        # over unequal keys is not: the runs are trusted, not re-read.
+        bucket = [(Text("a"), NullWritable())] * 2 + [(Text("b"), NullWritable())]
+        for runs in ([1, 1, 1], [2, 0, 1], [2, 2], [], [1, 2]):
+            assert wire._encode_key_runs([], bucket, runs) is None
+        assert wire.encode_pairs(bucket, [2, 1]) == wire.encode_pairs(bucket)
+
+    def test_no_runs_unless_asked(self):
+        pairs = [(Text("a"), IntWritable(1))]
+        for tally in (PartitionTally(), PartitionTally(grouped=True)):
+            partition_pairs(pairs, HashPartitioner(), 2, tally)
+            assert tally.key_runs is None
+
+
+class TestKeyColumnReadsOnlyRunHeads:
+    def test_non_head_keys_are_never_read(self):
+        words = sorted(f"wé{i:03d}" for i in range(40))
+        runs = [1 + i % 5 for i in range(len(words))]
+        intact, hollow = [], []
+        for word, length in zip(words, runs):
+            for i in range(length):
+                value = IntWritable(i)
+                intact.append((Text(word), value))
+                key = Text(word)
+                if i:
+                    del key.value  # any per-record key read now raises
+                hollow.append((key, value))
+        assert wire.encode_pairs(hollow, runs) == wire.encode_pairs(intact)
+        with pytest.raises(AttributeError):
+            wire.encode_pairs(hollow)
+
+
+# -- a pooled attempt ships what execute_map() + freeze() shipped ----------
+
+
+class FloatKeyMapper(Mapper):
+    """Float keys that collide as groups but not as encodings."""
+
+    def map(self, key, value, context):
+        for word in value.value.split():
+            sign = -1.0 if len(word) % 2 else 1.0
+            context.write(FloatWritable(sign * (len(word) % 3) * 0.5), IntWritable(1))
+
+
+class FloatKeyJob(Job):
+    mapper = FloatKeyMapper
+    reducer = IntSumReducer
+
+
+class StationMapper(Mapper):
+    def map(self, key, value, context):
+        for word in value.value.split():
+            context.write(Station(word[:2], float(len(word) % 2)), IntWritable(1))
+
+
+class StationJob(Job):
+    mapper = StationMapper
+    reducer = IntSumReducer
+
+
+CORPUS = "\n".join(
+    f"line {i % 7} word{i % 13} wörd{i % 5} tail" for i in range(400)
+).encode("utf-8")
+
+
+def _prefetched(job):
+    (split,) = TextInputFormat.splits_for_file("/in/corpus.txt", [len(CORPUS)], [("n",)])
+
+    def fetch(path, block_index, max_bytes, offset=0):
+        chunk = CORPUS[offset:]
+        return (chunk if max_bytes is None else chunk[:max_bytes]), 0.0
+
+    return split, runtime.prefetch_split(job, split, fetch)
+
+
+class TestPooledAttemptFreezesAlike:
+    @pytest.mark.parametrize(
+        "job_cls", [WordCountJob, WordCountWithCombinerJob, FloatKeyJob, StationJob]
+    )
+    def test_frames_and_memos_equal_execute_then_freeze(self, job_cls):
+        job = job_cls(JobConf(name="job", num_reduces=3))
+        config = MapReduceConfig()
+        split, prefetched = _prefetched(job)
+        parent = runtime.execute_map(
+            job, split, prefetched, config, task_node="n", disk_write_bw=1e8
+        )
+        assert parent.output.freeze()
+        split, prefetched = _prefetched(job)
+        got = runtime.map_attempt_work(job, split, prefetched, config, "n", 1e8)
+        assert got.output.partitions is None
+        assert got.output.frames == parent.output.frames
+        assert got.output._bytes_memo == parent.output._bytes_memo
+        assert got.output._records_memo == parent.output._records_memo
+        assert got.counters.as_dict() == parent.counters.as_dict()
+        assert got.duration == parent.duration
+        assert got.perf["blobs_encoded"] == len(parent.output.frames)
+
+    @pytest.mark.parametrize(
+        "job_cls, from_runs", [(WordCountJob, True), (WordCountWithCombinerJob, False)]
+    )
+    def test_only_a_job_without_combiner_uses_the_runs(self, monkeypatch, job_cls, from_runs):
+        taken = []
+        real = wire._encode_key_runs
+
+        def spy(out, pairs, key_runs):
+            result = real(out, pairs, key_runs)
+            taken.append(result is not None)
+            return result
+
+        job = job_cls(JobConf(name="job", num_reduces=3))
+        split, prefetched = _prefetched(job)
+        monkeypatch.setattr(wire, "_encode_key_runs", spy)
+        runtime.map_attempt_work(job, split, prefetched, MapReduceConfig(), "n", 1e8)
+        if from_runs:
+            assert taken and all(taken)
+        else:
+            assert taken == []  # combiner output is encoded record by record
