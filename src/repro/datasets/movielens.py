@@ -143,18 +143,24 @@ def generate_movielens(
     movie_ids = gen.integers(1, num_movies + 1, size=num_ratings)
     timestamps = gen.integers(978_000_000, 1_100_000_000, size=num_ratings)
 
+    # Ratings in bulk: one normal draw per rating, in rating order (the
+    # same stream, value for value, as one scalar draw each), centred on
+    # the mean bias of the rated movie's genres, rounded to half stars.
+    movie_bias = np.array(
+        [float(np.mean([_GENRE_BIAS[g] for g in genres])) for genres in movie_genres]
+    )
+    raw = gen.normal(3.5 + movie_bias[movie_ids - 1], 1.0)
+    ratings = np.clip(np.round(raw * 2) / 2, 0.5, 5.0).tolist()
+
     rating_lines: list[str] = []
     genre_acc: dict[str, list] = {g: [0, 0.0, 9.9, -9.9] for g in GENRES}
     ratings_per_user: Counter = Counter()
     user_genre_counts: dict[int, Counter] = defaultdict(Counter)
-    for i in range(num_ratings):
-        movie = int(movie_ids[i])
+    for user, movie, rating, timestamp in zip(
+        user_ids.tolist(), movie_ids.tolist(), ratings, timestamps.tolist()
+    ):
         genres = movie_genres[movie - 1]
-        bias = float(np.mean([_GENRE_BIAS[g] for g in genres]))
-        raw = gen.normal(3.5 + bias, 1.0)
-        rating = float(np.clip(np.round(raw * 2) / 2, 0.5, 5.0))
-        user = int(user_ids[i])
-        rating_lines.append(f"{user}::{movie}::{rating:g}::{timestamps[i]}")
+        rating_lines.append(f"{user}::{movie}::{rating:g}::{timestamp}")
         ratings_per_user[user] += 1
         for genre in genres:
             acc = genre_acc[genre]

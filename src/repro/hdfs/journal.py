@@ -218,19 +218,69 @@ class _Reader:
 # -- edit record codec ------------------------------------------------------
 
 
+#: Fixed-width field kinds and their struct codes.  ``bool`` packs as
+#: ``?`` — the truth value, one byte 0/1, like ``_pack_field``.
+_FIXED_CODES = {"u32": "I", "u64": "Q", "i64": "q", "f64": "d", "bool": "?"}
+_SEG_FIXED, _SEG_STR, _SEG_OPT_I64 = 0, 1, 2
+
+
+def _compile_layout(spec: tuple[str, ...]) -> tuple[tuple, ...]:
+    """One opcode's packer, compiled from its ``EDIT_SPECS`` row: runs of
+    adjacent fixed-width fields fuse into one ``struct.Struct`` over a
+    slice of the values; ``str`` and ``opt_i64`` stay segments."""
+    segments: list[tuple] = []
+    run_start = None
+    for i, kind in enumerate((*spec, None)):  # None flushes the last run
+        if kind in _FIXED_CODES:
+            if run_start is None:
+                run_start = i
+            continue
+        if run_start is not None:
+            codes = "".join(_FIXED_CODES[k] for k in spec[run_start:i])
+            segments.append((_SEG_FIXED, struct.Struct(">" + codes), run_start, i))
+            run_start = None
+        if kind == "str":
+            segments.append((_SEG_STR, None, i, i + 1))
+        elif kind == "opt_i64":
+            segments.append((_SEG_OPT_I64, None, i, i + 1))
+        elif kind is not None:  # pragma: no cover - spec typo guard
+            raise AssertionError(f"unknown field kind {kind!r}")
+    return tuple(segments)
+
+
+#: opcode -> (opcode byte, field count, compiled segments).
+_EDIT_LAYOUTS: dict[int, tuple[bytes, int, tuple[tuple, ...]]] = {
+    op: (_U8.pack(op), len(spec), _compile_layout(spec))
+    for op, spec in EDIT_SPECS.items()
+}
+
+
 def encode_edit(op: int, values: tuple) -> bytes:
-    """Encode one edit record payload (opcode + typed fields)."""
-    spec = EDIT_SPECS.get(op)
-    if spec is None:
+    """Encode one edit record payload (opcode + typed fields), packed by
+    the opcode's compiled layout; byte-identical to walking its
+    ``EDIT_SPECS`` row field by field with ``_pack_field``."""
+    layout = _EDIT_LAYOUTS.get(op)
+    if layout is None:
         raise JournalFormatError(f"unknown edit opcode {op}")
-    if len(values) != len(spec):
+    head, arity, segments = layout
+    if len(values) != arity:
         raise JournalFormatError(
-            f"{OP_NAMES[op]} takes {len(spec)} fields, got {len(values)}"
+            f"{OP_NAMES[op]} takes {arity} fields, got {len(values)}"
         )
-    out = bytearray(_U8.pack(op))
-    for kind, value in zip(spec, values):
-        _pack_field(kind, value, out)
-    return bytes(out)
+    out = [head]
+    for tag, packer, start, stop in segments:
+        if tag == _SEG_STR:
+            data = values[start].encode("utf-8")
+            out.append(_U32.pack(len(data)))
+            out.append(data)
+        elif tag == _SEG_FIXED:
+            out.append(packer.pack(*values[start:stop]))
+        elif values[start] is None:
+            out.append(b"\x00")
+        else:
+            out.append(b"\x01")
+            out.append(_I64.pack(values[start]))
+    return b"".join(out)
 
 
 def decode_edit(payload) -> tuple[int, tuple]:

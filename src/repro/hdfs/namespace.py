@@ -27,6 +27,14 @@ def normalize(path: str) -> str:
     """Normalize an absolute HDFS path (``"/a//b/./c" -> "/a/b/c"``)."""
     if not path.startswith("/"):
         raise FileNotFoundInHdfs(f"HDFS paths must be absolute: {path!r}")
+    # Already normal — no empty, "." or ".." component and no trailing
+    # slash — is a fixed point of the body below; most calls are.
+    if (
+        "//" not in path
+        and "/." not in path
+        and (not path.endswith("/") or path == "/")
+    ):
+        return path
     # normpath keeps exactly two leading slashes (POSIX lets them mean
     # something); HDFS has one root.
     norm = posixpath.normpath(path).lstrip("/")

@@ -26,7 +26,6 @@ import functools
 import gc
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,8 +63,41 @@ _open_heaps = 0
 _gc_was_enabled = False
 
 
-@contextmanager
-def attempt_heap():
+class _AttemptHeap:
+    """The attempt scope: a context manager and a decorator in one
+    stateless object (its state is the module's ``_open_heaps`` /
+    ``_gc_was_enabled``), so entering it builds nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        global _open_heaps, _gc_was_enabled
+        with _heap_lock:
+            if _open_heaps == 0:
+                _gc_was_enabled = gc.isenabled()
+                gc.disable()
+            _open_heaps += 1
+
+    def __exit__(self, *exc_info) -> None:
+        global _open_heaps
+        with _heap_lock:
+            _open_heaps -= 1
+            if _open_heaps == 0 and _gc_was_enabled:
+                gc.enable()
+
+    def __call__(self, fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def scoped(*args, **kwargs):
+            with self:
+                return fn(*args, **kwargs)
+
+        return scoped
+
+
+_ATTEMPT_HEAP = _AttemptHeap()
+
+
+def attempt_heap() -> _AttemptHeap:
     """An attempt owns its heap for its lifetime, as a Hadoop 1.x child
     JVM does: the cyclic collector is paused while any attempt runs.
 
@@ -85,19 +117,7 @@ def attempt_heap():
     functions from threads of its own.  Host-side only — no simulated
     quantity and no output depends on it.
     """
-    global _open_heaps, _gc_was_enabled
-    with _heap_lock:
-        if _open_heaps == 0:
-            _gc_was_enabled = gc.isenabled()
-            gc.disable()
-        _open_heaps += 1
-    try:
-        yield
-    finally:
-        with _heap_lock:
-            _open_heaps -= 1
-            if _open_heaps == 0 and _gc_was_enabled:
-                gc.enable()
+    return _ATTEMPT_HEAP
 
 
 def job_partitioner(job: Job) -> Partitioner:

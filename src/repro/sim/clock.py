@@ -2,7 +2,8 @@
 
 A thin mutable holder so that every component can share one notion of
 "now" without holding a reference to the whole simulation engine.
-Only the engine advances it.
+Only the engine advances it (:meth:`SimClock._advance_to`); everyone
+else reads ``now``, a plain slot, so a read is one attribute load.
 """
 
 from __future__ import annotations
@@ -11,17 +12,13 @@ from __future__ import annotations
 class SimClock:
     """Simulated time in seconds since simulation start."""
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
+        self.now = float(start)
 
     def _advance_to(self, t: float) -> None:
         """Engine-internal: move time forward (never backward)."""
-        if t < self._now:
-            raise ValueError(f"clock cannot move backward: {t} < {self._now}")
-        self._now = t
+        if t < self.now:
+            raise ValueError(f"clock cannot move backward: {t} < {self.now}")
+        self.now = t

@@ -3,7 +3,9 @@
 Callback style: components schedule ``fn(*args)`` to run at a simulated
 time.  Events at equal times fire in scheduling order (a monotonically
 increasing sequence number breaks ties), which keeps multi-daemon
-simulations deterministic.
+simulations deterministic.  The queue is a heap of ``(time, seq,
+event)`` tuples: ``seq`` is unique, so ordering is one C tuple compare
+and never reaches the event.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class ScheduledEvent:
     Cancellation is O(1): the event is flagged and the owning engine's
     live-event counter is decremented; the heap entry itself rots in
     place until it reaches the head or a compaction sweeps it out.
+    Ordering lives in the queue's ``(time, seq, event)`` entries, not
+    here.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -93,9 +97,6 @@ class ScheduledEvent:
         if self._sim is not None:
             self._sim._note_cancel()
             self._sim = None
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class TimerWheel:
@@ -235,7 +236,8 @@ class Simulation:
     def __init__(self, start: float = 0.0):
         self.clock = SimClock(start)
         self.bus = EventBus()
-        self._queue: list[ScheduledEvent] = []
+        #: Heap of ``(time, seq, event)``; ``seq`` is unique.
+        self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_in_queue = 0
@@ -269,13 +271,13 @@ class Simulation:
     def _compact(self) -> None:
         """Drop cancelled events and re-heapify (ordering unchanged:
         the heap invariant is on (time, seq), which filtering keeps)."""
-        self._queue = [e for e in self._queue if not e.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
 
     def _pop_event(self) -> ScheduledEvent:
         """Heap-pop one event, keeping the cancellation census exact."""
-        event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)[2]
         if event.cancelled:
             self._cancelled_in_queue -= 1
         else:
@@ -297,9 +299,10 @@ class Simulation:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now={self.now}"
             )
-        event = ScheduledEvent(time, next(self._seq), fn, args)
+        seq = next(self._seq)
+        event = ScheduledEvent(time, seq, fn, args)
         event._sim = self
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def wheel(self, interval: float) -> TimerWheel:
@@ -357,14 +360,14 @@ class Simulation:
     def step(self) -> bool:
         """Process the next event; returns False if the queue is empty."""
         while True:
-            while self._queue and self._queue[0].cancelled:
+            while self._queue and self._queue[0][2].cancelled:
                 self._pop_event()
             if not self._queue:
                 if self._work_joiners and self._join_in_flight(math.inf):
                     continue  # joins may have scheduled new events
                 return False
             if self._work_joiners and self._join_in_flight(
-                self._queue[0].time
+                self._queue[0][0]
             ):
                 continue  # completions may land before the old head
             event = self._pop_event()
@@ -386,9 +389,9 @@ class Simulation:
         """Run all events with timestamp <= ``time``, then set now=time."""
         for _ in range(max_events):
             # Peek at the next live event.
-            while self._queue and self._queue[0].cancelled:
+            while self._queue and self._queue[0][2].cancelled:
                 self._pop_event()
-            if not self._queue or self._queue[0].time > time:
+            if not self._queue or self._queue[0][0] > time:
                 # In-flight real work could still complete at <= time.
                 if self._work_joiners and self._join_in_flight(
                     math.nextafter(time, math.inf)

@@ -1,5 +1,7 @@
 """Event engine: ordering, cancellation, recurring timers, run bounds."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulation
@@ -139,3 +141,47 @@ class TestRunawayProtection:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 4
+
+
+class TestQueueOrder:
+    """The heap orders ``(time, seq, event)`` entries: equal times fire
+    in schedule order, and cancelled entries never fire, whether they
+    are popped at the head or swept by a compaction."""
+
+    def test_equal_times_fire_in_schedule_order_across_interleaving(self):
+        sim = Simulation()
+        fired = []
+        for i in range(30):
+            sim.schedule_at(float(i % 3), fired.append, i)
+        sim.run()
+        assert fired == sorted(range(30), key=lambda i: (i % 3, i))
+
+    def test_cancelled_head_is_skipped_across_compact(self):
+        sim = Simulation()
+        fired = []
+        handles = [sim.schedule_at(1.0, fired.append, i) for i in range(200)]
+        for i in range(200, 210):
+            sim.schedule_at(1.0, fired.append, i)
+        for handle in handles[:150]:  # the head first, enough to compact
+            handle.cancel()
+        assert len(sim._queue) < 200  # a compaction ran
+        assert sim.pending() == 60
+        sim.run()
+        assert fired == list(range(150, 210))
+
+    def test_cancel_after_compact_still_skips_the_head(self):
+        sim = Simulation()
+        fired = []
+        times = [float(t % 13) for t in range(130)]
+        random.Random(5).shuffle(times)  # the heap list is not sorted
+        handles = [sim.schedule_at(t, fired.append, i) for i, t in enumerate(times)]
+        for handle in handles[1:100:2]:
+            handle.cancel()
+        sim._compact()
+        live = [i for i in range(130) if not (i < 100 and i % 2 == 1)]
+        head = min(live, key=lambda i: (times[i], i))
+        handles[head].cancel()  # the head, after the sweep
+        sim.run()
+        live.remove(head)
+        assert fired == sorted(live, key=lambda i: (times[i], i))
+        assert sim.pending() == 0

@@ -1,5 +1,8 @@
 """Event bus semantics: prefixes, wildcard, history, unsubscribe."""
 
+import pytest
+
+from repro.util import events
 from repro.util.events import Event, EventBus
 
 
@@ -67,7 +70,10 @@ class TestEventBus:
 
     def test_event_time_carried(self):
         bus = EventBus()
-        event = bus.publish("t", 42.5)
+        seen = []
+        bus.subscribe("t", seen.append)
+        bus.publish("t", 42.5)
+        [event] = seen
         assert isinstance(event, Event)
         assert event.time == 42.5
 
@@ -84,3 +90,82 @@ class TestEventBus:
         assert calls == []
         bus.publish("t", 1.0)
         assert calls == ["late"]
+
+
+class TestHeardCache:
+    """The per-topic "does anyone hear this" cache is emptied by every
+    subscribe and unsubscribe, so it never hides a listener and never
+    makes an unheard topic build an event."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every Event the bus constructs."""
+        made = []
+
+        def counting_event(**fields):
+            event = Event(**fields)
+            made.append(event)
+            return event
+
+        monkeypatch.setattr(events, "Event", counting_event)
+        return made
+
+    def test_unheard_publish_builds_nothing(self, built):
+        bus = EventBus()
+        bus.subscribe("hdfs", lambda e: None)
+        bus.publish("mr.task.completed", 1.0, task="t")
+        bus.publish("hdfsx", 1.0)
+        assert built == []
+
+    @pytest.mark.parametrize("topic", ["a.b.c", "a.b", "a", "*"])
+    def test_subscribe_after_a_cached_miss_is_heard(self, topic, built):
+        bus = EventBus()
+        seen = []
+        bus.publish("a.b.c", 0.0)
+        bus.subscribe(topic, seen.append)
+        bus.publish("a.b.c", 1.0)
+        assert [e.time for e in seen] == [1.0]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("topic", ["a.b.c", "a", "*"])
+    def test_unsubscribe_makes_a_heard_topic_unheard(self, topic, built):
+        bus = EventBus()
+        seen = []
+        unsubscribe = bus.subscribe(topic, seen.append)
+        bus.publish("a.b.c", 0.0)
+        unsubscribe()
+        bus.publish("a.b.c", 1.0)
+        assert [e.time for e in seen] == [0.0]
+        assert len(built) == 1
+
+    def test_one_of_two_listeners_unsubscribed_is_still_heard(self):
+        bus = EventBus()
+        first, second = [], []
+        unsubscribe = bus.subscribe("a", first.append)
+        bus.subscribe("a.b", second.append)
+        bus.publish("a.b", 0.0)
+        unsubscribe()
+        bus.publish("a.b", 1.0)
+        assert [e.time for e in first] == [0.0]
+        assert [e.time for e in second] == [0.0, 1.0]
+
+    def test_subscribe_inside_a_listener_hears_the_next_event(self):
+        bus = EventBus()
+        late = []
+        bus.publish("x.y", 0.0)  # cached as unheard
+
+        def subscriber(event):
+            bus.subscribe("x", late.append)
+
+        bus.subscribe("setup", subscriber)
+        bus.publish("setup", 0.0)
+        bus.publish("x.y", 1.0)
+        assert [e.time for e in late] == [1.0]
+
+    def test_unheard_topics_still_reach_history(self, built):
+        bus = EventBus()
+        bus.record_history = True
+        bus.publish("nobody.listens", 2.0, n=1)
+        assert [(e.topic, e.time, e.data) for e in bus.history()] == [
+            ("nobody.listens", 2.0, {"n": 1})
+        ]
