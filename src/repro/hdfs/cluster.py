@@ -34,7 +34,6 @@ class HdfsCluster:
         config: HdfsConfig | None = None,
         sim: Simulation | None = None,
         seed: int = 0,
-        autostart: bool = True,
     ):
         self.sim = sim or Simulation()
         self.hardware = hardware or build_hadoop_cluster(num_workers=num_datanodes)
@@ -55,8 +54,7 @@ class HdfsCluster:
                 config=self.config,
                 peer_lookup=self.datanode,
             )
-        if autostart:
-            self.start()
+        self.start()
 
     # ------------------------------------------------------------------
     @property

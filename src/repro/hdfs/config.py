@@ -38,9 +38,9 @@ class HdfsConfig:
     startup_scan_bw: float = 1024 * MB
     #: io.bytes.per.checksum — bytes covered by one CRC32 entry.  Hadoop
     #: ships 512; we default to 64 KB so production-scale 64 MB blocks
-    #: keep their CRC arrays small, and shrink it alongside ``block_size``
-    #: in :meth:`for_teaching` so classroom blocks still span many chunks
-    #: (ranged reads then verify only the chunks they touch).
+    #: keep their CRC arrays small.  Set it alongside a small
+    #: ``block_size`` so a block still spans many chunks (ranged reads
+    #: then verify only the chunks they touch).
     checksum_chunk_size: int = 64 * 1024
     #: Capacity of each DataNode's verified-block cache (LRU, keyed by
     #: (block_id, generation)).  0 disables the cache.  Cache state is

@@ -60,11 +60,8 @@ VERSION = 1
 
 _HEADER = struct.Struct(">4sI")  # magic + format version
 _FRAME = struct.Struct(">II")  # payload length + CRC32(payload)
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
 
 # -- edit opcodes -----------------------------------------------------------
 
@@ -110,124 +107,21 @@ OP_NAMES: dict[int, str] = {
     OP_DECOMM_STOP: "DECOMM_STOP",
 }
 
-_KIND_DIR, _KIND_FILE = 0, 1
-
-
-# -- field primitives -------------------------------------------------------
-
-
-def _pack_field(kind: str, value, out: bytearray) -> None:
-    if kind == "str":
-        data = value.encode("utf-8")
-        out += _U32.pack(len(data))
-        out += data
-    elif kind == "u32":
-        out += _U32.pack(value)
-    elif kind == "u64":
-        out += _U64.pack(value)
-    elif kind == "i64":
-        out += _I64.pack(value)
-    elif kind == "f64":
-        out += _F64.pack(value)
-    elif kind == "bool":
-        out += _U8.pack(1 if value else 0)
-    elif kind == "opt_i64":
-        if value is None:
-            out += _U8.pack(0)
-        else:
-            out += _U8.pack(1)
-            out += _I64.pack(value)
-    else:  # pragma: no cover - spec typo guard
-        raise AssertionError(f"unknown field kind {kind!r}")
-
-
-class _Reader:
-    """Bounds-checked decoding over a memoryview; truncation raises."""
-
-    __slots__ = ("view", "pos")
-
-    def __init__(self, data):
-        self.view = memoryview(data)
-        self.pos = 0
-
-    def _take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.view):
-            raise JournalFormatError("truncated journal record")
-        chunk = self.view[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
-
-    def bool_(self) -> bool:
-        flag = self.u8()
-        if flag not in (0, 1):
-            raise JournalFormatError(f"bad bool byte {flag}")
-        return flag == 1
-
-    def str_(self) -> str:
-        length = self.u32()
-        try:
-            return bytes(self._take(length)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise JournalFormatError(f"bad UTF-8 in journal string: {exc}") from None
-
-    def opt_i64(self) -> int | None:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise JournalFormatError(f"bad optional-presence byte {flag}")
-        return self.i64()
-
-    def field(self, kind: str):
-        if kind == "str":
-            return self.str_()
-        if kind == "u32":
-            return self.u32()
-        if kind == "u64":
-            return self.u64()
-        if kind == "i64":
-            return self.i64()
-        if kind == "f64":
-            return self.f64()
-        if kind == "bool":
-            return self.bool_()
-        if kind == "opt_i64":
-            return self.opt_i64()
-        raise AssertionError(f"unknown field kind {kind!r}")  # pragma: no cover
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.view)
-
-
-# -- edit record codec ------------------------------------------------------
+# -- the field codec --------------------------------------------------------
 
 
 #: Fixed-width field kinds and their struct codes.  ``bool`` packs as
-#: ``?`` — the truth value, one byte 0/1, like ``_pack_field``.
+#: ``?`` — the truth value, one byte 0/1.
 _FIXED_CODES = {"u32": "I", "u64": "Q", "i64": "q", "f64": "d", "bool": "?"}
 _SEG_FIXED, _SEG_STR, _SEG_OPT_I64 = 0, 1, 2
+_TRUNCATED = "truncated journal record"
 
 
 def _compile_layout(spec: tuple[str, ...]) -> tuple[tuple, ...]:
-    """One opcode's packer, compiled from its ``EDIT_SPECS`` row: runs of
-    adjacent fixed-width fields fuse into one ``struct.Struct`` over a
-    slice of the values; ``str`` and ``opt_i64`` stay segments."""
+    """One record's codec, compiled from its spec row: runs of adjacent
+    fixed-width fields fuse into one ``struct.Struct`` over a slice of
+    the values (with the byte offsets of its ``bool`` fields, which the
+    unpacker checks); ``str`` and ``opt_i64`` stay segments."""
     segments: list[tuple] = []
     run_start = None
     for i, kind in enumerate((*spec, None)):  # None flushes the last run
@@ -237,38 +131,26 @@ def _compile_layout(spec: tuple[str, ...]) -> tuple[tuple, ...]:
             continue
         if run_start is not None:
             codes = "".join(_FIXED_CODES[k] for k in spec[run_start:i])
-            segments.append((_SEG_FIXED, struct.Struct(">" + codes), run_start, i))
+            bools = tuple(
+                struct.calcsize(">" + codes[:j])
+                for j, code in enumerate(codes)
+                if code == "?"
+            )
+            fused = struct.Struct(">" + codes)
+            segments.append((_SEG_FIXED, fused, run_start, i, bools))
             run_start = None
         if kind == "str":
-            segments.append((_SEG_STR, None, i, i + 1))
+            segments.append((_SEG_STR, None, i, i + 1, ()))
         elif kind == "opt_i64":
-            segments.append((_SEG_OPT_I64, None, i, i + 1))
+            segments.append((_SEG_OPT_I64, None, i, i + 1, ()))
         elif kind is not None:  # pragma: no cover - spec typo guard
             raise AssertionError(f"unknown field kind {kind!r}")
     return tuple(segments)
 
 
-#: opcode -> (opcode byte, field count, compiled segments).
-_EDIT_LAYOUTS: dict[int, tuple[bytes, int, tuple[tuple, ...]]] = {
-    op: (_U8.pack(op), len(spec), _compile_layout(spec))
-    for op, spec in EDIT_SPECS.items()
-}
-
-
-def encode_edit(op: int, values: tuple) -> bytes:
-    """Encode one edit record payload (opcode + typed fields), packed by
-    the opcode's compiled layout; byte-identical to walking its
-    ``EDIT_SPECS`` row field by field with ``_pack_field``."""
-    layout = _EDIT_LAYOUTS.get(op)
-    if layout is None:
-        raise JournalFormatError(f"unknown edit opcode {op}")
-    head, arity, segments = layout
-    if len(values) != arity:
-        raise JournalFormatError(
-            f"{OP_NAMES[op]} takes {arity} fields, got {len(values)}"
-        )
-    out = [head]
-    for tag, packer, start, stop in segments:
+def _pack(segments: tuple[tuple, ...], values, out: list) -> None:
+    """Append one record's fields, packed by its compiled layout."""
+    for tag, packer, start, stop, _ in segments:
         if tag == _SEG_STR:
             data = values[start].encode("utf-8")
             out.append(_U32.pack(len(data)))
@@ -280,18 +162,102 @@ def encode_edit(op: int, values: tuple) -> bytes:
         else:
             out.append(b"\x01")
             out.append(_I64.pack(values[start]))
+
+
+def _unpack(segments: tuple[tuple, ...], data, pos: int) -> tuple[tuple, int]:
+    """Read one record's fields from ``data[pos:]`` by its compiled
+    layout; returns ``(values, end)``.  Every read is bounds-checked:
+    truncation, a bool or presence byte that is not 0/1, and bad UTF-8
+    raise :class:`JournalFormatError`."""
+    values: list = []
+    size = len(data)
+    for tag, unpacker, _, _, bools in segments:
+        if tag == _SEG_FIXED:
+            end = pos + unpacker.size
+            if end > size:
+                raise JournalFormatError(_TRUNCATED)
+            for offset in bools:
+                if data[pos + offset] > 1:
+                    raise JournalFormatError(f"bad bool byte {data[pos + offset]}")
+            values += unpacker.unpack_from(data, pos)
+        elif tag == _SEG_STR:
+            if pos + 4 > size:
+                raise JournalFormatError(_TRUNCATED)
+            start = pos + 4
+            end = start + _U32.unpack_from(data, pos)[0]
+            if end > size:
+                raise JournalFormatError(_TRUNCATED)
+            try:
+                values.append(str(data[start:end], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise JournalFormatError(
+                    f"bad UTF-8 in journal string: {exc}"
+                ) from None
+        else:
+            if pos >= size:
+                raise JournalFormatError(_TRUNCATED)
+            flag = data[pos]
+            if flag == 0:
+                values.append(None)
+                end = pos + 1
+            elif flag == 1:
+                end = pos + 9
+                if end > size:
+                    raise JournalFormatError(_TRUNCATED)
+                values.append(_I64.unpack_from(data, pos + 1)[0])
+            else:
+                raise JournalFormatError(f"bad optional-presence byte {flag}")
+        pos = end
+    return tuple(values), pos
+
+
+def _unpack_keyed(layouts: dict, what: str, data, pos: int) -> tuple[int, tuple, int]:
+    """Read a key byte (an edit's opcode, an inode's kind), then the
+    record it keys; returns ``(key, values, end)``."""
+    if pos >= len(data):
+        raise JournalFormatError(_TRUNCATED)
+    key = data[pos]
+    layout = layouts.get(key)
+    if layout is None:
+        raise JournalFormatError(f"unknown {what} {key}")
+    values, end = _unpack(layout[2], data, pos + 1)
+    return key, values, end
+
+
+def _keyed_layouts(specs: dict[int, tuple[str, ...]]) -> dict[int, tuple]:
+    """key -> (key byte, field count, compiled segments)."""
+    return {
+        key: (bytes((key,)), len(spec), _compile_layout(spec))
+        for key, spec in specs.items()
+    }
+
+
+# -- edit record codec ------------------------------------------------------
+
+
+_EDIT_LAYOUTS = _keyed_layouts(EDIT_SPECS)
+
+
+def encode_edit(op: int, values: tuple) -> bytes:
+    """Encode one edit record payload (opcode + typed fields), packed by
+    the opcode's compiled layout."""
+    layout = _EDIT_LAYOUTS.get(op)
+    if layout is None:
+        raise JournalFormatError(f"unknown edit opcode {op}")
+    head, arity, segments = layout
+    if len(values) != arity:
+        raise JournalFormatError(
+            f"{OP_NAMES[op]} takes {arity} fields, got {len(values)}"
+        )
+    out = [head]
+    _pack(segments, values, out)
     return b"".join(out)
 
 
 def decode_edit(payload) -> tuple[int, tuple]:
     """Decode one edit record payload back to ``(opcode, values)``."""
-    reader = _Reader(payload)
-    op = reader.u8()
-    spec = EDIT_SPECS.get(op)
-    if spec is None:
-        raise JournalFormatError(f"unknown edit opcode {op}")
-    values = tuple(reader.field(kind) for kind in spec)
-    if not reader.exhausted:
+    op, values, end = _unpack_keyed(_EDIT_LAYOUTS, "edit opcode", payload, 0)
+    if end != len(payload):
         raise JournalFormatError("trailing bytes after edit record")
     return op, values
 
@@ -390,44 +356,49 @@ def _image_size(state: ImageState) -> tuple[int, int]:
     return len(inodes), sum(len(i.blocks) for i in inodes if not i.is_dir)
 
 
+#: fsimage record shapes, one spec row each.  An inode record is keyed
+#: by its kind byte the way an edit is keyed by its opcode.
+_KIND_DIR, _KIND_FILE = 0, 1
+_IMAGE_HEAD = _compile_layout(("u64", "u32"))  # next block id, quota count
+_QUOTA = _compile_layout(("str", "opt_i64", "opt_i64"))  # path, ns / space quota
+_COUNT = _compile_layout(("u32",))  # decommissioning names, inodes
+_NAME = _compile_layout(("str",))  # decommissioning datanode
+_INODE_LAYOUTS = _keyed_layouts(
+    {
+        _KIND_DIR: ("str", "f64"),  # path, mtime
+        # path, mtime, replication, under construction, block count
+        _KIND_FILE: ("str", "f64", "u32", "bool", "u32"),
+    }
+)
+_BLOCK = _compile_layout(("u64", "u32", "u64"))  # id, generation, length
+
+
 def encode_image(state: ImageState) -> bytes:
     """Serialize a full namespace snapshot (the fsimage)."""
-    body = bytearray()
-    body += _U64.pack(state.next_block_id)
+    out: list = []
     quotas = sorted(state.quotas.items())
-    body += _U32.pack(len(quotas))
+    _pack(_IMAGE_HEAD, (state.next_block_id, len(quotas)), out)
     for path, (namespace_quota, space_quota) in quotas:
-        _pack_field("str", path, body)
-        _pack_field("opt_i64", namespace_quota, body)
-        _pack_field("opt_i64", space_quota, body)
+        _pack(_QUOTA, (path, namespace_quota, space_quota), out)
     decommissioning = sorted(state.decommissioning)
-    body += _U32.pack(len(decommissioning))
+    _pack(_COUNT, (len(decommissioning),), out)
     for name in decommissioning:
-        _pack_field("str", name, body)
+        _pack(_NAME, (name,), out)
     entries = list(state.namespace.walk_all("/"))
-    body += _U32.pack(len(entries))
+    _pack(_COUNT, (len(entries),), out)
+    dir_head, _, dir_segments = _INODE_LAYOUTS[_KIND_DIR]
+    file_head, _, file_segments = _INODE_LAYOUTS[_KIND_FILE]
     for path, inode in entries:
         if inode.is_dir:
-            body += _U8.pack(_KIND_DIR)
-            _pack_field("str", path, body)
-            body += _F64.pack(inode.mtime)
-        else:
-            body += _U8.pack(_KIND_FILE)
-            _pack_field("str", path, body)
-            body += _F64.pack(inode.mtime)
-            body += _U32.pack(inode.replication)
-            body += _U8.pack(1 if inode.under_construction else 0)
-            body += _U32.pack(len(inode.blocks))
-            for block in inode.blocks:
-                body += _U64.pack(block.block_id)
-                body += _U32.pack(block.generation)
-                body += _U64.pack(block.length)
-    blob = bytes(body)
-    return (
-        _HEADER.pack(IMAGE_MAGIC, VERSION)
-        + _FRAME.pack(len(blob), zlib.crc32(blob) & 0xFFFFFFFF)
-        + blob
-    )
+            out.append(dir_head)
+            _pack(dir_segments, (path, inode.mtime), out)
+            continue
+        out.append(file_head)
+        header = (path, inode.mtime, inode.replication, inode.under_construction)
+        _pack(file_segments, (*header, len(inode.blocks)), out)
+        for block in inode.blocks:
+            _pack(_BLOCK, (block.block_id, block.generation, block.length), out)
+    return _HEADER.pack(IMAGE_MAGIC, VERSION) + frame_record(b"".join(out))
 
 
 def decode_image(blob) -> ImageState:
@@ -448,43 +419,39 @@ def decode_image(blob) -> ImageState:
         raise JournalFormatError("fsimage body shorter than its declared length")
     if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
         raise JournalFormatError("fsimage body CRC mismatch")
-    reader = _Reader(body)
-    next_block_id = reader.u64()
+    (next_block_id, count), pos = _unpack(_IMAGE_HEAD, body, 0)
     quotas: dict[str, tuple[int | None, int | None]] = {}
-    for _ in range(reader.u32()):
-        path = reader.str_()
-        quotas[path] = (reader.opt_i64(), reader.opt_i64())
-    decommissioning = {reader.str_() for _ in range(reader.u32())}
+    for _ in range(count):
+        (path, namespace_quota, space_quota), pos = _unpack(_QUOTA, body, pos)
+        quotas[path] = (namespace_quota, space_quota)
+    (count,), pos = _unpack(_COUNT, body, pos)
+    decommissioning = set()
+    for _ in range(count):
+        (name,), pos = _unpack(_NAME, body, pos)
+        decommissioning.add(name)
+    (count,), pos = _unpack(_COUNT, body, pos)
     ns = Namespace()
-    for _ in range(reader.u32()):
-        kind = reader.u8()
-        path = reader.str_()
-        mtime = reader.f64()
+    for _ in range(count):
+        kind, values, pos = _unpack_keyed(_INODE_LAYOUTS, "inode kind", body, pos)
         if kind == _KIND_DIR:
+            path, mtime = values
             if path == "/":
                 ns.root.mtime = mtime
             else:
                 # Preorder serialization: parents always precede
                 # children, so this creates exactly one directory.
                 ns.mkdirs(path, mtime=mtime)
-        elif kind == _KIND_FILE:
-            replication = reader.u32()
-            under_construction = reader.u8() == 1
-            blocks = [
-                Block(
-                    block_id=reader.u64(),
-                    generation=reader.u32(),
-                    length=reader.u64(),
-                )
-                for _ in range(reader.u32())
-            ]
-            inode = ns.create_file(path, replication=replication, mtime=mtime)
-            inode.blocks = blocks
-            inode.under_construction = under_construction
-            inode.mtime = mtime
-        else:
-            raise JournalFormatError(f"unknown inode kind {kind}")
-    if not reader.exhausted:
+            continue
+        path, mtime, replication, under_construction, block_count = values
+        blocks = []
+        for _ in range(block_count):
+            block, pos = _unpack(_BLOCK, body, pos)  # id, generation, length
+            blocks.append(Block(*block))
+        inode = ns.create_file(path, replication=replication, mtime=mtime)
+        inode.blocks = blocks
+        inode.under_construction = under_construction
+        inode.mtime = mtime
+    if pos != len(body):
         raise JournalFormatError("trailing bytes in fsimage body")
     return ImageState(
         namespace=ns,

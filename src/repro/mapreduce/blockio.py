@@ -27,7 +27,7 @@ class MappedFile:
     The shm shuffle plane (:mod:`repro.mapreduce.shm`) maps, with
     :meth:`open`, the segment file a map worker published.  These are
     host files, not simulated HDFS blocks; the simulated cost of
-    shuffling is priced separately by the CostModel.
+    shuffling is priced separately by the timing model.
     """
 
     __slots__ = ("_file", "_mmap")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -9,40 +10,37 @@ from repro.util.errors import ConfigError
 from repro.util.units import MB
 
 
-@dataclass
-class CostModel:
-    """The timing model that turns executed work into simulated seconds.
+# -- the timing model ----------------------------------------------------
+# It turns executed work into simulated seconds.  Values are calibrated to
+# 2012-era commodity hardware so that the *shapes* the paper reports
+# (serial half-hour jobs, order-of-magnitude side-file penalties,
+# minutes-long cluster runs) come out at realistic magnitudes.  Absolute
+# numbers are not the reproduction target.
 
-    Values are calibrated to 2012-era commodity hardware so that the
-    *shapes* the paper reports (serial half-hour jobs, order-of-magnitude
-    side-file penalties, minutes-long cluster runs) come out at realistic
-    magnitudes.  Absolute numbers are not the reproduction target.
-    """
+#: JVM/task launch overhead, seconds (Hadoop 1 pays this per task).
+TASK_STARTUP = 1.0
+#: CPU cost per record through map() or reduce().
+CPU_PER_RECORD = 10e-6
+#: CPU cost per input byte (parsing, decompression).
+CPU_PER_BYTE = 4e-9
+#: Cost of one in-memory sort comparison.
+SORT_PER_RECORD = 1.5e-6
+#: Seconds per side-file byte when a mapper re-reads an auxiliary file
+#: (open + stream, no caching).
+SIDE_READ_PER_BYTE = 12e-9
+#: Per side-file open overhead (NameNode RPC + connection setup).
+SIDE_OPEN_OVERHEAD = 0.05
 
-    #: JVM/task launch overhead, seconds (Hadoop 1 pays this per task).
-    task_startup: float = 1.0
-    #: CPU cost per record through map() or reduce().
-    cpu_per_record: float = 10e-6
-    #: CPU cost per input byte (parsing, decompression).
-    cpu_per_byte: float = 4e-9
-    #: Cost of one in-memory sort comparison.
-    sort_per_record: float = 1.5e-6
-    #: Seconds per side-file byte when a mapper re-reads an auxiliary
-    #: file (open + stream, no caching).
-    side_read_per_byte: float = 12e-9
-    #: Per side-file open overhead (NameNode RPC + connection setup).
-    side_open_overhead: float = 0.05
 
-    def cpu_time(self, records: int, nbytes: int) -> float:
-        return records * self.cpu_per_record + nbytes * self.cpu_per_byte
+def cpu_time(records: int, nbytes: int) -> float:
+    return records * CPU_PER_RECORD + nbytes * CPU_PER_BYTE
 
-    def sort_time(self, records: int) -> float:
-        if records <= 1:
-            return 0.0
-        # records * log2(records) comparisons, roughly.
-        import math
 
-        return records * math.log2(records) * self.sort_per_record
+def sort_time(records: int) -> float:
+    if records <= 1:
+        return 0.0
+    # records * log2(records) comparisons, roughly.
+    return records * math.log2(records) * SORT_PER_RECORD
 
 
 #: Heartbeats missed before the JobTracker declares a tracker lost.
@@ -80,7 +78,6 @@ class MapReduceConfig:
     #: job counters (group "Sanitizer"); clean runs are bit-identical
     #: to unsanitized runs.
     sanitize: bool = False
-    cost: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.map_slots_per_tracker < 1 or self.reduce_slots_per_tracker < 1:

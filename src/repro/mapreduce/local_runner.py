@@ -25,7 +25,11 @@ from dataclasses import dataclass, field
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.mapreduce.api import Job
 from repro.mapreduce.backend import ExecutionBackend, resolve_backend
-from repro.mapreduce.config import MapReduceConfig
+from repro.mapreduce.config import (
+    SIDE_OPEN_OVERHEAD,
+    SIDE_READ_PER_BYTE,
+    MapReduceConfig,
+)
 from repro.mapreduce.counters import PERF, Counters
 from repro.mapreduce.inputformat import InputSplit
 from repro.mapreduce.outputformat import TextOutputFormat, part_file_name
@@ -130,11 +134,10 @@ class LocalJobRunner:
 
     def _side_reader(self, path: str):
         data = self.localfs.read_file(path)
-        cost = self.mr_config.cost
         elapsed = (
-            cost.side_open_overhead
+            SIDE_OPEN_OVERHEAD
             + len(data) / self.LOCAL_DISK_BW
-            + len(data) * cost.side_read_per_byte
+            + len(data) * SIDE_READ_PER_BYTE
         )
         return data.decode("utf-8"), elapsed
 

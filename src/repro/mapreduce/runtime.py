@@ -8,7 +8,7 @@ integration tests assert.
 
 Real user code runs eagerly over real records; the returned
 ``duration`` prices that work on the simulated hardware via the
-:class:`~repro.mapreduce.config.CostModel`.
+timing model in :mod:`repro.mapreduce.config`.
 
 One path from split to part file, whichever driver and backend:
 :func:`prefetch_split` (the split's block I/O, in the driver's thread)
@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.mapreduce.api import Context, Job
-from repro.mapreduce.config import JobConf, MapReduceConfig
+from repro.mapreduce.config import (
+    TASK_STARTUP,
+    JobConf,
+    MapReduceConfig,
+    cpu_time,
+    sort_time,
+)
 from repro.mapreduce.inputformat import (
     FetchStats,
     InputSplit,
@@ -242,7 +248,6 @@ def execute_map(
     """
     counters = Counters()
     conf: JobConf = job.conf
-    cost = mr_config.cost
     sanitizer = _make_sanitizer(
         mr_config, conf, counters, f"map[{split.path}#{split.block_index}]"
     )
@@ -328,9 +333,7 @@ def execute_map(
                 raise _wrap_user_error("combine", exc) from exc
             combine_records += len(ppairs)
         partitions = combined
-        combine_time = cost.sort_time(combine_records) + cost.cpu_time(
-            combine_records, 0
-        )
+        combine_time = sort_time(combine_records) + cpu_time(combine_records, 0)
 
     # Without a combiner the partitions hold exactly what was tallied.
     final_bytes = (
@@ -347,11 +350,11 @@ def execute_map(
     spill_time = (spills - 1) * (output_bytes / disk_write_bw)
 
     duration = (
-        cost.task_startup
+        TASK_STARTUP
         + stats.elapsed
-        + cost.cpu_time(records_in, stats.bytes_read)
+        + cpu_time(records_in, stats.bytes_read)
         + context.extra_time
-        + cost.sort_time(records_out)
+        + sort_time(records_out)
         + combine_time
         + spill_time
         + final_bytes / disk_write_bw  # write map output to local disk
@@ -441,11 +444,10 @@ def execute_reduce(
     counters.increment(C.REDUCE_INPUT_GROUPS, groups)
     counters.increment(C.REDUCE_OUTPUT_RECORDS, len(out_pairs))
 
-    cost = mr_config.cost
     duration = (
-        cost.task_startup
-        + cost.sort_time(in_records)  # the merge
-        + cost.cpu_time(in_records, in_bytes)
+        TASK_STARTUP
+        + sort_time(in_records)  # the merge
+        + cpu_time(in_records, in_bytes)
         + context.extra_time
     )
     return ReduceExecution(

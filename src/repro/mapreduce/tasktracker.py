@@ -18,7 +18,12 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.cluster.hardware import Node
 from repro.mapreduce.backend import ExecutionBackend, WorkHandle
 from repro.mapreduce.blockio import BlockFetcher
-from repro.mapreduce.config import MapReduceConfig
+from repro.mapreduce.config import (
+    SIDE_OPEN_OVERHEAD,
+    SIDE_READ_PER_BYTE,
+    TASK_STARTUP,
+    MapReduceConfig,
+)
 from repro.mapreduce.counters import C, PERF
 from repro.mapreduce.outputformat import part_file_name
 from repro.mapreduce.runtime import (
@@ -437,11 +442,10 @@ class TaskTracker:
         """
         read = self.output_client_factory(self.name).read_bytes(path)
         text = read.text()
-        cost = self.mr_config.cost
         elapsed = (
             read.elapsed
-            + cost.side_open_overhead
-            + len(text) * cost.side_read_per_byte
+            + SIDE_OPEN_OVERHEAD
+            + len(text) * SIDE_READ_PER_BYTE
         )
         return text, elapsed
 
@@ -524,7 +528,7 @@ class TaskTracker:
         running: _RunningAttempt | None = None,
     ) -> None:
         """User-code error: the attempt burns startup time, then fails."""
-        duration = self.mr_config.cost.task_startup + 2.0
+        duration = TASK_STARTUP + 2.0
         completion = self.sim.schedule(
             duration, self._fail, assignment, str(exc), counts_against
         )

@@ -6,15 +6,19 @@ replays fsimage + edits back to the exact pre-crash namespace, and a
 torn edit-log tail loses only the torn record — never the valid prefix.
 """
 
+import struct
+
 import pytest
 
 from repro.hdfs.journal import (
     EDIT_SPECS,
     EDITS_MAGIC,
+    IMAGE_MAGIC,
     OP_ADD_BLOCK,
     OP_CREATE,
     OP_MKDIRS,
     OP_SET_QUOTA,
+    VERSION,
     DirJournalStorage,
     MemoryJournalStorage,
     NameNodeJournal,
@@ -146,6 +150,70 @@ class TestImageCodec:
         blob = encode_image(self._state())
         with pytest.raises(JournalFormatError):
             decode_image(blob[: len(blob) - 3])
+
+
+def _str(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+def image_body(
+    *,
+    presence=b"\x00",
+    kind=b"\x01",
+    under_construction=b"\x00",
+    name=b"/f",
+    inodes=2,
+    tail=b"",
+) -> bytes:
+    """An fsimage body written byte by byte: one quota, the root and one
+    single-block file.  Each keyword replaces one field with a defect."""
+    return b"".join(
+        [
+            struct.pack(">QI", 1001, 1),  # next block id, one quota
+            _str(b"/q") + presence + b"\x00",  # path, ns / space quota
+            struct.pack(">I", 0),  # no decommissioning datanodes
+            struct.pack(">I", inodes),
+            b"\x00" + _str(b"/") + struct.pack(">d", 0.0),  # the root
+            kind + _str(name) + struct.pack(">dI", 1.0, 3),  # mtime, replication
+            under_construction + struct.pack(">I", 1),  # one block
+            struct.pack(">QIQ", 1000, 1, 64),
+            tail,
+        ]
+    )
+
+
+def image_blob(body: bytes) -> bytes:
+    """Wrap a body in a valid header and a CRC that matches it."""
+    return struct.pack(">4sI", IMAGE_MAGIC, VERSION) + frame_record(body)
+
+
+class TestImageBodyDefects:
+    """Corruption the CRC cannot see: a body whose checksum is right but
+    whose content is not an fsimage is still a hard error."""
+
+    def test_the_hand_written_body_is_valid(self):
+        state = decode_image(image_blob(image_body()))
+        assert state.next_block_id == 1001
+        assert state.quotas == {"/q": (None, None)}
+        inode = state.namespace.get_file("/f")
+        assert (inode.replication, inode.under_construction) == (3, False)
+        assert [(b.block_id, b.length) for b in inode.blocks] == [(1000, 64)]
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ({"kind": b"\x02"}, "unknown inode kind 2"),
+            ({"under_construction": b"\x02"}, "bad bool byte 2"),
+            ({"presence": b"\x02"}, "bad optional-presence byte 2"),
+            ({"name": b"/\xff"}, "bad UTF-8"),
+            ({"inodes": 3}, "truncated"),
+            ({"tail": b"\x00"}, "trailing bytes"),
+        ],
+        ids=["inode-kind", "bool", "presence", "utf-8", "short-count", "trailing"],
+    )
+    def test_crc_valid_defect_is_hard_error(self, defect, match):
+        with pytest.raises(JournalFormatError, match=match):
+            decode_image(image_blob(image_body(**defect)))
 
 
 class TestJournalManager:

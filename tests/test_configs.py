@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.hdfs.config import HdfsConfig
-from repro.mapreduce.config import CostModel, JobConf, MapReduceConfig
+from repro.mapreduce.config import JobConf, MapReduceConfig, cpu_time, sort_time
 from repro.util.errors import ConfigError
 
 
@@ -79,7 +79,6 @@ class TestMapReduceConfig:
             "shuffle_transport",
             "shuffle_retry_jitter",
             "sanitize",
-            "cost",
         }
 
     @pytest.mark.parametrize(
@@ -91,19 +90,21 @@ class TestMapReduceConfig:
         with pytest.raises(TypeError):
             MapReduceConfig(**kwargs)
 
+    def test_cost_is_not_a_config_field(self):
+        """The timing model is module constants in
+        ``repro.mapreduce.config``, which nothing sets."""
+        with pytest.raises(TypeError):
+            MapReduceConfig(cost=None)
+
 
 class TestCostModel:
     def test_cpu_time_linear(self):
-        cost = CostModel()
-        assert cost.cpu_time(2000, 0) == pytest.approx(
-            2 * cost.cpu_time(1000, 0)
-        )
+        assert cpu_time(2000, 0) == pytest.approx(2 * cpu_time(1000, 0))
 
     def test_sort_time_superlinear(self):
-        cost = CostModel()
-        assert cost.sort_time(10_000) > 10 * cost.sort_time(1_000)
-        assert cost.sort_time(1) == 0.0
-        assert cost.sort_time(0) == 0.0
+        assert sort_time(10_000) > 10 * sort_time(1_000)
+        assert sort_time(1) == 0.0
+        assert sort_time(0) == 0.0
 
 
 class TestJobConf:

@@ -6,7 +6,9 @@ every run the same way passes them.  These pin a 200-student
 events) on ``serial`` and ``auto``, and the sha256 of the edit log one
 fixed namespace script writes, to the values recorded before the
 control-plane fast paths (unheard events, compiled edit layouts, the
-normal-path shortcut, the tuple heap) landed.
+normal-path shortcut, the tuple heap) landed; and the sha256 of the
+fsimage ``save_namespace()`` then writes, recorded before both journal
+files shared one compiled field codec.
 """
 
 import hashlib
@@ -25,6 +27,9 @@ CAMPUS_EVENTS = 1210
 EDIT_LOG_SHA256 = "588779df7b0524ec8e7460b6fbf54c9213aff581baa251e4a7a50cbf1b174930"
 EDIT_LOG_EDITS = 20
 EDIT_LOG_BYTES = 853
+
+FSIMAGE_SHA256 = "4f4c62b6a671ed32919c6c600a30e6029942751d29d5bf81aca0f3315c99de41"
+FSIMAGE_BYTES = 412
 
 
 @pytest.mark.parametrize("policy", ["serial", "auto"])
@@ -58,7 +63,7 @@ def test_campus_cluster_facts(policy):
     assert stats.events_processed == CAMPUS_EVENTS
 
 
-def test_edit_log_bytes_of_a_fixed_namespace_script():
+def run_fixed_namespace_script():
     hdfs = make_hdfs(num_datanodes=3, block_size=64)
     client = hdfs.client()
     namenode = hdfs.namenode
@@ -72,7 +77,21 @@ def test_edit_log_bytes_of_a_fixed_namespace_script():
     namenode.set_quota("/user/b", None, None)
     client.delete("/user/b", recursive=True)
     namenode.start_decommission(sorted(namenode.datanodes)[0])
+    return namenode
+
+
+def test_edit_log_bytes_of_a_fixed_namespace_script():
+    namenode = run_fixed_namespace_script()
     blob = namenode.journal.storage.edits_blob()
     assert namenode.journal.edits_logged == EDIT_LOG_EDITS
     assert len(blob) == EDIT_LOG_BYTES
     assert hashlib.sha256(blob).hexdigest() == EDIT_LOG_SHA256
+
+
+def test_fsimage_bytes_of_a_fixed_namespace_script():
+    namenode = run_fixed_namespace_script()
+    stats = namenode.save_namespace()
+    blob = namenode.journal.storage.read_image()
+    assert (stats.image_inodes, stats.image_blocks) == (6, 8)
+    assert len(blob) == FSIMAGE_BYTES
+    assert hashlib.sha256(blob).hexdigest() == FSIMAGE_SHA256
