@@ -23,7 +23,6 @@ def scenario(platform: str) -> ClassroomScenario:
         platform=platform,
         num_students=39,
         window=48 * HOUR,
-        mean_head_start=10 * HOUR,
         buggy_probability=0.55,
         fix_probability=0.45,
         instructor_reaction_delay=45 * MINUTE,

@@ -36,8 +36,17 @@ from repro.util.errors import ReproError
 from repro.util.rng import RngStream
 from repro.util.units import HOUR, MINUTE
 
-#: The campus's course sections (the ``user`` of their students' jobs).
+#: The campus's course sections (the ``user`` of their students' jobs),
+#: dealt to students round-robin.
 DEFAULT_USERS = ("cs1060", "cs4060", "cs6060", "research")
+WORKERS_PER_CLUSTER = 8
+#: Heartbeat/poll cadence.  Campus runs use a coarser tick than
+#: Hadoop's 3s chatter: the mechanisms are preserved, the event count
+#: is ~5x smaller.
+DAEMON_INTERVAL = 15.0
+POLL_INTERVAL = 1 * MINUTE
+#: Hard ceiling on simulated time after the window closes.
+DRAIN_HORIZON = 24 * HOUR
 
 
 @dataclass
@@ -53,22 +62,12 @@ class CampusScenario:
     jobs_per_student: int = 1
     #: Submission window: jobs land uniformly at random inside it.
     window: float = 2 * HOUR
-    workers_per_cluster: int = 8
-    #: Course accounts, dealt to students round-robin.
-    users: tuple[str, ...] = DEFAULT_USERS
     input_bytes: int = 2 * 1024
     block_size: int = 4 * 1024
-    #: Heartbeat/poll cadence.  Campus runs use a coarser tick than
-    #: Hadoop's 3s chatter: the mechanisms are preserved, the event
-    #: count is ~5x smaller.
-    daemon_interval: float = 15.0
-    poll_interval: float = 1 * MINUTE
     #: Chaos agent: crash one worker every ``chaos_interval`` and
     #: restart it ``chaos_downtime`` later (0 disables).
     chaos_interval: float = 0.0
     chaos_downtime: float = 2 * MINUTE
-    #: Hard ceiling on simulated time after the window closes.
-    drain_horizon: float = 24 * HOUR
     seed: int = 0
 
     def jobs_total(self) -> int:
@@ -104,7 +103,6 @@ def _campus_job(user: str, student_id: int, attempt: int) -> object:
         name=f"{user}-s{student_id}-a{attempt}",
         user=user,
         num_reduces=1,
-        max_attempts=4,
     )
     return streaming_job(
         name=conf.name,
@@ -129,14 +127,14 @@ class CampusClusterRun:
         rng = RngStream(seed=scenario.seed).child("campus", cluster_index)
         self._rng = rng
         self.mr = MapReduceCluster(
-            num_workers=scenario.workers_per_cluster,
+            num_workers=WORKERS_PER_CLUSTER,
             hdfs_config=HdfsConfig(
                 block_size=scenario.block_size,
-                replication=min(3, scenario.workers_per_cluster),
-                heartbeat_interval=scenario.daemon_interval,
-                replication_check_interval=scenario.daemon_interval,
+                replication=min(3, WORKERS_PER_CLUSTER),
+                heartbeat_interval=DAEMON_INTERVAL,
+                replication_check_interval=DAEMON_INTERVAL,
             ),
-            mr_config=MapReduceConfig(tasktracker_heartbeat=scenario.daemon_interval),
+            mr_config=MapReduceConfig(tasktracker_heartbeat=DAEMON_INTERVAL),
             seed=scenario.seed + cluster_index,
         )
         self.sim = self.mr.sim
@@ -154,7 +152,7 @@ class CampusClusterRun:
         self._watching: list[tuple[object, str]] = []
         self._planned = 0
         self._schedule_submissions(rng)
-        self.sim.wheel(scenario.poll_interval).subscribe(self._poll)
+        self.sim.wheel(POLL_INTERVAL).subscribe(self._poll)
         if scenario.chaos_interval > 0:
             self.sim.wheel(scenario.chaos_interval).subscribe(self._chaos_tick)
 
@@ -163,7 +161,7 @@ class CampusClusterRun:
         scenario = self.scenario
         for local_id in range(scenario.students_of_cluster(self.cluster_index)):
             srng = rng.child("student", local_id)
-            user = scenario.users[local_id % len(scenario.users)]
+            user = DEFAULT_USERS[local_id % len(DEFAULT_USERS)]
             for attempt in range(scenario.jobs_per_student):
                 at = self._epoch + srng.child("at", attempt).uniform(
                     0.0, scenario.window
@@ -248,9 +246,8 @@ class CampusClusterRun:
         on exactly the same simulated clock as one that never paused —
         the digest's bit-identity depends on it.
         """
-        scenario = self.scenario
-        deadline = self._epoch + scenario.window + scenario.drain_horizon
-        step = max(scenario.poll_interval, scenario.daemon_interval)
+        deadline = self._epoch + self.scenario.window + DRAIN_HORIZON
+        step = max(POLL_INTERVAL, DAEMON_INTERVAL)
         while not self.done and self.sim.now < deadline:
             target = self._next_step_target(step)
             self.sim.run_until(min(target, deadline))

@@ -56,6 +56,34 @@ class Student:
     finished_at: float | None = None
 
 
+#: Mean head-start before the deadline (exponential): most students
+#: start within a day of the due date.
+MEAN_HEAD_START = 10 * HOUR
+MIN_HEAD_START = 30 * MINUTE
+RESUBMIT_DELAY = 10 * MINUTE
+POLL_INTERVAL = 2 * MINUTE
+#: Per-attempt heap-leak probability of a buggy job.
+BUGGY_LEAK_PROBABILITY = 0.35
+#: HDFS block size of the classroom clusters.
+BLOCK_SIZE = 8 * 1024
+#: Instructor watchdog (dedicated only).
+INSTRUCTOR_CHECK_INTERVAL = 15 * MINUTE
+DEAD_FRACTION_FOR_RESTART = 0.5
+#: myHadoop: probability a student logs out without stop-all.sh.
+ABANDON_PROBABILITY = 0.15
+NODES_PER_STUDENT = 4
+#: Daemon heartbeat/sweep interval.  Multi-day simulations don't need
+#: Hadoop's 3-second chatter to preserve the mechanisms under study,
+#: and 15s keeps the event count reasonable.
+DAEMON_INTERVAL = 15.0
+#: Pre-existing data on each DataNode's disk (the pre-loaded Google
+#: trace replicas): what the startup integrity scan must re-verify,
+#: making every restart cost the paper's ~15 minutes.
+PRELOADED_BYTES_PER_NODE = 70 * 1024**3
+#: Integrity-scan rate during DataNode startup (seek-heavy verify).
+STARTUP_SCAN_BW = 75 * 1024**2
+
+
 @dataclass
 class ClassroomScenario:
     """Knobs for one classroom run."""
@@ -64,35 +92,12 @@ class ClassroomScenario:
     platform: str = "dedicated"  # "dedicated" | "myhadoop"
     num_students: int = 39
     window: float = 48 * HOUR  # time from scenario start to deadline
-    #: Mean head-start before the deadline (exponential): most students
-    #: start within a day of the due date.
-    mean_head_start: float = 10 * HOUR
-    min_head_start: float = 30 * MINUTE
     buggy_probability: float = 0.4
     fix_probability: float = 0.6  # chance a resubmission has the bug fixed
-    resubmit_delay: float = 10 * MINUTE
-    poll_interval: float = 2 * MINUTE
-    heap_leak_probability: float = 0.35  # per attempt, for buggy jobs
     #: Shared dataset size (dedicated) / per-student staged size (myhadoop).
     input_bytes: int = 160 * 1024
-    block_size: int = 8 * 1024
-    #: Instructor watchdog (dedicated only).
-    instructor_check_interval: float = 15 * MINUTE
+    #: Instructors' delay between noticing a dead cluster and restarting it.
     instructor_reaction_delay: float = 30 * MINUTE
-    dead_fraction_for_restart: float = 0.5
-    #: myHadoop: probability a student logs out without stop-all.sh.
-    abandon_probability: float = 0.15
-    nodes_per_student: int = 4
-    #: Daemon heartbeat/sweep interval.  Multi-day simulations don't
-    #: need Hadoop's 3-second chatter to preserve the mechanisms under
-    #: study, and 15s keeps the event count reasonable.
-    daemon_interval: float = 15.0
-    #: Pre-existing data on each DataNode's disk (the pre-loaded Google
-    #: trace replicas): what the startup integrity scan must re-verify,
-    #: making every restart cost the paper's ~15 minutes.
-    preloaded_bytes_per_node: int = 70 * 1024**3
-    #: Integrity-scan rate during DataNode startup (seek-heavy verify).
-    startup_scan_bw: float = 75 * 1024**2
     seed: int = 0
 
 
@@ -133,15 +138,13 @@ class ClassroomReport:
         return "\n".join(lines)
 
 
-def _student_job(scenario: ClassroomScenario, student: Student, attempt: int):
+def _student_job(student: Student, attempt: int):
     """The job a student submits (wordcount-shaped, possibly leaky)."""
-    leak = scenario.heap_leak_probability if student.buggy else 0.01
+    leak = BUGGY_LEAK_PROBABILITY if student.buggy else 0.01
     conf = JobConf(
         name=f"s{student.student_id:02d}-a{attempt}",
         num_reduces=1,
         heap_leak_probability=leak,
-        crash_daemons_on_heap_leak=True,
-        max_attempts=4,
     )
     return streaming_job(
         name=conf.name,
@@ -155,8 +158,8 @@ def _draw_students(scenario: ClassroomScenario, rng: RngStream) -> list[Student]
     students = []
     for i in range(scenario.num_students):
         head_start = max(
-            scenario.min_head_start,
-            rng.child("start", i).exponential(scenario.mean_head_start),
+            MIN_HEAD_START,
+            rng.child("start", i).exponential(MEAN_HEAD_START),
         )
         start = max(0.0, scenario.window - head_start)
         students.append(
@@ -175,15 +178,14 @@ def _draw_students(scenario: ClassroomScenario, rng: RngStream) -> list[Student]
 
 def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
     rng = RngStream(seed=scenario.seed).child("classroom", scenario.name)
-    interval = scenario.daemon_interval
     hdfs_config = HdfsConfig(
-        block_size=scenario.block_size,
+        block_size=BLOCK_SIZE,
         replication=3,
-        heartbeat_interval=interval,
-        replication_check_interval=interval,
-        startup_scan_bw=scenario.startup_scan_bw,
+        heartbeat_interval=DAEMON_INTERVAL,
+        replication_check_interval=DAEMON_INTERVAL,
+        startup_scan_bw=STARTUP_SCAN_BW,
     )
-    mr_config = MapReduceConfig(tasktracker_heartbeat=interval)
+    mr_config = MapReduceConfig(tasktracker_heartbeat=DAEMON_INTERVAL)
     platform = build_dedicated_platform(
         seed=scenario.seed, hdfs_config=hdfs_config, mr_config=mr_config
     )
@@ -202,7 +204,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
     # The pre-loaded Google trace replicas: restart scans must re-verify
     # all of it, which is where the 15-minute recoveries come from.
     for datanode in mr.hdfs.datanodes.values():
-        datanode.ballast_bytes = scenario.preloaded_bytes_per_node
+        datanode.ballast_bytes = PRELOADED_BYTES_PER_NODE
 
     sim.bus.subscribe(
         "mr.tasktracker.crashed",
@@ -219,14 +221,14 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
     # self-rescheduling event chain per student — at campus scale
     # (10k students) that is the difference between O(active-jobs) and
     # O(students) queue pressure per interval.
-    poll_wheel = sim.wheel(scenario.poll_interval)
+    poll_wheel = sim.wheel(POLL_INTERVAL)
 
     def submit(student: Student) -> None:
         if sim.now >= deadline or student.state == StudentState.DONE:
             return
         student.attempts += 1
         report.total_job_submissions += 1
-        job = _student_job(scenario, student, student.attempts)
+        job = _student_job(student, student.attempts)
         output = f"/out/s{student.student_id:02d}/a{student.attempts}"
         try:
             running = mr.submit(job, "/class/input.txt", output)
@@ -234,7 +236,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
             report.timeline.append(
                 (sim.now, f"student {student.student_id} submit failed: {exc}")
             )
-            sim.schedule(scenario.resubmit_delay, submit, student)
+            sim.schedule(RESUBMIT_DELAY, submit, student)
             return
         student.state = StudentState.WORKING
         unsubscribe: list = []
@@ -263,7 +265,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
             "fix", student.student_id, student.attempts
         ).bernoulli(scenario.fix_probability):
             student.buggy = False
-        sim.schedule(scenario.resubmit_delay, submit, student)
+        sim.schedule(RESUBMIT_DELAY, submit, student)
 
     for student in students:
         sim.schedule_at(epoch + student.start_time, submit, student)
@@ -281,7 +283,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
         )
         live = sum(1 for t in mr.tasktrackers.values() if t.is_serving)
         if (
-            live <= len(mr.tasktrackers) * (1 - scenario.dead_fraction_for_restart)
+            live <= len(mr.tasktrackers) * (1 - DEAD_FRACTION_FOR_RESTART)
             and not state["restart_pending"]
         ):
             state["restart_pending"] = True
@@ -308,7 +310,7 @@ def _run_dedicated(scenario: ClassroomScenario) -> ClassroomReport:
         state["restart_pending"] = False
         report.timeline.append((sim.now, "trackers restarted"))
 
-    sim.wheel(scenario.instructor_check_interval).subscribe(instructor_check)
+    sim.wheel(INSTRUCTOR_CHECK_INTERVAL).subscribe(instructor_check)
     sim.run_until(deadline)
 
     report.completed = sum(1 for s in students if s.state == StudentState.DONE)
@@ -335,7 +337,7 @@ def _run_myhadoop(scenario: ClassroomScenario) -> ClassroomReport:
     rng = RngStream(seed=scenario.seed).child("classroom", scenario.name)
     env = build_myhadoop_platform(
         seed=scenario.seed,
-        mr_config=MapReduceConfig(tasktracker_heartbeat=scenario.daemon_interval),
+        mr_config=MapReduceConfig(tasktracker_heartbeat=DAEMON_INTERVAL),
     )
     sim = env.sim
     report = ClassroomReport(
@@ -362,13 +364,13 @@ def _run_myhadoop(scenario: ClassroomScenario) -> ClassroomReport:
         home = env.home_for(user)
         home.write_file(f"/home/{user}/input.txt", corpus)
         hdfs_config = HdfsConfig(
-            block_size=scenario.block_size,
+            block_size=BLOCK_SIZE,
             replication=2,
-            heartbeat_interval=scenario.daemon_interval,
-            replication_check_interval=scenario.daemon_interval,
+            heartbeat_interval=DAEMON_INTERVAL,
+            replication_check_interval=DAEMON_INTERVAL,
         )
         config = MyHadoopConfig(
-            user=user, num_nodes=scenario.nodes_per_student, hdfs=hdfs_config
+            user=user, num_nodes=NODES_PER_STUDENT, hdfs=hdfs_config
         )
         submission = BatchSubmission(
             env.scheduler, env.provisioner, config, home, walltime=4 * HOUR
@@ -376,7 +378,7 @@ def _run_myhadoop(scenario: ClassroomScenario) -> ClassroomReport:
         submission.add_stage_in(
             f"/home/{user}/input.txt", f"/user/{user}/input.txt"
         )
-        job = _student_job(scenario, student, student.attempts)
+        job = _student_job(student, student.attempts)
         submission.add_job(
             job,
             f"/user/{user}/input.txt",
@@ -385,7 +387,7 @@ def _run_myhadoop(scenario: ClassroomScenario) -> ClassroomReport:
         )
         submission.stop_cluster_at_end = not rng.child(
             "abandon", student.student_id, student.attempts
-        ).bernoulli(scenario.abandon_probability)
+        ).bernoulli(ABANDON_PROBABILITY)
         result = submission.run()
         if not submission.stop_cluster_at_end:
             report.timeline.append((sim.now, f"{user} left ghost daemons behind"))
@@ -409,7 +411,7 @@ def _run_myhadoop(scenario: ClassroomScenario) -> ClassroomReport:
         while sim.now < deadline and student.state != StudentState.DONE:
             if one_attempt(student):
                 break
-            sim.run_for(min(scenario.resubmit_delay, max(0.0, deadline - sim.now)))
+            sim.run_for(min(RESUBMIT_DELAY, max(0.0, deadline - sim.now)))
         if student.state != StudentState.DONE:
             student.state = StudentState.OUT_OF_TIME
 

@@ -126,14 +126,10 @@ def _make_cluster(
     backend: str | None = None,
     sanitize: bool = False,
     transport: str = "framed",
-    block_cache_bytes: int | None = None,
 ) -> MapReduceCluster:
-    hdfs_config = HdfsConfig(block_size=2048, replication=2)
-    if block_cache_bytes is not None:
-        hdfs_config.block_cache_bytes = block_cache_bytes
     return MapReduceCluster(
         num_workers=5,
-        hdfs_config=hdfs_config,
+        hdfs_config=HdfsConfig(block_size=2048, replication=2),
         mr_config=MapReduceConfig(
             sanitize=sanitize, shuffle_transport=transport
         ),
@@ -214,19 +210,13 @@ def _run_once(
     checks: list[Check] | None = None,
     sanitize: bool = False,
     transport: str = "framed",
-    block_cache_bytes: int | None = None,
 ) -> tuple[JobReport, dict[str, bytes], list[str], list[str], str | None]:
     """One full drill execution.
 
     Returns (report, files, timeline, fault log, settled-fsck render) —
     the last only for scenarios that set ``fsck_path``.
     """
-    with _make_cluster(
-        backend,
-        sanitize=sanitize,
-        transport=transport,
-        block_cache_bytes=block_cache_bytes,
-    ) as mr:
+    with _make_cluster(backend, sanitize=sanitize, transport=transport) as mr:
         input_path = None if scenario.workload else _load_corpus(mr)
         mr.sim.bus.record_history = True
         injector = (
@@ -265,7 +255,6 @@ def run_scenario(
     backend: str | None = None,
     sanitize: bool = False,
     transport: str = "framed",
-    block_cache_bytes: int | None = None,
 ) -> ScenarioResult:
     """Execute one drill: baseline, faulty run, and a replay.
 
@@ -273,9 +262,7 @@ def run_scenario(
     (faulty output is bit-identical to the fault-free baseline, with
     framework/user counters intact), and the chaos itself is
     *reproducible* (replaying the same plan seed yields an identical
-    fault log).  ``block_cache_bytes`` overrides the DataNode block
-    cache (0 disables it) so the data-path property tests can prove
-    drills are bit-identical cache-on vs cache-off.
+    fault log).
     """
     scenario = get_scenario(name)
     plan = scenario.plan(seed)
@@ -287,7 +274,6 @@ def run_scenario(
         backend,
         sanitize=sanitize,
         transport=transport,
-        block_cache_bytes=block_cache_bytes,
     )
     result.baseline_report = baseline_report
     result.baseline_files = baseline_files
@@ -305,7 +291,6 @@ def run_scenario(
         checks=result.checks,
         sanitize=sanitize,
         transport=transport,
-        block_cache_bytes=block_cache_bytes,
     )
     result.report = report
     result.output_files = files
@@ -358,7 +343,6 @@ def run_scenario(
         backend,
         sanitize=sanitize,
         transport=transport,
-        block_cache_bytes=block_cache_bytes,
     )
     result.replay_fault_log = replay_log
     result.check(

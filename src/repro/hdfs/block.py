@@ -26,9 +26,10 @@ from repro.util.errors import CorruptBlockError
 #: an empty fsimage records).
 DEFAULT_FIRST_BLOCK_ID = 1001
 
-#: Default io.bytes.per.checksum when a StoredBlock is built outside an
-#: HdfsConfig (unit tests, ad-hoc replicas).  Hadoop ships 512 bytes;
-#: 64 KB keeps CRC arrays small at production block sizes.
+#: io.bytes.per.checksum — bytes covered by one CRC32 entry, for every
+#: replica a DataNode stores.  Hadoop ships 512 bytes; 64 KB keeps CRC
+#: arrays small at production block sizes.  Read when a StoredBlock is
+#: built, so a test may patch it.
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
 # Chunk memo states.  BAD is memoised too: bytes only change through
@@ -104,9 +105,11 @@ class StoredBlock:
         self,
         block: Block,
         data,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: int | None = None,
         upstream: "StoredBlock | None" = None,
     ):
+        if chunk_size is None:
+            chunk_size = DEFAULT_CHUNK_SIZE
         if len(data) != block.length:
             raise ValueError(
                 f"data length {len(data)} != block length {block.length}"

@@ -36,16 +36,6 @@ class HdfsConfig:
     #: near-full 850 GB HDD at ~1 GB/s of combined seek+verify work gives
     #: the paper's "at least fifteen minutes" restart.
     startup_scan_bw: float = 1024 * MB
-    #: io.bytes.per.checksum — bytes covered by one CRC32 entry.  Hadoop
-    #: ships 512; we default to 64 KB so production-scale 64 MB blocks
-    #: keep their CRC arrays small.  Set it alongside a small
-    #: ``block_size`` so a block still spans many chunks (ranged reads
-    #: then verify only the chunks they touch).
-    checksum_chunk_size: int = 64 * 1024
-    #: Capacity of each DataNode's verified-block cache (LRU, keyed by
-    #: (block_id, generation)).  0 disables the cache.  Cache state is
-    #: host-side only: hits and misses charge identical simulated time.
-    block_cache_bytes: int = 64 * MB
     #: Write-ahead journaling of every namespace mutation (the fsimage +
     #: edit-log pair).  Costs nothing in simulated time or determinism —
     #: fault-free runs are bit-identical with it on or off.  ``False``
@@ -56,10 +46,6 @@ class HdfsConfig:
     #: ``None`` keeps the journal in process memory — still
     #: crash-recoverable in-simulation, without touching the host disk.
     journal_dir: str | None = None
-    #: Roll a checkpoint automatically once this many edit records have
-    #: accumulated (the SecondaryNameNode's job).  0 = roll only on an
-    #: explicit ``dfsadmin -saveNamespace``.
-    checkpoint_edit_limit: int = 0
 
     def __post_init__(self) -> None:
         self.block_size = parse_size(self.block_size)
@@ -69,14 +55,10 @@ class HdfsConfig:
             raise ConfigError("replication must be >= 1")
         if self.heartbeat_interval <= 0:
             raise ConfigError("heartbeat_interval must be positive")
-        self.checksum_chunk_size = parse_size(self.checksum_chunk_size)
-        if self.checksum_chunk_size <= 0:
-            raise ConfigError("checksum_chunk_size must be positive")
-        self.block_cache_bytes = parse_size(self.block_cache_bytes)
-        if self.block_cache_bytes < 0:
-            raise ConfigError("block_cache_bytes must be >= 0")
-        if self.checkpoint_edit_limit < 0:
-            raise ConfigError("checkpoint_edit_limit must be >= 0")
+        if self.replication_check_interval <= 0:
+            raise ConfigError("replication_check_interval must be positive")
+        if self.startup_scan_bw <= 0:
+            raise ConfigError("startup_scan_bw must be positive")
         if self.journal_dir is not None and not self.journal:
             raise ConfigError("journal_dir is set but journal=False")
 

@@ -29,6 +29,7 @@ from repro.util.errors import (
     CorruptBlockError,
     DataNodeDownError,
 )
+from repro.util.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hdfs.namenode import NameNode
@@ -36,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Fraction of the disk that may be used before a DataNode refuses writes.
 DATANODE_FULL_FRACTION = 0.95
+#: Capacity of each DataNode's verified-block cache (LRU, keyed by
+#: (block_id, generation)); 0 disables it.  Cache state is host-side
+#: only: hits and misses charge identical simulated time.
+BLOCK_CACHE_BYTES = 64 * MB
 
 
 class DataNodeState(enum.Enum):
@@ -70,7 +75,7 @@ class DataNode:
         #: Host-side cache of fully-attested replicas (LRU, keyed by
         #: (block_id, generation)).  Hits skip the per-read memo walk;
         #: simulated time and counters are charged identically either way.
-        self.cache = BlockCache(config.block_cache_bytes)
+        self.cache = BlockCache(BLOCK_CACHE_BYTES)
         #: Pre-existing on-disk data (other tenants' blocks, staged
         #: course datasets) that the startup integrity scan must verify
         #: but that is not modeled as live block objects.  This is what
@@ -261,12 +266,7 @@ class DataNode:
         # A re-arriving id (re-replication after an earlier invalidate)
         # must not serve stale cached bytes for any generation.
         self.cache.invalidate(block.block_id)
-        self.blocks[block.block_id] = StoredBlock(
-            block,
-            data,
-            chunk_size=self.config.checksum_chunk_size,
-            upstream=upstream,
-        )
+        self.blocks[block.block_id] = StoredBlock(block, data, upstream=upstream)
         self._used_bytes += block.length
         return True
 

@@ -628,10 +628,9 @@ class NameNodeJournal:
     ``log_*`` call a no-op so the NameNode's mutators never branch.
     """
 
-    def __init__(self, storage=None, checkpoint_edit_limit: int = 0):
+    def __init__(self, storage=None):
         self.storage = storage
         self.enabled = storage is not None
-        self.checkpoint_edit_limit = checkpoint_edit_limit
         self._snapshot_source: Callable[[], ImageState] | None = None
         #: Edits appended since format (cumulative; checkpoints do not reset).
         self.edits_logged = 0
@@ -664,12 +663,6 @@ class NameNodeJournal:
         self.storage.append_edit(frame_record(encode_edit(op, values)))
         self.edits_logged += 1
         self.edits_since_checkpoint += 1
-        if (
-            self.checkpoint_edit_limit > 0
-            and self.edits_since_checkpoint >= self.checkpoint_edit_limit
-            and self._snapshot_source is not None
-        ):
-            self.checkpoint()
 
     def log_mkdirs(self, path: str, mtime: float) -> None:
         self._append(OP_MKDIRS, path, mtime)

@@ -116,9 +116,7 @@ class NameNode:
                 if self.config.journal_dir
                 else MemoryJournalStorage()
             )
-            self.journal = NameNodeJournal(
-                storage, checkpoint_edit_limit=self.config.checkpoint_edit_limit
-            )
+            self.journal = NameNodeJournal(storage)
         else:
             self.journal = NameNodeJournal(None)
         self.journal.bind(self._image_state)

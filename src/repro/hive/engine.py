@@ -348,27 +348,26 @@ class QueryResult:
         return table.render()
 
 
+#: Largest number of ranges a total-order ``ORDER BY`` stage sorts into.
+MAX_SORT_PARTITIONS = 4
+
+
 class HiveLite:
     """Parse, plan, run — over a MapReduceCluster.
 
     ``multi_stage=True`` plans ``ORDER BY`` as a total-order sort stage
     instead of a driver-side sort (after a ``JOIN`` it always is one).
-    ``sort_partitions`` sizes that stage; the default follows the
-    cluster's worker count, capped at 4.
+    That stage has one partition per worker, capped at
+    ``MAX_SORT_PARTITIONS``.
     """
 
-    def __init__(
-        self,
-        cluster: MapReduceCluster,
-        multi_stage: bool = False,
-        sort_partitions: int | None = None,
-    ):
+    def __init__(self, cluster: MapReduceCluster, multi_stage: bool = False):
         self.cluster = cluster
         self.metastore = Metastore()
         self.udfs: dict[str, Callable] = {}
         self.multi_stage = multi_stage
-        self.sort_partitions = sort_partitions or max(
-            1, min(4, len(cluster.tasktrackers))
+        self.sort_partitions = max(
+            1, min(MAX_SORT_PARTITIONS, len(cluster.tasktrackers))
         )
         self._seq = itertools.count(1)
 

@@ -84,6 +84,8 @@ class MapReduceConfig:
             raise ConfigError("slot counts must be >= 1")
         if self.tasktracker_heartbeat <= 0:
             raise ConfigError("tasktracker_heartbeat must be positive")
+        if self.sort_buffer_bytes <= 0:
+            raise ConfigError("sort_buffer_bytes must be positive")
         if self.shuffle_transport not in ("framed", "shm"):
             raise ConfigError(
                 f"shuffle_transport must be 'framed' or 'shm', "
@@ -105,29 +107,16 @@ class JobConf:
     #: Submitting user (a course account on a shared cluster).
     user: str = "student"
     num_reduces: int = 1
-    max_attempts: int = 4
     speculative_execution: bool = False
     #: Probability that any given task attempt triggers the simulated
     #: Java-heap leak (the paper's student-bug failure mode).  The
     #: classroom simulator sets this on "buggy" submissions.
     heap_leak_probability: float = 0.0
-    #: When a heap leak fires, does it take the daemons down with it?
-    #: (The paper: leaked heap "crashed the task tracker and data node
-    #: daemons".)
-    crash_daemons_on_heap_leak: bool = True
-    #: Wall-clock (simulated) ceiling for one task attempt; exceeding it
-    #: fails the attempt like Hadoop's mapred.task.timeout.  ``None``
-    #: disables the check.
-    task_timeout: float | None = None
     #: Free-form user parameters readable via ``context.get(...)``.
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_reduces < 1:
             raise ConfigError("num_reduces must be >= 1")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
         if not (0.0 <= self.heap_leak_probability <= 1.0):
             raise ConfigError("heap_leak_probability must be in [0, 1]")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigError("task_timeout must be positive (or None)")

@@ -7,7 +7,7 @@ information from NameNode."  Scheduling follows Hadoop 1.x:
 - TaskTrackers pull work via heartbeats; the JobTracker never pushes.
 - Map tasks prefer node-local splits, then rack-local, then any —
   producing the DATA_LOCAL/RACK_LOCAL/OFF_RACK counters students read.
-- Failed attempts are resubmitted up to ``max_attempts``; four strikes
+- Failed attempts are resubmitted up to ``MAX_ATTEMPTS``; four strikes
   fails the job (and trackers with three failures for a job are
   blacklisted for it).
 - Lost TaskTrackers get their running attempts *and completed map
@@ -56,6 +56,8 @@ class Assignment:
     speculative: bool = False
 
 
+#: Attempts of one task before the job fails (mapred.map.max.attempts).
+MAX_ATTEMPTS = 4
 #: Failures by one tracker on one job before it is blacklisted for it.
 BLACKLIST_THRESHOLD = 3
 #: A running attempt this many times slower than the average completed
@@ -573,7 +575,7 @@ class JobTracker:
             live = sum(map(self.tracker_is_serving, self.liveness.alive))
             if len(job.blacklist) < max(1, live // 4):
                 job.blacklist.add(tracker.name)
-        if task.failures >= job.conf.max_attempts:
+        if task.failures >= MAX_ATTEMPTS:
             self._fail_job(
                 job,
                 f"{task.task_id} failed {task.failures} times; last: {reason}",

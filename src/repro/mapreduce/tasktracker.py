@@ -6,7 +6,7 @@ report completion.  The failure mode the paper describes — student jobs
 with "run time errors that created memory leaks on the Java heap memory
 and consequently crashed the task tracker and data node daemons" — is a
 first-class behaviour here: a heap-leak attempt fails *and* takes the
-daemon (and, configurably, the co-located DataNode) down with it.
+daemon and the co-located DataNode down with it.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class TaskTracker:
                 return
             heap_leak = self.rng.bernoulli(job.conf.heap_leak_probability)
             if heap_leak:
-                self._schedule_heap_leak(assignment, duration, job, running)
+                self._schedule_heap_leak(assignment, duration, running)
                 return
             slowdown = self.sim.faults.attempt_slowdown(
                 assignment.job_id, assignment.attempt_id
@@ -264,14 +264,6 @@ class TaskTracker:
                     attempt=assignment.attempt_id,
                     factor=slowdown,
                 )
-            timeout = job.conf.task_timeout
-            if timeout is not None and duration > timeout:
-                # The attempt would run past mapred.task.timeout: the
-                # tracker kills it at the deadline and reports a failure.
-                running.completion = self.sim.schedule(
-                    timeout, self._timeout_fires, assignment, timeout
-                )
-                return
             running.completion = self.sim.schedule(
                 duration, self._complete, assignment, result, duration
             )
@@ -499,20 +491,6 @@ class TaskTracker:
             return
         self._launch(assignment, retry=retry)
 
-    def _timeout_fires(self, assignment: "Assignment", timeout: float) -> None:
-        self.sim.bus.publish(
-            "mr.task.timeout",
-            self.sim.now,
-            tracker=self.name,
-            attempt=assignment.attempt_id,
-            timeout=timeout,
-        )
-        self._fail(
-            assignment,
-            f"Task {assignment.attempt_id} failed to report status for "
-            f"{timeout:.0f} seconds. Killing!",
-        )
-
     # -- completion & failure ---------------------------------------------
     def _complete(self, assignment: "Assignment", result, duration: float) -> None:
         self.running.pop(assignment.attempt_id, None)
@@ -538,25 +516,14 @@ class TaskTracker:
         running.completion = completion
 
     def _schedule_heap_leak(
-        self,
-        assignment,
-        duration: float,
-        job,
-        running: _RunningAttempt | None = None,
+        self, assignment, duration: float, running: _RunningAttempt
     ) -> None:
         burn = duration * HEAP_LEAK_BURN_FRACTION
-        completion = self.sim.schedule(
-            burn,
-            self._heap_leak_fires,
-            assignment,
-            job.conf.crash_daemons_on_heap_leak,
+        running.completion = self.sim.schedule(
+            burn, self._heap_leak_fires, assignment
         )
-        if running is None:
-            running = _RunningAttempt(assignment=assignment)
-            self.running[assignment.attempt_id] = running
-        running.completion = completion
 
-    def _heap_leak_fires(self, assignment, crash_daemons: bool) -> None:
+    def _heap_leak_fires(self, assignment) -> None:
         self.running.pop(assignment.attempt_id, None)
         error = HeapExhaustedError(
             "java.lang.OutOfMemoryError: Java heap space"
@@ -569,12 +536,11 @@ class TaskTracker:
             tracker=self.name,
             attempt=assignment.attempt_id,
         )
-        if crash_daemons:
-            # The leak kills the shared JVM heap: TaskTracker and the
-            # co-located DataNode daemon both die (the paper's cascade).
-            self.crash()
-            if self.co_datanode is not None and self.co_datanode.is_serving:
-                self.co_datanode.crash()
+        # The leak kills the shared JVM heap: TaskTracker and the
+        # co-located DataNode daemon both die (the paper's cascade).
+        self.crash()
+        if self.co_datanode is not None and self.co_datanode.is_serving:
+            self.co_datanode.crash()
 
     def _fail(
         self, assignment: "Assignment", reason: str, counts_against: bool = True

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import campus
 from repro.core.campus import CampusClusterRun, CampusScenario
 from repro.util.units import MINUTE
 from tests.core.campus_harness import run_campus
@@ -35,7 +36,7 @@ class TestCampusRun:
 
     def test_all_tenants_served(self, report):
         completed = report.per_user_completed()
-        assert set(completed) == set(small_scenario().users)
+        assert set(completed) == set(campus.DEFAULT_USERS)
         assert all(done > 0 for done in completed.values())
 
     def test_replay_is_bit_identical(self, report):
@@ -91,7 +92,7 @@ class TestSteppingProgress:
         scenario = small_scenario(num_students=30, num_clusters=1, seed=0)
         run = CampusClusterRun(scenario, 0)
         try:
-            step = max(scenario.poll_interval, scenario.daemon_interval)
+            step = max(campus.POLL_INTERVAL, campus.DAEMON_INTERVAL)
             epoch = run._epoch
             for k in range(500):
                 grid_point = epoch + k * step

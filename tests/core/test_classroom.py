@@ -6,6 +6,7 @@ run quickly; the benchmark reproduces the full 39-student semester.
 
 import pytest
 
+from repro.core import classroom
 from repro.core.classroom import (
     ClassroomReport,
     ClassroomScenario,
@@ -20,11 +21,18 @@ from repro.util.units import HOUR
 from repro.util.units import MINUTE
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _short_head_start():
+    """A scaled-down class starts hours, not a day, before its deadline."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classroom, "MEAN_HEAD_START", 4 * HOUR)
+        yield
+
+
 def small_scenario(**overrides):
     defaults = dict(
         num_students=16,
         window=16 * HOUR,
-        mean_head_start=4 * HOUR,
         buggy_probability=0.55,
         fix_probability=0.45,
         instructor_reaction_delay=45 * MINUTE,

@@ -5,6 +5,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.hdfs import datanode
 from repro.hdfs.block import Block, StoredBlock
 from repro.hdfs.blockcache import BlockCache
 from repro.hdfs.protocol import InvalidateCommand
@@ -136,8 +137,8 @@ class TestGenerationIndex:
 
 
 class TestDataNodeCache:
-    def _cluster_with_file(self, **kwargs):
-        cluster = make_hdfs(**kwargs)
+    def _cluster_with_file(self):
+        cluster = make_hdfs()
         client = cluster.client()
         client.put_bytes("/f", b"z" * 3000)  # 3 blocks at block_size=1024
         return cluster, client
@@ -153,8 +154,9 @@ class TestDataNodeCache:
         hits_after = sum(dn.cache.hits for dn in cluster.datanodes.values())
         assert hits_after >= hits_before + 3  # every block served warm
 
-    def test_cache_off_still_reads(self):
-        cluster, client = self._cluster_with_file(block_cache_bytes=0)
+    def test_cache_off_still_reads(self, monkeypatch):
+        monkeypatch.setattr(datanode, "BLOCK_CACHE_BYTES", 0)
+        cluster, client = self._cluster_with_file()
         client.read_bytes("/f")
         assert client.read_bytes("/f").data == b"z" * 3000
         assert all(dn.cache.hits == 0 for dn in cluster.datanodes.values())

@@ -217,8 +217,8 @@ class TestImageBodyDefects:
 
 
 class TestJournalManager:
-    def _journal(self, limit=0):
-        return NameNodeJournal(MemoryJournalStorage(), checkpoint_edit_limit=limit)
+    def _journal(self):
+        return NameNodeJournal(MemoryJournalStorage())
 
     def test_log_then_recover_replays(self):
         journal = self._journal()
@@ -252,16 +252,6 @@ class TestJournalManager:
         assert journal.last_recovery.image_inodes == 3
         paths = [path for path, *_ in recovered.namespace.dump()]
         assert paths == ["/", "/a", "/b", "/c"]
-
-    def test_auto_checkpoint_at_edit_limit(self):
-        journal = self._journal(limit=3)
-        journal.bind(lambda: journal.recover())
-        journal.format()
-        for i in range(7):
-            journal.log_mkdirs(f"/d{i}", float(i))
-        assert journal.checkpoints == 2
-        assert journal.edits_since_checkpoint == 1
-        assert journal.edits_logged == 7
 
     def test_tear_tail_drops_only_the_last_record(self):
         journal = self._journal()
@@ -433,8 +423,6 @@ class TestNameNodeCrashRecovery:
 
         with pytest.raises(ConfigError):
             HdfsConfig(journal=False, journal_dir="/tmp/nn")
-        with pytest.raises(ConfigError):
-            HdfsConfig(checkpoint_edit_limit=-1)
 
     def test_journal_dir_storage_wired_through_config(self, tmp_path):
         hdfs = self._loaded_cluster(journal_dir=str(tmp_path / "name"))

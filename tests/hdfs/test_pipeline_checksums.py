@@ -7,8 +7,6 @@ same chunk size.  Sharing the list must never leak damage: ``corrupt()``
 replaces one replica's ``data`` and nothing else.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.hdfs import block as block_module
@@ -24,11 +22,14 @@ def _fresh_crcs(data: bytes, chunk_size: int) -> list[int]:
     return [checksum(data[i : i + chunk_size]) for i in range(0, len(data), chunk_size)]
 
 
+@pytest.fixture(autouse=True)
+def _chunk(monkeypatch):
+    """Every replica a DataNode builds here is cut at ``CHUNK``."""
+    monkeypatch.setattr(block_module, "DEFAULT_CHUNK_SIZE", CHUNK)
+
+
 def _cluster(num_datanodes: int = 4):
-    return make_hdfs(
-        num_datanodes=num_datanodes, block_size=BLOCK, replication=3,
-        checksum_chunk_size=CHUNK,
-    )
+    return make_hdfs(num_datanodes=num_datanodes, block_size=BLOCK, replication=3)
 
 
 def _replicas(cluster, path: str) -> list[list[StoredBlock]]:
@@ -154,10 +155,17 @@ class TestPipelineChecksumsOnce:
         assert cluster.datanode(victim).verify_all() == [block_id]
         assert cluster.client().read_bytes("/f").data == payload
 
-    def test_a_datanode_with_another_chunk_size_computes_its_own(self):
+    def test_a_datanode_with_another_chunk_size_computes_its_own(self, monkeypatch):
         cluster = _cluster(num_datanodes=3)  # every node holds a replica
         odd = cluster.datanode("node1")
-        odd.config = dataclasses.replace(odd.config, checksum_chunk_size=CHUNK * 4)
+        write_block = odd.write_block
+
+        def write_at_odd_chunk(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(block_module, "DEFAULT_CHUNK_SIZE", CHUNK * 4)
+                return write_block(*args, **kwargs)
+
+        monkeypatch.setattr(odd, "write_block", write_at_odd_chunk)
         payload = bytes(range(256)) * 16
         cluster.client().put_bytes("/f", payload)
         (replicas,) = _replicas(cluster, "/f")

@@ -16,6 +16,7 @@ import pytest
 
 from repro.datasets.airline import CARRIERS, generate_airline
 from repro.hive import ColumnType, HiveLite, TableSchema
+from repro.hive import engine as hive_engine
 from repro.hive.parser import SqlError, parse_query
 from repro.hive.planner import RangePartitioner
 from repro.mapreduce.counters import C
@@ -44,9 +45,12 @@ MOVIES = [
 ]
 
 
-def _build_engine(**kwargs):
+def _build_engine(sort_partitions=None, **kwargs):
     cluster = make_mr(num_workers=4, block_size=4096)
-    engine = HiveLite(cluster, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        if sort_partitions is not None:
+            patch.setattr(hive_engine, "MAX_SORT_PARTITIONS", sort_partitions)
+        engine = HiveLite(cluster, **kwargs)
     engine.create_table(
         TableSchema(
             name="ratings",

@@ -16,7 +16,7 @@ from repro.jobs.wordcount import (
     TokenizerMapper,
     WordCountWithCombinerJob,
 )
-from repro.mapreduce import runtime
+from repro.mapreduce import jobtracker, runtime
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import create_backend
 from repro.mapreduce.config import JobConf
@@ -156,7 +156,9 @@ class TestScopeAlgebra:
             runner.run(BoomJob(), "/data/corpus.txt", "/out")
         assert gc.isenabled() and runtime._open_heaps == 0
 
-    def test_cluster_run_job_restores_on_success_and_failure(self):
+    def test_cluster_run_job_restores_on_success_and_failure(self, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
+
         class BoomMapper(Mapper):
             def map(self, key, value, context):
                 raise ValueError("boom")
@@ -169,7 +171,7 @@ class TestScopeAlgebra:
             ok = WordCountWithCombinerJob(JobConf(name="ok"))
             assert mr.run_job(ok, "/in", "/out").succeeded
             assert gc.isenabled() and runtime._open_heaps == 0
-            bad = BoomJob(JobConf(name="bad", max_attempts=2))
+            bad = BoomJob(JobConf(name="bad"))
             assert not mr.run_job(bad, "/in", "/out2").succeeded
             assert gc.isenabled() and runtime._open_heaps == 0
 

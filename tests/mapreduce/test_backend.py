@@ -14,6 +14,7 @@ from repro.jobs.wordcount import (
     WordCountWithCombinerJob,
 )
 from repro.mapreduce import backend as backend_mod
+from repro.mapreduce import jobtracker
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import (
     AUTO_MIN_PARALLEL_BYTES,
@@ -584,6 +585,7 @@ class TestAttemptOrderIdentity:
 
         with monkeypatch.context() as patch:
             patch.setattr(BlockFetcher, "read_block", counting)
+            patch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
             with make_mr(
                 num_workers=3, backend=create_backend(backend_name, 2)
             ) as mr:
@@ -600,7 +602,7 @@ class TestAttemptOrderIdentity:
                         (e.data["block_id"], e.data["datanode"])
                     ),
                 )
-                job = SetupRaisesJob(JobConf(name="boom", max_attempts=2))
+                job = SetupRaisesJob(JobConf(name="boom"))
                 report = mr.run_job(job, "/in", "/out")
                 assert not report.succeeded
                 return reads, reported

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mapreduce import jobtracker
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C
 from repro.mapreduce.streaming import streaming_job
@@ -135,14 +136,14 @@ class TestReportRendering:
 
 
 class TestFinishedJobHoldsNoShuffle:
-    def _finished(self, mr, reduce_fn=lambda k, vs: [(k, sum(vs))], **conf):
+    def _finished(self, mr, reduce_fn=lambda k, vs: [(k, sum(vs))]):
         mr.sim.bus.record_history = True
         mr.client().put_text("/in.txt", "w " * 4000)
         job = streaming_job(
             "j",
             lambda k, v: ((w, 1) for w in v.split()),
             reduce_fn,
-            conf=JobConf(name="j", num_reduces=2, **conf),
+            conf=JobConf(name="j", num_reduces=2),
         )
         running = mr.submit(job, "/in.txt", "/out")
         seen_output = []
@@ -162,11 +163,13 @@ class TestFinishedJobHoldsNoShuffle:
         assert all(t.output is None for t in running.map_tasks)
         assert dict(mr.read_output("/out")) == {"w": "4000"}
 
-    def test_failed_job_drops_every_map_output(self, mr):
+    def test_failed_job_drops_every_map_output(self, mr, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
+
         def bad_reduce(key, values):
             raise RuntimeError("reduce-side bug")
 
-        running = self._finished(mr, bad_reduce, max_attempts=2)
+        running = self._finished(mr, bad_reduce)
         assert running.state.value == "failed"
         assert all(t.output is None for t in running.map_tasks)
 

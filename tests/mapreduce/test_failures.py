@@ -7,6 +7,7 @@ from repro.cluster.hardware import Node, NodeSpec
 from repro.cluster.network import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.hdfs.config import HdfsConfig
+from repro.mapreduce import jobtracker
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C
@@ -16,7 +17,7 @@ from repro.util.errors import JobFailedError
 from tests.conftest import make_mr
 
 
-def crashing_map_job(name="crash", max_attempts=4):
+def crashing_map_job(name="crash"):
     def bad_map(key, value):
         raise ValueError("student bug: NullPointerException at line 42")
 
@@ -24,7 +25,7 @@ def crashing_map_job(name="crash", max_attempts=4):
         name=name,
         map_fn=bad_map,
         reduce_fn=lambda k, vs: [(k, sum(vs))],
-        conf=JobConf(name=name, max_attempts=max_attempts),
+        conf=JobConf(name=name),
     )
 
 
@@ -52,13 +53,15 @@ class TestUserCodeFailures:
         with pytest.raises(JobFailedError):
             mr.run_job(crashing_map_job(), "/in.txt", "/out", require_success=True)
 
-    def test_attempts_counted_per_task(self):
+    def test_attempts_counted_per_task(self, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
         mr = make_mr()
         mr.client().put_text("/in.txt", "a\n")
-        report = mr.run_job(crashing_map_job(max_attempts=2), "/in.txt", "/out")
+        report = mr.run_job(crashing_map_job(), "/in.txt", "/out")
         assert report.counters.get(C.FAILED_MAPS) == 2
 
-    def test_reduce_failure_fails_job(self):
+    def test_reduce_failure_fails_job(self, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
         mr = make_mr()
         mr.client().put_text("/in.txt", "a\n")
 
@@ -69,7 +72,7 @@ class TestUserCodeFailures:
             "bad-reduce",
             lambda k, v: [(v, 1)],
             bad_reduce,
-            conf=JobConf(name="bad-reduce", max_attempts=2),
+            conf=JobConf(name="bad-reduce"),
         )
         report = mr.run_job(job, "/in.txt", "/out")
         assert report.state == "failed"
@@ -86,14 +89,13 @@ class TestUserCodeFailures:
 
 
 class TestHeapLeakCascade:
-    def test_leaky_job_crashes_daemons(self):
+    def test_leaky_job_crashes_daemons(self, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 3)
         mr = make_mr(num_workers=8)
         mr.client().put_text("/in.txt", "x y\n" * 200)
         conf = JobConf(
             name="leaky",
             heap_leak_probability=1.0,  # every attempt leaks
-            crash_daemons_on_heap_leak=True,
-            max_attempts=3,
         )
         report = mr.run_job(wc_job(conf), "/in.txt", "/out", timeout=7200)
         crashed = [
@@ -104,28 +106,10 @@ class TestHeapLeakCascade:
         for name in crashed:
             assert not mr.hdfs.datanodes[name].is_serving
 
-    def test_leak_without_daemon_crash(self):
-        mr = make_mr()
-        mr.client().put_text("/in.txt", "x\n")
-        conf = JobConf(
-            name="contained-leak",
-            heap_leak_probability=1.0,
-            crash_daemons_on_heap_leak=False,
-            max_attempts=2,
-        )
-        report = mr.run_job(wc_job(conf), "/in.txt", "/out", timeout=7200)
-        assert report.state == "failed"
-        assert all(tt.is_serving for tt in mr.tasktrackers.values())
-
     def test_moderate_leak_recovers_via_retries(self):
         mr = make_mr(num_workers=8)
         mr.client().put_text("/in.txt", "x y z\n" * 50)
-        conf = JobConf(
-            name="flaky",
-            heap_leak_probability=0.3,
-            crash_daemons_on_heap_leak=False,
-            max_attempts=10,
-        )
+        conf = JobConf(name="flaky", heap_leak_probability=0.3)
         report = mr.run_job(wc_job(conf), "/in.txt", "/out", timeout=24 * 3600)
         assert report.succeeded
         assert dict(mr.read_output("/out")) == {"x": "50", "y": "50", "z": "50"}

@@ -159,32 +159,6 @@ class TestShuffleRetryRidesOutBlips:
         assert report.counters.get(C.FAILED_MAPS) == 0
 
 
-class TestTaskTimeout:
-    def test_unresponsive_task_is_killed_and_counted(self):
-        mr = make_mr()
-        mr.sim.bus.record_history = True
-        mr.client().put_text("/in.txt", "a b c\n")
-        conf = JobConf(name="hung", task_timeout=0.001, max_attempts=2)
-        report = mr.run_job(wc_job(conf=conf), "/in.txt", "/out")
-        assert report.state == "failed"
-        assert "failed to report status" in report.failure_reason
-        timeouts = mr.sim.bus.history("mr.task.timeout")
-        assert timeouts
-        # Timeouts are the task's own fault: they burn the budget.
-        failed = mr.sim.bus.history("mr.task.failed")
-        assert failed and all(e.data["counts_against"] for e in failed)
-
-    def test_generous_timeout_changes_nothing(self):
-        mr = make_mr()
-        mr.client().put_text("/in.txt", "a b a\n" * 50)
-        conf = JobConf(name="calm", task_timeout=3600.0)
-        report = mr.run_job(
-            wc_job(conf=conf), "/in.txt", "/out", require_success=True
-        )
-        assert report.succeeded
-        assert dict(mr.read_output("/out")) == {"a": "100", "b": "50"}
-
-
 class TestTrackerRestartReconciliation:
     def test_reregistration_requeues_orphaned_attempts(self):
         mr = make_mr(num_workers=2)

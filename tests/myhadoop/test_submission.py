@@ -7,6 +7,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.hdfs.config import HdfsConfig
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.wordcount import WordCountWithCombinerJob
+from repro.mapreduce import jobtracker
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.streaming import streaming_job
 from repro.myhadoop.pbs import PbsScheduler
@@ -99,7 +100,8 @@ class TestFailurePaths:
         assert not result.succeeded
         assert "scratch" in (result.failure or "")
 
-    def test_failing_job_recorded(self, env):
+    def test_failing_job_recorded(self, env, monkeypatch):
+        monkeypatch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
         sim, scheduler, provisioner, home, config = env
         submission = BatchSubmission(scheduler, provisioner, config, home)
         submission.add_stage_in("/home/alice/input.txt", "/user/alice/in.txt")
@@ -112,7 +114,7 @@ class TestFailurePaths:
                 "bad",
                 bad_map,
                 lambda k, vs: [],
-                conf=JobConf(name="bad", max_attempts=2),
+                conf=JobConf(name="bad"),
             ),
             "/user/alice/in.txt",
             "/user/alice/out",

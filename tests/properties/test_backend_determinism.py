@@ -21,7 +21,7 @@ from repro.jobs.wordcount import (
     TokenizerMapper,
     WordCountWithCombinerJob,
 )
-from repro.mapreduce import runtime
+from repro.mapreduce import jobtracker, runtime
 from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.backend import BACKEND_NAMES, create_backend
 from repro.mapreduce.cluster import MapReduceCluster
@@ -131,11 +131,14 @@ def _assert_same_on_every_backend(fingerprint, backend_name):
 def _failing_job(backend_name):
     """Every attempt raises: when the job fails, and with what counters."""
     # 3 workers, 2 KiB blocks, replication 2, seed 1
-    with make_mr(num_workers=3, backend=create_backend(backend_name, 2)) as mr:
+    with pytest.MonkeyPatch.context() as patch, make_mr(
+        num_workers=3, backend=create_backend(backend_name, 2)
+    ) as mr:
+        patch.setattr(jobtracker, "MAX_ATTEMPTS", 2)
         mr.client().put_text("/in/w.txt", "w " * 3000)
         failed = []
         mr.sim.bus.subscribe("mr.jobtracker.failed", lambda e: failed.append(e.time))
-        job = MapRaisesJob(JobConf(name="boom", max_attempts=2))
+        job = MapRaisesJob(JobConf(name="boom"))
         report = mr.run_job(job, "/in", "/out")
         assert not report.succeeded and failed
         return (

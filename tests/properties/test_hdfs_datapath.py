@@ -16,6 +16,7 @@ float, the three loops it replaced (``tests/hdfs/datapath_oracle.py``).
 
 import ast
 import dataclasses
+from contextlib import contextmanager
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ import pytest
 
 from repro.cluster.builder import build_hadoop_cluster
 from repro.faults.scenarios import SCENARIOS, run_scenario
+from repro.hdfs import datanode
 from repro.hdfs.block import Block, StoredBlock
 from repro.hdfs.client import ReadResult
 from repro.hdfs.cluster import HdfsCluster
@@ -55,13 +57,21 @@ CORPUS = (
 )
 
 
+@contextmanager
+def _cache_bytes(capacity: int):
+    """Build every DataNode inside the block with this cache capacity."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datanode, "BLOCK_CACHE_BYTES", capacity)
+        yield
+
+
 def _cluster_fingerprint(block_cache_bytes: int):
     """Two identical jobs over one dataset: the second runs warm when
     the cache is on, and nothing observable may move."""
-    hdfs_config = HdfsConfig(
-        block_size=2048, replication=2, block_cache_bytes=block_cache_bytes
-    )
-    with MapReduceCluster(num_workers=4, seed=11, hdfs_config=hdfs_config) as mr:
+    hdfs_config = HdfsConfig(block_size=2048, replication=2)
+    with _cache_bytes(block_cache_bytes), MapReduceCluster(
+        num_workers=4, seed=11, hdfs_config=hdfs_config
+    ) as mr:
         mr.client().put_text("/in/corpus.txt", CORPUS)
         fingerprint = []
         for run in range(2):
@@ -86,10 +96,10 @@ class TestCacheOnEqualsCacheOff:
 
     def test_cache_actually_hit_during_warm_run(self):
         """Guard against the property above passing vacuously."""
-        hdfs_config = HdfsConfig(
-            block_size=2048, replication=2, block_cache_bytes=CACHE_ON
-        )
-        with MapReduceCluster(num_workers=4, seed=11, hdfs_config=hdfs_config) as mr:
+        hdfs_config = HdfsConfig(block_size=2048, replication=2)
+        with _cache_bytes(CACHE_ON), MapReduceCluster(
+            num_workers=4, seed=11, hdfs_config=hdfs_config
+        ) as mr:
             mr.client().put_text("/in/corpus.txt", CORPUS)
             for run in range(2):
                 job = WordCountWithCombinerJob(
@@ -120,8 +130,10 @@ class TestChaosDrillsCacheOnOff:
 
     @pytest.mark.parametrize("name", ALL_DRILLS)
     def test_drill_bit_identical(self, name):
-        warm = run_scenario(name, seed=0, block_cache_bytes=CACHE_ON)
-        cold = run_scenario(name, seed=0, block_cache_bytes=CACHE_OFF)
+        with _cache_bytes(CACHE_ON):
+            warm = run_scenario(name, seed=0)
+        with _cache_bytes(CACHE_OFF):
+            cold = run_scenario(name, seed=0)
         assert warm.ok, warm.summary()
         assert cold.ok, cold.summary()
         assert warm.output_files == cold.output_files

@@ -14,8 +14,10 @@ poolable — and any silent fallback would still be caught by identity.
 """
 
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from repro.hive import ColumnType, HiveLite, TableSchema
+from repro.hive import engine as hive_engine
 from repro.sparklite import SparkLiteContext
 from tests.conftest import make_mr
 
@@ -122,11 +124,12 @@ class TestHiveMultiStageEqualsLegacy:
     @given(rows=st.lists(ROW, min_size=0, max_size=20), sql=HIVE_SQL)
     def test_sort_stage_equals_driver_sort(self, rows, sql):
         def build(multi_stage):
-            engine = HiveLite(
-                make_mr(num_workers=4, block_size=4096),
-                multi_stage=multi_stage,
-                sort_partitions=3,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hive_engine, "MAX_SORT_PARTITIONS", 3)
+                engine = HiveLite(
+                    make_mr(num_workers=4, block_size=4096),
+                    multi_stage=multi_stage,
+                )
             engine.create_table(
                 TableSchema(
                     name="t",

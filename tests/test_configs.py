@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.campus import CampusScenario
+from repro.core.classroom import ClassroomScenario
 from repro.hdfs.config import HdfsConfig
 from repro.mapreduce.config import JobConf, MapReduceConfig, cpu_time, sort_time
 from repro.util.errors import ConfigError
@@ -24,8 +26,9 @@ class TestHdfsConfig:
             {"block_size": 0},
             {"replication": 0},
             {"heartbeat_interval": 0},
-            {"checksum_chunk_size": 0},
-            {"block_cache_bytes": -1},
+            {"replication_check_interval": 0},
+            {"startup_scan_bw": 0},
+            {"startup_scan_bw": -1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -44,11 +47,8 @@ class TestHdfsConfig:
             "heartbeat_interval",
             "replication_check_interval",
             "startup_scan_bw",
-            "checksum_chunk_size",
-            "block_cache_bytes",
             "journal",
             "journal_dir",
-            "checkpoint_edit_limit",
         }
 
 
@@ -63,6 +63,7 @@ class TestMapReduceConfig:
             {"reduce_slots_per_tracker": 0},
             {"tasktracker_heartbeat": 0},
             {"shuffle_transport": "object"},
+            {"sort_buffer_bytes": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -111,16 +112,15 @@ class TestJobConf:
     def test_defaults(self):
         conf = JobConf()
         assert conf.num_reduces == 1
-        assert conf.max_attempts == 4
         assert conf.heap_leak_probability == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_reduces": 0},
-            {"max_attempts": 0},
             {"heap_leak_probability": -0.1},
             {"heap_leak_probability": 1.1},
+            {"heap_leak_probability": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -130,3 +130,42 @@ class TestJobConf:
     def test_params_bag(self):
         conf = JobConf(params={"movies_path": "/m"})
         assert conf.params["movies_path"] == "/m"
+
+    def test_field_names(self):
+        assert {f.name for f in dataclasses.fields(JobConf)} == {
+            "name",
+            "user",
+            "num_reduces",
+            "speculative_execution",
+            "heap_leak_probability",
+            "params",
+        }
+
+
+class TestScenarios:
+    def test_classroom_field_names(self):
+        assert {f.name for f in dataclasses.fields(ClassroomScenario)} == {
+            "name",
+            "platform",
+            "num_students",
+            "window",
+            "buggy_probability",
+            "fix_probability",
+            "input_bytes",
+            "instructor_reaction_delay",
+            "seed",
+        }
+
+    def test_campus_field_names(self):
+        assert {f.name for f in dataclasses.fields(CampusScenario)} == {
+            "name",
+            "num_students",
+            "num_clusters",
+            "jobs_per_student",
+            "window",
+            "input_bytes",
+            "block_size",
+            "chaos_interval",
+            "chaos_downtime",
+            "seed",
+        }
