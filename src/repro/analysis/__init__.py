@@ -4,8 +4,8 @@ The correctness tooling the paper's teaching moments beg for (and PR 2
 proved the engine itself needs).  Two halves:
 
 - **Static** (:mod:`repro.analysis.linter`): dataflow-backed rules
-  (CFG + worklist solver + interprocedural nondeterminism taint,
-  :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` /
+  (a module call graph + an interprocedural nondeterminism taint pass
+  that walks each function's statements,
   :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.taint`) over
   student map/reduce code (``MRJ0xx``,
   :mod:`repro.analysis.job_rules`), the engine itself (``MRE1xx``,

@@ -16,6 +16,9 @@ Resolution covers the shapes student and engine code actually use:
 - bare references (``rdd.map(helper)``) via :meth:`CallGraph.lookup`,
   which the sparklite closure rules use to chase named callables.
 
+Nothing is resolved up front: the taint pass asks
+:meth:`CallGraph.resolve_call` about each call as its walk reaches it.
+
 What a function's *own* code is, binds and mutates is answered here
 too, once, for every rule family: :func:`walk_own_nodes`,
 :func:`closure_locals`, :func:`captured_mutations`.
@@ -24,7 +27,7 @@ too, once, for every rule family: :func:`walk_own_nodes`,
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def walk_own_nodes(fn: ast.AST):
@@ -180,17 +183,8 @@ class FunctionInfo:
         return id(self.node)
 
 
-@dataclass
-class CallSite:
-    """One resolved intra-module call."""
-
-    call: ast.Call
-    caller: FunctionInfo | None  # None: module level
-    callee: FunctionInfo
-
-
 class CallGraph:
-    """Index of a module's functions plus resolved call edges."""
+    """Index of a module's functions; calls resolve on demand."""
 
     def __init__(self, tree: ast.Module):
         self.tree = tree
@@ -205,8 +199,6 @@ class CallGraph:
         #: id(ast node) -> enclosing FunctionInfo (for lambdas too)
         self._owner_of: dict[int, FunctionInfo] = {}
         self._index(tree)
-        self.calls: list[CallSite] = []
-        self._collect_calls()
 
     # ------------------------------------------------------------------
     # indexing
@@ -367,17 +359,3 @@ class CallGraph:
         self, call: ast.Call, caller: FunctionInfo | None
     ) -> FunctionInfo | None:
         return self.lookup(call.func, caller)
-
-    # ------------------------------------------------------------------
-    def _collect_calls(self) -> None:
-        for info in self.functions:
-            for node in walk_own_nodes(info.node):
-                if isinstance(node, ast.Call):
-                    callee = self.resolve_call(node, info)
-                    if callee is not None:
-                        self.calls.append(
-                            CallSite(call=node, caller=info, callee=callee)
-                        )
-
-    def callees_of(self, info: FunctionInfo) -> list[CallSite]:
-        return [site for site in self.calls if site.caller is info]

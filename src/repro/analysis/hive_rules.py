@@ -38,12 +38,12 @@ from repro.analysis.callgraph import (
     captured_mutations,
     walk_own_nodes,
 )
-from repro.analysis.cfg import header_expressions, is_header
 from repro.analysis.findings import Finding, Rule, sort_findings
 from repro.analysis.taint import (
     EFFECT_KINDS,
     KIND_HASH_ORDER,
     ModuleTaint,
+    own_expressions,
 )
 
 HIVE_RULES = {
@@ -182,50 +182,15 @@ class _HiveVisitor:
 
     # -- MRH303 ----------------------------------------------------------
     def _check_sql_sinks(self) -> None:
-        for info in self.taint.graph.functions:
+        # Every function, then the module body (``None``), on one walk.
+        for info in [*self.taint.graph.functions, None]:
             analysis = self.taint.analysis_for(info)
-            envs = analysis.statement_envs()
-            for stmt in analysis.cfg.statements_in_flow_order():
-                env = envs.get(id(stmt), {})
+            for stmt, env in analysis.statement_envs():
                 self._check_stmt_sinks(stmt, env, analysis)
-        # Module-level code: straight-line environment approximation.
-        analysis = self.taint.analysis_for(None)
-        env: dict = {}
-        for stmt in self.tree.body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            self._check_stmt_sinks(stmt, env, analysis, header_ok=True)
-            analysis._statement(stmt, env)
 
-    def _check_stmt_sinks(
-        self, stmt, env: dict, analysis, header_ok: bool = False
-    ) -> None:
-        if is_header(stmt):
-            exprs = [
-                e for e in header_expressions(stmt) if isinstance(e, ast.expr)
-            ]
-        elif header_ok:
-            # Raw module-level statements: walk everything (bodies of
-            # module-level ifs/loops included; the env is approximate).
-            exprs = [
-                child
-                for child in ast.walk(stmt)
-                if isinstance(child, ast.expr)
-            ]
-        else:
-            exprs = [
-                child
-                for child in ast.iter_child_nodes(stmt)
-                if isinstance(child, ast.expr)
-            ]
-        seen: set[int] = set()
-        for expr in exprs:
+    def _check_stmt_sinks(self, stmt, env: dict, analysis) -> None:
+        for expr in own_expressions(stmt):
             for node in ast.walk(expr):
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

@@ -14,14 +14,25 @@ tracks *where nondeterminism enters and how it travels*:
   *clean*; ``sorted(...)`` and order-insensitive aggregates
   (``sum``/``min``/``max``/``any``/``all``/``len``/``set``) erase
   hash-order taint.
-- **Propagation** — flow-sensitively through local assignments (via the
-  CFG), through ``self.<attr>`` fields (joined across a class's
-  methods, so ``setup()`` seeding is visible from ``map()``), and
+- **Propagation** — flow-sensitively through local assignments (one
+  walk over the function's own statements), through ``self.<attr>``
+  fields (joined across a class's methods, so ``setup()`` seeding is
+  visible from ``map()``), and
   *interprocedurally* through the module call graph: every function
   gets a :class:`Summary` of the nondeterministic effects running it
   causes — unconditionally, or conditionally on what a caller passes
   for a parameter — and call sites splice callee summaries in with the
   call chain preserved for diagnostics.
+
+The walk interprets a statement list in source order: both arms of an
+``if`` are joined, a loop body repeats until the loop head's
+environment stops changing, and code after ``return`` / ``raise`` /
+``break`` / ``continue`` is never analysed.  A ``try`` handler is
+entered from the state at the end of every straight-line run of the
+body, because any statement in it may raise.  Source order and
+insertion-ordered dicts make the result independent of the hash seed.
+Evaluation is monotone — more taint in never means less taint out — so
+the order statements are visited in cannot change a finding either.
 
 Rules consume the result through :class:`ModuleTaint`: MRJ001 asks for
 a task method's effects, MRS201/MRH301 ask for a closure's, MRH303 asks
@@ -34,9 +45,7 @@ import ast
 import re
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, walk_own_nodes
-from repro.analysis.cfg import build_cfg, header_expressions, is_header
-from repro.analysis.dataflow import solve_forward
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 
 # --------------------------------------------------------------------------
 # taint tags
@@ -55,8 +64,7 @@ EFFECT_KINDS = frozenset(
     {KIND_RANDOM, KIND_TIME, KIND_ENTROPY, KIND_ADDRESS}
 )
 
-#: Object-shape tags for RNG instances.
-TAG_RNG_SEEDED = "rng-seeded"
+#: Object-shape tag for an RNG instance nobody seeded.
 TAG_RNG_UNSEEDED = "rng-unseeded"
 
 _PARAM = "param:{}"  # value IS parameter i (identity flow)
@@ -131,6 +139,15 @@ def dotted_name(node: ast.expr) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def own_expressions(stmt: ast.AST) -> list[ast.expr]:
+    """The expressions a statement evaluates itself: a compound
+    statement's (or ``except`` clause's) header, never a nested body."""
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    children = ast.iter_child_nodes(stmt)
+    return [child for child in children if isinstance(child, ast.expr)]
 
 
 def _suffix_lookup(name: str, table: dict[str, str]) -> str | None:
@@ -321,6 +338,9 @@ class Summary:
 
 
 _EMPTY = frozenset()
+#: The tag of an attribute key some joined path never assigned: there
+#: it still holds what it held before the function ran.
+_UNASSIGNED = frozenset({"unassigned"})
 
 
 class ModuleTaint:
@@ -340,7 +360,6 @@ class ModuleTaint:
         self.summaries: dict[FunctionInfo, Summary] = {
             info: Summary() for info in self.graph.functions
         }
-        self._cfgs: dict[FunctionInfo, object] = {}
         self._solve()
 
     # ------------------------------------------------------------------
@@ -376,8 +395,7 @@ class ModuleTaint:
         for _round in range(len(self.graph.functions) + 2):
             changed = False
             for info in self.graph.functions:
-                analysis = _FunctionAnalysis(self, info)
-                summary = analysis.run()
+                summary = self.analysis_for(info).run()
                 if summary.key() != self.summaries[info].key():
                     self.summaries[info] = summary
                     changed = True
@@ -391,7 +409,8 @@ class ModuleTaint:
 
 
 class _FunctionAnalysis:
-    """Flow-sensitive intraprocedural pass over one function's CFG."""
+    """Flow-sensitive intraprocedural pass: one walk over the statements
+    of a function (or, for ``info is None``, of the module body)."""
 
     def __init__(self, module: ModuleTaint, info: FunctionInfo | None):
         self.module = module
@@ -399,15 +418,17 @@ class _FunctionAnalysis:
         self.effects: list[Effect] = []
         self._effect_keys: set = set()
         self.returns: set = set()
-        self.seeds_module_rng = False
-        if info is not None:
-            cfg = module._cfgs.get(info)
-            if cfg is None:
-                cfg = build_cfg(info.node, info.qualname)
-                module._cfgs[info] = cfg
-            self.cfg = cfg
-        else:
-            self.cfg = None
+        #: id(random.seed call) -> was its seed clean on every visit?
+        self._seeds: dict[int, bool] = {}
+        #: id(stmt) -> (stmt, env before it), kept by statement_envs().
+        self._envs: dict | None = None
+        #: States the current straight-line run flows into when it ends:
+        #: an enclosing ``try``'s handlers, or its ``finally``.
+        self._open: dict[int, list] = {}
+        #: The innermost ``try`` body's handler-entry states.
+        self._handlers: list[list] = []
+        #: (break states, continue states) of each enclosing loop.
+        self._loops: list[tuple[list, list]] = []
 
     # ------------------------------------------------------------------
     def _initial_env(self) -> dict[str, frozenset]:
@@ -421,37 +442,29 @@ class _FunctionAnalysis:
                 env[param] = frozenset({_PARAM.format(index - start)})
         return env
 
+    def _body(self) -> list[ast.stmt]:
+        if self.info is None:
+            return self.module.tree.body
+        node = self.info.node
+        if isinstance(node, ast.Lambda):
+            return [ast.copy_location(ast.Expr(value=node.body), node.body)]
+        return node.body
+
     def run(self) -> Summary:
-        if self.cfg is None:
-            return Summary()
-        self._solve_cfg()
+        self._walk(self._body(), self._initial_env())
         return Summary(
             effects=self.effects,
             returns=frozenset(self.returns),
-            seeds_module_rng=self.seeds_module_rng,
+            seeds_module_rng=any(self._seeds.values()),
         )
 
-    def statement_envs(self) -> dict[int, dict[str, frozenset]]:
-        """``id(stmt) -> env before the statement`` for every statement."""
-        if self.cfg is None:
-            return {}
-        solution = self._solve_cfg()
-        envs: dict[int, dict[str, frozenset]] = {}
-        for block in self.cfg.blocks:
-            state = dict(solution.get(block.index, ({}, {}))[0])
-            for stmt in block.statements:
-                envs[id(stmt)] = dict(state)
-                self._statement(stmt, state)
-        return envs
-
-    def _solve_cfg(self):
-        return solve_forward(
-            self.cfg,
-            transfer=self._transfer,
-            join=self._join,
-            initial=self._initial_env(),
-            bottom={},
-        )
+    def statement_envs(self) -> list[tuple[ast.AST, dict[str, frozenset]]]:
+        """``(stmt, env before it)`` for every reachable statement
+        (compound statements and ``except`` clauses stand for their
+        headers), in source order."""
+        self._envs = {}
+        self._walk(self._body(), self._initial_env())
+        return list(self._envs.values())
 
     @staticmethod
     def _join(states: list[dict]) -> dict:
@@ -459,40 +472,129 @@ class _FunctionAnalysis:
         for state in states:
             for name, tags in state.items():
                 merged[name] = merged.get(name, _EMPTY) | tags
+        # An attribute some path left alone may still hold its old value.
+        for name in merged:
+            if "." in name and any(name not in state for state in states):
+                merged[name] |= _UNASSIGNED
         return merged
 
-    def _transfer(self, block, state: dict) -> dict:
-        env = dict(state)
-        for stmt in block.statements:
-            self._statement(stmt, env)
+    # ------------------------------------------------------------------
+    # the walk
+    def _walk(self, body: list[ast.stmt], env: dict) -> dict | None:
+        """Interpret ``body`` in source order from ``env``; the env that
+        falls out, or None once every path has left."""
+        for stmt in body:
+            self._note(stmt, env)
+            env = self._step(stmt, env)
+            if env is None:
+                return None  # the rest of the body is unreachable
         return env
+
+    def _note(self, node: ast.AST, env: dict) -> None:
+        if self._envs is not None:
+            self._envs[id(node)] = (node, dict(env))
+
+    def _end_run(self, env: dict) -> None:
+        """A straight-line run ends: its state reaches every handler or
+        ``finally`` that one of its statements could jump to."""
+        for states in self._open.values():
+            states.append(dict(env))
+        self._open = {}
+
+    def _arm(self, body: list[ast.stmt], env: dict) -> dict | None:
+        """Walk a nested body from a copy of ``env`` as its own run."""
+        out = self._walk(body, dict(env))
+        if out is not None:
+            self._end_run(out)
+        return out
+
+    def _step(self, stmt: ast.stmt, env: dict) -> dict | None:
+        if isinstance(stmt, ast.If):
+            self._statement(stmt, env)
+            self._end_run(env)
+            arms = [self._arm(stmt.body, env)]
+            arms.append(self._arm(stmt.orelse, env) if stmt.orelse else env)
+            live = [arm for arm in arms if arm is not None]
+            return self._join(live) if live else None
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            return self._loop(stmt, env)
+        if isinstance(stmt, (ast.Try, getattr(ast, "TryStar", ast.Try))):
+            return self._try(stmt, env)
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            self._statement(stmt, env)
+            return self._walk(stmt.body, env)
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            self._end_run(env)
+            if self._loops:
+                exits = self._loops[-1][isinstance(stmt, ast.Continue)]
+                exits.append(dict(env))
+            return None
+        # A plain statement, or return/raise: inside a try body, it may
+        # raise into the innermost handlers.
+        self._statement(stmt, env)
+        if self._handlers:
+            self._open[id(self._handlers[-1])] = self._handlers[-1]
+        if isinstance(stmt, (ast.Return, ast.Raise)):
+            self._end_run(env)
+            return None
+        return env
+
+    def _loop(self, stmt, env: dict) -> dict | None:
+        self._end_run(env)
+        head = env
+        while True:
+            self._note(stmt, head)
+            top = dict(head)
+            self._statement(stmt, top)  # the test, or iter + target
+            breaks: list[dict] = []
+            continues: list[dict] = []
+            self._loops.append((breaks, continues))
+            tail = self._arm(stmt.body, top)
+            self._loops.pop()
+            back = [head, *continues] + ([tail] if tail is not None else [])
+            new_head = self._join(back)
+            if new_head == head:
+                break
+            head = new_head
+        if stmt.orelse:
+            top = self._arm(stmt.orelse, top)
+        exits = breaks + ([top] if top is not None else [])
+        return self._join(exits) if exits else None
+
+    def _try(self, stmt, env: dict) -> dict | None:
+        entry: list[dict] = []  # the run this try starts in, for finally
+        if stmt.finalbody:
+            self._open[id(entry)] = entry
+        handler_entry: list[dict] = []
+        self._handlers.append(handler_entry)
+        body = self._walk(stmt.body, env)
+        self._handlers.pop()
+        if body is not None and stmt.orelse:
+            body = self._walk(stmt.orelse, body)
+        tails = []
+        if body is not None:
+            self._end_run(body)
+            tails.append(body)
+        if handler_entry:
+            start = self._join(handler_entry)
+            for handler in stmt.handlers:
+                self._note(handler, start)
+                state = dict(start)
+                self._statement(handler, state)  # the exception type
+                tail = self._arm(handler.body, state)
+                if tail is not None:
+                    tails.append(tail)
+        if stmt.finalbody:
+            # finally runs after every normal exit; when every path has
+            # left, it still runs, from the try's first run.
+            return self._walk(stmt.finalbody, self._join(tails or entry))
+        return self._join(tails) if tails else None
 
     # ------------------------------------------------------------------
     # statements
-    def _statement(self, stmt: ast.stmt, env: dict) -> None:
-        if is_header(stmt):
-            for expr in header_expressions(stmt):
-                if expr is None or not isinstance(expr, ast.expr):
-                    continue
-                taint = self.eval_taint(expr, env)
-            # For-loop targets: hash-order taints the loop variable's
-            # *sequence*; the element is deterministic content-wise, so
-            # the target itself stays clean unless iterating tainted
-            # values.
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                iter_taint = self.eval_taint(stmt.iter, env, record=False)
-                self._bind_target(
-                    stmt.target, iter_taint - {KIND_HASH_ORDER}, env
-                )
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    if item.optional_vars is not None and isinstance(
-                        item.optional_vars, ast.Name
-                    ):
-                        env[item.optional_vars.id] = self.eval_taint(
-                            item.context_expr, env, record=False
-                        )
-            return
+    def _statement(self, stmt: ast.AST, env: dict) -> None:
+        """Evaluate one statement; a compound statement or ``except``
+        clause evaluates only its own header."""
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # analysed as their own functions
         if isinstance(stmt, ast.Assign):
@@ -514,10 +616,20 @@ class _FunctionAnalysis:
             if stmt.value is not None:
                 self.returns |= self.eval_taint(stmt.value, env)
             return
-        # Everything else: evaluate contained expressions for effects.
-        for node in ast.iter_child_nodes(stmt):
-            if isinstance(node, ast.expr):
-                self.eval_taint(node, env)
+        for expr in own_expressions(stmt):
+            self.eval_taint(expr, env)
+        # For-loop targets: hash-order taints the loop variable's
+        # *sequence*; the element is deterministic content-wise, so the
+        # target itself stays clean unless iterating tainted values.
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            iter_taint = self.eval_taint(stmt.iter, env, record=False)
+            self._bind_target(stmt.target, iter_taint - {KIND_HASH_ORDER}, env)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                if isinstance(item.optional_vars, ast.Name):
+                    env[item.optional_vars.id] = self.eval_taint(
+                        item.context_expr, env, record=False
+                    )
 
     def _bind_target(
         self, target: ast.expr, taint: frozenset, env: dict
@@ -557,21 +669,22 @@ class _FunctionAnalysis:
                 return _EMPTY
             return tags
         if isinstance(node, ast.Attribute):
-            root = dotted_name(node)
-            if root is not None and isinstance(node.value, ast.Name):
-                key = f"{node.value.id}.{node.attr}"
-                if key in env:
-                    return env[key]
-                if (
-                    node.value.id == "self"
-                    and self.info is not None
-                    and self.info.klass is not None
-                ):
-                    return self._class_attr_taint(
-                        self.info.klass, node.attr
-                    )
-            base = self.eval_taint(node.value, env, record)
-            return base
+            tags = _UNASSIGNED
+            if isinstance(node.value, ast.Name):
+                tags = env.get(f"{node.value.id}.{node.attr}", _UNASSIGNED)
+            if not tags & _UNASSIGNED:
+                return tags
+            # Not assigned here on every path: what it held before.
+            if (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and self.info is not None
+                and self.info.klass is not None
+            ):
+                before = self._class_attr_taint(self.info.klass, node.attr)
+            else:
+                before = self.eval_taint(node.value, env, record)
+            return (tags - _UNASSIGNED) | before
         if isinstance(node, ast.Constant):
             return _EMPTY
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
@@ -633,11 +746,17 @@ class _FunctionAnalysis:
             return self.eval_taint(node.value, env, record)
         return _EMPTY
 
-    def _class_attr_taint(self, klass: ast.ClassDef, attr: str) -> frozenset:
+    def _class_attr_taint(
+        self, klass: ast.ClassDef, attr: str, seen: set | None = None
+    ) -> frozenset:
+        seen = set() if seen is None else seen
+        seen.add(klass.name)
         tags = self.module.attr_taint.get((klass.name, attr), _EMPTY)
-        # Same-module base classes contribute too (setup() on a base).
+        # Same-module base classes contribute too (setup() on a base);
+        # a cyclic base list is visited once, as in method_on.
         for base in self.module.graph._bases_of(klass):
-            tags |= self._class_attr_taint(base, attr)
+            if base.name not in seen:
+                tags |= self._class_attr_taint(base, attr, seen)
         return tags
 
     def _comprehension(self, node, env: dict, record: bool) -> frozenset:
@@ -701,22 +820,21 @@ class _FunctionAnalysis:
                 or name.endswith(".random.Random")
             ):
                 if node.args and not self._tainted(arg_taints[0]):
-                    return frozenset({TAG_RNG_SEEDED})
+                    return _EMPTY  # seeded: its draws replay
                 return frozenset({TAG_RNG_UNSEEDED})
             # -- random.seed(x): sanitises the module RNG ---------------
             if name in ("random.seed",) or name.endswith(".random.seed"):
-                if node.args and not self._tainted(arg_taints[0]):
-                    self.seeds_module_rng = True
+                # It sanitises only if its seed is clean on every visit:
+                # the last visit sees the settled state.
+                clean = bool(node.args) and not self._tainted(arg_taints[0])
+                key = id(node)
+                self._seeds[key] = clean and self._seeds.get(key, True)
+                if clean:
                     return _EMPTY
                 # seeding from a nondet value is still nondet
                 if record:
                     self._record(
-                        Effect(
-                            kind=KIND_RANDOM,
-                            site=node,
-                            chain=(name,),
-                            module_rng=True,
-                        )
+                        Effect(KIND_RANDOM, node, (name,), module_rng=True)
                     )
                 return _EMPTY
 
@@ -725,19 +843,14 @@ class _FunctionAnalysis:
             kind = _suffix_lookup(name, NONDET_CALLS)
             if kind is not None:
                 if record:
-                    self._record(Effect(kind=kind, site=node, chain=(name,)))
+                    self._record(Effect(kind, node, (name,)))
                 return frozenset({kind})
             if (
                 isinstance(node.func, ast.Name)
                 and node.func.id in ADDRESS_BUILTINS
             ):
                 if record:
-                    self._record(
-                        Effect(
-                            kind=KIND_ADDRESS, site=node,
-                            chain=(node.func.id,),
-                        )
-                    )
+                    self._record(Effect(KIND_ADDRESS, node, (node.func.id,)))
                 return frozenset({KIND_ADDRESS})
 
         # -- RNG draws -------------------------------------------------
@@ -746,6 +859,7 @@ class _FunctionAnalysis:
             if method in RNG_DRAW_METHODS:
                 receiver = node.func.value
                 receiver_name = dotted_name(receiver)
+                draw = (f"{receiver_name or '<rng>'}.{method}",)
                 if receiver_name == "random" or (
                     receiver_name or ""
                 ).endswith(".random") and receiver_name not in (None,):
@@ -753,46 +867,23 @@ class _FunctionAnalysis:
                     # (random.choice etc.) — seedable via random.seed.
                     if record:
                         self._record(
-                            Effect(
-                                kind=KIND_RANDOM,
-                                site=node,
-                                chain=(f"{receiver_name}.{method}",),
-                                module_rng=True,
-                            )
+                            Effect(KIND_RANDOM, node, draw, module_rng=True)
                         )
                     return frozenset({KIND_RANDOM})
                 receiver_taint = self.eval_taint(receiver, env, record=False)
+                out = set()
                 if TAG_RNG_UNSEEDED in receiver_taint:
                     if record:
+                        self._record(Effect(KIND_RANDOM, node, draw))
+                    out.add(KIND_RANDOM)
+                # Conditional on what the caller passes for the RNG.
+                for index in self._param_indexes(receiver_taint):
+                    if record:
                         self._record(
-                            Effect(
-                                kind=KIND_RANDOM,
-                                site=node,
-                                chain=(
-                                    f"{receiver_name or '<rng>'}.{method}",
-                                ),
-                            )
+                            Effect(KIND_RANDOM, node, draw, param=index)
                         )
-                    return frozenset({KIND_RANDOM})
-                params = self._param_indexes(receiver_taint)
-                if params and TAG_RNG_SEEDED not in receiver_taint:
-                    out = _EMPTY
-                    for index in params:
-                        if record:
-                            self._record(
-                                Effect(
-                                    kind=KIND_RANDOM,
-                                    site=node,
-                                    chain=(
-                                        f"{receiver_name or '<rng>'}"
-                                        f".{method}",
-                                    ),
-                                    param=index,
-                                )
-                            )
-                        out |= {_PARAM_DRAW.format(index)}
-                    return out
-                return _EMPTY
+                    out.add(_PARAM_DRAW.format(index))
+                return frozenset(out)
 
         # -- order-insensitive aggregates / order-preserving builtins --
         if isinstance(node.func, ast.Name):
@@ -843,44 +934,24 @@ class _FunctionAnalysis:
         record: bool,
     ) -> frozenset:
         summary = self.module.summary(callee)
-        callee_label = callee.name
         if record:
             for effect in summary.effects:
                 if len(effect.chain) >= 8:
                     continue  # recursion depth cap
+                spliced = replace(
+                    effect, site=node, chain=(callee.name,) + effect.chain
+                )
                 if effect.param is None:
-                    self._record(
-                        replace(
-                            effect,
-                            site=node,
-                            chain=(callee_label,) + effect.chain,
-                        )
-                    )
+                    self._record(spliced)
                     continue
                 # Conditional effect: does our argument trigger it?
-                if effect.param < len(node.args):
-                    taint = arg_taints[effect.param]
-                else:
+                if effect.param >= len(node.args):
                     continue
+                taint = arg_taints[effect.param]
                 if TAG_RNG_UNSEEDED in taint or taint & EFFECT_KINDS:
-                    self._record(
-                        replace(
-                            effect,
-                            site=node,
-                            chain=(callee_label,) + effect.chain,
-                            param=None,
-                        )
-                    )
-                else:
-                    for index in self._param_indexes(taint):
-                        self._record(
-                            replace(
-                                effect,
-                                site=node,
-                                chain=(callee_label,) + effect.chain,
-                                param=index,
-                            )
-                        )
+                    self._record(replace(spliced, param=None))
+                for index in self._param_indexes(taint):
+                    self._record(replace(spliced, param=index))
         # Return taint: substitute param markers with argument taints.
         out = set()
         for tag in summary.returns:
@@ -895,9 +966,8 @@ class _FunctionAnalysis:
             if tag.startswith("param-draw:"):
                 if TAG_RNG_UNSEEDED in arg_taint:
                     out.add(KIND_RANDOM)
-                else:
-                    for sub in self._param_indexes(arg_taint):
-                        out.add(_PARAM_DRAW.format(sub))
+                for sub in self._param_indexes(arg_taint):
+                    out.add(_PARAM_DRAW.format(sub))
             else:
                 out |= arg_taint
         return frozenset(out)

@@ -1,32 +1,28 @@
-"""Control-flow graphs for lint-time dataflow analysis.
+"""Reference for the taint pass's statement walk: a basic-block CFG and a
+worklist solver.
 
-mrlint 1.x walked raw ASTs, which made every rule *path-insensitive*:
-``random.random()`` after an early ``return`` looked the same as one on
-the hot path, and a sanitising ``sorted(...)`` could not "kill" the
-hash-order taint it provably removes.  This module builds a classic
-basic-block CFG per function so :mod:`repro.analysis.dataflow` can run
-the worklist taint analysis over it.
+mrlint used to build a control-flow graph per function and solve the
+taint environments over it to fixpoint; the taint pass now walks the
+function's statements directly (``taint._FunctionAnalysis._walk``).
+This module keeps the graph builder and the solver verbatim in
+behaviour, so ``tests/properties/test_taint_walk_oracle.py`` can check
+that the walk and the graph agree.  Both drive the product's own
+``_statement`` (one statement, or one compound statement's header) and
+``_join``, so the only thing compared is the control flow.
 
-Design notes
-============
+Graph shape, as it always was:
 
-- One :class:`CFG` per ``FunctionDef``/``AsyncFunctionDef``/``Lambda``.
-  Nested functions are *not* inlined — they get their own CFGs and the
-  call graph stitches them together.
-- Blocks hold whole statements.  Expression-level ordering inside a
-  statement is handled by the analyses (Python evaluates left-to-right,
-  and our lattices are coarse enough not to care).
-- ``try`` is modelled conservatively: the body may jump to any handler
-  after *any* of its statements, and ``finally`` dominates every exit.
-  That over-approximates flow, which is the safe direction for taint.
-- ``break``/``continue``/``return``/``raise`` end their block and wire
-  the edge the statement dictates; code after them is unreachable and
-  lands in a block with no predecessors (analyses simply never reach
-  it, matching runtime truth).
-
-The graphs are tiny (student jobs, engine modules), so no effort is
-spent on compaction — empty blocks are pruned at the end and that is
-all the optimisation this needs.
+- blocks hold whole statements; a compound statement enters its block
+  as its header, and an ``except`` clause heads its handler's block;
+- any plain statement, ``return`` or ``raise`` in a ``try`` body adds an
+  edge from its block to every handler of the innermost ``try``;
+- ``break``/``continue``/``return``/``raise`` end their block; code
+  after them lands in a block with no predecessors and is never
+  analysed;
+- ``finally`` is entered from every exit of the body, ``else`` and
+  handlers, or, when no live exit reaches it, from the block the
+  ``try`` began in.  This one rule is the walk's, not the old graph's
+  (see ``build_cfg``).
 """
 
 from __future__ import annotations
@@ -34,13 +30,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.taint import ModuleTaint, _FunctionAnalysis
+
 
 @dataclass
 class Block:
-    """A straight-line run of statements with single entry/exit."""
-
     index: int
-    statements: list[ast.stmt] = field(default_factory=list)
+    statements: list[ast.AST] = field(default_factory=list)
     successors: list[int] = field(default_factory=list)
     predecessors: list[int] = field(default_factory=list)
 
@@ -52,10 +48,7 @@ class Block:
 
 
 class CFG:
-    """The control-flow graph of one function (or lambda)."""
-
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.blocks: list[Block] = []
         self.entry = self.new_block()
         self.exit = self.new_block()
@@ -65,9 +58,8 @@ class CFG:
         self.blocks.append(block)
         return block
 
-    # ------------------------------------------------------------------
     def reachable_blocks(self) -> list[Block]:
-        """Blocks reachable from entry, in a deterministic BFS order."""
+        """Blocks reachable from entry, in breadth-first order."""
         seen = {self.entry.index}
         order = [self.entry]
         frontier = [self.entry]
@@ -82,43 +74,29 @@ class CFG:
             frontier = nxt
         return order
 
-    def statements_in_flow_order(self) -> list[ast.stmt]:
-        """Every reachable statement, blocks in BFS order."""
-        out: list[ast.stmt] = []
-        for block in self.reachable_blocks():
-            out.extend(block.statements)
-        return out
-
 
 class _Builder:
-    """Recursive statement-list walker producing the block structure."""
-
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        #: Stack of (continue-target, break-target) block pairs.
+        #: (continue target, break target) of each enclosing loop.
         self.loops: list[tuple[Block, Block]] = []
-        #: Innermost enclosing handler-entry blocks (try bodies may jump
-        #: there after any statement).
+        #: Handler-entry blocks of each enclosing try body.
         self.handlers: list[list[Block]] = []
+        #: (first block, finally block, exits) of each try with finally.
+        self.finals: list[tuple[Block, Block, list[Block]]] = []
 
-    # ------------------------------------------------------------------
     def build(self, body: list[ast.stmt]) -> None:
         tail = self._body(body, self.cfg.entry)
         if tail is not None:
             tail.add_successor(self.cfg.exit)
 
-    def _body(self, body: list[ast.stmt], current: Block) -> Block | None:
-        """Thread ``body`` starting in ``current``; return the block the
-        flow falls out of (None when every path left — return/raise/...)."""
+    def _body(self, body: list[ast.stmt], current: Block | None) -> Block | None:
         for stmt in body:
             if current is None:
-                # Unreachable code after a jump: park it in a fresh
-                # predecessor-less block so its statements still exist.
-                current = self.cfg.new_block()
+                current = self.cfg.new_block()  # unreachable code
             current = self._statement(stmt, current)
         return current
 
-    # ------------------------------------------------------------------
     def _statement(self, stmt: ast.stmt, current: Block) -> Block | None:
         if isinstance(stmt, ast.If):
             return self._if(stmt, current)
@@ -127,7 +105,7 @@ class _Builder:
         if isinstance(stmt, (ast.Try, getattr(ast, "TryStar", ast.Try))):
             return self._try(stmt, current)
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            current.statements.append(_HeaderMarker.wrap(stmt))
+            current.statements.append(stmt)
             return self._body(stmt.body, current)
         if isinstance(stmt, (ast.Return, ast.Raise)):
             current.statements.append(stmt)
@@ -144,24 +122,19 @@ class _Builder:
             if self.loops:
                 current.add_successor(self.loops[-1][0])
             return None
-        # Plain statement (also covers nested FunctionDef/ClassDef —
-        # callers build a CFG per function body with build_cfg()).
         current.statements.append(stmt)
         self._edge_to_handlers(current)
         return current
 
     def _edge_to_handlers(self, block: Block) -> None:
-        """Inside a try body, any statement may raise into a handler."""
         if self.handlers:
             for handler_block in self.handlers[-1]:
                 block.add_successor(handler_block)
 
-    # ------------------------------------------------------------------
     def _if(self, stmt: ast.If, current: Block) -> Block | None:
-        current.statements.append(_HeaderMarker.wrap(stmt))
+        current.statements.append(stmt)
         then_block = self.cfg.new_block()
         current.add_successor(then_block)
-        join: Block | None = None
         then_tail = self._body(stmt.body, then_block)
         if stmt.orelse:
             else_block = self.cfg.new_block()
@@ -180,7 +153,7 @@ class _Builder:
 
     def _loop(self, stmt, current: Block) -> Block:
         header = self.cfg.new_block()
-        header.statements.append(_HeaderMarker.wrap(stmt))
+        header.statements.append(stmt)
         current.add_successor(header)
         body_block = self.cfg.new_block()
         after = self.cfg.new_block()
@@ -203,13 +176,12 @@ class _Builder:
         body_tail = self._body(stmt.body, current)
         self.handlers.pop()
         tails: list[Block] = []
-        if stmt.orelse:
-            if body_tail is not None:
-                body_tail = self._body(stmt.orelse, body_tail)
+        if stmt.orelse and body_tail is not None:
+            body_tail = self._body(stmt.orelse, body_tail)
         if body_tail is not None:
             tails.append(body_tail)
         for handler, block in zip(stmt.handlers, handler_blocks):
-            block.statements.append(_HeaderMarker.wrap(handler))
+            block.statements.append(handler)
             handler_tail = self._body(handler.body, block)
             if handler_tail is not None:
                 tails.append(handler_tail)
@@ -217,9 +189,7 @@ class _Builder:
             final_block = self.cfg.new_block()
             for tail in tails:
                 tail.add_successor(final_block)
-            if not tails:
-                # Every path raised/returned; finally still runs.
-                current.add_successor(final_block)
+            self.finals.append((current, final_block, tails))
             return self._body(stmt.finalbody, final_block)
         if not tails:
             return None
@@ -229,53 +199,78 @@ class _Builder:
         return join
 
 
-class _HeaderMarker:
-    """Compound-statement headers enter the CFG as the statement itself.
-
-    Analyses that only look at *expressions* (taint) need
-    the header's test/iter expressions in flow order but must not
-    descend into the compound body twice.  We record the original node;
-    :func:`header_expressions` yields just the header-owned parts.
-    """
-
-    @staticmethod
-    def wrap(stmt: ast.stmt) -> ast.stmt:
-        stmt._mrlint_header = True  # type: ignore[attr-defined]
-        return stmt
-
-
-def is_header(stmt: ast.stmt) -> bool:
-    return getattr(stmt, "_mrlint_header", False)
-
-
-def header_expressions(stmt: ast.AST) -> list[ast.AST]:
-    """The expressions a compound-statement header evaluates itself."""
-    if isinstance(stmt, ast.If):
-        return [stmt.test]
-    if isinstance(stmt, ast.While):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter, stmt.target]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.ExceptHandler):
-        return [stmt.type] if stmt.type is not None else []
-    return []
-
-
-def build_cfg(fn: ast.AST, name: str | None = None) -> CFG:
-    """Build the CFG of one function, lambda, or module body."""
-    if isinstance(fn, ast.Lambda):
-        cfg = CFG(name or "<lambda>")
-        expr = ast.Expr(value=fn.body)
-        ast.copy_location(expr, fn.body)
-        _Builder(cfg).build([expr])
-        return cfg
-    if isinstance(fn, ast.Module):
-        cfg = CFG(name or "<module>")
-        _Builder(cfg).build(fn.body)
-        return cfg
-    cfg = CFG(name or fn.name)
-    _Builder(cfg).build(fn.body)
+def build_cfg(body: list[ast.stmt]) -> CFG:
+    cfg = CFG()
+    builder = _Builder(cfg)
+    builder.build(body)
+    # A finally no live exit reaches runs from the try's first block.
+    # (The old graph added that edge only when the try had no exit at
+    # all, so dead code after a jump, or a handler nothing raised into,
+    # left the finally unanalysed.)
+    added = True
+    while added:
+        added = False
+        live = {block.index for block in cfg.reachable_blocks()}
+        for first, final, tails in builder.finals:
+            if first.index not in live or final.index in first.successors:
+                continue
+            if not any(tail.index in live for tail in tails):
+                first.add_successor(final)
+                added = True
+                break
     return cfg
 
+
+def solve_forward(cfg: CFG, transfer, join, initial, bottom):
+    """Worklist forward analysis to fixpoint:
+    ``{block index: (state-in, state-out)}``."""
+    ins = {cfg.entry.index: initial}
+    outs = {}
+    worklist = [block.index for block in cfg.reachable_blocks()]
+    while worklist:
+        index = worklist.pop(0)
+        block = cfg.blocks[index]
+        if block.predecessors:
+            preds = [outs[p] for p in sorted(block.predecessors) if p in outs]
+            state_in = join(preds) if preds else bottom
+        else:
+            state_in = ins.get(index, initial if index == cfg.entry.index else bottom)
+        ins[index] = state_in
+        state_out = transfer(block, state_in)
+        if index in outs and outs[index] == state_out:
+            continue
+        outs[index] = state_out
+        for succ in block.successors:
+            if succ not in worklist:
+                worklist.append(succ)
+    return {
+        index: (ins.get(index, bottom), outs.get(index, bottom))
+        for index in sorted(set(ins) | set(outs))
+    }
+
+
+class CfgAnalysis(_FunctionAnalysis):
+    """The taint pass with the walk replaced by the CFG + solver."""
+
+    def _walk(self, body, env):
+        def transfer(block, state):
+            out = dict(state)
+            for stmt in block.statements:
+                self._statement(stmt, out)
+            return out
+
+        cfg = build_cfg(body)
+        solution = solve_forward(cfg, transfer, self._join, env, bottom={})
+        if self._envs is not None:  # statement_envs(): replay each block
+            for block in cfg.reachable_blocks():
+                state = dict(solution[block.index][0])
+                for stmt in block.statements:
+                    self._note(stmt, state)
+                    self._statement(stmt, state)
+
+
+class CfgModuleTaint(ModuleTaint):
+    """:class:`ModuleTaint` solved with :class:`CfgAnalysis`."""
+
+    def analysis_for(self, info):
+        return CfgAnalysis(self, info)

@@ -1,77 +1,29 @@
-"""The shared analysis core: CFG shape, dataflow, call graph, taint.
+"""The shared analysis core: call graph and taint.
 
 Rule tests exercise these modules end-to-end; the tests here pin the
-*intermediate* contracts the rules depend on — edge structure, fixpoint
-results, resolution of each callable form — so a regression points at
-the layer that broke instead of at whichever rule noticed first.
+*intermediate* contracts the rules depend on — resolution of each
+callable form, effect summaries, and what flows where along the taint
+pass's walk of a function's statements — so a regression points at the
+layer that broke instead of at whichever rule noticed first.
 """
 
 import ast
 import textwrap
 
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import build_cfg
+from repro.analysis import lint_source
+from repro.analysis.callgraph import CallGraph, walk_own_nodes
 from repro.analysis.taint import KIND_RANDOM, KIND_TIME, ModuleTaint
-
-
-def fn_cfg(body: str):
-    src = f"def f(x):\n{textwrap.indent(textwrap.dedent(body), '    ')}"
-    tree = ast.parse(src)
-    return build_cfg(tree.body[0], "f")
-
-
-class TestCfg:
-    def test_straight_line_single_block(self):
-        cfg = fn_cfg("a = 1\nb = a + 1\nreturn b")
-        blocks = [b for b in cfg.reachable_blocks() if b.statements]
-        assert len(blocks) == 1
-        assert len(blocks[0].statements) == 3
-
-    def test_if_else_diamond(self):
-        cfg = fn_cfg("if x:\n    a = 1\nelse:\n    a = 2\nreturn a")
-        stmts = cfg.statements_in_flow_order()
-        # header, both branches and the join all reachable.
-        assert len(stmts) == 4
-
-    def test_while_loop_has_back_edge(self):
-        cfg = fn_cfg("while x:\n    x = x - 1\nreturn x")
-        has_back_edge = any(
-            succ <= block.index
-            for block in cfg.reachable_blocks()
-            for succ in block.successors
-        )
-        assert has_back_edge
-
-    def test_return_terminates_flow(self):
-        cfg = fn_cfg("return 1\na = 2")
-        reachable = {
-            id(s)
-            for block in cfg.reachable_blocks()
-            for s in block.statements
-        }
-        tree_stmts = cfg.statements_in_flow_order()
-        assert all(not isinstance(s, ast.Assign) for s in tree_stmts)
-        assert reachable  # the return itself is reachable
-
-    def test_try_except_edges_reach_handler(self):
-        cfg = fn_cfg(
-            """
-            try:
-                a = g()
-            except ValueError:
-                a = 0
-            return a
-            """
-        )
-        assert len(cfg.statements_in_flow_order()) >= 4
-
-    def test_module_level_build(self):
-        tree = ast.parse("y = (lambda v: v + 1)(2)\nprint(y)")
-        assert build_cfg(tree, "<module>").statements_in_flow_order()
 
 
 def graph_of(src: str) -> CallGraph:
     return CallGraph(ast.parse(textwrap.dedent(src)))
+
+
+def callees(g: CallGraph, info) -> list:
+    """What each of the function's own calls resolves to."""
+    calls = [n for n in walk_own_nodes(info.node) if isinstance(n, ast.Call)]
+    resolved = (g.resolve_call(call, info) for call in calls)
+    return [callee for callee in resolved if callee is not None]
 
 
 class TestCallGraph:
@@ -85,7 +37,7 @@ class TestCallGraph:
             """
         )
         top = next(i for i in g.functions if i.name == "top")
-        assert {c.callee.name for c in g.callees_of(top)} == {"helper"}
+        assert {c.name for c in callees(g, top)} == {"helper"}
 
     def test_self_method_resolution(self):
         g = graph_of(
@@ -98,7 +50,7 @@ class TestCallGraph:
             """
         )
         a = next(i for i in g.functions if i.qualname == "C.a")
-        assert {c.callee.qualname for c in g.callees_of(a)} == {"C.b"}
+        assert {c.qualname for c in callees(g, a)} == {"C.b"}
 
     def test_base_class_method_resolution(self):
         g = graph_of(
@@ -112,7 +64,7 @@ class TestCallGraph:
             """
         )
         run = next(i for i in g.functions if i.qualname == "Child.run")
-        assert {c.callee.qualname for c in g.callees_of(run)} == {"Base.shared"}
+        assert {c.qualname for c in callees(g, run)} == {"Base.shared"}
 
     def test_name_bound_lambda(self):
         g = graph_of(
@@ -123,7 +75,7 @@ class TestCallGraph:
             """
         )
         top = next(i for i in g.functions if i.name == "top")
-        assert len(g.callees_of(top)) == 1
+        assert len(callees(g, top)) == 1
 
     def test_nested_call_not_attributed_to_outer(self):
         g = graph_of(
@@ -137,7 +89,7 @@ class TestCallGraph:
             """
         )
         outer = next(i for i in g.functions if i.name == "outer")
-        assert {c.callee.name for c in g.callees_of(outer)} != {"leaf"}
+        assert {c.name for c in callees(g, outer)} != {"leaf"}
 
 
 def taint_of(src: str) -> ModuleTaint:
@@ -214,3 +166,168 @@ class TestTaint:
         )
         info = next(i for i in t.graph.functions if i.name == "f")
         assert t.effects_of(info)
+
+    def test_loop_back_edge_reaches_draw(self):
+        # The first pass draws from the seeded RNG; the reseed at the end
+        # of the body reaches the draw on the next pass.
+        t = taint_of(
+            """
+            import random
+            def f(n):
+                rng = random.Random(7)
+                while n:
+                    n = rng.random()
+                    rng = random.Random()
+            """
+        )
+        info = next(i for i in t.graph.functions if i.name == "f")
+        assert {e.kind for e in t.effects_of(info)} == {KIND_RANDOM}
+
+    def test_draw_after_return_is_unreachable(self):
+        t = taint_of(
+            """
+            import random
+            def f():
+                return 1
+                random.random()
+            """
+        )
+        info = next(i for i in t.graph.functions if i.name == "f")
+        assert t.effects_of(info) == []
+
+    def test_draw_after_break_is_unreachable(self):
+        t = taint_of(
+            """
+            import random
+            def f(items):
+                for item in items:
+                    break
+                    random.random()
+            """
+        )
+        info = next(i for i in t.graph.functions if i.name == "f")
+        assert t.effects_of(info) == []
+
+    def test_handler_sees_taint_from_inner_body_statement(self):
+        # The unseeded RNG is replaced before the try body ends, but the
+        # statement in between may raise while it is still live.
+        t = taint_of(
+            """
+            import random
+            def f(cond):
+                try:
+                    rng = random.Random()
+                    if cond:
+                        cond = 0
+                    rng = random.Random(7)
+                except ValueError:
+                    return rng.random()
+                return 0
+            """
+        )
+        info = next(i for i in t.graph.functions if i.name == "f")
+        assert {e.kind for e in t.effects_of(info)} == {KIND_RANDOM}
+
+    def test_handler_sees_sql_taint_from_inner_body_statement(self):
+        src = textwrap.dedent(
+            """
+            import time
+            def report(hive, cond):
+                try:
+                    stamp = time.time()
+                    if cond:
+                        hive.execute("SELECT 1")
+                    stamp = 0
+                except ValueError:
+                    hive.execute(f"SELECT * FROM t WHERE ts > {stamp}")
+            """
+        )
+        findings = lint_source(src, "script.py", families=("hive",))
+        assert [(f.rule, f.line) for f in findings] == [("MRH303", 10)]
+
+    def test_module_level_sink_under_if(self):
+        # Module code runs through the same walk: a name bound inside a
+        # module-level ``if`` reaches the sink after it.
+        src = textwrap.dedent(
+            """
+            import time
+            if READY:
+                stamp = time.time()
+            hive.execute(f"SELECT * FROM t WHERE ts > {stamp}")
+            """
+        )
+        findings = lint_source(src, "script.py", families=("hive",))
+        assert [(f.rule, f.line) for f in findings] == [("MRH303", 5)]
+
+    def test_cyclic_same_module_bases_terminate(self):
+        # The second ``class B`` rebinds B, so A and B name each other
+        # as bases; attribute lookup through them must still end.
+        src = textwrap.dedent(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class B(Mapper):
+                pass
+
+            class A(B):
+                def map(self, key, value, context):
+                    context.write(self.k, value)
+
+            class B(A):
+                def map(self, key, value, context):
+                    context.write(self.k, value)
+            """
+        )
+        assert lint_source(src, "job.py", families=("jobs",)) == []
+
+
+class TestMonotoneTaint:
+    """More taint in never means less taint out, so the order the walk
+    visits states in cannot change a result.  Each case read as clean
+    at the parent."""
+
+    def test_draw_from_maybe_parameter_rng_is_conditional(self):
+        t = taint_of(
+            """
+            import random
+            def f(cond, rng):
+                if cond:
+                    rng = random.Random(7)
+                return rng.random()
+            def g():
+                return f(True, random.Random())
+            """
+        )
+        g = next(i for i in t.graph.functions if i.name == "g")
+        assert {e.kind for e in t.effects_of(g)} == {KIND_RANDOM}
+
+    def test_attribute_assigned_on_one_path_keeps_its_old_taint(self):
+        t = taint_of(
+            """
+            import random
+            class Job:
+                def setup(self):
+                    self.rng = random.Random()
+                def map(self, cond):
+                    if cond:
+                        self.rng = random.Random(7)
+                    return self.rng.random()
+            """
+        )
+        map_ = next(i for i in t.graph.functions if i.qualname == "Job.map")
+        assert {e.kind for e in t.effects_of(map_)} == {KIND_RANDOM}
+
+    def test_seed_tainted_on_a_later_pass_does_not_sanitise(self):
+        t = taint_of(
+            """
+            import random
+            import time
+            def f(items):
+                stamp = 0
+                for item in items:
+                    random.seed(stamp)
+                    stamp = time.time()
+            """
+        )
+        f = next(i for i in t.graph.functions if i.name == "f")
+        assert not t.summary(f).seeds_module_rng

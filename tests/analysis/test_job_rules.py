@@ -74,6 +74,23 @@ class TestInterproceduralNondeterminism:
         )
         assert findings == []
 
+    def test_unseeded_rng_argument_is_flagged(self):
+        """noise(rng) draws from whatever it is given: the conditional
+        effect fires where map() passes an unseeded RNG."""
+        findings = lint_paths(
+            [str(FIXTURES / "interproc_mrj001_rng_param_buggy.py")],
+            families=("jobs",),
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ001", 22)]
+        assert "calls noise() → rng.random()" in findings[0].message
+
+    def test_seeded_rng_argument_is_clean(self):
+        findings = lint_paths(
+            [str(FIXTURES / "interproc_mrj001_rng_param_clean.py")],
+            families=("jobs",),
+        )
+        assert findings == []
+
 
 class TestReferenceJobsAreClean:
     def test_lint_jobs_is_clean(self):

@@ -1,6 +1,6 @@
 """mrlint determinism: byte-identical output across runs and hash seeds.
 
-The dataflow solver, the taint fixpoint and the renderers all promise
+The taint walk, the summary fixpoint and the renderers all promise
 deterministic iteration order; this suite holds them to it.  Findings
 must not depend on ``PYTHONHASHSEED`` (set-ordering bugs in the
 analysis would leak straight into CI diffs and graded feedback), and

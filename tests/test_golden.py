@@ -36,6 +36,15 @@ FAST = {
     "myhadoop_workflow": (["examples/myhadoop_workflow.py"], 0),
     "quickstart": (["examples/quickstart.py"], 0),
     "workloads_on_fast_engine": (["examples/workloads_on_fast_engine.py"], 0),
+    "repro_lint_fixtures": (
+        [
+            "-m", "repro", "lint",
+            "--family", "jobs", "--family", "engine",
+            "--family", "sparklite", "--family", "hive",
+            "tests/analysis/fixtures",
+        ],
+        1,
+    ),
 }
 
 #: Compared in CI (``.github/workflows/ci.yml``, job ``chaos``), not here.
