@@ -167,6 +167,41 @@ class TestTaint:
         info = next(i for i in t.graph.functions if i.name == "f")
         assert t.effects_of(info)
 
+    def test_if_else_diamond_joins_both_arms(self):
+        # Both arms reach the join: an unseeded RNG bound in either arm
+        # alone taints the draw after the ``if``.
+        t = taint_of(
+            """
+            import random
+            def then_arm(cond):
+                if cond:
+                    rng = random.Random()
+                else:
+                    rng = random.Random(7)
+                return rng.random()
+            def else_arm(cond):
+                if cond:
+                    rng = random.Random(7)
+                else:
+                    rng = random.Random()
+                return rng.random()
+            def both_seeded(cond):
+                if cond:
+                    rng = random.Random(7)
+                else:
+                    rng = random.Random(8)
+                return rng.random()
+            """
+        )
+        kinds = {
+            i.name: {e.kind for e in t.effects_of(i)} for i in t.graph.functions
+        }
+        assert kinds == {
+            "then_arm": {KIND_RANDOM},
+            "else_arm": {KIND_RANDOM},
+            "both_seeded": set(),
+        }
+
     def test_loop_back_edge_reaches_draw(self):
         # The first pass draws from the seeded RNG; the reseed at the end
         # of the body reaches the draw on the next pass.

@@ -10,8 +10,9 @@ every record by a layout compiled once per spec row;
 decoded values and these exceptions.  One difference is intended:
 ``decode_image`` here reads a file's under-construction byte with
 ``u8() == 1``, so a byte of 2 loads the file as complete, where
-production rejects it like any other bool byte.  Not collected by
-pytest (no ``test_`` prefix).
+production rejects it like any other bool byte; ``strict_bool=True``
+reads it as production does.  Not collected by pytest (no ``test_``
+prefix).
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def encode_image(state: ImageState) -> bytes:
     )
 
 
-def decode_image(blob) -> ImageState:
+def decode_image(blob, strict_bool: bool = False) -> ImageState:
     view = memoryview(blob)
     prefix = _HEADER.size + _FRAME.size
     if len(view) < prefix:
@@ -234,7 +235,7 @@ def decode_image(blob) -> ImageState:
                 ns.mkdirs(path, mtime=mtime)
         elif kind == _KIND_FILE:
             replication = reader.u32()
-            under_construction = reader.u8() == 1
+            under_construction = reader.bool_() if strict_bool else reader.u8() == 1
             blocks = [
                 Block(
                     block_id=reader.u64(),

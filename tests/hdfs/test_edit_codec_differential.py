@@ -8,6 +8,7 @@ read as "complete", is now refused like any other bool byte."""
 
 import math
 import struct
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -294,6 +295,22 @@ class TestSameImage:
         with pytest.raises(JournalFormatError, match="bad bool byte 2"):
             decode_image(blob)
 
+    def test_a_bad_bool_byte_is_refused_before_a_bad_path(self):
+        # The oracle reads past the byte and fails on the relative path;
+        # production refuses the byte first.
+        state = empty_image_state()
+        state.namespace.create_file("/f", replication=1).under_construction = False
+        body = bytearray(encode_image(state)[_HEADER_SIZE:])
+        body[-5] = 2
+        at = body.rindex(b"/f")
+        body[at : at + 2] = b"xf"
+        blob = rewrap(bytes(body))
+        with pytest.raises(HdfsError, match="must be absolute"):
+            oracle.decode_image(blob)
+        assert_same_or_the_bool_fix(blob)
+        with pytest.raises(JournalFormatError, match="bad bool byte 2"):
+            decode_image(blob)
+
     @SETTINGS
     @given(
         body=mutated(image_states().map(lambda s: encode_image(s)[_HEADER_SIZE:]))
@@ -309,10 +326,11 @@ class TestSameImage:
 
 def assert_same_or_the_bool_fix(blob):
     ours = image_outcome(decode_image, blob)
-    theirs = image_outcome(oracle.decode_image, blob)
-    if ours != theirs:
-        # The one intended difference: the oracle loads a file whose
-        # under-construction byte is not 0/1 as complete.
-        assert theirs[0] == "ok"
+    # The oracle with the fix: the under-construction byte read as a bool.
+    assert ours == image_outcome(partial(oracle.decode_image, strict_bool=True), blob)
+    if ours != image_outcome(oracle.decode_image, blob):
+        # The one intended difference: the oracle reads an
+        # under-construction byte that is not 0/1 as "complete", and
+        # loads the file or fails later in the same record.
         with pytest.raises(JournalFormatError, match="bad bool byte"):
             decode_image(blob)
