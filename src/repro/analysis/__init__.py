@@ -13,8 +13,11 @@ proved the engine itself needs).  Two halves:
   :mod:`repro.analysis.sparklite_rules`), and Hive UDFs /
   query-embedded Python (``MRH3xx``,
   :mod:`repro.analysis.hive_rules`), with ``# repro: lint-ok[RULE]``
-  suppressions.  CLI: ``python -m repro lint [--self|--jobs|PATH]``
-  with ``--json``, ``--format sarif`` and ``--baseline`` output modes.
+  suppressions.  The linter analyses each module once and hands that
+  one analysis to every family that needs it; the engine family is
+  syntactic and needs none.  CLI:
+  ``python -m repro lint [--self|--jobs|PATH]`` with ``--json``,
+  ``--format sarif`` and ``--baseline`` output modes.
 - **Dynamic** (:mod:`repro.analysis.sanitizer`): enabled by
   ``MapReduceConfig(sanitize=True)``; catches input mutation, emit
   aliasing, and non-monoid combiners at run time, reporting through

@@ -21,7 +21,8 @@ Nothing is resolved up front: the taint pass asks
 
 What a function's *own* code is, binds and mutates is answered here
 too, once, for every rule family: :func:`walk_own_nodes`,
-:func:`closure_locals`, :func:`captured_mutations`.
+:func:`closure_locals`, :func:`mutations`, :func:`captured_mutations`,
+and which function owns a node (:meth:`CallGraph.enclosing`).
 """
 
 from __future__ import annotations
@@ -68,13 +69,53 @@ MUTATOR_METHODS = frozenset(
 )
 
 
-def root_name(node: ast.expr) -> str | None:
-    """The bare name a subscript/attribute chain hangs off, if any."""
+def root_symbol(node: ast.expr) -> tuple[str, ...] | None:
+    """The base symbol of an expression: ``("x",)`` or ``("self", "attr")``.
+
+    Walks down attribute/subscript chains: ``self.acc[k].field`` roots at
+    ``("self", "acc")``; ``values[0]`` roots at ``("values",)``.
+    """
     while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            return ("self", node.attr)
         node = node.value
     if isinstance(node, ast.Name):
-        return node.id
+        return (node.id,)
     return None
+
+
+def mutations(nodes):
+    """``(site, root symbol)`` for every in-place mutation among ``nodes``.
+
+    A mutation is an assignment or ``del`` through a subscript/attribute
+    (one pair per target), an augmented assignment to one, or a
+    mutator-method call (``.append``/``.update``/...).  Rebinding a bare
+    name is NOT a mutation — it cannot affect an aliased object.
+    """
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_METHODS
+        ):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            if isinstance(node, ast.Call) or isinstance(
+                target, (ast.Subscript, ast.Attribute)
+            ):
+                root = root_symbol(target)
+                if root is not None:
+                    yield node, root
 
 
 def binding_names(target: ast.expr) -> set[str]:
@@ -131,27 +172,12 @@ def closure_locals(fn: ast.AST) -> set[str]:
 def captured_mutations(fn: ast.AST) -> list[tuple[ast.AST, str]]:
     """(site, name) pairs where a function mutates an object it did not
     bind itself — state captured from the enclosing scope."""
-    local = closure_locals(fn)
-    out: list[tuple[ast.AST, str]] = []
-    for node in walk_own_nodes(fn):
-        name: str | None = None
-        if isinstance(node, ast.AugAssign) and isinstance(
-            node.target, (ast.Subscript, ast.Attribute)
-        ):
-            name = root_name(node.target)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    name = root_name(target)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATOR_METHODS
-        ):
-            name = root_name(node.func.value)
-        if name is not None and name not in local and name != "self":
-            out.append((node, name))
-    return out
+    local = closure_locals(fn) | {"self"}
+    return [
+        (site, root[0])
+        for site, root in mutations(walk_own_nodes(fn))
+        if root[0] not in local
+    ]
 
 
 @dataclass
@@ -196,8 +222,10 @@ class CallGraph:
         self.methods: dict[tuple[str, str], FunctionInfo] = {}
         #: every FunctionInfo, in source order
         self.functions: list[FunctionInfo] = []
-        #: id(ast node) -> enclosing FunctionInfo (for lambdas too)
+        #: id(function/lambda node) -> its FunctionInfo
         self._owner_of: dict[int, FunctionInfo] = {}
+        #: id(ast node) -> the FunctionInfo whose own code holds it
+        self._enclosing: dict[int, FunctionInfo] = {}
         self._index(tree)
 
     # ------------------------------------------------------------------
@@ -242,9 +270,7 @@ class CallGraph:
                 if node is outer.node:
                     continue
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if id(node) in self._owner_of or any(
-                        f.node is node for f in self.functions
-                    ):
+                    if id(node) in self._owner_of:
                         continue
                     info = FunctionInfo(
                         qualname=f"{outer.qualname}.<locals>.{node.name}",
@@ -275,6 +301,9 @@ class CallGraph:
                         qualname=f"<lambda@{node.lineno}>", node=node
                     )
                 )
+        for info in self.functions:
+            for node in walk_own_nodes(info.node):
+                self._enclosing[id(node)] = info
 
     def _register(self, info: FunctionInfo) -> None:
         self.functions.append(info)
@@ -284,6 +313,11 @@ class CallGraph:
     # resolution
     def info_for(self, node: ast.AST) -> FunctionInfo | None:
         return self._owner_of.get(id(node))
+
+    def enclosing(self, node: ast.AST) -> FunctionInfo | None:
+        """The function whose own code (nested bodies excluded) holds
+        ``node``; None at module level."""
+        return self._enclosing.get(id(node))
 
     def _bases_of(self, klass: ast.ClassDef) -> list[ast.ClassDef]:
         out = []

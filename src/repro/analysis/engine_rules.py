@@ -204,15 +204,26 @@ class _EngineVisitor:
         # MRE101 needs per-function local inference; MRE102/103 are global.
         for node in ast.walk(self.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(node)
                 self._check_journal_coverage(node)
             elif isinstance(node, ast.ExceptHandler):
                 self._check_except(node)
+        self._check_outermost_functions()
         self._check_module_level_iteration()
         self._check_shm_lifecycle()
         return self.findings
 
     # -- MRE101 -----------------------------------------------------------
+    def _check_outermost_functions(self) -> None:
+        """Check each def no other def encloses, once: its walk covers
+        the defs nested in it, with their local sets included."""
+        stack: list[ast.AST] = [self.tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._check_function(node)
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+
     def _check_function(self, fn: ast.FunctionDef) -> None:
         local = self.types.local_sets(fn)
         for node in ast.walk(fn):

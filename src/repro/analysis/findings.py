@@ -8,7 +8,7 @@ the same voice as the course's grading feedback.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Severities, in escalation order.  ``error`` findings are correctness
@@ -164,12 +164,10 @@ class Rule:
     """A lint rule's identity card (the catalog entry DESIGN.md lists)."""
 
     id: str
-    family: str  # "jobs" | "engine"
+    family: str  # "jobs" | "engine" | "sparklite" | "hive"
     severity: str
     title: str
     hint: str = ""
-    #: Extra per-rule state threaded to the checker (unused by most).
-    extra: dict = field(default_factory=dict)
 
     def at(
         self, path: str, node, message: str, severity: str | None = None

@@ -112,10 +112,9 @@ def _state_carriers(info: FunctionInfo) -> list[tuple[ast.AST, str]]:
 
 
 class _HiveVisitor:
-    def __init__(self, path: str, tree: ast.Module):
+    def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
-        self.tree = tree
-        self.taint = ModuleTaint(tree)
+        self.taint = taint
         self.findings: list[Finding] = []
 
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
@@ -128,17 +127,11 @@ class _HiveVisitor:
         self._check_sql_sinks()
         return self.findings
 
-    def _enclosing(self, ref: ast.AST) -> FunctionInfo | None:
-        for info in self.taint.graph.functions:
-            for sub in walk_own_nodes(info.node):
-                if sub is ref:
-                    return info
-        return None
-
     def _udf_registrations(self):
         """Every ``<x>.register_udf("name", fn)`` resolvable in-module."""
         out = []
-        for node in ast.walk(self.tree):
+        graph = self.taint.graph
+        for node in ast.walk(graph.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -153,7 +146,7 @@ class _HiveVisitor:
                 else "<udf>"
             )
             ref = node.args[1]
-            info = self.taint.graph.lookup(ref, self._enclosing(ref))
+            info = graph.lookup(ref, graph.enclosing(ref))
             if info is not None:
                 out.append((name, info, node))
         return out
@@ -215,9 +208,9 @@ class _HiveVisitor:
                 )
 
 
-def check_hive_rules(path: str, tree: ast.Module) -> list[Finding]:
-    """Run all MRH3xx rules over one parsed module."""
-    return _HiveVisitor(path, tree).run()
+def check_hive_rules(path: str, taint: ModuleTaint) -> list[Finding]:
+    """Run all MRH3xx rules over one analysed module."""
+    return _HiveVisitor(path, taint).run()
 
 
 def lint_udf_callables(udfs: dict) -> list[Finding]:
@@ -248,7 +241,7 @@ def lint_udf_callables(udfs: dict) -> list[Finding]:
             tree = ast.parse(source)
         except SyntaxError:  # pragma: no cover - inspect returned junk
             continue
-        visitor = _HiveVisitor(path, tree)
+        visitor = _HiveVisitor(path, ModuleTaint(tree))
         for name, fn in fns:
             info = _find_function(visitor.taint, fn)
             if info is not None:

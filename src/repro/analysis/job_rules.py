@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import MUTATOR_METHODS, walk_own_nodes
+from repro.analysis.callgraph import mutations, root_symbol, walk_own_nodes
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import EFFECT_KINDS, ModuleTaint
 
@@ -114,25 +114,6 @@ _TASK_METHODS = {"setup", "map", "reduce", "cleanup"}
 _PER_CALL_METHODS = {"map", "reduce"}
 
 
-def root_symbol(node: ast.expr) -> tuple[str, ...] | None:
-    """The base symbol of an expression: ``("x",)`` or ``("self", "attr")``.
-
-    Walks down attribute/subscript chains: ``self.acc[k].field`` roots at
-    ``("self", "acc")``; ``values[0]`` roots at ``("values",)``.
-    """
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return ("self", node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        return (node.id,)
-    return None
-
-
 def _is_task_class(node: ast.ClassDef) -> bool:
     """Does this class look like a Mapper/Reducer/Combiner subclass?"""
     for base in node.bases:
@@ -165,49 +146,6 @@ def _context_names(fn: ast.FunctionDef) -> set[str]:
     return names
 
 
-def _mutations(fn: ast.FunctionDef) -> list[tuple[int, int, tuple[str, ...]]]:
-    """All in-place mutations in ``fn``: (line, col, root symbol).
-
-    A mutation is an assignment through a subscript/attribute, an
-    augmented assignment, a ``del x[...]``, or a mutator-method call
-    (``.append``/``.update``/...).  Rebinding a bare name is NOT a
-    mutation — it cannot affect an aliased object.
-    """
-    out: list[tuple[int, int, tuple[str, ...]]] = []
-    for node in ast.walk(fn):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = [
-                t for t in node.targets
-                if isinstance(t, (ast.Subscript, ast.Attribute))
-            ]
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = [
-                t for t in node.targets
-                if isinstance(t, (ast.Subscript, ast.Attribute))
-            ]
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATOR_METHODS
-        ):
-            targets = [node.func.value]
-        for target in targets:
-            root = root_symbol(target)
-            # AugAssign on a bare local name is rebinding, not mutation
-            # — unless it targets self.attr (shared across calls).
-            if (
-                isinstance(node, ast.AugAssign)
-                and isinstance(node.target, ast.Name)
-            ):
-                continue
-            if root is not None:
-                out.append((node.lineno, node.col_offset, root))
-    return out
-
-
 def _context_writes(
     fn: ast.FunctionDef, ctx_names: set[str]
 ) -> list[ast.Call]:
@@ -238,11 +176,28 @@ def _loads_of_self_attrs(fn: ast.FunctionDef) -> set[str]:
     return attrs
 
 
+def _self_attr_writes(nodes, mutated) -> list[tuple[ast.AST, str]]:
+    """``(site, attr)`` for each write to ``self.<attr>``: the assignments
+    among ``nodes`` first, then the ``mutated`` ``(site, root)`` pairs."""
+    sites = [
+        (node, root_symbol(target))
+        for node in nodes
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+    ]
+    return [
+        (site, root[1])
+        for site, root in [*sites, *mutated]
+        if root and len(root) == 2 and root[0] == "self"
+    ]
+
+
 class _JobVisitor:
-    def __init__(self, path: str, tree: ast.Module):
+    def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
-        self.tree = tree
-        self.taint = ModuleTaint(tree)
+        self.taint = taint
         self.findings: list[Finding] = []
 
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
@@ -251,7 +206,7 @@ class _JobVisitor:
     # -- per-module entry -------------------------------------------------
     def run(self) -> list[Finding]:
         combiner_classes = self._combiner_class_names()
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.taint.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             if _is_task_class(node):
@@ -264,7 +219,7 @@ class _JobVisitor:
         """Classes wired as ``combiner = X`` in a Job subclass, plus any
         task class whose name says it is one."""
         names = set()
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.taint.tree):
             if isinstance(node, ast.ClassDef):
                 if _is_job_class(node):
                     for stmt in node.body:
@@ -305,13 +260,13 @@ class _JobVisitor:
             self._check_side_file(cls, fn)
             ctx_names = _context_names(fn)
             writes = _context_writes(fn, ctx_names)
-            mutations = _mutations(fn)
+            mutated = list(mutations(ast.walk(fn)))
             self._check_unhashable_keys(cls, writes)
-            self._check_emit_aliasing(cls, fn, writes, mutations)
+            self._check_emit_aliasing(cls, fn, writes, mutated)
             if name in _PER_CALL_METHODS:
-                self._check_input_mutation(cls, fn, mutations)
+                self._check_input_mutation(cls, fn, mutated)
                 self._check_cross_call_state(
-                    cls, fn, mutations, global_names,
+                    cls, fn, mutated, global_names,
                     cleanup_loads, stateful_attrs_flagged,
                 )
                 # State accumulated by a helper *method* the per-record
@@ -392,17 +347,15 @@ class _JobVisitor:
         self,
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
-        mutations: list[tuple[int, int, tuple[str, ...]]],
+        mutated: list[tuple[ast.AST, tuple[str, ...]]],
     ) -> None:
         params = _method_params(fn)
         inputs = set(params[1:3])  # (key, value) / (key, values)
-        for line, col, root in mutations:
+        for site, root in mutated:
             if len(root) == 1 and root[0] in inputs:
-                marker = ast.Name(id=root[0])
-                marker.lineno, marker.col_offset = line, col
                 self._emit(
                     "MRJ002",
-                    marker,
+                    site,
                     f"{cls.name}.{fn.name}() mutates its input "
                     f"'{root[0]}' in place",
                 )
@@ -412,9 +365,9 @@ class _JobVisitor:
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
         writes: list[ast.Call],
-        mutations: list[tuple[int, int, tuple[str, ...]]],
+        mutated: list[tuple[ast.AST, tuple[str, ...]]],
     ) -> None:
-        mutated_roots = {root for _, _, root in mutations}
+        mutated_roots = {root for _, root in mutated}
         for call in writes:
             for arg in call.args[:2]:
                 root = root_symbol(arg)
@@ -431,56 +384,23 @@ class _JobVisitor:
         self,
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
-        mutations: list[tuple[int, int, tuple[str, ...]]],
+        mutated: list[tuple[ast.AST, tuple[str, ...]]],
         global_names: set[str],
         cleanup_loads: set[str],
         already_flagged: set[str],
     ) -> None:
         # Any rebinding of self.attr inside map()/reduce() also carries
-        # state across calls (e.g. running argmax), so count those too.
-        assigned_attrs: list[tuple[int, int, str]] = []
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    root = root_symbol(target)
-                    if root and root[0] == "self" and len(root) == 2:
-                        assigned_attrs.append(
-                            (node.lineno, node.col_offset, root[1])
-                        )
-        mutated_attrs = {
-            root[1]
-            for _, _, root in mutations
-            if root and root[0] == "self" and len(root) == 2
-        }
-        seen_attrs = {a for _, _, a in assigned_attrs} | mutated_attrs
-        for attr in sorted(seen_attrs):
+        # state across calls (e.g. running argmax), so count those too;
+        # an assignment is the preferred site to report.
+        writes = _self_attr_writes(ast.walk(fn), mutated)
+        for attr in sorted({attr for _, attr in writes}):
             if attr in cleanup_loads or attr in already_flagged:
                 continue
             already_flagged.add(attr)
-            site = next(
-                (
-                    (line, col)
-                    for line, col, a in assigned_attrs
-                    if a == attr
-                ),
-                None,
-            )
-            if site is None:
-                site = next(
-                    (line, col)
-                    for line, col, root in mutations
-                    if root == ("self", attr)
-                )
-            marker = ast.Name(id=attr)
-            marker.lineno, marker.col_offset = site
+            site = next(site for site, a in writes if a == attr)
             self._emit(
                 "MRJ005",
-                marker,
+                site,
                 f"{cls.name}.{fn.name}() accumulates state in "
                 f"'self.{attr}' across calls but no cleanup() flushes it",
             )
@@ -537,24 +457,6 @@ class _JobVisitor:
                 out.append((node, node.func.attr))
         return out
 
-    def _direct_attr_writes(self, fn: ast.FunctionDef) -> set[str]:
-        attrs: set[str] = set()
-        for _line, _col, root in _mutations(fn):
-            if root and root[0] == "self" and len(root) == 2:
-                attrs.add(root[1])
-        for node in walk_own_nodes(fn):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    root = root_symbol(target)
-                    if root and root[0] == "self" and len(root) == 2:
-                        attrs.add(root[1])
-        return attrs
-
     def _transitive_attr_writes(
         self,
         methods: dict[str, ast.FunctionDef],
@@ -566,9 +468,8 @@ class _JobVisitor:
             return {}
         visited.add(name)
         fn = methods[name]
-        writes: dict[str, tuple[str, ...]] = {
-            attr: (name,) for attr in self._direct_attr_writes(fn)
-        }
+        own = _self_attr_writes(walk_own_nodes(fn), mutations(ast.walk(fn)))
+        writes: dict[str, tuple[str, ...]] = {attr: (name,) for _, attr in own}
         for _call, callee in self._self_calls(fn):
             for attr, chain in self._transitive_attr_writes(
                 methods, callee, visited
@@ -660,6 +561,6 @@ class _JobVisitor:
                 )
 
 
-def check_job_rules(path: str, tree: ast.Module) -> list[Finding]:
-    """Run all MRJ0xx rules over one parsed module."""
-    return _JobVisitor(path, tree).run()
+def check_job_rules(path: str, taint: ModuleTaint) -> list[Finding]:
+    """Run all MRJ0xx rules over one analysed module."""
+    return _JobVisitor(path, taint).run()

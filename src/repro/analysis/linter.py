@@ -47,6 +47,7 @@ from repro.analysis.sparklite_rules import (
     SPARKLITE_RULES,
     check_sparklite_rules,
 )
+from repro.analysis.taint import ModuleTaint
 from repro.util.errors import ConfigError
 
 #: rule-id -> Rule, all families.
@@ -194,6 +195,7 @@ def lint_source(
     except SyntaxError as exc:
         raise ConfigError(f"{path}: cannot lint, not valid Python: {exc}")
     findings: list[Finding] = []
+    taint = None  # one analysis, shared by every family that needs it
     for family in families:
         try:
             checker = _FAMILY_CHECKERS[family]
@@ -202,7 +204,12 @@ def lint_source(
                 f"unknown rule family {family!r} "
                 f"(choose from {sorted(_FAMILY_CHECKERS)})"
             )
-        findings.extend(checker(path, tree))
+        if family == "engine":  # syntactic: no taint to pay for
+            findings.extend(checker(path, tree))
+            continue
+        if taint is None:
+            taint = ModuleTaint(tree)
+        findings.extend(checker(path, taint))
     return sort_findings(_apply_suppressions(findings, source, tree))
 
 

@@ -204,11 +204,10 @@ def _looks_like_rdd(node: ast.expr) -> bool:
 
 
 class _SparkliteVisitor:
-    def __init__(self, path: str, tree: ast.Module):
+    def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
-        self.tree = tree
-        self.taint = ModuleTaint(tree)
-        self.rdds = _RddNames(tree)
+        self.taint = taint
+        self.rdds = _RddNames(taint.tree)
         self.findings: list[Finding] = []
         #: closures already reported per rule, to avoid one finding per
         #: pipeline stage reusing the same helper.
@@ -221,7 +220,7 @@ class _SparkliteVisitor:
 
     # ------------------------------------------------------------------
     def run(self) -> list[Finding]:
-        for node in ast.walk(self.tree):
+        for node in ast.walk(self.taint.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -241,17 +240,9 @@ class _SparkliteVisitor:
         return self.rdds.is_rdd_expr(receiver) or _looks_like_rdd(receiver)
 
     def _resolve(self, ref: ast.expr) -> FunctionInfo | None:
-        caller = None
-        # Attribute refs like self.tokenize need the enclosing method;
-        # find it by scanning the indexed functions for ownership.
-        for info in self.taint.graph.functions:
-            for sub in walk_own_nodes(info.node):
-                if sub is ref:
-                    caller = info
-                    break
-            if caller is not None:
-                break
-        return self.taint.graph.lookup(ref, caller)
+        # Attribute refs like self.tokenize need the enclosing method.
+        graph = self.taint.graph
+        return graph.lookup(ref, graph.enclosing(ref))
 
     # -- MRS201 / MRS202 / MRS203 --------------------------------------
     def _check_closure(
@@ -364,6 +355,6 @@ class _SparkliteVisitor:
         return None
 
 
-def check_sparklite_rules(path: str, tree: ast.Module) -> list[Finding]:
-    """Run all MRS2xx rules over one parsed module."""
-    return _SparkliteVisitor(path, tree).run()
+def check_sparklite_rules(path: str, taint: ModuleTaint) -> list[Finding]:
+    """Run all MRS2xx rules over one analysed module."""
+    return _SparkliteVisitor(path, taint).run()

@@ -44,6 +44,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo
 
@@ -783,13 +784,15 @@ class _FunctionAnalysis:
             out |= self.eval_taint(node.elt, local, record)
         return out
 
+    @cached_property
+    def _local_sets(self) -> set[str]:
+        node = self.info.node if self.info is not None else None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return self.module.set_types.local_sets(node)
+        return set()
+
     def _is_set_expr(self, node: ast.expr) -> bool:
-        local: set[str] = set()
-        if self.info is not None and isinstance(
-            self.info.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            local = self.module.set_types.local_sets(self.info.node)
-        return self.module.set_types.is_set_expr(node, local)
+        return self.module.set_types.is_set_expr(node, self._local_sets)
 
     # ------------------------------------------------------------------
     # calls

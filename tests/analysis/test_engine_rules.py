@@ -6,7 +6,21 @@ iteration, or a keyed selection over a set whose key does not tie-break
 by the element itself, feeding a placement decision) must be caught.
 """
 
-from repro.analysis import lint_self, lint_source
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import lint_paths, lint_self, lint_source
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: One buggy fixture per rule; MRE104 has none yet (ROADMAP item 2).
+FIXTURE_RULES = {
+    "buggy_mre101_set_order.py": "MRE101",
+    "buggy_mre102_wall_clock.py": "MRE102",
+    "buggy_mre103_blanket_except.py": "MRE103",
+    "buggy_mre105_unjournaled_rename.py": "MRE105",
+}
 
 
 def engine_lint(source: str):
@@ -15,6 +29,24 @@ def engine_lint(source: str):
 
 def rules_of(source: str) -> set[str]:
     return {f.rule for f in engine_lint(source)}
+
+
+class TestFixtureCatalog:
+    def test_fixture_files_exist(self):
+        on_disk = {p.name for p in FIXTURES.glob("buggy_mre*.py")}
+        assert on_disk == set(FIXTURE_RULES)
+
+
+class TestEachFixtureTripsExactlyItsRule:
+    @pytest.mark.parametrize(
+        "filename,rule",
+        sorted(FIXTURE_RULES.items()),
+        ids=[rule for _, rule in sorted(FIXTURE_RULES.items())],
+    )
+    def test_fixture(self, filename, rule):
+        findings = lint_paths([str(FIXTURES / filename)], families=("engine",))
+        assert findings, f"{filename} produced no findings"
+        assert {f.rule for f in findings} == {rule}
 
 
 class TestPr2RegressionPattern:
@@ -165,6 +197,35 @@ def stamp(sim):
     return sim.now
 """
         assert engine_lint(src) == []
+
+
+class TestNestedFunctions:
+    """A nested def's sites belong to its outermost def's walk: reported
+    once, not once per enclosing def."""
+
+    def test_wall_clock_in_a_nested_def_is_reported_once(self):
+        src = """
+import time
+
+def outer():
+    def inner():
+        return time.time()
+    return inner
+"""
+        findings = engine_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRE102", 6)]
+
+    def test_set_iteration_in_a_nested_def_is_reported_once(self):
+        src = """
+def outer(nodes, out):
+    def inner():
+        live = set(nodes)
+        for node in live:
+            out.append(node)
+    return inner
+"""
+        findings = engine_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRE101", 5)]
 
 
 class TestMre103BlanketExcept:

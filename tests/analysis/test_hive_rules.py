@@ -89,6 +89,40 @@ class TestUdfResolution:
         assert hive_lint(src) == []
 
 
+class TestCapturedMutation:
+    """MRH302 names every captured object a UDF mutates."""
+
+    def test_del_of_a_captured_entry_is_flagged(self):
+        src = (
+            "_CACHE = {}\n"
+            "def evict(v):\n"
+            "    del _CACHE[v]\n"
+            "    return v\n"
+            "def build(engine):\n"
+            "    engine.register_udf('evict', evict)\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRH302", 3)]
+        assert "captured '_CACHE'" in findings[0].message
+
+    def test_chained_assignment_names_each_root(self):
+        src = (
+            "_SEEN = {}\n"
+            "_LAST = {}\n"
+            "def mark(v):\n"
+            "    _SEEN[v] = _LAST[v] = 1\n"
+            "    return v\n"
+            "def build(engine):\n"
+            "    engine.register_udf('mark', mark)\n"
+        )
+        findings = hive_lint(src)
+        assert [f.rule for f in findings] == ["MRH302", "MRH302"]
+        assert sorted(f.message.split("'")[1] for f in findings) == [
+            "_LAST",
+            "_SEEN",
+        ]
+
+
 class TestSqlSinks:
     def test_literal_sql_is_clean(self):
         src = (

@@ -102,6 +102,47 @@ class TestClosureResolution:
         assert len([f for f in findings if f.rule == "MRS201"]) == 1
 
 
+class TestCapturedMutation:
+    """MRS202 sees every way a closure can mutate captured state."""
+
+    def test_del_of_a_captured_entry_is_flagged(self):
+        src = (
+            "def pipeline(sc, seen):\n"
+            "    def forget(word):\n"
+            "        del seen[word]\n"
+            "        return word\n"
+            "    sc.parallelize(['a']).map(forget).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 3)]
+        assert "'seen'" in findings[0].message
+
+    def test_chained_assignment_checks_every_target(self):
+        # The last target is a local; the first one is captured.
+        src = (
+            "def pipeline(sc, seen):\n"
+            "    def mark(word):\n"
+            "        fresh = {}\n"
+            "        seen[word] = fresh[word] = 1\n"
+            "        return word\n"
+            "    sc.parallelize(['a']).map(mark).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 4)]
+        assert "'seen'" in findings[0].message
+
+    def test_chained_assignment_to_two_captures_reports_the_site_once(self):
+        src = (
+            "def pipeline(sc, seen, last):\n"
+            "    def mark(word):\n"
+            "        seen[word] = last[word] = 1\n"
+            "        return word\n"
+            "    sc.parallelize(['a']).map(mark).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 3)]
+
+
 class TestAssociativity:
     def test_associative_reduce_is_clean(self):
         src = (

@@ -80,18 +80,21 @@ class TestRepeatability:
 class TestOneHomePerHelper:
     def test_shared_closure_helpers_are_defined_once(self):
         """What a closure binds, mutates and is called is decided in one
-        place; a second copy in a rule module is how the MRH302 ``with``
-        and MRE105 nested-``def`` bugs got in."""
+        place; a second copy in a rule module is how the MRH302 ``with``,
+        the MRE105 nested-``def`` and the MRS202/MRH302 ``del`` and
+        chained-assignment bugs got in."""
         import ast
 
         shared = {
             "MUTATOR_METHODS",
             "dotted_name",
-            "root_name",
+            "root_symbol",
+            "mutations",
             "binding_names",
             "closure_locals",
             "captured_mutations",
             "walk_own_nodes",
+            "enclosing",
         }
         homes: dict[str, list[str]] = {name: [] for name in shared}
         for path in sorted((REPO_SRC / "repro" / "analysis").glob("*.py")):
