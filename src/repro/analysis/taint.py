@@ -228,12 +228,16 @@ class SetTypes:
                     self.attr_names.add(node.target.attr)
 
     def local_sets(self, fn: ast.FunctionDef) -> set[str]:
+        """Names bound to a set in ``fn`` or in any def nested in it:
+        set-annotated parameters and set-valued assignments."""
         names: set[str] = set()
-        for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
-            if is_set_annotation(arg.annotation):
-                names.add(arg.arg)
         for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and is_set_literalish(node.value):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if is_set_annotation(arg.annotation):
+                        names.add(arg.arg)
+            elif isinstance(node, ast.Assign) and is_set_literalish(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)

@@ -227,6 +227,17 @@ def outer(nodes, out):
         findings = engine_lint(src)
         assert [(f.rule, f.line) for f in findings] == [("MRE101", 5)]
 
+    def test_set_annotated_parameter_of_a_nested_def_is_a_set(self):
+        src = """
+def outer(out):
+    def inner(live: set[str]):
+        for name in live:
+            out.append(name)
+    return inner
+"""
+        findings = engine_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRE101", 4)]
+
 
 class TestMre103BlanketExcept:
     def test_bare_except_is_caught(self):
