@@ -14,8 +14,10 @@ proved the engine itself needs).  Two halves:
   query-embedded Python (``MRH3xx``,
   :mod:`repro.analysis.hive_rules`), with ``# repro: lint-ok[RULE]``
   suppressions.  The linter analyses each module once and hands that
-  one analysis to every family that needs it; the engine family is
-  syntactic and needs none.  CLI:
+  one analysis to every family; its call graph and fixpoint are built
+  on first use, so the engine family, which reads neither, pays for
+  neither.  A rule reaches a helper or a base class only through the
+  call graph (``CallGraph.walk_reachable``, ``CallGraph.bases_of``).  CLI:
   ``python -m repro lint [--self|--jobs|PATH]`` with ``--json``,
   ``--format sarif`` and ``--baseline`` output modes.
 - **Dynamic** (:mod:`repro.analysis.sanitizer`): enabled by

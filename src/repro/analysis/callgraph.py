@@ -17,7 +17,11 @@ Resolution covers the shapes student and engine code actually use:
   which the sparklite closure rules use to chase named callables.
 
 Nothing is resolved up front: the taint pass asks
-:meth:`CallGraph.resolve_call` about each call as its walk reaches it.
+:meth:`CallGraph.resolve_call` about each call as its walk reaches it,
+and a rule that needs the code a function reaches through its helpers
+(MRJ005, MRJ007, MRS204) takes it from one walk,
+:meth:`CallGraph.walk_reachable`.  Class ancestry is
+:meth:`CallGraph.bases_of`.
 
 What a function's *own* code is, binds and mutates is answered here
 too, once, for every rule family: :func:`walk_own_nodes`,
@@ -319,29 +323,28 @@ class CallGraph:
         ``node``; None at module level."""
         return self._enclosing.get(id(node))
 
-    def _bases_of(self, klass: ast.ClassDef) -> list[ast.ClassDef]:
-        out = []
-        for base in klass.bases:
-            name = base.id if isinstance(base, ast.Name) else None
-            if name and name in self.classes:
-                out.append(self.classes[name])
-        return out
+    def bases_of(self, klass: ast.ClassDef) -> list[ast.ClassDef]:
+        """Every same-module ancestor of ``klass``, nearest first, each
+        once: a cyclic base list ends."""
+        lineage = [klass]
+        for current in lineage:
+            for base in current.bases:
+                if (
+                    isinstance(base, ast.Name)
+                    and base.id in self.classes
+                    and all(seen.name != base.id for seen in lineage)
+                ):
+                    lineage.append(self.classes[base.id])
+        return lineage[1:]
 
     def method_on(
         self, klass: ast.ClassDef, method: str
     ) -> FunctionInfo | None:
         """Find ``method`` on ``klass`` or its same-module ancestors."""
-        seen: set[str] = set()
-        queue = [klass]
-        while queue:
-            current = queue.pop(0)
-            if current.name in seen:
-                continue
-            seen.add(current.name)
+        for current in [klass, *self.bases_of(klass)]:
             info = self.methods.get((current.name, method))
             if info is not None:
                 return info
-            queue.extend(self._bases_of(current))
         return None
 
     def lookup(
@@ -393,3 +396,28 @@ class CallGraph:
         self, call: ast.Call, caller: FunctionInfo | None
     ) -> FunctionInfo | None:
         return self.lookup(call.func, caller)
+
+    def walk_reachable(self, root: FunctionInfo):
+        """Walk the code that running ``root`` can reach in this module.
+
+        Yields ``(node, owner, chain, via)`` for ``root``'s own nodes
+        (:func:`walk_own_nodes`) and, at each call :meth:`resolve_call`
+        resolves, for the callee's before the walk goes on; each function
+        is visited once.  ``owner`` is the function whose own code holds
+        ``node``, ``chain`` the callee names from ``root`` down to
+        ``owner`` (empty in ``root``'s own code), and ``via`` the call in
+        ``root``'s own code the walk went down (None there).
+        """
+        seen = {id(root.node)}
+
+        def walk(info, chain, via):
+            for node in walk_own_nodes(info.node):
+                yield node, info, chain, via
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = self.resolve_call(node, info)
+                if callee is not None and id(callee.node) not in seen:
+                    seen.add(id(callee.node))
+                    yield from walk(callee, (*chain, callee.name), via or node)
+
+        yield from walk(root, (), None)

@@ -49,9 +49,8 @@ from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import (
     KIND_TIME,
     NONDET_CALLS,
-    SetTypes,
+    ModuleTaint,
     dotted_name,
-    order_insensitive_generator_iters,
 )
 
 ENGINE_RULES = {
@@ -184,13 +183,13 @@ def _contains_break(body: list[ast.stmt]) -> bool:
 
 
 class _EngineVisitor:
-    def __init__(self, path: str, tree: ast.Module):
+    def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
-        self.tree = tree
-        self.types = SetTypes(tree)
+        self.tree = taint.tree
+        self.types = taint.set_types
         #: generator ``iter`` expressions consumed by order-insensitive
         #: aggregates — provably safe to visit in hash order.
-        self.order_sinks = order_insensitive_generator_iters(tree)
+        self.order_sinks = taint.order_sinks
         self.findings: list[Finding] = []
 
     def _emit(
@@ -201,45 +200,32 @@ class _EngineVisitor:
         )
 
     def run(self) -> list[Finding]:
-        # MRE101 needs per-function local inference; MRE102/103 are global.
         for node in ast.walk(self.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._check_journal_coverage(node)
             elif isinstance(node, ast.ExceptHandler):
                 self._check_except(node)
-        self._check_outermost_functions()
-        self._check_module_level_iteration()
+        self._check_sites()
         self._check_shm_lifecycle()
         return self.findings
 
-    # -- MRE101 -----------------------------------------------------------
-    def _check_outermost_functions(self) -> None:
-        """Check each def no other def encloses, once: its walk covers
-        the defs nested in it, with their local sets included."""
+    # -- MRE101 / MRE102 --------------------------------------------------
+    def _check_sites(self) -> None:
+        """Check every node once: inside a def with the local sets of the
+        outermost def holding it (they include its nested defs'),
+        anywhere else (module or class body) with none."""
         stack: list[ast.AST] = [self.tree]
         while stack:
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(node)
+                local, nodes = self.types.local_sets(node), ast.walk(node)
             else:
+                local, nodes = set(), [node]
                 stack.extend(ast.iter_child_nodes(node))
-
-    def _check_function(self, fn: ast.FunctionDef) -> None:
-        local = self.types.local_sets(fn)
-        for node in ast.walk(fn):
-            self._check_iteration_site(node, local)
-            if isinstance(node, ast.Call):
-                self._check_wall_clock(node)
-
-    def _check_module_level_iteration(self) -> None:
-        """Module-level statements (rare, but cheap to cover)."""
-        for stmt in self.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            for node in ast.walk(stmt):
-                self._check_iteration_site(node, set())
-                if isinstance(node, ast.Call):
-                    self._check_wall_clock(node)
+            for sub in nodes:
+                self._check_iteration_site(sub, local)
+                if isinstance(sub, ast.Call):
+                    self._check_wall_clock(sub)
 
     def _describe(self, node: ast.expr) -> str:
         name = dotted_name(node)
@@ -569,6 +555,6 @@ def _with_item_nodes(fn: ast.FunctionDef) -> set[ast.AST]:
     return guarded
 
 
-def check_engine_rules(path: str, tree: ast.Module) -> list[Finding]:
-    """Run all MRE1xx rules over one parsed module."""
-    return _EngineVisitor(path, tree).run()
+def check_engine_rules(path: str, taint: ModuleTaint) -> list[Finding]:
+    """Run all MRE1xx rules over one analysed module."""
+    return _EngineVisitor(path, taint).run()

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import mutations, root_symbol, walk_own_nodes
+from repro.analysis.callgraph import CallGraph, mutations, root_symbol
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import EFFECT_KINDS, ModuleTaint
 
@@ -114,21 +114,25 @@ _TASK_METHODS = {"setup", "map", "reduce", "cleanup"}
 _PER_CALL_METHODS = {"map", "reduce"}
 
 
-def _is_task_class(node: ast.ClassDef) -> bool:
+def _base_names(node: ast.ClassDef, graph: CallGraph) -> list[str]:
+    """The base names of ``node`` and of its same-module ancestors."""
+    return [
+        base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+        for klass in [node, *graph.bases_of(node)]
+        for base in klass.bases
+    ]
+
+
+def _is_task_class(node: ast.ClassDef, graph: CallGraph) -> bool:
     """Does this class look like a Mapper/Reducer/Combiner subclass?"""
-    for base in node.bases:
-        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-        if name.endswith(("Mapper", "Reducer", "Combiner")):
-            return True
-    return False
+    return any(
+        name.endswith(("Mapper", "Reducer", "Combiner"))
+        for name in _base_names(node, graph)
+    )
 
 
-def _is_job_class(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-        if name == "Job" or name.endswith("Job"):
-            return True
-    return False
+def _is_job_class(node: ast.ClassDef, graph: CallGraph) -> bool:
+    return any(name.endswith("Job") for name in _base_names(node, graph))
 
 
 def _method_params(fn: ast.FunctionDef) -> list[str]:
@@ -161,19 +165,6 @@ def _context_writes(
         ):
             calls.append(node)
     return calls
-
-
-def _loads_of_self_attrs(fn: ast.FunctionDef) -> set[str]:
-    """Self attributes *referenced at all* inside ``fn``."""
-    attrs = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            attrs.add(node.attr)
-    return attrs
 
 
 def _self_attr_writes(nodes, mutated) -> list[tuple[ast.AST, str]]:
@@ -209,7 +200,7 @@ class _JobVisitor:
         for node in ast.walk(self.taint.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if _is_task_class(node):
+            if _is_task_class(node, self.taint.graph):
                 self._check_task_class(node)
             if node.name in combiner_classes:
                 self._check_combiner_class(node)
@@ -221,7 +212,7 @@ class _JobVisitor:
         names = set()
         for node in ast.walk(self.taint.tree):
             if isinstance(node, ast.ClassDef):
-                if _is_job_class(node):
+                if _is_job_class(node, self.taint.graph):
                     for stmt in node.body:
                         if (
                             isinstance(stmt, ast.Assign)
@@ -231,28 +222,35 @@ class _JobVisitor:
                             and isinstance(stmt.value, ast.Name)
                         ):
                             names.add(stmt.value.id)
-                elif _is_task_class(node) and "Combiner" in node.name:
+                elif (
+                    _is_task_class(node, self.taint.graph)
+                    and "Combiner" in node.name
+                ):
                     names.add(node.name)
         return names
 
     # -- task-class rules -------------------------------------------------
     def _check_task_class(self, cls: ast.ClassDef) -> None:
+        graph = self.taint.graph
         methods = {
             stmt.name: stmt
             for stmt in cls.body
             if isinstance(stmt, ast.FunctionDef)
         }
-        cleanup_loads = (
-            self._transitive_self_loads(methods, "cleanup", set())
-            if "cleanup" in methods
-            else set()
-        )
-        global_names = {
-            name
-            for fn in methods.values()
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Global)
-            for name in node.names
+        # The task's own state lives on its class and same-module bases;
+        # a constructor the code calls (Foo() → Foo.__init__) writes and
+        # reads another object's.
+        lineage = [cls, *graph.bases_of(cls)]
+        cleanup = graph.method_on(cls, "cleanup")
+        cleanup_loads = {
+            node.attr
+            for node, owner, _, _ in (
+                graph.walk_reachable(cleanup) if cleanup else ()
+            )
+            if owner.klass in lineage
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
         }
         stateful_attrs_flagged: set[str] = set()
         for name, fn in methods.items():
@@ -266,14 +264,10 @@ class _JobVisitor:
             if name in _PER_CALL_METHODS:
                 self._check_input_mutation(cls, fn, mutated)
                 self._check_cross_call_state(
-                    cls, fn, mutated, global_names,
-                    cleanup_loads, stateful_attrs_flagged,
+                    cls, fn, mutated, cleanup_loads, stateful_attrs_flagged
                 )
-                # State accumulated by a helper *method* the per-record
-                # method calls (self.track(x) → self.counts[x] += 1)
-                # carries across calls exactly the same way.
                 self._check_cross_call_state_via_helpers(
-                    cls, fn, methods, cleanup_loads, stateful_attrs_flagged,
+                    cls, fn, lineage, cleanup_loads, stateful_attrs_flagged
                 )
 
     def _check_nondeterminism(
@@ -385,7 +379,6 @@ class _JobVisitor:
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
         mutated: list[tuple[ast.AST, tuple[str, ...]]],
-        global_names: set[str],
         cleanup_loads: set[str],
         already_flagged: set[str],
     ) -> None:
@@ -418,109 +411,40 @@ class _JobVisitor:
         self,
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
-        methods: dict[str, ast.FunctionDef],
+        lineage: list[ast.ClassDef],
         cleanup_loads: set[str],
         already_flagged: set[str],
     ) -> None:
-        for call, method_name in self._self_calls(fn):
-            if method_name in _TASK_METHODS or method_name not in methods:
+        """State accumulated by a helper *method* the per-record method
+        calls (self.track(x) → self.counts[x] += 1) carries across calls
+        exactly the same way.  Writes reached through a lifecycle method
+        are that method's business, not the helper's."""
+        info = self.taint.graph.info_for(fn)
+        if info is None:  # pragma: no cover - methods always indexed
+            return
+        #: attr -> (the call in fn, the shortest helper chain writing it)
+        nearest: dict[str, tuple[ast.AST, tuple[str, ...]]] = {}
+        for node, owner, chain, via in self.taint.graph.walk_reachable(info):
+            if via is None or chain[0] in _TASK_METHODS:
                 continue
-            writes = self._transitive_attr_writes(
-                methods, method_name, set()
+            if owner.klass not in lineage:
+                continue
+            for _, attr in _self_attr_writes([node], mutations([node])):
+                if attr not in nearest or len(chain) < len(nearest[attr][1]):
+                    nearest[attr] = (via, chain)
+        for attr in sorted(nearest):
+            if attr in cleanup_loads or attr in already_flagged:
+                continue
+            already_flagged.add(attr)
+            call, chain = nearest[attr]
+            rendered = " → ".join(f"{part}()" for part in chain)
+            self._emit(
+                "MRJ005",
+                call,
+                f"{cls.name}.{fn.name}() accumulates state in "
+                f"'self.{attr}' through {rendered} across calls but no "
+                "cleanup() flushes it",
             )
-            for attr in sorted(writes):
-                if attr in cleanup_loads or attr in already_flagged:
-                    continue
-                already_flagged.add(attr)
-                chain = " → ".join(
-                    f"{part}()" for part in writes[attr]
-                )
-                self._emit(
-                    "MRJ005",
-                    call,
-                    f"{cls.name}.{fn.name}() accumulates state in "
-                    f"'self.{attr}' through {chain} across calls but no "
-                    "cleanup() flushes it",
-                )
-
-    # -- interprocedural state helpers -----------------------------------
-    @staticmethod
-    def _self_calls(fn: ast.FunctionDef) -> list[tuple[ast.Call, str]]:
-        out = []
-        for node in walk_own_nodes(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                out.append((node, node.func.attr))
-        return out
-
-    def _transitive_attr_writes(
-        self,
-        methods: dict[str, ast.FunctionDef],
-        name: str,
-        visited: set[str],
-    ) -> dict[str, tuple[str, ...]]:
-        """attr -> call chain (method names) by which ``name`` writes it."""
-        if name in visited or name not in methods:
-            return {}
-        visited.add(name)
-        fn = methods[name]
-        own = _self_attr_writes(walk_own_nodes(fn), mutations(ast.walk(fn)))
-        writes: dict[str, tuple[str, ...]] = {attr: (name,) for _, attr in own}
-        for _call, callee in self._self_calls(fn):
-            for attr, chain in self._transitive_attr_writes(
-                methods, callee, visited
-            ).items():
-                writes.setdefault(attr, (name,) + chain)
-        return writes
-
-    def _transitive_self_loads(
-        self,
-        methods: dict[str, ast.FunctionDef],
-        name: str,
-        visited: set[str],
-    ) -> set[str]:
-        if name in visited or name not in methods:
-            return set()
-        visited.add(name)
-        fn = methods[name]
-        loads = _loads_of_self_attrs(fn)
-        for _call, callee in self._self_calls(fn):
-            loads |= self._transitive_self_loads(methods, callee, visited)
-        return loads
-
-    def _division_sites(
-        self, info, visited: set[int]
-    ) -> list[tuple[ast.BinOp, tuple[str, ...]]]:
-        """Div/FloorDiv nodes reached from ``info``, with the helper
-        chain that gets there.  Direct divisions report at the BinOp;
-        transitive ones report at the *callsite* inside the caller so
-        the finding lands in the combiner's own code."""
-        if info is None:
-            return []
-        if id(info.node) in visited:
-            return []
-        visited.add(id(info.node))
-        out: list[tuple[ast.BinOp, tuple[str, ...]]] = []
-        for node in walk_own_nodes(info.node):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Div, ast.FloorDiv)
-            ):
-                out.append((node, ()))
-            elif isinstance(node, ast.Call):
-                callee = self.taint.graph.resolve_call(node, info)
-                if callee is None:
-                    continue
-                nested = self._division_sites(callee, visited)
-                if nested:
-                    # Report once per callsite, at the call, naming the
-                    # deepest chain that actually divides.
-                    _, deepest = max(nested, key=lambda item: len(item[1]))
-                    out.append((node, (callee.name,) + deepest))
-        return out
 
     # -- combiner rules ---------------------------------------------------
     def _check_combiner_class(self, cls: ast.ClassDef) -> None:
@@ -535,8 +459,21 @@ class _JobVisitor:
         if reduce_fn is None:
             return
         reduce_info = self.taint.graph.info_for(reduce_fn)
-        for site, chain in self._division_sites(reduce_info, set()):
-            via = (
+        # A division in reduce() reports at the BinOp; one in a helper at
+        # the call in reduce() that leads there, naming the deepest chain
+        # that divides, so the finding lands in the combiner's own code.
+        deepest: dict[ast.AST, tuple[str, ...]] = {}
+        for node, _, chain, via in (
+            self.taint.graph.walk_reachable(reduce_info) if reduce_info else ()
+        ):
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Div, ast.FloorDiv)
+            ):
+                site = via or node
+                if site not in deepest or len(chain) > len(deepest[site]):
+                    deepest[site] = chain
+        for site, chain in deepest.items():
+            through = (
                 f" through {' → '.join(f'{part}()' for part in chain)}"
                 if chain
                 else ""
@@ -544,7 +481,7 @@ class _JobVisitor:
             self._emit(
                 "MRJ007",
                 site,
-                f"{cls.name}.reduce() divides accumulated values{via} — "
+                f"{cls.name}.reduce() divides accumulated values{through} — "
                 "ratios/averages are not associative, so running the "
                 "combiner a different number of times changes the "
                 "answer (mean of means is not the mean)",

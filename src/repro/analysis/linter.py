@@ -195,7 +195,7 @@ def lint_source(
     except SyntaxError as exc:
         raise ConfigError(f"{path}: cannot lint, not valid Python: {exc}")
     findings: list[Finding] = []
-    taint = None  # one analysis, shared by every family that needs it
+    taint = ModuleTaint(tree)  # one analysis, shared by every family
     for family in families:
         try:
             checker = _FAMILY_CHECKERS[family]
@@ -204,11 +204,6 @@ def lint_source(
                 f"unknown rule family {family!r} "
                 f"(choose from {sorted(_FAMILY_CHECKERS)})"
             )
-        if family == "engine":  # syntactic: no taint to pay for
-            findings.extend(checker(path, tree))
-            continue
-        if taint is None:
-            taint = ModuleTaint(tree)
         findings.extend(checker(path, taint))
     return sort_findings(_apply_suppressions(findings, source, tree))
 

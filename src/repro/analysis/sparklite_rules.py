@@ -311,8 +311,23 @@ class _SparkliteVisitor:
         info = self._resolve(ref)
         if info is None:
             return
-        site = self._non_associative_site(info, set())
-        if site is None:
+        # The first non-associative operator the operand reaches, helpers
+        # included.
+        for site, owner, _, _ in self.taint.graph.walk_reachable(info):
+            if not (
+                isinstance(site, ast.BinOp)
+                and isinstance(site.op, _NON_ASSOCIATIVE_OPS)
+            ):
+                continue
+            # Only flag arithmetic that involves the combined values
+            # (a constant scale like x * 2 - 1 on one input would be
+            # a mapper's business; reduce operands combine *both*).
+            names = {
+                leaf.id for leaf in ast.walk(site) if isinstance(leaf, ast.Name)
+            }
+            if len(names & set(owner.params)) >= 2 or not owner.params:
+                break
+        else:
             return
         label = info.name if info.name != "<lambda>" else "the operand"
         op = site.op.__class__.__name__.lower()
@@ -323,36 +338,6 @@ class _SparkliteVisitor:
             f"operator ({op}); partial results merge in partition order, "
             "so the answer changes with num_partitions",
         )
-
-    def _non_associative_site(
-        self, info: FunctionInfo, visited: set[int]
-    ) -> ast.BinOp | None:
-        """First Div/Sub/... reachable from the operand, helpers included."""
-        if id(info.node) in visited:
-            return None
-        visited.add(id(info.node))
-        params = set(info.params)
-        for node in walk_own_nodes(info.node):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, _NON_ASSOCIATIVE_OPS
-            ):
-                # Only flag arithmetic that involves the combined values
-                # (a constant scale like x * 2 - 1 on one input would be
-                # a mapper's business; reduce operands combine *both*).
-                names = {
-                    leaf.id
-                    for leaf in ast.walk(node)
-                    if isinstance(leaf, ast.Name)
-                }
-                if len(names & params) >= 2 or not params:
-                    return node
-            elif isinstance(node, ast.Call):
-                callee = self.taint.graph.resolve_call(node, info)
-                if callee is not None:
-                    nested = self._non_associative_site(callee, visited)
-                    if nested is not None:
-                        return nested
-        return None
 
 
 def check_sparklite_rules(path: str, taint: ModuleTaint) -> list[Finding]:

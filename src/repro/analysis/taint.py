@@ -320,9 +320,6 @@ class Effect:
     def render_chain(self) -> str:
         return " → ".join(f"{part}()" for part in self.chain)
 
-    def _key(self):
-        return (self.kind, id(self.site), self.chain, self.param)
-
 
 @dataclass
 class Summary:
@@ -335,11 +332,7 @@ class Summary:
     seeds_module_rng: bool = False
 
     def key(self):
-        return (
-            tuple(e._key() for e in self.effects),
-            self.returns,
-            self.seeds_module_rng,
-        )
+        return (tuple(self.effects), self.returns, self.seeds_module_rng)
 
 
 _EMPTY = frozenset()
@@ -350,26 +343,41 @@ _UNASSIGNED = frozenset({"unassigned"})
 
 class ModuleTaint:
     """Taint analysis of one module: call graph + per-function summaries
-    + per-class attribute taint, iterated to a fixpoint."""
+    + per-class attribute taint, iterated to a fixpoint.
+
+    The syntactic facts (:attr:`set_types`, :attr:`order_sinks`) are
+    built up front; the call graph and the fixpoint only on first use,
+    so a rule family that reads neither (the engine's) pays for neither.
+    """
 
     def __init__(self, tree: ast.Module):
         self.tree = tree
-        self.graph = CallGraph(tree)
         self.set_types = SetTypes(tree)
         self.order_sinks = order_insensitive_generator_iters(tree)
-        #: (class name, attr) -> taint tags, joined over every
-        #: ``self.attr = ...`` in the class's methods.
-        self.attr_taint: dict[tuple[str, str], frozenset] = {}
-        #: class name -> True when setup()/__init__ seeds the module RNG
-        self.rng_seeding_classes: set[str] = set()
-        self.summaries: dict[FunctionInfo, Summary] = {
-            info: Summary() for info in self.graph.functions
-        }
+        self._summaries: dict[FunctionInfo, Summary] | None = None
+
+    @cached_property
+    def graph(self) -> CallGraph:
+        return CallGraph(self.tree)
+
+    @property
+    def attr_taint(self) -> dict[tuple[str, str], frozenset]:
+        """(class name, attr) -> taint tags, joined over every
+        ``self.attr = ...`` in the class's methods."""
         self._solve()
+        return self._attr_taint
+
+    @property
+    def rng_seeding_classes(self) -> set[str]:
+        """Names of the classes whose setup()/__init__ seeds the module
+        RNG."""
+        self._solve()
+        return self._rng_seeding_classes
 
     # ------------------------------------------------------------------
     def summary(self, info: FunctionInfo) -> Summary:
-        return self.summaries.get(info, Summary())
+        self._solve()
+        return self._summaries.get(info, Summary())
 
     def effects_of(self, info: FunctionInfo) -> list[Effect]:
         """Unconditional nondeterministic effects of calling ``info``,
@@ -394,6 +402,10 @@ class ModuleTaint:
 
     # ------------------------------------------------------------------
     def _solve(self) -> None:
+        if self._summaries is not None:
+            return  # solved, or solving: the fixpoint reads its own state
+        self._summaries = {info: Summary() for info in self.graph.functions}
+        self._attr_taint: dict[tuple[str, str], frozenset] = {}
         # Monotone summaries: iterate until stable.  Chain lengths are
         # capped by the visited-set inside effect splicing, so this
         # terminates even on recursion.
@@ -401,16 +413,20 @@ class ModuleTaint:
             changed = False
             for info in self.graph.functions:
                 summary = self.analysis_for(info).run()
-                if summary.key() != self.summaries[info].key():
-                    self.summaries[info] = summary
+                if summary.key() != self._summaries[info].key():
+                    self._summaries[info] = summary
                     changed = True
-                if summary.seeds_module_rng and info.klass is not None:
-                    if info.name in ("setup", "__init__"):
-                        if info.klass.name not in self.rng_seeding_classes:
-                            self.rng_seeding_classes.add(info.klass.name)
-                            changed = True
             if not changed:
                 break
+        # Read off the settled summaries: a seed that looked clean on an
+        # early round may be tainted once attribute taint has grown.
+        self._rng_seeding_classes = {
+            info.klass.name
+            for info, summary in self._summaries.items()
+            if info.klass is not None
+            and info.name in ("setup", "__init__")
+            and summary.seeds_module_rng
+        }
 
 
 class _FunctionAnalysis:
@@ -421,7 +437,7 @@ class _FunctionAnalysis:
         self.module = module
         self.info = info
         self.effects: list[Effect] = []
-        self._effect_keys: set = set()
+        self._recorded: set[Effect] = set()
         self.returns: set = set()
         #: id(random.seed call) -> was its seed clean on every visit?
         self._seeds: dict[int, bool] = {}
@@ -686,7 +702,12 @@ class _FunctionAnalysis:
                 and self.info is not None
                 and self.info.klass is not None
             ):
-                before = self._class_attr_taint(self.info.klass, node.attr)
+                # Same-module base classes contribute (setup() on a base).
+                klass = self.info.klass
+                before = _EMPTY
+                for owner in [klass, *self.module.graph.bases_of(klass)]:
+                    key = (owner.name, node.attr)
+                    before |= self.module.attr_taint.get(key, _EMPTY)
             else:
                 before = self.eval_taint(node.value, env, record)
             return (tags - _UNASSIGNED) | before
@@ -751,19 +772,6 @@ class _FunctionAnalysis:
             return self.eval_taint(node.value, env, record)
         return _EMPTY
 
-    def _class_attr_taint(
-        self, klass: ast.ClassDef, attr: str, seen: set | None = None
-    ) -> frozenset:
-        seen = set() if seen is None else seen
-        seen.add(klass.name)
-        tags = self.module.attr_taint.get((klass.name, attr), _EMPTY)
-        # Same-module base classes contribute too (setup() on a base);
-        # a cyclic base list is visited once, as in method_on.
-        for base in self.module.graph._bases_of(klass):
-            if base.name not in seen:
-                tags |= self._class_attr_taint(base, attr, seen)
-        return tags
-
     def _comprehension(self, node, env: dict, record: bool) -> frozenset:
         out = _EMPTY
         local = dict(env)
@@ -801,9 +809,8 @@ class _FunctionAnalysis:
     # ------------------------------------------------------------------
     # calls
     def _record(self, effect: Effect) -> None:
-        key = effect._key()
-        if key not in self._effect_keys:
-            self._effect_keys.add(key)
+        if effect not in self._recorded:
+            self._recorded.add(effect)
             self.effects.append(effect)
 
     def _call(self, node: ast.Call, env: dict, record: bool) -> frozenset:

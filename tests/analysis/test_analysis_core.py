@@ -352,6 +352,26 @@ class TestMonotoneTaint:
         map_ = next(i for i in t.graph.functions if i.qualname == "Job.map")
         assert {e.kind for e in t.effects_of(map_)} == {KIND_RANDOM}
 
+    def test_seed_tainted_once_attribute_taint_settles_does_not_sanitise(self):
+        # On the first round self.s still reads clean, so seed(t) looks
+        # clean; the class seeds only if it does once the fixpoint is done.
+        t = taint_of(
+            """
+            import random
+            class M:
+                def setup(self, c):
+                    while c:
+                        t = self.s
+                    self.s = random.Random()
+                    random.seed(t)
+                def map(self):
+                    return random.random()
+            """
+        )
+        map_ = next(i for i in t.graph.functions if i.qualname == "M.map")
+        assert t.rng_seeding_classes == set()
+        assert {e.kind for e in t.effects_of(map_)} == {KIND_RANDOM}
+
     def test_seed_tainted_on_a_later_pass_does_not_sanitise(self):
         t = taint_of(
             """

@@ -239,6 +239,25 @@ def outer(out):
         assert [(f.rule, f.line) for f in findings] == [("MRE101", 4)]
 
 
+class TestClassBodies:
+    """A class body runs once at import, like module code: its
+    statements are checked too, with no local sets."""
+
+    def test_class_body_statements_are_checked(self):
+        src = """
+import time
+
+class Tracker:
+    started = time.time()
+    ORDER = list({"a", "b"})
+"""
+        findings = engine_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("MRE102", 5),
+            ("MRE101", 6),
+        ]
+
+
 class TestMre103BlanketExcept:
     def test_bare_except_is_caught(self):
         src = """

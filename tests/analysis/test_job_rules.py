@@ -7,11 +7,12 @@ rule means the rules overlap and the diagnostic would confuse the
 student it is aimed at.
 """
 
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import JOB_RULES, lint_jobs, lint_paths
+from repro.analysis import JOB_RULES, lint_jobs, lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +91,76 @@ class TestInterproceduralNondeterminism:
             families=("jobs",),
         )
         assert findings == []
+
+
+def jobs_lint(source: str):
+    return lint_source(textwrap.dedent(source), "job.py", families=("jobs",))
+
+
+class TestSameModuleAncestry:
+    """Bases and helpers are found through the call graph, however many
+    same-module classes stand between the task and the framework."""
+
+    TRACKING = """
+        from repro.mapreduce.api import Mapper
+
+        class TrackingMapper(Mapper):
+            def track(self, word):
+                self.counts[word] = self.counts.get(word, 0) + 1
+        {cleanup}
+        class WordMapper(TrackingMapper):
+            def map(self, key, value, context):
+                for word in value.split():
+                    self.track(word)
+        """
+    CLEANUP = """
+            def cleanup(self, context):
+                for word, count in sorted(self.counts.items()):
+                    context.write(word, count)
+        """
+
+    def test_state_written_by_an_inherited_helper_is_flagged(self):
+        findings = jobs_lint(self.TRACKING.format(cleanup=""))
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 11)]
+        assert "through track()" in findings[0].message
+
+    def test_inherited_cleanup_flushes_the_helper_state(self):
+        assert jobs_lint(self.TRACKING.format(cleanup=self.CLEANUP)) == []
+
+    def test_another_objects_constructor_is_not_task_state(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class Pair:
+                def __init__(self, key):
+                    self.key = key
+
+            class PairMapper(Mapper):
+                def map(self, key, value, context):
+                    context.write(key, Pair(value).key)
+            """
+        )
+        assert findings == []
+
+    def test_task_class_behind_intermediate_bases_is_linted(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Reducer
+
+            class Base(Reducer):
+                pass
+
+            class Middle(Base):
+                pass
+
+            class LeafCombiner(Middle):
+                def reduce(self, key, values, context):
+                    values = list(values)
+                    context.write(key, sum(values) / len(values))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ007", 13)]
 
 
 class TestReferenceJobsAreClean:

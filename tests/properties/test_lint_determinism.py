@@ -95,6 +95,8 @@ class TestOneHomePerHelper:
             "captured_mutations",
             "walk_own_nodes",
             "enclosing",
+            "walk_reachable",
+            "bases_of",
         }
         homes: dict[str, list[str]] = {name: [] for name in shared}
         for path in sorted((REPO_SRC / "repro" / "analysis").glob("*.py")):
@@ -111,6 +113,25 @@ class TestOneHomePerHelper:
                     if name.lstrip("_") in shared:
                         homes[name.lstrip("_")].append(path.name)
         assert all(len(where) == 1 for where in homes.values()), homes
+
+    def test_rules_reach_helpers_only_through_the_walk(self):
+        """A rule that resolved calls itself is how MRJ005 missed state
+        an inherited helper writes; ``walk_reachable`` is the rules'
+        only way down the call graph."""
+        import ast
+
+        direct = {"resolve_call", "_bases_of"}
+        calls = {
+            (path.name, node.func.attr)
+            for path in sorted(
+                (REPO_SRC / "repro" / "analysis").glob("*_rules.py")
+            )
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in direct
+        }
+        assert calls == set()
 
 
 _IDENT = st.sampled_from(
