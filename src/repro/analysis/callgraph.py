@@ -19,14 +19,16 @@ Resolution covers the shapes student and engine code actually use:
 Nothing is resolved up front: the taint pass asks
 :meth:`CallGraph.resolve_call` about each call as its walk reaches it,
 and a rule that needs the code a function reaches through its helpers
-(MRJ005, MRJ007, MRS204) takes it from one walk,
-:meth:`CallGraph.walk_reachable`.  Class ancestry is
+(MRJ005, MRJ007, MRS203, MRS204) takes it from one walk,
+:meth:`CallGraph.walk_reachable`.  What running a function keeps
+between calls (MRJ005, MRS202, MRH302) is one filter over that walk,
+:meth:`CallGraph.kept_state`.  Class ancestry is
 :meth:`CallGraph.bases_of`.
 
 What a function's *own* code is, binds and mutates is answered here
 too, once, for every rule family: :func:`walk_own_nodes`,
-:func:`closure_locals`, :func:`mutations`, :func:`captured_mutations`,
-and which function owns a node (:meth:`CallGraph.enclosing`).
+:func:`closure_locals`, :func:`mutations`, and which function owns a
+node (:meth:`CallGraph.enclosing`).
 """
 
 from __future__ import annotations
@@ -35,22 +37,21 @@ import ast
 from dataclasses import dataclass
 
 
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
 def walk_own_nodes(fn: ast.AST):
-    """Walk a function's own nodes, *excluding* nested function/lambda
-    bodies — those are analysed as their own graph nodes."""
+    """Walk a function's own nodes.  A nested def or lambda is yielded
+    but not entered: its body is its own graph node's code."""
     roots = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
     stack: list[ast.AST] = list(roots)
     while stack:
         node = stack.pop()
+        yield node
         # A nested def can sit anywhere, including directly in the body
         # (as a root): never descend into one.
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        for child in ast.iter_child_nodes(node):
-            stack.append(child)
+        if not isinstance(node, _FUNCTION_NODES):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 #: Methods that mutate their receiver in place.
@@ -173,15 +174,36 @@ def closure_locals(fn: ast.AST) -> set[str]:
     return names
 
 
-def captured_mutations(fn: ast.AST) -> list[tuple[ast.AST, str]]:
-    """(site, name) pairs where a function mutates an object it did not
-    bind itself — state captured from the enclosing scope."""
-    local = closure_locals(fn) | {"self"}
+def _mutable_defaults(fn: ast.AST) -> list[ast.expr]:
+    """Default values of ``fn`` that build a list/dict/set: evaluated
+    once, when the ``def`` or ``lambda`` runs, and shared by every call."""
+    args = fn.args
     return [
-        (site, root[0])
-        for site, root in mutations(walk_own_nodes(fn))
-        if root[0] not in local
+        default
+        for default in [*args.defaults, *args.kw_defaults]
+        if isinstance(default, (ast.List, ast.Dict, ast.Set))
+        or (
+            isinstance(default, ast.Call)
+            and isinstance(default.func, ast.Name)
+            and default.func.id in ("list", "dict", "set", "defaultdict")
+        )
     ]
+
+
+def describe_state(what: tuple[str, str | None]) -> str:
+    """A :meth:`CallGraph.kept_state` carrier other than ``self`` as a
+    finding names it."""
+    kind, name = what
+    if kind == "default":
+        return "a mutable default argument (shared across calls)"
+    return f"{kind} '{name}'"
+
+
+def through(chain: tuple[str, ...]) -> str:
+    """`` through a() → b()`` for a helper chain; empty for own code."""
+    if not chain:
+        return ""
+    return " through " + " → ".join(f"{part}()" for part in chain)
 
 
 @dataclass
@@ -228,6 +250,8 @@ class CallGraph:
         self.functions: list[FunctionInfo] = []
         #: id(function/lambda node) -> its FunctionInfo
         self._owner_of: dict[int, FunctionInfo] = {}
+        #: qualname -> the first FunctionInfo registered under it
+        self._by_qualname: dict[str, FunctionInfo] = {}
         #: id(ast node) -> the FunctionInfo whose own code holds it
         self._enclosing: dict[int, FunctionInfo] = {}
         self._index(tree)
@@ -312,6 +336,7 @@ class CallGraph:
     def _register(self, info: FunctionInfo) -> None:
         self.functions.append(info)
         self._owner_of[id(info.node)] = info
+        self._by_qualname.setdefault(info.qualname, info)
 
     # ------------------------------------------------------------------
     # resolution
@@ -358,9 +383,11 @@ class CallGraph:
         if isinstance(ref, ast.Lambda):
             return self.info_for(ref)
         if isinstance(ref, ast.Name):
-            # Function-local lambda bindings shadow module names.
+            # Function-local defs and lambda bindings shadow module names.
             if caller is not None:
-                local = self._local_lambda(caller, ref.id)
+                local = self._by_qualname.get(
+                    f"{caller.qualname}.<locals>.{ref.id}"
+                )
                 if local is not None:
                     return local
             info = self.module_functions.get(ref.id)
@@ -378,20 +405,6 @@ class CallGraph:
                 return self.method_on(self.classes[receiver], ref.attr)
         return None
 
-    def _local_lambda(
-        self, caller: FunctionInfo, name: str
-    ) -> FunctionInfo | None:
-        prefix = f"{caller.qualname}.<locals>."
-        for info in self.functions:
-            if info.bound_name == name and info.qualname == prefix + name:
-                return info
-            if (
-                isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and info.qualname == prefix + name
-            ):
-                return info
-        return None
-
     def resolve_call(
         self, call: ast.Call, caller: FunctionInfo | None
     ) -> FunctionInfo | None:
@@ -401,23 +414,75 @@ class CallGraph:
         """Walk the code that running ``root`` can reach in this module.
 
         Yields ``(node, owner, chain, via)`` for ``root``'s own nodes
-        (:func:`walk_own_nodes`) and, at each call :meth:`resolve_call`
-        resolves, for the callee's before the walk goes on; each function
-        is visited once.  ``owner`` is the function whose own code holds
-        ``node``, ``chain`` the callee names from ``root`` down to
-        ``owner`` (empty in ``root``'s own code), and ``via`` the call in
-        ``root``'s own code the walk went down (None there).
+        (:func:`walk_own_nodes`), for the nested defs and lambdas they
+        define (part of the code that defines them), and, at each call
+        :meth:`resolve_call` resolves, for the callee's before the walk
+        goes on; each function is visited once.  ``owner`` is the
+        function whose own code holds ``node``, ``chain`` the callee
+        names from ``root`` down to ``owner`` (empty in ``root``'s code),
+        and ``via`` the call in ``root``'s code the walk went down (None
+        there).
         """
         seen = {id(root.node)}
 
         def walk(info, chain, via):
             for node in walk_own_nodes(info.node):
                 yield node, info, chain, via
-                if not isinstance(node, ast.Call):
+                if isinstance(node, ast.Call):
+                    callee = self.resolve_call(node, info)
+                elif isinstance(node, _FUNCTION_NODES):
+                    callee = self.info_for(node)
+                else:
                     continue
-                callee = self.resolve_call(node, info)
-                if callee is not None and id(callee.node) not in seen:
-                    seen.add(id(callee.node))
+                if callee is None or id(callee.node) in seen:
+                    continue
+                seen.add(id(callee.node))
+                if self.enclosing(callee.node) is info:
+                    yield from walk(callee, chain, via)
+                else:
                     yield from walk(callee, (*chain, callee.name), via or node)
 
         yield from walk(root, (), None)
+
+    def kept_state(self, root: FunctionInfo):
+        """What running ``root`` keeps from one call to the next.
+
+        Yields ``(site, owner, chain, via, what)`` over
+        :meth:`walk_reachable` for each carrier, ``what`` being
+        ``(kind, name)``:
+
+        - ``("default", None)``: a mutable default argument of a function
+          whose ``def`` runs outside the walk (one ``root`` defines gets
+          a fresh default on each call);
+        - ``("global", name)``, and ``("nonlocal", name)`` unless ``name``
+          is a local of an enclosing function the walk entered;
+        - ``("captured", name)``: a :func:`mutations` site whose root
+          name neither the owner nor such an enclosing function binds;
+        - ``("self", attr)``: a write to ``self.<attr>``.
+        """
+        #: id(function node) -> (names its walked enclosing frames bind,
+        #: those plus its own locals)
+        scopes: dict[int, tuple[set[str], set[str]]] = {}
+        for node, owner, chain, via in self.walk_reachable(root):
+            scope = scopes.get(id(owner.node))
+            if scope is None:
+                parent = self.enclosing(owner.node)
+                fresh = parent is not None and id(parent.node) in scopes
+                outer = scopes[id(parent.node)][1] if fresh else set()
+                scope = scopes[id(owner.node)] = (
+                    outer,
+                    closure_locals(owner.node) | outer,
+                )
+                if not fresh:
+                    for default in _mutable_defaults(owner.node):
+                        yield default, owner, chain, via, ("default", None)
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                kind = type(node).__name__.lower()
+                for name in node.names:
+                    if kind == "global" or name not in scope[0]:
+                        yield node, owner, chain, via, (kind, name)
+            for site, symbol in mutations([node]):
+                if len(symbol) == 2:
+                    yield site, owner, chain, via, ("self", symbol[1])
+                elif symbol[0] != "self" and symbol[0] not in scope[1]:
+                    yield site, owner, chain, via, ("captured", symbol[0])

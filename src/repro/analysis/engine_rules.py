@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import walk_own_nodes
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import (
     KIND_TIME,
@@ -190,7 +189,18 @@ class _EngineVisitor:
         #: generator ``iter`` expressions consumed by order-insensitive
         #: aggregates — provably safe to visit in hash order.
         self.order_sinks = taint.order_sinks
+        self.taint = taint
         self.findings: list[Finding] = []
+        #: What MRE104/MRE105 decide per owning function, gathered on the
+        #: one walk; the call graph says which function owns each node
+        #: (and is only built when a module allocates or mutates).
+        self._mutators: list[ast.Call] = []
+        self._journal_calls: list[ast.Call] = []
+        self._allocations: list[ast.Call] = []
+        self._release_guards: list[ast.Try] = []
+        self._with_guarded: set[int] = set()
+        #: id(def in a class body) -> that class
+        self._class_of: dict[int, ast.ClassDef] = {}
 
     def _emit(
         self, rule_id: str, node: ast.AST, message: str, severity: str | None = None
@@ -200,12 +210,8 @@ class _EngineVisitor:
         )
 
     def run(self) -> list[Finding]:
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_journal_coverage(node)
-            elif isinstance(node, ast.ExceptHandler):
-                self._check_except(node)
         self._check_sites()
+        self._check_journal_coverage()
         self._check_shm_lifecycle()
         return self.findings
 
@@ -226,6 +232,44 @@ class _EngineVisitor:
                 self._check_iteration_site(sub, local)
                 if isinstance(sub, ast.Call):
                     self._check_wall_clock(sub)
+                    self._note_call(sub)
+                elif isinstance(sub, ast.ExceptHandler):
+                    self._check_except(sub)
+                elif isinstance(sub, ast.Try) and _releases(sub):
+                    self._release_guards.append(sub)
+                elif isinstance(sub, (ast.With, ast.AsyncWith)):
+                    for item in sub.items:
+                        self._with_guarded.update(
+                            map(id, ast.walk(item.context_expr))
+                        )
+                elif isinstance(sub, ast.ClassDef):
+                    for stmt in sub.body:
+                        self._class_of[id(stmt)] = sub
+
+    def _note_call(self, node: ast.Call) -> None:
+        if _is_shm_allocation(node):
+            self._allocations.append(node)
+        if not isinstance(node.func, ast.Attribute):
+            return
+        receiver = dotted_name(node.func.value)
+        if receiver is None:
+            return
+        if node.func.attr in _NAMESPACE_MUTATORS and (
+            receiver == "namespace" or receiver.endswith(".namespace")
+        ):
+            self._mutators.append(node)
+        elif node.func.attr.startswith("log_") and (
+            receiver == "journal" or receiver.endswith(".journal")
+        ):
+            self._journal_calls.append(node)
+
+    def _def_owning(self, node: ast.AST):
+        """The ``def`` whose own code holds ``node`` (None for a lambda's
+        code or module/class level)."""
+        owner = self.taint.graph.enclosing(node)
+        if owner is None or isinstance(owner.node, ast.Lambda):
+            return None
+        return owner
 
     def _describe(self, node: ast.expr) -> str:
         name = dotted_name(node)
@@ -349,36 +393,21 @@ class _EngineVisitor:
             )
 
     # -- MRE105 -----------------------------------------------------------
-    def _check_journal_coverage(self, fn: ast.FunctionDef) -> None:
+    def _check_journal_coverage(self) -> None:
         """A function mutating ``*.namespace`` must also journal.
 
         Coverage is per-function and deliberately coarse: any
         ``journal.log_*``/``*.journal.log_*`` call anywhere in the
-        function clears all of its mutations (the rule points eyes at
-        *unjournaled* mutators, not at argument mismatches).
+        function's own code clears all of its mutations (the rule points
+        eyes at *unjournaled* mutators, not at argument mismatches).
         """
-        mutators: list[ast.Call] = []
-        journaled = False
-        for node in walk_own_nodes(fn):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            receiver = dotted_name(node.func.value)
-            if receiver is None:
-                continue
-            if node.func.attr in _NAMESPACE_MUTATORS and (
-                receiver == "namespace" or receiver.endswith(".namespace")
-            ):
-                mutators.append(node)
-            elif node.func.attr.startswith("log_") and (
-                receiver == "journal" or receiver.endswith(".journal")
-            ):
-                journaled = True
-        if journaled:
+        if not self._mutators:
             return
-        for call in mutators:
+        journaled = {self._def_owning(call) for call in self._journal_calls}
+        for call in self._mutators:
+            owner = self._def_owning(call)
+            if owner is None or owner in journaled:
+                continue
             self._emit(
                 "MRE105",
                 call,
@@ -391,44 +420,29 @@ class _EngineVisitor:
     def _check_shm_lifecycle(self) -> None:
         """Flag SharedMemory/mmap allocations with no cleanup path.
 
-        An allocation is considered owned (and passes) when any of:
+        An allocation in a function's own code is considered owned (and
+        passes) when any of:
 
-        1. it is the context expression of a ``with`` item — the
+        1. it is inside the context expression of a ``with`` item — the
            ``__exit__`` releases it;
         2. the allocating function contains a ``try`` whose ``finally``
            or exception handlers call one of
            :data:`_SHM_CLEANUP_METHODS` — every exit path releases;
-        3. the enclosing class defines one of :data:`_SHM_OWNER_METHODS`
-           — the instance owns the handle's lifetime (RAII-style, like
-           ``blockio.MappedFile``).
+        3. the function is defined in a class body that defines one of
+           :data:`_SHM_OWNER_METHODS` — the instance owns the handle's
+           lifetime (RAII-style, like ``blockio.MappedFile``).
         """
-        owners: dict[ast.AST, ast.ClassDef] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        owners[stmt] = node
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_shm_function(node, owners.get(node))
-
-    def _check_shm_function(
-        self, fn: ast.FunctionDef, klass: ast.ClassDef | None
-    ) -> None:
-        allocations = [
-            node
-            for node in walk_own_nodes(fn)
-            if isinstance(node, ast.Call) and _is_shm_allocation(node)
-        ]
-        if not allocations:
+        if not self._allocations:
             return
-        if klass is not None and _class_owns_cleanup(klass):
-            return
-        if _has_cleanup_guard(fn):
-            return
-        with_guarded = _with_item_nodes(fn)
-        for call in allocations:
-            if call in with_guarded:
+        guarded = {self._def_owning(node) for node in self._release_guards}
+        for call in self._allocations:
+            owner = self._def_owning(call)
+            if owner is None or owner in guarded:
+                continue
+            if id(call) in self._with_guarded:
+                continue
+            klass = self._class_of.get(id(owner.node))
+            if klass is not None and _class_owns_cleanup(klass):
                 continue
             name = dotted_name(call.func) or "SharedMemory"
             self._emit(
@@ -526,33 +540,18 @@ def _class_owns_cleanup(klass: ast.ClassDef) -> bool:
     )
 
 
-def _has_cleanup_guard(fn: ast.FunctionDef) -> bool:
-    """Does ``fn`` contain a try whose finally/handlers release a handle?"""
-    for node in walk_own_nodes(fn):
-        if not isinstance(node, ast.Try):
-            continue
-        blocks: list[ast.stmt] = list(node.finalbody)
-        for handler in node.handlers:
-            blocks.extend(handler.body)
-        for stmt in blocks:
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _SHM_CLEANUP_METHODS
-                ):
-                    return True
-    return False
-
-
-def _with_item_nodes(fn: ast.FunctionDef) -> set[ast.AST]:
-    """Every node appearing inside a ``with`` item's context expression."""
-    guarded: set[ast.AST] = set()
-    for node in walk_own_nodes(fn):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                guarded.update(ast.walk(item.context_expr))
-    return guarded
+def _releases(node: ast.Try) -> bool:
+    """Does this try's finally or a handler release a handle?"""
+    blocks: list[ast.stmt] = list(node.finalbody)
+    for handler in node.handlers:
+        blocks.extend(handler.body)
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr in _SHM_CLEANUP_METHODS
+        for stmt in blocks
+        for sub in ast.walk(stmt)
+    )
 
 
 def check_engine_rules(path: str, taint: ModuleTaint) -> list[Finding]:

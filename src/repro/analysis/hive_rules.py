@@ -33,11 +33,7 @@ import ast
 import inspect
 import textwrap
 
-from repro.analysis.callgraph import (
-    FunctionInfo,
-    captured_mutations,
-    walk_own_nodes,
-)
+from repro.analysis.callgraph import FunctionInfo, describe_state, through
 from repro.analysis.findings import Finding, Rule, sort_findings
 from repro.analysis.taint import (
     EFFECT_KINDS,
@@ -80,36 +76,6 @@ HIVE_RULES = {
 
 #: Methods treated as SQL entry points for MRH303.
 _SQL_SINKS = frozenset({"execute", "explain"})
-
-def _state_carriers(info: FunctionInfo) -> list[tuple[ast.AST, str]]:
-    """(site, description) pairs where the UDF keeps cross-call state."""
-    node = info.node
-    out: list[tuple[ast.AST, str]] = []
-    if isinstance(node, ast.Lambda):
-        mutable_defaults: list[ast.expr] = []
-    else:
-        mutable_defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-    for default in mutable_defaults:
-        if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-            isinstance(default, ast.Call)
-            and isinstance(default.func, ast.Name)
-            and default.func.id in ("list", "dict", "set", "defaultdict")
-        ):
-            out.append(
-                (default, "a mutable default argument (shared across calls)")
-            )
-    for sub in walk_own_nodes(node):
-        if isinstance(sub, (ast.Global, ast.Nonlocal)):
-            scope = type(sub).__name__.lower()
-            out.extend((sub, f"{scope} '{name}'") for name in sub.names)
-    out.extend(
-        (site, f"captured '{name}'")
-        for site, name in captured_mutations(node)
-    )
-    return out
-
 
 class _HiveVisitor:
     def __init__(self, path: str, taint: ModuleTaint):
@@ -156,21 +122,26 @@ class _HiveVisitor:
         self, name: str, info: FunctionInfo, emit_at: ast.AST | None = None
     ) -> None:
         for effect in self.taint.effects_of(info):
-            if effect.kind not in EFFECT_KINDS:
-                continue
             self._emit(
                 "MRH301",
                 effect.site,
                 f"UDF {name}() calls {effect.render_chain()}: re-executed "
                 "map attempts write different rows for the same input",
             )
-        for site, what in _state_carriers(info):
+        # MRH302: one finding per site and carrier; a helper's carriers
+        # report at the call in the UDF that reaches them.
+        reported = set()
+        for site, _, chain, via, what in self.taint.graph.kept_state(info):
+            at = via or site
+            if what[0] == "self" or (id(at), what) in reported:
+                continue
+            reported.add((id(at), what))
             self._emit(
                 "MRH302",
-                site,
-                f"UDF {name}() accumulates state in {what}; executors "
-                "process rows independently, so the state neither "
-                "aggregates nor reaches the driver",
+                at,
+                f"UDF {name}() accumulates state in {describe_state(what)}"
+                f"{through(chain)}; executors process rows independently, "
+                "so the state neither aggregates nor reaches the driver",
             )
 
     # -- MRH303 ----------------------------------------------------------

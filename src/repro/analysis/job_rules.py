@@ -36,9 +36,14 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import CallGraph, mutations, root_symbol
+from repro.analysis.callgraph import (
+    CallGraph,
+    mutations,
+    root_symbol,
+    through,
+)
 from repro.analysis.findings import Finding, Rule
-from repro.analysis.taint import EFFECT_KINDS, ModuleTaint
+from repro.analysis.taint import ModuleTaint
 
 JOB_RULES = {
     "MRJ001": Rule(
@@ -167,24 +172,6 @@ def _context_writes(
     return calls
 
 
-def _self_attr_writes(nodes, mutated) -> list[tuple[ast.AST, str]]:
-    """``(site, attr)`` for each write to ``self.<attr>``: the assignments
-    among ``nodes`` first, then the ``mutated`` ``(site, root)`` pairs."""
-    sites = [
-        (node, root_symbol(target))
-        for node in nodes
-        if isinstance(node, (ast.Assign, ast.AugAssign))
-        for target in (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-    ]
-    return [
-        (site, root[1])
-        for site, root in [*sites, *mutated]
-        if root and len(root) == 2 and root[0] == "self"
-    ]
-
-
 class _JobVisitor:
     def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
@@ -244,10 +231,10 @@ class _JobVisitor:
         cleanup = graph.method_on(cls, "cleanup")
         cleanup_loads = {
             node.attr
-            for node, owner, _, _ in (
+            for node, owner, _, via in (
                 graph.walk_reachable(cleanup) if cleanup else ()
             )
-            if owner.klass in lineage
+            if (via is None or owner.klass in lineage)
             and isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
@@ -264,9 +251,6 @@ class _JobVisitor:
             if name in _PER_CALL_METHODS:
                 self._check_input_mutation(cls, fn, mutated)
                 self._check_cross_call_state(
-                    cls, fn, mutated, cleanup_loads, stateful_attrs_flagged
-                )
-                self._check_cross_call_state_via_helpers(
                     cls, fn, lineage, cleanup_loads, stateful_attrs_flagged
                 )
 
@@ -289,8 +273,6 @@ class _JobVisitor:
             return
         lifecycle = fn.name in _TASK_METHODS
         for effect in self.taint.effects_of(info):
-            if effect.kind not in EFFECT_KINDS:
-                continue
             if len(effect.chain) > 1 and not lifecycle:
                 continue
             self._emit(
@@ -378,71 +360,62 @@ class _JobVisitor:
         self,
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
-        mutated: list[tuple[ast.AST, tuple[str, ...]]],
-        cleanup_loads: set[str],
-        already_flagged: set[str],
-    ) -> None:
-        # Any rebinding of self.attr inside map()/reduce() also carries
-        # state across calls (e.g. running argmax), so count those too;
-        # an assignment is the preferred site to report.
-        writes = _self_attr_writes(ast.walk(fn), mutated)
-        for attr in sorted({attr for _, attr in writes}):
-            if attr in cleanup_loads or attr in already_flagged:
-                continue
-            already_flagged.add(attr)
-            site = next(site for site, a in writes if a == attr)
-            self._emit(
-                "MRJ005",
-                site,
-                f"{cls.name}.{fn.name}() accumulates state in "
-                f"'self.{attr}' across calls but no cleanup() flushes it",
-            )
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Global):
-                for name in node.names:
-                    self._emit(
-                        "MRJ005",
-                        node,
-                        f"{cls.name}.{fn.name}() mutates global '{name}'; "
-                        "tasks run in separate processes, so globals "
-                        "neither share nor survive",
-                    )
-    def _check_cross_call_state_via_helpers(
-        self,
-        cls: ast.ClassDef,
-        fn: ast.FunctionDef,
         lineage: list[ast.ClassDef],
         cleanup_loads: set[str],
         already_flagged: set[str],
     ) -> None:
-        """State accumulated by a helper *method* the per-record method
-        calls (self.track(x) → self.counts[x] += 1) carries across calls
-        exactly the same way.  Writes reached through a lifecycle method
-        are that method's business, not the helper's."""
+        """MRJ005: the ``self.<attr>`` writes and ``global`` declarations
+        that running ``fn`` keeps between calls, in its own code or a
+        helper's.  A helper's reports at the call in ``fn`` that leads
+        there; only the task's own class and bases hold its state, and a
+        lifecycle method's writes are that method's business."""
         info = self.taint.graph.info_for(fn)
         if info is None:  # pragma: no cover - methods always indexed
             return
-        #: attr -> (the call in fn, the shortest helper chain writing it)
-        nearest: dict[str, tuple[ast.AST, tuple[str, ...]]] = {}
-        for node, owner, chain, via in self.taint.graph.walk_reachable(info):
-            if via is None or chain[0] in _TASK_METHODS:
+        #: attr -> (rank, the site to report, the helper chain)
+        nearest: dict[str, tuple[tuple, ast.AST, tuple[str, ...]]] = {}
+        globals_at: set[tuple[int, str]] = set()
+        for site, owner, chain, via, what in self.taint.graph.kept_state(
+            info
+        ):
+            kind, name = what
+            if via is not None and (
+                chain[0] in _TASK_METHODS
+                or (kind == "self" and owner.klass not in lineage)
+            ):
                 continue
-            if owner.klass not in lineage:
-                continue
-            for _, attr in _self_attr_writes([node], mutations([node])):
-                if attr not in nearest or len(chain) < len(nearest[attr][1]):
-                    nearest[attr] = (via, chain)
+            at = via or site
+            if kind == "global" and (id(at), name) not in globals_at:
+                globals_at.add((id(at), name))
+                self._emit(
+                    "MRJ005",
+                    at,
+                    f"{cls.name}.{fn.name}() mutates global '{name}'"
+                    f"{through(chain)}; tasks run in separate processes, "
+                    "so globals neither share nor survive",
+                )
+            elif kind == "self":
+                # Own code first, then the shortest chain; an assignment
+                # is the preferred site, then the earliest.
+                rank = (
+                    via is not None,
+                    len(chain),
+                    not isinstance(site, (ast.Assign, ast.AugAssign)),
+                    at.lineno,
+                    at.col_offset,
+                )
+                if name not in nearest or rank < nearest[name][0]:
+                    nearest[name] = (rank, at, chain)
         for attr in sorted(nearest):
             if attr in cleanup_loads or attr in already_flagged:
                 continue
             already_flagged.add(attr)
-            call, chain = nearest[attr]
-            rendered = " → ".join(f"{part}()" for part in chain)
+            _, at, chain = nearest[attr]
             self._emit(
                 "MRJ005",
-                call,
+                at,
                 f"{cls.name}.{fn.name}() accumulates state in "
-                f"'self.{attr}' through {rendered} across calls but no "
+                f"'self.{attr}'{through(chain)} across calls but no "
                 "cleanup() flushes it",
             )
 
@@ -473,15 +446,11 @@ class _JobVisitor:
                 if site not in deepest or len(chain) > len(deepest[site]):
                     deepest[site] = chain
         for site, chain in deepest.items():
-            through = (
-                f" through {' → '.join(f'{part}()' for part in chain)}"
-                if chain
-                else ""
-            )
             self._emit(
                 "MRJ007",
                 site,
-                f"{cls.name}.reduce() divides accumulated values{through} — "
+                f"{cls.name}.reduce() divides accumulated values"
+                f"{through(chain)} — "
                 "ratios/averages are not associative, so running the "
                 "combiner a different number of times changes the "
                 "answer (mean of means is not the mean)",

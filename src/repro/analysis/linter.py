@@ -123,19 +123,15 @@ def _marker_target(
     return best
 
 
-def _suppressions_by_line(
-    source: str, tree: ast.AST | None = None
-) -> dict[int, set[str]]:
+def _suppressions_by_line(source: str, tree: ast.AST) -> dict[int, set[str]]:
     """Map line number -> rule ids suppressed *for that line*.
 
     Statement-aware: a marker (trailing or on the comment line above)
     covers every line of the statement it attaches to, so findings
     anchored mid-way through a multi-line call, or on the ``def`` line
-    of a decorated function, are reached.  Without a tree (unparsable
-    source never gets here, but be safe) markers cover their own line
-    and the next non-comment line, as before.
+    of a decorated function, are reached.
     """
-    ranges = _statement_ranges(tree) if tree is not None else []
+    ranges = _statement_ranges(tree)
     covered: dict[int, set[str]] = {}
 
     def cover(lines, rules: set[str]) -> None:
@@ -172,7 +168,7 @@ def _suppressions_by_line(
 
 
 def _apply_suppressions(
-    findings: list[Finding], source: str, tree: ast.AST | None = None
+    findings: list[Finding], source: str, tree: ast.AST
 ) -> list[Finding]:
     covered = _suppressions_by_line(source, tree)
     kept = []

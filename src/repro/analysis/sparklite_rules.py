@@ -34,13 +34,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import (
-    FunctionInfo,
-    captured_mutations,
-    walk_own_nodes,
-)
+from repro.analysis.callgraph import FunctionInfo, describe_state, through
 from repro.analysis.findings import Finding, Rule
-from repro.analysis.taint import EFFECT_KINDS, ModuleTaint, dotted_name
+from repro.analysis.taint import ModuleTaint, annotation_text, dotted_name
 
 SPARKLITE_RULES = {
     "MRS201": Rule(
@@ -144,16 +140,10 @@ class _RddNames:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         assigns.append((target.id, node.value))
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.annotation is not None
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
             ):
-                try:
-                    annotation = ast.unparse(node.annotation)
-                except Exception:  # pragma: no cover
-                    annotation = ""
-                if "RDD" in annotation:
+                if "RDD" in annotation_text(node.annotation):
                     self.names.add(node.target.id)
         for arg in (
             a
@@ -161,13 +151,8 @@ class _RddNames:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for a in node.args.args + node.args.posonlyargs
         ):
-            if arg.annotation is not None:
-                try:
-                    annotation = ast.unparse(arg.annotation)
-                except Exception:  # pragma: no cover
-                    annotation = ""
-                if "RDD" in annotation:
-                    self.names.add(arg.arg)
+            if "RDD" in annotation_text(arg.annotation):
+                self.names.add(arg.arg)
         for _ in range(len(assigns) + 1):
             changed = False
             for name, value in assigns:
@@ -254,8 +239,6 @@ class _SparkliteVisitor:
         label = info.name if info.name != "<lambda>" else "the closure"
         # MRS201: nondeterminism, interprocedural via the taint engine.
         for effect in self.taint.effects_of(info):
-            if effect.kind not in EFFECT_KINDS:
-                continue
             if not self._first_report("MRS201", effect.site):
                 continue
             self._emit(
@@ -265,37 +248,39 @@ class _SparkliteVisitor:
                 f"{effect.render_chain()}: recomputing a lost partition "
                 "produces different records than the first run",
             )
-        # MRS202: mutating captured driver state.
-        for site, name in captured_mutations(info.node):
-            if not self._first_report("MRS202", site):
+        graph = self.taint.graph
+        # MRS202: state the closure keeps, in its code or a helper's.
+        for site, _, chain, via, what in graph.kept_state(info):
+            if what[0] == "self" or not self._first_report(
+                "MRS202", via or site
+            ):
                 continue
             self._emit(
                 "MRS202",
-                site,
-                f".{method}({label}) mutates captured '{name}'; the "
-                "update happens on the executor's copy and never reaches "
-                "the driver",
+                via or site,
+                f".{method}({label}) mutates {describe_state(what)}"
+                f"{through(chain)}; the update happens on the executor's "
+                "copy and never reaches the driver",
             )
-        # MRS203: actions on captured RDDs inside the closure.
-        for sub in walk_own_nodes(info.node):
+        # MRS203: actions on RDDs in the code the closure reaches.
+        for sub, _, chain, via in graph.walk_reachable(info):
             if not (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
                 and sub.func.attr in ACTIONS
+                and self._is_rdd_call(sub)
+                and self._first_report("MRS203", via or sub)
             ):
                 continue
-            receiver = sub.func.value
-            if self.rdds.is_rdd_expr(receiver) or _looks_like_rdd(receiver):
-                if not self._first_report("MRS203", sub):
-                    continue
-                target = dotted_name(receiver) or "an RDD"
-                self._emit(
-                    "MRS203",
-                    sub,
-                    f".{method}({label}) calls {target}.{sub.func.attr}() "
-                    "per record — a nested job launch for every input; "
-                    "collect the small side once on the driver instead",
-                )
+            target = dotted_name(sub.func.value) or "an RDD"
+            self._emit(
+                "MRS203",
+                via or sub,
+                f".{method}({label}) calls {target}.{sub.func.attr}()"
+                f"{through(chain)} per record — a nested job launch for "
+                "every input; collect the small side once on the driver "
+                "instead",
+            )
 
     def _first_report(self, rule: str, site: ast.AST) -> bool:
         key = (rule, id(site))

@@ -165,14 +165,13 @@ def _suffix_lookup(name: str, table: dict[str, str]) -> str | None:
 _SET_ANNOTATION = re.compile(r"\b(set|frozenset|Set|AbstractSet|MutableSet)\b")
 
 
+def annotation_text(annotation: ast.expr | None) -> str:
+    """An annotation's source text; empty when there is none."""
+    return "" if annotation is None else ast.unparse(annotation)
+
+
 def is_set_annotation(annotation: ast.expr | None) -> bool:
-    if annotation is None:
-        return False
-    try:
-        text = ast.unparse(annotation)
-    except Exception:  # pragma: no cover - malformed annotation
-        return False
-    return bool(_SET_ANNOTATION.search(text))
+    return bool(_SET_ANNOTATION.search(annotation_text(annotation)))
 
 
 def is_set_literalish(node: ast.expr) -> bool:

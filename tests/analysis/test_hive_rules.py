@@ -123,6 +123,45 @@ class TestCapturedMutation:
         ]
 
 
+    def test_helper_appending_to_a_module_list_is_flagged_at_the_call(self):
+        src = (
+            "_ROWS = []\n"
+            "def record(v):\n"
+            "    _ROWS.append(v)\n"
+            "def keep(v):\n"
+            "    record(v)\n"
+            "    return v\n"
+            "def build(engine):\n"
+            "    engine.register_udf('keep', keep)\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRH302", 5)]
+        assert "captured '_ROWS' through record()" in findings[0].message
+
+    def test_lambda_with_a_mutable_default_is_flagged(self):
+        src = (
+            "def build(engine):\n"
+            "    engine.register_udf(\n"
+            "        'keep', lambda v, seen=[]: seen.append(v) or len(seen)\n"
+            "    )\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRH302", 3)]
+        assert "mutable default argument" in findings[0].message
+
+    def test_helper_mutating_only_its_parameter_is_clean(self):
+        src = (
+            "def add(acc, v):\n"
+            "    acc.append(v)\n"
+            "def pair(v):\n"
+            "    out = []\n"
+            "    add(out, v)\n"
+            "    return str(out)\n"
+            "def build(engine):\n"
+            "    engine.register_udf('pair', pair)\n"
+        )
+        assert hive_lint(src) == []
+
 class TestSqlSinks:
     def test_literal_sql_is_clean(self):
         src = (

@@ -163,6 +163,49 @@ class TestSameModuleAncestry:
         assert [(f.rule, f.line) for f in findings] == [("MRJ007", 13)]
 
 
+
+class TestKeptStateThroughHelpers:
+    """MRJ005 reads what a per-record method keeps between calls from the
+    same walk, whether the method writes it or a helper does."""
+
+    def test_global_written_by_a_module_helper_is_flagged_at_the_call(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            COUNTER = 0
+
+            def bump():
+                global COUNTER
+                COUNTER += 1
+
+            class CountingMapper(Mapper):
+                def map(self, key, value, context):
+                    bump()
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 12)]
+        assert "global 'COUNTER' through bump()" in findings[0].message
+
+    def test_nested_def_write_reports_at_the_write(self):
+        # A def in map() is part of map()'s code, called or not.
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class NoteMapper(Mapper):
+                def map(self, key, value, context):
+                    def note(word):
+                        self.seen.add(word)
+                    for word in value.split():
+                        note(word)
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 7)]
+        assert "'self.seen' across calls" in findings[0].message
+
 class TestReferenceJobsAreClean:
     def test_lint_jobs_is_clean(self):
         """Every shipped job in repro.jobs and examples/ passes mrlint."""

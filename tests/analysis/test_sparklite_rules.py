@@ -143,6 +143,113 @@ class TestCapturedMutation:
         assert [(f.rule, f.line) for f in findings] == [("MRS202", 3)]
 
 
+
+class TestKeptState:
+    """MRS202 sees every way a closure keeps state between calls, in its
+    own code or in a helper it calls; MRS203 follows helpers too."""
+
+    def test_nonlocal_counter_is_flagged(self):
+        src = (
+            "def pipeline(sc):\n"
+            "    total = 0\n"
+            "    def add(x):\n"
+            "        nonlocal total\n"
+            "        total += x\n"
+            "        return x\n"
+            "    sc.parallelize(range(3)).map(add).collect()\n"
+            "    return total\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 4)]
+        assert "nonlocal 'total'" in findings[0].message
+
+    def test_global_counter_is_flagged(self):
+        src = (
+            "COUNT = 0\n"
+            "def tally(x):\n"
+            "    global COUNT\n"
+            "    COUNT += 1\n"
+            "    return x\n"
+            "def pipeline(sc):\n"
+            "    return sc.parallelize(range(3)).map(tally).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 3)]
+        assert "global 'COUNT'" in findings[0].message
+
+    def test_mutable_default_is_flagged(self):
+        src = (
+            "def keep(x, seen=[]):\n"
+            "    seen.append(x)\n"
+            "    return len(seen)\n"
+            "def pipeline(sc):\n"
+            "    return sc.parallelize(range(3)).map(keep).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 1)]
+        assert "mutable default argument" in findings[0].message
+
+    def test_helper_appending_to_a_module_list_is_flagged_at_the_call(self):
+        src = (
+            "SEEN = []\n"
+            "def record(x):\n"
+            "    SEEN.append(x)\n"
+            "def pipeline(sc):\n"
+            "    def tag(x):\n"
+            "        record(x)\n"
+            "        return x\n"
+            "    return sc.parallelize(range(3)).map(tag).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 6)]
+        assert "captured 'SEEN' through record()" in findings[0].message
+
+    def test_action_in_a_helper_is_flagged_at_the_call(self):
+        src = (
+            "from repro.sparklite import SparkliteContext\n"
+            "sc = SparkliteContext()\n"
+            "lookup = sc.parallelize([1, 2, 3])\n"
+            "def known(x):\n"
+            "    return lookup.count()\n"
+            "def via(x):\n"
+            "    return (x, known(x))\n"
+            "def pipeline():\n"
+            "    return sc.parallelize(range(3)).map(via).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS203", 7)]
+        assert "lookup.count() through known()" in findings[0].message
+
+    def test_helper_mutating_only_its_parameter_is_clean(self):
+        src = (
+            "def add(acc, x):\n"
+            "    acc.append(x)\n"
+            "def pairs(x):\n"
+            "    out = []\n"
+            "    add(out, x)\n"
+            "    return out\n"
+            "def pipeline(sc):\n"
+            "    return sc.parallelize(range(3)).map(pairs).collect()\n"
+        )
+        assert sparklite_lint(src) == []
+
+    def test_state_of_the_closures_own_call_is_clean(self):
+        # ``acc`` and ``n`` are locals of ``pairs``: fresh on every call,
+        # so the nested def that updates them keeps nothing.
+        src = (
+            "def pipeline(sc):\n"
+            "    def pairs(x):\n"
+            "        acc, n = [], 0\n"
+            "        def add(y, fresh=[]):\n"
+            "            nonlocal n\n"
+            "            n += 1\n"
+            "            acc.append(y)\n"
+            "        add(x)\n"
+            "        return acc, n\n"
+            "    return sc.parallelize(range(3)).map(pairs).collect()\n"
+        )
+        assert sparklite_lint(src) == []
+
 class TestAssociativity:
     def test_associative_reduce_is_clean(self):
         src = (

@@ -92,7 +92,9 @@ class TestOneHomePerHelper:
             "mutations",
             "binding_names",
             "closure_locals",
-            "captured_mutations",
+            "kept_state",
+            "describe_state",
+            "through",
             "walk_own_nodes",
             "enclosing",
             "walk_reachable",
@@ -116,20 +118,23 @@ class TestOneHomePerHelper:
 
     def test_rules_reach_helpers_only_through_the_walk(self):
         """A rule that resolved calls itself is how MRJ005 missed state
-        an inherited helper writes; ``walk_reachable`` is the rules'
-        only way down the call graph."""
+        an inherited helper writes, and a rule that walked a function's
+        own nodes is how MRS202, MRS203 and MRH302 missed a helper's;
+        ``walk_reachable`` is the rules' only way down the call graph."""
         import ast
 
-        direct = {"resolve_call", "_bases_of"}
+        direct = {"resolve_call", "_bases_of", "walk_own_nodes"}
         calls = {
-            (path.name, node.func.attr)
+            (path.name, getattr(node.func, "attr", None) or node.func.id)
             for path in sorted(
                 (REPO_SRC / "repro" / "analysis").glob("*_rules.py")
             )
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in direct
+            and (
+                getattr(node.func, "attr", None) in direct
+                or getattr(node.func, "id", None) in direct
+            )
         }
         assert calls == set()
 
