@@ -14,14 +14,13 @@ proved the engine itself needs).  Two halves:
   query-embedded Python (``MRH3xx``,
   :mod:`repro.analysis.hive_rules`), with ``# repro: lint-ok[RULE]``
   suppressions.  The linter analyses each module once and hands that
-  one analysis to every family; its call graph and fixpoint are built
-  on first use, so the engine family, which reads the graph only in a
-  module that mutates a namespace or allocates shared memory, pays for
-  neither elsewhere.  A rule reaches a helper or a base class only
-  through the call graph (``CallGraph.walk_reachable``,
-  ``CallGraph.bases_of``), and reads the state a function keeps
-  between calls from one filter over that walk
-  (``CallGraph.kept_state``: MRJ005, MRS202, MRH302).  CLI:
+  one analysis to every family: one scope walk answers what every
+  name means (``CallGraph``), and the taint fixpoint is built on first
+  use, so the engine family never pays for it.  A rule reaches a
+  helper or a base class only through the call graph
+  (``CallGraph.walk_reachable``, ``CallGraph.bases_of``), and reads
+  the state a function keeps between calls from one filter over that
+  walk (``CallGraph.kept_state``: MRJ005, MRS202, MRH302).  CLI:
   ``python -m repro lint [--self|--jobs|PATH]`` with ``--json``,
   ``--format sarif`` and ``--baseline`` output modes.
 - **Dynamic** (:mod:`repro.analysis.sanitizer`): enabled by

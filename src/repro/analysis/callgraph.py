@@ -1,43 +1,49 @@
-"""Intra-module call graph: who calls whom, resolved syntactically.
+"""Intra-module scopes and call graph: what names mean, who calls whom.
 
 mrlint's unit of analysis is one file (student submissions may not even
 import), so the graph is deliberately module-local: edges resolve to
 functions *defined in the same module* and everything else is an
 external call the taint engine classifies by its dotted name.
 
-Resolution covers the shapes student and engine code actually use:
-
-- ``helper(...)`` — a module-level function (or a lambda bound to a
-  module-level / function-local name);
-- ``self.method(...)`` — a method on the enclosing class, searching
-  same-module base classes in MRO-ish order;
-- ``ClassName.method(...)`` and ``cls.method(...)``;
-- ``ClassName(...)`` — the class's ``__init__``;
-- bare references (``rdd.map(helper)``) via :meth:`CallGraph.lookup`,
-  which the sparklite closure rules use to chase named callables.
+One scope walk builds the table every rule family reads: a
+:class:`Scope` per module, class body, def and lambda, with the names it
+binds (and to what value or annotation) and declares ``global`` /
+``nonlocal``; a :class:`FunctionInfo` per def and lambda wherever it
+sits; and which function's own code holds each node
+(:meth:`CallGraph.enclosing`).  Names resolve up the scope chain as
+Python resolves them (:meth:`CallGraph.binding_scope`), so
+:meth:`CallGraph.lookup` follows ``helper``, ``self.method``,
+``cls.method``, ``Class.method`` and ``Class(...)`` (its ``__init__``)
+to the def the running code would call, searching same-module bases
+(:meth:`CallGraph.bases_of`) for methods.
 
 Nothing is resolved up front: the taint pass asks
 :meth:`CallGraph.resolve_call` about each call as its walk reaches it,
 and a rule that needs the code a function reaches through its helpers
-(MRJ005, MRJ007, MRS203, MRS204) takes it from one walk,
+(MRJ005, MRJ006, MRJ007, MRS203, MRS204) takes it from one walk,
 :meth:`CallGraph.walk_reachable`.  What running a function keeps
 between calls (MRJ005, MRS202, MRH302) is one filter over that walk,
-:meth:`CallGraph.kept_state`.  Class ancestry is
-:meth:`CallGraph.bases_of`.
-
-What a function's *own* code is, binds and mutates is answered here
-too, once, for every rule family: :func:`walk_own_nodes`,
-:func:`closure_locals`, :func:`mutations`, and which function owns a
-node (:meth:`CallGraph.enclosing`).
+:meth:`CallGraph.kept_state`; what a function's own code is and
+mutates, :func:`walk_own_nodes` and :func:`mutations`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+#: The scope walk's node kinds: those that open a scope, those that bind
+#: or declare a name, and those with no child any rule reads.
+_SCOPE_NODES = frozenset({*_FUNCTION_NODES, ast.ClassDef})
+_BINDING_NODES = frozenset(
+    (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.AugAssign, ast.Global)
+    + (ast.For, ast.AsyncFor, ast.With, ast.AsyncWith, ast.Nonlocal)
+    + (ast.Import, ast.ImportFrom, ast.ExceptHandler)
+)
+_LEAVES = frozenset({ast.Name, ast.Constant, ast.Load, ast.Store, ast.Del})
 
 
 def walk_own_nodes(fn: ast.AST):
@@ -138,42 +144,6 @@ def binding_names(target: ast.expr) -> set[str]:
     return set()
 
 
-def closure_locals(fn: ast.AST) -> set[str]:
-    """Names a function binds itself: params, assignments, loop and
-    ``with ... as`` variables (nested function bodies excluded)."""
-    args = fn.args
-    names = {
-        a.arg
-        for a in (
-            args.posonlyargs
-            + args.args
-            + args.kwonlyargs
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        )
-    }
-    if isinstance(fn, ast.Lambda):
-        return names
-    for sub in walk_own_nodes(fn):
-        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in targets:
-                names |= binding_names(target)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            names |= binding_names(sub.target)
-        elif isinstance(sub, ast.NamedExpr) and isinstance(
-            sub.target, ast.Name
-        ):
-            names.add(sub.target.id)
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    names |= binding_names(item.optional_vars)
-    return names
-
-
 def _mutable_defaults(fn: ast.AST) -> list[ast.expr]:
     """Default values of ``fn`` that build a list/dict/set: evaluated
     once, when the ``def`` or ``lambda`` runs, and shared by every call."""
@@ -191,11 +161,12 @@ def _mutable_defaults(fn: ast.AST) -> list[ast.expr]:
 
 
 def describe_state(what: tuple[str, str | None]) -> str:
-    """A :meth:`CallGraph.kept_state` carrier other than ``self`` as a
-    finding names it."""
+    """A :meth:`CallGraph.kept_state` carrier as a finding names it."""
     kind, name = what
     if kind == "default":
         return "a mutable default argument (shared across calls)"
+    if kind == "self":
+        return f"'self.{name}'"
     return f"{kind} '{name}'"
 
 
@@ -206,15 +177,48 @@ def through(chain: tuple[str, ...]) -> str:
     return " through " + " → ".join(f"{part}()" for part in chain)
 
 
-@dataclass
+@dataclass(eq=False)
+class Scope:
+    """One Python scope: the module, a class body, or a def/lambda."""
+
+    node: ast.AST
+    parent: Scope | None
+    #: What a def, lambda or class defined here prefixes its qualname with.
+    prefix: str
+    #: The function whose scope this is (None for the module or a class).
+    info: FunctionInfo | None = None
+    #: name -> ``(value, annotation)`` per binding here: a def or class
+    #: binds its own node; a loop target, unpacked name or import binds
+    #: no value
+    bindings: dict[str, list[tuple]] = field(default_factory=dict)
+    #: name -> ``"global"`` / ``"nonlocal"``, as declared here
+    declared: dict[str, str] = field(default_factory=dict)
+    #: the scopes defined directly inside this one
+    children: list[Scope] = field(default_factory=list)
+
+    def bind(self, name: str, value=None, annotation=None) -> None:
+        self.bindings.setdefault(name, []).append((value, annotation))
+
+    def walk(self):
+        """This scope and every scope nested in it."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+
+@dataclass(eq=False)
 class FunctionInfo:
     """One function/method/lambda defined in the module."""
 
+    #: Python's ``__qualname__`` (``f.<locals>.g``, ``C.m``, ``<lambda>``)
     qualname: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef | Lambda
-    klass: ast.ClassDef | None = None
+    #: the class whose body holds the ``def`` (None outside a class body)
+    klass: ast.ClassDef | None
     #: For lambdas: the name they were bound to (if any).
-    bound_name: str | None = None
+    bound_name: str | None
+    #: the scope of the function's own code
+    scope: Scope | None = None
 
     @property
     def name(self) -> str:
@@ -227,139 +231,186 @@ class FunctionInfo:
         args = self.node.args
         return [a.arg for a in args.posonlyargs + args.args]
 
-    @property
-    def is_method(self) -> bool:
-        return self.klass is not None
 
-    def __hash__(self) -> int:
-        return id(self.node)
+def _definition(scope: Scope, name: str) -> ast.AST | None:
+    """The def, lambda or class ``scope`` binds ``name`` to, the last in
+    the source when there are several."""
+    return max(
+        (v for v, _ in scope.bindings.get(name, ()) if type(v) in _SCOPE_NODES),
+        key=lambda v: (v.lineno, v.col_offset),
+        default=None,
+    )
 
 
 class CallGraph:
-    """Index of a module's functions; calls resolve on demand."""
+    """A module's scopes and functions; names and calls resolve on demand."""
 
     def __init__(self, tree: ast.Module):
         self.tree = tree
-        #: module-level function name -> info
-        self.module_functions: dict[str, FunctionInfo] = {}
-        #: class name -> ClassDef
-        self.classes: dict[str, ast.ClassDef] = {}
-        #: (class name, method name) -> info
-        self.methods: dict[tuple[str, str], FunctionInfo] = {}
+        #: the module scope; every other scope nests below it
+        self.scope = Scope(tree, None, "")
         #: every FunctionInfo, in source order
         self.functions: list[FunctionInfo] = []
-        #: id(function/lambda node) -> its FunctionInfo
-        self._owner_of: dict[int, FunctionInfo] = {}
-        #: qualname -> the first FunctionInfo registered under it
-        self._by_qualname: dict[str, FunctionInfo] = {}
+        #: id(def, lambda or class node) -> its scope
+        self._scopes: dict[int, Scope] = {}
         #: id(ast node) -> the FunctionInfo whose own code holds it
         self._enclosing: dict[int, FunctionInfo] = {}
+        #: attr -> ``(value, annotation)`` per ``self.<attr> = …`` here
+        self.self_attrs: dict[str, list[tuple]] = {}
         self._index(tree)
 
     # ------------------------------------------------------------------
-    # indexing
+    # the scope walk
     def _index(self, tree: ast.Module) -> None:
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = FunctionInfo(qualname=stmt.name, node=stmt)
-                self.module_functions[stmt.name] = info
-                self._register(info)
-            elif isinstance(stmt, ast.ClassDef):
-                self.classes[stmt.name] = stmt
-                for member in stmt.body:
-                    if isinstance(
-                        member, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        info = FunctionInfo(
-                            qualname=f"{stmt.name}.{member.name}",
-                            node=member,
-                            klass=stmt,
-                        )
-                        self.methods[(stmt.name, member.name)] = info
-                        self._register(info)
-            elif isinstance(stmt, ast.Assign) and isinstance(
-                stmt.value, ast.Lambda
-            ):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        info = FunctionInfo(
-                            qualname=target.id,
-                            node=stmt.value,
-                            bound_name=target.id,
-                        )
-                        self.module_functions[target.id] = info
-                        self._register(info)
-                        break
-        # Nested named functions and name-bound lambdas inside functions.
-        for outer in list(self.functions):
-            if isinstance(outer.node, ast.Lambda):
-                continue
-            for node in ast.walk(outer.node):
-                if node is outer.node:
+        """The scope walk: one pass over the module, scoped as Python
+        scopes it.  A def's decorators, defaults and annotations run in
+        the defining scope, in no function's own code (as in
+        :func:`walk_own_nodes`); a class body is its own scope but part
+        of the code of the function around it."""
+        #: id(lambda) -> the first bare name an assignment binds it to
+        lambda_names: dict[int, str] = {}
+        #: (nodes, the scope they run in, the function whose code they are)
+        work = [(tree.body, self.scope, None)]
+        while work:
+            nodes, scope, owner = work.pop()
+            children: list[ast.AST] = []
+            for node in nodes:
+                if owner is not None:
+                    self._enclosing[id(node)] = owner
+                kind = type(node)
+                if kind in _LEAVES:
                     continue
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if id(node) in self._owner_of:
-                        continue
-                    info = FunctionInfo(
-                        qualname=f"{outer.qualname}.<locals>.{node.name}",
-                        node=node,
-                        klass=outer.klass,
-                    )
-                    self._register(info)
-                elif isinstance(node, ast.Assign) and isinstance(
-                    node.value, ast.Lambda
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            info = FunctionInfo(
-                                qualname=(
-                                    f"{outer.qualname}.<locals>.{target.id}"
-                                ),
-                                node=node.value,
-                                bound_name=target.id,
-                            )
-                            self._register(info)
-                            break
-        # Anonymous lambdas (inline arguments, comprehension filters...):
-        # registered so closure rules can analyse them by node identity.
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Lambda) and id(node) not in self._owner_of:
-                self._register(
-                    FunctionInfo(
-                        qualname=f"<lambda@{node.lineno}>", node=node
-                    )
-                )
-        for info in self.functions:
-            for node in walk_own_nodes(info.node):
-                self._enclosing[id(node)] = info
+                if kind in _SCOPE_NODES:
+                    work += self._define(node, scope, owner, lambda_names)
+                    continue
+                if kind in _BINDING_NODES:
+                    self._bind_names(node, scope, lambda_names)
+                children.extend(ast.iter_child_nodes(node))
+            if children:
+                work.append((children, scope, owner))
+        self.functions.sort(key=lambda i: (i.node.lineno, i.node.col_offset))
 
-    def _register(self, info: FunctionInfo) -> None:
-        self.functions.append(info)
-        self._owner_of[id(info.node)] = info
-        self._by_qualname.setdefault(info.qualname, info)
+    def _define(self, node, scope: Scope, owner, lambda_names: dict) -> list:
+        """Open the scope of a def, lambda or class defined in ``scope``;
+        what the walk visits next: its header, then its body."""
+        name = getattr(node, "name", "<lambda>")
+        qualname = scope.prefix + name
+        if isinstance(node, ast.ClassDef):
+            scope.bind(name, node)
+            inner = Scope(node, scope, f"{qualname}.")
+            body, body_owner, header_owner = node.body, owner, owner
+        else:
+            if not isinstance(node, ast.Lambda):
+                scope.bind(name, node)
+            klass = scope.node if isinstance(scope.node, ast.ClassDef) else None
+            bound = lambda_names.get(id(node))
+            info = FunctionInfo(qualname, node, klass, bound)
+            inner = Scope(node, scope, f"{qualname}.<locals>.", info)
+            info.scope = inner
+            self.functions.append(info)
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                inner.bind(arg.arg, None, arg.annotation)
+            # ``*args: T`` annotates each element, not the tuple.
+            for arg in filter(None, (args.vararg, args.kwarg)):
+                inner.bind(arg.arg)
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            body_owner, header_owner = info, None
+        scope.children.append(inner)
+        self._scopes[id(node)] = inner
+        in_body = {id(stmt) for stmt in body}
+        header = [c for c in ast.iter_child_nodes(node) if id(c) not in in_body]
+        return [(body, inner, body_owner), (header, scope, header_owner)]
+
+    def _bind_names(
+        self, node: ast.AST, scope: Scope, lambda_names: dict
+    ) -> None:
+        """Record what one statement or expression binds or declares."""
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound = (node.value, getattr(node, "annotation", None))
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    scope.bind(target.id, *bound)
+                    if isinstance(node.value, ast.Lambda):
+                        lambda_names.setdefault(id(node.value), target.id)
+                elif (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    self.self_attrs.setdefault(target.attr, []).append(bound)
+                else:
+                    for name in binding_names(target):
+                        scope.bind(name)
+            return
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                scope.declared[name] = type(node).__name__.lower()
+            return
+        if isinstance(node, (ast.AugAssign, ast.For, ast.AsyncFor)):
+            names = binding_names(node.target)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            names = set().union(
+                *(binding_names(item.optional_vars) for item in node.items)
+            )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.asname or a.name.partition(".")[0] for a in node.names}
+        else:  # ``except ... as name``
+            names = {node.name} - {None}
+        for name in names:
+            scope.bind(name)
 
     # ------------------------------------------------------------------
     # resolution
-    def info_for(self, node: ast.AST) -> FunctionInfo | None:
-        return self._owner_of.get(id(node))
+    def info_for(self, node: ast.AST | None) -> FunctionInfo | None:
+        return getattr(self._scopes.get(id(node)), "info", None)
 
     def enclosing(self, node: ast.AST) -> FunctionInfo | None:
         """The function whose own code (nested bodies excluded) holds
         ``node``; None at module level."""
         return self._enclosing.get(id(node))
 
+    def binding_scope(self, name: str, scope: Scope) -> Scope | None:
+        """The scope whose binding of ``name`` code in ``scope`` sees,
+        as Python finds it: ``global`` and ``nonlocal`` declarations are
+        followed and enclosing class bodies skipped.  None when no scope
+        binds it (a builtin, or an undefined name)."""
+        while scope is not None:
+            declared = scope.declared.get(name)
+            if declared == "global":
+                return self.scope if name in self.scope.bindings else None
+            if declared is None and name in scope.bindings:
+                return scope
+            scope = scope.parent
+            while scope is not None and isinstance(scope.node, ast.ClassDef):
+                scope = scope.parent
+        return None
+
+    def resolve_name(self, name: str, scope: Scope) -> ast.AST | None:
+        """The def, lambda or class ``name`` stands for in ``scope``."""
+        home = self.binding_scope(name, scope)
+        return _definition(home, name) if home is not None else None
+
+    def self_class(self, info: FunctionInfo | None, name: str = "self"):
+        """The class whose instance ``name`` is in ``info``'s code: the
+        class of the method that binds it, so a def or lambda nested in
+        a method sees the method's ``self``."""
+        home = self.binding_scope(name, info.scope) if info else None
+        return home.info.klass if home is not None and home.info else None
+
     def bases_of(self, klass: ast.ClassDef) -> list[ast.ClassDef]:
         """Every same-module ancestor of ``klass``, nearest first, each
-        once: a cyclic base list ends."""
+        once: a cyclic base list ends.  A base name resolves in the
+        scope that defines the class."""
         lineage = [klass]
         for current in lineage:
+            scope = self._scopes[id(current)].parent
             for base in current.bases:
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in self.classes
-                    and all(seen.name != base.id for seen in lineage)
-                ):
-                    lineage.append(self.classes[base.id])
+                if isinstance(base, ast.Name):
+                    found = self.resolve_name(base.id, scope)
+                    if isinstance(found, ast.ClassDef) and found not in lineage:
+                        lineage.append(found)
         return lineage[1:]
 
     def method_on(
@@ -367,48 +418,40 @@ class CallGraph:
     ) -> FunctionInfo | None:
         """Find ``method`` on ``klass`` or its same-module ancestors."""
         for current in [klass, *self.bases_of(klass)]:
-            info = self.methods.get((current.name, method))
+            info = self.info_for(_definition(self._scopes[id(current)], method))
             if info is not None:
                 return info
         return None
 
-    def lookup(
-        self, ref: ast.expr, caller: FunctionInfo | None
-    ) -> FunctionInfo | None:
-        """Resolve a *reference* (not a call) to a module function.
+    def lookup(self, ref: ast.expr) -> FunctionInfo | None:
+        """Resolve a *reference* (not a call) to a module function, as
+        the code that holds it sees it.
 
-        Handles ``helper`` (module or local-lambda name), ``self.method``
-        and ``Class.method`` attribute references, and inline lambdas.
+        Handles a name bound to a def or lambda (or to a class: its
+        ``__init__``), ``self``/``cls``/``Class`` attribute references,
+        and inline lambdas.
         """
         if isinstance(ref, ast.Lambda):
             return self.info_for(ref)
+        caller = self.enclosing(ref)
+        scope = caller.scope if caller is not None else self.scope
         if isinstance(ref, ast.Name):
-            # Function-local defs and lambda bindings shadow module names.
-            if caller is not None:
-                local = self._by_qualname.get(
-                    f"{caller.qualname}.<locals>.{ref.id}"
-                )
-                if local is not None:
-                    return local
-            info = self.module_functions.get(ref.id)
-            if info is not None:
-                return info
-            klass = self.classes.get(ref.id)
-            if klass is not None:
-                return self.method_on(klass, "__init__")
-            return None
+            found = self.resolve_name(ref.id, scope)
+            if isinstance(found, ast.ClassDef):
+                return self.method_on(found, "__init__")
+            return self.info_for(found)
         if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
             receiver = ref.value.id
-            if receiver in ("self", "cls") and caller is not None and caller.klass:
-                return self.method_on(caller.klass, ref.attr)
-            if receiver in self.classes:
-                return self.method_on(self.classes[receiver], ref.attr)
+            if receiver in ("self", "cls"):
+                klass = self.self_class(caller, receiver)
+            else:
+                klass = self.resolve_name(receiver, scope)
+            if isinstance(klass, ast.ClassDef):
+                return self.method_on(klass, ref.attr)
         return None
 
-    def resolve_call(
-        self, call: ast.Call, caller: FunctionInfo | None
-    ) -> FunctionInfo | None:
-        return self.lookup(call.func, caller)
+    def resolve_call(self, call: ast.Call) -> FunctionInfo | None:
+        return self.lookup(call.func)
 
     def walk_reachable(self, root: FunctionInfo):
         """Walk the code that running ``root`` can reach in this module.
@@ -429,7 +472,7 @@ class CallGraph:
             for node in walk_own_nodes(info.node):
                 yield node, info, chain, via
                 if isinstance(node, ast.Call):
-                    callee = self.resolve_call(node, info)
+                    callee = self.resolve_call(node)
                 elif isinstance(node, _FUNCTION_NODES):
                     callee = self.info_for(node)
                 else:
@@ -454,35 +497,56 @@ class CallGraph:
         - ``("default", None)``: a mutable default argument of a function
           whose ``def`` runs outside the walk (one ``root`` defines gets
           a fresh default on each call);
-        - ``("global", name)``, and ``("nonlocal", name)`` unless ``name``
-          is a local of an enclosing function the walk entered;
+        - ``("global", name)`` and ``("nonlocal", name)``, at the
+          declaration of a function that rebinds ``name``, unless a
+          ``nonlocal`` name is a local of an enclosing function the
+          walk entered;
         - ``("captured", name)``: a :func:`mutations` site whose root
           name neither the owner nor such an enclosing function binds;
-        - ``("self", attr)``: a write to ``self.<attr>``.
+        - ``("self", attr)``: a write to ``self.<attr>`` where ``self``
+          is the instance ``root`` runs on (code of ``root``'s class or
+          a same-module base; a constructor's object is new).
         """
-        #: id(function node) -> (names its walked enclosing frames bind,
-        #: those plus its own locals)
-        scopes: dict[int, tuple[set[str], set[str]]] = {}
+        klass = self.self_class(root)
+        lineage = (
+            [klass, *self.bases_of(klass)]
+            if klass is not None and root.name != "__init__"
+            else []
+        )
+        #: ids of the function nodes whose code the walk has entered
+        walked: set[int] = set()
+
+        def frames(scope):
+            """``scope`` and its enclosing function scopes, innermost
+            first, while the walk entered their code."""
+            while scope.info is not None and id(scope.info.node) in walked:
+                yield scope
+                scope = scope.parent
+                while isinstance(scope.node, ast.ClassDef):
+                    scope = scope.parent
+
         for node, owner, chain, via in self.walk_reachable(root):
-            scope = scopes.get(id(owner.node))
-            if scope is None:
+            if id(owner.node) not in walked:
                 parent = self.enclosing(owner.node)
-                fresh = parent is not None and id(parent.node) in scopes
-                outer = scopes[id(parent.node)][1] if fresh else set()
-                scope = scopes[id(owner.node)] = (
-                    outer,
-                    closure_locals(owner.node) | outer,
-                )
-                if not fresh:
+                if parent is None or id(parent.node) not in walked:
                     for default in _mutable_defaults(owner.node):
                         yield default, owner, chain, via, ("default", None)
+                walked.add(id(owner.node))
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = type(node).__name__.lower()
+                outer = list(frames(owner.scope))[1:]
                 for name in node.names:
-                    if kind == "global" or name not in scope[0]:
+                    if name in owner.scope.bindings and (
+                        kind == "global"
+                        or all(name not in scope.bindings for scope in outer)
+                    ):
                         yield node, owner, chain, via, (kind, name)
             for site, symbol in mutations([node]):
                 if len(symbol) == 2:
-                    yield site, owner, chain, via, ("self", symbol[1])
-                elif symbol[0] != "self" and symbol[0] not in scope[1]:
+                    if self.self_class(owner) in lineage:
+                        yield site, owner, chain, via, ("self", symbol[1])
+                elif symbol[0] != "self" and all(
+                    symbol[0] not in scope.bindings
+                    for scope in frames(owner.scope)
+                ):
                     yield site, owner, chain, via, ("captured", symbol[0])

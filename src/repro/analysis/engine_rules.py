@@ -192,15 +192,12 @@ class _EngineVisitor:
         self.taint = taint
         self.findings: list[Finding] = []
         #: What MRE104/MRE105 decide per owning function, gathered on the
-        #: one walk; the call graph says which function owns each node
-        #: (and is only built when a module allocates or mutates).
+        #: one walk; the scope table says which function owns each node.
         self._mutators: list[ast.Call] = []
         self._journal_calls: list[ast.Call] = []
         self._allocations: list[ast.Call] = []
         self._release_guards: list[ast.Try] = []
         self._with_guarded: set[int] = set()
-        #: id(def in a class body) -> that class
-        self._class_of: dict[int, ast.ClassDef] = {}
 
     def _emit(
         self, rule_id: str, node: ast.AST, message: str, severity: str | None = None
@@ -224,7 +221,8 @@ class _EngineVisitor:
         while stack:
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local, nodes = self.types.local_sets(node), ast.walk(node)
+                scope = self.taint.graph.info_for(node).scope
+                local, nodes = self.types.local_sets(scope), ast.walk(node)
             else:
                 local, nodes = set(), [node]
                 stack.extend(ast.iter_child_nodes(node))
@@ -242,9 +240,6 @@ class _EngineVisitor:
                         self._with_guarded.update(
                             map(id, ast.walk(item.context_expr))
                         )
-                elif isinstance(sub, ast.ClassDef):
-                    for stmt in sub.body:
-                        self._class_of[id(stmt)] = sub
 
     def _note_call(self, node: ast.Call) -> None:
         if _is_shm_allocation(node):
@@ -441,8 +436,8 @@ class _EngineVisitor:
                 continue
             if id(call) in self._with_guarded:
                 continue
-            klass = self._class_of.get(id(owner.node))
-            if klass is not None and _class_owns_cleanup(klass):
+            members = owner.scope.parent.bindings if owner.klass else {}
+            if members.keys() & _SHM_OWNER_METHODS:
                 continue
             name = dotted_name(call.func) or "SharedMemory"
             self._emit(
@@ -529,14 +524,6 @@ def _is_shm_allocation(call: ast.Call) -> bool:
     return any(
         name == dotted or name.endswith("." + dotted)
         for dotted in _SHM_ALLOCATOR_DOTTED
-    )
-
-
-def _class_owns_cleanup(klass: ast.ClassDef) -> bool:
-    return any(
-        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and stmt.name in _SHM_OWNER_METHODS
-        for stmt in klass.body
     )
 
 

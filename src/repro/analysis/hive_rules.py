@@ -12,9 +12,9 @@ must also hold for the Python that *rides along with a query*:
             writes different rows
 ``MRH302``  stateful UDF: the function carries state across calls
             (``global``/``nonlocal`` writes, mutation of captured
-            objects, default-argument accumulators) — rows are
-            processed in partition order on executors, so the state
-            neither aggregates correctly nor reaches the driver
+            objects or of ``self``, default-argument accumulators) —
+            rows are processed in partition order on executors, so the
+            state neither aggregates correctly nor reaches the driver
 ``MRH303``  nondeterministic value interpolated into SQL text handed
             to ``execute()``/``explain()`` — the query itself then
             differs run-to-run, which defeats plan caching, auditing
@@ -88,16 +88,14 @@ class _HiveVisitor:
 
     # ------------------------------------------------------------------
     def run(self) -> list[Finding]:
-        for name, info, site in self._udf_registrations():
-            self.check_udf(name, info, emit_at=site)
+        for name, info in self._udf_registrations():
+            self.check_udf(name, info)
         self._check_sql_sinks()
         return self.findings
 
     def _udf_registrations(self):
         """Every ``<x>.register_udf("name", fn)`` resolvable in-module."""
-        out = []
-        graph = self.taint.graph
-        for node in ast.walk(graph.tree):
+        for node in ast.walk(self.taint.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -111,16 +109,12 @@ class _HiveVisitor:
                 and isinstance(node.args[0].value, str)
                 else "<udf>"
             )
-            ref = node.args[1]
-            info = graph.lookup(ref, graph.enclosing(ref))
+            info = self.taint.graph.lookup(node.args[1])
             if info is not None:
-                out.append((name, info, node))
-        return out
+                yield name, info
 
     # -- MRH301 / MRH302 -------------------------------------------------
-    def check_udf(
-        self, name: str, info: FunctionInfo, emit_at: ast.AST | None = None
-    ) -> None:
+    def check_udf(self, name: str, info: FunctionInfo) -> None:
         for effect in self.taint.effects_of(info):
             self._emit(
                 "MRH301",
@@ -133,7 +127,7 @@ class _HiveVisitor:
         reported = set()
         for site, _, chain, via, what in self.taint.graph.kept_state(info):
             at = via or site
-            if what[0] == "self" or (id(at), what) in reported:
+            if (id(at), what) in reported:
                 continue
             reported.add((id(at), what))
             self._emit(
@@ -222,13 +216,13 @@ def lint_udf_callables(udfs: dict) -> list[Finding]:
 
 
 def _find_function(taint: ModuleTaint, fn) -> FunctionInfo | None:
+    """The analysed function ``fn`` is: the one with its qualname, or,
+    when several share it (lambdas) or none has it, the one on its
+    first line."""
     qualname = getattr(fn, "__qualname__", None)
-    code = getattr(fn, "__code__", None)
-    for info in taint.graph.functions:
-        if qualname is not None and info.qualname == qualname:
-            return info
-    if code is not None:
-        for info in taint.graph.functions:
-            if info.node.lineno == code.co_firstlineno:
-                return info
-    return None
+    line = getattr(getattr(fn, "__code__", None), "co_firstlineno", None)
+    named = [info for info in taint.graph.functions if info.qualname == qualname]
+    if len(named) == 1:
+        return named[0]
+    candidates = named or taint.graph.functions
+    return next((info for info in candidates if info.node.lineno == line), None)

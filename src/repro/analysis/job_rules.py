@@ -17,7 +17,7 @@ These encode the course's recurring map/reduce bugs — the ones that
             calls without the in-mapper-combining idiom (no
             ``cleanup()`` flush) — silently drops data
 ``MRJ006``  per-call side-file read (the movie-genres anti-pattern):
-            ``read_side_file`` outside ``setup``/``cleanup``
+            ``read_side_file`` reached from ``map``/``reduce``
 ``MRJ007``  combiner that is not a monoid (computes a ratio/average or
             re-formats values) — answers change with combine rounds
 ==========  ==========================================================
@@ -38,6 +38,7 @@ import ast
 
 from repro.analysis.callgraph import (
     CallGraph,
+    FunctionInfo,
     mutations,
     root_symbol,
     through,
@@ -144,6 +145,12 @@ def _method_params(fn: ast.FunctionDef) -> list[str]:
     return [a.arg for a in fn.args.args]
 
 
+def _enters_lifecycle(chain: tuple[str, ...]) -> bool:
+    """Does a helper chain from a per-record method go through a
+    lifecycle method first (whose code is that method's business)?"""
+    return bool(chain) and chain[0] in _TASK_METHODS
+
+
 def _context_names(fn: ast.FunctionDef) -> set[str]:
     """Names through which ``fn`` can reach the framework Context."""
     names = {"context", "ctx"}
@@ -183,38 +190,31 @@ class _JobVisitor:
 
     # -- per-module entry -------------------------------------------------
     def run(self) -> list[Finding]:
-        combiner_classes = self._combiner_class_names()
-        for node in ast.walk(self.taint.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _is_task_class(node, self.taint.graph):
+        graph = self.taint.graph
+        scopes = [
+            s for s in graph.scope.walk() if isinstance(s.node, ast.ClassDef)
+        ]
+        # Combiners: the classes a Job subclass wires as ``combiner = X``,
+        # plus any task class whose name says it is one.
+        wired = {
+            graph.resolve_name(stmt.value.id, scope)
+            for scope in scopes
+            if _is_job_class(scope.node, graph)
+            for stmt in scope.node.body
+            if isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and stmt.targets[0].id == "combiner"
+            and isinstance(stmt.value, ast.Name)
+        }
+        for scope in scopes:
+            node = scope.node
+            task = _is_task_class(node, graph)
+            if task:
                 self._check_task_class(node)
-            if node.name in combiner_classes:
+            if node in wired or (task and "Combiner" in node.name):
                 self._check_combiner_class(node)
         return self.findings
-
-    def _combiner_class_names(self) -> set[str]:
-        """Classes wired as ``combiner = X`` in a Job subclass, plus any
-        task class whose name says it is one."""
-        names = set()
-        for node in ast.walk(self.taint.tree):
-            if isinstance(node, ast.ClassDef):
-                if _is_job_class(node, self.taint.graph):
-                    for stmt in node.body:
-                        if (
-                            isinstance(stmt, ast.Assign)
-                            and len(stmt.targets) == 1
-                            and isinstance(stmt.targets[0], ast.Name)
-                            and stmt.targets[0].id == "combiner"
-                            and isinstance(stmt.value, ast.Name)
-                        ):
-                            names.add(stmt.value.id)
-                elif (
-                    _is_task_class(node, self.taint.graph)
-                    and "Combiner" in node.name
-                ):
-                    names.add(node.name)
-        return names
 
     # -- task-class rules -------------------------------------------------
     def _check_task_class(self, cls: ast.ClassDef) -> None:
@@ -234,28 +234,29 @@ class _JobVisitor:
             for node, owner, _, via in (
                 graph.walk_reachable(cleanup) if cleanup else ()
             )
-            if (via is None or owner.klass in lineage)
+            if (via is None or graph.self_class(owner) in lineage)
             and isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
         }
         stateful_attrs_flagged: set[str] = set()
         for name, fn in methods.items():
-            self._check_nondeterminism(cls, fn)
-            self._check_side_file(cls, fn)
+            info = graph.info_for(fn)
+            self._check_nondeterminism(cls, info)
             ctx_names = _context_names(fn)
             writes = _context_writes(fn, ctx_names)
             mutated = list(mutations(ast.walk(fn)))
             self._check_unhashable_keys(cls, writes)
             self._check_emit_aliasing(cls, fn, writes, mutated)
             if name in _PER_CALL_METHODS:
+                self._check_side_file(cls, info)
                 self._check_input_mutation(cls, fn, mutated)
                 self._check_cross_call_state(
-                    cls, fn, lineage, cleanup_loads, stateful_attrs_flagged
+                    cls, info, cleanup_loads, stateful_attrs_flagged
                 )
 
     def _check_nondeterminism(
-        self, cls: ast.ClassDef, fn: ast.FunctionDef
+        self, cls: ast.ClassDef, info: FunctionInfo
     ) -> None:
         """MRJ001, on the taint engine.
 
@@ -268,35 +269,40 @@ class _JobVisitor:
         report their own direct calls, so one bug does not fan out into
         a finding per caller plus one at the helper's body.
         """
-        info = self.taint.graph.info_for(fn)
-        if info is None:  # pragma: no cover - methods always indexed
-            return
-        lifecycle = fn.name in _TASK_METHODS
+        lifecycle = info.name in _TASK_METHODS
         for effect in self.taint.effects_of(info):
             if len(effect.chain) > 1 and not lifecycle:
                 continue
             self._emit(
                 "MRJ001",
                 effect.site,
-                f"{cls.name}.{fn.name}() calls {effect.render_chain()}: "
+                f"{cls.name}.{info.name}() calls {effect.render_chain()}: "
                 "output differs across re-executed attempts",
             )
 
-    def _check_side_file(self, cls: ast.ClassDef, fn: ast.FunctionDef) -> None:
-        if fn.name in ("setup", "cleanup"):
-            return  # once-per-task reads are the taught fix
-        for node in ast.walk(fn):
+    def _check_side_file(self, cls: ast.ClassDef, info: FunctionInfo) -> None:
+        """MRJ006: a side-file read that running a per-record method
+        reaches, in its code or a helper's; one ``setup()``/``cleanup()``
+        makes is the taught fix.  A helper's reports at the call in the
+        method that leads there."""
+        reported: set[int] = set()
+        for node, _, chain, via in self.taint.graph.walk_reachable(info):
+            at = via or node
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "read_side_file"
+                _enters_lifecycle(chain)
+                or id(at) in reported
+                or not isinstance(node, ast.Call)
+                or not isinstance(node.func, ast.Attribute)
+                or node.func.attr != "read_side_file"
             ):
-                self._emit(
-                    "MRJ006",
-                    node,
-                    f"{cls.name}.{fn.name}() streams a side file on every "
-                    "call (full read + open overhead per record)",
-                )
+                continue
+            reported.add(id(at))
+            self._emit(
+                "MRJ006",
+                at,
+                f"{cls.name}.{info.name}() streams a side file{through(chain)} "
+                "on every call (full read + open overhead per record)",
+            )
 
     def _check_unhashable_keys(
         self, cls: ast.ClassDef, writes: list[ast.Call]
@@ -359,30 +365,21 @@ class _JobVisitor:
     def _check_cross_call_state(
         self,
         cls: ast.ClassDef,
-        fn: ast.FunctionDef,
-        lineage: list[ast.ClassDef],
+        info: FunctionInfo,
         cleanup_loads: set[str],
         already_flagged: set[str],
     ) -> None:
         """MRJ005: the ``self.<attr>`` writes and ``global`` declarations
-        that running ``fn`` keeps between calls, in its own code or a
-        helper's.  A helper's reports at the call in ``fn`` that leads
-        there; only the task's own class and bases hold its state, and a
-        lifecycle method's writes are that method's business."""
-        info = self.taint.graph.info_for(fn)
-        if info is None:  # pragma: no cover - methods always indexed
-            return
+        that running a per-record method keeps between calls, in its own
+        code or a helper's.  A helper's reports at the call in the method
+        that leads there; a lifecycle method's writes are that method's
+        business."""
         #: attr -> (rank, the site to report, the helper chain)
         nearest: dict[str, tuple[tuple, ast.AST, tuple[str, ...]]] = {}
         globals_at: set[tuple[int, str]] = set()
-        for site, owner, chain, via, what in self.taint.graph.kept_state(
-            info
-        ):
+        for site, _, chain, via, what in self.taint.graph.kept_state(info):
             kind, name = what
-            if via is not None and (
-                chain[0] in _TASK_METHODS
-                or (kind == "self" and owner.klass not in lineage)
-            ):
+            if _enters_lifecycle(chain):
                 continue
             at = via or site
             if kind == "global" and (id(at), name) not in globals_at:
@@ -390,7 +387,7 @@ class _JobVisitor:
                 self._emit(
                     "MRJ005",
                     at,
-                    f"{cls.name}.{fn.name}() mutates global '{name}'"
+                    f"{cls.name}.{info.name}() mutates global '{name}'"
                     f"{through(chain)}; tasks run in separate processes, "
                     "so globals neither share nor survive",
                 )
@@ -414,7 +411,7 @@ class _JobVisitor:
             self._emit(
                 "MRJ005",
                 at,
-                f"{cls.name}.{fn.name}() accumulates state in "
+                f"{cls.name}.{info.name}() accumulates state in "
                 f"'self.{attr}'{through(chain)} across calls but no "
                 "cleanup() flushes it",
             )
@@ -436,9 +433,7 @@ class _JobVisitor:
         # the call in reduce() that leads there, naming the deepest chain
         # that divides, so the finding lands in the combiner's own code.
         deepest: dict[ast.AST, tuple[str, ...]] = {}
-        for node, _, chain, via in (
-            self.taint.graph.walk_reachable(reduce_info) if reduce_info else ()
-        ):
+        for node, _, chain, via in self.taint.graph.walk_reachable(reduce_info):
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Div, ast.FloorDiv)
             ):

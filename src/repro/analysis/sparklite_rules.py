@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import FunctionInfo, describe_state, through
+from repro.analysis.callgraph import CallGraph, describe_state, through
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.taint import ModuleTaint, annotation_text, dotted_name
 
@@ -132,27 +132,16 @@ class _RddNames:
     resolve regardless of order.
     """
 
-    def __init__(self, tree: ast.Module):
+    def __init__(self, graph: CallGraph):
         self.names: set[str] = set()
         assigns: list[tuple[str, ast.expr]] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        assigns.append((target.id, node.value))
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                if "RDD" in annotation_text(node.annotation):
-                    self.names.add(node.target.id)
-        for arg in (
-            a
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for a in node.args.args + node.args.posonlyargs
-        ):
-            if "RDD" in annotation_text(arg.annotation):
-                self.names.add(arg.arg)
+        for scope in graph.scope.walk():
+            for name, bound in scope.bindings.items():
+                for value, annotation in bound:
+                    if "RDD" in annotation_text(annotation):
+                        self.names.add(name)
+                    elif isinstance(value, ast.expr):
+                        assigns.append((name, value))
         for _ in range(len(assigns) + 1):
             changed = False
             for name, value in assigns:
@@ -192,7 +181,7 @@ class _SparkliteVisitor:
     def __init__(self, path: str, taint: ModuleTaint):
         self.path = path
         self.taint = taint
-        self.rdds = _RddNames(taint.tree)
+        self.rdds = _RddNames(taint.graph)
         self.findings: list[Finding] = []
         #: closures already reported per rule, to avoid one finding per
         #: pipeline stage reusing the same helper.
@@ -224,16 +213,11 @@ class _SparkliteVisitor:
         receiver = node.func.value
         return self.rdds.is_rdd_expr(receiver) or _looks_like_rdd(receiver)
 
-    def _resolve(self, ref: ast.expr) -> FunctionInfo | None:
-        # Attribute refs like self.tokenize need the enclosing method.
-        graph = self.taint.graph
-        return graph.lookup(ref, graph.enclosing(ref))
-
     # -- MRS201 / MRS202 / MRS203 --------------------------------------
     def _check_closure(
         self, call: ast.Call, method: str, ref: ast.expr
     ) -> None:
-        info = self._resolve(ref)
+        info = self.taint.graph.lookup(ref)
         if info is None:
             return
         label = info.name if info.name != "<lambda>" else "the closure"
@@ -251,9 +235,7 @@ class _SparkliteVisitor:
         graph = self.taint.graph
         # MRS202: state the closure keeps, in its code or a helper's.
         for site, _, chain, via, what in graph.kept_state(info):
-            if what[0] == "self" or not self._first_report(
-                "MRS202", via or site
-            ):
+            if not self._first_report("MRS202", via or site):
                 continue
             self._emit(
                 "MRS202",
@@ -293,7 +275,7 @@ class _SparkliteVisitor:
     def _check_reducer(
         self, call: ast.Call, method: str, ref: ast.expr
     ) -> None:
-        info = self._resolve(ref)
+        info = self.taint.graph.lookup(ref)
         if info is None:
             return
         # The first non-associative operator the operand reaches, helpers

@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo
+from repro.analysis.callgraph import CallGraph, FunctionInfo, Scope
 
 # --------------------------------------------------------------------------
 # taint tags
@@ -187,6 +187,14 @@ def is_set_literalish(node: ast.expr) -> bool:
     return False
 
 
+def _holds_set(bound: list[tuple]) -> bool:
+    """Is one of these ``(value, annotation)`` bindings a set?"""
+    return any(
+        is_set_annotation(annotation) or is_set_literalish(value)
+        for value, annotation in bound
+    )
+
+
 class SetTypes:
     """Module-wide syntactic inference of set-typed names/attributes.
 
@@ -194,59 +202,30 @@ class SetTypes:
     taint engine (hash-order sources) and MRE101.
     """
 
-    def __init__(self, tree: ast.Module):
+    def __init__(self, graph: CallGraph):
         #: Attribute names declared set-typed somewhere in this module
         #: (class annotations or ``self.x = set()``); any ``expr.<name>``
         #: access is then treated as a set.
-        self.attr_names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                        and is_set_annotation(stmt.annotation)
-                    ):
-                        self.attr_names.add(stmt.target.id)
-            elif isinstance(node, ast.Assign):
-                if is_set_literalish(node.value):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            self.attr_names.add(target.attr)
-            elif isinstance(node, ast.AnnAssign):
-                if (
-                    isinstance(node.target, ast.Attribute)
-                    and isinstance(node.target.value, ast.Name)
-                    and node.target.value.id == "self"
-                    and is_set_annotation(node.annotation)
-                ):
-                    self.attr_names.add(node.target.attr)
+        self.attr_names: set[str] = {
+            name
+            for scope in graph.scope.walk()
+            if isinstance(scope.node, ast.ClassDef)
+            for name, bound in scope.bindings.items()
+            if any(is_set_annotation(annotation) for _, annotation in bound)
+        }
+        self.attr_names |= {
+            attr for attr, bound in graph.self_attrs.items() if _holds_set(bound)
+        }
 
-    def local_sets(self, fn: ast.FunctionDef) -> set[str]:
-        """Names bound to a set in ``fn`` or in any def nested in it:
-        set-annotated parameters and set-valued assignments."""
-        names: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                    if is_set_annotation(arg.annotation):
-                        names.add(arg.arg)
-            elif isinstance(node, ast.Assign) and is_set_literalish(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and is_set_annotation(node.annotation)
-            ):
-                names.add(node.target.id)
-        return names
+    def local_sets(self, scope: Scope) -> set[str]:
+        """Names bound to a set in ``scope`` or in any scope nested in
+        it: set-annotated parameters and names, set-valued assignments."""
+        return {
+            name
+            for inner in scope.walk()
+            for name, bound in inner.bindings.items()
+            if _holds_set(bound)
+        }
 
     def is_set_expr(self, node: ast.expr, local: set[str]) -> bool:
         if is_set_literalish(node):
@@ -344,32 +323,29 @@ class ModuleTaint:
     """Taint analysis of one module: call graph + per-function summaries
     + per-class attribute taint, iterated to a fixpoint.
 
-    The syntactic facts (:attr:`set_types`, :attr:`order_sinks`) are
-    built up front; the call graph and the fixpoint only on first use,
-    so a rule family that reads neither (the engine's) pays for neither.
+    The scope table (:attr:`graph`) and the syntactic facts
+    (:attr:`set_types`, :attr:`order_sinks`) are built up front; the
+    fixpoint only on first use, so a rule family that reads none of it
+    (the engine's) pays for none of it.
     """
 
     def __init__(self, tree: ast.Module):
         self.tree = tree
-        self.set_types = SetTypes(tree)
+        self.graph = CallGraph(tree)
+        self.set_types = SetTypes(self.graph)
         self.order_sinks = order_insensitive_generator_iters(tree)
         self._summaries: dict[FunctionInfo, Summary] | None = None
 
-    @cached_property
-    def graph(self) -> CallGraph:
-        return CallGraph(self.tree)
-
     @property
-    def attr_taint(self) -> dict[tuple[str, str], frozenset]:
-        """(class name, attr) -> taint tags, joined over every
-        ``self.attr = ...`` in the class's methods."""
+    def attr_taint(self) -> dict[tuple[ast.ClassDef, str], frozenset]:
+        """(class, attr) -> taint tags, joined over every
+        ``self.attr = ...`` in the code of the class's methods."""
         self._solve()
         return self._attr_taint
 
     @property
-    def rng_seeding_classes(self) -> set[str]:
-        """Names of the classes whose setup()/__init__ seeds the module
-        RNG."""
+    def rng_seeding_classes(self) -> set[ast.ClassDef]:
+        """The classes whose setup()/__init__ seeds the module RNG."""
         self._solve()
         return self._rng_seeding_classes
 
@@ -382,10 +358,7 @@ class ModuleTaint:
         """Unconditional nondeterministic effects of calling ``info``,
         with class-level sanitisation (module-RNG seeding) applied."""
         out = []
-        seeded = (
-            info.klass is not None
-            and info.klass.name in self.rng_seeding_classes
-        )
+        seeded = self.graph.self_class(info) in self.rng_seeding_classes
         for effect in self.summary(info).effects:
             if effect.param is not None:
                 continue
@@ -404,7 +377,7 @@ class ModuleTaint:
         if self._summaries is not None:
             return  # solved, or solving: the fixpoint reads its own state
         self._summaries = {info: Summary() for info in self.graph.functions}
-        self._attr_taint: dict[tuple[str, str], frozenset] = {}
+        self._attr_taint: dict[tuple[ast.ClassDef, str], frozenset] = {}
         # Monotone summaries: iterate until stable.  Chain lengths are
         # capped by the visited-set inside effect splicing, so this
         # terminates even on recursion.
@@ -420,7 +393,7 @@ class ModuleTaint:
         # Read off the settled summaries: a seed that looked clean on an
         # early round may be tainted once attribute taint has grown.
         self._rng_seeding_classes = {
-            info.klass.name
+            info.klass
             for info, summary in self._summaries.items()
             if info.klass is not None
             and info.name in ("setup", "__init__")
@@ -456,7 +429,7 @@ class _FunctionAnalysis:
         if self.info is not None:
             params = self.info.params
             start = 0
-            if self.info.is_method and params and params[0] in ("self", "cls"):
+            if self.info.klass and params and params[0] in ("self", "cls"):
                 start = 1
             for index, param in enumerate(params[start:], start=start):
                 env[param] = frozenset({_PARAM.format(index - start)})
@@ -666,12 +639,8 @@ class _FunctionAnalysis:
         ):
             key = f"{target.value.id}.{target.attr}"
             env[key] = taint
-            if (
-                target.value.id == "self"
-                and self.info is not None
-                and self.info.klass is not None
-            ):
-                attr_key = (self.info.klass.name, target.attr)
+            if target.value.id == "self" and self._instance_class is not None:
+                attr_key = (self._instance_class, target.attr)
                 existing = self.module.attr_taint.get(attr_key, _EMPTY)
                 self.module.attr_taint[attr_key] = existing | taint
 
@@ -695,17 +664,16 @@ class _FunctionAnalysis:
             if not tags & _UNASSIGNED:
                 return tags
             # Not assigned here on every path: what it held before.
+            klass = self._instance_class
             if (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "self"
-                and self.info is not None
-                and self.info.klass is not None
+                and klass is not None
             ):
                 # Same-module base classes contribute (setup() on a base).
-                klass = self.info.klass
                 before = _EMPTY
                 for owner in [klass, *self.module.graph.bases_of(klass)]:
-                    key = (owner.name, node.attr)
+                    key = (owner, node.attr)
                     before |= self.module.attr_taint.get(key, _EMPTY)
             else:
                 before = self.eval_taint(node.value, env, record)
@@ -796,14 +764,17 @@ class _FunctionAnalysis:
         return out
 
     @cached_property
-    def _local_sets(self) -> set[str]:
-        node = self.info.node if self.info is not None else None
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return self.module.set_types.local_sets(node)
-        return set()
+    def _set_names(self) -> set[str]:
+        if self.info is None:
+            return set()
+        return self.module.set_types.local_sets(self.info.scope)
+
+    @cached_property
+    def _instance_class(self) -> ast.ClassDef | None:
+        return self.module.graph.self_class(self.info)
 
     def _is_set_expr(self, node: ast.expr) -> bool:
-        return self.module.set_types.is_set_expr(node, self._local_sets)
+        return self.module.set_types.is_set_expr(node, self._set_names)
 
     # ------------------------------------------------------------------
     # calls
@@ -915,7 +886,7 @@ class _FunctionAnalysis:
                 return out
 
         # -- intra-module calls: splice the callee summary -------------
-        callee = self.module.graph.resolve_call(node, self.info)
+        callee = self.module.graph.resolve_call(node)
         if callee is not None and callee is not self.info:
             return self._splice(node, callee, arg_taints, record)
 

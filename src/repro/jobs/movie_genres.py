@@ -85,8 +85,6 @@ class GenreJoinMapper(Mapper):
     def _genres_of(self, movie_id: int, context: Context) -> list[str]:
         if self._strategy == "naive":
             # Re-open and re-parse the side file for every single record.
-            # repro: lint-ok[MRJ006] deliberate teaching anti-pattern: the
-            # assignment exists to measure exactly this slowdown
             table = parse_movies_file(context.read_side_file(self._side_path))
             return table.get(movie_id, [])
         assert self._table is not None
@@ -97,6 +95,8 @@ class GenreJoinMapper(Mapper):
         if parsed is None:
             return
         _user, movie, rating = parsed
+        # repro: lint-ok[MRJ006] deliberate teaching anti-pattern: the
+        # "naive" strategy exists to measure exactly this slowdown
         for genre in self._genres_of(movie, context):
             context.write(
                 Text(genre),

@@ -22,7 +22,7 @@ def graph_of(src: str) -> CallGraph:
 def callees(g: CallGraph, info) -> list:
     """What each of the function's own calls resolves to."""
     calls = [n for n in walk_own_nodes(info.node) if isinstance(n, ast.Call)]
-    resolved = (g.resolve_call(call, info) for call in calls)
+    resolved = (g.resolve_call(call) for call in calls)
     return [callee for callee in resolved if callee is not None]
 
 
@@ -90,6 +90,60 @@ class TestCallGraph:
         )
         outer = next(i for i in g.functions if i.name == "outer")
         assert {c.name for c in callees(g, outer)} != {"leaf"}
+
+
+class TestScopes:
+    def test_qualnames_are_pythons(self):
+        g = graph_of(
+            """
+            def f():
+                class C:
+                    def m(self):
+                        return lambda: 1
+                return C
+            """
+        )
+        assert [i.qualname for i in g.functions] == [
+            "f",
+            "f.<locals>.C.m",
+            "f.<locals>.C.m.<locals>.<lambda>",
+        ]
+
+    def test_local_classes_of_two_functions_do_not_collide(self):
+        g = graph_of(
+            """
+            def first():
+                class M:
+                    def run(self):
+                        return self.helper()
+                    def helper(self):
+                        return 1
+            def second():
+                class M:
+                    def run(self):
+                        return self.helper()
+                    def helper(self):
+                        return 2
+            """
+        )
+        runs = [i for i in g.functions if i.name == "run"]
+        helpers = [i for i in g.functions if i.name == "helper"]
+        assert [callees(g, run) for run in runs] == [[h] for h in helpers]
+
+    def test_class_scope_is_invisible_to_its_methods(self):
+        g = graph_of(
+            """
+            def helper():
+                return 1
+            class C:
+                def helper(self):
+                    return 2
+                def run(self):
+                    return helper()
+            """
+        )
+        run = next(i for i in g.functions if i.qualname == "C.run")
+        assert [c.qualname for c in callees(g, run)] == ["helper"]
 
 
 def taint_of(src: str) -> ModuleTaint:

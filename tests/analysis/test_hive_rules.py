@@ -162,6 +162,49 @@ class TestCapturedMutation:
         )
         assert hive_lint(src) == []
 
+class TestUdfState:
+    """MRH302 reads what a UDF keeps from the scope table."""
+
+    def test_global_rebound_is_flagged_at_the_declaration(self):
+        src = (
+            "COUNT = 0\n"
+            "def tally(v):\n"
+            "    global COUNT\n"
+            "    COUNT += 1\n"
+            "    return v\n"
+            "def build(engine):\n"
+            "    engine.register_udf('tally', tally)\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRH302", 3)]
+        assert "global 'COUNT'" in findings[0].message
+
+    def test_global_only_read_is_clean(self):
+        src = (
+            "LOOKUP = {}\n"
+            "def find(v):\n"
+            "    global LOOKUP\n"
+            "    return LOOKUP.get(v)\n"
+            "def build(engine):\n"
+            "    engine.register_udf('find', find)\n"
+        )
+        assert hive_lint(src) == []
+
+    def test_method_writing_self_is_flagged(self):
+        src = (
+            "class Tagger:\n"
+            "    def __init__(self, engine):\n"
+            "        self.count = 0\n"
+            "        engine.register_udf('tally', self.tally)\n"
+            "    def tally(self, v):\n"
+            "        self.count += 1\n"
+            "        return v\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRH302", 6)]
+        assert "state in 'self.count'" in findings[0].message
+
+
 class TestSqlSinks:
     def test_literal_sql_is_clean(self):
         src = (

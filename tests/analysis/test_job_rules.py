@@ -206,6 +206,93 @@ class TestKeptStateThroughHelpers:
         assert [(f.rule, f.line) for f in findings] == [("MRJ005", 7)]
         assert "'self.seen' across calls" in findings[0].message
 
+class TestEveryTaskClassIsIndexed:
+    """A task class is linted wherever its ``class`` statement sits."""
+
+    def test_class_under_a_module_level_if_is_linted(self):
+        findings = jobs_lint(
+            """
+            import random
+            from repro.mapreduce.api import Mapper
+
+            if True:
+                class M(Mapper):
+                    def map(self, key, value, context):
+                        context.write(key, random.random())
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ001", 8)]
+
+    def test_class_nested_in_a_class_is_linted(self):
+        findings = jobs_lint(
+            """
+            import random
+            from repro.mapreduce.api import Mapper
+
+            class Outer:
+                class InnerMapper(Mapper):
+                    def map(self, key, value, context):
+                        context.write(key, random.random())
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ001", 8)]
+        assert "InnerMapper.map()" in findings[0].message
+
+    def test_global_only_read_is_clean(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            LOOKUP = {}
+
+            class LookupMapper(Mapper):
+                def map(self, key, value, context):
+                    global LOOKUP
+                    context.write(key, LOOKUP.get(value))
+            """
+        )
+        assert findings == []
+
+
+class TestSideFileThroughHelpers:
+    """MRJ006 follows helpers from map()/reduce() only: a read that
+    setup() makes through a helper is the taught fix."""
+
+    def test_helper_only_setup_calls_is_clean(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class SetupLoadMapper(Mapper):
+                def setup(self, context):
+                    self._load(context)
+
+                def _load(self, context):
+                    self.table = context.read_side_file("lookup.txt")
+
+                def map(self, key, value, context):
+                    context.write(key, self.table)
+            """
+        )
+        assert findings == []
+
+    def test_module_helper_map_calls_is_flagged_at_the_call(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            def load_lookup(context):
+                return context.read_side_file("lookup.txt")
+
+            class HelperLoadMapper(Mapper):
+                def map(self, key, value, context):
+                    context.write(key, load_lookup(context))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ006", 9)]
+        assert "side file through load_lookup()" in findings[0].message
+
+
 class TestReferenceJobsAreClean:
     def test_lint_jobs_is_clean(self):
         """Every shipped job in repro.jobs and examples/ passes mrlint."""

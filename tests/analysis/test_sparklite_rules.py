@@ -250,6 +250,80 @@ class TestKeptState:
         )
         assert sparklite_lint(src) == []
 
+class TestScopes:
+    """A closure's names resolve as Python resolves them: up the scope
+    chain of the code that holds the closure."""
+
+    def test_enclosing_functions_def_shadows_the_module_one(self):
+        # The module's record() appends to SEEN; the lambda calls
+        # build()'s own pure record().
+        src = (
+            "SEEN = []\n"
+            "def record(x):\n"
+            "    SEEN.append(x)\n"
+            "    return x\n"
+            "def build(sc):\n"
+            "    def record(x):\n"
+            "        return x\n"
+            "    def stage():\n"
+            "        return sc.parallelize(range(3)).map(lambda x: record(x))\n"
+            "    return stage()\n"
+        )
+        assert sparklite_lint(src) == []
+
+    def test_enclosing_functions_helper_is_followed(self):
+        src = (
+            "def build(sc):\n"
+            "    hits = []\n"
+            "    def record2(x):\n"
+            "        hits.append(x)\n"
+            "        return x\n"
+            "    def stage():\n"
+            "        return sc.parallelize(range(3)).map(lambda x: record2(x))\n"
+            "    return stage()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 7)]
+        assert "captured 'hits' through record2()" in findings[0].message
+
+    def test_global_only_read_is_clean(self):
+        src = (
+            "LOOKUP = {}\n"
+            "def find(x):\n"
+            "    global LOOKUP\n"
+            "    return LOOKUP.get(x)\n"
+            "def pipeline(sc):\n"
+            "    return sc.parallelize(range(3)).map(find).collect()\n"
+        )
+        assert sparklite_lint(src) == []
+
+    def test_method_writing_self_is_flagged(self):
+        src = (
+            "class Driver:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+            "    def tally(self, x):\n"
+            "        self.count += 1\n"
+            "        return x\n"
+            "    def run(self, sc):\n"
+            "        return sc.parallelize(range(3)).map(self.tally).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [("MRS202", 5)]
+        assert "mutates 'self.count'" in findings[0].message
+
+    def test_a_constructors_new_object_is_clean(self):
+        src = (
+            "class Point:\n"
+            "    def __init__(self, x):\n"
+            "        self.x = x\n"
+            "def pipeline(sc):\n"
+            "    sc.parallelize(range(3)).map(Point).collect()\n"
+            "    return sc.parallelize(range(3)).map(lambda x: Point(x)).collect()\n"
+        )
+        assert sparklite_lint(src) == []
+
+
 class TestAssociativity:
     def test_associative_reduce_is_clean(self):
         src = (
