@@ -413,6 +413,17 @@ class CallGraph:
                         lineage.append(found)
         return lineage[1:]
 
+    def methods_of(self, klass: ast.ClassDef) -> dict[str, FunctionInfo]:
+        """The defs ``klass``'s own body binds, by name, wherever they
+        sit in it (the last in the source when a name has several)."""
+        scope = self._scopes[id(klass)]
+        defs = {name: _definition(scope, name) for name in scope.bindings}
+        return {
+            name: self.info_for(node)
+            for name, node in defs.items()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+
     def method_on(
         self, klass: ast.ClassDef, method: str
     ) -> FunctionInfo | None:
@@ -498,14 +509,15 @@ class CallGraph:
           whose ``def`` runs outside the walk (one ``root`` defines gets
           a fresh default on each call);
         - ``("global", name)`` and ``("nonlocal", name)``, at the
-          declaration of a function that rebinds ``name``, unless a
-          ``nonlocal`` name is a local of an enclosing function the
-          walk entered;
+          declaration of a function that rebinds or mutates ``name``,
+          unless a ``nonlocal`` name is a local of an enclosing function
+          the walk entered;
         - ``("captured", name)``: a :func:`mutations` site whose root
           name neither the owner nor such an enclosing function binds;
         - ``("self", attr)``: a write to ``self.<attr>`` where ``self``
           is the instance ``root`` runs on (code of ``root``'s class or
-          a same-module base; a constructor's object is new).
+          a same-module base, outside any constructor the walk entered:
+          a constructor's object is new).
         """
         klass = self.self_class(root)
         lineage = (
@@ -535,15 +547,21 @@ class CallGraph:
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = type(node).__name__.lower()
                 outer = list(frames(owner.scope))[1:]
+                own = walk_own_nodes(owner.node)
+                written = {symbol[0] for _, symbol in mutations(own)}
+                written |= owner.scope.bindings.keys()
                 for name in node.names:
-                    if name in owner.scope.bindings and (
+                    if name in written and (
                         kind == "global"
                         or all(name not in scope.bindings for scope in outer)
                     ):
                         yield node, owner, chain, via, (kind, name)
             for site, symbol in mutations([node]):
                 if len(symbol) == 2:
-                    if self.self_class(owner) in lineage:
+                    if (
+                        "__init__" not in chain
+                        and self.self_class(owner) in lineage
+                    ):
                         yield site, owner, chain, via, ("self", symbol[1])
                 elif symbol[0] != "self" and all(
                     symbol[0] not in scope.bindings

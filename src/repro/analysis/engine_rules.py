@@ -436,8 +436,9 @@ class _EngineVisitor:
                 continue
             if id(call) in self._with_guarded:
                 continue
-            members = owner.scope.parent.bindings if owner.klass else {}
-            if members.keys() & _SHM_OWNER_METHODS:
+            if owner.klass and _SHM_OWNER_METHODS & set(
+                self.taint.graph.methods_of(owner.klass)
+            ):
                 continue
             name = dotted_name(call.func) or "SharedMemory"
             self._emit(

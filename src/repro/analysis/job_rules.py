@@ -197,15 +197,11 @@ class _JobVisitor:
         # Combiners: the classes a Job subclass wires as ``combiner = X``,
         # plus any task class whose name says it is one.
         wired = {
-            graph.resolve_name(stmt.value.id, scope)
+            graph.resolve_name(value.id, scope)
             for scope in scopes
             if _is_job_class(scope.node, graph)
-            for stmt in scope.node.body
-            if isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "combiner"
-            and isinstance(stmt.value, ast.Name)
+            for value, _ in scope.bindings.get("combiner", ())
+            if isinstance(value, ast.Name)
         }
         for scope in scopes:
             node = scope.node
@@ -219,11 +215,6 @@ class _JobVisitor:
     # -- task-class rules -------------------------------------------------
     def _check_task_class(self, cls: ast.ClassDef) -> None:
         graph = self.taint.graph
-        methods = {
-            stmt.name: stmt
-            for stmt in cls.body
-            if isinstance(stmt, ast.FunctionDef)
-        }
         # The task's own state lives on its class and same-module bases;
         # a constructor the code calls (Foo() → Foo.__init__) writes and
         # reads another object's.
@@ -240,8 +231,8 @@ class _JobVisitor:
             and node.value.id == "self"
         }
         stateful_attrs_flagged: set[str] = set()
-        for name, fn in methods.items():
-            info = graph.info_for(fn)
+        for name, info in graph.methods_of(cls).items():
+            fn = info.node
             self._check_nondeterminism(cls, info)
             ctx_names = _context_names(fn)
             writes = _context_writes(fn, ctx_names)
@@ -418,17 +409,9 @@ class _JobVisitor:
 
     # -- combiner rules ---------------------------------------------------
     def _check_combiner_class(self, cls: ast.ClassDef) -> None:
-        reduce_fn = next(
-            (
-                stmt
-                for stmt in cls.body
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == "reduce"
-            ),
-            None,
-        )
-        if reduce_fn is None:
+        reduce_info = self.taint.graph.methods_of(cls).get("reduce")
+        if reduce_info is None:
             return
-        reduce_info = self.taint.graph.info_for(reduce_fn)
         # A division in reduce() reports at the BinOp; one in a helper at
         # the call in reduce() that leads there, naming the deepest chain
         # that divides, so the finding lands in the combiner's own code.
@@ -450,8 +433,8 @@ class _JobVisitor:
                 "combiner a different number of times changes the "
                 "answer (mean of means is not the mean)",
             )
-        ctx_names = _context_names(reduce_fn)
-        for call in _context_writes(reduce_fn, ctx_names):
+        ctx_names = _context_names(reduce_info.node)
+        for call in _context_writes(reduce_info.node, ctx_names):
             if len(call.args) >= 2 and isinstance(call.args[1], ast.JoinedStr):
                 self._emit(
                     "MRJ007",

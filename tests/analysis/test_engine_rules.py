@@ -395,6 +395,19 @@ class Attachment:
 """
         assert engine_lint(src) == []
 
+    def test_owner_method_name_bound_to_a_value_is_not_cleanup(self):
+        src = """
+from multiprocessing import shared_memory
+
+class Attachment:
+    close = None
+
+    def open(self, name):
+        self.seg = shared_memory.SharedMemory(name=name)
+        return memoryview(self.seg.buf)
+"""
+        assert rules_of(src) == {"MRE104"}
+
     def test_allocation_in_nested_function_blames_the_inner_scope(self):
         src = """
 from multiprocessing import shared_memory

@@ -179,6 +179,23 @@ class TestUdfState:
         assert [(f.rule, f.line) for f in findings] == [("MRH302", 3)]
         assert "global 'COUNT'" in findings[0].message
 
+    def test_global_mutated_in_place_is_flagged_at_the_declaration(self):
+        src = (
+            "SEEN = {}\n"
+            "def tag(v):\n"
+            "    global SEEN\n"
+            "    SEEN[v] = 1\n"
+            "    return v\n"
+            "def build(engine):\n"
+            "    engine.register_udf('tag', tag)\n"
+        )
+        findings = hive_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("MRH302", 3),
+            ("MRH302", 4),
+        ]
+        assert "global 'SEEN'" in findings[0].message
+
     def test_global_only_read_is_clean(self):
         src = (
             "LOOKUP = {}\n"

@@ -206,6 +206,45 @@ class TestKeptStateThroughHelpers:
         assert [(f.rule, f.line) for f in findings] == [("MRJ005", 7)]
         assert "'self.seen' across calls" in findings[0].message
 
+    def test_global_mutated_in_place_is_flagged_at_the_declaration(self):
+        # The name is never rebound, but the module object it names is
+        # written on every call: still per-process state.
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            COUNTS = {}
+
+            class TallyMapper(Mapper):
+                def map(self, key, value, context):
+                    global COUNTS
+                    COUNTS[key] = 1
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 8)]
+        assert "mutates global 'COUNTS'" in findings[0].message
+
+    def test_global_appended_by_a_helper_is_flagged_at_the_call(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            SEEN = []
+
+            def note(value):
+                global SEEN
+                SEEN.append(value)
+
+            class NoteMapper(Mapper):
+                def map(self, key, value, context):
+                    note(value)
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 12)]
+        assert "global 'SEEN' through note()" in findings[0].message
+
 class TestEveryTaskClassIsIndexed:
     """A task class is linted wherever its ``class`` statement sits."""
 
@@ -237,6 +276,44 @@ class TestEveryTaskClassIsIndexed:
         )
         assert [(f.rule, f.line) for f in findings] == [("MRJ001", 8)]
         assert "InnerMapper.map()" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            """
+                if True:
+                    def map(self, key, value, context):
+                        context.write(key, random.random())
+            """,
+            """
+                async def map(self, key, value, context):
+                    context.write(key, random.random())
+            """,
+        ],
+        ids=["guarded", "async"],
+    )
+    def test_method_anywhere_in_the_class_body_is_linted(self, body):
+        header = """
+            import random
+            from repro.mapreduce.api import Mapper
+
+            class M(Mapper):"""
+        findings = jobs_lint(header + body)
+        assert [f.rule for f in findings] == ["MRJ001"]
+
+    def test_guarded_combiner_reduce_is_linted(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Reducer
+
+            class MeanCombiner(Reducer):
+                if True:
+                    def reduce(self, key, values, context):
+                        values = list(values)
+                        context.write(key, sum(values) / len(values))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ007", 8)]
 
     def test_global_only_read_is_clean(self):
         findings = jobs_lint(

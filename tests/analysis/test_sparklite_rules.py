@@ -323,6 +323,35 @@ class TestScopes:
         )
         assert sparklite_lint(src) == []
 
+    def test_a_method_building_its_own_class_is_clean(self):
+        # Driver() inside tally() runs __init__ on a new object.
+        src = (
+            "class Driver:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+            "    def tally(self, x):\n"
+            "        return Driver().count + x\n"
+            "    def run(self, sc):\n"
+            "        return sc.parallelize(range(3)).map(self.tally).collect()\n"
+        )
+        assert sparklite_lint(src) == []
+
+    def test_global_mutated_in_place_is_flagged(self):
+        src = (
+            "SEEN = []\n"
+            "def note(x):\n"
+            "    global SEEN\n"
+            "    SEEN.append(x)\n"
+            "    return x\n"
+            "def pipeline(sc):\n"
+            "    return sc.parallelize(range(3)).map(note).collect()\n"
+        )
+        findings = sparklite_lint(src)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("MRS202", 3),
+            ("MRS202", 4),
+        ]
+
 
 class TestAssociativity:
     def test_associative_reduce_is_clean(self):
