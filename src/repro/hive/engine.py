@@ -45,6 +45,7 @@ from repro.hive.planner import (
     RangePartitioner,
     SortStageJob,
     apply_op,
+    memo_store,
     result_row_decoder,
     row_sort_token,
     sample_boundaries,
@@ -190,42 +191,79 @@ def _scan_params(schema: TableSchema, query: Query) -> dict:
 class AggMapper(_HiveMapperBase):
     """Emit ``group -> one partial per aggregate`` for each kept row;
     params ``hv_group`` (GROUP BY column indexes) and ``hv_aggs`` (the
-    aggregated column's index per aggregate, None for ``*``)."""
+    aggregated column's index per aggregate, None for ``*``).
+
+    The value line of each distinct tuple of aggregated cells is encoded
+    once per task; ``COUNT(*)`` contributes the constant ``1``.  A
+    column's converter fixes the type of its cells, so equal cells
+    encode alike, with one exception: ``0.0`` and ``-0.0``.  A tuple
+    holding a zero is therefore never memoised.  A NaN equals no other
+    NaN object, so it shares an entry only with itself.
+    """
 
     def setup(self, context: Context) -> None:
         super().setup(context)
         self._group = context.get("hv_group")
         self._aggs = context.get("hv_aggs")
+        self._lines: dict[tuple, str] = {}
 
     def map(self, key, value, context):
         row = self._parse(value)
         if row is None:
             return
         if self._group:
-            group = GROUP_SEP.join(str(row[i]) for i in self._group)
+            group = GROUP_SEP.join([str(row[i]) for i in self._group])
         else:
             group = GLOBAL_GROUP
-        partials = [
-            Partial.encode_one(1 if index is None else row[index])
-            for index in self._aggs
-        ]
-        context.write(Text(group), Text(AGG_SEP.join(partials)))
+        cells = tuple([1 if index is None else row[index] for index in self._aggs])
+        line = self._lines.get(cells)
+        if line is None:
+            line = AGG_SEP.join(map(Partial.encode_one, cells))
+            if 0 not in cells:
+                # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
+                memo_store(self._lines, cells, line)
+        context.write(Text(group), Text(line))
 
 
 class _PartialMerger(Reducer):
     """Merges a group's ``AGG_SEP``-joined partials, aggregate by
-    aggregate; param ``hv_finals`` names the aggregate per partial."""
+    aggregate; param ``hv_finals`` names the aggregate per partial.
+
+    Each distinct value line is split and parsed once per task, into a
+    memo that outlives one ``reduce()`` call (the line alone decides
+    its parse).  Every value is still folded, in order, so float sums
+    round exactly as a parse per value did.
+    """
+
+    def __init__(self) -> None:
+        self._parsed: dict[str, tuple] = {}
 
     def setup(self, context: Context) -> None:
         self._finals = context.get("hv_finals")
+
+    def _parse_line(self, line: str) -> tuple:
+        """One ``(count, total, min, max)`` per aggregate; a line with
+        the wrong number of aggregates is a ``ValueError``."""
+        pieces = line.split(AGG_SEP)
+        if len(pieces) != len(self._finals):
+            raise ValueError(
+                f"partial line {line!r} holds {len(pieces)} aggregates, "
+                f"expected {len(self._finals)}"
+            )
+        return tuple(map(parse_partial, pieces))
 
     def _merged(self, values) -> list[Partial]:
         # One [count, total, min, max] fold per aggregate, updated in
         # place: no object per value, one Partial per aggregate per group.
         folds = [[0, 0.0, None, None] for _ in self._finals]
+        parsed = self._parsed
         for value in values:
-            for fold, piece in zip(folds, value.value.split(AGG_SEP)):
-                count, total, low, high = parse_partial(piece)
+            line = value.value
+            partials = parsed.get(line)
+            if partials is None:
+                # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
+                partials = memo_store(parsed, line, self._parse_line(line))
+            for fold, (count, total, low, high) in zip(folds, partials):
                 fold[0] += count
                 fold[1] += total
                 if low is not None:

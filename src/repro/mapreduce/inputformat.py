@@ -11,6 +11,7 @@ block to finish the line.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -142,25 +143,18 @@ class TextInputFormat:
     def parse_records(
         cls, prefetched: PrefetchedSplit
     ) -> Iterator[tuple[Writable, Writable]]:
-        """CPU half: iterate records over already-fetched bytes."""
-        data = prefetched.data
+        """CPU half: iterate records over already-fetched bytes.
+
+        One lazy C-level line iteration over the split: no per-line
+        ``find``/slice in Python, and no list of every line (a split is
+        a whole block).  A line keeps a trailing carriage return; only
+        its newline is dropped.
+        """
         position = prefetched.position
-        start = 0
-        while start < len(data):
-            end = data.find(b"\n", start)
-            if end == -1:
-                line = data[start:]
-                consumed = len(data) - start
-            else:
-                line = data[start:end]
-                consumed = end - start + 1
-            if line or end != -1:
-                yield (
-                    LongWritable(position),
-                    Text(line.decode("utf-8", errors="replace")),
-                )
-            position += consumed
-            start += consumed
+        for raw in io.BytesIO(prefetched.data):
+            line = raw[:-1] if raw.endswith(b"\n") else raw
+            yield LongWritable(position), Text(line.decode("utf-8", errors="replace"))
+            position += len(raw)
 
     #: Bytes fetched per probe while completing a boundary-straddling line.
     CONTINUATION_CHUNK = 8 * 1024

@@ -257,6 +257,35 @@ class TestSqlSinks:
         )
         assert {f.rule for f in hive_lint(src)} == {"MRH303"}
 
+    def test_sinks_nested_in_statements_and_lambdas_still_report(self):
+        # Only a scope with no sink call of its own is skipped; these
+        # sinks sit in an if/try/except/with/loop body, a decorator and
+        # a lambda, each with a sink-free outer scope or sibling.
+        src = (
+            "import time\n"
+            "def plain(x):\n"
+            "    return x + 1\n"
+            "def nested(engine):\n"
+            "    with open('f'):\n"
+            "        for i in range(3):\n"
+            "            try:\n"
+            "                pass\n"
+            "            except ValueError:\n"
+            "                if i:\n"
+            "                    engine.execute(f'SELECT {time.time()}')\n"
+            "def outer(engine):\n"
+            "    @wrap(engine.explain(f'SELECT {time.time()}'))\n"
+            "    def inner():\n"
+            "        return 1\n"
+            "    return lambda: engine.execute(f'SELECT {time.time()}')\n"
+        )
+        assert [(f.rule, f.line) for f in hive_lint(src)] == [
+            ("MRH303", 11),
+            ("MRH303", 13),
+            ("MRH303", 16),
+            ("MRH303", 16),
+        ]
+
 
 class TestLiveCallables:
     def test_lint_udf_callables_flags_this_module(self):

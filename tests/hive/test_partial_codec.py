@@ -11,10 +11,14 @@ folds those tuples in place; it must equal the old decode-a-``Partial``-
 and-``merge`` fold (``oracle.merged``) partial for partial.  Row parsers
 now run a per-schema tuple of converters; they must parse what the
 per-cell enum ladder parsed, and a schema must stay frozen, hashable and
-picklable.
+picklable.  The stage tasks memoise per distinct value (the mapper's
+value line, the merger's parsed line, the join key's token); their
+output must still equal the per-row oracle, signed zeros and NaNs
+included, and no memo may outgrow its bound.
 """
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -23,10 +27,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hive import ColumnType, HiveLite, TableSchema
 from repro.hive import planner
-from repro.hive.engine import AggCombiner, Partial, parse_partial
+from repro.hive.engine import (
+    AggCombiner,
+    AggMapper,
+    AggReducer,
+    Partial,
+    parse_partial,
+)
 from repro.hive import schema as schema_module
 from repro.hive.schema import cell_converter
+from repro.mapreduce.api import Context
+from repro.mapreduce.config import JobConf
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.types import Text
+from repro.sparklite.codec import encode_element
 from tests.conftest import make_mr
 from tests.hive import partial_oracle as oracle
 from tests.sparklite.test_codec_differential import _same as _same_value
@@ -184,11 +198,21 @@ class TestMergedMatchesOracle:
             assert a.encode() == b.encode()
 
     @SETTINGS
-    @given(_group_lines(), st.integers(-1, 1))
-    def test_in_place_fold_is_decode_and_merge(self, group, skew):
+    @given(_group_lines())
+    def test_in_place_fold_is_decode_and_merge(self, group):
         aggregates, lines = group
-        # More or fewer aggregates than pieces: both zip the same way.
-        self._check(_merger(max(1, aggregates + skew)), lines)
+        self._check(_merger(aggregates), lines)
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_a_line_with_the_wrong_number_of_aggregates_is_a_value_error(self, pieces):
+        # The oracle zipped: extra pieces dropped, missing ones left COUNT 0.
+        line = planner.AGG_SEP.join(["1:2.0:2.0:2.0"] * pieces)
+        merger = _merger(2)
+        with pytest.raises(ValueError, match=f"holds {pieces} aggregates, expected 2"):
+            merger._merged([Text(line)])
+        # Checked once per distinct line, not only on its first sight.
+        with pytest.raises(ValueError):
+            merger._merged([Text("1:2.0:2.0:2.0\x031:2.0:2.0:2.0"), Text(line)])
 
     @pytest.mark.parametrize(
         "lines",
@@ -202,6 +226,181 @@ class TestMergedMatchesOracle:
     )
     def test_empty_extrema_colons_quotes_and_nan(self, lines):
         self._check(_merger(1), lines)
+
+
+# --------------------------------------------------------------------------
+# the memoised stage tasks: one encode/parse per distinct value, same bytes
+
+#: One column per cell type, as a schema's converters produce them.
+_INTS = [v for v in NUMBERS if isinstance(v, int)]
+_FLOATS = [v for v in NUMBERS + NON_FINITE if isinstance(v, float)]
+
+
+def _context(input_path=None, **params) -> Context:
+    return Context(JobConf(name="memo", params=params), Counters(), input_path=input_path)
+
+
+def _rows(copies: int = 2) -> list[list]:
+    """``(int, float, str)`` rows over NUMBERS + NON_FINITE + STRINGS,
+    each seen ``copies`` times; the float column mixes ``0.0`` with
+    ``-0.0``, and NaN as one shared object with fresh NaN objects."""
+    floats = _FLOATS + [0.0, -0.0, math.nan, math.nan, float("nan"), float("nan"), -0.0]
+    size = max(len(_INTS), len(floats), len(STRINGS))
+    rows = [
+        [_INTS[i % len(_INTS)], floats[i % len(floats)], STRINGS[i % len(STRINGS)]]
+        for i in range(size)
+    ]
+    return [list(row) for row in rows for _ in range(copies)]
+
+
+def _map_rows(rows, aggs=(None, 0, 1, 2)) -> tuple[AggMapper, list[str]]:
+    """Run an ``AggMapper`` (no GROUP BY) over already-parsed rows."""
+    mapper = AggMapper()
+    context = _context(hv_schema=SCHEMA, hv_where=(), hv_group=(), hv_aggs=aggs)
+    mapper.setup(context)
+    mapper._parse = lambda row: row
+    for row in rows:
+        mapper.map(None, row, context)
+    pairs = context.drain()
+    assert {key.value for key, _value in pairs} == {planner.GLOBAL_GROUP}
+    return mapper, [value.value for _key, value in pairs]
+
+
+def _oracle_line(row, aggs=(None, 0, 1, 2)) -> str:
+    return planner.AGG_SEP.join(
+        oracle.map_side_partial(1 if index is None else row[index]) for index in aggs
+    )
+
+
+def _reduce(task_cls, finals, groups) -> list[str]:
+    """One task instance reduces every group in turn (its memo warm)."""
+    task = task_cls()
+    context = _context(hv_finals=finals)
+    task.setup(context)
+    for lines in groups:
+        task.reduce(Text("g"), [Text(line) for line in lines], context)
+    return [value.value for _key, value in context.drain()]
+
+
+class TestMemoisedTasksMatchOracle:
+    FINALS = ("COUNT", "SUM", "AVG", "MAX")
+
+    @pytest.mark.parametrize("aggs", [(None, 0, 1, 2), (None, 1), (1,)])
+    def test_mapper_lines_are_the_per_row_oracle_encoding(self, aggs):
+        rows = _rows()
+        _mapper, lines = _map_rows(rows, aggs)
+        assert lines == [_oracle_line(row, aggs) for row in rows]
+        # The signed zeros really did go through the memoised mapper.
+        assert {"1:0.0:0.0:0.0", "1:0.0:-0.0:-0.0"} <= {
+            line.split(planner.AGG_SEP)[aggs.index(1)] for line in lines
+        }
+
+    def test_count_star_is_one_constant_partial(self):
+        mapper, lines = _map_rows([[i, 1.5, "x"] for i in range(1, 50)], aggs=(None,))
+        assert set(lines) == {"1:1.0:1:1"}
+        assert list(mapper._lines) == [(1,)]
+
+    def test_a_tuple_holding_a_zero_is_never_memoised(self):
+        mapper, _lines = _map_rows(_rows())
+        assert not any(0 in cells for cells in mapper._lines)
+
+    def test_combiner_and_reducer_fold_as_the_oracle_does(self):
+        rows = _rows()
+        _mapper, lines = _map_rows(rows)
+        # Groups of 1..7 lines: the float column's mixed zeros and NaNs
+        # meet inside one group, and lines repeat within and across groups.
+        groups, start = [], 0
+        for size in itertools.cycle(range(1, 8)):
+            if start >= len(lines):
+                break
+            groups.append(lines[start : start + size])
+            start += size
+        groups.append(lines)
+        merger = _merger(len(self.FINALS))
+        expected = [oracle.merged(merger, [Text(line) for line in group]) for group in groups]
+        combined = _reduce(AggCombiner, self.FINALS, groups)
+        assert combined == [
+            planner.AGG_SEP.join(oracle.encode_partial(p) for p in partials)
+            for partials in expected
+        ]
+        finals = _reduce(AggReducer, self.FINALS, groups)
+        assert finals == [
+            planner.AGG_SEP.join(
+                "" if f is None else str(f)
+                for f in (p.finalize(a) for p, a in zip(partials, self.FINALS))
+            )
+            for partials in expected
+        ]
+
+    def test_the_group_mixing_signed_zeros_keeps_their_order(self):
+        lines = ["1:0.0:0.0:0.0", "1:-0.0:-0.0:-0.0", "1:0.0:0.0:0.0"]
+        assert _reduce(AggCombiner, ("MIN",), [lines, lines[1:]]) == [
+            "3:0.0:0.0:0.0",
+            "2:0.0:-0.0:-0.0",
+        ]
+
+    @pytest.mark.parametrize("key", [1, 2])
+    def test_join_tokens_of_every_kind_match_the_encoder(self, key):
+        mapper, context = _join_mapper(key)
+        lines = ["1,a,0.0", "1,a,-0.0", "2,b,nan", "2,b,-0.0", "1,a,0.0", "3,:,inf"] * 2
+        for line in lines:
+            mapper.map(None, Text(line), context)
+        parsed = [planner._parse_side_row(line, mapper._spec, mapper._converters) for line in lines]
+        assert [(k.value, v.value) for k, v in context.drain()] == [
+            (encode_element(row[key]), "0" + planner.ROW_SEP.join(map(str, row)))
+            for row in parsed
+        ]
+        assert all(type(cell) is not float for cell in mapper._tokens)
+
+
+class TestMemoBounds:
+    """A high-cardinality attempt: every value distinct, more of them
+    than one memo may hold."""
+
+    DISTINCT = planner._MEMO_LIMIT + 100
+
+    def test_mapper_memo(self):
+        rows = [[i, i + 0.5, f"s{i}"] for i in range(1, self.DISTINCT)]
+        mapper, lines = _map_rows(rows)
+        assert 0 < len(mapper._lines) <= planner._MEMO_LIMIT
+        assert lines == [_oracle_line(row) for row in rows]
+
+    def test_merger_memo(self):
+        lines = [f"1:{i}.0:{i}:{i}" for i in range(self.DISTINCT)]
+        merger = _merger(1)
+        for line in lines:
+            merger._merged([Text(line)])
+            assert len(merger._parsed) <= planner._MEMO_LIMIT
+        assert merger._merged([Text(line) for line in lines])[0].encode() == (
+            oracle.merged(merger, [Text(line) for line in lines])[0].encode()
+        )
+
+    def test_join_token_memo(self):
+        mapper, context = _join_mapper(key=0)
+        cells = [(i, f"s{i % 7}", 0.5) for i in range(self.DISTINCT)]
+        for cell in cells:
+            mapper.map(None, Text(",".join(map(str, cell))), context)
+            assert len(mapper._tokens) <= planner._MEMO_LIMIT
+        assert [key.value for key, _value in context.drain()] == [
+            encode_element(i) for i, _s, _f in cells
+        ]
+
+
+def _join_mapper(key: int):
+    """A join mapper reading the left side ``int,string,float`` on ``key``."""
+    side = {
+        "location": "/t/left",
+        "delim": ",",
+        "skip_header": False,
+        "first": "",
+        "kinds": ("int", "string", "float"),
+        "conds": (),
+        "key": key,
+    }
+    mapper = planner._JoinMapper()
+    context = _context(input_path="/t/left", hv_join={"left": side, "right": side})
+    mapper.setup(context)
+    return mapper, context
 
 
 def _movie_engine(multi_stage: bool) -> HiveLite:

@@ -1,10 +1,18 @@
 """Property: TextInputFormat reads every line exactly once, regardless
 of where block boundaries fall — the invariant that makes "one split per
-block" safe."""
+block" safe.  And its line reader yields exactly the records, offsets
+included, of the per-line ``find``/slice loop it replaced
+(``tests/mapreduce/inputformat_oracle.py``)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mapreduce.inputformat import TextInputFormat
+from repro.mapreduce.inputformat import (
+    FetchStats,
+    KeyValueTextInputFormat,
+    PrefetchedSplit,
+    TextInputFormat,
+)
+from tests.mapreduce import inputformat_oracle as oracle
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -91,3 +99,67 @@ class TestExactlyOnce:
             for key, _value in TextInputFormat.read_records(split, fetch):
                 offsets.append(key.value)
         assert offsets == sorted(set(offsets))
+
+
+#: Bytes a line reader must not trip on: invalid UTF-8 (a lone
+#: continuation byte, a truncated sequence, 0xff), ``\r`` alone and
+#: before ``\n``, empty lines, and multi-byte characters whose byte
+#: offsets differ from their character offsets.
+PIECE = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from(
+        [b"\n", b"\n\n", b"\r", b"\r\n", b"", b"\x80", b"\xe2\x82", b"\xff",
+         "é".encode(), "中😀".encode(), b"a,b"]
+    ),
+)
+DATA = st.lists(PIECE, max_size=24).map(b"".join)
+
+
+def _records(records) -> list[tuple[int, str]]:
+    return [(key.value, value.value) for key, value in records]
+
+
+class TestReaderMatchesOracle:
+    @SETTINGS
+    @given(data=DATA, position=st.integers(min_value=0, max_value=2**40))
+    def test_records_and_offsets(self, data, position):
+        prefetched = PrefetchedSplit(data=data, position=position)
+        assert _records(TextInputFormat.parse_records(prefetched)) == _records(
+            oracle.parse_records(prefetched)
+        )
+
+    @SETTINGS
+    @given(data=DATA, block_size=st.integers(min_value=1, max_value=16))
+    def test_every_split_of_a_file(self, data, block_size):
+        lengths = [
+            min(block_size, len(data) - offset)
+            for offset in range(0, len(data), block_size)
+        ] or [0]
+        splits = TextInputFormat.splits_for_file("/f", lengths, [("n",)] * len(lengths))
+        fetch = chunked_fetch(data, block_size)
+        for split in splits:
+            prefetched = TextInputFormat.prefetch(split, fetch, FetchStats())
+            assert _records(TextInputFormat.parse_records(prefetched)) == _records(
+                oracle.parse_records(prefetched)
+            )
+            # The key/value reader splits the same lines at their first TAB.
+            assert [
+                (key.value, value.value)
+                for key, value in KeyValueTextInputFormat.parse_records(prefetched)
+            ] == [
+                (text.partition("\t")[0], text.partition("\t")[2])
+                for _offset, text in _records(oracle.parse_records(prefetched))
+            ]
+
+    def test_the_edge_cases_by_name(self):
+        data = b"a\r\n\n\xff\nz" + "é".encode() + b"\r"
+        prefetched = PrefetchedSplit(data=data, position=7)
+        assert _records(TextInputFormat.parse_records(prefetched)) == [
+            (7, "a\r"),
+            (10, ""),
+            (11, "\ufffd"),
+            (13, "zé\r"),
+        ]
+        assert _records(TextInputFormat.parse_records(prefetched)) == _records(
+            oracle.parse_records(prefetched)
+        )
