@@ -140,11 +140,12 @@ class _HiveVisitor:
 
     # -- MRH303 ----------------------------------------------------------
     def _check_sql_sinks(self) -> None:
-        # Every function, then the module body (``None``), on one walk;
-        # a scope with no sink call of its own cannot report, so it
-        # gets no per-statement environments.
+        # Every function, then the module body (``None``), on one walk.
+        # A scope reports only sinks inside its own node, so one whose
+        # subtree holds none gets no per-statement environments.
         for info in [*self.taint.graph.functions, None]:
-            if not _scope_calls_a_sink(info, self.taint.tree):
+            scope_node = self.taint.tree if info is None else info.node
+            if next(_sink_calls(scope_node), None) is None:
                 continue
             analysis = self.taint.analysis_for(info)
             for stmt, env in analysis.statement_envs():
@@ -170,44 +171,17 @@ class _HiveVisitor:
                 )
 
 
-def _sink_calls(expr: ast.expr):
+def _sink_calls(node: ast.AST):
     """The ``.execute(...)``/``.explain(...)`` calls with arguments in
-    ``expr``."""
-    for node in ast.walk(expr):
+    ``node``."""
+    for call in ast.walk(node):
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SQL_SINKS
-            and node.args
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in _SQL_SINKS
+            and call.args
         ):
-            yield node
-
-
-def _scope_calls_a_sink(info: FunctionInfo | None, tree: ast.Module) -> bool:
-    """Whether a statement of this scope (``None``: the module body)
-    may hold a sink call in its own expressions.
-
-    Covers every statement :meth:`statement_envs` can yield: nested
-    bodies of compound statements, never those of a nested def or
-    class (their own scopes).
-    """
-    if info is None:
-        pending: list[ast.AST] = list(tree.body)
-    elif isinstance(info.node, ast.Lambda):
-        pending = [ast.Expr(value=info.node.body)]
-    else:
-        pending = list(info.node.body)
-    while pending:
-        stmt = pending.pop()
-        if any(next(_sink_calls(expr), None) for expr in own_expressions(stmt)):
-            return True
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            pending.extend(
-                child
-                for child in ast.iter_child_nodes(stmt)
-                if isinstance(child, (ast.stmt, ast.excepthandler))
-            )
-    return False
+            yield call
 
 
 def check_hive_rules(path: str, taint: ModuleTaint) -> list[Finding]:

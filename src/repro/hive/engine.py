@@ -194,7 +194,8 @@ class AggMapper(_HiveMapperBase):
     aggregated column's index per aggregate, None for ``*``).
 
     The value line of each distinct tuple of aggregated cells is encoded
-    once per task; ``COUNT(*)`` contributes the constant ``1``.  A
+    once per task (until :func:`~repro.hive.planner.memo_store` gives
+    the memo up); ``COUNT(*)`` contributes the constant ``1``.  A
     column's converter fixes the type of its cells, so equal cells
     encode alike, with one exception: ``0.0`` and ``-0.0``.  A tuple
     holding a zero is therefore never memoised.  A NaN equals no other
@@ -205,7 +206,7 @@ class AggMapper(_HiveMapperBase):
         super().setup(context)
         self._group = context.get("hv_group")
         self._aggs = context.get("hv_aggs")
-        self._lines: dict[tuple, str] = {}
+        self._lines: dict[tuple, str] | None = {}
 
     def map(self, key, value, context):
         row = self._parse(value)
@@ -216,12 +217,13 @@ class AggMapper(_HiveMapperBase):
         else:
             group = GLOBAL_GROUP
         cells = tuple([1 if index is None else row[index] for index in self._aggs])
-        line = self._lines.get(cells)
+        lines = self._lines
+        line = None if lines is None else lines.get(cells)
         if line is None:
             line = AGG_SEP.join(map(Partial.encode_one, cells))
-            if 0 not in cells:
+            if lines is not None and 0 not in cells:
                 # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
-                memo_store(self._lines, cells, line)
+                self._lines = memo_store(lines, cells, line)
         context.write(Text(group), Text(line))
 
 
@@ -231,26 +233,28 @@ class _PartialMerger(Reducer):
 
     Each distinct value line is split and parsed once per task, into a
     memo that outlives one ``reduce()`` call (the line alone decides
-    its parse).  Every value is still folded, in order, so float sums
-    round exactly as a parse per value did.
+    its parse) until :func:`~repro.hive.planner.memo_store` gives it
+    up.  Every value is still folded, in order, so float sums round
+    exactly as a parse per value did.
     """
 
     def __init__(self) -> None:
-        self._parsed: dict[str, tuple] = {}
+        self._parsed: dict[str, list[tuple]] | None = {}
 
     def setup(self, context: Context) -> None:
         self._finals = context.get("hv_finals")
 
-    def _parse_line(self, line: str) -> tuple:
+    def _parse_line(self, line: str) -> list[tuple]:
         """One ``(count, total, min, max)`` per aggregate; a line with
-        the wrong number of aggregates is a ``ValueError``."""
-        pieces = line.split(AGG_SEP)
+        the wrong number of aggregates is a ``ValueError``.  The empty
+        line holds none: a GROUP BY without aggregates emits it."""
+        pieces = line.split(AGG_SEP) if line else []
         if len(pieces) != len(self._finals):
             raise ValueError(
                 f"partial line {line!r} holds {len(pieces)} aggregates, "
                 f"expected {len(self._finals)}"
             )
-        return tuple(map(parse_partial, pieces))
+        return [parse_partial(piece) for piece in pieces]
 
     def _merged(self, values) -> list[Partial]:
         # One [count, total, min, max] fold per aggregate, updated in
@@ -259,10 +263,11 @@ class _PartialMerger(Reducer):
         parsed = self._parsed
         for value in values:
             line = value.value
-            partials = parsed.get(line)
+            partials = None if parsed is None else parsed.get(line)
             if partials is None:
-                # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
-                partials = memo_store(parsed, line, self._parse_line(line))
+                partials = self._parse_line(line)
+                if parsed is not None:
+                    parsed = self._parsed = memo_store(parsed, line, partials)
             for fold, (count, total, low, high) in zip(folds, partials):
                 fold[0] += count
                 fold[1] += total
@@ -279,6 +284,7 @@ class AggCombiner(_PartialMerger):
     """Merge partials — legal because (count,sum,min,max) is a monoid."""
 
     def reduce(self, key, values, context):
+        # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
         merged = self._merged(values)
         context.write(key, Text(AGG_SEP.join(p.encode() for p in merged)))
 
@@ -287,6 +293,7 @@ class AggReducer(_PartialMerger):
     """Merge partials, then finalize each."""
 
     def reduce(self, key, values, context):
+        # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
         finals = [
             partial.finalize(aggregate)
             for partial, aggregate in zip(self._merged(values), self._finals)

@@ -55,25 +55,25 @@ GLOBAL_GROUP = "\x04__all__"
 #: Cell separator of intermediate *row lines* between stages (the
 #: delimiter of the virtual combined schema a JOIN produces).
 ROW_SEP = "\x01"
-#: Entries one stage task's memo holds before it starts over (see
-#: :func:`memo_store`).
-_MEMO_LIMIT = 4096
+#: Distinct keys one stage task's memo takes before the task gives it
+#: up (see :func:`memo_store`).
+_MEMO_LIMIT = 1024
 
 
-def memo_store(memo: dict, key, value):
-    """``memo[key] = value``, emptying ``memo`` first once it is full;
-    returns ``value``.
+def memo_store(memo: dict, key, value) -> dict | None:
+    """``memo[key] = value``; the memo to go on with, or None once it
+    holds ``_MEMO_LIMIT`` entries.
 
     The stage tasks memoise per-record encodings and parses in one dict
-    per task instance.  Each entry is a pure function of its key, so
-    starting over changes nothing but speed, and a memo never holds
-    more than ``_MEMO_LIMIT`` entries however many distinct keys an
-    attempt sees.
+    per task instance, each entry a pure function of its key.  A memo
+    only pays when keys repeat; a task that meets ``_MEMO_LIMIT``
+    distinct keys drops its memo and encodes every later record
+    directly, so a column of near-unique values costs one lookup and
+    store per record for its first ``_MEMO_LIMIT`` records only.  The
+    output is the same either way.
     """
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
     memo[key] = value
-    return value
+    return memo if len(memo) < _MEMO_LIMIT else None
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +203,9 @@ class _JoinMapper(Mapper):
     arrive pushed down (``conds``) and filter before the shuffle.
 
     The token of each distinct ``int``/``str`` key is encoded once per
-    task.  A ``float`` key is encoded every time: ``0.0`` and ``-0.0``
-    are equal dict keys but encode apart.
+    task (until :func:`memo_store` gives the memo up).  A ``float`` key
+    is encoded every time: ``0.0`` and ``-0.0`` are equal dict keys but
+    encode apart.
     """
 
     def setup(self, context: Context) -> None:
@@ -214,7 +215,7 @@ class _JoinMapper(Mapper):
             if context.input_path and _match_side(context.input_path, spec):
                 self._tag, self._spec = tag, spec
                 self._converters = tuple(map(cell_converter, spec["kinds"]))
-                self._tokens: dict[int | str, str] = {}
+                self._tokens: dict[int | str, str] | None = {}
                 return
         raise SqlError(
             f"input {context.input_path!r} belongs to neither join side"
@@ -229,13 +230,15 @@ class _JoinMapper(Mapper):
             if not apply_op(row[index], op, literal):
                 return
         cell = row[spec["key"]]
-        if type(cell) is float:
+        tokens = self._tokens
+        if tokens is None or type(cell) is float:
             token = encode_element(cell)
         else:
-            token = self._tokens.get(cell)
+            token = tokens.get(cell)
             if token is None:
+                token = encode_element(cell)
                 # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
-                token = memo_store(self._tokens, cell, encode_element(cell))
+                self._tokens = memo_store(tokens, cell, token)
         cells = ROW_SEP.join(map(str, row))
         context.write(Text(token), Text(self._tag + cells))
 

@@ -126,6 +126,11 @@ class TestAggregation:
         values = dict(result.rows)
         assert values["red"] == 5.0 and isinstance(values["red"], float)
 
+    def test_group_by_without_aggregates(self, hive):
+        # Every partial line is empty: zero aggregates, not one.
+        result = hive.execute("SELECT team FROM players GROUP BY team")
+        assert sorted(result.rows) == [("blue",), ("red",)]
+
     def test_combiner_installed(self, hive):
         result = hive.execute(
             "SELECT team, COUNT(*) FROM players GROUP BY team"

@@ -355,35 +355,62 @@ class TestMemoisedTasksMatchOracle:
 
 class TestMemoBounds:
     """A high-cardinality attempt: every value distinct, more of them
-    than one memo may hold."""
+    than one memo may hold.  The memo grows to ``_MEMO_LIMIT`` entries,
+    then its task gives it up (None) and encodes each record directly."""
 
-    DISTINCT = planner._MEMO_LIMIT + 100
+    LIMIT = planner._MEMO_LIMIT
+    DISTINCT = LIMIT + 100
+
+    @classmethod
+    def _check_bound(cls, memo, seen: int) -> None:
+        if seen < cls.LIMIT:
+            assert len(memo) == seen
+        else:
+            assert memo is None
 
     def test_mapper_memo(self):
         rows = [[i, i + 0.5, f"s{i}"] for i in range(1, self.DISTINCT)]
-        mapper, lines = _map_rows(rows)
-        assert 0 < len(mapper._lines) <= planner._MEMO_LIMIT
+        mapper = AggMapper()
+        context = _context(
+            hv_schema=SCHEMA, hv_where=(), hv_group=(), hv_aggs=(None, 0, 1, 2)
+        )
+        mapper.setup(context)
+        mapper._parse = lambda row: row
+        for seen, row in enumerate(rows, 1):
+            mapper.map(None, row, context)
+            self._check_bound(mapper._lines, seen)
+        lines = [value.value for _key, value in context.drain()]
         assert lines == [_oracle_line(row) for row in rows]
 
     def test_merger_memo(self):
         lines = [f"1:{i}.0:{i}:{i}" for i in range(self.DISTINCT)]
         merger = _merger(1)
-        for line in lines:
+        for seen, line in enumerate(lines, 1):
             merger._merged([Text(line)])
-            assert len(merger._parsed) <= planner._MEMO_LIMIT
+            self._check_bound(merger._parsed, seen)
         assert merger._merged([Text(line) for line in lines])[0].encode() == (
             oracle.merged(merger, [Text(line) for line in lines])[0].encode()
         )
+        # A given-up memo still checks the aggregate count.
+        with pytest.raises(ValueError, match="holds 2 aggregates, expected 1"):
+            merger._merged([Text(lines[0] + planner.AGG_SEP + lines[0])])
 
     def test_join_token_memo(self):
         mapper, context = _join_mapper(key=0)
         cells = [(i, f"s{i % 7}", 0.5) for i in range(self.DISTINCT)]
-        for cell in cells:
+        for seen, cell in enumerate(cells, 1):
             mapper.map(None, Text(",".join(map(str, cell))), context)
-            assert len(mapper._tokens) <= planner._MEMO_LIMIT
+            self._check_bound(mapper._tokens, seen)
         assert [key.value for key, _value in context.drain()] == [
             encode_element(i) for i, _s, _f in cells
         ]
+
+    def test_repeating_keys_keep_their_memo(self):
+        # More records than the limit, few distinct: the memo stays.
+        rows = [[i % 10 + 1, 0.5, "s"] for i in range(self.DISTINCT)]
+        mapper, lines = _map_rows(rows, aggs=(0,))
+        assert len(mapper._lines) == 10
+        assert lines == [_oracle_line(row, (0,)) for row in rows]
 
 
 def _join_mapper(key: int):
