@@ -517,7 +517,10 @@ class CallGraph:
         - ``("self", attr)``: a write to ``self.<attr>`` where ``self``
           is the instance ``root`` runs on (code of ``root``'s class or
           a same-module base, outside any constructor the walk entered:
-          a constructor's object is new).
+          a constructor's object is new), or through a name that holds
+          it: a local bound to ``self.<attr>`` (``seen = self.seen``),
+          or a helper's parameter the call passed it to
+          (``remember(self.seen, k)``).
         """
         klass = self.self_class(root)
         lineage = (
@@ -527,6 +530,22 @@ class CallGraph:
         )
         #: ids of the function nodes whose code the walk has entered
         walked: set[int] = set()
+        #: id(function node) -> {name: the ``self`` attribute it holds}
+        holders: dict[int, dict[str, str]] = {}
+
+        def held(expr: ast.expr, owner: FunctionInfo) -> str | None:
+            """The attribute of ``root``'s instance ``expr`` is, in
+            ``owner``'s code: ``self.<attr>``, or a name holding it."""
+            if isinstance(expr, ast.Name):
+                return holders.get(id(owner.node), {}).get(expr.id)
+            if (
+                isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == "self"
+                and self.self_class(owner) in lineage
+            ):
+                return expr.attr
+            return None
 
         def frames(scope):
             """``scope`` and its enclosing function scopes, innermost
@@ -544,6 +563,30 @@ class CallGraph:
                     for default in _mutable_defaults(owner.node):
                         yield default, owner, chain, via, ("default", None)
                 walked.add(id(owner.node))
+                own = holders.setdefault(id(owner.node), {})
+                for name, bound in owner.scope.bindings.items():
+                    for value, _ in bound:
+                        if isinstance(value, (ast.Attribute, ast.Name)) and (
+                            attr := held(value, owner)
+                        ):
+                            own.setdefault(name, attr)
+            if isinstance(node, ast.Call) and (
+                callee := self.resolve_call(node)
+            ):
+                # What the callee's parameters hold, from this call (the
+                # walk enters each callee once, right after this node).
+                params = callee.params
+                if isinstance(node.func, ast.Attribute) and callee.klass:
+                    params = params[1:]  # the bound instance
+                passed = list(zip(params, node.args))
+                passed += [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+                for param, arg in passed:
+                    if isinstance(arg, ast.Starred):
+                        break
+                    if attr := held(arg, owner):
+                        holders.setdefault(id(callee.node), {}).setdefault(
+                            param, attr
+                        )
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = type(node).__name__.lower()
                 outer = list(frames(owner.scope))[1:]
@@ -563,6 +606,9 @@ class CallGraph:
                         and self.self_class(owner) in lineage
                     ):
                         yield site, owner, chain, via, ("self", symbol[1])
+                elif attr := holders[id(owner.node)].get(symbol[0]):
+                    if "__init__" not in chain:
+                        yield site, owner, chain, via, ("self", attr)
                 elif symbol[0] != "self" and all(
                     symbol[0] not in scope.bindings
                     for scope in frames(owner.scope)

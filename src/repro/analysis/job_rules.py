@@ -17,7 +17,8 @@ These encode the course's recurring map/reduce bugs — the ones that
             calls without the in-mapper-combining idiom (no
             ``cleanup()`` flush) — silently drops data
 ``MRJ006``  per-call side-file read (the movie-genres anti-pattern):
-            ``read_side_file`` reached from ``map``/``reduce``
+            ``read_side_file`` reached from ``map``/``reduce``, or from
+            the loop of an overridden ``run()`` over its split
 ``MRJ007``  combiner that is not a monoid (computes a ratio/average or
             re-formats values) — answers change with combine rounds
 ==========  ==========================================================
@@ -39,6 +40,7 @@ import ast
 from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
+    binding_names,
     mutations,
     root_symbol,
     through,
@@ -119,6 +121,10 @@ _TASK_METHODS = {"setup", "map", "reduce", "cleanup"}
 #: Per-record methods: called once per input record / key group.
 _PER_CALL_METHODS = {"map", "reduce"}
 
+#: Hadoop's per-split loop: a ``Mapper.run(split, context)`` override
+#: runs per-record code in the body of its loop over the split.
+_RUN_METHOD = "run"
+
 
 def _base_names(node: ast.ClassDef, graph: CallGraph) -> list[str]:
     """The base names of ``node`` and of its same-module ancestors."""
@@ -157,9 +163,29 @@ def _context_names(fn: ast.FunctionDef) -> set[str]:
     params = _method_params(fn)
     if fn.name in ("map", "reduce") and len(params) >= 4:
         names.add(params[3])
+    elif fn.name == _RUN_METHOD and len(params) >= 3:
+        names.add(params[2])
     elif fn.name in ("setup", "cleanup") and len(params) >= 2:
         names.add(params[1])
     return names
+
+
+def _record_loops(fn: ast.FunctionDef) -> list[ast.For | ast.AsyncFor]:
+    """The loops of a ``run(self, split, context)`` override over its
+    split: ``for ... in split`` (the records) or ``for ... in
+    split.lines()`` and the like."""
+    params = _method_params(fn)
+    if fn.name != _RUN_METHOD or len(params) < 2:
+        return []
+    loops = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            source = node.iter
+            if isinstance(source, ast.Call) and isinstance(source.func, ast.Attribute):
+                source = source.func.value  # split.lines()
+            if isinstance(source, ast.Name) and source.id == params[1]:
+                loops.append(node)
+    return loops
 
 
 def _context_writes(
@@ -241,9 +267,27 @@ class _JobVisitor:
             self._check_emit_aliasing(cls, fn, writes, mutated)
             if name in _PER_CALL_METHODS:
                 self._check_side_file(cls, info)
-                self._check_input_mutation(cls, fn, mutated)
+                self._check_input_mutation(
+                    cls, fn, mutated, set(_method_params(fn)[1:3])
+                )
                 self._check_cross_call_state(
                     cls, info, cleanup_loads, stateful_attrs_flagged
+                )
+            elif loops := _record_loops(fn):
+                # The loop body is the per-record scope; its targets
+                # (key, value) are the inputs.
+                body = {
+                    id(node)
+                    for loop in loops
+                    for stmt in loop.body
+                    for node in ast.walk(stmt)
+                }
+                self._check_side_file(cls, info, body)
+                self._check_input_mutation(
+                    cls,
+                    fn,
+                    [(site, root) for site, root in mutated if id(site) in body],
+                    set().union(*(binding_names(loop.target) for loop in loops)),
                 )
 
     def _check_nondeterminism(
@@ -271,16 +315,20 @@ class _JobVisitor:
                 "output differs across re-executed attempts",
             )
 
-    def _check_side_file(self, cls: ast.ClassDef, info: FunctionInfo) -> None:
+    def _check_side_file(
+        self, cls: ast.ClassDef, info: FunctionInfo, within: set[int] | None = None
+    ) -> None:
         """MRJ006: a side-file read that running a per-record method
         reaches, in its code or a helper's; one ``setup()``/``cleanup()``
         makes is the taught fix.  A helper's reports at the call in the
-        method that leads there."""
+        method that leads there.  ``within``: the ids of the method's
+        nodes that run per record (all of them when None)."""
         reported: set[int] = set()
         for node, _, chain, via in self.taint.graph.walk_reachable(info):
             at = via or node
             if (
                 _enters_lifecycle(chain)
+                or (within is not None and id(at) not in within)
                 or id(at) in reported
                 or not isinstance(node, ast.Call)
                 or not isinstance(node.func, ast.Attribute)
@@ -292,7 +340,8 @@ class _JobVisitor:
                 "MRJ006",
                 at,
                 f"{cls.name}.{info.name}() streams a side file{through(chain)} "
-                "on every call (full read + open overhead per record)",
+                f"{'on every call' if within is None else 'for every record'} "
+                "(full read + open overhead per record)",
             )
 
     def _check_unhashable_keys(
@@ -321,9 +370,10 @@ class _JobVisitor:
         cls: ast.ClassDef,
         fn: ast.FunctionDef,
         mutated: list[tuple[ast.AST, tuple[str, ...]]],
+        inputs: set[str],
     ) -> None:
-        params = _method_params(fn)
-        inputs = set(params[1:3])  # (key, value) / (key, values)
+        """MRJ002: an in-place edit of an input name: ``(key, value)`` /
+        ``(key, values)``, or a ``run()`` loop's record."""
         for site, root in mutated:
             if len(root) == 1 and root[0] in inputs:
                 self._emit(

@@ -29,7 +29,7 @@ import ast
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.hive.parser import AGGREGATES, Query, SqlError, parse_query
 
@@ -54,9 +54,10 @@ from repro.hive.schema import ColumnType, Metastore, TableSchema
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf
+from repro.mapreduce.inputformat import MapInput
 from repro.mapreduce.job import JobReport
 from repro.mapreduce.outputformat import TextOutputFormat, data_files
-from repro.mapreduce.types import NullWritable, Text, Writable
+from repro.mapreduce.types import NullWritable, Text
 from repro.sparklite.codec import unescape_text
 
 
@@ -154,27 +155,31 @@ class Partial:
 class _HiveMapperBase(Mapper):
     """Parses rows against the table schema (param ``hv_schema``) and
     applies the WHERE filter (``hv_where``: ``(column index, op,
-    literal)`` per condition)."""
+    literal)`` per condition).  A subclass's :meth:`run` reads the
+    split as text lines: no stage mapper reads its input key."""
 
     def setup(self, context: Context) -> None:
         self._schema = context.get("hv_schema")
         self._where = context.get("hv_where")
 
-    def _parse(self, value: Writable) -> list | None:
-        line = value.value
+    def _rows(self, split: MapInput) -> Iterator[list]:
+        """The split's rows that parse and pass WHERE, in order."""
         schema = self._schema
         # A header line fails numeric parsing anyway; this fast-path just
         # avoids warning noise for the common CSV-with-header case.
-        header = schema.columns[0][0]
-        if schema.skip_header and line and line.split(schema.delimiter)[0] == header:
-            return None
-        row = schema.parse_row(line)
-        if row is None:
-            return None
-        for index, op, literal in self._where:
-            if not apply_op(row[index], op, literal):
-                return None
-        return row
+        header = schema.columns[0][0] if schema.skip_header else None
+        delimiter, parse_row, where = schema.delimiter, schema.parse_row, self._where
+        for line in split.lines():
+            if header is not None and line and line.split(delimiter)[0] == header:
+                continue
+            row = parse_row(line)
+            if row is None:
+                continue
+            for index, op, literal in where:
+                if not apply_op(row[index], op, literal):
+                    break
+            else:
+                yield row
 
 
 def _scan_params(schema: TableSchema, query: Query) -> dict:
@@ -208,23 +213,24 @@ class AggMapper(_HiveMapperBase):
         self._aggs = context.get("hv_aggs")
         self._lines: dict[tuple, str] | None = {}
 
-    def map(self, key, value, context):
-        row = self._parse(value)
-        if row is None:
-            return
-        if self._group:
-            group = GROUP_SEP.join([str(row[i]) for i in self._group])
-        else:
-            group = GLOBAL_GROUP
-        cells = tuple([1 if index is None else row[index] for index in self._aggs])
-        lines = self._lines
-        line = None if lines is None else lines.get(cells)
-        if line is None:
-            line = AGG_SEP.join(map(Partial.encode_one, cells))
-            if lines is not None and 0 not in cells:
-                # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
-                self._lines = memo_store(lines, cells, line)
-        context.write(Text(group), Text(line))
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        group_by, aggs, write = self._group, self._aggs, context.write
+        memo = self._lines
+        for row in self._rows(split):
+            if group_by:
+                group = GROUP_SEP.join([str(row[i]) for i in group_by])
+            else:
+                group = GLOBAL_GROUP
+            cells = tuple([1 if index is None else row[index] for index in aggs])
+            line = None if memo is None else memo.get(cells)
+            if line is None:
+                line = AGG_SEP.join(map(Partial.encode_one, cells))
+                if memo is not None and 0 not in cells:
+                    # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
+                    memo = self._lines = memo_store(memo, cells, line)
+            write(Text(group), Text(line))
+        self.cleanup(context)
 
 
 class _PartialMerger(Reducer):
@@ -333,18 +339,19 @@ class ProjectMapper(_HiveMapperBase):
         super().setup(context)
         self._fields = context.get("hv_project")
 
-    def map(self, key, value, context):
-        row = self._parse(value)
-        if row is None:
-            return
-        context.write(
-            Text(
-                GROUP_SEP.join(
-                    str(fn(row[i]) if fn else row[i]) for i, fn in self._fields
-                )
-            ),
-            NullWritable(),
-        )
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        fields, write = self._fields, context.write
+        for row in self._rows(split):
+            write(
+                Text(
+                    GROUP_SEP.join(
+                        str(fn(row[i]) if fn else row[i]) for i, fn in fields
+                    )
+                ),
+                NullWritable(),
+            )
+        self.cleanup(context)
 
 
 class HiveProjectJob(Job):

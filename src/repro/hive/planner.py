@@ -31,10 +31,12 @@ makes driver-sorted and stage-sorted answers bit-identical.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import call
 
 from repro.hive.parser import SqlError
 from repro.hive.schema import cell_converter
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
+from repro.mapreduce.inputformat import MapInput
 from repro.mapreduce.outputformat import TextOutputFormat
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.types import NullWritable, Text, Writable
@@ -189,7 +191,7 @@ def _parse_side_row(line: str, spec: dict, converters: tuple) -> list | None:
     if spec["skip_header"] and parts[0] == spec["first"]:
         return None
     try:
-        return [convert(part) for convert, part in zip(converters, parts)]
+        return list(map(call, converters, parts))
     except ValueError:
         return None
 
@@ -221,26 +223,30 @@ class _JoinMapper(Mapper):
             f"input {context.input_path!r} belongs to neither join side"
         )
 
-    def map(self, key: Writable, value: Writable, context: Context) -> None:
-        spec = self._spec
-        row = _parse_side_row(value.value, spec, self._converters)
-        if row is None:
-            return
-        for index, op, literal in spec["conds"]:
-            if not apply_op(row[index], op, literal):
-                return
-        cell = row[spec["key"]]
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        spec, converters, write = self._spec, self._converters, context.write
+        conds, key, tag = spec["conds"], spec["key"], self._tag
         tokens = self._tokens
-        if tokens is None or type(cell) is float:
-            token = encode_element(cell)
-        else:
-            token = tokens.get(cell)
-            if token is None:
-                token = encode_element(cell)
-                # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
-                self._tokens = memo_store(tokens, cell, token)
-        cells = ROW_SEP.join(map(str, row))
-        context.write(Text(token), Text(self._tag + cells))
+        for line in split.lines():
+            row = _parse_side_row(line, spec, converters)
+            if row is None:
+                continue
+            for index, op, literal in conds:
+                if not apply_op(row[index], op, literal):
+                    break
+            else:
+                cell = row[key]
+                if tokens is None or type(cell) is float:
+                    token = encode_element(cell)
+                else:
+                    token = tokens.get(cell)
+                    if token is None:
+                        token = encode_element(cell)
+                        # repro: lint-ok[MRJ005] pure cache: same output with an empty memo
+                        tokens = self._tokens = memo_store(tokens, cell, token)
+                write(Text(token), Text(tag + ROW_SEP.join(map(str, row))))
+        self.cleanup(context)
 
 
 class _JoinReducer(Reducer):
@@ -301,14 +307,16 @@ class _SortMapper(Mapper):
         )
         self._sort = context.get("hv_sort")
 
-    def map(self, key: Writable, value: Writable, context: Context) -> None:
-        line = value.value
-        if not line:
-            return
-        context.write(
-            Text(row_sort_token(self._decode(line), self._sort)),
-            Text(escape_text(line)),
-        )
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        decode, sort, write = self._decode, self._sort, context.write
+        for line in split.lines():
+            if line:
+                write(
+                    Text(row_sort_token(decode(line), sort)),
+                    Text(escape_text(line)),
+                )
+        self.cleanup(context)
 
 
 class _SortReducer(Reducer):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import call
 
 from repro.util.errors import ConfigError
 
@@ -69,7 +70,7 @@ class TableSchema:
         if len(parts) != len(converters):
             return None
         try:
-            return [convert(part) for convert, part in zip(converters, parts)]
+            return list(map(call, converters, parts))
         except ValueError:
             return None
 

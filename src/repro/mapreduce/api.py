@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable
 
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.inputformat import MapInput
 from repro.mapreduce.types import Writable, wrap
 from repro.util.errors import MapReduceError
 
@@ -98,7 +99,26 @@ class Context:
 
 
 class Mapper:
-    """Override :meth:`map`; optionally :meth:`setup`/:meth:`cleanup`."""
+    """Override :meth:`map`; optionally :meth:`setup`/:meth:`cleanup`.
+
+    Advanced users may override :meth:`run` instead, Hadoop's per-split
+    loop, to consume the whole split in one call.
+    """
+
+    def run(self, split: MapInput, context: Context) -> None:
+        """The map attempt: ``setup``, ``map`` per record, ``cleanup``
+        (Hadoop's ``Mapper.run``).  The runtime calls it once per
+        attempt.
+
+        An override that never reads the key can loop over
+        ``split.lines()`` instead of the ``(key, value)`` records and
+        skip a Writable pair per line.
+        """
+        self.setup(context)
+        map_record = self.map
+        for key, value in split:
+            map_record(key, value, context)
+        self.cleanup(context)
 
     def setup(self, context: Context) -> None:  # noqa: B027 - optional hook
         pass

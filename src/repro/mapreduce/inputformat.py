@@ -149,11 +149,21 @@ class TextInputFormat:
         ``find``/slice in Python, and no list of every line (a split is
         a whole block).  A line keeps a trailing carriage return; only
         its newline is dropped.
+
+        Each record is built as :func:`repro.mapreduce.wire._make` builds
+        a decoded one: ``__new__`` and one slot store, since an ``int``
+        offset and a decoded ``str`` cannot fail the constructors' checks.
         """
         position = prefetched.position
+        new = object.__new__
         for raw in io.BytesIO(prefetched.data):
-            line = raw[:-1] if raw.endswith(b"\n") else raw
-            yield LongWritable(position), Text(line.decode("utf-8", errors="replace"))
+            key = new(LongWritable)
+            key.value = position
+            value = new(Text)
+            value.value = (raw[:-1] if raw.endswith(b"\n") else raw).decode(
+                "utf-8", errors="replace"
+            )
+            yield key, value
             position += len(raw)
 
     #: Bytes fetched per probe while completing a boundary-straddling line.
@@ -220,3 +230,93 @@ class KeyValueTextInputFormat(TextInputFormat):
                 yield Text(text), Text("")
             else:
                 yield Text(text[:tab]), Text(text[tab + 1 :])
+
+
+class MapInput:
+    """One map attempt's input, as :meth:`~repro.mapreduce.api.Mapper.run`
+    consumes it.
+
+    Iterating it yields the input format's ``(key, value)`` records;
+    :meth:`lines` yields the split's lines as ``str``, with no Writable
+    per line, for a mapper that never reads its key.  :attr:`records`
+    counts what was handed out either way: the attempt's
+    ``MAP_INPUT_RECORDS``.
+
+    Under a sanitizer each record is fingerprinted as it is handed out
+    and checked when the next one is asked for (and by
+    :meth:`verify_inputs` once the mapper is done), so an overridden
+    ``run()`` is checked as the default loop is.  Lines are immutable
+    ``str`` and need no check.
+    """
+
+    #: Bytes of the split :meth:`lines` decodes at once; a line longer
+    #: than a slab extends its slab.
+    SLAB_BYTES = 1 << 20
+
+    def __init__(
+        self,
+        input_format: type[TextInputFormat],
+        prefetched: PrefetchedSplit,
+        sanitizer=None,
+    ) -> None:
+        self._format = input_format
+        self._prefetched = prefetched
+        self._sanitizer = sanitizer
+        #: ``(snapshot, key, value)`` of the record a sanitized attempt
+        #: holds, until it is verified.
+        self._lent: tuple | None = None
+        self.records = 0
+
+    def __iter__(self) -> Iterator[tuple[Writable, Writable]]:
+        records = self._format.parse_records(self._prefetched)
+        sanitizer = self._sanitizer
+        if sanitizer is None:
+            for record in records:
+                self.records += 1
+                yield record
+            return
+        for key, value in records:
+            self.records += 1
+            self._lent = (sanitizer.snapshot_inputs(key, value), key, value)
+            yield key, value
+            self.verify_inputs()
+
+    def verify_inputs(self) -> None:
+        """Report an in-place edit of the record last handed out."""
+        lent, self._lent = self._lent, None
+        if lent is not None:
+            snapshot, key, value = lent
+            self._sanitizer.verify_inputs("map", snapshot, key, value)
+
+    def lines(self) -> Iterator[str]:
+        """The split's lines: the values of its ``TextInputFormat``
+        records, a trailing ``\\r`` kept and the ``\\n`` dropped.
+
+        The bytes are decoded a slab at a time, each slab at most
+        :attr:`SLAB_BYTES` cut just after a newline: one ``decode`` and
+        one ``split`` per slab, and never the whole split (a block) at
+        once.  ``0x0A`` occurs inside no UTF-8 sequence, so a slab
+        decodes to the same lines, replacement characters included, as
+        one decode per line.  :attr:`records` grows a slab at a time.
+        """
+        data = self._prefetched.data
+        size = len(data)
+        start = 0
+        while start < size:
+            end = start + self.SLAB_BYTES
+            if end >= size:
+                end = size
+            else:
+                cut = data.rfind(b"\n", start, end)
+                if cut == -1:
+                    cut = data.find(b"\n", end)
+                end = size if cut == -1 else cut + 1
+            lines = data[start:end].decode("utf-8", errors="replace").split("\n")
+            if data[end - 1] == 0x0A:
+                lines.pop()  # the empty piece after the last newline
+            self.records += len(lines)
+            yield from lines
+            # Dropped before the next slab is decoded, so two slabs'
+            # lines are never held at once.
+            del lines
+            start = end

@@ -40,6 +40,7 @@ from repro.mapreduce.config import (
 from repro.mapreduce.inputformat import (
     FetchStats,
     InputSplit,
+    MapInput,
     PrefetchedSplit,
     TextInputFormat,
 )
@@ -265,25 +266,15 @@ def execute_map(
         else Context(**context_kwargs)
     )
     stats = prefetched.stats
-    records = job_input_format(job).parse_records(prefetched.payload)
+    split_input = MapInput(job_input_format(job), prefetched.payload, sanitizer)
 
     mapper = job.mapper()  # type: ignore[misc]
-    records_in = 0
     try:
-        mapper.setup(context)
-        if sanitizer is not None:
-            for key, value in records:
-                records_in += 1
-                snapshot = sanitizer.snapshot_inputs(key, value)
-                mapper.map(key, value, context)
-                sanitizer.verify_inputs("map", snapshot, key, value)
-        else:
-            for key, value in records:
-                records_in += 1
-                mapper.map(key, value, context)
-        mapper.cleanup(context)
+        mapper.run(split_input, context)
     except Exception as exc:  # noqa: BLE001 - user code boundary
         raise _wrap_user_error("map", exc) from exc
+    split_input.verify_inputs()
+    records_in = split_input.records
 
     # One pass orders and buckets the output: every bucket comes back
     # key-sorted, so the combiner never re-sorts, and its key groups

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C, perf_stats
+from repro.mapreduce.inputformat import MapInput
 from repro.mapreduce.outputformat import data_files, part_file_name
 from repro.mapreduce.types import NullWritable, Text
 from repro.sparklite.codec import (
@@ -140,18 +141,22 @@ class _StageMapperBase(Mapper):
         if self._spec is None:
             raise MapReduceError(f"no sparklite input spec covers {path!r}")
 
-    def _elements(self, value) -> list:
-        line = value.value
+    def _elements(self, line: str) -> list:
         element = line if self._spec.kind == "raw" else decode_element(line)
         return _apply_chain(self._spec.chain, element)
 
 
 class _ShuffleMapper(_StageMapperBase):
-    """Emit (encoded key, encoded value) for the wide dependency."""
+    """Emit (encoded key, encoded value) for the wide dependency; reads
+    the split as text lines (it never reads the input key)."""
 
-    def map(self, key, value, context: Context) -> None:
-        for k, v in self._elements(value):
-            context.write(Text(encode_element(k)), Text(encode_element(v)))
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        elements, write = self._elements, context.write
+        for line in split.lines():
+            for k, v in elements(line):
+                write(Text(encode_element(k)), Text(encode_element(v)))
+        self.cleanup(context)
 
 
 class _JoinMapper(_StageMapperBase):
@@ -169,14 +174,19 @@ class _JoinMapper(_StageMapperBase):
         super().setup(context)
         self._forward = self._spec.kind == "enc" and not self._spec.chain
 
-    def map(self, key, value, context: Context) -> None:
-        side = self._spec.side
+    def run(self, split: MapInput, context: Context) -> None:
+        self.setup(context)
+        side, write = self._spec.side, context.write
         if self._forward:
-            k, v = split_pair(value.value)
-            context.write(Text(k), Text(side + v))
-            return
-        for k, v in self._elements(value):
-            context.write(Text(encode_element(k)), Text(side + encode_element(v)))
+            for line in split.lines():
+                k, v = split_pair(line)
+                write(Text(k), Text(side + v))
+        else:
+            elements = self._elements
+            for line in split.lines():
+                for k, v in elements(line):
+                    write(Text(encode_element(k)), Text(side + encode_element(v)))
+        self.cleanup(context)
 
 
 class _OrderedMapper(_StageMapperBase):
@@ -193,7 +203,7 @@ class _OrderedMapper(_StageMapperBase):
         self._file_index = order.index(context.input_path)
 
     def map(self, key, value, context: Context) -> None:
-        for sub, element in enumerate(self._elements(value)):
+        for sub, element in enumerate(self._elements(value.value)):
             token = f"{self._file_index:08x}{key.value:016x}{sub:08x}"
             context.write(Text(token), Text(encode_element(element)))
 

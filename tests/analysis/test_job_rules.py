@@ -245,6 +245,121 @@ class TestKeptStateThroughHelpers:
         assert [(f.rule, f.line) for f in findings] == [("MRJ005", 12)]
         assert "global 'SEEN' through note()" in findings[0].message
 
+    def test_write_through_a_local_alias_is_flagged(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class SeenMapper(Mapper):
+                def map(self, key, value, context):
+                    seen = self.seen
+                    seen[value] = 1
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 7)]
+        assert "'self.seen' across calls" in findings[0].message
+
+    def test_write_through_a_helper_argument_is_flagged_at_the_call(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            def remember(memo, key):
+                memo[key] = 1
+
+            def note(into, key):
+                remember(memo=into, key=key)
+
+            class SeenMapper(Mapper):
+                def map(self, key, value, context):
+                    seen = self.seen
+                    note(seen, value)
+                    context.write(key, value)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ005", 13)]
+        assert "'self.seen' through note() → remember()" in findings[0].message
+
+    def test_a_copy_or_a_fresh_argument_is_clean(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            def remember(memo, key):
+                memo[key] = 1
+
+            class CopyMapper(Mapper):
+                def map(self, key, value, context):
+                    seen = dict(self.seen)
+                    seen[value] = 1
+                    remember({}, value)
+                    remember(memo=seen, key=self.seen)
+                    context.write(key, value)
+            """
+        )
+        assert findings == []
+
+
+class TestRunOverrides:
+    """A ``run()`` override's loop over its split is per-record code:
+    MRJ006 and MRJ002 read its body as they read ``map()``."""
+
+    def test_fixture_pair(self):
+        buggy = lint_paths([str(FIXTURES / "run_loop_buggy.py")], families=("jobs",))
+        assert [(f.rule, f.line) for f in buggy] == [("MRJ006", 16), ("MRJ002", 17)]
+        assert "run() streams a side file for every record" in buggy[0].message
+        assert "run() mutates its input 'value'" in buggy[1].message
+        clean = lint_paths([str(FIXTURES / "run_loop_clean.py")], families=("jobs",))
+        assert clean == []
+
+    def test_helper_read_in_the_loop_is_flagged_at_the_call(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            def load_lookup(context):
+                return context.read_side_file("lookup.txt")
+
+            class LineMapper(Mapper):
+                def run(self, split, ctx):
+                    for line in split.lines():
+                        ctx.write(line, load_lookup(ctx))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ006", 10)]
+        assert "through load_lookup()" in findings[0].message
+
+    def test_code_outside_the_loop_is_not_per_record(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class OnceMapper(Mapper):
+                def run(self, split, context):
+                    table = context.read_side_file("lookup.txt")
+                    rows = [value.value for _key, value in split]
+                    for row in rows:
+                        context.write(row, table)
+            """
+        )
+        assert findings == []
+
+    def test_a_record_key_edited_in_the_loop_is_flagged(self):
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            class KeyMapper(Mapper):
+                def run(self, records, context):
+                    for key, value in records:
+                        key.value += 1
+                        context.write(value, 1)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ002", 7)]
+
+
 class TestEveryTaskClassIsIndexed:
     """A task class is linted wherever its ``class`` statement sits."""
 

@@ -51,6 +51,36 @@ class InputMutationJob(Job):
     reducer = SumReducer
 
 
+class RunMutatingMapper(Mapper):
+    """The same bug in an overridden ``run()``: its split's records are
+    the map inputs, checked as the default loop's are."""
+
+    def run(self, split, context: Context) -> None:
+        for _key, value in split:
+            value.value = value.value.upper()
+            for token in value.value.split():
+                context.write(Text(token), IntWritable(1))
+
+
+class RunMutationJob(Job):
+    mapper = RunMutatingMapper
+    reducer = SumReducer
+
+
+class FirstRecordMutatingMapper(Mapper):
+    """Mutates the first record, then stops reading its split."""
+
+    def run(self, split, context: Context) -> None:
+        for _key, value in split:
+            value.value = value.value.upper()
+            break
+
+
+class FirstRecordMutationJob(Job):
+    mapper = FirstRecordMutatingMapper
+    reducer = SumReducer
+
+
 class AliasingMapper(Mapper):
     """MRJ004's dynamic twin: mutates a key after emitting it."""
 
@@ -110,6 +140,21 @@ class TestDetections:
         result = run_local(InputMutationJob())
         assert result.counters.get(C.SANITIZER_INPUT_MUTATIONS) > 0
         assert any("mutated its input" in v for v in result.sanitizer_violations)
+
+    def test_input_mutation_in_an_overridden_run_is_caught(self):
+        expected = run_local(InputMutationJob())
+        result = run_local(RunMutationJob())
+        mutations = result.counters.get(C.SANITIZER_INPUT_MUTATIONS)
+        assert mutations == expected.counters.get(C.SANITIZER_INPUT_MUTATIONS) > 0
+        assert result.sanitizer_violations == expected.sanitizer_violations
+
+    def test_the_last_record_a_run_takes_is_checked(self):
+        # Each attempt takes one record and stops: the runtime checks it
+        # once run() returns.
+        result = run_local(FirstRecordMutationJob())
+        taken = result.counters.get(C.MAP_INPUT_RECORDS)
+        assert taken > 1
+        assert result.counters.get(C.SANITIZER_INPUT_MUTATIONS) == taken
 
     def test_emit_aliasing_is_caught(self):
         result = run_local(AliasingJob())

@@ -39,6 +39,7 @@ from repro.hive.schema import cell_converter
 from repro.mapreduce.api import Context
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.inputformat import MapInput, PrefetchedSplit, TextInputFormat
 from repro.mapreduce.types import Text
 from repro.sparklite.codec import encode_element
 from tests.conftest import make_mr
@@ -253,14 +254,43 @@ def _rows(copies: int = 2) -> list[list]:
     return [list(row) for row in rows for _ in range(copies)]
 
 
-def _map_rows(rows, aggs=(None, 0, 1, 2)) -> tuple[AggMapper, list[str]]:
-    """Run an ``AggMapper`` (no GROUP BY) over already-parsed rows."""
+#: The ``(int, float, str)`` rows as a table: "|" is in no STRINGS entry.
+ROW_SCHEMA = TableSchema(
+    name="cells",
+    columns=(("i", ColumnType.INT), ("f", ColumnType.FLOAT), ("s", ColumnType.STRING)),
+    location="/warehouse/cells",
+    delimiter="|",
+)
+
+
+def _split(lines, seen=None) -> MapInput:
+    """One split of ``lines``; ``seen(n)`` runs once the mapper has
+    taken the n-th line (when it asks for the next, and at the end)."""
+    split = MapInput(
+        TextInputFormat, PrefetchedSplit("".join(f"{line}\n" for line in lines).encode(), 0)
+    )
+    if seen is not None:
+        lines_of = split.lines
+
+        def watched():
+            for count, line in enumerate(lines_of(), 1):
+                yield line
+                seen(count)
+
+        split.lines = watched
+    return split
+
+
+def _row_lines(rows) -> list[str]:
+    """``ROW_SCHEMA`` lines that parse back to ``rows``."""
+    return [f"{i}|{f!r}|{s}" for i, f, s in rows]
+
+
+def _map_rows(rows, aggs=(None, 0, 1, 2), seen=None) -> tuple[AggMapper, list[str]]:
+    """Run an ``AggMapper`` (no GROUP BY) over ``rows``' lines."""
     mapper = AggMapper()
-    context = _context(hv_schema=SCHEMA, hv_where=(), hv_group=(), hv_aggs=aggs)
-    mapper.setup(context)
-    mapper._parse = lambda row: row
-    for row in rows:
-        mapper.map(None, row, context)
+    context = _context(hv_schema=ROW_SCHEMA, hv_where=(), hv_group=(), hv_aggs=aggs)
+    mapper.run(_split(_row_lines(rows), seen and (lambda n: seen(mapper, n))), context)
     pairs = context.drain()
     assert {key.value for key, _value in pairs} == {planner.GLOBAL_GROUP}
     return mapper, [value.value for _key, value in pairs]
@@ -343,8 +373,7 @@ class TestMemoisedTasksMatchOracle:
     def test_join_tokens_of_every_kind_match_the_encoder(self, key):
         mapper, context = _join_mapper(key)
         lines = ["1,a,0.0", "1,a,-0.0", "2,b,nan", "2,b,-0.0", "1,a,0.0", "3,:,inf"] * 2
-        for line in lines:
-            mapper.map(None, Text(line), context)
+        mapper.run(_split(lines), context)
         parsed = [planner._parse_side_row(line, mapper._spec, mapper._converters) for line in lines]
         assert [(k.value, v.value) for k, v in context.drain()] == [
             (encode_element(row[key]), "0" + planner.ROW_SEP.join(map(str, row)))
@@ -370,16 +399,14 @@ class TestMemoBounds:
 
     def test_mapper_memo(self):
         rows = [[i, i + 0.5, f"s{i}"] for i in range(1, self.DISTINCT)]
-        mapper = AggMapper()
-        context = _context(
-            hv_schema=SCHEMA, hv_where=(), hv_group=(), hv_aggs=(None, 0, 1, 2)
-        )
-        mapper.setup(context)
-        mapper._parse = lambda row: row
-        for seen, row in enumerate(rows, 1):
-            mapper.map(None, row, context)
-            self._check_bound(mapper._lines, seen)
-        lines = [value.value for _key, value in context.drain()]
+        checked = []
+
+        def seen(mapper, count):
+            self._check_bound(mapper._lines, count)
+            checked.append(count)
+
+        _mapper, lines = _map_rows(rows, seen=seen)
+        assert checked == list(range(1, len(rows) + 1))
         assert lines == [_oracle_line(row) for row in rows]
 
     def test_merger_memo(self):
@@ -398,9 +425,14 @@ class TestMemoBounds:
     def test_join_token_memo(self):
         mapper, context = _join_mapper(key=0)
         cells = [(i, f"s{i % 7}", 0.5) for i in range(self.DISTINCT)]
-        for seen, cell in enumerate(cells, 1):
-            mapper.map(None, Text(",".join(map(str, cell))), context)
-            self._check_bound(mapper._tokens, seen)
+        checked = []
+
+        def seen(count):
+            self._check_bound(mapper._tokens, count)
+            checked.append(count)
+
+        mapper.run(_split([",".join(map(str, cell)) for cell in cells], seen), context)
+        assert checked == list(range(1, len(cells) + 1))
         assert [key.value for key, _value in context.drain()] == [
             encode_element(i) for i, _s, _f in cells
         ]
@@ -414,7 +446,8 @@ class TestMemoBounds:
 
 
 def _join_mapper(key: int):
-    """A join mapper reading the left side ``int,string,float`` on ``key``."""
+    """A join mapper (not yet set up: ``run()`` does that) reading the
+    left side ``int,string,float`` on ``key``."""
     side = {
         "location": "/t/left",
         "delim": ",",
@@ -426,7 +459,6 @@ def _join_mapper(key: int):
     }
     mapper = planner._JoinMapper()
     context = _context(input_path="/t/left", hv_join={"left": side, "right": side})
-    mapper.setup(context)
     return mapper, context
 
 

@@ -2,13 +2,18 @@
 of where block boundaries fall — the invariant that makes "one split per
 block" safe.  And its line reader yields exactly the records, offsets
 included, of the per-line ``find``/slice loop it replaced
-(``tests/mapreduce/inputformat_oracle.py``)."""
+(``tests/mapreduce/inputformat_oracle.py``); a map attempt's
+``MapInput.lines()``, decoding the split a slab at a time, yields
+exactly those records' values, and holds one slab's lines at a time."""
+
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce.inputformat import (
     FetchStats,
     KeyValueTextInputFormat,
+    MapInput,
     PrefetchedSplit,
     TextInputFormat,
 )
@@ -163,3 +168,58 @@ class TestReaderMatchesOracle:
         assert _records(TextInputFormat.parse_records(prefetched)) == _records(
             oracle.parse_records(prefetched)
         )
+
+
+def _values(records) -> list[str]:
+    return [value.value for _key, value in records]
+
+
+class TestLinesMatchRecords:
+    @SETTINGS
+    @given(data=DATA, slab=st.integers(min_value=1, max_value=16), whole=st.booleans())
+    def test_lines_are_the_record_values(self, data, slab, whole):
+        prefetched = PrefetchedSplit(data=data, position=5)
+        split = MapInput(TextInputFormat, prefetched)
+        # Small slabs cut lines anywhere and leave lines longer than a
+        # slab; ``whole`` reads the split as exactly one slab.
+        split.SLAB_BYTES = max(len(data), 1) if whole else slab
+        values = _values(TextInputFormat.parse_records(prefetched))
+        assert list(split.lines()) == values
+        assert values == _values(oracle.parse_records(prefetched))
+        assert split.records == len(values)
+        records = MapInput(TextInputFormat, prefetched)
+        assert _values(records) == values and records.records == len(values)
+
+    def test_at_the_real_slab_size(self):
+        slab = MapInput.SLAB_BYTES
+        cases = [
+            b"",
+            b"x" * (slab - 1) + b"\n",  # exactly one slab
+            b"y" * (slab + slab // 2) + b"\n\xff\r\nz",  # a line longer than a slab
+            ("é" * slab).encode() + b"\n" + b"w\n" * slab,  # cuts after a newline
+        ]
+        for data in cases:
+            prefetched = PrefetchedSplit(data=data, position=0)
+            split = MapInput(TextInputFormat, prefetched)
+            assert list(split.lines()) == _values(TextInputFormat.parse_records(prefetched))
+
+    def test_one_slab_of_lines_held_at_a_time(self):
+        line = b"%099d\n"
+        per_slab = MapInput.SLAB_BYTES // len(line % 0)
+
+        def peak(slabs: int) -> int:
+            data = b"".join(line % i for i in range(per_slab * slabs))
+            split = MapInput(TextInputFormat, PrefetchedSplit(data=data, position=0))
+            tracemalloc.start()
+            try:
+                for _line in split.lines():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, six = peak(1), peak(6)
+        # Six slabs cost what one does: each slab's lines are dropped
+        # before the next is decoded (holding two would read ~1.4x).
+        assert six < 1.2 * one
+        assert one > MapInput.SLAB_BYTES  # the measure sees a slab's lines

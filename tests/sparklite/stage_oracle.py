@@ -5,7 +5,9 @@ re-encoded it on the way out, even the parts their user code never
 reads: join sides, reducer keys, a lone ``reduce_by_key`` value, the
 elements ``count()`` only counts.  ``repro.sparklite.planner`` now
 forwards those encoded items (``split_pair`` / ``pair`` /
-``encoded_list``); these are the bodies it replaced.  The codec is
+``encoded_list``); these are the bodies it replaced.  The join
+mapper's body is a whole ``run()`` over the split's records, since the
+shipped mapper overrides ``run()`` (and reads text lines).  The codec is
 looked up on :mod:`repro.sparklite.codec` at call time, so a test that
 patches the codec oracle in runs these bodies on it too.  Patch them in
 with :func:`patch_in`: every output byte, counter and simulated second
@@ -15,17 +17,21 @@ must be the same either way.
 from __future__ import annotations
 
 from repro.mapreduce.api import Context
+from repro.mapreduce.inputformat import MapInput
 from repro.mapreduce.types import NullWritable, Text
 from repro.sparklite import codec, planner
 from repro.sparklite.rdd import RDD
 
 
-def join_map(self, key, value, context: Context) -> None:
+def join_run(self, split: MapInput, context: Context) -> None:
+    self.setup(context)
     side = self._spec.side
-    for k, v in self._elements(value):
-        context.write(
-            Text(codec.encode_element(k)), Text(side + codec.encode_element(v))
-        )
+    for _key, value in split:
+        for k, v in self._elements(value.value):
+            context.write(
+                Text(codec.encode_element(k)), Text(side + codec.encode_element(v))
+            )
+    self.cleanup(context)
 
 
 def fold_reduce(self, key, values, context: Context) -> None:
@@ -80,7 +86,7 @@ def count(self) -> int:
 
 #: (class, method name, oracle body) for every body above.
 BODIES = (
-    (planner._JoinMapper, "map", join_map),
+    (planner._JoinMapper, "run", join_run),
     (planner._FoldReducer, "reduce", fold_reduce),
     (planner._GroupReducer, "reduce", group_reduce),
     (planner._JoinReducer, "reduce", join_reduce),
