@@ -471,15 +471,16 @@ class CallGraph:
         (:func:`walk_own_nodes`), for the nested defs and lambdas they
         define (part of the code that defines them), and, at each call
         :meth:`resolve_call` resolves, for the callee's before the walk
-        goes on; each function is visited once.  ``owner`` is the
-        function whose own code holds ``node``, ``chain`` the callee
-        names from ``root`` down to ``owner`` (empty in ``root``'s code),
-        and ``via`` the call in ``root``'s code the walk went down (None
-        there).
+        goes on.  ``owner`` is the function whose own code holds
+        ``node``, ``chain`` the callee names from ``root`` down to
+        ``owner`` (empty in ``root``'s code), and ``via`` the call in
+        ``root``'s code the walk went down (None there).  Every call in
+        ``root``'s code gets a descent of its own, so each call site
+        that reaches a function reports it; within ``root``'s code and
+        within one descent, each function is visited once.
         """
-        seen = {id(root.node)}
 
-        def walk(info, chain, via):
+        def walk(info, chain, via, seen):
             for node in walk_own_nodes(info.node):
                 yield node, info, chain, via
                 if isinstance(node, ast.Call):
@@ -490,13 +491,17 @@ class CallGraph:
                     continue
                 if callee is None or id(callee.node) in seen:
                     continue
-                seen.add(id(callee.node))
                 if self.enclosing(callee.node) is info:
-                    yield from walk(callee, chain, via)
+                    seen.add(id(callee.node))
+                    yield from walk(callee, chain, via, seen)
+                elif via is None:
+                    descent = {id(root.node), id(callee.node)}
+                    yield from walk(callee, (callee.name,), node, descent)
                 else:
-                    yield from walk(callee, (*chain, callee.name), via or node)
+                    seen.add(id(callee.node))
+                    yield from walk(callee, (*chain, callee.name), via, seen)
 
-        yield from walk(root, (), None)
+        yield from walk(root, (), None, {id(root.node)})
 
     def kept_state(self, root: FunctionInfo):
         """What running ``root`` keeps from one call to the next.
@@ -573,8 +578,9 @@ class CallGraph:
             if isinstance(node, ast.Call) and (
                 callee := self.resolve_call(node)
             ):
-                # What the callee's parameters hold, from this call (the
-                # walk enters each callee once, right after this node).
+                # What the callee's parameters hold, from the first call
+                # that passes one (the walk enters the callee right after
+                # this node).
                 params = callee.params
                 if isinstance(node.func, ast.Attribute) and callee.klass:
                     params = params[1:]  # the bound instance

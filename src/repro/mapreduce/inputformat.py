@@ -150,9 +150,9 @@ class TextInputFormat:
         a whole block).  A line keeps a trailing carriage return; only
         its newline is dropped.
 
-        Each record is built as :func:`repro.mapreduce.wire._make` builds
-        a decoded one: ``__new__`` and one slot store, since an ``int``
-        offset and a decoded ``str`` cannot fail the constructors' checks.
+        Each record is built as the shuffle wire builds a decoded one:
+        ``__new__`` and one slot store, since an ``int`` offset and a
+        decoded ``str`` cannot fail the constructors' checks.
         """
         position = prefetched.position
         new = object.__new__

@@ -287,8 +287,8 @@ class MapOutput:
     Two representations share this class:
 
     - **object form** (``partitions``): partition -> pair list, what
-      the serial path produces and what an output that cannot be
-      framed stays in;
+      the serial path produces and what an output whose columns do not
+      pack stays in;
     - **binary form** (``frames``): partition -> wire blob, produced by
       :meth:`freeze` inside pool workers so a map result crosses the
       process boundary as a few ``bytes`` objects instead of thousands
@@ -304,8 +304,9 @@ class MapOutput:
     per-partition byte/record totals are memoised: the JobTracker and
     every reduce's shuffle pricing re-read them repeatedly.  Byte
     totals are *payload* bytes (identical between the two forms — the
-    codec's frame payload width equals ``serialized_size()``), which is
-    what keeps framed and object runs' counters bit-identical.
+    codec's entry payload width equals ``serialized_size()``), which is
+    what keeps framed and object runs' counters bit-identical.  The
+    binary form is priced from the memos :meth:`freeze` fills alone.
     """
 
     task_index: int
@@ -316,11 +317,13 @@ class MapOutput:
     #: partition's wire blob, or after :meth:`publish_shm` the
     #: ``ShmSlice`` locating it in shared memory.
     frames: dict[int, bytes | ShmSlice] | None = None
-    #: partition -> serialized payload bytes, filled lazily.
+    #: partition -> serialized payload bytes: filled by :meth:`freeze`,
+    #: or lazily in object form.
     _bytes_memo: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: partition -> record count (filled at freeze time).
+    #: partition -> record count: filled by :meth:`freeze`, or lazily in
+    #: object form.
     _records_memo: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -337,12 +340,13 @@ class MapOutput:
     ) -> bool:
         """Encode every partition into a wire blob and drop the lists.
 
-        Returns ``True`` on success.  A partition that cannot be framed
-        (a Writable subclass whose class reference does not round-trip)
+        Returns ``True`` on success.  A partition with a column that does
+        not pack (mixed classes, an integer past its kind's width, a
+        custom or ``record_writable`` class: see :mod:`repro.mapreduce.wire`)
         leaves the output in object form — it ships as pickled pairs
-        instead, mirroring the backend's pickling-error fallback — and
-        returns ``False``.  Byte/record memos are filled from the
-        encoder's own accounting, so later pricing never re-encodes.
+        instead, counted in ``perf.frame_fallbacks`` — and returns
+        ``False``.  Byte/record memos are filled from the encoder's own
+        accounting: they are what prices the binary form.
         ``key_runs`` are the partitions' run lengths as
         :class:`PartitionTally` records them; the blobs are the same
         with or without them.  The ``map_serialize_ms`` clock stops
@@ -463,28 +467,15 @@ class MapOutput:
     def partition_records(self, partition: int) -> int:
         count = self._records_memo.get(partition)
         if count is None:
-            if self.partitions is not None:
-                count = len(self.partitions.get(partition, ()))
-            else:
-                blob = self._blob_for(partition)
-                count = 0 if blob is None else wire.blob_record_count(blob)
+            # Binary forms miss only for an absent (empty) partition.
+            count = len(self.partitions.get(partition, ())) if self.partitions else 0
             self._records_memo[partition] = count
         return count
 
     def partition_bytes(self, partition: int) -> int:
         size = self._bytes_memo.get(partition)
         if size is None:
-            if self.partitions is not None:
-                size = serialized_bytes(self.partitions.get(partition, ()))
-            else:
-                # Freeze always fills the memo before publish, so binary
-                # forms only miss here for an absent (empty) partition —
-                # or a hand-built output, priced by decoding.
-                blob = self._blob_for(partition)
-                if blob is None:
-                    size = 0
-                else:
-                    size = serialized_bytes(self.pairs_for(partition))
+            size = serialized_bytes(self.partitions.get(partition, ())) if self.partitions else 0
             self._bytes_memo[partition] = size
         return size
 

@@ -153,9 +153,10 @@ class IntWritable(Writable):
     def serialized_size(self) -> int:
         # Hadoop writes ints as 4 bytes on the wire; Python ints are
         # unbounded, so values past 32 bits widen to a long (8 bytes)
-        # and past 64 bits to their decimal text — keeping this number
-        # equal to the bytes the binary shuffle codec actually emits
-        # (asserted by tests/mapreduce/test_wire.py).
+        # and past 64 bits to their decimal text.  The binary shuffle
+        # codec packs the 4-byte case at exactly this width (asserted by
+        # tests/mapreduce/test_wire.py); a wider value keeps its map
+        # output in object form.
         if INT32_MIN <= self.value <= INT32_MAX:
             return 4
         if INT64_MIN <= self.value <= INT64_MAX:

@@ -330,6 +330,27 @@ class TestRunOverrides:
         assert [(f.rule, f.line) for f in findings] == [("MRJ006", 10)]
         assert "through load_lookup()" in findings[0].message
 
+    def test_helper_read_in_the_loop_and_again_after_it(self):
+        """The walk reports every call site that reaches a helper: the
+        loop's call is flagged even when ``run()`` calls the same helper
+        again after the loop, and that later call is not."""
+        findings = jobs_lint(
+            """
+            from repro.mapreduce.api import Mapper
+
+            def load(context):
+                return context.read_side_file("lookup.txt")
+
+            class TwiceMapper(Mapper):
+                def run(self, split, context):
+                    for line in split.lines():
+                        context.write(line, load(context))
+                    context.write("total", load(context))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("MRJ006", 10)]
+        assert "through load()" in findings[0].message
+
     def test_code_outside_the_loop_is_not_per_record(self):
         findings = jobs_lint(
             """

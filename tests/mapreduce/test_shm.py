@@ -354,8 +354,10 @@ class TestMapOutputDescriptorForm:
 
     def test_accessors_match_framed_form(self, scope):
         output, framed = self._published(scope)
-        reference = MapOutput(task_index=3, node="n", partitions=None)
-        reference.frames = framed
+        reference = MapOutput(task_index=3, node="n")
+        reference.partitions = {0: _pairs(5), 2: _pairs(7)}
+        assert reference.freeze()
+        assert reference.frames == framed
         assert output.frozen
         assert all(isinstance(v, shm.ShmSlice) for v in output.frames.values())
         assert output.partition_ids() == reference.partition_ids()

@@ -1,11 +1,16 @@
-"""The binary framed shuffle codec: round-trips, size agreement, errors.
+"""The binary framed shuffle codec: packs or raises, sizes, errors.
 
 Three contracts:
 
-1. every Writable the framework ships round-trips bit-exactly through
-   ``encode_pairs``/``decode_pairs`` (including the nasty corners:
-   empty/NUL/astral-plane Text, negative and 2**63-boundary integers,
-   signed zero and infinities);
+1. a column of one framework class — ``Text``, ``IntWritable`` within
+   32 bits, ``LongWritable`` within 64, ``FloatWritable``,
+   ``NullWritable`` — round-trips bit-exactly through
+   ``encode_pairs``/``decode_pair_list`` (including the nasty corners:
+   empty/NUL/astral-plane Text, 32- and 64-bit boundary integers, signed
+   zero and infinities); any other column (mixed classes, an integer
+   past its width, a custom or ``record_writable`` class) raises
+   :class:`WireFormatError`, and ``MapOutput.freeze`` keeps that map
+   output in object form;
 2. an entry's payload width equals the Writable's ``serialized_size()``
    — the invariant that keeps framed and object runs' byte counters
    bit-identical;
@@ -15,6 +20,7 @@ Three contracts:
 
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +39,16 @@ from repro.mapreduce.types import (
 )
 from repro.util.errors import WireFormatError
 from repro.util.rng import RngStream
+from tests.mapreduce import wire_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 SumCount = record_writable("SumCount", [("total", float), ("count", int)])
+
+INT_BOUNDARIES = [
+    0, 1, -1, 2**31 - 1, -(2**31), 2**31, -(2**31) - 1,
+    2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**40, -(10**40),
+]
 
 
 # -- strategies -------------------------------------------------------------
@@ -53,7 +65,9 @@ floats = st.one_of(
     st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), 1e308]),
 )
 
-writables = st.one_of(
+#: One strategy per class; a column drawn from one of them packs unless
+#: an integer is past its width.
+by_class = [
     texts.map(Text),
     ints.map(IntWritable),
     ints.map(LongWritable),
@@ -62,9 +76,20 @@ writables = st.one_of(
     st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers()).map(
         lambda t: SumCount(total=t[0], count=t[1])
     ),
-)
+]
+writables = st.one_of(*by_class)
 
-pair_lists = st.lists(st.tuples(writables, writables), max_size=30)
+
+@st.composite
+def pair_lists(draw, keys=None):
+    """Keys and values each of one class, or (sometimes) of any mix."""
+    columns = st.sampled_from([*by_class, writables])
+    keys = draw(columns) if keys is None else keys
+    return draw(st.lists(st.tuples(keys, draw(columns)), max_size=30))
+
+
+def _pairs_pack(pairs) -> bool:
+    return all(map(wire_oracle.rwf2_packs, zip(*pairs)))
 
 
 def _identical(a, b) -> bool:
@@ -72,19 +97,37 @@ def _identical(a, b) -> bool:
     return type(a) is type(b) and a.encode() == b.encode()
 
 
-# -- round-trips ------------------------------------------------------------
+def _assert_object_form(pairs):
+    """A column that does not pack keeps its map output as objects."""
+    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+    perf = PerfStats()
+    assert not output.freeze(perf)
+    assert perf.frame_fallbacks == 1 and not output.frozen
+    shipped = pickle.loads(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
+    assert shipped.pairs_for(0) == pairs
+    assert shipped.partition_bytes(0) == serialized_bytes(pairs)
+    assert shipped.partition_records(0) == len(pairs)
+    return shipped.pairs_for(0)
+
+
+# -- packs or raises --------------------------------------------------------
 
 
 class TestRoundTrip:
-    @given(pairs=pair_lists)
+    @given(pairs=pair_lists())
     @SETTINGS
     def test_every_pair_roundtrips(self, pairs):
+        """Packable pairs round-trip as bytes; any other raises."""
+        if not _pairs_pack(pairs):
+            with pytest.raises(WireFormatError, match="cannot pack"):
+                wire.encode_pairs(pairs)
+            return
         blob, payload = wire.encode_pairs(pairs)
         decoded = wire.decode_pair_list(blob)
         assert len(decoded) == len(pairs)
         for (k1, v1), (k2, v2) in zip(pairs, decoded):
             assert _identical(k1, k2) and _identical(v1, v2)
-        assert wire.blob_record_count(blob) == len(pairs)
+        assert wire.HEADER.unpack_from(blob)[2] == len(pairs)
 
     @pytest.mark.parametrize(
         "text",
@@ -95,17 +138,22 @@ class TestRoundTrip:
         (k, v), = wire.decode_pair_list(blob)
         assert k.value == text and v.value == text
 
-    @pytest.mark.parametrize(
-        "value",
-        [0, 1, -1, 2**31 - 1, -(2**31), 2**31, -(2**31) - 1,
-         2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**40, -(10**40)],
-    )
+    @pytest.mark.parametrize("value", INT_BOUNDARIES)
     def test_integer_boundaries(self, value):
-        for cls in (IntWritable, LongWritable):
-            blob, _ = wire.encode_pairs([(cls(value), cls(-value if value else 0))])
-            (k, v), = wire.decode_pair_list(blob)
+        """Within its kind's width an integer packs; past it, the column
+        raises and the map output ships as objects, classes intact."""
+        other = -value if value else 0
+        for cls, bits in ((IntWritable, 32), (LongWritable, 64)):
+            pairs = [(cls(value), cls(other))]
+            if wire_oracle.rwf2_packs([cls(value), cls(other)]):
+                blob, _ = wire.encode_pairs(pairs)
+                (k, v), = wire.decode_pair_list(blob)
+            else:
+                with pytest.raises(WireFormatError, match=f"beyond {bits} bits"):
+                    wire.encode_pairs(pairs)
+                (k, v), = _assert_object_form(pairs)
             assert type(k) is cls and k.value == value
-            assert type(v) is cls and v.value == (-value if value else 0)
+            assert type(v) is cls and v.value == other
 
     @pytest.mark.parametrize(
         "value", [0.0, -0.0, 1.5, -2.25, float("inf"), float("-inf"), 1e-308, 1e308]
@@ -119,9 +167,12 @@ class TestRoundTrip:
         assert v is NullWritable()
 
     def test_record_writable_roundtrips(self):
+        """A ``record_writable`` value does not pack: it round-trips as a
+        pickled object, the form a pooled map output then ships in."""
         pairs = [(Text("k"), SumCount(total=1.5, count=3))]
-        blob, _ = wire.encode_pairs(pairs)
-        (k, v), = wire.decode_pair_list(blob)
+        with pytest.raises(WireFormatError, match="cannot pack a column of SumCount"):
+            wire.encode_pairs(pairs)
+        (k, v), = _assert_object_form(pairs)
         assert type(v) is SumCount and v.total == 1.5 and v.count == 3
 
     def test_local_class_refuses_to_frame(self):
@@ -148,17 +199,22 @@ class TestRoundTrip:
 
 
 class TestSizeAgreement:
-    @given(pairs=pair_lists)
+    @given(pairs=pair_lists())
     @SETTINGS
     def test_payload_bytes_equal_serialized_bytes(self, pairs):
-        _, payload = wire.encode_pairs(pairs)
-        assert payload == serialized_bytes(pairs)
+        if _pairs_pack(pairs):
+            _, payload = wire.encode_pairs(pairs)
+            assert payload == serialized_bytes(pairs)
 
     @given(w=writables)
     @SETTINGS
     def test_decoded_size_memo_matches_fresh_instance(self, w):
         """Decoded Writables report the same serialized_size as the
         originals — their preset memo must not drift from the codec."""
+        if not wire_oracle.rwf2_packs([w]):
+            with pytest.raises(WireFormatError):
+                wire.encode_pairs([(w, w)])
+            return
         blob, _ = wire.encode_pairs([(w, w)])
         (k, v), = wire.decode_pair_list(blob)
         assert k.serialized_size() == w.serialized_size()
@@ -180,7 +236,7 @@ class TestSizeAgreement:
 
 
 class TestSortedFlag:
-    @given(pairs=pair_lists.filter(lambda ps: all(type(p[0]) is Text for p in ps)))
+    @given(pairs=pair_lists(keys=texts.map(Text)).filter(_pairs_pack))
     @SETTINGS
     def test_flag_matches_actual_order(self, pairs):
         blob_raw, _ = wire.encode_pairs(pairs)
@@ -196,7 +252,7 @@ class TestSortedFlag:
 class TestMalformed:
     def _blob(self):
         blob, _ = wire.encode_pairs(
-            [(Text("hello"), IntWritable(7)), (Text("world"), FloatWritable(2.5))]
+            [(Text("hello"), IntWritable(7)), (Text("world"), IntWritable(-2))]
         )
         return blob
 
@@ -219,13 +275,12 @@ class TestMalformed:
     def test_unknown_tag(self):
         blob = bytearray(self._blob())
         blob[wire.HEADER.size] = 0x7F  # the key column's kind
-        with pytest.raises(WireFormatError, match="unknown column kind"):
+        with pytest.raises(WireFormatError, match="unknown column kind 0x7f"):
             wire.decode_pair_list(bytes(blob))
-        # mixed value classes ride in a tagged column: its first frame tag
-        assert blob[self._value_column()] == wire.KIND_TAGGED
+        # kind 0x00 (per-record frames) is no longer a column kind
         blob = bytearray(self._blob())
-        blob[self._value_column() + wire.COLUMN.size] = 0x7F
-        with pytest.raises(WireFormatError, match="unknown frame tag"):
+        blob[self._value_column()] = 0x00
+        with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
             wire.decode_pair_list(bytes(blob))
 
     def _value_column(self) -> int:
@@ -259,10 +314,12 @@ class TestMalformed:
                 pytest.fail(f"raw struct.error escaped: {exc}")
 
     def test_bogus_class_ref(self):
+        """A kind-0x00 column naming a class by ``module:qualname`` is
+        rejected by its kind: decoding imports and resolves nothing."""
         ref = b"no_such_module_xyz:Nope"
         payload = b"1"
         frame = (
-            bytes((wire.TAG_GENERIC,))
+            bytes((wire_oracle.TAG_GENERIC,))
             + struct.pack(">H", len(ref))
             + ref
             + struct.pack(">I", len(payload))
@@ -270,9 +327,10 @@ class TestMalformed:
         )
         blob = (
             wire.HEADER.pack(wire.MAGIC, 0, 1)
-            + wire.COLUMN.pack(wire.KIND_TAGGED, len(frame))
+            + wire.COLUMN.pack(0x00, len(frame))
             + frame
-            + wire.COLUMN.pack(wire.TAG_NULL, 0)
+            + wire.COLUMN.pack(wire.KIND_NULL, 0)
         )
-        with pytest.raises(WireFormatError, match="not importable"):
+        with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
             wire.decode_pair_list(blob)
+        assert "no_such_module_xyz" not in sys.modules

@@ -1,13 +1,16 @@
 """RWF2 (run-packed columns) against the RWF1 oracle it replaced.
 
-``wire_oracle.py`` is the per-record frame codec, verbatim.  The new
-layout may differ in bytes only: everything a consumer can see —
-decoded class, value, ``_size_memo``, ``payload_bytes``, record count
-and the key-sorted flag — must equal the oracle's, over sorted and
-unsorted inputs and every column shape (packed, run-packed, tagged).
-Malformed input still fails closed, and the cost guard counts what the
-rewrite was for: one key Writable per run and ``struct`` calls per
-column, not per record.
+``wire_oracle.py`` is the per-record frame codec, verbatim.  Over every
+column RWF2 packs, the new layout may differ in bytes only: everything
+a consumer can see — decoded class, value, ``_size_memo``,
+``payload_bytes``, record count and the key-sorted flag — must equal
+the oracle's, over sorted and unsorted inputs and both column shapes
+(packed, run-packed).  Any other column (mixed classes, a wide integer,
+a custom class), which RWF1 framed per record, raises instead and ships
+as objects.  Malformed input still fails closed — an RWF1-era kind-0x00
+column included — and the cost guard counts what the rewrite was for:
+one key Writable per run and ``struct`` calls per column, not per
+record.
 """
 
 import struct
@@ -42,29 +45,32 @@ Reading = record_writable("Reading", [("station", str), ("celsius", int)])
 # Small alphabets so that adjacent equal entries (runs) actually occur.
 
 small_ints = st.integers(min_value=-2, max_value=2)
-wide_ints = st.sampled_from([2**31 - 1, 2**31, -(2**31) - 1, 2**63 - 1, 2**63, -(2**63) - 1, 10**30])
-mostly_small_ints = st.one_of(small_ints, small_ints, wide_ints)
 
-#: One strategy per class: a column drawn from one of them is packed
-#: (or, with a wide integer in it, tagged).
+#: One strategy per class: a column drawn from one of them packs.
 BY_CLASS = [
     st.sampled_from(["", "a", "b", "naïve", "日本", "\U0001f600", "a\x00b", "zz"]).map(Text),
     small_ints.map(IntWritable),
-    mostly_small_ints.map(IntWritable),
-    mostly_small_ints.map(LongWritable),
+    st.sampled_from([2**31 - 1, -(2**31)]).map(IntWritable),
+    st.one_of(small_ints, st.sampled_from([2**31, -(2**31) - 1, 2**63 - 1, -(2**63)])).map(
+        LongWritable
+    ),
     st.sampled_from(
         [0.0, -0.0, 1.5, -2.25, float("inf"), float("-inf"), float("nan"), -float("nan")]
     ).map(FloatWritable),
     st.just(NullWritable()),
+]
+#: Columns RWF1 framed per record and RWF2 does not pack.
+UNPACKABLE = [
+    st.sampled_from([2**31, -(2**31) - 1, 2**63, 10**30]).map(IntWritable),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30]).map(LongWritable),
     st.builds(Reading, st.sampled_from(["x", "y"]), small_ints),
 ]
-#: A column's element strategy: one class, or any mix (always tagged).
-column_strategies = st.sampled_from([*BY_CLASS, st.one_of(*BY_CLASS)])
+column_strategies = st.sampled_from(BY_CLASS)
 
 
 @st.composite
-def pair_lists(draw):
-    keys, values = draw(column_strategies), draw(column_strategies)
+def pair_lists(draw, columns=column_strategies):
+    keys, values = draw(columns), draw(columns)
     pairs = draw(st.lists(st.tuples(keys, values), max_size=24))
     if draw(st.booleans()):
         try:
@@ -82,6 +88,10 @@ def _facts(w):
     return type(w), w.encode(), value, getattr(w, "_size_memo", None)
 
 
+def _packs(pairs) -> bool:
+    return all(map(wire_oracle.rwf2_packs, zip(*pairs)))
+
+
 def _has_nan_key(pairs) -> bool:
     return any(k.sort_key() != k.sort_key() for k, _ in pairs)
 
@@ -96,23 +106,37 @@ class TestAgainstOracle:
         old_blob, old_payload = wire_oracle.encode_pairs(pairs)
         new_blob, new_payload = wire.encode_pairs(pairs)
         assert new_payload == old_payload
-        assert wire.blob_record_count(new_blob) == wire_oracle.blob_record_count(old_blob)
+        assert wire.HEADER.unpack_from(new_blob)[2] == wire_oracle.blob_record_count(old_blob)
         expected = wire_oracle.decode_pair_list(old_blob)
-        for decode in (wire.decode_pair_list, lambda b: list(wire.flatten_runs(wire.decode_runs(b)))):
-            decoded = decode(new_blob)
-            assert len(decoded) == len(expected)
-            for (k1, v1), (k2, v2) in zip(decoded, expected):
-                assert _facts(k1) == _facts(k2) and _facts(v1) == _facts(v2)
+        decoded = wire.decode_pair_list(new_blob)
+        assert len(decoded) == len(expected)
+        for (k1, v1), (k2, v2) in zip(decoded, expected):
+            assert _facts(k1) == _facts(k2) and _facts(v1) == _facts(v2)
         if _has_nan_key(pairs):
             # the one intended difference: RWF1 called NaN keys sorted
             assert not wire.blob_key_sorted(new_blob)
         else:
             assert wire.blob_key_sorted(new_blob) == wire_oracle.blob_key_sorted(old_blob)
 
+    @given(
+        pairs=pair_lists(st.sampled_from([*BY_CLASS, *UNPACKABLE, st.one_of(*BY_CLASS)])).filter(
+            lambda pairs: not _packs(pairs)
+        )
+    )
+    @SETTINGS
+    def test_what_rwf1_framed_per_record_raises(self, pairs):
+        wire_oracle.encode_pairs(pairs)  # RWF1 framed every one of these
+        with pytest.raises(WireFormatError, match="cannot pack"):
+            wire.encode_pairs(pairs)
+
     def test_mixed_int_and_long_keys_keep_their_classes(self):
+        """Mixed key classes do not pack; as objects they keep them."""
         pairs = [(IntWritable(1), Text("i")), (LongWritable(1), Text("l"))] * 3
-        decoded = wire.decode_pair_list(wire.encode_pairs(pairs)[0])
-        assert [type(k) for k, _ in decoded] == [IntWritable, LongWritable] * 3
+        with pytest.raises(WireFormatError, match="IntWritable, LongWritable"):
+            wire.encode_pairs(pairs)
+        output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+        assert not output.freeze()
+        assert [type(k) for k, _ in output.pairs_for(0)] == [IntWritable, LongWritable] * 3
 
     def test_signed_zeros_are_separate_runs(self):
         pairs = [(FloatWritable(z), NullWritable()) for z in (-0.0, -0.0, 0.0, 0.0, -0.0)]
@@ -130,7 +154,7 @@ class TestAgainstOracle:
 @st.composite
 def map_outputs(draw):
     """A few map tasks' partition-0 pairs, keys of one sortable family."""
-    keys = draw(st.sampled_from([*BY_CLASS, st.one_of(BY_CLASS[1], BY_CLASS[3])]))
+    keys = draw(column_strategies)
     values = draw(column_strategies)
     maps = draw(st.lists(st.lists(st.tuples(keys, values), max_size=12), min_size=1, max_size=4))
     # A map task sorts its output; a rogue one (custom partitioner
@@ -158,20 +182,51 @@ class TestRunMergeEqualsRecordMerge:
 
 # -- malformed input --------------------------------------------------------
 
-BLOBS = {
+
+def _kind_zero_blob(pairs) -> bytes:
+    """An RWF1-era blob: both columns kind 0x00, one RWF1 frame per
+    entry — what this wire wrote for columns it did not pack before it
+    shipped them as objects."""
+    parts = [wire.HEADER.pack(wire.MAGIC, 0, len(pairs))]
+    for column in zip(*pairs):
+        frames: list[bytes] = []
+        for w in column:
+            wire_oracle._encode_one(frames, w)
+        body = b"".join(frames)
+        parts += [wire.COLUMN.pack(0x00, len(body)), body]
+    return b"".join(parts)
+
+
+PACKED = {
     "run-packed": [(Text(w), IntWritable(1)) for w in "aaabbbccd"],
     "packed-no-runs": [(Text(w), IntWritable(i)) for i, w in enumerate(["a", "日本", "c"])],
     "floats-longs": [(FloatWritable(f), LongWritable(7)) for f in (-0.0, 0.0, 0.0, 1.5)],
+    "null-keys": [(NullWritable(), Text("v")), (NullWritable(), Text("v"))],
+}
+KIND_ZERO = {
     "tagged": [(IntWritable(1), Text("x")), (LongWritable(2**70), FloatWritable(1.0)), (Text("k"), NullWritable())],
     "generic": [(Reading("x", 1), Reading("y", -2)), (Reading("x", 1), Reading("y", 3))],
-    "null-keys": [(NullWritable(), Text("v")), (NullWritable(), Text("v"))],
+}
+#: name -> (blob, record count)
+BLOBS = {
+    **{name: (wire.encode_pairs(pairs)[0], len(pairs)) for name, pairs in PACKED.items()},
+    **{name: (_kind_zero_blob(pairs), len(pairs)) for name, pairs in KIND_ZERO.items()},
 }
 
 
 @pytest.mark.parametrize("name", BLOBS)
 class TestFailsClosed:
+    def test_intact_blob(self, name):
+        """A packed blob decodes; a kind-0x00 one is rejected whole."""
+        blob, count = BLOBS[name]
+        if name in KIND_ZERO:
+            with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
+                wire.decode_pair_list(blob)
+        else:
+            assert wire.decode_pair_list(blob) == PACKED[name]
+
     def test_truncated_at_every_offset(self, name):
-        blob, _ = wire.encode_pairs(BLOBS[name])
+        blob, _ = BLOBS[name]
         for cut in range(len(blob)):
             with pytest.raises(WireFormatError):
                 wire.decode_pair_list(blob[:cut])
@@ -180,8 +235,7 @@ class TestFailsClosed:
         """A flipped byte is either caught or decodes to *some* pairs of
         the right count (payload bytes carry no checksum) — it never
         leaks ``struct.error`` / ``ValueError`` / ``IndexError``."""
-        pairs = BLOBS[name]
-        blob, _ = wire.encode_pairs(pairs)
+        blob, count = BLOBS[name]
         _kind, key_bytes = wire.COLUMN.unpack_from(blob, wire.HEADER.size)
         value_column = wire.HEADER.size + wire.COLUMN.size + key_bytes
         # Bytes no flip of which may pass: magic, record count and the
@@ -201,7 +255,7 @@ class TestFailsClosed:
                 except WireFormatError:
                     continue
                 assert offset not in structural, (offset, flip)
-                assert len(decoded) == len(pairs)
+                assert len(decoded) == count
 
 
 # -- cost guard -------------------------------------------------------------
@@ -242,7 +296,7 @@ class TestCostPerRunNotPerRecord:
     def test_struct_calls_do_not_grow_with_records(self, monkeypatch):
         tally = [0]
         monkeypatch.setattr(wire, "struct", _CountingStruct(struct, tally))
-        for name in ("HEADER", "COLUMN", "_U16", "_U32", "_I32", "_I64", "_F64"):
+        for name in ("HEADER", "COLUMN", "_U32"):
             monkeypatch.setattr(wire, name, _CountingStruct(getattr(wire, name), tally))
         calls = []
         for scale in (1, 4):

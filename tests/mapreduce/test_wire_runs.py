@@ -4,13 +4,15 @@ A pooled map attempt without a combiner collects its buckets' run
 lengths while :func:`partition_pairs` builds them, and
 ``wire.encode_pairs(pairs, key_runs)`` writes the key column from the
 run heads alone.  Every check here is a differential against
-``wire.encode_pairs(pairs)``: the same bytes and the same payload width,
-over every key column — including those that must decline the runs and
-take the per-record path (``FloatWritable``, ``record_writable`` and
-mixed classes, integers too wide to pack).  The cost guard makes any
-per-record key read raise; the attempt guard checks that a pooled
-attempt, which now freezes inside :func:`execute_map`, ships exactly
-what ``execute_map()`` followed by ``freeze()`` shipped.
+``wire.encode_pairs(pairs)``: the same bytes and the same payload width
+— or the same ``WireFormatError`` — over every key column, including
+those that must decline the runs and take the per-record path
+(``FloatWritable``, ``NullWritable``) and those that do not pack at all
+(``record_writable`` and mixed classes, integers too wide to pack).
+The cost guard makes any per-record key read raise; the attempt guard
+checks that a pooled attempt, which now freezes inside
+:func:`execute_map`, ships exactly what ``execute_map()`` followed by
+``freeze()`` shipped — bytes, or objects when a column does not pack.
 """
 
 from itertools import accumulate, pairwise
@@ -28,7 +30,7 @@ from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.inputformat import TextInputFormat
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
-from repro.mapreduce.shuffle import PartitionTally, _key_runs, partition_pairs
+from repro.mapreduce.shuffle import MapOutput, PartitionTally, _key_runs, partition_pairs
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -38,6 +40,8 @@ from repro.mapreduce.types import (
     Writable,
     record_writable,
 )
+from repro.util.errors import WireFormatError
+from tests.mapreduce import wire_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -71,10 +75,7 @@ OTHER_COLUMNS = {
         st.sampled_from(["", "a", "b"]).map(Text), st.just(NullWritable())
     ),
 }
-_values = st.one_of(
-    st.integers(min_value=-3, max_value=2**33).map(IntWritable),
-    st.text(alphabet="xyé", max_size=3).map(Text),
-)
+_values = st.integers(min_value=-3, max_value=2**31 - 1).map(IntWritable)
 
 
 def _outputs_of(keys):
@@ -105,18 +106,19 @@ partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
 reduce_counts = st.sampled_from([1, 2, 3, 7])
 
 
-def _packs_from_runs(bucket) -> bool:
-    """Would the runs stand for this bucket's key column?"""
+def _run_class(bucket) -> bool:
+    """Are the keys all ``Text``, all ``IntWritable`` or all
+    ``LongWritable`` — a column the runs may stand for?"""
     classes = {type(key) for key, _ in bucket}
-    if len(classes) != 1:
-        return False
-    (cls,) = classes
-    if cls is Text:
-        return True
-    low, high = (-(2**31), 2**31 - 1) if cls is IntWritable else (-(2**63), 2**63 - 1)
-    return cls in (IntWritable, LongWritable) and all(
-        low <= key.value <= high for key, _ in bucket
-    )
+    return len(classes) == 1 and classes <= {Text, IntWritable, LongWritable}
+
+
+def _encoded(bucket, runs=None):
+    """``encode_pairs``' result, or the ``WireFormatError`` it raised."""
+    try:
+        return wire.encode_pairs(bucket, runs)
+    except WireFormatError as exc:
+        return type(exc)
 
 
 def _cuts(runs):
@@ -130,12 +132,16 @@ def assert_runs_encode_alike(pairs, partitioner, num_reduces):
     for partition, bucket in buckets.items():
         runs = tally.key_runs[partition]
         assert _cuts(runs) == list(_key_runs(bucket))
-        assert wire.encode_pairs(bucket, runs) == wire.encode_pairs(bucket)
+        assert _encoded(bucket, runs) == _encoded(bucket)
         column: list[bytes] = []
-        taken = wire._encode_key_runs(column, bucket, runs)
-        assert (taken is not None) == _packs_from_runs(bucket)
-        if taken is None:
-            assert column == []  # declined before appending anything
+        if _run_class(bucket) and not wire_oracle.rwf2_packs(k for k, _ in bucket):
+            with pytest.raises(WireFormatError, match="beyond"):
+                wire._encode_key_runs(column, bucket, runs)
+        else:
+            taken = wire._encode_key_runs(column, bucket, runs)
+            assert (taken is not None) == _run_class(bucket)
+            if taken is None:
+                assert column == []  # declined before appending anything
 
 
 class TestRunsEqualRecords:
@@ -159,6 +165,7 @@ class TestRunsEqualRecords:
     )
     @SETTINGS
     def test_other_columns_take_the_per_record_path(self, pairs, partitioner, n):
+        """Float and null keys pack record by record; the others raise."""
         assert_runs_encode_alike(pairs, partitioner, n)
 
     def test_single_record_runs(self):
@@ -175,13 +182,15 @@ class TestRunsEqualRecords:
         assert list(tally.key_runs.values()) == [[9]]
         assert wire.encode_pairs(bucket, [9]) == wire.encode_pairs(bucket)
 
-    def test_wide_ints_fall_back_to_the_tagged_column(self):
+    def test_wide_ints_fall_back_to_object_form(self):
         for cls, wide in ((IntWritable, 2**31), (LongWritable, 2**63)):
             bucket = [(cls(1), NullWritable()), (cls(wide), NullWritable())]
-            blob, payload = wire.encode_pairs(bucket, [1, 1])
-            assert (blob, payload) == wire.encode_pairs(bucket)
-            kind, _ = wire.COLUMN.unpack_from(blob, wire.HEADER.size)
-            assert kind == wire.KIND_TAGGED
+            for runs in ([1, 1], None):
+                with pytest.raises(WireFormatError, match="beyond"):
+                    wire.encode_pairs(bucket, runs)
+            output = MapOutput(task_index=0, node="n", partitions={0: bucket})
+            assert not output.freeze(key_runs={0: [1, 1]})
+            assert output.pairs_for(0) == bucket
 
     def test_runs_that_do_not_fit_the_pairs_are_not_used(self):
         # Caught: wrong totals, empty runs, equal adjacent heads.  A run
@@ -261,25 +270,28 @@ def _prefetched(job):
 
 class TestPooledAttemptFreezesAlike:
     @pytest.mark.parametrize(
-        "job_cls", [WordCountJob, WordCountWithCombinerJob, FloatKeyJob, StationJob]
+        "job_cls, packs",
+        [(WordCountJob, True), (WordCountWithCombinerJob, True), (FloatKeyJob, True), (StationJob, False)],
     )
-    def test_frames_and_memos_equal_execute_then_freeze(self, job_cls):
+    def test_frames_and_memos_equal_execute_then_freeze(self, job_cls, packs):
         job = job_cls(JobConf(name="job", num_reduces=3))
         config = MapReduceConfig()
         split, prefetched = _prefetched(job)
         parent = runtime.execute_map(
             job, split, prefetched, config, task_node="n", disk_write_bw=1e8
         )
-        assert parent.output.freeze()
+        assert parent.output.freeze() is packs
         split, prefetched = _prefetched(job)
         got = runtime.map_attempt_work(job, split, prefetched, config, "n", 1e8)
-        assert got.output.partitions is None
+        assert got.output.frozen is packs
         assert got.output.frames == parent.output.frames
+        assert got.output.partitions == parent.output.partitions
         assert got.output._bytes_memo == parent.output._bytes_memo
         assert got.output._records_memo == parent.output._records_memo
         assert got.counters.as_dict() == parent.counters.as_dict()
         assert got.duration == parent.duration
-        assert got.perf["blobs_encoded"] == len(parent.output.frames)
+        assert got.perf["blobs_encoded"] == len(parent.output.frames or ())
+        assert got.perf["frame_fallbacks"] == (not packs)
 
     @pytest.mark.parametrize(
         "job_cls, from_runs", [(WordCountJob, True), (WordCountWithCombinerJob, False)]

@@ -3,11 +3,12 @@
 This is the body ``repro.mapreduce.wire`` had before the run-packed RWF2
 layout replaced it: one header, then one tagged frame per Writable, key
 and value alternating — one ``_encode_one`` / ``_decode_one`` call per
-frame.  It defines what RWF2 must reproduce exactly (decoded class,
-value and ``_size_memo``; ``payload_bytes``; record count; the
-key-sorted flag, except that the flag is now clear for NaN keys — see
-``test_wire_differential.py``, which compares the two).  Not collected
-by pytest (no ``test_`` prefix).
+frame.  It defines what RWF2 must reproduce exactly over every column
+RWF2 packs (decoded class, value and ``_size_memo``; ``payload_bytes``;
+record count; the key-sorted flag, except that the flag is now clear
+for NaN keys — see ``test_wire_differential.py``, which compares the
+two); :func:`rwf2_packs` restates which columns those are.  Not
+collected by pytest (no ``test_`` prefix).
 
 RWF1 blob layout (all integers big-endian)::
 
@@ -16,7 +17,7 @@ RWF1 blob layout (all integers big-endian)::
     | 4 B  | 1 B   | u32     | key/value alternating      |
     +------+-------+---------+----------------------------+
 
-    frame := tag(1 B) + payload   (tags as in ``repro.mapreduce.wire``)
+    frame := tag(1 B) + payload   (the ``TAG_*`` constants below)
 """
 
 from __future__ import annotations
@@ -343,3 +344,23 @@ def decode_pairs(buf) -> Iterator[Pair]:
 def decode_pair_list(buf) -> list[Pair]:
     """Decode a whole blob into a list (the reduce fetch path)."""
     return list(decode_pairs(buf))
+
+
+def rwf2_packs(column: Iterable[Writable]) -> bool:
+    """Would RWF2 pack this column?  Its rule, restated: every entry of
+    one exact class among ``Text``, ``IntWritable`` within 32 bits,
+    ``LongWritable`` within 64, ``FloatWritable`` and ``NullWritable``
+    (an empty column packs too).  Any other column RWF1 framed per
+    record; RWF2 raises and the map output ships as objects."""
+    column = list(column)
+    classes = {type(w) for w in column}
+    if len(classes) > 1:
+        return False
+    bounds = {IntWritable: (INT32_MIN, INT32_MAX), LongWritable: (INT64_MIN, INT64_MAX)}
+    if classes <= {Text, FloatWritable, NullWritable}:
+        return True
+    (cls,) = classes
+    if cls not in bounds:
+        return False
+    low, high = bounds[cls]
+    return all(low <= w.value <= high for w in column)

@@ -14,8 +14,10 @@ import warnings
 
 import pytest
 
+from repro.datasets.airline import generate_airline
 from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.hdfs.localfs import LinuxFileSystem
+from repro.jobs.airline_delay import AirlineDelayCombinerJob
 from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
 from repro.mapreduce.api import Job, Mapper, Reducer
 from repro.mapreduce.backend import create_backend
@@ -23,7 +25,13 @@ from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.counters import perf_stats
 from repro.mapreduce.local_runner import LocalJobRunner
-from repro.mapreduce.types import FloatWritable, IntWritable, Text, record_writable
+from repro.mapreduce.types import (
+    FloatWritable,
+    IntWritable,
+    LongWritable,
+    Text,
+    record_writable,
+)
 
 ALL_DRILLS = tuple(SCENARIOS)
 
@@ -172,6 +180,73 @@ class TestWholeJobIdentity:
         )
         pooled = _local_fingerprint(_mr_config("framed"), FloatKeyJob, FLOATS_WITH_NAN)
         assert pooled == serial
+
+
+class _MixedKeyMapper(Mapper):
+    """Word lengths as keys, ``IntWritable`` and ``LongWritable`` by turns:
+    equal lengths hash to one partition, so its key column mixes classes."""
+
+    def map(self, key, value, context):
+        for i, word in enumerate(value.value.split()):
+            cls = LongWritable if i % 2 else IntWritable
+            context.write(cls(len(word)), IntWritable(1))
+
+
+class _ClassCountReducer(Reducer):
+    """Count per key, naming the key's class: the two stay apart."""
+
+    def reduce(self, key, values, context):
+        name = f"{type(key).__name__}:{key.value}"
+        context.write(Text(name), IntWritable(sum(v.value for v in values)))
+
+
+class MixedKeyJob(Job):
+    mapper = _MixedKeyMapper
+    reducer = _ClassCountReducer
+
+
+class _WideValueMapper(Mapper):
+    """``IntWritable`` values past 32 bits, which no column packs."""
+
+    def map(self, key, value, context):
+        for word in value.value.split():
+            context.write(Text(word), IntWritable(2**32 + len(word)))
+
+
+class WideValueJob(Job):
+    mapper = _WideValueMapper
+    reducer = IntSumReducer
+
+
+AIRLINE_CSV = generate_airline(seed=8, num_rows=2500).csv_text
+
+
+class TestUnpackedOutputsShipAsObjects:
+    """A column the wire does not pack — a shipped ``record_writable``
+    value, mixed key classes, an integer past its width — ships its map
+    output as pickled objects: one counted fallback per map, no
+    warning, and every transport still answers exactly like serial."""
+
+    @pytest.mark.parametrize(
+        "job_cls, corpus",
+        [
+            (AirlineDelayCombinerJob, AIRLINE_CSV),
+            (MixedKeyJob, CORPUS),
+            (WideValueJob, CORPUS),
+        ],
+        ids=["record-writable", "mixed-int-long-keys", "wide-int-values"],
+    )
+    def test_pooled_equals_serial(self, job_cls, corpus):
+        serial = _local_fingerprint(
+            _mr_config("framed", backend="serial"), job_cls, corpus
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for transport in ("framed", "shm"):
+                pooled = _local_fingerprint(
+                    _mr_config(transport), job_cls, corpus, unframed_maps=True
+                )
+                assert pooled == serial, transport
 
 
 class TestFramedEqualsObject:
