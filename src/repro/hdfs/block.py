@@ -38,7 +38,7 @@ DEFAULT_CHUNK_SIZE = 64 * 1024
 _UNKNOWN, _OK, _BAD = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """NameNode-side block identity."""
 

@@ -41,7 +41,7 @@ from repro.util.errors import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteResult:
     """Outcome of one file write."""
 
@@ -52,7 +52,7 @@ class WriteResult:
     locations: dict[int, list[str]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """Outcome of one file read."""
 

@@ -62,6 +62,7 @@ class DataNode:
         peer_lookup: Callable[[str], "DataNode"],
     ):
         self.node = node
+        self.name = node.name
         self.namenode = namenode
         self.sim = sim
         self.config = config
@@ -90,10 +91,6 @@ class DataNode:
         self.restarts = 0
 
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.node.name
-
     @property
     def is_serving(self) -> bool:
         return self.state == DataNodeState.UP and self.node.is_up

@@ -62,7 +62,7 @@ MIN_REPLICAS = 1
 BYTES_PER_BLOCK = 150
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockMeta:
     """NameNode-side record for one block.  It names no file: reports
     derive a block's path from the namespace, so renames never come here."""
@@ -77,7 +77,7 @@ class BlockMeta:
     safe: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LocatedBlock:
     """A block plus its replica locations, nearest-first for a reader."""
 

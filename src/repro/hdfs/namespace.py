@@ -51,10 +51,11 @@ def move_quotas(quotas: dict[str, tuple], src: str, dst: str | None) -> None:
             quotas[dst + root[len(src):]] = value
 
 
-@dataclass
+@dataclass(slots=True)
 class INodeFile:
     """A file: an ordered list of blocks plus attributes."""
 
+    is_dir = False
     name: str
     replication: int
     blocks: list[Block] = field(default_factory=list)
@@ -65,28 +66,21 @@ class INodeFile:
     def length(self) -> int:
         return sum(b.length for b in self.blocks)
 
-    @property
-    def is_dir(self) -> bool:
-        return False
 
-
-@dataclass
+@dataclass(slots=True)
 class INodeDirectory:
     """A directory: named children."""
 
+    is_dir = True
     name: str
     children: dict[str, "INodeFile | INodeDirectory"] = field(default_factory=dict)
     mtime: float = 0.0
-
-    @property
-    def is_dir(self) -> bool:
-        return True
 
 
 INode = INodeFile | INodeDirectory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileStatus:
     """What ``hadoop fs -ls`` shows for one entry."""
 

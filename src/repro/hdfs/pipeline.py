@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hdfs.namenode import NameNode
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineResult:
     """Outcome of writing one block through the pipeline."""
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvalidateCommand:
     """Delete these block replicas from local storage."""
 
     block_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicateCommand:
     """Push one block replica to another DataNode."""
 
@@ -29,7 +29,7 @@ class ReplicateCommand:
 Command = InvalidateCommand | ReplicateCommand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeartbeatResponse:
     """What the NameNode returns to a heartbeating DataNode."""
 
@@ -37,7 +37,7 @@ class HeartbeatResponse:
     re_register: bool = False  # NameNode restarted and lost this node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockReport:
     """Full inventory of one DataNode's replicas."""
 
@@ -46,7 +46,7 @@ class BlockReport:
     corrupt_ids: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class DatanodeInfo:
     """Registration/heartbeat payload: identity + storage stats."""
 

@@ -64,7 +64,7 @@ class MappedFile:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRead:
     """Result of one block (or partial block) read."""
 

@@ -9,7 +9,6 @@ Names follow Hadoop 1.x so the output reads like the real thing.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
 
@@ -48,47 +47,41 @@ class C:
     KILLED_SPECULATIVE = ("Job Counters", "Killed speculative attempts")
 
 
-def _group_counters() -> defaultdict:
-    """One counter group.  Module-level so Counters instances pickle
-    (a ``defaultdict`` pickles its factory by reference), which pooled
-    execution backends rely on to ship task results between processes.
-    """
-    return defaultdict(int)
-
-
-@dataclass
+@dataclass(slots=True)
 class Counters:
-    """Hierarchical ``group -> name -> int`` counters."""
+    """``group -> name -> int`` counters, kept flat: one dict keyed by
+    the ``(group, name)`` tuple, in first-seen order."""
 
-    _data: dict[str, dict[str, int]] = field(
-        default_factory=lambda: defaultdict(_group_counters)
-    )
+    _data: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def increment(self, counter: tuple[str, str], amount: int = 1) -> None:
-        group, name = counter
-        self._data[group][name] += amount
+        data = self._data
+        data[counter] = data.get(counter, 0) + amount
 
     def get(self, counter: tuple[str, str]) -> int:
-        group, name = counter
-        return self._data.get(group, {}).get(name, 0)
+        return self._data.get(counter, 0)
 
     def set(self, counter: tuple[str, str], value: int) -> None:
-        group, name = counter
-        self._data[group][name] = value
+        self._data[counter] = value
 
     def groups(self) -> list[str]:
-        return sorted(self._data)
+        return sorted({group for group, _ in self._data})
 
     def items(self, group: str) -> list[tuple[str, int]]:
-        return sorted(self._data.get(group, {}).items())
+        return sorted(
+            (name, value) for (g, name), value in self._data.items() if g == group
+        )
 
     def merge(self, other: "Counters") -> None:
-        for group, names in other._data.items():
-            for name, value in names.items():
-                self._data[group][name] += value
+        data = self._data
+        for counter, value in other._data.items():
+            data[counter] = data.get(counter, 0) + value
 
     def as_dict(self) -> dict[str, dict[str, int]]:
-        return {g: dict(ns) for g, ns in self._data.items()}
+        out: dict[str, dict[str, int]] = {}
+        for (group, name), value in self._data.items():
+            out.setdefault(group, {})[name] = value
+        return out
 
     def render(self) -> str:
         """Render like the tail of a ``hadoop jar`` run."""

@@ -27,7 +27,7 @@ from repro.util.errors import MapReduceError
 BlockFetch = Callable[..., tuple[bytes, float]]
 
 
-@dataclass
+@dataclass(slots=True)
 class InputSplit:
     """One unit of map-task work: a single block of one file."""
 
@@ -44,7 +44,7 @@ class InputSplit:
         return f"{self.path}:{self.block_index}"
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchStats:
     """I/O accounting for one map task's input."""
 
@@ -52,7 +52,7 @@ class FetchStats:
     elapsed: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefetchedSplit:
     """One split's input bytes, fully fetched and boundary-trimmed.
 

@@ -68,6 +68,7 @@ class RunningJob:
             ReduceTask(job_id=job_id, partition=p)
             for p in range(job.conf.num_reduces)
         ]
+        #: Pending queues; None once the job has finished or failed.
         self.pending_maps: deque[int] = deque(range(len(self.map_tasks)))
         self.pending_reduces: deque[int] = deque(range(len(self.reduce_tasks)))
         #: O(1) completion census (the ``all(...)`` scans made

@@ -45,7 +45,7 @@ from repro.util.errors import JobSubmissionError, OutputExistsError
 from repro.util.rng import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assignment:
     """One unit of work handed to a TaskTracker in a heartbeat response."""
 
@@ -221,9 +221,12 @@ class JobTracker:
             self._reduce_schedulable[job.submit_seq] = job
 
     def _deindex_job(self, job: RunningJob) -> None:
+        """A finished or failed job leaves every scheduler index and
+        drops its pending queues: nothing will be launched for it again."""
         self._active.pop(job.submit_seq, None)
         self._map_schedulable.pop(job.submit_seq, None)
         self._reduce_schedulable.pop(job.submit_seq, None)
+        job.pending_maps = job.pending_reduces = None
 
     # ------------------------------------------------------------------
     # submission

@@ -145,7 +145,7 @@ def job_pooled(backend, job: Job, splits: list[InputSplit]) -> bool:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class MapExecution:
     """Everything a finished map task hands back to the framework."""
 
@@ -161,7 +161,7 @@ class MapExecution:
     perf: dict | None = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReduceExecution:
     """A finished reduce task's output pairs plus accounting.
 
@@ -206,7 +206,7 @@ def _make_sanitizer(
     return TaskSanitizer(conf=conf, counters=counters, task=task)
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefetchedInput:
     """A split's bytes plus the I/O accounting already paid for them.
 

@@ -28,7 +28,7 @@ class AttemptState(enum.Enum):
     KILLED = "killed"  # lost tracker or losing speculative twin
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskAttempt:
     """One execution attempt of one task on one tracker."""
 
@@ -44,7 +44,7 @@ class TaskAttempt:
     speculative: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class MapTask:
     """One map task: a split plus its attempt history and output."""
 
@@ -81,7 +81,7 @@ class MapTask:
         return max(0, len(self.attempts) - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReduceTask:
     """One reduce task: a partition plus its attempt history."""
 

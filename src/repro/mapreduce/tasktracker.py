@@ -54,7 +54,7 @@ class TrackerState(enum.Enum):
     CRASHED = "crashed"
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunningAttempt:
     assignment: "Assignment"
     #: None until the backend joins the attempt's work; set once it
@@ -99,6 +99,7 @@ class TaskTracker:
         backend: ExecutionBackend | None = None,
     ):
         self.node = node
+        self.name = node.name
         self.sim = sim
         self.mr_config = mr_config
         self.fetcher = fetcher
@@ -119,10 +120,6 @@ class TaskTracker:
         self.shuffle_retries = 0
 
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.node.name
-
     @property
     def is_serving(self) -> bool:
         return self.state == TrackerState.UP and self.node.is_up
