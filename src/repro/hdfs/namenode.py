@@ -70,7 +70,8 @@ class BlockMeta:
     block: Block
     expected_replication: int
     locations: set[str] = field(default_factory=set)
-    corrupt_on: set[str] = field(default_factory=set)
+    #: Rebound, never mutated: every clean block shares one empty set.
+    corrupt_on: frozenset[str] = frozenset()
     #: Cached "counts toward safemode" bit (>= MIN_REPLICAS live
     #: replicas); maintained by NameNode._check_replication so safemode
     #: updates are O(1) instead of an O(#blocks) rescan per event.
@@ -583,7 +584,7 @@ class NameNode:
         meta = self.block_map.get(block_id)
         if meta is None:
             return
-        meta.corrupt_on.add(datanode)
+        meta.corrupt_on = meta.corrupt_on | {datanode}
         self._drop_replica(meta, datanode)
         self.sim.bus.publish(
             "hdfs.namenode.corrupt_replica",
@@ -601,7 +602,8 @@ class NameNode:
         if datanode not in meta.locations:
             meta.locations.add(datanode)
             self._blocks_on[datanode].add(meta.block.block_id)
-        meta.corrupt_on.discard(datanode)
+        if datanode in meta.corrupt_on:
+            meta.corrupt_on = meta.corrupt_on - {datanode}
         self._check_replication(meta)
 
     def _drop_replica(

@@ -56,6 +56,28 @@ class Assignment:
     speculative: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class RetiredJob:
+    """What the JobTracker keeps of a finished or failed job: atomic
+    fields only, so a retired job costs the collector one object.  The
+    full job and its report stay with whoever holds the handle."""
+
+    job_id: str
+    name: str
+    user: str
+    state: str
+    submit_time: float
+    finish_time: float
+    succeeded_maps: int
+    num_maps: int
+    succeeded_reduces: int
+    num_reduces: int
+    failure_reason: str | None
+
+
+#: Retired-job records kept, oldest evicted first (Hadoop 1.x's
+#: ``mapred.job.tracker.retiredjobs.cache.size``).
+RETIRED_JOBS_KEPT = 1000
 #: Attempts of one task before the job fails (mapred.map.max.attempts).
 MAX_ATTEMPTS = 4
 #: Failures by one tracker on one job before it is blacklisted for it.
@@ -90,13 +112,15 @@ class JobTracker:
         self.backend = backend if backend is not None else ExecutionBackend("serial")
         self.rng = rng or RngStream(seed=0).child("jobtracker")
         self.trackers: dict[str, TaskTracker] = {}
+        #: The RUNNING jobs, in submission order; a job leaves when it
+        #: finishes or fails, and its record joins ``retired``.
         self.jobs: dict[str, RunningJob] = {}
+        self.retired: dict[str, RetiredJob] = {}
         self._seq = 0
         #: Indexes keyed by submit_seq so iteration in sorted-key order
-        #: IS submission (FIFO) order.  ``_active`` holds every RUNNING
-        #: job; the schedulable maps hold only jobs that might yield an
-        #: assignment of that kind — what the per-heartbeat scan visits.
-        self._active: dict[int, RunningJob] = {}
+        #: IS submission (FIFO) order.  They hold only jobs that might
+        #: yield an assignment of that kind — what the per-heartbeat
+        #: scan visits.
         self._map_schedulable: dict[int, RunningJob] = {}
         self._reduce_schedulable: dict[int, RunningJob] = {}
         #: Which registered trackers are alive (the heartbeat table).
@@ -121,7 +145,7 @@ class JobTracker:
         the old process and would otherwise hang RUNNING forever.  Kill
         (without penalty) and requeue them.
         """
-        for job in self._active_jobs():
+        for job in self.jobs.values():
             for task in [*job.map_tasks, *job.reduce_tasks]:
                 for attempt in task.running_attempts:
                     if (
@@ -159,7 +183,7 @@ class JobTracker:
 
     def _tracker_lost(self, name: str) -> None:
         self.sim.bus.publish("mr.jobtracker.tracker_lost", self.sim.now, tracker=name)
-        for job in self._active_jobs():
+        for job in self.jobs.values():
             for task in [*job.map_tasks, *job.reduce_tasks]:
                 for attempt in task.running_attempts:
                     if attempt.tracker == name:
@@ -201,32 +225,42 @@ class JobTracker:
         )
 
     def _requeue(self, job: RunningJob, task) -> None:
+        """Queue ``task`` again; ``job`` is RUNNING, as every job in
+        ``jobs`` is, so it goes back in the scheduler index."""
         if task.state == TaskState.FAILED:
             return
         task.state = TaskState.PENDING
         if isinstance(task, MapTask):
             job.pending_maps.add(task.index)
-            self._index_map_schedulable(job)
+            self._map_schedulable[job.submit_seq] = job
         else:
             if task.partition not in job.pending_reduces:
                 job.pending_reduces.append(task.partition)
-            self._index_reduce_schedulable(job)
-
-    def _index_map_schedulable(self, job: RunningJob) -> None:
-        if job.state == JobState.RUNNING:
-            self._map_schedulable[job.submit_seq] = job
-
-    def _index_reduce_schedulable(self, job: RunningJob) -> None:
-        if job.state == JobState.RUNNING:
             self._reduce_schedulable[job.submit_seq] = job
 
-    def _deindex_job(self, job: RunningJob) -> None:
-        """A finished or failed job leaves every scheduler index and
-        drops its pending queues: nothing will be launched for it again."""
-        self._active.pop(job.submit_seq, None)
+    def _retire(self, job: RunningJob) -> None:
+        """A finished or failed job leaves ``jobs`` and every scheduler
+        index and drops its pending queues: nothing will be launched
+        for it again.  A ``RetiredJob`` record takes its place."""
+        del self.jobs[job.job_id]
         self._map_schedulable.pop(job.submit_seq, None)
         self._reduce_schedulable.pop(job.submit_seq, None)
         job.pending_maps = job.pending_reduces = None
+        self.retired[job.job_id] = RetiredJob(
+            job_id=job.job_id,
+            name=job.name,
+            user=job.conf.user,
+            state=job.state.value,
+            submit_time=job.submit_time,
+            finish_time=job.finish_time,
+            succeeded_maps=job.succeeded_maps,
+            num_maps=len(job.map_tasks),
+            succeeded_reduces=job.succeeded_reduces,
+            num_reduces=len(job.reduce_tasks),
+            failure_reason=job.failure_reason,
+        )
+        if len(self.retired) > RETIRED_JOBS_KEPT:
+            del self.retired[next(iter(self.retired))]
 
     # ------------------------------------------------------------------
     # submission
@@ -270,7 +304,6 @@ class JobTracker:
 
             running.shm_scope = shm.ShmScope()
         self.jobs[job_id] = running
-        self._active[running.submit_seq] = running
         if running.pending_maps:
             self._map_schedulable[running.submit_seq] = running
         if running.pending_reduces:
@@ -300,11 +333,6 @@ class JobTracker:
 
     def running_job(self, job_id: str) -> RunningJob:
         return self.jobs[job_id]
-
-    def _active_jobs(self) -> list[RunningJob]:
-        """RUNNING jobs in submission order — from the active index, so
-        the cost is O(active), not O(every job ever submitted)."""
-        return [self._active[seq] for seq in sorted(self._active)]
 
     # ------------------------------------------------------------------
     # scheduling (heartbeat-driven)
@@ -457,8 +485,8 @@ class JobTracker:
     def task_completed(
         self, tracker: TaskTracker, assignment: Assignment, execution, duration: float
     ) -> None:
-        job = self.jobs[assignment.job_id]
-        if job.finished:
+        job = self.jobs.get(assignment.job_id)
+        if job is None:  # retired: a late event
             return
         task = self._task_of(job, assignment)
         attempt = self._attempt_of(task, assignment.attempt_id)
@@ -513,8 +541,8 @@ class JobTracker:
         self, job_id: str, task_index: int, node: str
     ) -> None:
         """A reduce failed to fetch this map's output: re-run the map."""
-        job = self.jobs[job_id]
-        if job.finished:
+        job = self.jobs.get(job_id)
+        if job is None:
             return
         task = job.map_tasks[task_index]
         if task.state != TaskState.SUCCEEDED or task.completed_on != node:
@@ -528,8 +556,8 @@ class JobTracker:
         reason: str,
         counts_against: bool = True,
     ) -> None:
-        job = self.jobs[assignment.job_id]
-        if job.finished:
+        job = self.jobs.get(assignment.job_id)
+        if job is None:  # retired: a late event
             return
         task = self._task_of(job, assignment)
         attempt = self._attempt_of(task, assignment.attempt_id)
@@ -603,7 +631,7 @@ class JobTracker:
     def _finish_job(self, job: RunningJob) -> None:
         job.state = JobState.SUCCEEDED
         job.finish_time = self.sim.now
-        self._deindex_job(job)
+        self._retire(job)
         # All reduces have consumed their input: release the job's
         # shuffle data now rather than at cluster teardown.
         job.release_shuffle()
@@ -618,7 +646,7 @@ class JobTracker:
         job.state = JobState.FAILED
         job.finish_time = self.sim.now
         job.failure_reason = reason
-        self._deindex_job(job)
+        self._retire(job)
         # mrlint MRE101 audit: dict-view iteration with no early exit —
         # every matching attempt on every tracker is killed, so the
         # visit order (registration order, which changes after tracker

@@ -482,8 +482,7 @@ class TaskTracker:
             return
         if assignment.attempt_id not in self.running:
             return  # killed while backing off
-        job = self.jobtracker.running_job(assignment.job_id)
-        if job.finished:
+        if assignment.job_id not in self.jobtracker.jobs:  # retired
             self.running.pop(assignment.attempt_id, None)
             return
         self._launch(assignment, retry=retry)

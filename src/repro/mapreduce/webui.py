@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.mapreduce.job import RunningJob
-from repro.mapreduce.tasks import TaskState
 from repro.util.textable import TextTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def render_cluster_status(cluster: "MapReduceCluster") -> str:
-    """The JobTracker front page: trackers and jobs."""
+    """The JobTracker front page: trackers, running jobs, retired jobs."""
     lines = ["=== JobTracker status ==="]
     table = TextTable(["Tracker", "State", "Map slots", "Reduce slots", "Running"])
     for name in sorted(cluster.tasktrackers):
@@ -36,25 +35,36 @@ def render_cluster_status(cluster: "MapReduceCluster") -> str:
             ]
         )
     lines.append(table.render())
-    jobs = TextTable(["Job", "Name", "State", "Maps", "Reduces"])
-    for job_id in cluster.jobtracker.jobs:
-        job = cluster.jobtracker.jobs[job_id]
-        done_maps = sum(
-            1 for t in job.map_tasks if t.state == TaskState.SUCCEEDED
-        )
-        done_reduces = sum(
-            1 for t in job.reduce_tasks if t.state == TaskState.SUCCEEDED
-        )
+    jobtracker = cluster.jobtracker
+    lines.append("Running jobs")
+    jobs = TextTable(["Job", "Name", "Maps", "Reduces"])
+    for job_id, job in jobtracker.jobs.items():
         jobs.add_row(
             [
                 job_id,
                 job.name,
-                job.state.value,
-                f"{done_maps}/{len(job.map_tasks)}",
-                f"{done_reduces}/{len(job.reduce_tasks)}",
+                f"{job.succeeded_maps}/{len(job.map_tasks)}",
+                f"{job.succeeded_reduces}/{len(job.reduce_tasks)}",
             ]
         )
     lines.append(jobs.render())
+    lines.append("Retired jobs")
+    retired = TextTable(
+        ["Job", "Name", "User", "State", "Maps", "Reduces", "Finished"]
+    )
+    for record in jobtracker.retired.values():
+        retired.add_row(
+            [
+                record.job_id,
+                record.name,
+                record.user,
+                record.state,
+                f"{record.succeeded_maps}/{record.num_maps}",
+                f"{record.succeeded_reduces}/{record.num_reduces}",
+                f"{record.finish_time:.1f}s",
+            ]
+        )
+    lines.append(retired.render())
     return "\n".join(lines)
 
 

@@ -188,12 +188,14 @@ class TestSpeculativeExecution:
             "/in.txt", "word stream flowing by\n" * 12_000
         )
         conf = JobConf(name="spec", speculative_execution=speculative)
-        report = mr.run_job(wc_job(conf), "/in.txt", "/out", require_success=True)
-        return mr, report
+        # Keep the handle: the JobTracker retires the job when it ends.
+        running = mr.wait_for_job(mr.submit(wc_job(conf), "/in.txt", "/out"))
+        report = running.report()
+        assert report.succeeded, report.failure_reason
+        return mr, running, report
 
     def test_speculation_fires_on_a_straggler_and_keeps_the_output(self):
-        mr, report = self._run_with_slow_disk(speculative=True)
-        running = mr.jobtracker.running_job(report.job_id)
+        mr, running, report = self._run_with_slow_disk(speculative=True)
         twins = [
             task.attempts
             for task in running.map_tasks
@@ -213,7 +215,7 @@ class TestSpeculativeExecution:
         )
         killed = report.counters.get(C.KILLED_SPECULATIVE)
         assert killed == len(twins) == report.killed_attempts
-        off_mr, off = self._run_with_slow_disk(speculative=False)
+        off_mr, _off_running, off = self._run_with_slow_disk(speculative=False)
         assert off.counters.get(C.KILLED_SPECULATIVE) == 0
         assert off.killed_attempts == 0
         assert mr.read_output("/out") == off_mr.read_output("/out")
