@@ -5,8 +5,9 @@ Enabled by ``MapReduceConfig(sanitize=True)``.  Task execution
 
 - deep-fingerprints every map/reduce *input* before and after the user
   call, catching in-place mutation (MRJ002's dynamic twin);
-- snapshots every emitted pair at ``context.write`` time and re-checks
-  at drain, catching emitted-object aliasing (MRJ004's dynamic twin);
+- fingerprints every emitted key and value at ``context.write`` time
+  and re-checks them at drain, catching emitted-object aliasing
+  (MRJ004's dynamic twin);
 - spot-checks the job's combiner on deterministically sampled key
   groups by seeded re-execution on copies: commutativity (reversed
   values), idempotence (re-combining its own output), and split-merge
@@ -93,23 +94,24 @@ def _short(obj: Any, limit: int = 60) -> str:
 
 
 class SanitizingContext(Context):
-    """A Context that snapshots every emitted pair for aliasing checks."""
+    """A Context that fingerprints every emitted key and value for
+    aliasing checks, verified whenever the buffer drains."""
 
     def __init__(self, sanitizer: "TaskSanitizer", **kwargs: Any):
         super().__init__(**kwargs)
         self._sanitizer = sanitizer
-        self._emit_log: list[tuple[Writable, Writable, tuple, tuple]] = []
+        self._emit_log: list[tuple[Any, Any, tuple, tuple]] = []
 
     def write(self, key: Any, value: Any) -> None:
         super().write(key, value)
-        wk, wv = self._collected[-1]
-        self._emit_log.append((wk, wv, fingerprint(wk), fingerprint(wv)))
+        self._emit_log.append((key, value, fingerprint(key), fingerprint(value)))
 
-    def drain(self):
-        pairs = super().drain()
+    def drain_columns(self) -> tuple[list, list]:
+        # ``drain()`` drains through here too.
+        columns = super().drain_columns()
         log, self._emit_log = self._emit_log, []
         self._sanitizer.verify_emits(log)
-        return pairs
+        return columns
 
 
 class TaskSanitizer:
@@ -150,9 +152,7 @@ class TaskSanitizer:
                 )
 
     # -- emit aliasing ----------------------------------------------------
-    def verify_emits(
-        self, log: list[tuple[Writable, Writable, tuple, tuple]]
-    ) -> None:
+    def verify_emits(self, log: list[tuple[Any, Any, tuple, tuple]]) -> None:
         for key, value, key_fp, value_fp in log:
             if fingerprint(key) != key_fp:
                 self._record(

@@ -43,7 +43,7 @@ class SubmitEventMapper(Mapper):
             return
         _ts, job_id, task_index, _machine, event = parsed
         if event == EVENT_SUBMIT:
-            context.write(Text(f"{job_id}|{task_index}"), IntWritable(1))
+            context.write(f"{job_id}|{task_index}", 1)
 
 
 class SubmitSumCombiner(Reducer):

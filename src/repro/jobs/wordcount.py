@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.datasets.shakespeare import tokenize
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
-from repro.mapreduce.types import IntWritable, Text, Writable
+from repro.mapreduce.types import IntWritable, Writable
 
 
 class TokenizerMapper(Mapper):
@@ -22,7 +22,7 @@ class TokenizerMapper(Mapper):
 
     def map(self, key: Writable, value: Writable, context: Context) -> None:
         for word in tokenize(value.value):
-            context.write(Text(word), IntWritable(1))
+            context.write(word, 1)
 
 
 class IntSumReducer(Reducer):
@@ -48,9 +48,9 @@ class InMapperCombiningMapper(Mapper):
             self._counts[word] = self._counts.get(word, 0) + 1
 
     def cleanup(self, context: Context) -> None:
-        for word in sorted(self._counts):
-            context.write(Text(word), IntWritable(self._counts[word]))
-        self._counts.clear()
+        counts, self._counts = self._counts, {}
+        for word in sorted(counts):
+            context.write(word, counts[word])
 
 
 class WordCountJob(Job):

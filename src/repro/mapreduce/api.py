@@ -57,19 +57,39 @@ class Context:
         #: behaviour, like Hadoop's MultipleInputs/TaggedInputSplit.
         self.input_path = input_path
         self._side_reader = side_reader
-        self._collected: list[tuple[Writable, Writable]] = []
+        #: The emitted keys and values, as emitted (see :meth:`write`).
+        self._keys: list = []
+        self._values: list = []
         #: Simulated seconds of extra I/O charged by user-code helpers
         #: (side-file reads); folded into the task's duration.
         self.extra_time = 0.0
 
     # -- emission --------------------------------------------------------
     def write(self, key: Any, value: Any) -> None:
-        """Emit one key/value pair (plain values are auto-wrapped)."""
-        self._collected.append((wrap(key), wrap(value)))
+        """Emit one key/value pair.
+
+        Plain ``str``/``int``/``float``/``None`` is the cheap path: a map
+        attempt types its output once per column and builds a Writable
+        per distinct key, not per record.  Writable instances stay
+        supported (and are kept as emitted).  Anything else fails the
+        attempt with :class:`~repro.util.errors.InvalidWritableError`
+        when its output is drained, not here.
+        """
+        self._keys.append(key)
+        self._values.append(value)
 
     def drain(self) -> list[tuple[Writable, Writable]]:
-        pairs, self._collected = self._collected, []
-        return pairs
+        """Everything emitted so far as Writable pairs, in emission order
+        (plain values wrapped); the buffer starts afresh."""
+        keys, values = self.drain_columns()
+        return list(zip(map(wrap, keys), map(wrap, values)))
+
+    def drain_columns(self) -> tuple[list, list]:
+        """Everything emitted so far as ``(keys, values)``, as emitted;
+        the buffer starts afresh."""
+        keys, values = self._keys, self._values
+        self._keys, self._values = [], []
+        return keys, values
 
     # -- configuration & counters ----------------------------------------
     def get(self, param: str, default: Any = None) -> Any:
@@ -103,6 +123,10 @@ class Mapper:
 
     Advanced users may override :meth:`run` instead, Hadoop's per-split
     loop, to consume the whole split in one call.
+
+    Emit plain ``str``/``int``/``float``/``None`` where you can
+    (``context.write(word, 1)``): that is the cheap path.  Writable
+    instances (``Text(word)``, a ``record_writable`` value) work too.
     """
 
     def run(self, split: MapInput, context: Context) -> None:

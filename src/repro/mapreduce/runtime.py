@@ -58,7 +58,7 @@ from repro.mapreduce.shuffle import (
     run_combiner,
     serialized_bytes,
 )
-from repro.mapreduce.types import Writable
+from repro.mapreduce.types import Writable, typed_columns
 from repro.util.errors import TaskFailedError
 
 SideReader = Callable[[str], tuple[str, float]]
@@ -271,31 +271,34 @@ def execute_map(
     mapper = job.mapper()  # type: ignore[misc]
     try:
         mapper.run(split_input, context)
+        # Typed inside the user-code boundary: an emission that does not
+        # wrap fails the attempt here, as ``map raised ...``.
+        keys, values = typed_columns(*context.drain_columns())
     except Exception as exc:  # noqa: BLE001 - user code boundary
         raise _wrap_user_error("map", exc) from exc
     split_input.verify_inputs()
     records_in = split_input.records
 
     # One pass orders and buckets the output: every bucket comes back
-    # key-sorted, so the combiner never re-sorts, and its key groups
-    # fall out of the same pass (a job without a combiner collects
-    # none).  An output that will be framed as it stands (pooled, no
-    # combiner) collects its buckets' key runs instead, which the
-    # encoder writes the key column from.
-    tally = PartitionTally(
-        grouped=job.combiner is not None,
-        runs=perf is not None and job.combiner is None,
-    )
-    # ``drained`` stays bound until the task returns on purpose: it then
-    # holds the last reference to every pair, so they are freed in
-    # allocation order.  Dropped here, the key-sorted buckets free them
-    # instead — a random walk over the heap that takes ~2.4x as long
-    # (+6 % CPU on a 1 MiB WordCount).  A pooled attempt freezes its
-    # output below, before returning, for the same reason: the frozen
-    # output keeps no pair, so ``drained`` is the last to let go.
-    drained = context.drain()
+    # key-sorted, as the combiner's key groups when there is one (so it
+    # never regroups), else as pairs.  An output that will be framed as
+    # it stands (pooled, no combiner) also collects its buckets' key
+    # runs, which the encoder writes the key column from.
+    #
+    # Free order: the key column holds the last reference to every
+    # emitted key but each run's first, and frees them in one pass down
+    # the emission order when the task returns; plain values become
+    # Writables run by run, so the buckets free those in the order they
+    # were built.  (Emission-order pairs freed from key-sorted buckets
+    # were a random walk over the heap: +6 % CPU on a 1 MiB WordCount.)
+    tally = PartitionTally(runs=perf is not None and job.combiner is None)
     partitions = partition_pairs(
-        drained, job_partitioner(job), conf.num_reduces, tally
+        keys,
+        values,
+        job_partitioner(job),
+        conf.num_reduces,
+        tally,
+        grouped=job.combiner is not None,
     )
     records_out, output_bytes = tally.records, tally.nbytes
     counters.increment(C.MAP_INPUT_RECORDS, records_in)
@@ -308,23 +311,17 @@ def execute_map(
         if sanitizer is not None:
             # Spot-check the combiner contract on the *uncombined*,
             # key-sorted groups before the real combine consumes them.
-            sanitizer.check_combiner(job.combiner, tally.groups)
+            sanitizer.check_combiner(job.combiner, partitions)
         combined: dict[int, list[Pair]] = {}
-        combine_records = 0
-        for partition, ppairs in partitions.items():
+        for partition, groups in partitions.items():
             try:
                 combined[partition] = run_combiner(
-                    job.combiner,
-                    ppairs,
-                    context,
-                    counters,
-                    tally.groups.pop(partition),
+                    job.combiner, groups, context, counters
                 )
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise _wrap_user_error("combine", exc) from exc
-            combine_records += len(ppairs)
         partitions = combined
-        combine_time = sort_time(combine_records) + cpu_time(combine_records, 0)
+        combine_time = sort_time(records_out) + cpu_time(records_out, 0)
 
     # Without a combiner the partitions hold exactly what was tallied.
     final_bytes = (
@@ -354,11 +351,9 @@ def execute_map(
         task_index=split.block_index, node=task_node or "", partitions=partitions
     )
     if perf is not None:
-        # With ``partitions`` unbound too, the frozen output leaves
-        # ``drained`` the last holder of every pair.  An output that
-        # cannot be framed simply ships in object form (``freeze``
-        # reports False); the backend's pickle fallback remains the
-        # safety net behind that.
+        # An output that cannot be framed simply ships in object form
+        # (``freeze`` reports False); the backend's pickle fallback
+        # remains the safety net behind that.
         partitions = None
         output.freeze(perf, tally.key_runs)
     return MapExecution(
@@ -427,10 +422,10 @@ def execute_reduce(
                 groups += 1
                 reducer.reduce(key, values, context)
         reducer.cleanup(context)
+        out_pairs = context.drain()
     except Exception as exc:  # noqa: BLE001 - user code boundary
         raise _wrap_user_error("reduce", exc) from exc
 
-    out_pairs = context.drain()
     counters.increment(C.REDUCE_INPUT_RECORDS, in_records)
     counters.increment(C.REDUCE_INPUT_GROUPS, groups)
     counters.increment(C.REDUCE_OUTPUT_RECORDS, len(out_pairs))

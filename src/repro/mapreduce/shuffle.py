@@ -7,33 +7,35 @@ reduced network traffic").
 
 Hot-path notes: these functions sit inside every task attempt, so they
 pay per *distinct key* where they can, and per record only where they
-must.  One grouping rule serves both sides (:func:`_runs`): a pair list
-in emission order becomes what a stable sort by ``sort_key()`` and a
+must.  A map attempt's output arrives as two typed columns
+(:class:`~repro.mapreduce.types.Column`), the keys and the values as
+user code emitted them.  One grouping rule serves both sides: records
+in emission order become what a stable sort by ``sort_key()`` and a
 cut between adjacent unequal keys (``Writable.__eq__``) would give —
 key-sorted runs of equal keys, each in emission order.  When every key
 is of one exact class in
 :data:`~repro.mapreduce.types.SORT_KEY_PINS_ENCODING` (``Text``,
 ``IntWritable``, ``LongWritable``, ``NullWritable``), equal sort keys
-are identical keys, so the run *is* the dict entry of its sort key: the
-pairs are collected by hashing, with one ``sort_key()`` per record, and
-only the distinct sort keys are sorted.  Every other key column
+are identical keys, so a run *is* the dict entry of its sort key
+(:func:`_hash_runs`): records are filed by hashing their sort keys — a
+plain key itself, or a Writable's ``value`` read in one C-level pass —
+and only the distinct sort keys are sorted.  Every other key column
 (``FloatWritable``, whose ``0.0 == -0.0``; ``record_writable`` keys,
-whose ``(1,) == (1.0,)``; subclasses; mixed classes) takes the stable
-sort and the neighbour walk of :func:`_key_runs`.
+whose ``(1,) == (1.0,)``; subclasses; mixed classes) becomes Writable
+pairs and takes the stable sort and the neighbour walk of
+:func:`_key_runs`.
 
-:func:`partition_pairs` takes a map attempt's output in emission order
-and returns key-sorted buckets.  A run costs one partitioner call, one
-key size and one extend of its bucket (materialising only non-empty
-partitions), and is kept as the ``(key, values)`` group the combiner
-consumes, so :func:`run_combiner` does not regroup — or, for an output
-a pooled attempt will frame as it stands, as a run length the wire
-encoder writes the key column from.  A run of a class
-that does not pin the encoding to the sort key is partitioned and sized
-record by record, which keeps buckets, tallies and groups identical to
-a per-record pass.  :func:`merge_for_reduce` groups the concatenated
-map outputs by the same rule.  Sizes come from per-instance
-``serialized_size`` memos (see :class:`~repro.mapreduce.types.Writable`)
-and per-partition byte memos on :class:`MapOutput`.
+:func:`partition_pairs` turns the columns into key-sorted buckets.  A
+hashed run costs one key Writable, one partitioner call and one extend
+of its bucket; its values become Writables only there, one fresh
+instance per plain value, as the ``(key, values)`` group the combiner
+consumes (so :func:`run_combiner` does not regroup) or as the pairs of
+a job without a combiner.  Byte totals come per column
+(:func:`column_bytes`).  A run of a class that does not pin the
+encoding is partitioned record by record, which keeps buckets, tallies
+and groups identical to a per-record pass.  :func:`merge_for_reduce`
+groups the concatenated map outputs by the same rule, and
+``MapOutput`` memoises per-partition byte totals.
 """
 
 from __future__ import annotations
@@ -41,14 +43,24 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, pairwise
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from itertools import chain, compress, filterfalse, islice, pairwise, repeat
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from repro.mapreduce import wire
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.counters import C, Counters, PerfStats, _perf_clock
 from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Writable
+from repro.mapreduce.types import (
+    INT32_MAX,
+    INT32_MIN,
+    SORT_KEY_PINS_ENCODING,
+    Column,
+    FloatWritable,
+    IntWritable,
+    NullWritable,
+    Text,
+    Writable,
+)
 from repro.util.errors import WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,31 +121,46 @@ def _key_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
     return pairwise([0, *compress(range(1, count), is_boundary), count])
 
 
+def _hash_runs(sort_keys: Iterable, items: Iterable) -> list[tuple[Any, list]]:
+    """The hashed grouping rule: ``(sort_key, items)`` per distinct sort
+    key, the sort keys ascending, each item filed under its own sort key
+    in emission order.
+
+    For keys of one class in ``SORT_KEY_PINS_ENCODING`` equal sort keys
+    are identical keys, totally ordered, so these are the runs a stable
+    sort and a cut between unequal neighbours would make.
+    """
+    by_sort_key: dict = {}
+    get = by_sort_key.get
+    for sort_key, item in zip(sort_keys, items):
+        run = get(sort_key)
+        if run is None:
+            by_sort_key[sort_key] = [item]
+        else:
+            run.append(item)
+    return [(sort_key, by_sort_key[sort_key]) for sort_key in sorted(by_sort_key)]
+
+
+def _sorted_runs(pairs: list[Pair]) -> list[list[Pair]]:
+    """The sorted grouping rule: a stable sort, then :func:`_key_runs`."""
+    ordered = sort_pairs(pairs)
+    return [ordered[start:stop] for start, stop in _key_runs(ordered)]
+
+
 def _runs(pairs: list[Pair]) -> list[list[Pair]]:
-    """The one grouping rule: ``pairs`` as key-sorted runs of equal keys.
+    """The one grouping rule over pairs: key-sorted runs of equal keys.
 
     The runs are what :func:`sort_pairs` followed by :func:`_key_runs`
-    cuts, the same pair objects in the same order.  When they are found
-    by hashing (see the module notes for when), equal sort keys are
-    identical keys, totally ordered, so filing each pair under its sort
-    key and sorting the distinct sort keys gives the stable sort's order.
+    cuts, the same pair objects in the same order; a key column of one
+    class in ``SORT_KEY_PINS_ENCODING`` finds them by hashing.
     """
     if not pairs:
         return []
-    cls = type(pairs[0][0])
-    if cls in SORT_KEY_PINS_ENCODING and len(set(map(type, map(_KEY, pairs)))) == 1:
-        by_sort_key: dict = {}
-        get = by_sort_key.get
-        for kv in pairs:
-            sort_key = kv[0].sort_key()
-            run = get(sort_key)
-            if run is None:
-                by_sort_key[sort_key] = [kv]
-            else:
-                run.append(kv)
-        return [by_sort_key[sort_key] for sort_key in sorted(by_sort_key)]
-    ordered = sort_pairs(pairs)
-    return [ordered[start:stop] for start, stop in _key_runs(ordered)]
+    keys = list(map(_KEY, pairs))
+    classes = set(map(type, keys))
+    if len(classes) == 1 and (cls := classes.pop()) in SORT_KEY_PINS_ENCODING:
+        return list(map(_VALUE, _hash_runs(Column(keys, cls).sort_keys(), pairs)))
+    return _sorted_runs(pairs)
 
 
 def _groups(pairs: list[Pair]) -> list[tuple[Writable, list[Writable]]]:
@@ -150,66 +177,130 @@ def _groups_in_order(groups: list[tuple[Writable, list[Writable]]]) -> bool:
     )
 
 
+#: Exact classes whose ``serialized_size()`` is one constant.
+_FIXED_SIZES = {FloatWritable: 8, NullWritable: 0}
+
+
+def column_bytes(column: Column) -> int:
+    """``serialized_size()`` summed over a column's Writables.
+
+    Without building them where the class allows: a ``Text`` column is
+    its lengths plus the UTF-8 surplus of its non-ASCII strings, an
+    ``IntWritable`` column within 32 bits is 4 bytes a record,
+    ``FloatWritable`` 8 and ``NullWritable`` 0.
+    """
+    cls, count = column.cls, len(column.items)
+    if cls is Text:
+        text = column.sort_keys()
+        nbytes = sum(map(len, text))
+        wide = list(filterfalse(str.isascii, text))
+        if wide:
+            nbytes += sum(len(s.encode("utf-8")) - len(s) for s in wide)
+        return nbytes
+    if cls in _FIXED_SIZES:
+        return _FIXED_SIZES[cls] * count
+    if cls is IntWritable and count:
+        ints = column.sort_keys()
+        if INT32_MIN <= min(ints) and max(ints) <= INT32_MAX:
+            return 4 * count
+    return sum([w.serialized_size() for w in column.writables()])
+
+
 class PartitionTally:
     """What :func:`partition_pairs` learns on its way, besides the buckets.
 
     ``records`` / ``nbytes`` are the map-output record and payload-byte
-    totals.  ``groups`` (only collected when ``grouped``) maps each
-    partition to the ``(key, values)`` groups of its bucket, as a list —
-    what the combiner consumes, so it does not regroup per record.
-    ``key_runs`` (only collected when ``runs``) maps each partition to
-    the lengths of its bucket's runs of equal keys — the cuts
-    :func:`_key_runs` would make — which a pooled attempt's
+    totals.  ``key_runs`` (only collected when ``runs``) maps each
+    partition to the lengths of its bucket's runs of equal keys — the
+    cuts :func:`_key_runs` would make — which a pooled attempt's
     :meth:`MapOutput.freeze` hands to :func:`wire.encode_pairs
     <repro.mapreduce.wire.encode_pairs>`, so the key column is written
     per run, not re-derived per record.
     """
 
-    __slots__ = ("records", "nbytes", "groups", "key_runs")
+    __slots__ = ("records", "nbytes", "key_runs")
 
-    def __init__(self, grouped: bool = False, runs: bool = False):
+    def __init__(self, runs: bool = False):
         self.records = 0
         self.nbytes = 0
-        self.groups: dict[int, list[tuple[Writable, list[Writable]]]] | None = (
-            {} if grouped else None
-        )
         self.key_runs: dict[int, list[int]] | None = {} if runs else None
 
 
 def partition_pairs(
-    pairs: Iterable[Pair],
+    keys: Column,
+    values: Column,
     partitioner: Partitioner,
     num_reduces: int,
     tally: PartitionTally | None = None,
-) -> dict[int, list[Pair]]:
+    *,
+    grouped: bool = False,
+) -> dict[int, list]:
     """Order a map attempt's output by key and bucket it by partition.
 
-    ``pairs`` come in emission order; each bucket comes back key-sorted
-    (stably), holding what a stable sort and a per-record bucketing
-    pass would put there.  Only partitions that receive at least one
-    pair are materialised; consumers read absent partitions via
-    ``.get(p, ())``.
+    ``keys`` and ``values`` are the attempt's typed columns, in emission
+    order.  Each non-empty partition's bucket comes back key-sorted
+    (stably): its pairs, or with ``grouped`` its ``(key, values)``
+    groups, what the combiner consumes — what a stable sort and a
+    per-record bucketing pass would make.  Consumers read absent
+    partitions via ``.get(p, ())``.
 
-    The partitioner is asked once per run of :func:`_runs` and the run
+    The partitioner is asked once per run of equal keys and the run
     joins its bucket whole — except a run of a class whose sort key does
-    not pin its encoding, whose records may still partition and size
-    apart (``0.0`` and ``-0.0`` are one ``FloatWritable`` group but two
-    CRC32 inputs) and are taken one by one.  ``tally``, when given, is
-    filled along the way; a span that meets an equal key at the end of
-    its bucket joins that key's group and run.
+    not pin its encoding, whose records may still partition apart
+    (``0.0`` and ``-0.0`` are one ``FloatWritable`` group but two CRC32
+    inputs) and are taken one by one.  A hashed run's key is its first
+    emitted key (plain keys: one Writable built for the run).
+    ``tally``, when given, is filled along the way.
     """
-    if not isinstance(pairs, list):
-        pairs = list(pairs)
-    buckets: dict[int, list[Pair]] = {}
-    groups = tally.groups if tally is not None else None
-    key_runs = tally.key_runs if tally is not None else None
-    # Value sizes first: their scratch list is gone before the buckets
-    # and groups grow.
-    nbytes = (
-        sum([kv[1].serialized_size() for kv in pairs]) if tally is not None else 0
-    )
+    key_runs = None
+    if tally is not None:
+        tally.records = len(keys.items)
+        tally.nbytes = column_bytes(keys) + column_bytes(values)
+        key_runs = tally.key_runs
     part = partitioner.partition
-    for run in _runs(pairs):
+    if keys.cls not in SORT_KEY_PINS_ENCODING:
+        pairs = list(zip(keys.writables(), values.writables()))
+        return _partition_sorted(pairs, part, num_reduces, grouped, key_runs)
+    sort_keys = keys.sort_keys()
+    runs = _hash_runs(sort_keys, values.items)
+    if keys.plain:
+        heads = map(keys.cls, map(_KEY, runs))
+    else:
+        first_emitted = dict(zip(reversed(sort_keys), reversed(keys.items)))
+        heads = map(first_emitted.__getitem__, map(_KEY, runs))
+    build = values.cls if values.plain else None
+    buckets: dict[int, list] = {}
+    for key, (_, run) in zip(heads, runs):
+        p = part(key, num_reduces)
+        bucket = buckets.get(p)
+        if bucket is None:
+            bucket = buckets[p] = []
+        if key_runs is not None:
+            key_runs.setdefault(p, []).append(len(run))
+        # Distinct keys: a run never meets its key in its bucket.
+        if grouped:
+            bucket.append((key, run if build is None else list(map(build, run))))
+        elif len(run) == 1:
+            bucket.append((key, run[0] if build is None else build(run[0])))
+        else:
+            bucket += zip(repeat(key), run if build is None else map(build, run))
+    return buckets
+
+
+def _partition_sorted(
+    pairs: list[Pair],
+    part,
+    num_reduces: int,
+    grouped: bool,
+    key_runs: dict[int, list[int]] | None,
+) -> dict[int, list]:
+    """:func:`partition_pairs` over Writable pairs, by the sorted rule.
+
+    A span that meets an equal key at the end of its bucket joins that
+    key's group and run.
+    """
+    buckets: dict[int, list] = {}
+    for run in _sorted_runs(pairs):
         if len(run) == 1 or type(run[0][0]) in SORT_KEY_PINS_ENCODING:
             spans = (run,)
         else:
@@ -217,57 +308,47 @@ def partition_pairs(
         for span in spans:
             key = span[0][0]
             p = part(key, num_reduces)
-            nbytes += key.serialized_size() * len(span)
             bucket = buckets.get(p)
             if bucket is None:
-                buckets[p] = span
-                if groups is not None:
-                    groups[p] = [(key, list(map(_VALUE, span)))]
+                buckets[p] = [(key, list(map(_VALUE, span)))] if grouped else span
                 if key_runs is not None:
                     key_runs[p] = [len(span)]
                 continue
-            # The bucket's previous pair may carry this key too (a run
+            # The bucket's last entry may carry this key too (a run
             # taken record by record, or IntWritable(1) runs either side
             # of a LongWritable(1) one): one group and one run, as
             # grouping the bucket would make them.
-            joins = (
-                groups is not None or key_runs is not None
-            ) and bucket[-1][0] == key
-            bucket += span
-            if groups is not None:
-                if joins:
-                    groups[p][-1][1].extend(map(_VALUE, span))
-                else:
-                    groups[p].append((key, list(map(_VALUE, span))))
+            joins = (grouped or key_runs is not None) and bucket[-1][0] == key
+            if not grouped:
+                bucket += span
+            elif joins:
+                bucket[-1][1].extend(map(_VALUE, span))
+            else:
+                bucket.append((key, list(map(_VALUE, span))))
             if key_runs is not None:
                 if joins:
                     key_runs[p][-1] += len(span)
                 else:
                     key_runs[p].append(len(span))
-    if tally is not None:
-        tally.records = len(pairs)
-        tally.nbytes = nbytes
     return buckets
 
 
 def run_combiner(
     combiner_cls: type[Reducer],
-    pairs: list[Pair],
+    groups: list[tuple[Writable, list[Writable]]],
     context: Context,
     counters: Counters,
-    groups: list[tuple[Writable, list[Writable]]],
 ) -> list[Pair]:
-    """Apply a combiner to one map task's key-sorted output.
+    """Apply a combiner to one partition of a map task's output.
 
-    Returns the combined pair list.  Counter deltas
-    (COMBINE_INPUT/OUTPUT_RECORDS) land in ``counters``.
-
-    ``groups`` are the key groups of ``pairs``, in key order, as
-    :class:`PartitionTally` collects them.  The order is checked in
-    debug mode at one step per group: keys must be non-descending and
-    no key may be split over two adjacent groups.
+    ``groups`` are its ``(key, values)`` groups in key order, as
+    :func:`partition_pairs` returns them with ``grouped``.  Returns the
+    combined pair list.  Counter deltas (COMBINE_INPUT/OUTPUT_RECORDS)
+    land in ``counters``.  The order is checked in debug mode at one
+    step per group: keys must be non-descending and no key may be split
+    over two adjacent groups.
     """
-    counters.increment(C.COMBINE_INPUT_RECORDS, len(pairs))
+    counters.increment(C.COMBINE_INPUT_RECORDS, sum(map(len, map(_VALUE, groups))))
     if __debug__ and not _groups_in_order(groups):
         raise AssertionError("run_combiner received groups out of key order")
     combiner = combiner_cls()

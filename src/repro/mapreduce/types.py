@@ -15,8 +15,9 @@ byte accounting students observe in job reports.
 
 from __future__ import annotations
 
+import operator
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.util.errors import InvalidWritableError
 
@@ -89,10 +90,19 @@ class Writable:
         return f"{type(self).__name__}({self.encode()!r})"
 
 
-class Text(Writable):
-    """A UTF-8 string key/value."""
+class _Scalar(Writable):
+    """A Writable of one ``value`` slot, ordered by the value itself."""
 
     __slots__ = ("value",)
+
+    def sort_key(self) -> Any:
+        return self.value
+
+
+class Text(_Scalar):
+    """A UTF-8 string key/value."""
+
+    __slots__ = ()
 
     def __init__(self, value: str):
         if not isinstance(value, str):
@@ -105,9 +115,6 @@ class Text(Writable):
     @classmethod
     def decode(cls, text: str) -> "Text":
         return cls(text)
-
-    def sort_key(self) -> str:
-        return self.value
 
     def serialized_size(self) -> int:
         """UTF-8 bytes of the value.
@@ -128,13 +135,16 @@ class Text(Writable):
             return size
 
 
-class IntWritable(Writable):
+class IntWritable(_Scalar):
     """A (bounded, in Java) integer; unbounded here but named faithfully."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
     def __init__(self, value: int):
-        if isinstance(value, bool) or not isinstance(value, int):
+        # An exact ``int`` (every plain emission) decides in one test.
+        if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
             raise InvalidWritableError(
                 f"IntWritable requires int, got {type(value).__name__}"
             )
@@ -146,9 +156,6 @@ class IntWritable(Writable):
     @classmethod
     def decode(cls, text: str) -> "IntWritable":
         return cls(int(text))
-
-    def sort_key(self) -> int:
-        return self.value
 
     def serialized_size(self) -> int:
         # Hadoop writes ints as 4 bytes on the wire; Python ints are
@@ -175,10 +182,10 @@ class LongWritable(IntWritable):
         return len(str(self.value))
 
 
-class FloatWritable(Writable):
+class FloatWritable(_Scalar):
     """A floating-point value (DoubleWritable is the same thing here)."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
     def __init__(self, value: float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -194,9 +201,6 @@ class FloatWritable(Writable):
     def decode(cls, text: str) -> "FloatWritable":
         return cls(float(text))
 
-    def sort_key(self) -> float:
-        return self.value
-
     def serialized_size(self) -> int:
         return 8
 
@@ -209,7 +213,8 @@ class NullWritable(Writable):
 
     _instance: "NullWritable | None" = None
 
-    def __new__(cls) -> "NullWritable":
+    def __new__(cls, _value: None = None) -> "NullWritable":
+        # ``_value`` lets ``NullWritable(None)`` wrap a plain ``None``.
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
@@ -322,17 +327,13 @@ def record_writable(
 SORT_KEY_PINS_ENCODING = frozenset({Text, IntWritable, LongWritable, NullWritable})
 
 
-def _wrap_null(_value: None) -> Writable:
-    return NullWritable()
-
-
-#: Exact plain type -> Writable constructor: the whole cost of ``wrap``
-#: for the values user code actually emits.
-_WRAPPERS: dict[type, Callable[[Any], Writable]] = {
+#: Exact plain type -> the Writable class that wraps it: the whole cost
+#: of ``wrap`` for the values user code actually emits.
+_WRAPPERS: dict[type, type] = {
     str: Text,
     int: IntWritable,
     float: FloatWritable,
-    type(None): _wrap_null,
+    type(None): NullWritable,
 }
 
 
@@ -352,7 +353,7 @@ def wrap(value: Any) -> Writable:
     return wrapper(value)
 
 
-def _subclass_wrapper(value: Any) -> Callable[[Any], Writable]:
+def _subclass_wrapper(value: Any) -> type:
     """The slow path of :func:`wrap`: subclasses of the plain types."""
     if isinstance(value, bool):
         raise InvalidWritableError("cannot wrap bool as a Writable")
@@ -363,3 +364,73 @@ def _subclass_wrapper(value: Any) -> Callable[[Any], Writable]:
         f"cannot wrap {type(value).__name__} as a Writable; "
         f"emit str/int/float/None or a Writable instance"
     )
+
+
+_VALUE_OF = operator.attrgetter("value")
+
+
+class Column(NamedTuple):
+    """One side (keys or values) of a map attempt's output, typed once.
+
+    ``items`` are what user code emitted, in emission order.  When
+    ``plain``, they are plain values of one exact type and ``cls(item)``
+    is an item's Writable; otherwise they are Writables — of the one
+    exact class ``cls``, or of several classes (``cls`` is None).
+    """
+
+    items: list
+    cls: type | None
+    plain: bool = False
+
+    def writables(self) -> list:
+        """Every item as a Writable: fresh instances for plain items."""
+        return list(map(self.cls, self.items)) if self.plain else self.items
+
+    def sort_keys(self) -> list:
+        """Every item's ``sort_key()``, read without building a Writable
+        (plain items are their own) and, for ``Text``, ``IntWritable``
+        and ``LongWritable``, without a call per item."""
+        if self.plain:
+            return self.items
+        if self.cls is Text or self.cls is IntWritable or self.cls is LongWritable:
+            return list(map(_VALUE_OF, self.items))
+        return [item.sort_key() for item in self.items]
+
+
+def typed_column(items: list) -> Column:
+    """Type a column of emitted objects with C-level passes.
+
+    One exact plain type (``str``/``int``/``float``/``None``) keeps the
+    items as they are and builds their Writables on demand; one exact
+    Writable class keeps the emitted instances (so emit aliasing is what
+    it always was).  Anything else — mixed classes, subclasses, ``bool``,
+    objects that do not wrap — is wrapped item by item with :func:`wrap`,
+    raising its :class:`~repro.util.errors.InvalidWritableError`.
+    """
+    classes = set(map(type, items))
+    if len(classes) == 1:
+        (kind,) = classes
+        cls = _WRAPPERS.get(kind)
+        if cls is not None:
+            return Column(items, cls, plain=True)
+        if issubclass(kind, Writable):
+            return Column(items, kind)
+    writables = list(map(wrap, items))
+    classes = set(map(type, writables))
+    return Column(writables, classes.pop() if len(classes) == 1 else None)
+
+
+def typed_columns(keys: list, values: list) -> tuple[Column, Column]:
+    """:func:`typed_column` of both sides of an attempt's output.
+
+    On an emission that does not wrap, the error raised is the one
+    wrapping pair by pair in emission order meets first — the key before
+    the value of the same pair.
+    """
+    try:
+        return typed_column(keys), typed_column(values)
+    except InvalidWritableError:
+        for key, value in zip(keys, values):
+            wrap(key)
+            wrap(value)
+        raise

@@ -10,7 +10,7 @@ import pytest
 from tests.census.census import ALLOWLIST, CENSUS, CLASSES, functions
 
 #: The allow-list may only shrink: lower this when lines go, never raise it.
-MAX_ALLOWED = 231
+MAX_ALLOWED = 229
 
 #: Every reason names the consumer that keeps a non-product function.
 CONSUMERS = ("paper ", "README ", "ROADMAP item ", "safety: ", "declaration: ")

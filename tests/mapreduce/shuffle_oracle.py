@@ -1,15 +1,18 @@
-"""Reference oracle: the sort-then-walk map and reduce sides, as they were.
+"""Reference oracle: the pair-list, sort-then-walk map and reduce sides.
 
-These are the bodies ``repro.mapreduce.shuffle`` had before the map
-side grouped ``SORT_KEY_PINS_ENCODING`` keys by hashing: one stable
-sort of the map output (:func:`sort_pairs`), then a walk over runs of
-adjacent equal keys that partitions each run once (:func:`partition_pairs`),
-and on the reduce side a list-returning :func:`merge_for_reduce` that
-``execute_reduce`` grouped with :func:`group_by_key`.  :func:`map_side`
-and :func:`reduce_input` are what the parent's ``execute_map`` and
-``execute_reduce`` computed, reported through today's signatures; they
-define what the hash path must reproduce exactly (``test_shuffle_runs.py``
-compares the two).  Not collected by pytest (no ``test_`` prefix).
+These are the bodies ``repro.mapreduce.shuffle`` had before map output
+was buffered as typed columns and before the map side grouped
+``SORT_KEY_PINS_ENCODING`` keys by hashing: ``Context.write`` wrapped
+every emission into a Writable pair, one stable sort ordered the pair
+list (:func:`sort_pairs`), and a walk over runs of adjacent equal keys
+partitioned each run once (:func:`partition_pairs`); on the reduce side
+a list-returning :func:`merge_for_reduce` was grouped with
+:func:`group_by_key`.  :func:`map_side` and :func:`reduce_input` are
+what the parent's ``execute_map`` and ``execute_reduce`` computed,
+reported through today's signatures; they define what the column and
+hash paths must reproduce exactly (``test_shuffle_runs.py`` and
+``tests/properties/test_map_columns.py`` compare them).  Not collected
+by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -26,10 +29,18 @@ from repro.mapreduce.shuffle import (
     ReduceInput,
     serialized_bytes,
 )
-from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Writable
+from repro.mapreduce.types import (
+    SORT_KEY_PINS_ENCODING,
+    Column,
+    Writable,
+    typed_columns,
+    wrap,
+)
 
 _KEY = operator.itemgetter(0)
 _VALUE = operator.itemgetter(1)
+
+Group = tuple[Writable, list[Writable]]
 
 
 def is_key_sorted(pairs: list[Pair]) -> bool:
@@ -75,19 +86,13 @@ def _uniform_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
 
 
 def partition_pairs(
-    pairs: Iterable[Pair],
-    partitioner: Partitioner,
-    num_reduces: int,
-    tally: PartitionTally | None = None,
-) -> dict[int, list[Pair]]:
-    if not isinstance(pairs, list):
-        pairs = list(pairs)
+    pairs: list[Pair], partitioner: Partitioner, num_reduces: int
+) -> tuple[dict[int, list[Pair]], dict[int, list[Group]], int]:
+    """Buckets, combiner groups and payload bytes of key-sorted pairs."""
     buckets: dict[int, list[Pair]] = {}
-    groups = tally.groups if tally is not None else None
-    values = list(map(_VALUE, pairs)) if groups is not None else None
-    nbytes = (
-        sum([kv[1].serialized_size() for kv in pairs]) if tally is not None else 0
-    )
+    groups: dict[int, list[Group]] = {}
+    values = list(map(_VALUE, pairs))
+    nbytes = sum([kv[1].serialized_size() for kv in pairs])
     part = partitioner.partition
     for start, stop in _uniform_runs(pairs):
         key = pairs[start][0]
@@ -98,8 +103,6 @@ def partition_pairs(
             buckets[p] = pairs[start:stop]
         else:
             bucket += pairs[start:stop]
-        if groups is None:
-            continue
         pgroups = groups.get(p)
         if pgroups is None:
             groups[p] = [(key, values[start:stop])]
@@ -107,10 +110,7 @@ def partition_pairs(
             pgroups[-1][1].extend(values[start:stop])
         else:
             pgroups.append((key, values[start:stop]))
-    if tally is not None:
-        tally.records = len(pairs)
-        tally.nbytes = nbytes
-    return buckets
+    return buckets, groups, nbytes
 
 
 def merge_for_reduce(outputs: Iterable[MapOutput], partition: int) -> list[Pair]:
@@ -120,14 +120,38 @@ def merge_for_reduce(outputs: Iterable[MapOutput], partition: int) -> list[Pair]
     return sort_pairs(merged)
 
 
+def columns_of(pairs: list[Pair]) -> tuple[Column, Column]:
+    """The typed columns of an attempt that emitted ``pairs`` in order."""
+    return typed_columns(list(map(_KEY, pairs)), list(map(_VALUE, pairs)))
+
+
+def emitted_pairs(keys: Column, values: Column) -> list[Pair]:
+    """The pair list the parent's ``Context.write`` buffered: every
+    emission wrapped, one fresh Writable per plain value."""
+    return list(zip(map(wrap, keys.items), map(wrap, values.items)))
+
+
 def map_side(
-    pairs: list[Pair],
+    keys: Column,
+    values: Column,
     partitioner: Partitioner,
     num_reduces: int,
     tally: PartitionTally | None = None,
-) -> dict[int, list[Pair]]:
-    """The parent ``execute_map``: sort once, then partition the runs."""
-    return partition_pairs(sort_pairs(pairs), partitioner, num_reduces, tally)
+    *,
+    grouped: bool = False,
+) -> dict[int, list]:
+    """The parent ``execute_map`` behind today's ``partition_pairs``
+    signature: wrap per record, sort once, then partition the runs."""
+    pairs = emitted_pairs(keys, values)
+    buckets, groups, nbytes = partition_pairs(
+        sort_pairs(pairs), partitioner, num_reduces
+    )
+    if tally is not None:
+        tally.records, tally.nbytes = len(pairs), nbytes
+        if tally.key_runs is not None:
+            for p, bucket in buckets.items():
+                tally.key_runs[p] = [stop - start for start, stop in _key_runs(bucket)]
+    return groups if grouped else buckets
 
 
 def reduce_input(outputs: Iterable[MapOutput], partition: int) -> ReduceInput:

@@ -23,6 +23,14 @@ def pairs_of(*items):
     return [(Text(k), IntWritable(v)) for k, v in items]
 
 
+def partition(pairs, num_reduces):
+    """``partition_pairs`` over the columns of an attempt that emitted
+    ``pairs``: the buckets of pairs a job without a combiner ships."""
+    return partition_pairs(
+        *shuffle_oracle.columns_of(pairs), HashPartitioner(), num_reduces
+    )
+
+
 def groups_of(pairs):
     """The reduce groups of ``pairs``, as the combiner receives them."""
     output = MapOutput(task_index=0, node="n", partitions={0: pairs})
@@ -56,7 +64,7 @@ class TestSortAndGroup:
 class TestPartitioning:
     def test_all_nonempty_partitions_present(self):
         pairs = pairs_of(*[(f"k{i}", i) for i in range(40)])
-        buckets = partition_pairs(pairs, HashPartitioner(), 4)
+        buckets = partition(pairs, 4)
         assert set(buckets) == {0, 1, 2, 3}  # 40 keys fill all four
         assert sum(len(b) for b in buckets.values()) == 40
 
@@ -64,16 +72,16 @@ class TestPartitioning:
         # partition_pairs is sparse: consumers use .get(p, ()), and the
         # single bucketing pass never materialises empty partitions.
         pairs = pairs_of(("dup", 1), ("dup", 2))
-        buckets = partition_pairs(pairs, HashPartitioner(), 64)
+        buckets = partition(pairs, 64)
         assert len(buckets) == 1
         assert all(b for b in buckets.values())
 
     def test_no_pairs_no_partitions(self):
-        assert partition_pairs([], HashPartitioner(), 4) == {}
+        assert partition([], 4) == {}
 
     def test_same_key_same_bucket(self):
         pairs = pairs_of(("dup", 1), ("dup", 2), ("dup", 3))
-        buckets = partition_pairs(pairs, HashPartitioner(), 8)
+        buckets = partition(pairs, 8)
         nonempty = [p for p, b in buckets.items() if b]
         assert len(nonempty) == 1
 
@@ -82,7 +90,7 @@ class TestPartitioning:
         # (what lets the combiner run with presorted=True), equal keys
         # in emission order.
         pairs = pairs_of(*[(f"k{(i * 7) % 13}", i) for i in range(60)])
-        buckets = partition_pairs(pairs, HashPartitioner(), 4)
+        buckets = partition(pairs, 4)
         for bucket in buckets.values():
             assert is_key_sorted(bucket)
             assert bucket == sort_pairs(bucket)
@@ -112,9 +120,7 @@ class TestCombiner:
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         pairs = pairs_of(("a", 1), ("a", 1), ("b", 1))
-        combined = run_combiner(
-            self.SumCombiner, pairs, context, counters, groups_of(pairs)
-        )
+        combined = run_combiner(self.SumCombiner, groups_of(pairs), context, counters)
         as_dict = {k.value: v.value for k, v in combined}
         assert as_dict == {"a": 2, "b": 1}
         assert counters.get(C.COMBINE_INPUT_RECORDS) == 3
@@ -124,9 +130,7 @@ class TestCombiner:
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         pairs = sort_pairs(pairs_of(("b", 1), ("a", 2), ("a", 3)))
-        combined = run_combiner(
-            self.SumCombiner, pairs, context, counters, groups_of(pairs)
-        )
+        combined = run_combiner(self.SumCombiner, groups_of(pairs), context, counters)
         assert {k.value: v.value for k, v in combined} == {"a": 5, "b": 1}
 
     def test_presorted_lie_is_caught_in_debug_mode(self):
@@ -136,10 +140,7 @@ class TestCombiner:
         in_emission_order = [(k, [v]) for k, v in unsorted]
         if __debug__:
             with pytest.raises(AssertionError):
-                run_combiner(
-                    self.SumCombiner, unsorted, context, counters,
-                    in_emission_order,
-                )
+                run_combiner(self.SumCombiner, in_emission_order, context, counters)
 
     @pytest.mark.parametrize("lie", ["out-of-order", "split-group"])
     def test_presorted_groups_lie_is_caught_in_debug_mode(self, lie):
@@ -157,11 +158,11 @@ class TestCombiner:
         context = Context(conf=JobConf(), counters=counters)
         if __debug__:
             with pytest.raises(AssertionError):
-                run_combiner(self.SumCombiner, pairs, context, counters, groups)
+                run_combiner(self.SumCombiner, groups, context, counters)
         # The honest groups of the same pairs pass.
         ordered = sort_pairs(pairs)
         combined = run_combiner(
-            self.SumCombiner, ordered, context, counters, groups_of(ordered)
+            self.SumCombiner, groups_of(ordered), context, counters
         )
         assert [(k.value, v.value) for k, v in combined] == (
             [("a", 1), ("b", 1)] if lie == "out-of-order" else [("a", 2), ("b", 1)]

@@ -1,13 +1,16 @@
 """The hash-grouped map and reduce sides ≡ the sort-then-walk ones.
 
-``partition_pairs`` takes a map attempt's output in emission order and
-returns key-sorted buckets; ``merge_for_reduce`` returns its partition
-grouped.  ``shuffle_oracle`` keeps the bodies they replaced: one stable
-sort, then a walk over runs of adjacent equal keys.  Every check here is
-a differential: the very same pair objects in the same order, identical
-record/byte tallies, combiner groups, partitioner call sequence and
-``ReduceInput`` — over every key column, including those where "equal
-sort key" does *not* mean "same key", which must not take the hash path.
+``partition_pairs`` takes a map attempt's output as typed columns in
+emission order and returns key-sorted buckets (pairs, or the combiner's
+groups); ``merge_for_reduce`` returns its partition grouped.
+``shuffle_oracle`` keeps the bodies they replaced: one stable sort of a
+pair list, then a walk over runs of adjacent equal keys.  Every check
+here is a differential over Writable emissions: the very same group
+keys and values in the same order, buckets holding the same values
+under equal keys, identical record/byte tallies, partitioner call
+sequence and ``ReduceInput`` — over every key column, including those
+where "equal sort key" does *not* mean "same key", which must not take
+the hash path.  Plain emissions are ``tests/properties/test_map_columns.py``'s.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.shakespeare import tokenize
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.wordcount import IntSumReducer, WordCountJob, WordCountWithCombinerJob
 from repro.mapreduce import runtime, shuffle
@@ -39,6 +43,7 @@ from repro.mapreduce.types import (
     Text,
     Writable,
     record_writable,
+    typed_column,
 )
 from tests.mapreduce import shuffle_oracle as oracle
 
@@ -159,8 +164,10 @@ partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
 reduce_counts = st.sampled_from([1, 2, 3, 7])
 
 
-def _ids(pairs):
-    return [id(kv) for kv in pairs]
+def _pairs_view(pairs):
+    """A bucket, its values by identity: a hashed run's key is its first
+    emitted key for every record (equal keys of its class are alike)."""
+    return [(type(k), k.sort_key(), k.encode(), id(v)) for k, v in pairs]
 
 
 def _group_ids(groups):
@@ -173,49 +180,59 @@ def _reduce_groups(pairs):
     return merge_for_reduce([output], 0).groups
 
 
+def _partition(pairs, partitioner, num_reduces, tally=None, grouped=False):
+    """``partition_pairs`` over the columns of an attempt that emitted
+    ``pairs``."""
+    return partition_pairs(
+        *oracle.columns_of(pairs), partitioner, num_reduces, tally, grouped=grouped
+    )
+
+
+def _oracle(pairs, partitioner, num_reduces, tally=None, grouped=False):
+    return oracle.map_side(
+        *oracle.columns_of(pairs), partitioner, num_reduces, tally, grouped=grouped
+    )
+
+
 def assert_matches_oracle(pairs, partitioner, num_reduces):
-    expected_tally = PartitionTally(grouped=True)
+    expected_tally = PartitionTally()
     expected_calls = RecordingPartitioner(partitioner)
     try:
-        expected = oracle.map_side(pairs, expected_calls, num_reduces, expected_tally)
+        expected = _oracle(pairs, expected_calls, num_reduces, expected_tally, True)
     except TypeError:
         with pytest.raises(TypeError):
-            partition_pairs(pairs, partitioner, num_reduces, PartitionTally(grouped=True))
+            _partition(pairs, partitioner, num_reduces, PartitionTally(), True)
         return
-    tally = PartitionTally(grouped=True)
+    tally = PartitionTally()
     calls = RecordingPartitioner(partitioner)
-    got = partition_pairs(pairs, calls, num_reduces, tally)
+    got = _partition(pairs, calls, num_reduces, tally, True)
 
     # Same partitions, first-seen order included, holding the very
-    # same pair objects in the same order; the partitioner asked about
-    # the same key objects in the same order.
+    # same group keys and values in the same order; the partitioner
+    # asked about the same key objects in the same order.
     assert list(got) == list(expected)
     for partition in expected:
-        assert _ids(got[partition]) == _ids(expected[partition])
+        assert _group_ids(got[partition]) == _group_ids(expected[partition])
     assert list(map(id, calls.keys)) == list(map(id, expected_calls.keys))
     assert (tally.records, tally.nbytes) == (
         expected_tally.records,
         expected_tally.nbytes,
     )
-    assert list(tally.groups) == list(expected_tally.groups)
-    for partition in expected:
-        assert _group_ids(tally.groups[partition]) == _group_ids(
-            expected_tally.groups[partition]
-        )
 
-    # Without groups (no combiner) and without a tally: same buckets.
+    # Without groups (no combiner), with and without a tally: the same
+    # buckets of pairs.
+    expected = _oracle(pairs, partitioner, num_reduces)
     plain_tally = PartitionTally()
-    plain = partition_pairs(pairs, partitioner, num_reduces, plain_tally)
-    assert plain_tally.groups is None
+    plain = _partition(pairs, partitioner, num_reduces, plain_tally)
     assert (plain_tally.records, plain_tally.nbytes) == (
         expected_tally.records,
         expected_tally.nbytes,
     )
-    bare = partition_pairs(iter(pairs), partitioner, num_reduces)
+    bare = _partition(pairs, partitioner, num_reduces)
     for other in (plain, bare):
         assert list(other) == list(expected)
         for partition in expected:
-            assert _ids(other[partition]) == _ids(expected[partition])
+            assert _pairs_view(other[partition]) == _pairs_view(expected[partition])
 
 
 def assert_reduce_matches_oracle(maps):
@@ -314,9 +331,8 @@ class TestEdgeCases:
             (LongWritable(1), _one(20)),
             (IntWritable(1), _one(30)),
         ]
-        tally = PartitionTally(grouped=True)
-        partition_pairs(pairs, ByClass(), 2, tally)
-        assert [[v.value for v in vs] for _, vs in tally.groups[0]] == [[10, 30]]
+        groups = _partition(pairs, ByClass(), 2, grouped=True)
+        assert [[v.value for v in vs] for _, vs in groups[0]] == [[10, 30]]
         assert_matches_oracle(pairs, ByClass(), 2)
 
     def test_nan_keys_sharing_one_nan_object_stay_apart(self):
@@ -338,8 +354,8 @@ class TestEdgeCases:
 
     def test_null_keys(self):
         pairs = [(NullWritable(), Text(c)) for c in "abc"]
-        tally = PartitionTally(grouped=True)
-        buckets = partition_pairs(pairs, HashPartitioner(), 4, tally)
+        tally = PartitionTally()
+        buckets = _partition(pairs, HashPartitioner(), 4, tally)
         assert list(buckets.values()) == [pairs]
         assert (tally.records, tally.nbytes) == (3, 3)
         assert_matches_oracle(pairs, HashPartitioner(), 4)
@@ -357,7 +373,7 @@ class TestEdgeCases:
         pairs = [(LossyKey("a", tag), _one()) for tag in (1, 22, 333, 1)]
         assert len(_reduce_groups(pairs)) == 1
         tally = PartitionTally()
-        partition_pairs(pairs, partitioner, 5, tally)
+        _partition(pairs, partitioner, 5, tally)
         # key sizes 3 + 4 + 5 + 3, four 4-byte values: per record exact
         assert tally.nbytes == 15 + 16
         assert_matches_oracle(pairs, partitioner, 5)
@@ -370,20 +386,20 @@ class TestEdgeCases:
 
     def test_single_reduce(self):
         pairs = [(Text(c), _one()) for c in "banana"]
-        buckets = partition_pairs(pairs, EncodedLengthPartitioner(), 1)
+        buckets = _partition(pairs, EncodedLengthPartitioner(), 1)
         assert list(buckets) == [0] and buckets[0] == sort_pairs(pairs)
         assert_matches_oracle(pairs, EncodedLengthPartitioner(), 1)
 
     def test_empty_output(self):
-        tally = PartitionTally(grouped=True)
-        assert partition_pairs([], HashPartitioner(), 4, tally) == {}
-        assert (tally.records, tally.nbytes, tally.groups) == (0, 0, {})
+        tally = PartitionTally()
+        assert _partition([], HashPartitioner(), 4, tally, grouped=True) == {}
+        assert (tally.records, tally.nbytes) == (0, 0)
         assert _reduce_groups([]) == []
 
     def test_non_ascii_text_sizes(self):
         pairs = [(Text(w), Text(w)) for w in ("é", "é", "e", "日本")]
         tally = PartitionTally()
-        partition_pairs(pairs, HashPartitioner(), 3, tally)
+        _partition(pairs, HashPartitioner(), 3, tally)
         assert tally.nbytes == 2 * (2 + 2 + 1 + 6)
 
 
@@ -449,56 +465,110 @@ class TestJobsMatchTheOracle:
             )
 
     def test_a_reversed_distinct_key_sort_is_caught(self, monkeypatch):
-        # Break the hash path's one sort: the job's output changes, and
-        # the oracle run, which takes none of the new ordering, does not.
+        # Break the hashed rule's one sort: the map side's buckets come
+        # out of key order and the job's output changes, while the
+        # oracle run, which takes none of the new ordering, does not.
         clean = _run(WordCountJob, MapReduceConfig())
-        real_runs = shuffle._runs
+        real_hash_runs = shuffle._hash_runs
 
-        def reversed_runs(pairs):
-            return real_runs(pairs)[::-1]
+        def reversed_hash_runs(sort_keys, items):
+            return real_hash_runs(sort_keys, items)[::-1]
 
-        monkeypatch.setattr(shuffle, "_runs", reversed_runs)
+        monkeypatch.setattr(shuffle, "_hash_runs", reversed_hash_runs)
+        words = "to be or not to be".split()
+        (bucket,) = partition_pairs(
+            typed_column(words),
+            typed_column([1] * len(words)),
+            HashPartitioner(),
+            1,
+        ).values()
+        assert not is_key_sorted(bucket)
         broken = _run(WordCountJob, MapReduceConfig())
         want = _run_on_oracle(monkeypatch, WordCountJob, MapReduceConfig())
         assert broken.pairs != clean.pairs
         assert want.pairs == clean.pairs
 
 
+class TextTokenizerMapper(Mapper):
+    """WordCount's mapper emitting Writable instances."""
+
+    def map(self, key, value, context):
+        for word in tokenize(value.value):
+            context.write(Text(word), IntWritable(1))
+
+
+class TextWordCountJob(Job):
+    mapper = TextTokenizerMapper
+    reducer = IntSumReducer
+
+
+class TextWordCountWithCombinerJob(TextWordCountJob):
+    combiner = IntSumReducer
+
+
+def _count_in_map(monkeypatch, job_cls):
+    """Run ``job_cls`` over one split, counting ``Text`` constructions
+    and ``Text.sort_key()`` calls made inside ``execute_map``."""
+    counts = {"sort_key": 0, "init": 0}
+    in_map = [False]
+    real_sort_key, real_init = Text.sort_key, Text.__init__
+    real_execute_map = runtime.execute_map
+
+    def counting_sort_key(self):
+        counts["sort_key"] += in_map[0]
+        return real_sort_key(self)
+
+    def counting_init(self, value):
+        counts["init"] += in_map[0]
+        real_init(self, value)
+
+    def execute_map(*args, **kwargs):
+        in_map[0] = True
+        try:
+            return real_execute_map(*args, **kwargs)
+        finally:
+            in_map[0] = False
+
+    monkeypatch.setattr(Text, "sort_key", counting_sort_key)
+    monkeypatch.setattr(Text, "__init__", counting_init)
+    monkeypatch.setattr(runtime, "execute_map", execute_map)
+    result = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
+    assert result.num_splits == 1
+    return result, counts
+
+
 class TestCostPerDistinctKey:
-    """One ``sort_key()`` per record on a ``Text``-keyed map attempt.  The
-    sort-then-walk path paid two (the sort, the run walk) and, with a
-    combiner, a third (its presorted check over every pair)."""
+    """What a ``Text``-keyed map attempt pays per record.  A plain-emitting
+    one builds a ``Text`` per distinct key and asks no key for its
+    ``sort_key()`` outside the combiner's order check; a Writable-emitting
+    one reads the keys' values in C-level passes, and the sort-then-walk
+    path paid two ``sort_key()`` calls per record (the sort, the run walk)
+    and, with a combiner, a third (its presorted check over every pair)."""
 
     @pytest.mark.parametrize("job_cls", [WordCountJob, WordCountWithCombinerJob])
     def test_one_sort_key_per_record(self, monkeypatch, job_cls):
-        calls = [0]
-        in_map = [False]
-        real_sort_key = Text.sort_key
-        real_execute_map = runtime.execute_map
-
-        def counting_sort_key(self):
-            calls[0] += in_map[0]
-            return real_sort_key(self)
-
-        def execute_map(*args, **kwargs):
-            in_map[0] = True
-            try:
-                return real_execute_map(*args, **kwargs)
-            finally:
-                in_map[0] = False
-
-        monkeypatch.setattr(Text, "sort_key", counting_sort_key)
-        monkeypatch.setattr(runtime, "execute_map", execute_map)
-        result = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
-        assert result.num_splits == 1
+        # Plain emission: a Text per distinct key, and sort_key() only
+        # from the combiner's order check over the groups (its order
+        # rule once, Writable.__eq__ twice per neighbour).
+        result, counts = _count_in_map(monkeypatch, job_cls)
         records = result.counters.get(C.MAP_OUTPUT_RECORDS)
-        # With a combiner, grouping asks Writable.__eq__ (two calls) of
-        # each run against its bucket's previous group, and the
-        # combiner's check walks the groups: its order rule once,
-        # Writable.__eq__ twice per neighbour.  Five calls per group.
-        groups = result.counters.get(C.COMBINE_OUTPUT_RECORDS)
+        groups = result.counters.get(C.REDUCE_INPUT_GROUPS)
+        combined = result.counters.get(C.COMBINE_OUTPUT_RECORDS)
         assert records > 10 * groups
-        assert records <= calls[0] <= records + 5 * groups
+        assert counts["init"] <= groups + combined
+        assert counts["sort_key"] <= 5 * groups
+
+    @pytest.mark.parametrize(
+        "job_cls", [TextWordCountJob, TextWordCountWithCombinerJob]
+    )
+    def test_writable_emission_takes_at_most_one_per_record(
+        self, monkeypatch, job_cls
+    ):
+        result, counts = _count_in_map(monkeypatch, job_cls)
+        records = result.counters.get(C.MAP_OUTPUT_RECORDS)
+        groups = result.counters.get(C.REDUCE_INPUT_GROUPS)
+        assert records > 10 * groups
+        assert counts["sort_key"] <= records + 5 * groups
 
 
 class TestSortBufferSpills:

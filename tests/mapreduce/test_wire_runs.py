@@ -41,7 +41,7 @@ from repro.mapreduce.types import (
     record_writable,
 )
 from repro.util.errors import WireFormatError
-from tests.mapreduce import wire_oracle
+from tests.mapreduce import shuffle_oracle, wire_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -125,9 +125,21 @@ def _cuts(runs):
     return list(pairwise(accumulate(runs, initial=0)))
 
 
+def _partition(pairs, partitioner, num_reduces, tally, grouped=False):
+    """``partition_pairs`` over the columns of an attempt that emitted
+    ``pairs``."""
+    return partition_pairs(
+        *shuffle_oracle.columns_of(pairs),
+        partitioner,
+        num_reduces,
+        tally,
+        grouped=grouped,
+    )
+
+
 def assert_runs_encode_alike(pairs, partitioner, num_reduces):
     tally = PartitionTally(runs=True)
-    buckets = partition_pairs(pairs, partitioner, num_reduces, tally)
+    buckets = _partition(pairs, partitioner, num_reduces, tally)
     assert list(tally.key_runs) == list(buckets)
     for partition, bucket in buckets.items():
         runs = tally.key_runs[partition]
@@ -171,14 +183,14 @@ class TestRunsEqualRecords:
     def test_single_record_runs(self):
         pairs = [(Text(f"k{i:03d}"), IntWritable(i)) for i in range(50)]
         tally = PartitionTally(runs=True)
-        (bucket,) = partition_pairs(pairs, HashPartitioner(), 1, tally).values()
+        (bucket,) = _partition(pairs, HashPartitioner(), 1, tally).values()
         assert tally.key_runs[0] == [1] * 50
         assert wire.encode_pairs(bucket, tally.key_runs[0]) == wire.encode_pairs(bucket)
 
     def test_single_run_bucket(self):
         pairs = [(LongWritable(7), Text(f"v{i}")) for i in range(9)]
         tally = PartitionTally(runs=True)
-        (bucket,) = partition_pairs(pairs, HashPartitioner(), 3, tally).values()
+        (bucket,) = _partition(pairs, HashPartitioner(), 3, tally).values()
         assert list(tally.key_runs.values()) == [[9]]
         assert wire.encode_pairs(bucket, [9]) == wire.encode_pairs(bucket)
 
@@ -202,8 +214,9 @@ class TestRunsEqualRecords:
 
     def test_no_runs_unless_asked(self):
         pairs = [(Text("a"), IntWritable(1))]
-        for tally in (PartitionTally(), PartitionTally(grouped=True)):
-            partition_pairs(pairs, HashPartitioner(), 2, tally)
+        for grouped in (False, True):
+            tally = PartitionTally()
+            _partition(pairs, HashPartitioner(), 2, tally, grouped=grouped)
             assert tally.key_runs is None
 
 
