@@ -31,7 +31,7 @@ of its bucket; its values become Writables only there, one fresh
 instance per plain value, as the ``(key, values)`` group the combiner
 consumes (so :func:`run_combiner` does not regroup) or as the pairs of
 a job without a combiner.  Byte totals come per column
-(:func:`column_bytes`).  A run of a class that does not pin the
+(:meth:`Column.nbytes <repro.mapreduce.types.Column.nbytes>`).  A run of a class that does not pin the
 encoding is partitioned record by record, which keeps buckets, tallies
 and groups identical to a per-record pass.  :func:`merge_for_reduce`
 groups the concatenated map outputs by the same rule, and
@@ -43,24 +43,14 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, islice, pairwise, repeat
+from itertools import chain, compress, islice, pairwise, repeat
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from repro.mapreduce import wire
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.counters import C, Counters, PerfStats, _perf_clock
 from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.types import (
-    INT32_MAX,
-    INT32_MIN,
-    SORT_KEY_PINS_ENCODING,
-    Column,
-    FloatWritable,
-    IntWritable,
-    NullWritable,
-    Text,
-    Writable,
-)
+from repro.mapreduce.types import SORT_KEY_PINS_ENCODING, Column, Writable
 from repro.util.errors import WireFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,35 +167,6 @@ def _groups_in_order(groups: list[tuple[Writable, list[Writable]]]) -> bool:
     )
 
 
-#: Exact classes whose ``serialized_size()`` is one constant.
-_FIXED_SIZES = {FloatWritable: 8, NullWritable: 0}
-
-
-def column_bytes(column: Column) -> int:
-    """``serialized_size()`` summed over a column's Writables.
-
-    Without building them where the class allows: a ``Text`` column is
-    its lengths plus the UTF-8 surplus of its non-ASCII strings, an
-    ``IntWritable`` column within 32 bits is 4 bytes a record,
-    ``FloatWritable`` 8 and ``NullWritable`` 0.
-    """
-    cls, count = column.cls, len(column.items)
-    if cls is Text:
-        text = column.sort_keys()
-        nbytes = sum(map(len, text))
-        wide = list(filterfalse(str.isascii, text))
-        if wide:
-            nbytes += sum(len(s.encode("utf-8")) - len(s) for s in wide)
-        return nbytes
-    if cls in _FIXED_SIZES:
-        return _FIXED_SIZES[cls] * count
-    if cls is IntWritable and count:
-        ints = column.sort_keys()
-        if INT32_MIN <= min(ints) and max(ints) <= INT32_MAX:
-            return 4 * count
-    return sum([w.serialized_size() for w in column.writables()])
-
-
 class PartitionTally:
     """What :func:`partition_pairs` learns on its way, besides the buckets.
 
@@ -255,7 +216,7 @@ def partition_pairs(
     key_runs = None
     if tally is not None:
         tally.records = len(keys.items)
-        tally.nbytes = column_bytes(keys) + column_bytes(values)
+        tally.nbytes = keys.nbytes() + values.nbytes()
         key_runs = tally.key_runs
     part = partitioner.partition
     if keys.cls not in SORT_KEY_PINS_ENCODING:

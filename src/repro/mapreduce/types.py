@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from itertools import filterfalse
 from typing import Any, Callable, NamedTuple
 
 from repro.util.errors import InvalidWritableError
@@ -65,6 +66,16 @@ class Writable:
             size = len(self.encode().encode("utf-8"))
             self._size_memo = size
             return size
+
+    @classmethod
+    def column_size(cls, column: Column) -> int:
+        """:meth:`serialized_size` summed over a :class:`Column`.
+
+        This asks every Writable.  A class whose size rule reads only
+        its raw values overrides it to size them without instances, and
+        :meth:`Column.nbytes` uses only the exact class's own override.
+        """
+        return sum([w.serialized_size() for w in column.writables()])
 
     # Ordering / equality via the sort key -------------------------------
     def sort_key(self) -> Any:
@@ -134,6 +145,16 @@ class Text(_Scalar):
             self._size_memo = size
             return size
 
+    @classmethod
+    def column_size(cls, column: Column) -> int:
+        # The lengths, plus the UTF-8 surplus of the non-ASCII values.
+        text = column.sort_keys()
+        nbytes = sum(map(len, text))
+        wide = list(filterfalse(str.isascii, text))
+        if wide:
+            nbytes += sum(len(s.encode("utf-8")) - len(s) for s in wide)
+        return nbytes
+
 
 class IntWritable(_Scalar):
     """A (bounded, in Java) integer; unbounded here but named faithfully."""
@@ -170,6 +191,14 @@ class IntWritable(_Scalar):
             return 8
         return len(str(self.value))
 
+    @classmethod
+    def column_size(cls, column: Column) -> int:
+        # 4 bytes a value when the column's extremes lie within 32 bits.
+        ints = column.sort_keys()
+        if ints and INT32_MIN <= min(ints) and max(ints) <= INT32_MAX:
+            return 4 * len(ints)
+        return super().column_size(column)
+
 
 class LongWritable(IntWritable):
     """A 64-bit integer (e.g., TextInputFormat's byte-offset keys)."""
@@ -203,6 +232,10 @@ class FloatWritable(_Scalar):
 
     def serialized_size(self) -> int:
         return 8
+
+    @classmethod
+    def column_size(cls, column: Column) -> int:
+        return 8 * len(column.items)
 
 
 DoubleWritable = FloatWritable
@@ -395,6 +428,16 @@ class Column(NamedTuple):
         if self.cls is Text or self.cls is IntWritable or self.cls is LongWritable:
             return list(map(_VALUE_OF, self.items))
         return [item.sort_key() for item in self.items]
+
+    def nbytes(self) -> int:
+        """``serialized_size()`` summed over the column's Writables, by
+        the column class's own :meth:`Writable.column_size` — not one it
+        inherits: a subclass (``LongWritable`` of ``IntWritable``) may
+        size its instances otherwise."""
+        cls = self.cls
+        if cls is None or "column_size" not in vars(cls):
+            cls = Writable
+        return cls.column_size(self)
 
 
 def typed_column(items: list) -> Column:
