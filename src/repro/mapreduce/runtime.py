@@ -50,13 +50,12 @@ from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
     Pair,
-    PartitionTally,
     ReduceInput,
-    framed_merge_for_reduce,
+    Run,
+    combiner_groups,
     merge_for_reduce,
     partition_pairs,
     run_combiner,
-    serialized_bytes,
 )
 from repro.mapreduce.types import Writable, typed_columns
 from repro.util.errors import TaskFailedError
@@ -280,10 +279,8 @@ def execute_map(
     records_in = split_input.records
 
     # One pass orders and buckets the output: every bucket comes back
-    # key-sorted, as the combiner's key groups when there is one (so it
-    # never regroups), else as pairs.  An output that will be framed as
-    # it stands (pooled, no combiner) also collects its buckets' key
-    # runs, which the encoder writes the key column from.
+    # as key runs in key order, what the combiner groups and the wire
+    # frames as they stand.
     #
     # Free order: the key column holds the last reference to every
     # emitted key but each run's first, and frees them in one pass down
@@ -291,44 +288,35 @@ def execute_map(
     # Writables run by run, so the buckets free those in the order they
     # were built.  (Emission-order pairs freed from key-sorted buckets
     # were a random walk over the heap: +6 % CPU on a 1 MiB WordCount.)
-    tally = PartitionTally(runs=perf is not None and job.combiner is None)
-    partitions = partition_pairs(
-        keys,
-        values,
-        job_partitioner(job),
-        conf.num_reduces,
-        tally,
-        grouped=job.combiner is not None,
-    )
-    records_out, output_bytes = tally.records, tally.nbytes
+    partitions = partition_pairs(keys, values, job_partitioner(job), conf.num_reduces)
+    records_out = len(keys.items)
+    output_bytes = final_bytes = keys.nbytes() + values.nbytes()
     counters.increment(C.MAP_INPUT_RECORDS, records_in)
     counters.increment(C.MAP_OUTPUT_RECORDS, records_out)
     counters.increment(C.MAP_OUTPUT_BYTES, output_bytes)
     counters.increment(C.HDFS_BYTES_READ, stats.bytes_read)
 
     combine_time = 0.0
+    # partition -> payload bytes, where the combiner's output columns
+    # sized them.
+    partition_bytes: dict[int, int] = {}
     if job.combiner is not None:
+        groups = {p: combiner_groups(runs) for p, runs in partitions.items()}
         if sanitizer is not None:
             # Spot-check the combiner contract on the *uncombined*,
             # key-sorted groups before the real combine consumes them.
-            sanitizer.check_combiner(job.combiner, partitions)
-        combined: dict[int, list[Pair]] = {}
-        for partition, groups in partitions.items():
+            sanitizer.check_combiner(job.combiner, groups)
+        combined: dict[int, list[Run]] = {}
+        for partition, partition_groups in groups.items():
             try:
-                combined[partition] = run_combiner(
-                    job.combiner, groups, context, counters
+                combined[partition], partition_bytes[partition] = run_combiner(
+                    job.combiner, partition_groups, context, counters
                 )
             except Exception as exc:  # noqa: BLE001 - user code boundary
                 raise _wrap_user_error("combine", exc) from exc
         partitions = combined
+        final_bytes = sum(partition_bytes.values())
         combine_time = sort_time(records_out) + cpu_time(records_out, 0)
-
-    # Without a combiner the partitions hold exactly what was tallied.
-    final_bytes = (
-        output_bytes
-        if job.combiner is None
-        else sum(serialized_bytes(p) for p in partitions.values())
-    )
     counters.increment(C.FILE_BYTES_WRITTEN, final_bytes)
 
     # Spill accounting (simulated): every io.sort.mb overflow is an
@@ -348,14 +336,17 @@ def execute_map(
         + final_bytes / disk_write_bw  # write map output to local disk
     )
     output = MapOutput(
-        task_index=split.block_index, node=task_node or "", partitions=partitions
+        task_index=split.block_index,
+        node=task_node or "",
+        partitions=partitions,
+        _bytes_memo=partition_bytes,
     )
     if perf is not None:
         # An output that cannot be framed simply ships in object form
         # (``freeze`` reports False); the backend's pickle fallback
         # remains the safety net behind that.
         partitions = None
-        output.freeze(perf, tally.key_runs)
+        output.freeze(perf)
     return MapExecution(
         output=output,
         counters=counters,
@@ -511,19 +502,12 @@ def reduce_attempt_work(
     shuffle network time and performs the output write (both touch
     simulation state, so they stay in the simulation thread).
 
-    When every input is frozen the maps decode into key runs and
-    heap-merge run by run — a stable k-way merge, identical in groups
-    to the concatenate-and-group that object-form inputs (serial
-    backends, inline attempts, unframeable outputs) take.
+    Every mix of frozen and object-form inputs takes the one merge,
+    :func:`~repro.mapreduce.shuffle.merge_for_reduce`; its transport
+    timings ride the result when it decoded a blob.
     """
-    if all(output.frozen for output in map_outputs):
-        perf = PerfStats()
-        merged = framed_merge_for_reduce(map_outputs, partition, perf)
-        timings = perf.as_dict()
-    else:
-        # Object form in play: no transport timings to collect.
-        merged = merge_for_reduce(map_outputs, partition)
-        timings = None
+    perf = PerfStats()
+    merged = merge_for_reduce(map_outputs, partition, perf)
     execution = execute_reduce(
         job=job,
         merged=merged,
@@ -534,7 +518,7 @@ def reduce_attempt_work(
     )
     text = TextOutputFormat.render(execution.pairs)
     execution.pairs = []  # the text is the output; nothing else reads them
-    execution.perf = timings
+    execution.perf = perf.as_dict() if perf.blobs_decoded else None
     return execution, text
 
 

@@ -1,14 +1,15 @@
-"""Binary framed shuffle transport: run-packed columns of Writable pairs.
+"""Binary framed shuffle transport: run-packed columns of key runs.
 
 Why this exists: a pooled job ships map output across
 the process boundary, and pickling a list of per-record ``Writable``
 objects costs more than the map work itself — pooled runs *lost* to
 serial until map output crossed as bytes.  Real Hadoop moves map output as
-compact binary IFile runs; this module is that idea.  A partition's
-pairs become one ``bytes`` blob holding a key column and a value
-column, each stored as *runs of identical encodings*: a sorted map
-output repeats every key many times, so encode, decode and the
-reduce-side merge cost one step per run, not one per record.
+compact binary IFile runs; this module is that idea.  A partition's key
+runs (``(key, values)``, see :mod:`repro.mapreduce.shuffle`) become one
+``bytes`` blob holding a key column and a value column, each stored as
+*runs of identical encodings*: a sorted map output repeats every key
+many times, so encode, decode and the reduce-side merge cost one step
+per run, not one per record.
 
 Blob layout (all integers big-endian)::
 
@@ -17,8 +18,7 @@ Blob layout (all integers big-endian)::
     | 4 B  | 1 B   | u32   |            |              |
     +------+-------+-------+------------+--------------+
 
-    flags bit 0: every key is in non-descending sort order
-                 (lets the reduce side k-way merge without re-sorting)
+    flags: reserved, always written 0 and not read
 
     column := kind(1 B) + u32 body length + body
 
@@ -35,25 +35,19 @@ mixed classes, an integer past its kind's width, a custom or
 ``record_writable`` class — raises
 :class:`~repro.util.errors.WireFormatError`, and
 :meth:`~repro.mapreduce.shuffle.MapOutput.freeze` keeps that map output
-in object form (pickled pairs, counted in ``PerfStats.frame_fallbacks``).
+in object form (pickled runs, counted in ``PerfStats.frame_fallbacks``).
 
-A run is a stretch of adjacent records whose entries encode to the same
-bytes (``0.0`` and ``-0.0`` are two runs); it is stored once and decodes
-to *one* Writable shared by its records (Writables are immutable value
-objects).  An entry's *payload* width (kinds, tables and length
-prefixes excluded) equals its Writable's ``serialized_size()`` — the
-invariant that keeps the combiner lecture's byte counters equal to what
-actually crosses the simulated network, asserted by
+A wire run is a stretch of adjacent records whose entries encode to the
+same bytes (``0.0`` and ``-0.0`` are two runs); it is stored once and
+decodes to *one* Writable shared by its records (Writables are
+immutable value objects).  :func:`encode_runs` writes the key column
+from the key runs' heads, one entry per run, and joins adjacent heads
+that encode alike, so the wire runs are the maximal ones whatever key
+runs cut the records.  An entry's *payload* width (kinds, tables and
+length prefixes excluded) equals its Writable's ``serialized_size()`` —
+the invariant that keeps the combiner lecture's byte counters equal to
+what actually crosses the simulated network, asserted by
 ``tests/mapreduce/test_wire.py``.
-
-A pooled map attempt already knows its key runs: the map side cuts each
-bucket into runs of equal keys as it builds it
-(:class:`~repro.mapreduce.shuffle.PartitionTally`), and
-``encode_pairs(pairs, key_runs)`` writes a ``Text`` / ``IntWritable`` /
-``LongWritable`` key column from the run heads alone — no per-record
-key read and no sortedness walk.  Any other key column takes the
-per-record path, and the blob is byte-identical either way (asserted by
-``tests/mapreduce/test_wire_runs.py``).
 
 Malformed input (truncation, bad magic, unknown kind, run lengths that
 do not sum to the count, lengths past the end, trailing bytes, bad
@@ -78,11 +72,11 @@ from repro.mapreduce.types import (
 )
 from repro.util.errors import WireFormatError
 
-Pair = tuple[Writable, Writable]
+#: A key run: one key and the values of the adjacent records it keys.
+Run = tuple[Writable, list[Writable]]
 
 MAGIC = b"RWF2"
-FLAG_KEY_SORTED = 0x01
-HEADER = struct.Struct(">4sBI")  # magic, flags, record count
+HEADER = struct.Struct(">4sBI")  # magic, flags (reserved: 0), record count
 COLUMN = struct.Struct(">BI")  # kind, body length
 
 KIND_TEXT = 0x01
@@ -103,8 +97,8 @@ _FIXED_KINDS = {kind: (cls, code, width) for cls, (kind, code, width) in _FIXED.
 
 #: Runs decoded per step of a packed column: bounds the scratch tuples
 #: and lists one step unpacks (run lengths, Text widths, values) to this
-#: many entries.  Every product reader drains ``decode_runs`` with
-#: ``list(...)``, so it does not bound what a reader ends up holding.
+#: many entries.  Every product reader drains ``decode_runs`` whole, so
+#: it does not bound what a reader ends up holding.
 _BATCH = 4096
 
 _KEY = operator.itemgetter(0)
@@ -149,21 +143,25 @@ def _pack_runs(
     return sum(map(operator.mul, widths, lengths))
 
 
-def _encode_column(out: list[bytes], column: list[Writable]) -> tuple[int, list]:
-    """Append one column to ``out``.
+def _encode_column(
+    out: list[bytes], column: list[Writable], lengths: list[int] | None = None
+) -> int:
+    """Append one column to ``out`` and return its payload bytes.
 
-    Returns its payload bytes and the records' sort keys: the
-    ``.value`` list, which is those classes' ``sort_key()``.  A column
-    that is not all ``Text``, ``IntWritable``, ``LongWritable``,
-    ``FloatWritable`` or ``NullWritable`` raises
-    :class:`WireFormatError`, with nothing appended.
+    Entry ``i`` of ``column`` stands for ``lengths[i]`` adjacent records
+    (one each without ``lengths``); adjacent entries that encode alike
+    join into one wire run.  A column that is not all ``Text``,
+    ``IntWritable``, ``LongWritable``, ``FloatWritable`` or
+    ``NullWritable`` raises :class:`WireFormatError`, with nothing
+    appended.
     """
-    count = len(column)
+    entries = len(column)
+    count = entries if lengths is None else sum(lengths)
     classes = set(map(type, column))
     cls = classes.pop() if len(classes) == 1 else None
     if cls is NullWritable or not count:
         out.append(COLUMN.pack(KIND_NULL, 0))
-        return 0, []  # equal keys are in order
+        return 0
     if cls is not Text and cls not in _FIXED:
         names = sorted({type(w).__qualname__ for w in column})
         raise WireFormatError(f"cannot pack a column of {', '.join(names)}")
@@ -171,75 +169,32 @@ def _encode_column(out: list[bytes], column: list[Writable]) -> tuple[int, list]
     # Runs are of identical *encodings*: floats meet as bit patterns,
     # so 0.0 / -0.0 and distinct NaN payloads stay apart.
     same = (
-        struct.unpack(f">{count}q", struct.pack(f">{count}d", *values))
+        struct.unpack(f">{entries}q", struct.pack(f">{entries}d", *values))
         if cls is FloatWritable
         else values
     )
-    starts = [0, *compress(range(1, count), map(operator.ne, same, islice(same, 1, None)))]
-    lengths = list(map(operator.sub, [*starts[1:], count], starts))
-    return _pack_runs(out, cls, [values[i] for i in starts], lengths, count), values
+    starts = [0, *compress(range(1, entries), map(operator.ne, same, islice(same, 1, None)))]
+    offsets = range(entries + 1) if lengths is None else list(accumulate(lengths, initial=0))
+    bounds = [*map(offsets.__getitem__, starts), count]
+    run_lengths = list(map(operator.sub, islice(bounds, 1, None), bounds))
+    return _pack_runs(out, cls, [values[i] for i in starts], run_lengths, count)
 
 
-def _encode_key_runs(out: list[bytes], pairs: list[Pair], key_runs: list[int]) -> int | None:
-    """Append the key column from the heads of ``key_runs`` alone.
-
-    Returns its payload bytes, or ``None`` — with nothing appended —
-    when the runs cannot stand for the column: they do not cover the
-    pairs, the heads are not all ``Text``, all ``IntWritable`` or all
-    ``LongWritable`` (those whose equal keys encode alike), an integer
-    is beyond its width, or a head does not sort strictly after the one
-    before it.  Strictly ascending heads are distinct, so the runs are
-    the maximal runs of identical encodings a per-record walk would
-    cut, and every record is in key order.
-    """
-    count = len(pairs)
-    if not count or sum(key_runs) != count or 0 in key_runs:
-        return None
-    heads = [pairs[i][0] for i in accumulate(key_runs[:-1], initial=0)]
-    classes = set(map(type, heads))
-    cls = classes.pop() if len(classes) == 1 else None
-    if cls is not Text and cls is not IntWritable and cls is not LongWritable:
-        return None
-    firsts = list(map(_VALUE_OF, heads))
-    if not all(map(operator.lt, firsts, islice(firsts, 1, None))):
-        return None
-    return _pack_runs(out, cls, firsts, key_runs, count)
-
-
-def encode_pairs(
-    pairs: Iterable[Pair], key_runs: list[int] | None = None
-) -> tuple[bytes, int]:
-    """Frame a pair sequence into one blob, or raise
+def encode_runs(runs: list[Run]) -> tuple[bytes, int]:
+    """Frame a partition's key runs into one blob, or raise
     :class:`WireFormatError` when a column does not pack.
 
     Returns ``(blob, payload_bytes)`` where ``payload_bytes`` is the sum
     of entry payload widths over all records — by construction equal to
     :func:`~repro.mapreduce.shuffle.serialized_bytes` over the same
-    pairs.  Costs C-level passes per column, not calls per record.
-
-    ``key_runs``, when given, are the lengths of the maximal runs of
-    equal keys (``Writable.__eq__``) that cut ``pairs``, in order — what
-    :func:`~repro.mapreduce.shuffle.partition_pairs` records for a
-    bucket.  They are trusted, not re-derived: the key column is then
-    written from each run's first key, and no other key is read.  When
-    the runs cannot stand for the column (see :func:`_encode_key_runs`)
-    the keys are encoded record by record, as without ``key_runs``; the
-    blob is byte-identical either way.
+    runs.  The key column is written from the run heads, one entry per
+    run, the value column per record; both cost C-level passes per
+    column, not calls per record.
     """
-    if not isinstance(pairs, list):
-        pairs = list(pairs)
-    out: list[bytes] = [b""]  # the header's place: the flag comes last
-    key_bytes = None if key_runs is None else _encode_key_runs(out, pairs, key_runs)
-    if key_bytes is not None:
-        key_sorted = True  # the run heads ascend strictly
-    else:
-        key_bytes, sort_keys = _encode_column(out, list(map(_KEY, pairs)))
-        # ``<=`` for every neighbour, and the first key against itself:
-        # a NaN key is not sortable, so not sorted.  Encoding is still
-        # fine — only the merge optimisation is off the table.
-        key_sorted = all(map(operator.le, chain(sort_keys[:1], sort_keys), sort_keys))
-    value_bytes, _ = _encode_column(out, list(map(_VALUE, pairs)))
-    out[0] = HEADER.pack(MAGIC, FLAG_KEY_SORTED if key_sorted else 0, len(pairs))
+    lengths = list(map(len, map(_VALUE, runs)))
+    out = [HEADER.pack(MAGIC, 0, sum(lengths))]
+    key_bytes = _encode_column(out, list(map(_KEY, runs)), lengths)
+    value_bytes = _encode_column(out, list(chain.from_iterable(map(_VALUE, runs))))
     return b"".join(out), key_bytes + value_bytes
 
 
@@ -247,22 +202,16 @@ def encode_pairs(
 # decoding
 
 
-def _parse_header(buf) -> tuple[memoryview, int, int]:
+def _parse_header(buf) -> tuple[memoryview, int]:
     view = memoryview(buf)
     if len(view) < HEADER.size:
         raise WireFormatError(
             f"truncated blob: {len(view)} bytes, header needs {HEADER.size}"
         )
-    magic, flags, count = HEADER.unpack_from(view, 0)
+    magic, _flags, count = HEADER.unpack_from(view, 0)
     if magic != MAGIC:
         raise WireFormatError(f"bad magic {bytes(magic)!r}; expected {MAGIC!r}")
-    return view, flags, count
-
-
-def blob_key_sorted(buf) -> bool:
-    """Read a blob's key-sorted flag without decoding any entries."""
-    _, flags, _ = _parse_header(buf)
-    return bool(flags & FLAG_KEY_SORTED)
+    return view, count
 
 
 def _truncated(offset: int, need: int, have: int) -> WireFormatError:
@@ -333,10 +282,11 @@ def _column_runs(body: memoryview, kind: int, count: int) -> Iterator[tuple[Writ
 
 
 def _zip_runs(
-    key_runs: Iterator[tuple[Writable, int]], value_runs: Iterator[tuple[Writable, int]]
-) -> Iterator[tuple[Writable, list[Writable]]]:
-    values = chain.from_iterable(starmap(repeat, value_runs))
-    for key, length in key_runs:
+    key_column: Iterator[tuple[Writable, int]],
+    value_column: Iterator[tuple[Writable, int]],
+) -> Iterator[Run]:
+    values = chain.from_iterable(starmap(repeat, value_column))
+    for key, length in key_column:
         run = list(islice(values, length))
         if len(run) != length:
             raise WireFormatError("key column is longer than value column")
@@ -345,7 +295,7 @@ def _zip_runs(
         raise WireFormatError("value column is longer than key column")
 
 
-def decode_runs(buf) -> Iterator[tuple[Writable, list[Writable]]]:
+def decode_runs(buf) -> Iterator[Run]:
     """Lazily decode a blob into ``(key, values)`` key runs.
 
     A run is a stretch of adjacent records whose keys encode alike;
@@ -355,7 +305,7 @@ def decode_runs(buf) -> Iterator[tuple[Writable, list[Writable]]]:
     Header and column bounds are validated eagerly (bad blobs fail at
     call time); entries decode as the iterator is consumed.
     """
-    view, _flags, count = _parse_header(buf)
+    view, count = _parse_header(buf)
     offset = HEADER.size
     columns = []
     for _ in range(2):
@@ -372,14 +322,3 @@ def decode_runs(buf) -> Iterator[tuple[Writable, list[Writable]]]:
             f"{len(view) - offset} trailing bytes after {count} records"
         )
     return _zip_runs(*columns)
-
-
-def flatten_runs(runs: Iterable[tuple[Writable, list[Writable]]]) -> Iterator[Pair]:
-    """The record stream of a key-run stream."""
-    for key, values in runs:
-        yield from zip(repeat(key), values)
-
-
-def decode_pair_list(buf) -> list[Pair]:
-    """Decode a whole blob back into a list of Writable pairs."""
-    return list(flatten_runs(decode_runs(buf)))

@@ -1,34 +1,32 @@
 """Reference oracle: the pair-list, sort-then-walk map and reduce sides.
 
 These are the bodies ``repro.mapreduce.shuffle`` had before map output
-was buffered as typed columns and before the map side grouped
-``SORT_KEY_PINS_ENCODING`` keys by hashing: ``Context.write`` wrapped
+was buffered as typed columns, before the map side grouped
+``SORT_KEY_PINS_ENCODING`` keys by hashing, and before key runs became
+the one shape of a map-output partition: ``Context.write`` wrapped
 every emission into a Writable pair, one stable sort ordered the pair
 list (:func:`sort_pairs`), and a walk over runs of adjacent equal keys
 partitioned each run once (:func:`partition_pairs`); on the reduce side
-a list-returning :func:`merge_for_reduce` was grouped with
-:func:`group_by_key`.  :func:`map_side` and :func:`reduce_input` are
-what the parent's ``execute_map`` and ``execute_reduce`` computed,
-reported through today's signatures; they define what the column and
-hash paths must reproduce exactly (``test_shuffle_runs.py`` and
-``tests/properties/test_map_columns.py`` compare them).  Not collected
-by pytest (no ``test_`` prefix).
+a list-returning :func:`merge_for_reduce` concatenated every output's
+records and was grouped with :func:`group_by_key`.  :func:`map_side`,
+:func:`combiner_groups`, :func:`run_combiner` and :func:`reduce_input`
+are what the parent's ``execute_map`` and ``execute_reduce`` computed,
+reported through today's signatures — key runs, read back as records
+(:func:`records_of`) wherever the parent read pairs; they define what
+the column, hash and run paths must reproduce exactly
+(``test_shuffle_runs.py`` and ``tests/properties/test_map_columns.py``
+compare them).  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import compress, islice, pairwise
+from itertools import compress, islice, pairwise, repeat
 from typing import Iterable, Iterator
 
+from repro.mapreduce import wire
 from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.shuffle import (
-    MapOutput,
-    Pair,
-    PartitionTally,
-    ReduceInput,
-    serialized_bytes,
-)
+from repro.mapreduce.shuffle import MapOutput, Pair, ReduceInput
 from repro.mapreduce.types import (
     SORT_KEY_PINS_ENCODING,
     Column,
@@ -41,6 +39,7 @@ _KEY = operator.itemgetter(0)
 _VALUE = operator.itemgetter(1)
 
 Group = tuple[Writable, list[Writable]]
+Run = Group
 
 
 def is_key_sorted(pairs: list[Pair]) -> bool:
@@ -85,38 +84,87 @@ def _uniform_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
             yield from zip(range(start, stop), range(start + 1, stop + 1))
 
 
+def serialized_bytes(pairs: Iterable[Pair]) -> int:
+    """Wire size of a pair list (key bytes + value bytes per record)."""
+    return sum(k.serialized_size() + v.serialized_size() for k, v in pairs)
+
+
+def record_runs(pairs: Iterable[Pair]) -> list[Run]:
+    """Each record as a run of its own."""
+    return [(key, [value]) for key, value in pairs]
+
+
+def records_of(runs: Iterable[Run]) -> list[Pair]:
+    """The records of key runs, in order."""
+    return [pair for key, values in runs for pair in zip(repeat(key), values)]
+
+
+def encode_records(pairs: Iterable[Pair]) -> tuple[bytes, int]:
+    """The RWF2 blob of records, one key run each (adjacent keys that
+    encode alike still join into one wire run)."""
+    return wire.encode_runs(record_runs(pairs))
+
+
+def decode_records(blob) -> list[Pair]:
+    """A blob's records, in order."""
+    return records_of(wire.decode_runs(blob))
+
+
+def runs_of(sorted_pairs: list[Pair]) -> list[Run]:
+    """Key-sorted pairs as the key runs the walk partitions."""
+    values = list(map(_VALUE, sorted_pairs))
+    return [
+        (sorted_pairs[start][0], values[start:stop])
+        for start, stop in _uniform_runs(sorted_pairs)
+    ]
+
+
 def partition_pairs(
     pairs: list[Pair], partitioner: Partitioner, num_reduces: int
-) -> tuple[dict[int, list[Pair]], dict[int, list[Group]], int]:
-    """Buckets, combiner groups and payload bytes of key-sorted pairs."""
-    buckets: dict[int, list[Pair]] = {}
-    groups: dict[int, list[Group]] = {}
-    values = list(map(_VALUE, pairs))
-    nbytes = sum([kv[1].serialized_size() for kv in pairs])
+) -> tuple[dict[int, list[Run]], int]:
+    """Buckets of key runs and payload bytes of key-sorted pairs."""
+    buckets: dict[int, list[Run]] = {}
     part = partitioner.partition
-    for start, stop in _uniform_runs(pairs):
-        key = pairs[start][0]
-        p = part(key, num_reduces)
-        nbytes += key.serialized_size() * (stop - start)
-        bucket = buckets.get(p)
-        if bucket is None:
-            buckets[p] = pairs[start:stop]
-        else:
-            bucket += pairs[start:stop]
-        pgroups = groups.get(p)
-        if pgroups is None:
-            groups[p] = [(key, values[start:stop])]
-        elif pgroups[-1][0] == key:
-            pgroups[-1][1].extend(values[start:stop])
-        else:
-            pgroups.append((key, values[start:stop]))
-    return buckets, groups, nbytes
+    for run in runs_of(pairs):
+        buckets.setdefault(part(run[0], num_reduces), []).append(run)
+    return buckets, serialized_bytes(pairs)
+
+
+def combiner_groups(runs: list[Run]) -> list[Group]:
+    """A key-sorted bucket's groups: its records cut between unequal
+    neighbours."""
+    return list(group_by_key(records_of(runs)))
+
+
+def run_combiner(combiner_cls, groups, context, counters) -> tuple[list[Run], int]:
+    """The combine as the parent ran it: drained pairs, shipped in
+    emission order, one record a run."""
+    from repro.mapreduce.counters import C
+
+    counters.increment(C.COMBINE_INPUT_RECORDS, sum(len(vs) for _, vs in groups))
+    combiner = combiner_cls()
+    combiner.setup(context)
+    for key, values in groups:
+        combiner.reduce(key, values, context)
+    combiner.cleanup(context)
+    pairs = context.drain()
+    counters.increment(C.COMBINE_OUTPUT_RECORDS, len(pairs))
+    return record_runs(pairs), serialized_bytes(pairs)
+
+
+def output_pairs(output: MapOutput, partition: int) -> list[Pair]:
+    """One map output's partition as records, its blob decoded when
+    frozen."""
+    if output.partitions is not None:
+        return records_of(output.partitions.get(partition, ()))
+    blob = output._blob_for(partition)
+    return [] if blob is None else records_of(wire.decode_runs(blob))
 
 
 def merge_for_reduce(outputs: Iterable[MapOutput], partition: int) -> list[Pair]:
     merged: list[Pair] = []
     for output in outputs:
-        merged.extend(output.pairs_for(partition))
+        merged.extend(output_pairs(output, partition))
     return sort_pairs(merged)
 
 
@@ -132,31 +180,32 @@ def emitted_pairs(keys: Column, values: Column) -> list[Pair]:
 
 
 def map_side(
-    keys: Column,
-    values: Column,
-    partitioner: Partitioner,
-    num_reduces: int,
-    tally: PartitionTally | None = None,
-    *,
-    grouped: bool = False,
-) -> dict[int, list]:
+    keys: Column, values: Column, partitioner: Partitioner, num_reduces: int
+) -> dict[int, list[Run]]:
     """The parent ``execute_map`` behind today's ``partition_pairs``
     signature: wrap per record, sort once, then partition the runs."""
-    pairs = emitted_pairs(keys, values)
-    buckets, groups, nbytes = partition_pairs(
-        sort_pairs(pairs), partitioner, num_reduces
+    buckets, _ = partition_pairs(
+        sort_pairs(emitted_pairs(keys, values)), partitioner, num_reduces
     )
-    if tally is not None:
-        tally.records, tally.nbytes = len(pairs), nbytes
-        if tally.key_runs is not None:
-            for p, bucket in buckets.items():
-                tally.key_runs[p] = [stop - start for start, stop in _key_runs(bucket)]
-    return groups if grouped else buckets
+    return buckets
 
 
-def reduce_input(outputs: Iterable[MapOutput], partition: int) -> ReduceInput:
+def reduce_input(
+    outputs: Iterable[MapOutput], partition: int, perf=None
+) -> ReduceInput:
     """The parent ``execute_reduce``'s view of its merged partition."""
     merged = merge_for_reduce(outputs, partition)
     return ReduceInput(
         list(group_by_key(merged)), len(merged), serialized_bytes(merged)
     )
+
+
+def patch_runtime(patch) -> None:
+    """Swap the oracle's map, combine and reduce sides into the runtime
+    (``patch`` is a pytest ``MonkeyPatch``)."""
+    from repro.mapreduce import runtime
+
+    patch.setattr(runtime, "partition_pairs", map_side)
+    patch.setattr(runtime, "combiner_groups", combiner_groups)
+    patch.setattr(runtime, "run_combiner", run_combiner)
+    patch.setattr(runtime, "merge_for_reduce", reduce_input)

@@ -29,7 +29,7 @@ import pytest
 from repro.mapreduce import shm, wire
 from repro.mapreduce.backend import create_backend
 from repro.mapreduce.counters import PerfStats
-from repro.mapreduce.shuffle import MapOutput
+from repro.mapreduce.shuffle import MapOutput, merge_for_reduce
 from repro.mapreduce.types import IntWritable, Text
 from repro.util.errors import WireFormatError
 
@@ -39,12 +39,22 @@ pytestmark = pytest.mark.skipif(
 
 
 def _pairs(n=8):
-    return [(Text(f"k{i:03d}"), IntWritable(i)) for i in range(n)]
+    """``n`` one-record key runs."""
+    return [(Text(f"k{i:03d}"), [IntWritable(i)]) for i in range(n)]
 
 
 def _blob(n=8):
-    blob, _ = wire.encode_pairs(_pairs(n))
+    blob, _ = wire.encode_runs(_pairs(n))
     return blob
+
+
+def _runs(buf):
+    return [(k.value, [v.value for v in vs]) for k, vs in wire.decode_runs(buf)]
+
+
+def _merged(output, partition):
+    groups, records, nbytes = merge_for_reduce([output], partition)
+    return [(k.value, [v.value for v in vs]) for k, vs in groups], records, nbytes
 
 
 @pytest.fixture
@@ -66,7 +76,7 @@ class TestPublishAttach:
             for p, blob in frames.items():
                 view = shm.attach_slice(descs[p])
                 assert bytes(view) == blob
-                assert wire.decode_pair_list(view) == wire.decode_pair_list(blob)
+                assert _runs(view) == _runs(blob)
         finally:
             scope.release()
         assert scope.live_segments() == []
@@ -331,7 +341,7 @@ def _pooled_shm_wordcounts(jobs, lines, start_tracker):
 
 def _publish_and_die(token, sentinel):
     """Pool payload: publish a segment; die hard on the first attempt."""
-    blob, _ = wire.encode_pairs([(Text("k"), IntWritable(1))])
+    blob, _ = wire.encode_runs([(Text("k"), [IntWritable(1)])])
     shm.publish_frames({0: blob}, token)
     if not os.path.exists(sentinel):
         with open(sentinel, "w"):
@@ -360,12 +370,9 @@ class TestMapOutputDescriptorForm:
         assert reference.frames == framed
         assert output.frozen
         assert all(isinstance(v, shm.ShmSlice) for v in output.frames.values())
-        assert output.partition_ids() == reference.partition_ids()
+        assert sorted(output.frames) == sorted(reference.frames)
         for p in (0, 1, 2):
-            assert output.pairs_for(p) == reference.pairs_for(p)
-            assert output.partition_key_sorted(p) == (
-                reference.partition_key_sorted(p)
-            )
+            assert _merged(output, p) == _merged(reference, p)
             assert output.partition_records(p) == reference.partition_records(p)
             assert output.partition_bytes(p) == reference.partition_bytes(p)
 
@@ -373,8 +380,8 @@ class TestMapOutputDescriptorForm:
         output, _ = self._published(scope)
         sliced = output.slice_for(2)
         assert sliced.frames == {2: output.frames[2]}
-        assert sliced.pairs_for(2) == output.pairs_for(2)
-        assert sliced.pairs_for(0) == []
+        assert _merged(sliced, 2) == _merged(output, 2)
+        assert _merged(sliced, 0) == ([], 0, 0)
         empty = output.slice_for(1)
         assert empty.frames == {}
         assert empty.frozen
@@ -388,8 +395,8 @@ class TestMapOutputDescriptorForm:
     def test_decode_counts_zero_copy_bytes(self, scope):
         output, _ = self._published(scope)
         perf = PerfStats()
-        output.pairs_for(0, perf)
-        output.pairs_for(2, perf)
+        merge_for_reduce([output], 0, perf)
+        merge_for_reduce([output], 2, perf)
         total = sum(d.length for d in output.frames.values())
         assert perf.copy_avoided_bytes == total
         assert perf.blobs_decoded == 2

@@ -8,6 +8,7 @@ from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
+    combiner_groups,
     is_key_sorted,
     merge_for_reduce,
     partition_pairs,
@@ -23,18 +24,26 @@ def pairs_of(*items):
     return [(Text(k), IntWritable(v)) for k, v in items]
 
 
+def runs_of(*items):
+    """One-record key runs: a map output's partition, record by record."""
+    return shuffle_oracle.record_runs(pairs_of(*items))
+
+
 def partition(pairs, num_reduces):
     """``partition_pairs`` over the columns of an attempt that emitted
-    ``pairs``: the buckets of pairs a job without a combiner ships."""
+    ``pairs``: the buckets of key runs a map attempt ships."""
     return partition_pairs(
         *shuffle_oracle.columns_of(pairs), HashPartitioner(), num_reduces
     )
 
 
 def groups_of(pairs):
-    """The reduce groups of ``pairs``, as the combiner receives them."""
-    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
-    return merge_for_reduce([output], 0).groups
+    """The groups of key-sorted ``pairs``, as the combiner receives them."""
+    return combiner_groups(shuffle_oracle.record_runs(pairs))
+
+
+def records(bucket):
+    return shuffle_oracle.records_of(bucket)
 
 
 class TestSortAndGroup:
@@ -50,7 +59,7 @@ class TestSortAndGroup:
 
     def test_group_by_key(self):
         out = MapOutput(
-            task_index=0, node="n0", partitions={0: pairs_of(("a", 1), ("b", 5), ("a", 2))}
+            task_index=0, node="n0", partitions={0: runs_of(("a", 1), ("b", 5), ("a", 2))}
         )
         groups = [
             (k.value, [v.value for v in vs]) for k, vs in merge_for_reduce([out], 0).groups
@@ -66,7 +75,7 @@ class TestPartitioning:
         pairs = pairs_of(*[(f"k{i}", i) for i in range(40)])
         buckets = partition(pairs, 4)
         assert set(buckets) == {0, 1, 2, 3}  # 40 keys fill all four
-        assert sum(len(b) for b in buckets.values()) == 40
+        assert sum(len(records(b)) for b in buckets.values()) == 40
 
     def test_empty_partitions_are_omitted(self):
         # partition_pairs is sparse: consumers use .get(p, ()), and the
@@ -87,19 +96,21 @@ class TestPartitioning:
 
     def test_stable_bucketing_of_sorted_input_stays_sorted(self):
         # Every bucket comes back key-sorted whatever the input order
-        # (what lets the combiner run with presorted=True), equal keys
+        # (what lets the combiner take its runs as groups), equal keys
         # in emission order.
         pairs = pairs_of(*[(f"k{(i * 7) % 13}", i) for i in range(60)])
         buckets = partition(pairs, 4)
         for bucket in buckets.values():
             assert is_key_sorted(bucket)
-            assert bucket == sort_pairs(bucket)
+            assert records(bucket) == sort_pairs(records(bucket))
 
 
 class TestSerializedBytes:
     def test_counts_keys_and_values(self):
-        pairs = pairs_of(("ab", 1))  # Text 2 bytes + IntWritable 4 bytes
-        assert serialized_bytes(pairs) == 6
+        runs = runs_of(("ab", 1))  # Text 2 bytes + IntWritable 4 bytes
+        assert serialized_bytes(runs) == 6
+        # A run's key counts once per record.
+        assert serialized_bytes([(Text("ab"), [IntWritable(1)] * 3)]) == 18
 
     def test_empty(self):
         assert serialized_bytes([]) == 0
@@ -120,9 +131,12 @@ class TestCombiner:
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         pairs = pairs_of(("a", 1), ("a", 1), ("b", 1))
-        combined = run_combiner(self.SumCombiner, groups_of(pairs), context, counters)
-        as_dict = {k.value: v.value for k, v in combined}
+        combined, nbytes = run_combiner(
+            self.SumCombiner, groups_of(pairs), context, counters
+        )
+        as_dict = {k.value: v.value for k, v in records(combined)}
         assert as_dict == {"a": 2, "b": 1}
+        assert nbytes == serialized_bytes(combined) == 2 * (1 + 4)
         assert counters.get(C.COMBINE_INPUT_RECORDS) == 3
         assert counters.get(C.COMBINE_OUTPUT_RECORDS) == 2
 
@@ -130,8 +144,8 @@ class TestCombiner:
         counters = Counters()
         context = Context(conf=JobConf(), counters=counters)
         pairs = sort_pairs(pairs_of(("b", 1), ("a", 2), ("a", 3)))
-        combined = run_combiner(self.SumCombiner, groups_of(pairs), context, counters)
-        assert {k.value: v.value for k, v in combined} == {"a": 5, "b": 1}
+        combined, _ = run_combiner(self.SumCombiner, groups_of(pairs), context, counters)
+        assert {k.value: v.value for k, v in records(combined)} == {"a": 5, "b": 1}
 
     def test_presorted_lie_is_caught_in_debug_mode(self):
         counters = Counters()
@@ -161,10 +175,10 @@ class TestCombiner:
                 run_combiner(self.SumCombiner, groups, context, counters)
         # The honest groups of the same pairs pass.
         ordered = sort_pairs(pairs)
-        combined = run_combiner(
+        combined, _ = run_combiner(
             self.SumCombiner, groups_of(ordered), context, counters
         )
-        assert [(k.value, v.value) for k, v in combined] == (
+        assert [(k.value, v.value) for k, v in records(combined)] == (
             [("a", 1), ("b", 1)] if lie == "out-of-order" else [("a", 2), ("b", 1)]
         )
 
@@ -184,10 +198,10 @@ def _assert_merge_matches_oracle(outputs, partition):
 class TestMergeForReduce:
     def test_merges_across_map_outputs(self):
         out1 = MapOutput(
-            task_index=0, node="n0", partitions={0: pairs_of(("b", 1), ("c", 3))}
+            task_index=0, node="n0", partitions={0: runs_of(("b", 1), ("c", 3))}
         )
         out2 = MapOutput(
-            task_index=1, node="n1", partitions={0: pairs_of(("a", 2), ("b", 4))}
+            task_index=1, node="n1", partitions={0: runs_of(("a", 2), ("b", 4))}
         )
         merged = _assert_merge_matches_oracle([out1, out2], 0)
         assert [(k.value, [v.value for v in vs]) for k, vs in merged.groups] == [
@@ -201,14 +215,16 @@ class TestMergeForReduce:
         out = MapOutput(
             task_index=0,
             node="n0",
-            partitions={0: pairs_of(("a", 1)), 1: pairs_of(("b", 1))},
+            partitions={0: runs_of(("a", 1)), 1: runs_of(("b", 1))},
         )
         merged = _assert_merge_matches_oracle([out], 1)
         assert [k.value for k, _ in merged.groups] == ["b"]
 
     def test_byte_accounting(self):
-        out = MapOutput(task_index=0, node="n0", partitions={0: pairs_of(("ab", 1))})
-        assert out.partition_bytes(0) == 6
+        out = MapOutput(
+            task_index=0, node="n0", partitions={0: [(Text("ab"), [IntWritable(1)] * 2)]}
+        )
+        assert out.partition_bytes(0) == 12
         assert out.partition_bytes(1) == 0
-        assert out.total_bytes() == 6
-        assert out.total_records() == 1
+        assert out.partition_records(0) == 2
+        assert out.partition_records(1) == 0

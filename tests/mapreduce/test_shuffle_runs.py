@@ -1,16 +1,17 @@
 """The hash-grouped map and reduce sides ≡ the sort-then-walk ones.
 
 ``partition_pairs`` takes a map attempt's output as typed columns in
-emission order and returns key-sorted buckets (pairs, or the combiner's
-groups); ``merge_for_reduce`` returns its partition grouped.
-``shuffle_oracle`` keeps the bodies they replaced: one stable sort of a
-pair list, then a walk over runs of adjacent equal keys.  Every check
-here is a differential over Writable emissions: the very same group
-keys and values in the same order, buckets holding the same values
-under equal keys, identical record/byte tallies, partitioner call
-sequence and ``ReduceInput`` — over every key column, including those
-where "equal sort key" does *not* mean "same key", which must not take
-the hash path.  Plain emissions are ``tests/properties/test_map_columns.py``'s.
+emission order and returns buckets of key runs in key order;
+``combiner_groups`` joins a bucket's runs into the combiner's groups,
+and ``merge_for_reduce`` returns a partition of every map output's runs
+grouped.  ``shuffle_oracle`` keeps the bodies they replaced: one stable
+sort of a pair list, then a walk over runs of adjacent equal keys.
+Every check here is a differential over Writable emissions: the very
+same run and group keys and values in the same order, identical
+record/byte totals, partitioner call sequence and ``ReduceInput`` —
+over every key column, including those where "equal sort key" does
+*not* mean "same key", which must not take the hash path.  Plain
+emissions are ``tests/properties/test_map_columns.py``'s.
 """
 
 import math
@@ -29,7 +30,7 @@ from repro.mapreduce.local_runner import LocalJobRunner
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
     MapOutput,
-    PartitionTally,
+    combiner_groups,
     is_key_sorted,
     merge_for_reduce,
     partition_pairs,
@@ -164,80 +165,70 @@ partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
 reduce_counts = st.sampled_from([1, 2, 3, 7])
 
 
-def _pairs_view(pairs):
-    """A bucket, its values by identity: a hashed run's key is its first
-    emitted key for every record (equal keys of its class are alike)."""
-    return [(type(k), k.sort_key(), k.encode(), id(v)) for k, v in pairs]
-
-
 def _group_ids(groups):
+    """Runs or groups, their keys and values by identity."""
     return [(id(key), [id(v) for v in values]) for key, values in groups]
 
 
 def _reduce_groups(pairs):
     """The product's reduce groups of one map output's partition."""
-    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+    output = MapOutput(task_index=0, node="n", partitions={0: oracle.record_runs(pairs)})
     return merge_for_reduce([output], 0).groups
 
 
-def _partition(pairs, partitioner, num_reduces, tally=None, grouped=False):
+def _partition(pairs, partitioner, num_reduces):
     """``partition_pairs`` over the columns of an attempt that emitted
     ``pairs``."""
-    return partition_pairs(
-        *oracle.columns_of(pairs), partitioner, num_reduces, tally, grouped=grouped
-    )
+    return partition_pairs(*oracle.columns_of(pairs), partitioner, num_reduces)
 
 
-def _oracle(pairs, partitioner, num_reduces, tally=None, grouped=False):
-    return oracle.map_side(
-        *oracle.columns_of(pairs), partitioner, num_reduces, tally, grouped=grouped
-    )
+def _totals(pairs):
+    """The map-output record and byte totals ``execute_map`` counts:
+    read from the columns."""
+    keys, values = oracle.columns_of(pairs)
+    return len(keys.items), keys.nbytes() + values.nbytes()
 
 
 def assert_matches_oracle(pairs, partitioner, num_reduces):
-    expected_tally = PartitionTally()
     expected_calls = RecordingPartitioner(partitioner)
     try:
-        expected = _oracle(pairs, expected_calls, num_reduces, expected_tally, True)
+        expected = oracle.map_side(
+            *oracle.columns_of(pairs), expected_calls, num_reduces
+        )
     except TypeError:
         with pytest.raises(TypeError):
-            _partition(pairs, partitioner, num_reduces, PartitionTally(), True)
+            _partition(pairs, partitioner, num_reduces)
         return
-    tally = PartitionTally()
     calls = RecordingPartitioner(partitioner)
-    got = _partition(pairs, calls, num_reduces, tally, True)
+    got = _partition(pairs, calls, num_reduces)
 
     # Same partitions, first-seen order included, holding the very
-    # same group keys and values in the same order; the partitioner
-    # asked about the same key objects in the same order.
+    # same run keys and values in the same order, and joining into the
+    # very same combiner groups; the partitioner asked about the same
+    # key objects in the same order.
     assert list(got) == list(expected)
     for partition in expected:
         assert _group_ids(got[partition]) == _group_ids(expected[partition])
+        assert _group_ids(combiner_groups(got[partition])) == _group_ids(
+            oracle.combiner_groups(expected[partition])
+        )
     assert list(map(id, calls.keys)) == list(map(id, expected_calls.keys))
-    assert (tally.records, tally.nbytes) == (
-        expected_tally.records,
-        expected_tally.nbytes,
-    )
-
-    # Without groups (no combiner), with and without a tally: the same
-    # buckets of pairs.
-    expected = _oracle(pairs, partitioner, num_reduces)
-    plain_tally = PartitionTally()
-    plain = _partition(pairs, partitioner, num_reduces, plain_tally)
-    assert (plain_tally.records, plain_tally.nbytes) == (
-        expected_tally.records,
-        expected_tally.nbytes,
-    )
-    bare = _partition(pairs, partitioner, num_reduces)
-    for other in (plain, bare):
-        assert list(other) == list(expected)
-        for partition in expected:
-            assert _pairs_view(other[partition]) == _pairs_view(expected[partition])
+    assert _totals(pairs) == (len(pairs), oracle.serialized_bytes(pairs))
 
 
-def assert_reduce_matches_oracle(maps):
+def assert_reduce_matches_oracle(maps, as_runs=False):
+    """``maps`` as one-record runs in the order given, or as the key runs
+    a map attempt makes of them."""
     outputs = [
-        MapOutput(task_index=i, node="n", partitions={0: pairs})
+        MapOutput(
+            task_index=i,
+            node="n",
+            partitions={
+                0: _partition(pairs, HashPartitioner(), 1).get(0, [])
+                if as_runs
+                else oracle.record_runs(pairs)
+            },
+        )
         for i, pairs in enumerate(maps)
     ]
     try:
@@ -287,9 +278,9 @@ class TestDifferential:
     )
     @SETTINGS
     def test_reduce_input(self, maps, sort_first):
-        if sort_first:  # as map tasks hand them over
-            maps = [sort_pairs(pairs) for pairs in maps]
-        assert_reduce_matches_oracle(maps)
+        # As map tasks hand them over (key runs), or as records in any
+        # order.
+        assert_reduce_matches_oracle(maps, as_runs=sort_first)
 
     @given(pairs=column_outputs, sort_first=st.booleans())
     @SETTINGS
@@ -331,8 +322,10 @@ class TestEdgeCases:
             (LongWritable(1), _one(20)),
             (IntWritable(1), _one(30)),
         ]
-        groups = _partition(pairs, ByClass(), 2, grouped=True)
-        assert [[v.value for v in vs] for _, vs in groups[0]] == [[10, 30]]
+        bucket = _partition(pairs, ByClass(), 2)[0]
+        assert [[v.value for v in vs] for _, vs in bucket] == [[10], [30]]
+        groups = combiner_groups(bucket)
+        assert [[v.value for v in vs] for _, vs in groups] == [[10, 30]]
         assert_matches_oracle(pairs, ByClass(), 2)
 
     def test_nan_keys_sharing_one_nan_object_stay_apart(self):
@@ -354,10 +347,9 @@ class TestEdgeCases:
 
     def test_null_keys(self):
         pairs = [(NullWritable(), Text(c)) for c in "abc"]
-        tally = PartitionTally()
-        buckets = _partition(pairs, HashPartitioner(), 4, tally)
-        assert list(buckets.values()) == [pairs]
-        assert (tally.records, tally.nbytes) == (3, 3)
+        buckets = _partition(pairs, HashPartitioner(), 4)
+        assert list(buckets.values()) == [[(NullWritable(), [v for _, v in pairs])]]
+        assert _totals(pairs) == (3, 3)
         assert_matches_oracle(pairs, HashPartitioner(), 4)
 
     def test_record_key(self):
@@ -372,10 +364,10 @@ class TestEdgeCases:
     def test_sort_key_that_ignores_an_encoded_field(self, partitioner):
         pairs = [(LossyKey("a", tag), _one()) for tag in (1, 22, 333, 1)]
         assert len(_reduce_groups(pairs)) == 1
-        tally = PartitionTally()
-        _partition(pairs, partitioner, 5, tally)
         # key sizes 3 + 4 + 5 + 3, four 4-byte values: per record exact
-        assert tally.nbytes == 15 + 16
+        assert _totals(pairs) == (4, 15 + 16)
+        (bucket,) = _partition(pairs, partitioner, 1).values()
+        assert shuffle.serialized_bytes(bucket) == 15 + 16
         assert_matches_oracle(pairs, partitioner, 5)
 
     def test_text_subclass_is_not_hashed(self):
@@ -387,20 +379,18 @@ class TestEdgeCases:
     def test_single_reduce(self):
         pairs = [(Text(c), _one()) for c in "banana"]
         buckets = _partition(pairs, EncodedLengthPartitioner(), 1)
-        assert list(buckets) == [0] and buckets[0] == sort_pairs(pairs)
+        assert list(buckets) == [0]
+        assert oracle.records_of(buckets[0]) == sort_pairs(pairs)
         assert_matches_oracle(pairs, EncodedLengthPartitioner(), 1)
 
     def test_empty_output(self):
-        tally = PartitionTally()
-        assert _partition([], HashPartitioner(), 4, tally, grouped=True) == {}
-        assert (tally.records, tally.nbytes) == (0, 0)
+        assert _partition([], HashPartitioner(), 4) == {}
+        assert _totals([]) == (0, 0)
         assert _reduce_groups([]) == []
 
     def test_non_ascii_text_sizes(self):
         pairs = [(Text(w), Text(w)) for w in ("é", "é", "e", "日本")]
-        tally = PartitionTally()
-        _partition(pairs, HashPartitioner(), 3, tally)
-        assert tally.nbytes == 2 * (2 + 2 + 1 + 6)
+        assert _totals(pairs)[1] == 2 * (2 + 2 + 1 + 6)
 
 
 # --------------------------------------------------------------------------
@@ -440,8 +430,7 @@ def _run_on_oracle(monkeypatch, job_cls, mr_config):
     """The same job with the parent's sort-then-walk bodies swapped in:
     nothing of the new ordering runs on this path."""
     with monkeypatch.context() as patch:
-        patch.setattr(runtime, "partition_pairs", oracle.map_side)
-        patch.setattr(runtime, "merge_for_reduce", oracle.reduce_input)
+        oracle.patch_runtime(patch)
         return _run(job_cls, mr_config)
 
 

@@ -5,7 +5,7 @@ Three contracts:
 1. a column of one framework class — ``Text``, ``IntWritable`` within
    32 bits, ``LongWritable`` within 64, ``FloatWritable``,
    ``NullWritable`` — round-trips bit-exactly through
-   ``encode_pairs``/``decode_pair_list`` (including the nasty corners:
+   ``encode_runs``/``decode_runs`` (including the nasty corners:
    empty/NUL/astral-plane Text, 32- and 64-bit boundary integers, signed
    zero and infinities); any other column (mixed classes, an integer
    past its width, a custom or ``record_writable`` class) raises
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets.zipf_text import ZipfTextGenerator
 from repro.mapreduce import wire
 from repro.mapreduce.counters import PerfStats
-from repro.mapreduce.shuffle import MapOutput, serialized_bytes, sort_pairs
+from repro.mapreduce.shuffle import MapOutput
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -39,7 +39,7 @@ from repro.mapreduce.types import (
 )
 from repro.util.errors import WireFormatError
 from repro.util.rng import RngStream
-from tests.mapreduce import wire_oracle
+from tests.mapreduce import shuffle_oracle, wire_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -99,15 +99,16 @@ def _identical(a, b) -> bool:
 
 def _assert_object_form(pairs):
     """A column that does not pack keeps its map output as objects."""
-    output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+    runs = shuffle_oracle.record_runs(pairs)
+    output = MapOutput(task_index=0, node="n", partitions={0: runs})
     perf = PerfStats()
     assert not output.freeze(perf)
     assert perf.frame_fallbacks == 1 and not output.frozen
     shipped = pickle.loads(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
-    assert shipped.pairs_for(0) == pairs
-    assert shipped.partition_bytes(0) == serialized_bytes(pairs)
+    assert shipped.partitions[0] == runs
+    assert shipped.partition_bytes(0) == shuffle_oracle.serialized_bytes(pairs)
     assert shipped.partition_records(0) == len(pairs)
-    return shipped.pairs_for(0)
+    return shuffle_oracle.records_of(shipped.partitions[0])
 
 
 # -- packs or raises --------------------------------------------------------
@@ -120,10 +121,10 @@ class TestRoundTrip:
         """Packable pairs round-trip as bytes; any other raises."""
         if not _pairs_pack(pairs):
             with pytest.raises(WireFormatError, match="cannot pack"):
-                wire.encode_pairs(pairs)
+                shuffle_oracle.encode_records(pairs)
             return
-        blob, payload = wire.encode_pairs(pairs)
-        decoded = wire.decode_pair_list(blob)
+        blob, payload = shuffle_oracle.encode_records(pairs)
+        decoded = shuffle_oracle.decode_records(blob)
         assert len(decoded) == len(pairs)
         for (k1, v1), (k2, v2) in zip(pairs, decoded):
             assert _identical(k1, k2) and _identical(v1, v2)
@@ -134,8 +135,8 @@ class TestRoundTrip:
         ["", "\x00", "a\x00b", "naïve", "\U0001f600\U0001f680", "\n\t\r", "x" * 5000],
     )
     def test_text_corners(self, text):
-        blob, _ = wire.encode_pairs([(Text(text), Text(text))])
-        (k, v), = wire.decode_pair_list(blob)
+        blob, _ = shuffle_oracle.encode_records([(Text(text), Text(text))])
+        (k, v), = shuffle_oracle.decode_records(blob)
         assert k.value == text and v.value == text
 
     @pytest.mark.parametrize("value", INT_BOUNDARIES)
@@ -146,11 +147,11 @@ class TestRoundTrip:
         for cls, bits in ((IntWritable, 32), (LongWritable, 64)):
             pairs = [(cls(value), cls(other))]
             if wire_oracle.rwf2_packs([cls(value), cls(other)]):
-                blob, _ = wire.encode_pairs(pairs)
-                (k, v), = wire.decode_pair_list(blob)
+                blob, _ = shuffle_oracle.encode_records(pairs)
+                (k, v), = shuffle_oracle.decode_records(blob)
             else:
                 with pytest.raises(WireFormatError, match=f"beyond {bits} bits"):
-                    wire.encode_pairs(pairs)
+                    shuffle_oracle.encode_records(pairs)
                 (k, v), = _assert_object_form(pairs)
             assert type(k) is cls and k.value == value
             assert type(v) is cls and v.value == other
@@ -159,8 +160,8 @@ class TestRoundTrip:
         "value", [0.0, -0.0, 1.5, -2.25, float("inf"), float("-inf"), 1e-308, 1e308]
     )
     def test_float_corners(self, value):
-        blob, _ = wire.encode_pairs([(FloatWritable(value), NullWritable())])
-        (k, v), = wire.decode_pair_list(blob)
+        blob, _ = shuffle_oracle.encode_records([(FloatWritable(value), NullWritable())])
+        (k, v), = shuffle_oracle.decode_records(blob)
         assert k.value == value
         # signed zero survives (== treats 0.0 and -0.0 alike; repr doesn't)
         assert repr(k.value) == repr(float(value))
@@ -171,7 +172,7 @@ class TestRoundTrip:
         pickled object, the form a pooled map output then ships in."""
         pairs = [(Text("k"), SumCount(total=1.5, count=3))]
         with pytest.raises(WireFormatError, match="cannot pack a column of SumCount"):
-            wire.encode_pairs(pairs)
+            shuffle_oracle.encode_records(pairs)
         (k, v), = _assert_object_form(pairs)
         assert type(v) is SumCount and v.total == 1.5 and v.count == 3
 
@@ -179,20 +180,20 @@ class TestRoundTrip:
         Local = record_writable("Local", [("x", int)])
         Local.__qualname__ = "test_local.<locals>.Local"  # unimportable ref
         with pytest.raises(WireFormatError):
-            wire.encode_pairs([(Text("k"), Local(x=1))])
+            shuffle_oracle.encode_records([(Text("k"), Local(x=1))])
 
     def test_unframeable_output_stays_in_object_form_and_is_counted(self):
         Local = record_writable("Local", [("x", int)])
         Local.__qualname__ = "test_local.<locals>.Local"
-        output = MapOutput(task_index=0, node="n", partitions={0: [(Text("k"), Local(x=1))]})
+        output = MapOutput(task_index=0, node="n", partitions={0: [(Text("k"), [Local(x=1)])]})
         perf = PerfStats()
         assert not output.freeze(perf)
         assert perf.frame_fallbacks == 1
-        assert not output.frozen and output.pairs_for(0)[0][1].x == 1
+        assert not output.frozen and output.partitions[0][0][1][0].x == 1
 
     def test_non_writable_refuses_to_frame(self):
         with pytest.raises(WireFormatError):
-            wire.encode_pairs([(Text("k"), "not a writable")])
+            shuffle_oracle.encode_records([(Text("k"), "not a writable")])
 
 
 # -- size agreement (satellite: serialized_size drift) ----------------------
@@ -203,8 +204,8 @@ class TestSizeAgreement:
     @SETTINGS
     def test_payload_bytes_equal_serialized_bytes(self, pairs):
         if _pairs_pack(pairs):
-            _, payload = wire.encode_pairs(pairs)
-            assert payload == serialized_bytes(pairs)
+            _, payload = shuffle_oracle.encode_records(pairs)
+            assert payload == shuffle_oracle.serialized_bytes(pairs)
 
     @given(w=writables)
     @SETTINGS
@@ -213,10 +214,10 @@ class TestSizeAgreement:
         originals — their preset memo must not drift from the codec."""
         if not wire_oracle.rwf2_packs([w]):
             with pytest.raises(WireFormatError):
-                wire.encode_pairs([(w, w)])
+                shuffle_oracle.encode_records([(w, w)])
             return
-        blob, _ = wire.encode_pairs([(w, w)])
-        (k, v), = wire.decode_pair_list(blob)
+        blob, _ = shuffle_oracle.encode_records([(w, w)])
+        (k, v), = shuffle_oracle.decode_records(blob)
         assert k.serialized_size() == w.serialized_size()
         assert v.serialized_size() == w.serialized_size()
 
@@ -227,23 +228,9 @@ class TestSizeAgreement:
             64 * 1024
         )
         pairs = [(Text(word), IntWritable(1)) for word in text.split()]
-        blob, _ = wire.encode_pairs(pairs)
-        assert wire.decode_pair_list(blob) == pairs
+        blob, _ = shuffle_oracle.encode_records(pairs)
+        assert shuffle_oracle.decode_records(blob) == pairs
         assert len(blob) < len(pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL))
-
-
-# -- sortedness flag --------------------------------------------------------
-
-
-class TestSortedFlag:
-    @given(pairs=pair_lists(keys=texts.map(Text)).filter(_pairs_pack))
-    @SETTINGS
-    def test_flag_matches_actual_order(self, pairs):
-        blob_raw, _ = wire.encode_pairs(pairs)
-        keys = [k.sort_key() for k, _ in pairs]
-        assert wire.blob_key_sorted(blob_raw) == (keys == sorted(keys))
-        blob_sorted, _ = wire.encode_pairs(sort_pairs(pairs))
-        assert wire.blob_key_sorted(blob_sorted)
 
 
 # -- malformed input --------------------------------------------------------
@@ -251,7 +238,7 @@ class TestSortedFlag:
 
 class TestMalformed:
     def _blob(self):
-        blob, _ = wire.encode_pairs(
+        blob, _ = shuffle_oracle.encode_records(
             [(Text("hello"), IntWritable(7)), (Text("world"), IntWritable(-2))]
         )
         return blob
@@ -260,28 +247,28 @@ class TestMalformed:
         blob = self._blob()
         for cut in range(len(blob)):
             with pytest.raises(WireFormatError):
-                wire.decode_pair_list(blob[:cut])
+                shuffle_oracle.decode_records(blob[:cut])
 
     def test_truncation_message_names_offset(self):
         blob = self._blob()
         with pytest.raises(WireFormatError, match="truncated"):
-            wire.decode_pair_list(blob[:-1])
+            shuffle_oracle.decode_records(blob[:-1])
 
     def test_bad_magic(self):
         blob = b"XXXX" + self._blob()[4:]
         with pytest.raises(WireFormatError, match="magic"):
-            wire.decode_pair_list(blob)
+            shuffle_oracle.decode_records(blob)
 
     def test_unknown_tag(self):
         blob = bytearray(self._blob())
         blob[wire.HEADER.size] = 0x7F  # the key column's kind
         with pytest.raises(WireFormatError, match="unknown column kind 0x7f"):
-            wire.decode_pair_list(bytes(blob))
+            shuffle_oracle.decode_records(bytes(blob))
         # kind 0x00 (per-record frames) is no longer a column kind
         blob = bytearray(self._blob())
         blob[self._value_column()] = 0x00
         with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
-            wire.decode_pair_list(bytes(blob))
+            shuffle_oracle.decode_records(bytes(blob))
 
     def _value_column(self) -> int:
         """Offset of the value column header in ``_blob()``."""
@@ -290,15 +277,15 @@ class TestMalformed:
 
     def test_trailing_garbage(self):
         with pytest.raises(WireFormatError, match="trailing"):
-            wire.decode_pair_list(self._blob() + b"junk")
+            shuffle_oracle.decode_records(self._blob() + b"junk")
 
     def test_corrupt_utf8_payload(self):
-        blob, _ = wire.encode_pairs([(Text("ab"), NullWritable())])
+        blob, _ = shuffle_oracle.encode_records([(Text("ab"), NullWritable())])
         broken = bytearray(blob)
         # column header, run count, one byte width, then the Text payload
         broken[wire.HEADER.size + wire.COLUMN.size + 8] = 0xFF
         with pytest.raises(WireFormatError, match="corrupt"):
-            wire.decode_pair_list(bytes(broken))
+            shuffle_oracle.decode_records(bytes(broken))
 
     def test_garbage_is_never_struct_error(self):
         import random
@@ -307,7 +294,7 @@ class TestMalformed:
         for _ in range(200):
             junk = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
             try:
-                wire.decode_pair_list(junk)
+                shuffle_oracle.decode_records(junk)
             except WireFormatError:
                 pass
             except struct.error as exc:  # pragma: no cover - the bug
@@ -332,5 +319,5 @@ class TestMalformed:
             + wire.COLUMN.pack(wire.KIND_NULL, 0)
         )
         with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
-            wire.decode_pair_list(blob)
+            shuffle_oracle.decode_records(blob)
         assert "no_such_module_xyz" not in sys.modules

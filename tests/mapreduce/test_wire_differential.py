@@ -3,8 +3,8 @@
 ``wire_oracle.py`` is the per-record frame codec, verbatim.  Over every
 column RWF2 packs, the new layout may differ in bytes only: everything
 a consumer can see — decoded class, value, ``_size_memo``,
-``payload_bytes``, record count and the key-sorted flag — must equal
-the oracle's, over sorted and unsorted inputs and both column shapes
+``payload_bytes`` and record count — must equal the oracle's (the flags
+byte RWF1 set for key-sorted blobs is reserved and 0 in RWF2), over sorted and unsorted inputs and both column shapes
 (packed, run-packed).  Any other column (mixed classes, a wide integer,
 a custom class), which RWF1 framed per record, raises instead and ships
 as objects.  Malformed input still fails closed — an RWF1-era kind-0x00
@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce import wire
-from repro.mapreduce.shuffle import (
-    MapOutput,
-    framed_merge_for_reduce,
-    merge_for_reduce,
-    serialized_bytes,
-    sort_pairs,
-)
+from repro.mapreduce.shuffle import MapOutput, merge_for_reduce, sort_pairs
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -92,10 +86,6 @@ def _packs(pairs) -> bool:
     return all(map(wire_oracle.rwf2_packs, zip(*pairs)))
 
 
-def _has_nan_key(pairs) -> bool:
-    return any(k.sort_key() != k.sort_key() for k, _ in pairs)
-
-
 # -- differential -----------------------------------------------------------
 
 
@@ -104,19 +94,16 @@ class TestAgainstOracle:
     @SETTINGS
     def test_round_trip_payload_count_and_flag(self, pairs):
         old_blob, old_payload = wire_oracle.encode_pairs(pairs)
-        new_blob, new_payload = wire.encode_pairs(pairs)
+        new_blob, new_payload = shuffle_oracle.encode_records(pairs)
         assert new_payload == old_payload
         assert wire.HEADER.unpack_from(new_blob)[2] == wire_oracle.blob_record_count(old_blob)
         expected = wire_oracle.decode_pair_list(old_blob)
-        decoded = wire.decode_pair_list(new_blob)
+        decoded = shuffle_oracle.decode_records(new_blob)
         assert len(decoded) == len(expected)
         for (k1, v1), (k2, v2) in zip(decoded, expected):
             assert _facts(k1) == _facts(k2) and _facts(v1) == _facts(v2)
-        if _has_nan_key(pairs):
-            # the one intended difference: RWF1 called NaN keys sorted
-            assert not wire.blob_key_sorted(new_blob)
-        else:
-            assert wire.blob_key_sorted(new_blob) == wire_oracle.blob_key_sorted(old_blob)
+        # The flags byte is reserved: 0 whatever the key order.
+        assert wire.HEADER.unpack_from(new_blob)[1] == 0
 
     @given(
         pairs=pair_lists(st.sampled_from([*BY_CLASS, *UNPACKABLE, st.one_of(*BY_CLASS)])).filter(
@@ -127,28 +114,30 @@ class TestAgainstOracle:
     def test_what_rwf1_framed_per_record_raises(self, pairs):
         wire_oracle.encode_pairs(pairs)  # RWF1 framed every one of these
         with pytest.raises(WireFormatError, match="cannot pack"):
-            wire.encode_pairs(pairs)
+            shuffle_oracle.encode_records(pairs)
 
     def test_mixed_int_and_long_keys_keep_their_classes(self):
         """Mixed key classes do not pack; as objects they keep them."""
         pairs = [(IntWritable(1), Text("i")), (LongWritable(1), Text("l"))] * 3
         with pytest.raises(WireFormatError, match="IntWritable, LongWritable"):
-            wire.encode_pairs(pairs)
-        output = MapOutput(task_index=0, node="n", partitions={0: pairs})
+            shuffle_oracle.encode_records(pairs)
+        output = MapOutput(
+            task_index=0, node="n", partitions={0: shuffle_oracle.record_runs(pairs)}
+        )
         assert not output.freeze()
-        assert [type(k) for k, _ in output.pairs_for(0)] == [IntWritable, LongWritable] * 3
+        assert [type(k) for k, _ in output.partitions[0]] == [IntWritable, LongWritable] * 3
 
     def test_signed_zeros_are_separate_runs(self):
         pairs = [(FloatWritable(z), NullWritable()) for z in (-0.0, -0.0, 0.0, 0.0, -0.0)]
-        runs = list(wire.decode_runs(wire.encode_pairs(pairs)[0]))
+        runs = list(wire.decode_runs(shuffle_oracle.encode_records(pairs)[0]))
         assert [(repr(k.value), len(vs)) for k, vs in runs] == [("-0.0", 2), ("0.0", 2), ("-0.0", 1)]
 
     def test_run_length_one_input_stays_smaller_than_rwf1(self):
         pairs = [(Text(f"word{i}"), IntWritable(i)) for i in range(500)]
-        assert len(wire.encode_pairs(pairs)[0]) < len(wire_oracle.encode_pairs(pairs)[0])
+        assert len(shuffle_oracle.encode_records(pairs)[0]) < len(wire_oracle.encode_pairs(pairs)[0])
 
 
-# -- the run-level reduce merge ---------------------------------------------
+# -- the reduce merge over frozen outputs -----------------------------------
 
 
 @st.composite
@@ -166,13 +155,14 @@ class TestRunMergeEqualsRecordMerge:
     @given(maps=map_outputs())
     @SETTINGS
     def test_groups_and_totals_equal_the_object_path(self, maps):
-        plain = [MapOutput(task_index=i, node="n", partitions={0: p}) for i, p in enumerate(maps)]
-        frozen = [MapOutput(task_index=i, node="n", partitions={0: list(p)}) for i, p in enumerate(maps)]
+        runs = [shuffle_oracle.record_runs(p) for p in maps]
+        plain = [MapOutput(task_index=i, node="n", partitions={0: r}) for i, r in enumerate(runs)]
+        frozen = [MapOutput(task_index=i, node="n", partitions={0: r}) for i, r in enumerate(runs)]
         assert all(output.freeze() for output in frozen)
         merged = shuffle_oracle.merge_for_reduce(plain, 0)
         expected = list(shuffle_oracle.group_by_key(merged))
-        groups, records, nbytes = framed_merge_for_reduce(frozen, 0)
-        assert (records, nbytes) == (len(merged), serialized_bytes(merged))
+        groups, records, nbytes = merge_for_reduce(frozen, 0)
+        assert (records, nbytes) == (len(merged), shuffle_oracle.serialized_bytes(merged))
         assert merge_for_reduce(plain, 0)[1:] == (records, nbytes)
         assert len(groups) == len(expected)
         for (k1, vs1), (k2, vs2) in zip(groups, expected):
@@ -209,7 +199,7 @@ KIND_ZERO = {
 }
 #: name -> (blob, record count)
 BLOBS = {
-    **{name: (wire.encode_pairs(pairs)[0], len(pairs)) for name, pairs in PACKED.items()},
+    **{name: (shuffle_oracle.encode_records(pairs)[0], len(pairs)) for name, pairs in PACKED.items()},
     **{name: (_kind_zero_blob(pairs), len(pairs)) for name, pairs in KIND_ZERO.items()},
 }
 
@@ -221,15 +211,15 @@ class TestFailsClosed:
         blob, count = BLOBS[name]
         if name in KIND_ZERO:
             with pytest.raises(WireFormatError, match="unknown column kind 0x00"):
-                wire.decode_pair_list(blob)
+                shuffle_oracle.decode_records(blob)
         else:
-            assert wire.decode_pair_list(blob) == PACKED[name]
+            assert shuffle_oracle.decode_records(blob) == PACKED[name]
 
     def test_truncated_at_every_offset(self, name):
         blob, _ = BLOBS[name]
         for cut in range(len(blob)):
             with pytest.raises(WireFormatError):
-                wire.decode_pair_list(blob[:cut])
+                shuffle_oracle.decode_records(blob[:cut])
 
     def test_single_byte_mutations(self, name):
         """A flipped byte is either caught or decodes to *some* pairs of
@@ -251,7 +241,7 @@ class TestFailsClosed:
                 mutated = bytearray(blob)
                 mutated[offset] ^= flip
                 try:
-                    decoded = wire.decode_pair_list(bytes(mutated))
+                    decoded = shuffle_oracle.decode_records(bytes(mutated))
                 except WireFormatError:
                     continue
                 assert offset not in structural, (offset, flip)
@@ -287,8 +277,8 @@ def _sorted_wordcount_pairs(scale: int):
 class TestCostPerRunNotPerRecord:
     def test_one_key_writable_per_run(self):
         for scale in (1, 4):
-            blob, _ = wire.encode_pairs(_sorted_wordcount_pairs(scale))
-            decoded = wire.decode_pair_list(blob)
+            blob, _ = shuffle_oracle.encode_records(_sorted_wordcount_pairs(scale))
+            decoded = shuffle_oracle.decode_records(blob)
             assert len(decoded) == 1000 * scale
             assert len({id(k) for k, _ in decoded}) == 200
             assert len(list(wire.decode_runs(blob))) == 200
@@ -301,8 +291,8 @@ class TestCostPerRunNotPerRecord:
         calls = []
         for scale in (1, 4):
             tally[0] = 0
-            blob, _ = wire.encode_pairs(_sorted_wordcount_pairs(scale))
-            wire.decode_pair_list(blob)
+            blob, _ = shuffle_oracle.encode_records(_sorted_wordcount_pairs(scale))
+            shuffle_oracle.decode_records(blob)
             calls.append(tally[0])
         assert calls[0] == calls[1]
         assert calls[0] == 18  # header + four per column, encoding and decoding
@@ -311,7 +301,7 @@ class TestCostPerRunNotPerRecord:
         """More runs than one batch: calls follow batches, not runs."""
         tally = [0]
         pairs = [(Text(f"{i:06d}"), IntWritable(i)) for i in range(3 * wire._BATCH)]
-        blob, _ = wire.encode_pairs(pairs)
+        blob, _ = shuffle_oracle.encode_records(pairs)
         monkeypatch.setattr(wire, "struct", _CountingStruct(struct, tally))
-        assert len(wire.decode_pair_list(blob)) == len(pairs)
+        assert len(shuffle_oracle.decode_records(blob)) == len(pairs)
         assert tally[0] == 2 * 3  # per batch: the Text widths, the int entries

@@ -1,21 +1,18 @@
-"""The key column written from partition runs ≡ the one written per record.
+"""A bucket's key runs encode exactly as its records do.
 
-A pooled map attempt without a combiner collects its buckets' run
-lengths while :func:`partition_pairs` builds them, and
-``wire.encode_pairs(pairs, key_runs)`` writes the key column from the
-run heads alone.  Every check here is a differential against
-``wire.encode_pairs(pairs)``: the same bytes and the same payload width
-— or the same ``WireFormatError`` — over every key column, including
-those that must decline the runs and take the per-record path
-(``FloatWritable``, ``NullWritable``) and those that do not pack at all
+:func:`partition_pairs` hands each partition over as key runs, and
+``wire.encode_runs`` writes the key column from the run heads, one
+entry per run, joining adjacent heads that encode alike.  Every check
+here is a differential against the same records framed one run each:
+the same bytes and the same payload width — or the same
+``WireFormatError`` — over every key column, both ways round, including
+the columns whose keys are runs of one record (``FloatWritable``,
+``record_writable``, mixed classes) and those that do not pack at all
 (``record_writable`` and mixed classes, integers too wide to pack).
-The cost guard makes any per-record key read raise; the attempt guard
-checks that a pooled attempt, which now freezes inside
+The attempt guard checks that a pooled attempt, which freezes inside
 :func:`execute_map`, ships exactly what ``execute_map()`` followed by
 ``freeze()`` shipped — bytes, or objects when a column does not pack.
 """
-
-from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +27,7 @@ from repro.mapreduce.api import Job, Mapper
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.inputformat import TextInputFormat
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
-from repro.mapreduce.shuffle import MapOutput, PartitionTally, _key_runs, partition_pairs
+from repro.mapreduce.shuffle import MapOutput, partition_pairs
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -41,14 +38,14 @@ from repro.mapreduce.types import (
     record_writable,
 )
 from repro.util.errors import WireFormatError
-from tests.mapreduce import shuffle_oracle, wire_oracle
+from tests.mapreduce import shuffle_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 Station = record_writable("Station", [("name", str), ("level", float)])
 
-#: One class each; the runs may stand for the column (wide integers
-#: aside).
+#: One class each, hashed into runs of many records (wide integers
+#: aside, which do not pack).
 RUN_COLUMNS = {
     "text": st.text(alphabet="abé日\U0001f600", max_size=2).map(Text),
     "int": st.one_of(
@@ -60,7 +57,8 @@ RUN_COLUMNS = {
         st.sampled_from([2**40, 2**63, -(2**63) - 1, 10**30]),
     ).map(LongWritable),
 }
-#: Columns whose runs must not stand for the key column.
+#: Null keys (one run), and columns whose keys are runs of one record
+#: or do not pack.
 OTHER_COLUMNS = {
     "null": st.just(NullWritable()),
     "float": st.sampled_from([0.0, -0.0, 1.5, float("nan")]).map(FloatWritable),
@@ -106,54 +104,39 @@ partitioners = st.sampled_from([HashPartitioner(), EncodedLengthPartitioner()])
 reduce_counts = st.sampled_from([1, 2, 3, 7])
 
 
-def _run_class(bucket) -> bool:
-    """Are the keys all ``Text``, all ``IntWritable`` or all
-    ``LongWritable`` — a column the runs may stand for?"""
-    classes = {type(key) for key, _ in bucket}
-    return len(classes) == 1 and classes <= {Text, IntWritable, LongWritable}
-
-
-def _encoded(bucket, runs=None):
-    """``encode_pairs``' result, or the ``WireFormatError`` it raised."""
+def _encoded(runs):
+    """``encode_runs``' result, or the ``WireFormatError`` it raised."""
     try:
-        return wire.encode_pairs(bucket, runs)
+        return wire.encode_runs(runs)
     except WireFormatError as exc:
         return type(exc)
 
 
-def _cuts(runs):
-    return list(pairwise(accumulate(runs, initial=0)))
+def _records_encoded(runs):
+    return _encoded(shuffle_oracle.record_runs(shuffle_oracle.records_of(runs)))
 
 
-def _partition(pairs, partitioner, num_reduces, tally, grouped=False):
-    """``partition_pairs`` over the columns of an attempt that emitted
-    ``pairs``."""
-    return partition_pairs(
-        *shuffle_oracle.columns_of(pairs),
-        partitioner,
-        num_reduces,
-        tally,
-        grouped=grouped,
-    )
+def _texts(runs):
+    """Runs' records by class and encoding (``nan`` is not ``== nan``)."""
+    return [
+        (type(k), k.encode(), type(v), v.encode())
+        for k, v in shuffle_oracle.records_of(runs)
+    ]
 
 
 def assert_runs_encode_alike(pairs, partitioner, num_reduces):
-    tally = PartitionTally(runs=True)
-    buckets = _partition(pairs, partitioner, num_reduces, tally)
-    assert list(tally.key_runs) == list(buckets)
-    for partition, bucket in buckets.items():
-        runs = tally.key_runs[partition]
-        assert _cuts(runs) == list(_key_runs(bucket))
-        assert _encoded(bucket, runs) == _encoded(bucket)
-        column: list[bytes] = []
-        if _run_class(bucket) and not wire_oracle.rwf2_packs(k for k, _ in bucket):
-            with pytest.raises(WireFormatError, match="beyond"):
-                wire._encode_key_runs(column, bucket, runs)
-        else:
-            taken = wire._encode_key_runs(column, bucket, runs)
-            assert (taken is not None) == _run_class(bucket)
-            if taken is None:
-                assert column == []  # declined before appending anything
+    buckets = partition_pairs(
+        *shuffle_oracle.columns_of(pairs), partitioner, num_reduces
+    )
+    for bucket in buckets.values():
+        encoded = _encoded(bucket)
+        assert encoded == _records_encoded(bucket)
+        if encoded is not WireFormatError:
+            # Both ways round: the blob decodes into runs that encode
+            # into the very same blob.
+            runs = list(wire.decode_runs(encoded[0]))
+            assert _texts(runs) == _texts(bucket)
+            assert wire.encode_runs(runs) == encoded
 
 
 class TestRunsEqualRecords:
@@ -177,65 +160,74 @@ class TestRunsEqualRecords:
     )
     @SETTINGS
     def test_other_columns_take_the_per_record_path(self, pairs, partitioner, n):
-        """Float and null keys pack record by record; the others raise."""
+        """Float keys are runs of one record and pack as records; the
+        unpackable columns raise either way."""
         assert_runs_encode_alike(pairs, partitioner, n)
 
     def test_single_record_runs(self):
         pairs = [(Text(f"k{i:03d}"), IntWritable(i)) for i in range(50)]
-        tally = PartitionTally(runs=True)
-        (bucket,) = _partition(pairs, HashPartitioner(), 1, tally).values()
-        assert tally.key_runs[0] == [1] * 50
-        assert wire.encode_pairs(bucket, tally.key_runs[0]) == wire.encode_pairs(bucket)
+        (bucket,) = partition_pairs(
+            *shuffle_oracle.columns_of(pairs), HashPartitioner(), 1
+        ).values()
+        assert [len(values) for _, values in bucket] == [1] * 50
+        assert wire.encode_runs(bucket) == shuffle_oracle.encode_records(pairs)
 
     def test_single_run_bucket(self):
         pairs = [(LongWritable(7), Text(f"v{i}")) for i in range(9)]
-        tally = PartitionTally(runs=True)
-        (bucket,) = _partition(pairs, HashPartitioner(), 3, tally).values()
-        assert list(tally.key_runs.values()) == [[9]]
-        assert wire.encode_pairs(bucket, [9]) == wire.encode_pairs(bucket)
+        (bucket,) = partition_pairs(
+            *shuffle_oracle.columns_of(pairs), HashPartitioner(), 3
+        ).values()
+        assert [len(values) for _, values in bucket] == [9]
+        assert wire.encode_runs(bucket) == shuffle_oracle.encode_records(pairs)
 
     def test_wide_ints_fall_back_to_object_form(self):
         for cls, wide in ((IntWritable, 2**31), (LongWritable, 2**63)):
-            bucket = [(cls(1), NullWritable()), (cls(wide), NullWritable())]
-            for runs in ([1, 1], None):
-                with pytest.raises(WireFormatError, match="beyond"):
-                    wire.encode_pairs(bucket, runs)
+            bucket = [(cls(1), [NullWritable()]), (cls(wide), [NullWritable()])]
+            with pytest.raises(WireFormatError, match="beyond"):
+                wire.encode_runs(bucket)
             output = MapOutput(task_index=0, node="n", partitions={0: bucket})
-            assert not output.freeze(key_runs={0: [1, 1]})
-            assert output.pairs_for(0) == bucket
+            assert not output.freeze()
+            assert output.partitions[0] == bucket
 
-    def test_runs_that_do_not_fit_the_pairs_are_not_used(self):
-        # Caught: wrong totals, empty runs, equal adjacent heads.  A run
-        # over unequal keys is not: the runs are trusted, not re-read.
-        bucket = [(Text("a"), NullWritable())] * 2 + [(Text("b"), NullWritable())]
-        for runs in ([1, 1, 1], [2, 0, 1], [2, 2], [], [1, 2]):
-            assert wire._encode_key_runs([], bucket, runs) is None
-        assert wire.encode_pairs(bucket, [2, 1]) == wire.encode_pairs(bucket)
-
-    def test_no_runs_unless_asked(self):
-        pairs = [(Text("a"), IntWritable(1))]
-        for grouped in (False, True):
-            tally = PartitionTally()
-            _partition(pairs, HashPartitioner(), 2, tally, grouped=grouped)
-            assert tally.key_runs is None
+    def test_adjacent_runs_that_encode_alike_join(self):
+        # Two one-record runs of one bit pattern are one wire run, and
+        # so are runs a bucket keeps apart under keys that encode alike;
+        # 0.0 and -0.0 do not encode alike.
+        one, zero, minus = FloatWritable(1.5), FloatWritable(0.0), FloatWritable(-0.0)
+        v = IntWritable(1)
+        runs = [(minus, [v]), (zero, [v]), (zero, [v]), (one, [v]), (one, [v])]
+        blob, _ = wire.encode_runs(runs)
+        decoded = list(wire.decode_runs(blob))
+        assert [(repr(k.value), len(vs)) for k, vs in decoded] == [
+            ("-0.0", 1),
+            ("0.0", 2),
+            ("1.5", 2),
+        ]
+        a = Text("a")
+        assert (
+            wire.encode_runs([(a, [v]), (Text("a"), [v, v]), (Text("b"), [v])])
+            == wire.encode_runs([(a, [v, v, v]), (Text("b"), [v])])
+        )
 
 
 class TestKeyColumnReadsOnlyRunHeads:
     def test_non_head_keys_are_never_read(self):
+        # A hashed run keeps its first emitted key; the equal keys
+        # emitted after it are never read again on the way to the wire.
         words = sorted(f"wé{i:03d}" for i in range(40))
-        runs = [1 + i % 5 for i in range(len(words))]
-        intact, hollow = [], []
-        for word, length in zip(words, runs):
-            for i in range(length):
-                value = IntWritable(i)
-                intact.append((Text(word), value))
-                key = Text(word)
-                if i:
-                    del key.value  # any per-record key read now raises
-                hollow.append((key, value))
-        assert wire.encode_pairs(hollow, runs) == wire.encode_pairs(intact)
+        keys = [Text(word) for i, word in enumerate(words) for _ in range(1 + i % 5)]
+        pairs = [(key, IntWritable(i)) for i, key in enumerate(keys)]
+        intact = shuffle_oracle.encode_records(pairs)
+        (bucket,) = partition_pairs(
+            *shuffle_oracle.columns_of(pairs), HashPartitioner(), 1
+        ).values()
+        heads = {id(key) for key, _ in bucket}
+        for key in keys:
+            if id(key) not in heads:
+                del key.value  # any read of a non-head key now raises
+        assert wire.encode_runs(bucket) == intact
         with pytest.raises(AttributeError):
-            wire.encode_pairs(hollow)
+            shuffle_oracle.encode_records(pairs)
 
 
 # -- a pooled attempt ships what execute_map() + freeze() shipped ----------
@@ -305,24 +297,9 @@ class TestPooledAttemptFreezesAlike:
         assert got.duration == parent.duration
         assert got.perf["blobs_encoded"] == len(parent.output.frames or ())
         assert got.perf["frame_fallbacks"] == (not packs)
-
-    @pytest.mark.parametrize(
-        "job_cls, from_runs", [(WordCountJob, True), (WordCountWithCombinerJob, False)]
-    )
-    def test_only_a_job_without_combiner_uses_the_runs(self, monkeypatch, job_cls, from_runs):
-        taken = []
-        real = wire._encode_key_runs
-
-        def spy(out, pairs, key_runs):
-            result = real(out, pairs, key_runs)
-            taken.append(result is not None)
-            return result
-
-        job = job_cls(JobConf(name="job", num_reduces=3))
-        split, prefetched = _prefetched(job)
-        monkeypatch.setattr(wire, "_encode_key_runs", spy)
-        runtime.map_attempt_work(job, split, prefetched, MapReduceConfig(), "n", 1e8)
-        if from_runs:
-            assert taken and all(taken)
-        else:
-            assert taken == []  # combiner output is encoded record by record
+        for partition, blob in (got.output.frames or {}).items():
+            split, prefetched = _prefetched(job)
+            runs = runtime.execute_map(
+                job, split, prefetched, config, task_node="n", disk_write_bw=1e8
+            ).output.partitions[partition]
+            assert blob == shuffle_oracle.encode_records(shuffle_oracle.records_of(runs))[0]

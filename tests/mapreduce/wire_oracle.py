@@ -5,9 +5,9 @@ layout replaced it: one header, then one tagged frame per Writable, key
 and value alternating — one ``_encode_one`` / ``_decode_one`` call per
 frame.  It defines what RWF2 must reproduce exactly over every column
 RWF2 packs (decoded class, value and ``_size_memo``; ``payload_bytes``;
-record count; the key-sorted flag, except that the flag is now clear
-for NaN keys — see ``test_wire_differential.py``, which compares the
-two); :func:`rwf2_packs` restates which columns those are.  Not
+record count — RWF2 keeps the flags byte but reserves it, always 0; see
+``test_wire_differential.py``, which compares the two);
+:func:`rwf2_packs` restates which columns those are.  Not
 collected by pytest (no ``test_`` prefix).
 
 RWF1 blob layout (all integers big-endian)::

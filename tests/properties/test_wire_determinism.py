@@ -48,9 +48,16 @@ def _mr_config(transport, backend="pooled"):
 
 
 def _local_fingerprint(
-    setup, job_cls=WordCountWithCombinerJob, corpus=CORPUS, unframed_maps=False
+    setup,
+    job_cls=WordCountWithCombinerJob,
+    corpus=CORPUS,
+    unframed_maps=False,
+    fallbacks=None,
 ):
-    """Everything a transport must not move, part-file bytes included."""
+    """Everything a transport must not move, part-file bytes included.
+
+    ``fallbacks`` is how many map outputs must stay in object form when
+    not every one (``unframed_maps``) or none does."""
     mr_config, backend = setup
     fs = LinuxFileSystem()
     fs.write_file("/data/corpus.txt", corpus)
@@ -64,8 +71,9 @@ def _local_fingerprint(
         job = job_cls(JobConf(name="wc", num_reduces=3))
         result = runner.run(job, "/data/corpus.txt", "/out")
     # built-in Writables always frame; an unframeable class never does
-    expected_fallbacks = result.num_splits if unframed_maps else 0
-    assert perf_stats().frame_fallbacks == expected_fallbacks
+    if fallbacks is None:
+        fallbacks = result.num_splits if unframed_maps else 0
+    assert perf_stats().frame_fallbacks == fallbacks
     return (
         result.simulated_seconds,
         result.counters.as_dict(),
@@ -218,6 +226,20 @@ class WideValueJob(Job):
     reducer = IntSumReducer
 
 
+class _OneWideSplitMapper(Mapper):
+    """Counts words; ``wide`` counts 2**70, past any packed width, and
+    only the first split holds it."""
+
+    def map(self, key, value, context):
+        for word in value.value.split():
+            context.write(word, 2**70 if word == "wide" else 1)
+
+
+class OneWideSplitJob(Job):
+    mapper = _OneWideSplitMapper
+    reducer = IntSumReducer
+
+
 AIRLINE_CSV = generate_airline(seed=8, num_rows=2500).csv_text
 
 
@@ -245,6 +267,24 @@ class TestUnpackedOutputsShipAsObjects:
             for transport in ("framed", "shm"):
                 pooled = _local_fingerprint(
                     _mr_config(transport), job_cls, corpus, unframed_maps=True
+                )
+                assert pooled == serial, transport
+
+
+class TestMixedFormsMerge:
+    def test_one_object_form_output_meets_frozen_ones(self):
+        """Exactly one map output does not pack, so every reduce merges
+        it in object form beside the other maps' frozen blobs."""
+        corpus = "wide\n" + CORPUS
+        serial = _local_fingerprint(
+            _mr_config("framed", backend="serial"), OneWideSplitJob, corpus
+        )
+        assert serial[3] > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for transport in ("framed", "shm"):
+                pooled = _local_fingerprint(
+                    _mr_config(transport), OneWideSplitJob, corpus, fallbacks=1
                 )
                 assert pooled == serial, transport
 
