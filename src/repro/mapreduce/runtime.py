@@ -284,10 +284,11 @@ def execute_map(
     #
     # Free order: the key column holds the last reference to every
     # emitted key but each run's first, and frees them in one pass down
-    # the emission order when the task returns; plain values become
-    # Writables run by run, so the buckets free those in the order they
-    # were built.  (Emission-order pairs freed from key-sorted buckets
-    # were a random walk over the heap: +6 % CPU on a 1 MiB WordCount.)
+    # the emission order when the task returns.  A plain str or int
+    # value column becomes one Writable per distinct value, shared by
+    # its records, so the buckets free a handful of values, not one per
+    # record.  (Emission-order pairs freed from key-sorted buckets were
+    # a random walk over the heap: +6 % CPU on a 1 MiB WordCount.)
     partitions = partition_pairs(keys, values, job_partitioner(job), conf.num_reduces)
     records_out = len(keys.items)
     output_bytes = final_bytes = keys.nbytes() + values.nbytes()

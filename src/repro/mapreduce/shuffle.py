@@ -34,6 +34,11 @@ C-level pass (:func:`_hash_runs`) — and sorts only the distinct sort
 keys; a run costs one key Writable and, in :func:`partition_pairs`,
 one partitioner call.  Every other key column becomes Writable pairs
 and takes the stable sort and the neighbour walk of :func:`_key_runs`.
+Values on both paths, and a combiner's output, are the columns'
+Writables (:meth:`Column.writables
+<repro.mapreduce.types.Column.writables>`): one per distinct plain
+``str`` or ``int`` value, shared by its records as Hadoop's reduce
+iterator reuses its value object, and one per plain ``float`` record.
 Byte totals come per column
 (:meth:`Column.nbytes <repro.mapreduce.types.Column.nbytes>`), and
 ``MapOutput`` memoises per-partition totals.
@@ -156,24 +161,21 @@ def _runs(keys: Column, values: Column) -> list[Run]:
     in key order: the map side's one rule.
 
     A hashed run's key is its first emitted key (plain keys: one
-    Writable built for the run); its plain values become Writables
-    here, one fresh instance each.  On the sorted path a stretch of
+    Writable built for the run); its values are the value column's
+    Writables, a plain ``str`` or ``int`` value's one Writable shared
+    by every record of that value.  On the sorted path a stretch of
     equal keys of a ``SORT_KEY_PINS_ENCODING`` class (inside a mixed
     column) is one run, and every other key a run of its own.
     """
     if keys.cls in SORT_KEY_PINS_ENCODING:
         sort_keys = keys.sort_keys()
-        runs = _hash_runs(sort_keys, values.items)
+        runs = _hash_runs(sort_keys, values.writables())
         if keys.plain:
             heads = map(keys.cls, map(_KEY, runs))
         else:
             first_emitted = dict(zip(reversed(sort_keys), reversed(keys.items)))
             heads = map(first_emitted.__getitem__, map(_KEY, runs))
-        run_values = map(_VALUE, runs)
-        if values.plain:
-            build = values.cls
-            run_values = [list(map(build, run)) for run in run_values]
-        return list(zip(heads, run_values))
+        return list(zip(heads, map(_VALUE, runs)))
     pairs = sort_pairs(list(zip(keys.writables(), values.writables())))
     runs = []
     for start, stop in _key_runs(pairs):
@@ -229,12 +231,19 @@ def _groups(runs: list[Run]) -> list[Run]:
 
 
 def _groups_in_order(groups: list[Run]) -> bool:
-    """Group keys non-descending by :func:`is_key_sorted`'s own rule, and
-    no key split over two adjacent groups (``Writable.__eq__``)."""
+    """No key split over two adjacent groups (``Writable.__eq__``), and
+    keys of ``SORT_KEY_PINS_ENCODING`` classes non-descending by
+    :func:`is_key_sorted`'s own rule.
+
+    Other keys go unordered here: a bucket holds its share of what the
+    stable sort made of the whole attempt, and one ``FloatWritable``
+    ``nan`` (less than nothing, greater than nothing) anywhere in the
+    attempt can leave the other keys of every bucket in any order.
+    """
     keys = list(map(_KEY, groups))
-    return is_key_sorted(groups) and not any(
-        map(operator.eq, keys, islice(keys, 1, None))
-    )
+    if set(map(type, keys)) <= SORT_KEY_PINS_ENCODING and not is_key_sorted(groups):
+        return False
+    return not any(map(operator.eq, keys, islice(keys, 1, None)))
 
 
 def partition_pairs(
@@ -271,12 +280,14 @@ def run_combiner(
 
     ``groups`` are its ``(key, values)`` groups in key order, as
     :func:`combiner_groups` makes them.  Returns the combined output —
-    each emission a run of one record, in emission order, which is all
-    the wire and the reduce merge ask of a partition — and its payload
-    bytes, sized per column.  Counter deltas
-    (COMBINE_INPUT/OUTPUT_RECORDS) land in ``counters``.  The order is
-    checked in debug mode at one step per group: keys must be
-    non-descending and no key may be split over two adjacent groups.
+    each emission a run of one record, its value in a one-item tuple,
+    in emission order, which is all the wire and the reduce merge ask
+    of a partition — and its payload bytes, sized per column.  Counter
+    deltas (COMBINE_INPUT/OUTPUT_RECORDS) land in ``counters``.  The
+    order is checked in debug mode at one step per group: no key may be
+    split over two adjacent groups, and keys of
+    ``SORT_KEY_PINS_ENCODING`` classes must be non-descending
+    (:func:`_groups_in_order`).
     """
     counters.increment(C.COMBINE_INPUT_RECORDS, _records(groups))
     if __debug__ and not _groups_in_order(groups):
@@ -288,7 +299,7 @@ def run_combiner(
     combiner.cleanup(context)
     keys, values = typed_columns(*context.drain_columns())
     counters.increment(C.COMBINE_OUTPUT_RECORDS, len(keys.items))
-    runs = [(key, [value]) for key, value in zip(keys.writables(), values.writables())]
+    runs = list(zip(keys.writables(), zip(values.writables())))
     return runs, keys.nbytes() + values.nbytes()
 
 

@@ -416,8 +416,26 @@ class Column(NamedTuple):
     plain: bool = False
 
     def writables(self) -> list:
-        """Every item as a Writable: fresh instances for plain items."""
-        return list(map(self.cls, self.items)) if self.plain else self.items
+        """Every item as a Writable, in emission order.
+
+        Emitted Writables are the items themselves.  A plain ``str`` or
+        ``int`` column builds one Writable per distinct item, the
+        distinct items taken in emission order, and every record of that
+        item shares it: Hadoop's reduce iterator reuses its value object,
+        and the wire decoder shares one per run of equal encodings.
+        Equal items of these types encode alike.  A ``float`` column
+        builds one per record: ``0.0 == -0.0`` would share one Writable
+        between two encodings, and ``nan`` equals nothing.  ``None``
+        wraps to the ``NullWritable`` singleton.
+        """
+        if not self.plain:
+            return self.items
+        cls, items = self.cls, self.items
+        if cls is Text or cls is IntWritable:
+            distinct = dict.fromkeys(items)
+            shared = dict(zip(distinct, map(cls, distinct)))
+            return list(map(shared.__getitem__, items))
+        return list(map(cls, items))
 
     def sort_keys(self) -> list:
         """Every item's ``sort_key()``, read without building a Writable

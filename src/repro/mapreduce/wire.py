@@ -60,7 +60,7 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.mapreduce.types import (
     FloatWritable,
@@ -72,8 +72,9 @@ from repro.mapreduce.types import (
 )
 from repro.util.errors import WireFormatError
 
-#: A key run: one key and the values of the adjacent records it keys.
-Run = tuple[Writable, list[Writable]]
+#: A key run: one key and the values of the adjacent records it keys
+#: (a list, or a combiner output's one-item tuple), read and never grown.
+Run = tuple[Writable, Sequence[Writable]]
 
 MAGIC = b"RWF2"
 HEADER = struct.Struct(">4sBI")  # magic, flags (reserved: 0), record count

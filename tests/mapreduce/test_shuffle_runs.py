@@ -496,11 +496,13 @@ class TextWordCountWithCombinerJob(TextWordCountJob):
 
 
 def _count_in_map(monkeypatch, job_cls):
-    """Run ``job_cls`` over one split, counting ``Text`` constructions
-    and ``Text.sort_key()`` calls made inside ``execute_map``."""
-    counts = {"sort_key": 0, "init": 0}
+    """Run ``job_cls`` over one split, counting ``Text`` constructions,
+    ``Text.sort_key()`` calls and exact ``IntWritable`` constructions
+    made inside ``execute_map``."""
+    counts = {"sort_key": 0, "init": 0, "int_init": 0}
     in_map = [False]
     real_sort_key, real_init = Text.sort_key, Text.__init__
+    real_int_init = IntWritable.__init__
     real_execute_map = runtime.execute_map
 
     def counting_sort_key(self):
@@ -511,6 +513,10 @@ def _count_in_map(monkeypatch, job_cls):
         counts["init"] += in_map[0]
         real_init(self, value)
 
+    def counting_int_init(self, value):
+        counts["int_init"] += in_map[0] and type(self) is IntWritable
+        real_int_init(self, value)
+
     def execute_map(*args, **kwargs):
         in_map[0] = True
         try:
@@ -520,6 +526,7 @@ def _count_in_map(monkeypatch, job_cls):
 
     monkeypatch.setattr(Text, "sort_key", counting_sort_key)
     monkeypatch.setattr(Text, "__init__", counting_init)
+    monkeypatch.setattr(IntWritable, "__init__", counting_int_init)
     monkeypatch.setattr(runtime, "execute_map", execute_map)
     result = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
     assert result.num_splits == 1
@@ -527,8 +534,9 @@ def _count_in_map(monkeypatch, job_cls):
 
 
 class TestCostPerDistinctKey:
-    """What a ``Text``-keyed map attempt pays per record.  It asks no key
-    for its ``sort_key()`` outside the combiner's order check over the
+    """What a ``Text``-keyed map attempt pays per record.  It builds one
+    value Writable per distinct plain value, and asks no key for its
+    ``sort_key()`` outside the combiner's order check over the
     groups (its order rule once, ``Writable.__eq__`` twice per neighbour:
     five calls per group, none without a combiner): a plain-emitting one
     builds a ``Text`` per distinct key, a Writable-emitting one reads the
@@ -559,6 +567,17 @@ class TestCostPerDistinctKey:
         # The mapper's own Text per record, and not one more.
         assert counts["init"] <= records
         assert counts["sort_key"] <= 5 * combined
+
+    @pytest.mark.parametrize("job_cls", [WordCountJob, WordCountWithCombinerJob])
+    def test_one_value_writable_per_distinct_value(self, monkeypatch, job_cls):
+        # The mapper emits the plain value 1 for every word: the attempt
+        # builds one IntWritable for it, not one per record.  The
+        # combiner's own ``IntWritable(total)`` per group is user code's.
+        result, counts = _count_in_map(monkeypatch, job_cls)
+        records = result.counters.get(C.MAP_OUTPUT_RECORDS)
+        combined = result.counters.get(C.COMBINE_OUTPUT_RECORDS)
+        assert records > 1000
+        assert counts["int_init"] <= 1 + combined
 
 
 class TestSortBufferSpills:

@@ -30,6 +30,7 @@ from repro.datasets.google_trace import generate_google_trace
 from repro.hdfs.localfs import LinuxFileSystem
 from repro.jobs.trace_resubmissions import TraceResubmissionsJob
 from repro.jobs.wordcount import (
+    IntSumReducer,
     WordCountInMapperJob,
     WordCountJob,
     WordCountWithCombinerJob,
@@ -39,7 +40,7 @@ from repro.mapreduce.backend import create_backend
 from repro.mapreduce.config import JobConf, MapReduceConfig
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
-from repro.mapreduce.counters import Counters, PerfStats
+from repro.mapreduce.counters import C, Counters, PerfStats
 from repro.mapreduce.shuffle import (
     MapOutput,
     combiner_groups,
@@ -268,10 +269,6 @@ class ReversingCombiner(Reducer):
 COMBINERS = [None, SumCombiner, ReversingCombiner]
 
 
-def _has_nan(keys) -> bool:
-    return any(k != k for k in (getattr(w, "value", w) for w in keys))
-
-
 @st.composite
 def map_outputs(draw):
     """A few map attempts' outputs over two partitions: each attempt's
@@ -282,10 +279,6 @@ def map_outputs(draw):
     outputs = []
     for index in range(draw(st.integers(min_value=1, max_value=4))):
         keys = draw(st.lists(MERGE_KEYS[draw(st.sampled_from(family))], max_size=16))
-        if combiner is not None:
-            # run_combiner's debug order check refuses a NaN key group
-            # (``nan <= x`` is false), so a combiner never meets one.
-            keys = [w for w in keys if not _has_nan([w])]
         values = [IntWritable(draw(st.integers(min_value=0, max_value=3))) for _ in keys]
         partitions = partition_pairs(*typed_columns(keys, values), HashPartitioner(), 2)
         if combiner is not None:
@@ -412,6 +405,42 @@ def test_serial_pooled_and_oracle_agree(monkeypatch, name):
 )
 def test_sanitize_on_equals_off(name):
     assert _run(name, sanitize=True) == _run(name)
+
+
+class FloatTokenMapper(Mapper):
+    """Emits ``(float(token), 1)`` for every token of the line."""
+
+    def map(self, key, value, context):
+        for token in value.value.split():
+            context.write(float(token), 1)
+
+
+class FloatWordCountWithCombinerJob(Job):
+    mapper = FloatTokenMapper
+    reducer = IntSumReducer
+    combiner = IntSumReducer
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "pooled"])
+def test_nan_keys_meet_a_combiner(backend_name):
+    # ``nan`` equals no key, itself included: each ``nan`` token is a
+    # group of its own through the combine and the reduce, and the
+    # combiner takes each bucket in whatever order the stable sort left
+    # it.  ``0.0`` and ``-0.0`` encode apart, so they partition apart.
+    fs = LinuxFileSystem()
+    fs.write_file("/in/input.txt", "1.5 nan -0.0\n0.0 nan 1.5\nnan 2.5 0.0\n")
+    backend = create_backend(backend_name, 2)
+    with LocalJobRunner(localfs=fs, backend=backend, split_size=16) as runner:
+        job = FloatWordCountWithCombinerJob(JobConf(name="floats", num_reduces=2))
+        result = runner.run(job, "/in", "/out")
+        if backend_name != "serial":
+            assert backend.inline_fallbacks == 0
+    assert result.num_splits == 3
+    assert result.counters.get(C.COMBINE_INPUT_RECORDS) == 9
+    assert fs.read_file("/out/part-00000") == b"0.0\t2\n1.5\t2\n"
+    assert fs.read_file("/out/part-00001") == (
+        b"nan\t1\n-0.0\t1\nnan\t1\nnan\t1\n2.5\t1\n"
+    )
 
 
 def test_the_oracle_patch_reaches_the_attempt(monkeypatch):
