@@ -41,15 +41,13 @@ MAX_COMBINER_GROUPS = 8
 #: count all of them).
 MAX_MESSAGES = 25
 
-_MEMO_SLOTS = ("_size_memo", "_key_memo")
-
 
 def fingerprint(obj: Any, _depth: int = 0) -> tuple:
     """A deep, order-insensitive-where-unordered structural hash key.
 
     Recurses raw slot values on Writables — *never* ``sort_key()`` /
-    ``serialized_size()``, whose memos would hide mutations that happen
-    after the first call.
+    ``serialized_size()``: a custom class may compute those from part
+    of its state, or cache them, and miss a mutation of the rest.
     """
     if _depth > 25:
         return ("...",)
@@ -60,8 +58,6 @@ def fingerprint(obj: Any, _depth: int = 0) -> tuple:
             if isinstance(slots, str):
                 slots = (slots,)
             for slot in slots:
-                if slot in _MEMO_SLOTS:
-                    continue
                 try:
                     value = getattr(obj, slot)
                 except AttributeError:

@@ -52,6 +52,7 @@ from repro.mapreduce.shuffle import (
     Pair,
     ReduceInput,
     Run,
+    bucket_totals,
     combiner_groups,
     merge_for_reduce,
     partition_pairs,
@@ -337,10 +338,7 @@ def execute_map(
         + final_bytes / disk_write_bw  # write map output to local disk
     )
     output = MapOutput(
-        task_index=split.block_index,
-        node=task_node or "",
-        partitions=partitions,
-        _bytes_memo=partition_bytes,
+        task_index=split.block_index, node=task_node or "", partitions=partitions
     )
     if perf is not None:
         # An output that cannot be framed simply ships in object form
@@ -348,6 +346,20 @@ def execute_map(
         # remains the safety net behind that.
         partitions = None
         output.freeze(perf)
+    # Sized once: a frozen output by the encoder; else by the combiner's
+    # output columns (one run per combined record), by the attempt's own
+    # totals when one bucket holds every record, or by one column pass
+    # per bucket.
+    if not output.frozen:
+        buckets = output.partitions
+        if job.combiner is not None:
+            output.records = {p: len(runs) for p, runs in buckets.items()}
+            output.nbytes = partition_bytes
+        elif len(buckets) == 1:
+            output.records = dict.fromkeys(buckets, records_out)
+            output.nbytes = dict.fromkeys(buckets, output_bytes)
+        else:
+            output.records, output.nbytes = bucket_totals(buckets, values.cls)
     return MapExecution(
         output=output,
         counters=counters,

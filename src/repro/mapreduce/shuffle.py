@@ -40,15 +40,16 @@ Writables (:meth:`Column.writables
 ``str`` or ``int`` value, shared by its records as Hadoop's reduce
 iterator reuses its value object, and one per plain ``float`` record.
 Byte totals come per column
-(:meth:`Column.nbytes <repro.mapreduce.types.Column.nbytes>`), and
-``MapOutput`` memoises per-partition totals.
+(:meth:`Column.nbytes <repro.mapreduce.types.Column.nbytes>`), and a
+``MapOutput`` carries its per-partition totals from the moment its
+attempt ends (:func:`bucket_totals`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import compress, islice, pairwise
+from itertools import chain, compress, islice, pairwise
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from repro.mapreduce import wire
@@ -71,17 +72,6 @@ Run = wire.Run
 
 _KEY = operator.itemgetter(0)
 _VALUE = operator.itemgetter(1)
-
-
-def serialized_bytes(runs: Iterable[Run]) -> int:
-    """Wire size of key runs: a run's key bytes once per record, plus
-    every value's bytes."""
-    total = 0
-    for key, values in runs:
-        total += key.serialized_size() * len(values)
-        for value in values:
-            total += value.serialized_size()
-    return total
 
 
 def _records(runs: Iterable[Run]) -> int:
@@ -112,10 +102,7 @@ def _key_runs(pairs: list[Pair]) -> Iterator[tuple[int, int]]:
     says so: same class, and ``sort_key()`` values that compare equal.
     Each key's sort key is taken once (:meth:`Column.sort_keys
     <repro.mapreduce.types.Column.sort_keys>`) and neighbours are
-    compared in C-level passes.  The sort keys meet through
-    ``operator.ne`` directly, never inside a tuple: tuple comparison
-    short-circuits on identity and would merge two ``FloatWritable`` NaN
-    keys sharing one ``nan`` object, which ``__eq__`` keeps apart.
+    compared in C-level passes.
     """
     count = len(pairs)
     if not count:
@@ -208,9 +195,10 @@ def _groups(runs: list[Run]) -> list[Run]:
 
     Runs whose keys are all of one ``SORT_KEY_PINS_ENCODING`` class are
     filed by :func:`_hash_runs` on their keys' sort keys.  Any other mix
-    is cut into records first — so a key that does not sort (``nan``)
-    meets the same stable sort however the runs cut it — then stably
-    sorted and walked by :func:`_key_runs`.  Every group's value list is
+    is cut into records first — so a key that does not sort (a
+    ``record_writable`` key holding a ``nan``) meets the same stable
+    sort however the runs cut it — then stably sorted and walked by
+    :func:`_key_runs`.  Every group's value list is
     fresh: a retried reduce attempt merges the same object-form outputs
     again.
     """
@@ -236,9 +224,10 @@ def _groups_in_order(groups: list[Run]) -> bool:
     :func:`is_key_sorted`'s own rule.
 
     Other keys go unordered here: a bucket holds its share of what the
-    stable sort made of the whole attempt, and one ``FloatWritable``
-    ``nan`` (less than nothing, greater than nothing) anywhere in the
-    attempt can leave the other keys of every bucket in any order.
+    stable sort made of the whole attempt, and one ``record_writable``
+    key holding a ``nan`` (less than nothing, greater than nothing)
+    anywhere in the attempt can leave the other keys of every bucket in
+    any order.
     """
     keys = list(map(_KEY, groups))
     if set(map(type, keys)) <= SORT_KEY_PINS_ENCODING and not is_key_sorted(groups):
@@ -268,6 +257,26 @@ def partition_pairs(
         else:
             bucket.append(run)
     return buckets
+
+
+def bucket_totals(
+    buckets: dict[int, list[Run]], value_cls: type | None
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Each bucket's record count and payload bytes, in one column pass
+    per bucket: a run's key is sized once and counted per record, and
+    the bucket's values are sized as one :class:`Column` of the
+    attempt's value class (``None`` for a mixed column)."""
+    records: dict[int, int] = {}
+    nbytes: dict[int, int] = {}
+    for partition, runs in buckets.items():
+        lengths = list(map(len, map(_VALUE, runs)))
+        key_sizes = [key.serialized_size() for key, _ in runs]
+        values = list(chain.from_iterable(map(_VALUE, runs)))
+        records[partition] = len(values)
+        nbytes[partition] = sum(map(operator.mul, key_sizes, lengths)) + Column(
+            values, value_cls
+        ).nbytes()
+    return records, nbytes
 
 
 def run_combiner(
@@ -323,13 +332,15 @@ class MapOutput:
       triples cross the pool; readers decode from a shared
       ``memoryview`` via :func:`repro.mapreduce.shm.attach_slice`.
 
-    Partition contents are immutable once the map task finishes, so
-    per-partition byte/record totals are memoised: the JobTracker and
-    every reduce's shuffle pricing re-read them repeatedly.  Byte
+    Both forms carry per-partition totals, ``records`` and ``nbytes``,
+    set once when the attempt ends by the pass that already touches
+    every record: the combiner's output columns, the wire encoder in
+    :meth:`freeze`, or else :func:`bucket_totals`.  The JobTracker and
+    every reduce's shuffle pricing read them as they stand.  Byte
     totals are *payload* bytes (identical between the two forms — the
     codec's entry payload width equals ``serialized_size()``), which is
-    what keeps framed and object runs' counters bit-identical.  The
-    binary form is priced from the memos :meth:`freeze` fills alone.
+    what keeps framed and object runs' counters bit-identical.  An
+    absent partition is empty: read totals with ``.get(p, 0)``.
     """
 
     task_index: int
@@ -340,16 +351,10 @@ class MapOutput:
     #: partition's wire blob, or after :meth:`publish_shm` the
     #: ``ShmSlice`` locating it in shared memory.
     frames: dict[int, bytes | ShmSlice] | None = None
-    #: partition -> serialized payload bytes: filled by :meth:`freeze`,
-    #: or lazily in object form.
-    _bytes_memo: dict[int, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: partition -> record count: filled by :meth:`freeze`, or lazily in
-    #: object form.
-    _records_memo: dict[int, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: partition -> record count.
+    records: dict[int, int] = field(default_factory=dict)
+    #: partition -> serialized payload bytes.
+    nbytes: dict[int, int] = field(default_factory=dict)
 
     @property
     def frozen(self) -> bool:
@@ -364,24 +369,22 @@ class MapOutput:
         custom or ``record_writable`` class: see :mod:`repro.mapreduce.wire`)
         leaves the output in object form — it ships as pickled runs
         instead, counted in ``perf.frame_fallbacks`` — and returns
-        ``False``.  Byte/record memos are filled from the encoder's own
-        accounting: they are what prices the binary form.  The
-        ``map_serialize_ms`` clock stops before the lists are dropped:
-        freeing records is not encoding.
+        ``False``.  On success the totals are the encoder's own
+        accounting.  The ``map_serialize_ms`` clock stops before the
+        lists are dropped: freeing records is not encoding.
         """
         if self.frozen:
             return True
         assert self.partitions is not None
         t0 = _perf_clock() if perf is not None else 0.0
         frames: dict[int, bytes] = {}
+        records: dict[int, int] = {}
+        nbytes: dict[int, int] = {}
         try:
             for partition, runs in self.partitions.items():
-                blob, payload_bytes = wire.encode_runs(runs)
-                frames[partition] = blob
-                self._bytes_memo[partition] = payload_bytes
-                self._records_memo[partition] = _records(runs)
+                frames[partition], nbytes[partition] = wire.encode_runs(runs)
+                records[partition] = _records(runs)
         except WireFormatError:
-            self._records_memo.clear()
             if perf is not None:
                 perf.frame_fallbacks += 1
             return False
@@ -389,7 +392,7 @@ class MapOutput:
             perf.map_serialize_ms += (_perf_clock() - t0) * 1e3
             perf.blobs_encoded += len(frames)
             perf.bytes_framed += sum(len(b) for b in frames.values())
-        self.frames = frames
+        self.frames, self.records, self.nbytes = frames, records, nbytes
         self.partitions = None
         return True
 
@@ -441,31 +444,17 @@ class MapOutput:
         """
         if self.partitions is not None:
             return self
-        sliced = MapOutput(
-            task_index=self.task_index, node=self.node, partitions=None
-        )
         blob = self.frames.get(partition)
-        sliced.frames = {} if blob is None else {partition: blob}
-        if partition in self._bytes_memo:
-            sliced._bytes_memo[partition] = self._bytes_memo[partition]
-        if partition in self._records_memo:
-            sliced._records_memo[partition] = self._records_memo[partition]
-        return sliced
-
-    def partition_records(self, partition: int) -> int:
-        count = self._records_memo.get(partition)
-        if count is None:
-            # Binary forms miss only for an absent (empty) partition.
-            count = _records(self.partitions.get(partition, ())) if self.partitions else 0
-            self._records_memo[partition] = count
-        return count
-
-    def partition_bytes(self, partition: int) -> int:
-        size = self._bytes_memo.get(partition)
-        if size is None:
-            size = serialized_bytes(self.partitions.get(partition, ())) if self.partitions else 0
-            self._bytes_memo[partition] = size
-        return size
+        if blob is None:
+            return MapOutput(self.task_index, self.node, partitions=None, frames={})
+        return MapOutput(
+            self.task_index,
+            self.node,
+            partitions=None,
+            frames={partition: blob},
+            records={partition: self.records[partition]},
+            nbytes={partition: self.nbytes[partition]},
+        )
 
 
 class ReduceInput(NamedTuple):
@@ -486,7 +475,7 @@ def merge_for_reduce(
     are taken in map order and grouped by :func:`_groups`: the groups a
     stable sort of the outputs' records would cut (the sort cost model
     charges the equivalent comparisons), whatever mix of forms the
-    outputs are in.  The totals come from the outputs' memos.  When a
+    outputs are in.  The totals are the outputs' own.  When a
     blob is decoded, ``perf`` gets the decode time
     (``shuffle_decode_ms``), the grouping time (``merge_ms``) and the
     blob count.
@@ -495,8 +484,8 @@ def merge_for_reduce(
     runs: list[Run] = []
     records = nbytes = decoded = 0
     for output in outputs:
-        records += output.partition_records(partition)
-        nbytes += output.partition_bytes(partition)
+        records += output.records.get(partition, 0)
+        nbytes += output.nbytes.get(partition, 0)
         if output.partitions is not None:
             runs += output.partitions.get(partition, ())
         elif (blob := output._blob_for(partition, perf)) is not None:

@@ -411,7 +411,7 @@ class TaskTracker:
         per_source: list[float] = []
         total_bytes = 0
         for output in outputs:
-            nbytes = output.partition_bytes(partition)
+            nbytes = output.nbytes.get(partition, 0)
             if nbytes == 0:
                 continue
             total_bytes += nbytes

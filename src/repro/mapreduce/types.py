@@ -35,17 +35,16 @@ class Writable:
     Text serialization (rather than binary) keeps job output files
     human-readable — what ``hadoop fs -cat`` on a ``part-00000`` shows.
 
-    Instances are value objects: once constructed they are never
-    mutated, which is what lets :meth:`serialized_size` (and composite
-    sort keys) be memoised per instance — the shuffle byte-accounting
-    walks the same pair lists many times (map output, per-partition
-    spill, per-reduce fetch pricing), and without the memo every walk
-    re-encodes every value.
+    Instances are plain value objects: once constructed they are never
+    mutated, and they hold their fields and nothing else.
+    :meth:`serialized_size` and :meth:`sort_key` compute on every call;
+    the shuffle sizes a map output once, when its attempt ends, a
+    column at a time (:meth:`Column.nbytes`).
     """
 
-    #: Memo slots shared by all subclasses (which declare ``__slots__``
-    #: of their own, so instances carry no ``__dict__``).
-    __slots__ = ("_size_memo", "_key_memo")
+    #: Subclasses declare ``__slots__`` of their own, so instances carry
+    #: no ``__dict__``.
+    __slots__ = ()
 
     def encode(self) -> str:
         raise NotImplementedError
@@ -55,17 +54,8 @@ class Writable:
         raise NotImplementedError
 
     def serialized_size(self) -> int:
-        """Bytes this value contributes to map output / shuffle traffic.
-
-        Memoised: Writables are immutable, so the first encode's size
-        is reused for every later accounting pass.
-        """
-        try:
-            return self._size_memo
-        except AttributeError:
-            size = len(self.encode().encode("utf-8"))
-            self._size_memo = size
-            return size
+        """Bytes this value contributes to map output / shuffle traffic."""
+        return len(self.encode().encode("utf-8"))
 
     @classmethod
     def column_size(cls, column: Column) -> int:
@@ -85,17 +75,14 @@ class Writable:
         return type(self) is type(other) and self.sort_key() == other.sort_key()  # type: ignore[union-attr]
 
     def __lt__(self, other: "Writable") -> bool:
-        self._check_comparable(other)
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.sort_key()))
-
-    def _check_comparable(self, other: object) -> None:
         if type(self) is not type(other):
             raise InvalidWritableError(
                 f"cannot compare {type(self).__name__} with {type(other).__name__}"
             )
+        return self.sort_key() < other.sort_key()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.sort_key()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.encode()!r})"
@@ -132,18 +119,11 @@ class Text(_Scalar):
 
         ASCII (nearly every key of the course's corpora) is one byte per
         character, and ``str.isascii`` is O(1) in CPython (the string
-        carries the flag), so ASCII text is sized with no encode and no
-        memo.  Only non-ASCII text encodes, once, into the memo.
+        carries the flag), so ASCII text is sized with no encode.  Only
+        non-ASCII text encodes.
         """
         value = self.value
-        if value.isascii():
-            return len(value)
-        try:
-            return self._size_memo
-        except AttributeError:
-            size = len(self.encode().encode("utf-8"))
-            self._size_memo = size
-            return size
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
 
     @classmethod
     def column_size(cls, column: Column) -> int:
@@ -178,18 +158,21 @@ class IntWritable(_Scalar):
     def decode(cls, text: str) -> "IntWritable":
         return cls(int(text))
 
+    #: ``(bytes, low, high)``: the fixed widths a value may take,
+    #: narrowest first.  Hadoop writes ints as 4 bytes on the wire;
+    #: Python ints are unbounded, so values past 32 bits widen to a long
+    #: (8 bytes) and past 64 bits to their decimal text.  The binary
+    #: shuffle codec packs the 4-byte case at exactly this width
+    #: (asserted by tests/mapreduce/test_wire.py); a wider value keeps
+    #: its map output in object form.
+    _WIDTHS = ((4, INT32_MIN, INT32_MAX), (8, INT64_MIN, INT64_MAX))
+
     def serialized_size(self) -> int:
-        # Hadoop writes ints as 4 bytes on the wire; Python ints are
-        # unbounded, so values past 32 bits widen to a long (8 bytes)
-        # and past 64 bits to their decimal text.  The binary shuffle
-        # codec packs the 4-byte case at exactly this width (asserted by
-        # tests/mapreduce/test_wire.py); a wider value keeps its map
-        # output in object form.
-        if INT32_MIN <= self.value <= INT32_MAX:
-            return 4
-        if INT64_MIN <= self.value <= INT64_MAX:
-            return 8
-        return len(str(self.value))
+        value = self.value
+        for width, low, high in self._WIDTHS:
+            if low <= value <= high:
+                return width
+        return len(str(value))
 
     @classmethod
     def column_size(cls, column: Column) -> int:
@@ -204,15 +187,17 @@ class LongWritable(IntWritable):
     """A 64-bit integer (e.g., TextInputFormat's byte-offset keys)."""
 
     __slots__ = ()
-
-    def serialized_size(self) -> int:
-        if INT64_MIN <= self.value <= INT64_MAX:
-            return 8
-        return len(str(self.value))
+    _WIDTHS = ((8, INT64_MIN, INT64_MAX),)
 
 
 class FloatWritable(_Scalar):
-    """A floating-point value (DoubleWritable is the same thing here)."""
+    """A floating-point value (DoubleWritable is the same thing here).
+
+    Totally ordered: every ``nan`` is one key, sorted after every number
+    (Java's ``Double.compare`` puts NaN last too), not a key that
+    compares false both ways.  ``0.0`` and ``-0.0`` stay one key, as
+    Hadoop 1's comparator has it.
+    """
 
     __slots__ = ()
 
@@ -229,6 +214,10 @@ class FloatWritable(_Scalar):
     @classmethod
     def decode(cls, text: str) -> "FloatWritable":
         return cls(float(text))
+
+    def sort_key(self) -> tuple[bool, float]:
+        value = self.value
+        return (True, 0.0) if value != value else (False, value)
 
     def serialized_size(self) -> int:
         return 8
@@ -257,9 +246,6 @@ class NullWritable(Writable):
 
     def sort_key(self) -> str:
         return ""
-
-    def serialized_size(self) -> int:
-        return 0
 
 
 _FIELD_SEP = "\x01"  # never appears in course data
@@ -320,16 +306,7 @@ def record_writable(
             return cls(*(t(p) for t, p in zip(field_types, parts)))
 
         def sort_key(self) -> tuple:
-            # Memoised: building the field tuple on every comparison
-            # dominates composite-key sorts otherwise.
-            try:
-                return self._key_memo
-            except AttributeError:
-                key = tuple(
-                    getattr(self, field_name) for field_name in field_names
-                )
-                self._key_memo = key
-                return key
+            return tuple(getattr(self, field_name) for field_name in field_names)
 
         def __repr__(self) -> str:
             inner = ", ".join(
@@ -425,8 +402,8 @@ class Column(NamedTuple):
         and the wire decoder shares one per run of equal encodings.
         Equal items of these types encode alike.  A ``float`` column
         builds one per record: ``0.0 == -0.0`` would share one Writable
-        between two encodings, and ``nan`` equals nothing.  ``None``
-        wraps to the ``NullWritable`` singleton.
+        between two encodings.  ``None`` wraps to the ``NullWritable``
+        singleton.
         """
         if not self.plain:
             return self.items
@@ -439,13 +416,14 @@ class Column(NamedTuple):
 
     def sort_keys(self) -> list:
         """Every item's ``sort_key()``, read without building a Writable
-        (plain items are their own) and, for ``Text``, ``IntWritable``
-        and ``LongWritable``, without a call per item."""
-        if self.plain:
+        (plain items but ``float`` are their own) and, for ``Text``,
+        ``IntWritable`` and ``LongWritable``, without a call per item."""
+        if self.plain and self.cls is not FloatWritable:
             return self.items
+        items = self.writables()
         if self.cls is Text or self.cls is IntWritable or self.cls is LongWritable:
-            return list(map(_VALUE_OF, self.items))
-        return [item.sort_key() for item in self.items]
+            return list(map(_VALUE_OF, items))
+        return [item.sort_key() for item in items]
 
     def nbytes(self) -> int:
         """``serialized_size()`` summed over the column's Writables, by

@@ -186,11 +186,10 @@ def encode_runs(runs: list[Run]) -> tuple[bytes, int]:
     :class:`WireFormatError` when a column does not pack.
 
     Returns ``(blob, payload_bytes)`` where ``payload_bytes`` is the sum
-    of entry payload widths over all records — by construction equal to
-    :func:`~repro.mapreduce.shuffle.serialized_bytes` over the same
-    runs.  The key column is written from the run heads, one entry per
-    run, the value column per record; both cost C-level passes per
-    column, not calls per record.
+    of entry payload widths over all records — by construction the sum
+    of ``serialized_size()`` over the same records.  The key column is
+    written from the run heads, one entry per run, the value column per
+    record; both cost C-level passes per column, not calls per record.
     """
     lengths = list(map(len, map(_VALUE, runs)))
     out = [HEADER.pack(MAGIC, 0, sum(lengths))]
@@ -261,12 +260,10 @@ def _column_runs(body: memoryview, kind: int, count: int) -> Iterator[tuple[Writ
                     offset = ends[-1]
                 else:
                     values = struct.unpack_from(f">{batch}{code}", body, offset)
-                    widths = repeat(width)
                     offset += width * batch
-                for value, size, length in zip(values, widths, lengths):
+                for value, length in zip(values, lengths):
                     w = new(cls)  # constructor checks skipped: the wire format is the check
                     w.value = value
-                    w._size_memo = size
                     records += length
                     yield w, length
         else:

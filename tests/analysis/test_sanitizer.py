@@ -118,14 +118,6 @@ class MeanOfMeansJob(Job):
 
 
 class TestFingerprint:
-    def test_ignores_memo_slots(self):
-        # Non-ASCII: ASCII text is sized without ever filling the memo.
-        plain = Text("héllo")
-        memoised = Text("héllo")
-        memoised.serialized_size()  # populates _size_memo
-        assert hasattr(memoised, "_size_memo")
-        assert fingerprint(plain) == fingerprint(memoised)
-
     def test_distinguishes_values(self):
         assert fingerprint(Text("a")) != fingerprint(Text("b"))
         assert fingerprint(IntWritable(1)) != fingerprint(Text("1"))

@@ -152,6 +152,27 @@ def run_combiner(combiner_cls, groups, context, counters) -> tuple[list[Run], in
     return record_runs(pairs), serialized_bytes(pairs)
 
 
+def totals_of(partitions: dict[int, list[Run]]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per-partition record counts and payload bytes, record by record."""
+    records = {p: records_of(runs) for p, runs in partitions.items()}
+    return (
+        {p: len(pairs) for p, pairs in records.items()},
+        {p: serialized_bytes(pairs) for p, pairs in records.items()},
+    )
+
+
+def map_output(
+    partitions: dict[int, list[Run]], task_index: int = 0, node: str = "n"
+) -> MapOutput:
+    """An object-form ``MapOutput`` built by hand, its totals sized
+    record by record (:func:`totals_of`), as an attempt that ends sets
+    them."""
+    records, nbytes = totals_of(partitions)
+    return MapOutput(
+        task_index, node, partitions=partitions, records=records, nbytes=nbytes
+    )
+
+
 def output_pairs(output: MapOutput, partition: int) -> list[Pair]:
     """One map output's partition as records, its blob decoded when
     frozen."""

@@ -373,8 +373,7 @@ class TestMapOutputDescriptorForm:
         assert sorted(output.frames) == sorted(reference.frames)
         for p in (0, 1, 2):
             assert _merged(output, p) == _merged(reference, p)
-            assert output.partition_records(p) == reference.partition_records(p)
-            assert output.partition_bytes(p) == reference.partition_bytes(p)
+        assert (output.records, output.nbytes) == (reference.records, reference.nbytes)
 
     def test_slice_for_carries_one_descriptor(self, scope):
         output, _ = self._published(scope)

@@ -7,13 +7,12 @@ from repro.mapreduce.config import JobConf
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.shuffle import (
-    MapOutput,
+    bucket_totals,
     combiner_groups,
     is_key_sorted,
     merge_for_reduce,
     partition_pairs,
     run_combiner,
-    serialized_bytes,
     sort_pairs,
 )
 from repro.mapreduce.types import IntWritable, Text
@@ -58,9 +57,7 @@ class TestSortAndGroup:
         assert values == [1, 2, 3]
 
     def test_group_by_key(self):
-        out = MapOutput(
-            task_index=0, node="n0", partitions={0: runs_of(("a", 1), ("b", 5), ("a", 2))}
-        )
+        out = shuffle_oracle.map_output({0: runs_of(("a", 1), ("b", 5), ("a", 2))})
         groups = [
             (k.value, [v.value for v in vs]) for k, vs in merge_for_reduce([out], 0).groups
         ]
@@ -106,14 +103,21 @@ class TestPartitioning:
 
 
 class TestSerializedBytes:
+    """A bucket's payload bytes, as :func:`bucket_totals` sizes them."""
+
     def test_counts_keys_and_values(self):
         runs = runs_of(("ab", 1))  # Text 2 bytes + IntWritable 4 bytes
-        assert serialized_bytes(runs) == 6
+        assert bucket_totals({0: runs}, IntWritable) == ({0: 1}, {0: 6})
         # A run's key counts once per record.
-        assert serialized_bytes([(Text("ab"), [IntWritable(1)] * 3)]) == 18
+        bucket = [(Text("ab"), [IntWritable(1)] * 3)]
+        assert bucket_totals({2: bucket}, IntWritable) == ({2: 3}, {2: 18})
+
+    def test_mixed_value_column(self):
+        bucket = [(Text("ab"), [IntWritable(1), Text("xyz")])]
+        assert bucket_totals({0: bucket}, None) == ({0: 2}, {0: 2 * 2 + 4 + 3})
 
     def test_empty(self):
-        assert serialized_bytes([]) == 0
+        assert bucket_totals({}, IntWritable) == ({}, {})
 
 
 class TestCombiner:
@@ -136,7 +140,7 @@ class TestCombiner:
         )
         as_dict = {k.value: v.value for k, v in records(combined)}
         assert as_dict == {"a": 2, "b": 1}
-        assert nbytes == serialized_bytes(combined) == 2 * (1 + 4)
+        assert nbytes == shuffle_oracle.serialized_bytes(records(combined)) == 2 * (1 + 4)
         assert counters.get(C.COMBINE_INPUT_RECORDS) == 3
         assert counters.get(C.COMBINE_OUTPUT_RECORDS) == 2
 
@@ -197,12 +201,8 @@ def _assert_merge_matches_oracle(outputs, partition):
 
 class TestMergeForReduce:
     def test_merges_across_map_outputs(self):
-        out1 = MapOutput(
-            task_index=0, node="n0", partitions={0: runs_of(("b", 1), ("c", 3))}
-        )
-        out2 = MapOutput(
-            task_index=1, node="n1", partitions={0: runs_of(("a", 2), ("b", 4))}
-        )
+        out1 = shuffle_oracle.map_output({0: runs_of(("b", 1), ("c", 3))}, 0, "n0")
+        out2 = shuffle_oracle.map_output({0: runs_of(("a", 2), ("b", 4))}, 1, "n1")
         merged = _assert_merge_matches_oracle([out1, out2], 0)
         assert [(k.value, [v.value for v in vs]) for k, vs in merged.groups] == [
             ("a", [2]),
@@ -212,19 +212,13 @@ class TestMergeForReduce:
         assert (merged.records, merged.nbytes) == (4, 4 * 5)
 
     def test_partition_isolation(self):
-        out = MapOutput(
-            task_index=0,
-            node="n0",
-            partitions={0: runs_of(("a", 1)), 1: runs_of(("b", 1))},
-        )
+        out = shuffle_oracle.map_output({0: runs_of(("a", 1)), 1: runs_of(("b", 1))})
         merged = _assert_merge_matches_oracle([out], 1)
         assert [k.value for k, _ in merged.groups] == ["b"]
 
     def test_byte_accounting(self):
-        out = MapOutput(
-            task_index=0, node="n0", partitions={0: [(Text("ab"), [IntWritable(1)] * 2)]}
-        )
-        assert out.partition_bytes(0) == 12
-        assert out.partition_bytes(1) == 0
-        assert out.partition_records(0) == 2
-        assert out.partition_records(1) == 0
+        out = shuffle_oracle.map_output({0: [(Text("ab"), [IntWritable(1)] * 2)]})
+        assert (out.records, out.nbytes) == ({0: 2}, {0: 12})
+        # The merge reads the output's totals; an absent partition is empty.
+        assert merge_for_reduce([out], 0)[1:] == (2, 12)
+        assert merge_for_reduce([out], 1)[1:] == (0, 0)

@@ -29,7 +29,6 @@ from repro.mapreduce.counters import C
 from repro.mapreduce.local_runner import LocalJobRunner
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import (
-    MapOutput,
     combiner_groups,
     is_key_sorted,
     merge_for_reduce,
@@ -172,7 +171,7 @@ def _group_ids(groups):
 
 def _reduce_groups(pairs):
     """The product's reduce groups of one map output's partition."""
-    output = MapOutput(task_index=0, node="n", partitions={0: oracle.record_runs(pairs)})
+    output = oracle.map_output({0: oracle.record_runs(pairs)})
     return merge_for_reduce([output], 0).groups
 
 
@@ -214,20 +213,21 @@ def assert_matches_oracle(pairs, partitioner, num_reduces):
         )
     assert list(map(id, calls.keys)) == list(map(id, expected_calls.keys))
     assert _totals(pairs) == (len(pairs), oracle.serialized_bytes(pairs))
+    value_cls = oracle.columns_of(pairs)[1].cls
+    assert shuffle.bucket_totals(got, value_cls) == oracle.totals_of(got)
 
 
 def assert_reduce_matches_oracle(maps, as_runs=False):
     """``maps`` as one-record runs in the order given, or as the key runs
     a map attempt makes of them."""
     outputs = [
-        MapOutput(
-            task_index=i,
-            node="n",
-            partitions={
+        oracle.map_output(
+            {
                 0: _partition(pairs, HashPartitioner(), 1).get(0, [])
                 if as_runs
                 else oracle.record_runs(pairs)
             },
+            i,
         )
         for i, pairs in enumerate(maps)
     ]
@@ -328,10 +328,17 @@ class TestEdgeCases:
         assert [[v.value for v in vs] for _, vs in groups] == [[10, 30]]
         assert_matches_oracle(pairs, ByClass(), 2)
 
-    def test_nan_keys_sharing_one_nan_object_stay_apart(self):
-        pairs = [(FloatWritable(NAN), _one(i)) for i in range(3)]
-        assert pairs[0][0].sort_key() is pairs[1][0].sort_key()
-        assert len(_reduce_groups(pairs)) == 3
+    def test_nan_keys_are_one_group_sorted_last(self):
+        # Every nan is one key, after every number, whichever nan object
+        # or sign bit it holds; 1.5 around it stays one group too.
+        keys = [1.5, NAN, 0.5, 1.5, -NAN, float("nan")]
+        pairs = [(FloatWritable(x), _one(i)) for i, x in enumerate(keys)]
+        groups = _reduce_groups(pairs)
+        assert [(k.encode(), [v.value for v in vs]) for k, vs in groups] == [
+            ("0.5", [2]),
+            ("1.5", [0, 3]),
+            ("nan", [1, 4, 5]),
+        ]
         assert_matches_oracle(pairs, HashPartitioner(), 4)
 
     def test_signed_zero_is_one_group_but_two_partitions(self):
@@ -367,7 +374,7 @@ class TestEdgeCases:
         # key sizes 3 + 4 + 5 + 3, four 4-byte values: per record exact
         assert _totals(pairs) == (4, 15 + 16)
         (bucket,) = _partition(pairs, partitioner, 1).values()
-        assert shuffle.serialized_bytes(bucket) == 15 + 16
+        assert shuffle.bucket_totals({0: bucket}, IntWritable) == ({0: 4}, {0: 15 + 16})
         assert_matches_oracle(pairs, partitioner, 5)
 
     def test_text_subclass_is_not_hashed(self):
@@ -498,12 +505,18 @@ class TextWordCountWithCombinerJob(TextWordCountJob):
 def _count_in_map(monkeypatch, job_cls):
     """Run ``job_cls`` over one split, counting ``Text`` constructions,
     ``Text.sort_key()`` calls and exact ``IntWritable`` constructions
-    made inside ``execute_map``."""
-    counts = {"sort_key": 0, "init": 0, "int_init": 0}
+    made inside ``execute_map``, and ``serialized_size()`` calls on
+    ``Text`` and ``IntWritable`` made anywhere in the job."""
+    counts = {"sort_key": 0, "init": 0, "int_init": 0, "size": 0}
     in_map = [False]
     real_sort_key, real_init = Text.sort_key, Text.__init__
     real_int_init = IntWritable.__init__
     real_execute_map = runtime.execute_map
+    real_sizes = {cls: cls.serialized_size for cls in (Text, IntWritable)}
+
+    def counting_size(self):
+        counts["size"] += 1
+        return real_sizes[type(self)](self)
 
     def counting_sort_key(self):
         counts["sort_key"] += in_map[0]
@@ -527,6 +540,8 @@ def _count_in_map(monkeypatch, job_cls):
     monkeypatch.setattr(Text, "sort_key", counting_sort_key)
     monkeypatch.setattr(Text, "__init__", counting_init)
     monkeypatch.setattr(IntWritable, "__init__", counting_int_init)
+    for cls in real_sizes:
+        monkeypatch.setattr(cls, "serialized_size", counting_size)
     monkeypatch.setattr(runtime, "execute_map", execute_map)
     result = _run(job_cls, MapReduceConfig(), split_size=1 << 20)
     assert result.num_splits == 1
@@ -578,6 +593,17 @@ class TestCostPerDistinctKey:
         combined = result.counters.get(C.COMBINE_OUTPUT_RECORDS)
         assert records > 1000
         assert counts["int_init"] <= 1 + combined
+
+    @pytest.mark.parametrize("job_cls", [WordCountJob, TextWordCountJob])
+    def test_no_size_call_per_record(self, monkeypatch, job_cls):
+        # With no combiner the attempt sizes its output when it ends: a
+        # run's key once, the values as one column, which sizes 32-bit
+        # IntWritables by their extremes.  Nothing later sizes a record.
+        result, counts = _count_in_map(monkeypatch, job_cls)
+        records = result.counters.get(C.MAP_OUTPUT_RECORDS)
+        groups = result.counters.get(C.REDUCE_INPUT_GROUPS)
+        assert records > 10 * groups
+        assert counts["size"] <= groups
 
 
 class TestSortBufferSpills:

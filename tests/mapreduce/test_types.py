@@ -10,21 +10,16 @@ from repro.mapreduce.types import (
     NullWritable,
     Text,
     record_writable,
+    typed_column,
     wrap,
 )
 from repro.util.errors import InvalidWritableError
 
 
-def memoised_text_size(self) -> int:
-    """``Text.serialized_size`` before ASCII text skipped the memo: the
-    test oracle (every text filled the memo on its first sizing)."""
-    try:
-        return self._size_memo
-    except AttributeError:
-        text = self.encode()
-        size = len(text) if text.isascii() else len(text.encode("utf-8"))
-        self._size_memo = size
-        return size
+def utf8_text_size(self) -> int:
+    """``Text.serialized_size`` before ASCII text skipped the encode:
+    the test oracle (every value encoded to UTF-8)."""
+    return len(self.encode().encode("utf-8"))
 
 
 class TestText:
@@ -56,6 +51,24 @@ class TestNumericWritables:
         assert IntWritable(5).serialized_size() == 4
         assert LongWritable(5).serialized_size() == 8
         assert FloatWritable(1.5).serialized_size() == 8
+
+    def test_nan_is_one_key_sorted_after_every_number(self):
+        nan = float("nan")
+        keys = [FloatWritable(x) for x in (nan, 1.5, float("inf"), -nan, -1.0)]
+        assert [k.encode() for k in sorted(keys)] == ["-1.0", "1.5", "inf", "nan", "nan"]
+        assert FloatWritable(nan) == FloatWritable(-nan)
+        assert hash(FloatWritable(nan)) == hash(FloatWritable(-nan))
+        assert not FloatWritable(nan) < FloatWritable(nan)
+
+    def test_signed_zeros_are_one_key(self):
+        assert FloatWritable(0.0) == FloatWritable(-0.0)
+        assert hash(FloatWritable(0.0)) == hash(FloatWritable(-0.0))
+
+    def test_plain_float_column_orders_like_its_writables(self):
+        items = [float("nan"), 2.5, -0.0, float("-inf"), 0.0, float("nan")]
+        column = typed_column(items)
+        assert column.plain
+        assert column.sort_keys() == [FloatWritable(x).sort_key() for x in items]
 
     def test_float_round_trip_precision(self):
         value = 0.1 + 0.2
@@ -187,63 +200,55 @@ class TestWrap:
 
 
 class TestMemoisation:
-    """Writables are immutable; size/sort-key memos must be pure reuse."""
+    """Writables carry no memo: a Writable holds its fields and nothing
+    else, and ``serialized_size()`` and ``sort_key()`` compute on every
+    call.  Sizing a value or taking its sort key leaves everything a
+    consumer sees as it was."""
 
-    def test_serialized_size_encodes_once(self, monkeypatch):
-        calls = {"n": 0}
-        original = Text.encode
+    @pytest.mark.parametrize(
+        "w",
+        [
+            Text("naïve"),
+            IntWritable(3),
+            LongWritable(3),
+            FloatWritable(1.5),
+            record_writable("Pt", [("x", int), ("y", int)])(x=3, y=4),
+        ],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_carries_its_fields_only(self, w):
+        w.serialized_size(), w.sort_key()
+        assert not hasattr(w, "__dict__")
+        slots = [s for k in type(w).__mro__ for s in vars(k).get("__slots__", ())]
+        assert slots in (["value"], ["x", "y"])
 
-        def counting_encode(self):
-            calls["n"] += 1
-            return original(self)
-
-        monkeypatch.setattr(Text, "encode", counting_encode)
-        ascii_text = Text("ascii payload")
-        for _ in range(5):
-            assert ascii_text.serialized_size() == 13
-        # ASCII is one byte per character: sized with no encode, no memo.
-        assert calls["n"] == 0
-        assert not hasattr(ascii_text, "_size_memo")
+    def test_size_and_sort_key_compute_on_each_call(self):
+        # Writables are never mutated in a job; doing it here shows that
+        # nothing from an earlier call is kept.
         wide = Text("naïve payload")
-        for _ in range(5):
-            assert wide.serialized_size() == 14
-        assert calls["n"] == 1
-        assert wide._size_memo == 14
+        assert wide.serialized_size() == 14
+        wide.value = "naïve"
+        assert wide.serialized_size() == 6
+        Pt = record_writable("Pt", [("x", int), ("y", int)])
+        p = Pt(x=3, y=4)
+        assert p.sort_key() == (3, 4)
+        object.__setattr__(p, "x", 5)
+        assert p.sort_key() == (5, 4)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from("ab é日😀\x00"), st.characters(exclude_categories=["Cs"]))))
-    def test_serialized_size_matches_the_memoised_oracle(self, value):
-        text = Text(value)
-        assert text.serialized_size() == memoised_text_size(Text(value))
-        assert text.serialized_size() == len(value.encode("utf-8"))
-        # A memo the wire decoder planted is the same number either way.
-        planted = Text(value)
-        planted._size_memo = len(value.encode("utf-8"))
-        assert planted.serialized_size() == text.serialized_size()
-
-    def test_record_sort_key_built_once_and_stable(self):
-        Pt = record_writable("Pt", [("x", int), ("y", int)])
-        p = Pt(x=3, y=4)
-        key1 = p.sort_key()
-        key2 = p.sort_key()
-        assert key1 is key2  # memo reuse, not recomputation
-        assert key1 == (3, 4)
-        assert (p.x, p.y) == (3, 4)  # fields untouched by memoisation
+    def test_serialized_size_matches_the_utf8_oracle(self, value):
+        assert Text(value).serialized_size() == utf8_text_size(Text(value))
 
     def test_memo_does_not_leak_into_equality_hash_or_pickle(self):
         import pickle
 
-        warmed = Text("same")
-        warmed.serialized_size()
-        warmed.sort_key()
+        sized = Text("same")
+        sized.serialized_size(), sized.sort_key()
         fresh = Text("same")
-        assert warmed == fresh
-        assert hash(warmed) == hash(fresh)
-        restored = pickle.loads(
-            pickle.dumps(warmed, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        assert restored == fresh
-        assert restored.serialized_size() == fresh.serialized_size()
+        restored = pickle.loads(pickle.dumps(sized, protocol=pickle.HIGHEST_PROTOCOL))
+        assert sized == fresh == restored
+        assert hash(sized) == hash(fresh) == hash(restored)
 
     def test_comparisons_unchanged_after_memoisation(self):
         a, b = IntWritable(1), IntWritable(2)

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets.zipf_text import ZipfTextGenerator
 from repro.mapreduce import wire
 from repro.mapreduce.counters import PerfStats
-from repro.mapreduce.shuffle import MapOutput
+from repro.mapreduce.shuffle import MapOutput, bucket_totals
 from repro.mapreduce.types import (
     FloatWritable,
     IntWritable,
@@ -100,14 +100,16 @@ def _identical(a, b) -> bool:
 def _assert_object_form(pairs):
     """A column that does not pack keeps its map output as objects."""
     runs = shuffle_oracle.record_runs(pairs)
-    output = MapOutput(task_index=0, node="n", partitions={0: runs})
+    output = shuffle_oracle.map_output({0: runs})
+    totals = ({0: len(pairs)}, {0: shuffle_oracle.serialized_bytes(pairs)})
+    # What an attempt whose output fails to pack sizes it by.
+    assert bucket_totals({0: runs}, None) == totals
     perf = PerfStats()
     assert not output.freeze(perf)
     assert perf.frame_fallbacks == 1 and not output.frozen
     shipped = pickle.loads(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
     assert shipped.partitions[0] == runs
-    assert shipped.partition_bytes(0) == shuffle_oracle.serialized_bytes(pairs)
-    assert shipped.partition_records(0) == len(pairs)
+    assert (shipped.records, shipped.nbytes) == totals
     return shuffle_oracle.records_of(shipped.partitions[0])
 
 
@@ -211,7 +213,8 @@ class TestSizeAgreement:
     @SETTINGS
     def test_decoded_size_memo_matches_fresh_instance(self, w):
         """Decoded Writables report the same serialized_size as the
-        originals — their preset memo must not drift from the codec."""
+        originals.  (The decoder once preset a size memo on each; now
+        a decoded value sizes itself from its value, like any other.)"""
         if not wire_oracle.rwf2_packs([w]):
             with pytest.raises(WireFormatError):
                 shuffle_oracle.encode_records([(w, w)])

@@ -2,7 +2,7 @@
 
 ``wire_oracle.py`` is the per-record frame codec, verbatim.  Over every
 column RWF2 packs, the new layout may differ in bytes only: everything
-a consumer can see — decoded class, value, ``_size_memo``,
+a consumer can see — decoded class, value, ``serialized_size()``,
 ``payload_bytes`` and record count — must equal the oracle's (the flags
 byte RWF1 set for key-sorted blobs is reserved and 0 in RWF2), over sorted and unsorted inputs and both column shapes
 (packed, run-packed).  Any other column (mixed classes, a wide integer,
@@ -79,7 +79,7 @@ def _facts(w):
     value = getattr(w, "value", None)
     if isinstance(value, float):
         value = struct.pack(">d", value)
-    return type(w), w.encode(), value, getattr(w, "_size_memo", None)
+    return type(w), w.encode(), value, w.serialized_size()
 
 
 def _packs(pairs) -> bool:
@@ -121,9 +121,7 @@ class TestAgainstOracle:
         pairs = [(IntWritable(1), Text("i")), (LongWritable(1), Text("l"))] * 3
         with pytest.raises(WireFormatError, match="IntWritable, LongWritable"):
             shuffle_oracle.encode_records(pairs)
-        output = MapOutput(
-            task_index=0, node="n", partitions={0: shuffle_oracle.record_runs(pairs)}
-        )
+        output = shuffle_oracle.map_output({0: shuffle_oracle.record_runs(pairs)})
         assert not output.freeze()
         assert [type(k) for k, _ in output.partitions[0]] == [IntWritable, LongWritable] * 3
 
@@ -156,7 +154,7 @@ class TestRunMergeEqualsRecordMerge:
     @SETTINGS
     def test_groups_and_totals_equal_the_object_path(self, maps):
         runs = [shuffle_oracle.record_runs(p) for p in maps]
-        plain = [MapOutput(task_index=i, node="n", partitions={0: r}) for i, r in enumerate(runs)]
+        plain = [shuffle_oracle.map_output({0: r}, i) for i, r in enumerate(runs)]
         frozen = [MapOutput(task_index=i, node="n", partitions={0: r}) for i, r in enumerate(runs)]
         assert all(output.freeze() for output in frozen)
         merged = shuffle_oracle.merge_for_reduce(plain, 0)

@@ -291,8 +291,8 @@ class TestPooledAttemptFreezesAlike:
         assert got.output.frozen is packs
         assert got.output.frames == parent.output.frames
         assert got.output.partitions == parent.output.partitions
-        assert got.output._bytes_memo == parent.output._bytes_memo
-        assert got.output._records_memo == parent.output._records_memo
+        assert got.output.records == parent.output.records
+        assert got.output.nbytes == parent.output.nbytes
         assert got.counters.as_dict() == parent.counters.as_dict()
         assert got.duration == parent.duration
         assert got.perf["blobs_encoded"] == len(parent.output.frames or ())

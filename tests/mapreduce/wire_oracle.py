@@ -1,10 +1,12 @@
-"""Reference oracle: the RWF1 per-record frame codec, as it was.
+"""Reference oracle: the RWF1 per-record frame codec, as it was, less
+the size memo its decoder once preset on every Writable (Writables
+carry no memo now).
 
 This is the body ``repro.mapreduce.wire`` had before the run-packed RWF2
 layout replaced it: one header, then one tagged frame per Writable, key
 and value alternating — one ``_encode_one`` / ``_decode_one`` call per
 frame.  It defines what RWF2 must reproduce exactly over every column
-RWF2 packs (decoded class, value and ``_size_memo``; ``payload_bytes``;
+RWF2 packs (decoded class, value and ``serialized_size()``; ``payload_bytes``;
 record count — RWF2 keeps the flags byte but reserves it, always 0; see
 ``test_wire_differential.py``, which compares the two);
 :func:`rwf2_packs` restates which columns those are.  Not
@@ -176,7 +178,7 @@ def encode_pairs(pairs: Iterable[Pair]) -> tuple[bytes, int]:
 
     Returns ``(blob, payload_bytes)`` where ``payload_bytes`` is the sum
     of frame payload widths — by construction equal to
-    :func:`~repro.mapreduce.shuffle.serialized_bytes` over the same
+    the sum of ``serialized_size()`` over the same
     pairs.  The key-sorted flag is computed during the same pass.
     """
     frames: list[bytes] = []
@@ -259,26 +261,22 @@ def _decode_one(view: memoryview, offset: int) -> tuple[Writable, int]:
                 raise _truncated(offset, length, end - offset)
             w = Text.__new__(Text)
             w.value = str(view[offset : offset + length], "utf-8")
-            w._size_memo = length
             return w, offset + length
         if tag == TAG_INT32:
             (v,) = _I32.unpack_from(view, offset)
             w = IntWritable.__new__(IntWritable)
             w.value = v
-            w._size_memo = 4
             return w, offset + 4
         if tag == TAG_INT64 or tag == TAG_LONG64:
             (v,) = _I64.unpack_from(view, offset)
             cls = IntWritable if tag == TAG_INT64 else LongWritable
             w = cls.__new__(cls)
             w.value = v
-            w._size_memo = 8
             return w, offset + 8
         if tag == TAG_FLOAT:
             (v,) = _F64.unpack_from(view, offset)
             w = FloatWritable.__new__(FloatWritable)
             w.value = v
-            w._size_memo = 8
             return w, offset + 8
         if tag == TAG_NULL:
             return NullWritable(), offset
@@ -290,7 +288,6 @@ def _decode_one(view: memoryview, offset: int) -> tuple[Writable, int]:
             cls = IntWritable if tag == TAG_INTBIG else LongWritable
             w = cls.__new__(cls)
             w.value = int(str(view[offset : offset + length], "ascii"))
-            w._size_memo = length
             return w, offset + length
         if tag == TAG_GENERIC:
             (ref_len,) = _U16.unpack_from(view, offset)
@@ -305,7 +302,6 @@ def _decode_one(view: memoryview, offset: int) -> tuple[Writable, int]:
                 raise _truncated(offset, length, end - offset)
             cls = _resolve_class(ref)
             w = cls.decode(str(view[offset : offset + length], "utf-8"))
-            w._size_memo = length
             return w, offset + length
     except struct.error as exc:
         raise WireFormatError(

@@ -9,7 +9,8 @@ front-end pipelines of ``benchmarks/perf``'s ``pipelines`` workload —
 compiled PageRank and the three-stage Hive join — run here at small
 scale twice, once as shipped and once with every oracle body
 (``tests/sparklite/codec_oracle.py``, ``tests/sparklite/stage_oracle.py``,
-``tests/hive/partial_oracle.py``, the memoised ``Text`` sizing)
+``tests/hive/partial_oracle.py``, ``Text`` sizing that encodes every
+value)
 monkeypatched over its replacement, and must agree on output, on every
 job's counters and on the simulated clock.  CI also runs this file under two ``PYTHONHASHSEED`` values: the
 encoder now dispatches through a ``type``-keyed dict, and the codec's
@@ -29,7 +30,7 @@ from repro.sparklite import SparkLiteContext
 from repro.sparklite import codec
 from repro.sparklite import planner as spark_planner
 from tests.hive import partial_oracle
-from tests.mapreduce.test_types import memoised_text_size
+from tests.mapreduce.test_types import utf8_text_size
 from tests.sparklite import codec_oracle, stage_oracle
 
 JOIN_SQL = (
@@ -76,7 +77,7 @@ def _patch_in_the_oracles(monkeypatch) -> None:
     monkeypatch.setattr(TableSchema, "parse_row", partial_oracle.parse_row)
     monkeypatch.setattr(hive_planner, "_parse_side_row", partial_oracle.parse_side_row)
     stage_oracle.patch_in(monkeypatch)
-    monkeypatch.setattr(Text, "serialized_size", memoised_text_size)
+    monkeypatch.setattr(Text, "serialized_size", utf8_text_size)
 
 
 def _run_pipelines() -> dict:

@@ -42,7 +42,6 @@ from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mapreduce.api import Context, Job, Mapper, Reducer
 from repro.mapreduce.counters import C, Counters, PerfStats
 from repro.mapreduce.shuffle import (
-    MapOutput,
     combiner_groups,
     merge_for_reduce,
     partition_pairs,
@@ -287,7 +286,7 @@ def map_outputs(draw):
                 p: run_combiner(combiner, combiner_groups(runs), context, Counters())[0]
                 for p, runs in partitions.items()
             }
-        output = MapOutput(task_index=index, node="n", partitions=partitions)
+        output = oracle.map_output(partitions, index)
         if draw(st.booleans()):
             output.freeze()
         outputs.append(output)
@@ -423,10 +422,10 @@ class FloatWordCountWithCombinerJob(Job):
 
 @pytest.mark.parametrize("backend_name", ["serial", "pooled"])
 def test_nan_keys_meet_a_combiner(backend_name):
-    # ``nan`` equals no key, itself included: each ``nan`` token is a
-    # group of its own through the combine and the reduce, and the
-    # combiner takes each bucket in whatever order the stable sort left
-    # it.  ``0.0`` and ``-0.0`` encode apart, so they partition apart.
+    # Every ``nan`` is one key, sorted after every number: the three
+    # ``nan`` tokens are one group through the combine and the reduce.
+    # ``0.0`` and ``-0.0`` are one key but encode apart, so they
+    # partition apart.
     fs = LinuxFileSystem()
     fs.write_file("/in/input.txt", "1.5 nan -0.0\n0.0 nan 1.5\nnan 2.5 0.0\n")
     backend = create_backend(backend_name, 2)
@@ -438,9 +437,23 @@ def test_nan_keys_meet_a_combiner(backend_name):
     assert result.num_splits == 3
     assert result.counters.get(C.COMBINE_INPUT_RECORDS) == 9
     assert fs.read_file("/out/part-00000") == b"0.0\t2\n1.5\t2\n"
-    assert fs.read_file("/out/part-00001") == (
-        b"nan\t1\n-0.0\t1\nnan\t1\nnan\t1\n2.5\t1\n"
-    )
+    assert fs.read_file("/out/part-00001") == b"-0.0\t1\n2.5\t1\nnan\t3\n"
+
+
+class FloatWordCountJob(Job):
+    mapper = FloatTokenMapper
+    reducer = IntSumReducer
+
+
+@pytest.mark.parametrize("job_cls", [FloatWordCountJob, FloatWordCountWithCombinerJob])
+def test_a_nan_key_leaves_other_keys_whole(job_cls):
+    # One ``nan`` once split the stable sort around it: ``1.5`` was
+    # written twice.
+    fs = LinuxFileSystem()
+    fs.write_file("/in/input.txt", "1.5 nan 0.5 1.5\n")
+    with LocalJobRunner(localfs=fs) as runner:
+        runner.run(job_cls(JobConf(name="floats", num_reduces=1)), "/in", "/out")
+    assert fs.read_file("/out/part-00000") == b"0.5\t1\n1.5\t2\nnan\t1\n"
 
 
 def test_the_oracle_patch_reaches_the_attempt(monkeypatch):
