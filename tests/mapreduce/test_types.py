@@ -235,6 +235,45 @@ class TestMemoisation:
         object.__setattr__(p, "x", 5)
         assert p.sort_key() == (5, 4)
 
+    def test_serialized_size_encodes_once(self):
+        # A str subclass counts the UTF-8 encodes sizing asks for.
+        calls = {"n": 0}
+
+        class CountingStr(str):
+            def encode(self, *args, **kwargs):
+                calls["n"] += 1
+                return str.encode(self, *args, **kwargs)
+
+        ascii_text = Text(CountingStr("ascii payload"))
+        for _ in range(5):
+            assert ascii_text.serialized_size() == 13
+        # ASCII is one byte per character: sized with no encode.
+        assert calls["n"] == 0
+        wide = Text(CountingStr("naïve payload"))
+        for n in range(1, 6):
+            assert wide.serialized_size() == 14
+            # One encode per sizing, and nothing kept between calls.
+            assert calls["n"] == n
+        assert not hasattr(wide, "__dict__")
+
+    def test_record_sort_key_built_once_and_stable(self, monkeypatch):
+        Pt = record_writable("Pt", [("x", int), ("y", int)])
+        calls = {"n": 0}
+        original = Pt.sort_key
+
+        def counting_sort_key(self):
+            calls["n"] += 1
+            return original(self)
+
+        monkeypatch.setattr(Pt, "sort_key", counting_sort_key)
+        points = [Pt(x=3, y=4), Pt(x=1, y=2), Pt(x=3, y=4)]
+        # A column takes each record's sort key once.
+        assert typed_column(points).sort_keys() == [(3, 4), (1, 2), (3, 4)]
+        assert calls["n"] == len(points)
+        p = points[0]
+        assert p.sort_key() == p.sort_key() == (3, 4)  # stable across calls
+        assert (p.x, p.y) == (3, 4)  # fields untouched by taking the key
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from("ab é日😀\x00"), st.characters(exclude_categories=["Cs"]))))
     def test_serialized_size_matches_the_utf8_oracle(self, value):
